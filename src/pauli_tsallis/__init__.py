@@ -17,6 +17,7 @@ from .bounds import (
     h_tilde,
     integer_order,
     interpolated_lower_bound,
+    is_proven_order,
     kernel_f,
     kernel_g,
     lower_bound,
@@ -30,6 +31,7 @@ from .entropy import (
     alpha_log,
     as_param,
     h_alpha,
+    pair_entropy,
     phi,
     tsallis_entropy,
 )
@@ -37,13 +39,13 @@ from .states import (
     BlochVector,
     MeasurementTriple,
     PureStateAngles,
-    ReducedCoords,
+    StateLike,
     bloch_from_angles,
     canonicalize_to_D,
     eigenstate_witnesses,
+    measurement_triple,
     probs_from_angles,
     probs_from_bloch,
-    reduced_coords,
 )
 from .verify import (
     DEFAULT_SEED,
@@ -52,7 +54,6 @@ from .verify import (
     certify_equality_conditions,
     check_alpha_concavity,
     check_kernel_monotonicity,
-    empirical_upper_pure,
     entropic_sum,
     g_sum,
     refined_maximum,
@@ -71,16 +72,17 @@ __all__ = [
     "as_param",
     "alpha_log",
     "h_alpha",
+    "pair_entropy",
     "tsallis_entropy",
     "phi",
     "PureStateAngles",
     "BlochVector",
     "MeasurementTriple",
-    "ReducedCoords",
+    "StateLike",
     "probs_from_angles",
     "probs_from_bloch",
+    "measurement_triple",
     "bloch_from_angles",
-    "reduced_coords",
     "canonicalize_to_D",
     "eigenstate_witnesses",
     "BoundSet",
@@ -95,6 +97,7 @@ __all__ = [
     "kernel_f",
     "kernel_g",
     "integer_order",
+    "is_proven_order",
     "GridSpec",
     "ScanReport",
     "DEFAULT_SEED",
@@ -105,7 +108,6 @@ __all__ = [
     "certify_equality_conditions",
     "check_kernel_monotonicity",
     "check_alpha_concavity",
-    "empirical_upper_pure",
     "refined_maximum",
     "sample_pure_states",
     "sample_mixed_states",

@@ -52,6 +52,7 @@ __all__ = [
     "UnsupportedAlphaError",
     "BoundSet",
     "integer_order",
+    "is_proven_order",
     "lower_bound",
     "interpolated_lower_bound",
     "upper_bound_mixed",
@@ -92,6 +93,21 @@ def integer_order(alpha: AlphaLike) -> Optional[int]:
     return None
 
 
+def is_proven_order(alpha: AlphaLike) -> bool:
+    """True for alpha in (0, 1] and integer alpha >= 2, the proven range.
+
+    There the lower bound 2 ln_alpha(2) is tight, the pure-state upper
+    bound 3 h_tilde(alpha) and the rescaled band hold, and the equality
+    conditions are certified.  Other orders get the interpolated lower
+    bound and only empirical pure-state upper information.
+    """
+    a = as_param(alpha).alpha
+    if a <= 1.0:
+        return True
+    n = integer_order(a)
+    return n is not None and n >= 2
+
+
 def interpolated_lower_bound(alpha: AlphaLike) -> float:
     """Concavity-interpolated lower bound on the entropic sum for alpha > 1.
 
@@ -119,10 +135,7 @@ def lower_bound(alpha: AlphaLike) -> tuple[float, bool]:
     alpha = 2, 3 at every pure state.
     """
     a = as_param(alpha)
-    if a.alpha <= 1.0:
-        return 2.0 * alpha_log(2.0, a), True
-    n = integer_order(a)
-    if n is not None and n >= 2:
+    if is_proven_order(a):
         return 2.0 * alpha_log(2.0, a), True
     return interpolated_lower_bound(a), False
 
@@ -147,13 +160,6 @@ def h_tilde(alpha: AlphaLike) -> float:
     return tsallis_entropy(MAXIMIZER_PAIR, alpha)
 
 
-def _pure_upper_supported(a: float) -> bool:
-    if a <= 1.0:
-        return True
-    n = integer_order(a)
-    return n is not None and n >= 2
-
-
 def upper_bound_pure(alpha: AlphaLike) -> Optional[tuple[float, bool]]:
     """Pure-state upper bound 3 h_tilde(alpha), or None where unproven.
 
@@ -164,7 +170,7 @@ def upper_bound_pure(alpha: AlphaLike) -> Optional[tuple[float, bool]]:
     verify module, which is deliberately not reported as a bound.
     """
     a = as_param(alpha)
-    if not _pure_upper_supported(a.alpha):
+    if not is_proven_order(a):
         return None
     return 3.0 * h_tilde(a), True
 
@@ -179,7 +185,7 @@ def rescaled_band(alpha: AlphaLike) -> tuple[float, float]:
     alpha raises UnsupportedAlphaError.
     """
     a = as_param(alpha)
-    if not _pure_upper_supported(a.alpha):
+    if not is_proven_order(a):
         raise UnsupportedAlphaError(
             f"rescaled band is proven only for alpha in (0, 1] and integer alpha >= 2, "
             f"got {a.alpha!r}"
@@ -293,28 +299,15 @@ def bound_set(alpha: AlphaLike) -> BoundSet:
     """Assemble the full BoundSet for one entropic order."""
     a = as_param(alpha)
     low, tight = lower_bound(a)
-    up_mixed = upper_bound_mixed(a)
-    pure = upper_bound_pure(a)
-    if pure is None:
-        return BoundSet(
-            alpha=a,
-            lower=low,
-            lower_is_tight=tight,
-            upper_mixed=up_mixed,
-            upper_pure=None,
-            upper_pure_is_tight=False,
-            h_tilde=None,
-            r_alpha=None,
-        )
-    up_pure, pure_tight = pure
-    ht = h_tilde(a)
+    up_pure, pure_tight = upper_bound_pure(a) or (None, False)
+    ht = h_tilde(a) if up_pure is not None else None
     return BoundSet(
         alpha=a,
         lower=low,
         lower_is_tight=tight,
-        upper_mixed=up_mixed,
+        upper_mixed=upper_bound_mixed(a),
         upper_pure=up_pure,
         upper_pure_is_tight=pure_tight,
         h_tilde=ht,
-        r_alpha=ht / alpha_log(2.0, a),
+        r_alpha=ht / alpha_log(2.0, a) if ht is not None else None,
     )

@@ -16,23 +16,25 @@ byte-deterministic for fixed inputs and seed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .bounds import (
+    BoundSet,
     UnsupportedAlphaError,
     bound_set,
     integer_order,
+    is_proven_order,
     rescaled_band,
 )
 from .entropy import tsallis_entropy
-from .states import BlochVector, PureStateAngles
+from .states import BlochVector, PureStateAngles, measurement_triple
 from .verify import (
     DEFAULT_SEED,
     GridSpec,
-    _triple_of,
     certify_equality_conditions,
     check_alpha_concavity,
     check_kernel_monotonicity,
@@ -60,13 +62,23 @@ def fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
+def _cell(x) -> str:
+    """One CSV cell: fmt for reals, lowercase booleans, empty for None."""
+    if isinstance(x, bool):
+        return str(x).lower()
+    if isinstance(x, float):
+        return fmt(x)
+    return "" if x is None else str(x)
+
+
 def _parse_alpha(text: str) -> float:
+    """The one validator of entropic orders given on the command line."""
     try:
         alpha = float(text)
     except ValueError:
         raise UsageError(f"alpha must be a number, got {text!r}") from None
-    if not alpha > 0.0:
-        raise UsageError(f"alpha must be positive, got {text!r}")
+    if not (alpha > 0.0 and math.isfinite(alpha)):
+        raise UsageError(f"alpha must be a finite positive number, got {text!r}")
     return alpha
 
 
@@ -101,13 +113,24 @@ def _write_csv(path: Optional[str], header: str, rows: list[str]) -> None:
         raise IOError(f"cannot write {path!r}: {exc}") from exc
 
 
+def _lower_text(bounds: BoundSet) -> str:
+    return fmt(bounds.lower) + (" (tight)" if bounds.lower_is_tight else " (not tight)")
+
+
+def _upper_pure_text(bounds: BoundSet) -> str:
+    if bounds.upper_pure is None:
+        return "empirical only"
+    note = " (tight)" if bounds.upper_pure_is_tight else ""
+    if integer_order(bounds.alpha) in (2, 3):
+        note += " (attained by every pure state)"
+    return fmt(bounds.upper_pure) + note
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     state = _parse_state(args.state)
-    alpha = args.alpha
-    if not alpha > 0.0:
-        raise UsageError(f"alpha must be positive, got {alpha!r}")
+    alpha = _parse_alpha(args.alpha)
     bounds = bound_set(alpha)
-    triple = _triple_of(state)
+    triple = measurement_triple(state)
     entropies = [tsallis_entropy(pair, alpha) for pair in triple.pairs()]
     total = sum(entropies)
 
@@ -123,15 +146,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for name, value in zip(("x", "y", "z"), entropies):
         print(f"H({name}): {fmt(value)}")
     print(f"sum: {fmt(total)}")
-    print(f"lower bound: {fmt(bounds.lower)}" + (" (tight)" if bounds.lower_is_tight else " (not tight)"))
+    print(f"lower bound: {_lower_text(bounds)}")
     print(f"upper bound (mixed): {fmt(bounds.upper_mixed)}")
-    if bounds.upper_pure is not None:
-        note = " (tight)" if bounds.upper_pure_is_tight else ""
-        if integer_order(alpha) in (2, 3):
-            note += " (attained by every pure state)"
-        print(f"upper bound (pure): {fmt(bounds.upper_pure)}{note}")
-    else:
-        print("upper bound (pure): empirical only")
+    print(f"upper bound (pure): {_upper_pure_text(bounds)}")
 
     flags = []
     if abs(total - bounds.lower) <= ATTAINED_TOL:
@@ -153,34 +170,15 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     alpha = _require_alpha(args)
     bounds = bound_set(alpha)
     print(f"alpha: {fmt(alpha)}")
-    print(f"lower: {fmt(bounds.lower)}" + (" (tight)" if bounds.lower_is_tight else " (not tight)"))
+    print(f"lower: {_lower_text(bounds)}")
     print(f"upper_mixed: {fmt(bounds.upper_mixed)}")
-    if bounds.upper_pure is None:
-        print("upper_pure: empirical only")
-        print("h_tilde: n/a")
-        print("r_alpha: n/a")
-    else:
-        note = " (tight)" if bounds.upper_pure_is_tight else ""
-        if integer_order(alpha) in (2, 3):
-            note += " (attained by every pure state)"
-        print(f"upper_pure: {fmt(bounds.upper_pure)}{note}")
-        print(f"h_tilde: {fmt(bounds.h_tilde)}")
-        print(f"r_alpha: {fmt(bounds.r_alpha)}")
+    print(f"upper_pure: {_upper_pure_text(bounds)}")
+    print(f"h_tilde: {fmt(bounds.h_tilde) if bounds.h_tilde is not None else 'n/a'}")
+    print(f"r_alpha: {fmt(bounds.r_alpha) if bounds.r_alpha is not None else 'n/a'}")
     if args.out is not None:
         header = "alpha,lower,lower_is_tight,upper_mixed,upper_pure,upper_pure_is_tight,h_tilde,r_alpha"
-        row = ",".join(
-            [
-                fmt(alpha),
-                fmt(bounds.lower),
-                str(bounds.lower_is_tight).lower(),
-                fmt(bounds.upper_mixed),
-                fmt(bounds.upper_pure) if bounds.upper_pure is not None else "",
-                str(bounds.upper_pure_is_tight).lower(),
-                fmt(bounds.h_tilde) if bounds.h_tilde is not None else "",
-                fmt(bounds.r_alpha) if bounds.r_alpha is not None else "",
-            ]
-        )
-        _write_csv(args.out, header, [row])
+        values = [alpha] + [getattr(bounds, name) for name in header.split(",")[1:]]
+        _write_csv(args.out, header, [",".join(_cell(x) for x in values)])
     return EXIT_OK
 
 
@@ -211,13 +209,10 @@ def cmd_rtable(args: argparse.Namespace) -> int:
 
 
 def _require_alpha(args: argparse.Namespace) -> float:
-    if getattr(args, "alpha_pos", None) is not None:
-        return _parse_alpha(args.alpha_pos)
-    if args.alpha is not None:
-        if not args.alpha > 0.0:
-            raise UsageError(f"alpha must be positive, got {args.alpha!r}")
-        return args.alpha
-    raise UsageError("an alpha value is required (positional or --alpha)")
+    text = args.alpha_pos if args.alpha_pos is not None else args.alpha
+    if text is None:
+        raise UsageError("an alpha value is required (positional or --alpha)")
+    return _parse_alpha(text)
 
 
 def _verify_alphas(args: argparse.Namespace) -> list[float]:
@@ -227,52 +222,42 @@ def _verify_alphas(args: argparse.Namespace) -> list[float]:
     return [_parse_alpha(part) for part in str(text).split(",") if part != ""]
 
 
+def _status(ok: Optional[bool]) -> str:
+    """pass or fail for a check that ran; skip (ok is None) outside its proven range."""
+    if ok is None:
+        return "skip"
+    return "pass" if ok else "fail"
+
+
 def _verify_checks(alpha: float, grid_n: int, seed: int):
     """Yield (check, status, observed, expected, tolerance) rows for one order."""
     report = scan_extrema(alpha, GridSpec(grid_n, grid_n))
-    low = report.analytic_lower
+    low, up = report.analytic_lower, report.analytic_upper
     tol = 1e-12
-    ok = report.min_value >= low - tol
-    yield ("lower_bound", "pass" if ok else "fail", report.min_value, low, tol)
+    proven = is_proven_order(alpha)
+    yield ("lower_bound", _status(report.min_value >= low - tol), report.min_value, low, tol)
 
-    tight = bound_set(alpha).lower_is_tight
-    if tight:
-        ok = abs(report.min_value - low) <= tol
-        yield ("lower_tight", "pass" if ok else "fail", report.min_value, low, tol)
-    else:
-        yield ("lower_tight", "skip", report.min_value, low, tol)
+    tight = abs(report.min_value - low) <= tol if proven else None
+    yield ("lower_tight", _status(tight), report.min_value, low, tol)
 
-    if report.analytic_upper is not None:
-        ok = report.max_value <= report.analytic_upper + tol
-        yield ("upper_pure", "pass" if ok else "fail", report.max_value, report.analytic_upper, tol)
-    else:
-        yield ("upper_pure", "skip", report.max_value, "", tol)
+    below = report.max_value <= up + tol if up is not None else None
+    yield ("upper_pure", _status(below), report.max_value, up, tol)
 
-    n_int = integer_order(alpha)
-    if alpha <= 1.0 or (n_int is not None and n_int >= 2):
-        ok = certify_equality_conditions(alpha, tolerance=1e-12, seed=seed)
-        yield ("equality_conditions", "pass" if ok else "fail", "", "", 1e-12)
-    else:
-        yield ("equality_conditions", "skip", "", "", 1e-12)
+    certified = certify_equality_conditions(alpha, tolerance=1e-12, seed=seed) if proven else None
+    yield ("equality_conditions", _status(certified), "", "", 1e-12)
 
-    if alpha <= 1.0:
-        ok = check_kernel_monotonicity("f", alpha, 10_000)
-        yield ("kernel_monotonic", "pass" if ok else "fail", "", "", "")
-    elif n_int is not None:
-        ok = check_kernel_monotonicity("g", alpha, 10_000)
-        yield ("kernel_monotonic", "pass" if ok else "fail", "", "", "")
-    else:
-        yield ("kernel_monotonic", "skip", "", "", "")
+    kernel = "f" if alpha <= 1.0 else "g" if integer_order(alpha) is not None else None
+    monotonic = check_kernel_monotonicity(kernel, alpha, 10_000) if kernel is not None else None
+    yield ("kernel_monotonic", _status(monotonic), "", "", "")
 
     b = sample_pure_states(1, seed=seed)[0]
     state = BlochVector(float(b[0]), float(b[1]), float(b[2]))
     ok = check_alpha_concavity(state, 1.0, max(2.0, alpha), 101)
-    yield ("alpha_concavity", "pass" if ok else "fail", "", "", 1e-12)
+    yield ("alpha_concavity", _status(ok), "", "", 1e-12)
 
     n_full = min(grid_n, 501)
-    full_grid = GridSpec(n_full, 4 * (n_full - 1) + 1, include_full_domain=True)
-    ok = scan_full_domain_consistency(alpha, full_grid)
-    yield ("full_domain", "pass" if ok else "fail", "", "", "")
+    full_grid = GridSpec(n_full, 4 * (n_full - 1) + 1)
+    yield ("full_domain", _status(scan_full_domain_consistency(alpha, full_grid)), "", "", "")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -284,10 +269,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for alpha in alphas:
         for check, status, observed, expected, tol in _verify_checks(alpha, args.grid, args.seed):
             failed = failed or status == "fail"
-            obs = fmt(observed) if isinstance(observed, float) else str(observed)
-            exp = fmt(expected) if isinstance(expected, float) else str(expected)
-            tol_s = fmt(tol) if isinstance(tol, float) else str(tol)
-            print(f"{check},{fmt(alpha)},{status},{obs},{exp},{tol_s}")
+            print(",".join(_cell(x) for x in (check, alpha, status, observed, expected, tol)))
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
@@ -303,12 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate one state: probabilities, entropies, sum, bounds")
     p.add_argument("state", help="angles:<tau>,<phi> (radians) or bloch:<bx>,<by>,<bz>")
-    p.add_argument("--alpha", type=float, required=True, help="entropic order (> 0)")
+    p.add_argument("--alpha", required=True, help="entropic order (> 0)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bounds", help="print the analytic bound set at one order")
     p.add_argument("alpha_pos", nargs="?", metavar="alpha", help="entropic order (> 0)")
-    p.add_argument("--alpha", type=float, help="entropic order (> 0)")
+    p.add_argument("--alpha", help="entropic order (> 0)")
     p.add_argument("--out", help="also write the bound set as CSV to this path")
     p.set_defaults(func=cmd_bounds)
 

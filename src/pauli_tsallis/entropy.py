@@ -11,6 +11,11 @@ alpha == 1), never as a numerical limit of the alpha != 1 formula, so the
 
 Conventions used throughout: 0^alpha = 0 for every alpha > 0 and
 0 * ln 0 = 0, so that h_alpha(0) = h_alpha(1) = 0 exactly.
+
+pair_entropy is the one implementation of the three-branch formula.  The
+scalar functions evaluate it on one-element arrays, so a scalar value is
+bit for bit the value the grid scans compute for the same pair.  (numpy
+scalars would not do: they use libm pow, arrays the SIMD pow.)
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Sequence, Union
+
+import numpy as np
 
 __all__ = [
     "SUM_TOL",
@@ -28,6 +35,7 @@ __all__ = [
     "as_param",
     "alpha_log",
     "h_alpha",
+    "pair_entropy",
     "tsallis_entropy",
     "phi",
 ]
@@ -77,15 +85,9 @@ def _clamped_probability(value: float, name: str) -> float:
     v = float(value)
     if not math.isfinite(v):
         raise ValueError(f"{name} must be finite, got {value!r}")
-    if v < 0.0:
-        if v < -CLAMP_TOL:
-            raise ValueError(f"{name} = {value!r} is outside [0, 1] beyond tolerance {CLAMP_TOL}")
-        return 0.0
-    if v > 1.0:
-        if v > 1.0 + CLAMP_TOL:
-            raise ValueError(f"{name} = {value!r} is outside [0, 1] beyond tolerance {CLAMP_TOL}")
-        return 1.0
-    return v
+    if not -CLAMP_TOL <= v <= 1.0 + CLAMP_TOL:
+        raise ValueError(f"{name} = {value!r} is outside [0, 1] beyond tolerance {CLAMP_TOL}")
+    return min(max(v, 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -149,6 +151,32 @@ def alpha_log(u: float, alpha: AlphaLike) -> float:
     return (u ** (1.0 - a.alpha) - 1.0) / (1.0 - a.alpha)
 
 
+def pair_entropy(p: np.ndarray, m: np.ndarray, alpha: TsallisParam) -> np.ndarray:
+    """Elementwise h_alpha(p) + h_alpha(m) for arrays p, m in [0, 1].
+
+    Shannon branch at alpha = 1, expm1 forms within EXPM1_WINDOW of it,
+    direct pow forms elsewhere.  Every branch gives h_alpha(0) = 0 exactly,
+    so m = 0 yields h_alpha(p) alone.
+    """
+    a = alpha.alpha
+    if abs(a - 1.0) < EXPM1_WINDOW:
+        # log(1) = 0 stands in for log(0), which the factor p = 0 cancels
+        p_safe = np.where(p > 0.0, p, 1.0)
+        m_safe = np.where(m > 0.0, m, 1.0)
+        if alpha.is_shannon:
+            return -p * np.log(p_safe) - m * np.log(m_safe)
+        hp = -p * np.expm1((a - 1.0) * np.log(p_safe)) / (a - 1.0)
+        hm = -m * np.expm1((a - 1.0) * np.log(m_safe)) / (a - 1.0)
+        return hp + hm
+    return ((p ** a - p) + (m ** a - m)) / (1.0 - a)
+
+
+def _scalar_pair_entropy(p: float, m: float, alpha: AlphaLike) -> float:
+    value = pair_entropy(np.array([p]), np.array([m]), as_param(alpha))
+    # + 0.0 turns the kernel's -0.0 at a deterministic pair into 0.0
+    return float(value[0]) + 0.0
+
+
 def h_alpha(u: float, alpha: AlphaLike) -> float:
     """Per-outcome entropy term h_alpha(u) = (u^alpha - u) / (1 - alpha).
 
@@ -158,17 +186,10 @@ def h_alpha(u: float, alpha: AlphaLike) -> float:
 
     Raises ValueError outside [0, 1].
     """
-    a = as_param(alpha)
     u = float(u)
     if u < 0.0 or u > 1.0:
         raise ValueError(f"h_alpha requires u in [0, 1], got {u!r}")
-    if u == 0.0 or u == 1.0:
-        return 0.0
-    if a.is_shannon:
-        return -u * math.log(u)
-    if abs(a.alpha - 1.0) < EXPM1_WINDOW:
-        return -u * math.expm1((a.alpha - 1.0) * math.log(u)) / (a.alpha - 1.0)
-    return (u ** a.alpha - u) / (1.0 - a.alpha)
+    return _scalar_pair_entropy(u, 0.0, alpha)
 
 
 def tsallis_entropy(dist: DistLike, alpha: AlphaLike) -> float:
@@ -176,10 +197,11 @@ def tsallis_entropy(dist: DistLike, alpha: AlphaLike) -> float:
 
     Equals h_alpha(p_plus) + h_alpha(p_minus); lies in
     [0, alpha_log(2, alpha)], with the maximum at the equiprobable pair and
-    zero exactly at the two deterministic pairs.
+    zero exactly at the two deterministic pairs.  Bit for bit equal to
+    pair_entropy at the same pair.
     """
     d = _as_pair(dist)
-    return h_alpha(d.p_plus, alpha) + h_alpha(d.p_minus, alpha)
+    return _scalar_pair_entropy(d.p_plus, d.p_minus, alpha)
 
 
 def phi(dist: DistLike, alpha: AlphaLike) -> float:

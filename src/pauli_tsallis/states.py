@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Union
 
 from .entropy import ProbPair
 
@@ -34,11 +35,11 @@ __all__ = [
     "PureStateAngles",
     "BlochVector",
     "MeasurementTriple",
-    "ReducedCoords",
+    "StateLike",
     "probs_from_angles",
     "probs_from_bloch",
+    "measurement_triple",
     "bloch_from_angles",
-    "reduced_coords",
     "canonicalize_to_D",
     "eigenstate_witnesses",
 ]
@@ -68,13 +69,9 @@ class PureStateAngles:
         phi = float(self.phi)
         if not (math.isfinite(tau) and math.isfinite(phi)):
             raise ValueError(f"angles must be finite, got tau={self.tau!r}, phi={self.phi!r}")
-        if tau < 0.0 or tau > HALF_PI:
-            if -1e-12 <= tau < 0.0:
-                tau = 0.0
-            elif HALF_PI < tau <= HALF_PI + 1e-12:
-                tau = HALF_PI
-            else:
-                raise ValueError(f"tau must lie in [0, pi/2], got {self.tau!r}")
+        if not -1e-12 <= tau <= HALF_PI + 1e-12:
+            raise ValueError(f"tau must lie in [0, pi/2], got {self.tau!r}")
+        tau = min(max(tau, 0.0), HALF_PI)
         phi = math.fmod(phi, TWO_PI)
         if phi < 0.0:
             phi += TWO_PI
@@ -134,17 +131,7 @@ class MeasurementTriple:
         return sum((pair.p_plus - pair.p_minus) ** 2 for pair in self.pairs())
 
 
-@dataclass(frozen=True)
-class ReducedCoords:
-    """The reduced variables u = sin 2tau cos phi, v = sin 2tau sin phi.
-
-    For states in the interior of the rectangle D these satisfy
-    0 <= v <= u <= 1; they are the natural arguments of the monotone
-    kernels that drive the optimization.
-    """
-
-    u: float
-    v: float
+StateLike = Union[PureStateAngles, BlochVector, MeasurementTriple]
 
 
 def probs_from_angles(state: PureStateAngles) -> MeasurementTriple:
@@ -153,15 +140,7 @@ def probs_from_angles(state: PureStateAngles) -> MeasurementTriple:
     px = (1 +- sin 2tau cos phi)/2, qy = (1 +- sin 2tau sin phi)/2,
     rz = (1 +- cos 2tau)/2.
     """
-    s2t = math.sin(2.0 * state.tau)
-    c2t = math.cos(2.0 * state.tau)
-    x = s2t * math.cos(state.phi)
-    y = s2t * math.sin(state.phi)
-    return MeasurementTriple(
-        px=ProbPair((1.0 + x) / 2.0, (1.0 - x) / 2.0),
-        qy=ProbPair((1.0 + y) / 2.0, (1.0 - y) / 2.0),
-        rz=ProbPair((1.0 + c2t) / 2.0, (1.0 - c2t) / 2.0),
-    )
+    return probs_from_bloch(bloch_from_angles(state))
 
 
 def probs_from_bloch(b: BlochVector) -> MeasurementTriple:
@@ -173,19 +152,29 @@ def probs_from_bloch(b: BlochVector) -> MeasurementTriple:
     )
 
 
+def measurement_triple(state: StateLike) -> MeasurementTriple:
+    """Outcome distributions of a state given in any of the three forms."""
+    if isinstance(state, MeasurementTriple):
+        return state
+    if isinstance(state, PureStateAngles):
+        return probs_from_angles(state)
+    if isinstance(state, BlochVector):
+        return probs_from_bloch(state)
+    raise TypeError(f"expected PureStateAngles, BlochVector or MeasurementTriple, got {type(state)!r}")
+
+
 def bloch_from_angles(state: PureStateAngles) -> BlochVector:
-    """Bloch vector of the pure state with angles (tau, phi)."""
+    """Bloch vector of the pure state with angles (tau, phi).
+
+    On D its components satisfy 0 <= b_y <= b_x <= 1: b_x and b_y are the
+    natural arguments of the monotone kernels that drive the optimization.
+    """
     s2t = math.sin(2.0 * state.tau)
     return BlochVector(
         s2t * math.cos(state.phi),
         s2t * math.sin(state.phi),
         math.cos(2.0 * state.tau),
     )
-
-
-def reduced_coords(state: PureStateAngles) -> ReducedCoords:
-    s2t = math.sin(2.0 * state.tau)
-    return ReducedCoords(u=s2t * math.cos(state.phi), v=s2t * math.sin(state.phi))
 
 
 def canonicalize_to_D(state: PureStateAngles) -> PureStateAngles:

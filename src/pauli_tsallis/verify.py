@@ -6,7 +6,10 @@ reduced rectangle D (optionally over the full angle domain, to validate
 the symmetry reduction), certification of the equality conditions, kernel
 monotonicity checks and concavity/convexity property checks.  Scans never
 use the bound formulas to steer the search; the formulas enter only when
-the observed extrema are compared against them afterwards.
+the observed extrema are compared against them afterwards.  Grid values
+come from entropy.pair_entropy, the kernel the scalar API uses, so a grid
+value equals entropic_sum at that grid point bit for bit wherever numpy's
+float64 sin and cos agree with math's.
 
 Grids are uniform with both endpoints included, so the corners of D, which
 are the analytic minimizers, are exactly represented and tight bounds are
@@ -23,23 +26,23 @@ on the sphere (area measure), mixed states uniformly in the ball.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .bounds import h_tilde, integer_order, kernel_f, kernel_g, lower_bound, upper_bound_pure
-from .entropy import EXPM1_WINDOW, AlphaLike, TsallisParam, as_param, phi, tsallis_entropy
+from .bounds import bound_set, h_tilde, integer_order, is_proven_order, kernel_f, kernel_g, lower_bound
+from .entropy import AlphaLike, TsallisParam, as_param, pair_entropy, phi, tsallis_entropy
 from .states import (
     HALF_PI,
     QUARTER_PI,
     TWO_PI,
     BlochVector,
-    MeasurementTriple,
     PureStateAngles,
+    StateLike,
     eigenstate_witnesses,
-    probs_from_angles,
-    probs_from_bloch,
+    measurement_triple,
 )
 
 __all__ = [
@@ -54,7 +57,6 @@ __all__ = [
     "certify_equality_conditions",
     "check_kernel_monotonicity",
     "check_alpha_concavity",
-    "empirical_upper_pure",
     "refined_maximum",
     "sample_pure_states",
     "sample_mixed_states",
@@ -66,23 +68,31 @@ DEFAULT_SEED = 12345
 # affecting results (deterministic reduction).
 _CHUNK_ROWS = 256
 
-StateLike = Union[PureStateAngles, BlochVector, MeasurementTriple]
+# refined_maximum's box: +-_REFINE_WINDOW coarse steps, _REFINE_FACTOR times finer.
+_REFINE_WINDOW = 2
+_REFINE_FACTOR = 10
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform scan grid; endpoints of each interval are grid points.
 
-    n_tau, n_phi count the points along tau and phi.  With
-    include_full_domain the same spec may also be used for a scan over
-    tau in [0, pi/2], phi in [0, 2 pi) that validates the reduction to D.
+    n_tau, n_phi count the points along tau and phi, at least 2 each.  The
+    scans lay them over D; scan_full_domain_consistency lays the same
+    counts over tau in [0, pi/2], phi in [0, 2 pi) as well.  Counts must be
+    integers (numpy integers included); anything else raises TypeError.
     """
 
     n_tau: int
     n_phi: int
-    include_full_domain: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("n_tau", "n_phi"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise TypeError(f"GridSpec.{name} must be an integer, got {value!r}") from None
         if self.n_tau < 2 or self.n_phi < 2:
             raise ValueError(f"grid needs at least 2 points per axis, got {self.n_tau}x{self.n_phi}")
 
@@ -97,6 +107,11 @@ class ScanReport:
     min_gap = min_value - analytic_lower (nonnegative up to rounding);
     max_gap = analytic_upper - max_value where a proven pure-state upper
     bound exists, else None.
+
+    max_value is a measured value, not an analytic bound: for non-integer
+    alpha > 1 it is the only pure-state upper information available.  For
+    alpha in (0, 1] and integer alpha >= 2 it lies within grid tolerance
+    below 3 h_tilde(alpha).
     """
 
     alpha: TsallisParam
@@ -111,20 +126,10 @@ class ScanReport:
     grid: GridSpec
 
 
-def _triple_of(state: StateLike) -> MeasurementTriple:
-    if isinstance(state, MeasurementTriple):
-        return state
-    if isinstance(state, PureStateAngles):
-        return probs_from_angles(state)
-    if isinstance(state, BlochVector):
-        return probs_from_bloch(state)
-    raise TypeError(f"expected PureStateAngles, BlochVector or MeasurementTriple, got {type(state)!r}")
-
-
 def entropic_sum(state: StateLike, alpha: AlphaLike) -> float:
     """H_alpha(sigma_x) + H_alpha(sigma_y) + H_alpha(sigma_z) at a state."""
     a = as_param(alpha)
-    triple = _triple_of(state)
+    triple = measurement_triple(state)
     return sum(tsallis_entropy(pair, a) for pair in triple.pairs())
 
 
@@ -135,7 +140,7 @@ def g_sum(state: StateLike, alpha: AlphaLike) -> float:
     otherwise; constant (1 and 3/2) on pure states at alpha = 2, 3.
     """
     a = as_param(alpha)
-    triple = _triple_of(state)
+    triple = measurement_triple(state)
     return 3.0 - sum(phi(pair, a) for pair in triple.pairs())
 
 
@@ -145,26 +150,10 @@ def g_sum(state: StateLike, alpha: AlphaLike) -> float:
 
 
 def _pair_entropy_sum(s: np.ndarray, alpha: TsallisParam) -> np.ndarray:
-    """Vectorized h_alpha(p+) + h_alpha(p-) for p+- = (1 +- s)/2.
-
-    Mirrors the scalar path: probabilities are clipped to [0, 1] (the
-    vector analogue of the ProbPair clamp) and agrees with
-    entropy.tsallis_entropy to a few ulp.
-    """
+    """pair_entropy of p+- = (1 +- s)/2, clipped to [0, 1] like the ProbPair clamp."""
     p = np.clip((1.0 + s) / 2.0, 0.0, 1.0)
     m = np.clip((1.0 - s) / 2.0, 0.0, 1.0)
-    if alpha.is_shannon:
-        p_safe = np.where(p > 0.0, p, 1.0)
-        m_safe = np.where(m > 0.0, m, 1.0)
-        return -p * np.log(p_safe) - m * np.log(m_safe)
-    a = alpha.alpha
-    if abs(a - 1.0) < EXPM1_WINDOW:
-        p_safe = np.where(p > 0.0, p, 1.0)
-        m_safe = np.where(m > 0.0, m, 1.0)
-        hp = -p * np.expm1((a - 1.0) * np.log(p_safe)) / (a - 1.0)
-        hm = -m * np.expm1((a - 1.0) * np.log(m_safe)) / (a - 1.0)
-        return hp + hm
-    return ((p ** a - p) + (m ** a - m)) / (1.0 - a)
+    return pair_entropy(p, m, alpha)
 
 
 def _grid_entropic_sum(tau: np.ndarray, phi_vals: np.ndarray, alpha: TsallisParam) -> np.ndarray:
@@ -205,6 +194,10 @@ def _scan_rectangle(
     return best_min, best_min_idx, best_max, best_max_idx
 
 
+def _grid_on_D(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    return np.linspace(0.0, QUARTER_PI, grid.n_tau), np.linspace(0.0, QUARTER_PI, grid.n_phi)
+
+
 def scan_extrema(alpha: AlphaLike, grid: Optional[GridSpec] = None) -> ScanReport:
     """Exhaustive evaluation of the entropic sum over a grid on D.
 
@@ -214,12 +207,10 @@ def scan_extrema(alpha: AlphaLike, grid: Optional[GridSpec] = None) -> ScanRepor
     """
     a = as_param(alpha)
     grid = grid if grid is not None else DEFAULT_GRID
-    tau_grid = np.linspace(0.0, QUARTER_PI, grid.n_tau)
-    phi_grid = np.linspace(0.0, QUARTER_PI, grid.n_phi)
+    tau_grid, phi_grid = _grid_on_D(grid)
     mn, (i_mn, j_mn), mx, (i_mx, j_mx) = _scan_rectangle(a, tau_grid, phi_grid)
-    low, _ = lower_bound(a)
-    pure = upper_bound_pure(a)
-    up = pure[0] if pure is not None else None
+    bounds = bound_set(a)
+    low, up = bounds.lower, bounds.upper_pure
     return ScanReport(
         alpha=a,
         min_value=mn,
@@ -234,32 +225,25 @@ def scan_extrema(alpha: AlphaLike, grid: Optional[GridSpec] = None) -> ScanRepor
     )
 
 
-def scan_full_domain_consistency(
-    alpha: AlphaLike, grid: GridSpec, tol: Optional[float] = None
-) -> bool:
+def scan_full_domain_consistency(alpha: AlphaLike, grid: GridSpec) -> bool:
     """Check that the full domain and D give the same extrema.
 
     Scans tau in [0, pi/2], phi in [0, 2 pi) on the given grid and a grid
-    of the same point counts on D, and compares the extrema.  The default
+    of the same point counts on D, and compares the extrema.  The
     tolerance is (2 h)^2 with h the coarsest step: extrema sit at interior
     quadratic flat points or exactly on-grid corners, so their grid error
     is quadratic in the step.
     """
-    if not grid.include_full_domain:
-        raise ValueError("scan_full_domain_consistency needs include_full_domain=True")
     a = as_param(alpha)
     tau_full = np.linspace(0.0, HALF_PI, grid.n_tau)
     phi_full = np.linspace(0.0, TWO_PI, grid.n_phi)
     mn_f, _, mx_f, _ = _scan_rectangle(a, tau_full, phi_full)
-    tau_d = np.linspace(0.0, QUARTER_PI, grid.n_tau)
-    phi_d = np.linspace(0.0, QUARTER_PI, grid.n_phi)
-    mn_d, _, mx_d, _ = _scan_rectangle(a, tau_d, phi_d)
-    if tol is None:
-        h = max(
-            HALF_PI / (grid.n_tau - 1),
-            TWO_PI / (grid.n_phi - 1),
-        )
-        tol = (2.0 * h) ** 2
+    mn_d, _, mx_d, _ = _scan_rectangle(a, *_grid_on_D(grid))
+    h = max(
+        HALF_PI / (grid.n_tau - 1),
+        TWO_PI / (grid.n_phi - 1),
+    )
+    tol = (2.0 * h) ** 2
     return abs(mn_f - mn_d) <= tol and abs(mx_f - mx_d) <= tol
 
 
@@ -326,12 +310,12 @@ def certify_equality_conditions(
     Raises ValueError for orders outside the tight range.
     """
     a = as_param(alpha)
-    n_int = integer_order(a)
-    if a.alpha > 1.0 and (n_int is None or n_int < 2):
+    if not is_proven_order(a):
         raise ValueError(
             f"equality conditions are proven only for alpha in (0, 1] and integer "
             f"alpha >= 2, got {a.alpha!r}"
         )
+    constant = integer_order(a) in (2, 3)
     low, _ = lower_bound(a)
 
     for witness in eigenstate_witnesses():
@@ -340,14 +324,12 @@ def certify_equality_conditions(
 
     b = sample_pure_states(n_samples, seed=seed)
     sums = _sums_from_components(b, a)
-    if n_int in (2, 3):
+    if constant:
         if np.max(np.abs(sums - low)) > tolerance:
             return False
     else:
         if np.min(sums - low) <= 0.0:
             return False
-
-    if a.alpha <= 1.0 or (n_int is not None and n_int >= 4):
         target = 3.0 * h_tilde(a)
         if abs(entropic_sum(_MAXIMIZER_STATE, a) - target) > tolerance:
             return False
@@ -397,7 +379,7 @@ def check_alpha_concavity(
     """
     if not (1.0 <= alpha_lo < alpha_hi):
         raise ValueError(f"need 1 <= alpha_lo < alpha_hi, got {alpha_lo!r}, {alpha_hi!r}")
-    triple = _triple_of(state)
+    triple = measurement_triple(state)
     alphas = np.linspace(alpha_lo, alpha_hi, n_points)
     values = np.array([g_sum(triple, float(x)) for x in alphas])
     mids = values[1:-1]
@@ -405,48 +387,27 @@ def check_alpha_concavity(
     return bool(np.all(mids >= chords - 1e-12))
 
 
-def empirical_upper_pure(alpha: AlphaLike, grid: Optional[GridSpec] = None) -> float:
-    """Grid maximum of the entropic sum over D, as an empirical estimate.
-
-    This is a measured value, not an analytic bound: for non-integer
-    alpha > 1 it is the only pure-state upper information available.  For
-    alpha in (0, 1] and integer alpha >= 2 it lies within grid tolerance
-    below 3 h_tilde(alpha).
-    """
-    return scan_extrema(alpha, grid).max_value
+def _refine_axis(center: float, n_coarse: int) -> np.ndarray:
+    """The refinement grid along one axis, +-_REFINE_WINDOW coarse steps around center."""
+    half = _REFINE_WINDOW * (QUARTER_PI / (n_coarse - 1))
+    n = 2 * _REFINE_WINDOW * _REFINE_FACTOR + 1
+    return np.linspace(max(0.0, center - half), min(QUARTER_PI, center + half), n)
 
 
-def refined_maximum(
-    alpha: AlphaLike,
-    grid: Optional[GridSpec] = None,
-    window: int = 2,
-    factor: int = 10,
-) -> tuple[float, PureStateAngles]:
+def refined_maximum(alpha: AlphaLike, grid: Optional[GridSpec] = None) -> tuple[float, PureStateAngles]:
     """Grid maximum after one level of local refinement around the argmax.
 
-    Rescans a +-``window``-step box around the coarse argmax with a step
-    ``factor`` times finer (clipped to D), which reaches ~1e-8 of the true
-    maximum from the default grid without any derivative-based optimizer.
+    Rescans a +-_REFINE_WINDOW-step box around the coarse argmax with a
+    step _REFINE_FACTOR times finer (clipped to D), which reaches ~1e-8 of
+    the true maximum from the default grid without any derivative-based optimizer.
     Deterministic: refined candidates replace the coarse one only when
     strictly larger.
     """
     a = as_param(alpha)
     grid = grid if grid is not None else DEFAULT_GRID
     report = scan_extrema(a, grid)
-    h_tau = QUARTER_PI / (grid.n_tau - 1)
-    h_phi = QUARTER_PI / (grid.n_phi - 1)
-    t_hat = report.argmax.tau
-    p_hat = report.argmax.phi
-    tau_grid = np.linspace(
-        max(0.0, t_hat - window * h_tau),
-        min(QUARTER_PI, t_hat + window * h_tau),
-        2 * window * factor + 1,
-    )
-    phi_grid = np.linspace(
-        max(0.0, p_hat - window * h_phi),
-        min(QUARTER_PI, p_hat + window * h_phi),
-        2 * window * factor + 1,
-    )
+    tau_grid = _refine_axis(report.argmax.tau, grid.n_tau)
+    phi_grid = _refine_axis(report.argmax.phi, grid.n_phi)
     _, _, mx, (i, j) = _scan_rectangle(a, tau_grid, phi_grid)
     if mx > report.max_value:
         return mx, PureStateAngles(float(tau_grid[i]), float(phi_grid[j]))

@@ -1,5 +1,6 @@
 """CLI surface: parsing, exit codes, CSV schemas, determinism."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,6 +11,39 @@ import pytest
 from pauli_tsallis.cli import main
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
+
+BAD_ALPHAS = ["0", "-1", "abc", "inf", "-inf", "1e400", "nan"]
+
+# Frozen stdout digests.  The CLI's output is byte-deterministic and these
+# bytes are its contract: a refactor that moves any of them is a regression.
+# The verify orders cover the pow, Shannon and expm1 kernel branches and both
+# regimes (proven and interpolated); eval at bloch:0,0,1 has a deterministic
+# pair, whose entropy must print as 0, not -0.
+PINNED_VERIFY = "61a9caf2a256c88560d66daadd9af9076995d825e4260182aea66bcfb25c5c76"
+PINNED_TEXT = {
+    "bounds 0.5": "66b9a3164ea114ae0bce208c5509b9b7dadfd41310371d9291f8f03e9a1ba15f",
+    "eval bloch:0,0,1 --alpha 0.5": "6df2ec54952857110eb5f5c2dfb4e8eaaa465dd362d63c6c33f812cc57d56840",
+    "eval angles:0.3,1.1 --alpha 0.5": "5c9495d16641a2d12db6e696991102a01a4c4b4c10aac6fff78155c787c35d92",
+    "bounds 1": "51138d445f9d66ce8980cdcfdbb01cbb850887ba16394362bf878b1badfe0caf",
+    "eval bloch:0,0,1 --alpha 1": "5cd05e4e59d0115f45b0a58730584d167c88448373c5eda1d7eea6a012098ccd",
+    "eval angles:0.3,1.1 --alpha 1": "d2a29e8559ae7b2c8ae3808fd120240bc764e101e9201871b29f46883980fa70",
+    "bounds 2": "a9e6538fc749ba5e1a0c38269c7b1be27624944f8757a377107dccd7d8be2a8e",
+    "eval bloch:0,0,1 --alpha 2": "bd953e73a194d2e8076ca9449502c8b74b572724fe1155f2f51ab7400397c630",
+    "eval angles:0.3,1.1 --alpha 2": "729073eb55c4d578921ed96f9fc0c1106be6dc4deebf4fdec5dc6f4c0c2081ec",
+    "bounds 2.5": "448eabcf0e2fb2f29a93237c677b77bf699523391358faa47d09c7f8660f2430",
+    "eval bloch:0,0,1 --alpha 2.5": "839c9feb53ea67de043d3a047d801cdd0075cb97e3527ded8734ec28da0d7c0d",
+    "eval angles:0.3,1.1 --alpha 2.5": "b2f9ebef85c7711906a08c05160385e6b4c3a1ab34cfad6650d01e756e96ba9c",
+    "bounds 3": "ba1e96f2f462ac28c6935cbbd8ee9d20e1deb95fbd6f4d326b3697b4d9161424",
+    "eval bloch:0,0,1 --alpha 3": "a04ac3f2f79cb393597d79628fea2d768925be4fecbedcba082a751842f797ef",
+    "eval angles:0.3,1.1 --alpha 3": "c09d97d30d4f2ae27886aa20244954f3f4ae429702f15db761d0c5307fb499fa",
+    "bounds 4": "bf8104d57b465e2e609e6c20cf4b85b387d126bbb1a890270ae1dd3323f9e350",
+    "eval bloch:0,0,1 --alpha 4": "1143ea7209a17a3d5e6797c5d4a82272565f4baf24a67c5f5543df2a1c2eab1c",
+    "eval angles:0.3,1.1 --alpha 4": "9f811154a49cca233204aec7b84a95748af9c095b741b5767017dfbeec5027d5",
+}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def run_cli(capsys, *argv):
@@ -60,6 +94,12 @@ class TestEval:
         code, _, _ = run_cli(capsys, "eval", "angles:3.0,0", "--alpha", "1")
         assert code == 3
 
+    @pytest.mark.parametrize("alpha", BAD_ALPHAS)
+    def test_bad_alpha_is_usage_error(self, capsys, alpha):
+        code, out, err = run_cli(capsys, "eval", "bloch:0,0,1", f"--alpha={alpha}")
+        assert code == 2
+        assert out == "" and err
+
 
 class TestBounds:
     def test_tight_integer_order(self, capsys):
@@ -85,10 +125,13 @@ class TestBounds:
         _, out_flag, _ = run_cli(capsys, "bounds", "--alpha", "4")
         assert out_pos == out_flag
 
-    @pytest.mark.parametrize("alpha", ["0", "-1", "abc"])
+    @pytest.mark.parametrize("alpha", BAD_ALPHAS)
     def test_bad_alpha_is_usage_error(self, capsys, alpha):
         code, _, _ = run_cli(capsys, "bounds", alpha)
         assert code == 2
+        code, out, _ = run_cli(capsys, "bounds", f"--alpha={alpha}")
+        assert code == 2
+        assert out == ""
 
     def test_csv_output(self, capsys, tmp_path):
         out_path = tmp_path / "bounds.csv"
@@ -189,6 +232,25 @@ class TestVerify:
     def test_bad_grid_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "1", "--grid", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("alpha", BAD_ALPHAS)
+    def test_bad_alpha_is_usage_error(self, capsys, alpha):
+        # rejected before any row is printed, even after a valid order
+        code, out, err = run_cli(capsys, "verify", f"0.5,{alpha}", "--grid", "3")
+        assert code == 2
+        assert out == "" and err
+
+    def test_pinned_output(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "0.5,1,1.005,2,2.5,4", "--grid", "201")
+        assert code == 0
+        assert sha256(out) == PINNED_VERIFY, out
+
+
+@pytest.mark.parametrize("argv", list(PINNED_TEXT))
+def test_pinned_bounds_and_eval_text(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert sha256(out) == PINNED_TEXT[argv], out
 
 
 def test_module_entry_point():

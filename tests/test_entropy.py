@@ -11,6 +11,7 @@ import dataclasses
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,9 +22,11 @@ from pauli_tsallis import (
     alpha_log,
     as_param,
     h_alpha,
+    pair_entropy,
     phi,
     tsallis_entropy,
 )
+from pauli_tsallis.entropy import EXPM1_WINDOW
 
 mp.mp.dps = 50
 
@@ -156,6 +159,55 @@ class TestTsallisEntropy:
         s = 1.0 / math.sqrt(3.0)
         value = tsallis_entropy(((1.0 + s) / 2.0, (1.0 - s) / 2.0), 2.0)
         assert value == pytest.approx(1.0 / 3.0, abs=1e-15)
+
+
+class TestScalarMatchesKernel:
+    """The scalar API is pair_entropy itself, so it equals grid values exactly.
+
+    Equality is float equality: the scalar functions return 0.0 where the
+    kernel gives -0.0 (a deterministic pair), which compares equal.
+    """
+
+    @pytest.mark.parametrize("alpha", [1e-6, 0.3, 0.99, 1.0, 1.005, 1.0100001, 2.5, 4.0])
+    def test_tsallis_entropy_equals_kernel(self, alpha):
+        s = np.random.default_rng(29).uniform(-1.0, 1.0, 2000)
+        s[:3] = (-1.0, 0.0, 1.0)
+        p = np.clip((1.0 + s) / 2.0, 0.0, 1.0)
+        m = np.clip((1.0 - s) / 2.0, 0.0, 1.0)
+        grid = pair_entropy(p, m, TsallisParam(alpha))
+        scalar = [tsallis_entropy((float(x), float(y)), alpha) for x, y in zip(p, m)]
+        assert np.array_equal(np.array(scalar), grid)
+
+    @pytest.mark.parametrize("alpha", [1e-6, 0.5, 1.0, 1.005, 3.7])
+    def test_h_alpha_is_kernel_with_zero_partner(self, alpha):
+        u = np.linspace(0.0, 1.0, 257)
+        grid = pair_entropy(u, np.zeros_like(u), TsallisParam(alpha))
+        assert np.array_equal(np.array([h_alpha(float(x), alpha) for x in u]), grid)
+
+    def test_deterministic_pair_is_positive_zero(self):
+        for alpha in (0.5, 1.0, 1.005, 2.0):
+            assert math.copysign(1.0, tsallis_entropy((1.0, 0.0), alpha)) == 1.0
+            assert math.copysign(1.0, h_alpha(1.0, alpha)) == 1.0
+
+
+edge_orders = st.one_of(
+    st.sampled_from([1e-6, 1.0 - EXPM1_WINDOW, 1.0, 1.0 + EXPM1_WINDOW]),
+    st.floats(min_value=1.0 - 1.5 * EXPM1_WINDOW, max_value=1.0 + 1.5 * EXPM1_WINDOW),
+    st.floats(min_value=1e-9, max_value=1e-3),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ps=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40), alpha=edge_orders)
+def test_scalar_and_array_kernels_agree_exactly(ps, alpha):
+    """Across the expm1 window edges and at tiny orders, wherever the pair sits in an array."""
+    p = np.array(ps)
+    m = 1.0 - p
+    grid = pair_entropy(p, m, TsallisParam(alpha))
+    alone = pair_entropy(p, np.zeros_like(p), TsallisParam(alpha))
+    for i, (x, y) in enumerate(zip(ps, m)):
+        assert tsallis_entropy((x, float(y)), alpha) == grid[i]
+        assert h_alpha(x, alpha) == alone[i]
 
 
 class TestPhi:

@@ -15,7 +15,6 @@ from pauli_tsallis import (
     entropic_sum,
     probs_from_angles,
     probs_from_bloch,
-    reduced_coords,
     tsallis_entropy,
 )
 
@@ -219,10 +218,10 @@ class TestEigenstateWitnesses:
             assert entropic_sum(witness, 1.0) == pytest.approx(2.0 * math.log(2.0), abs=1e-15)
 
 
-def test_reduced_coords_ordering_in_D():
+def test_bloch_from_angles_ordering_in_D():
     rng = np.random.default_rng(11)
     for _ in range(500):
         state = PureStateAngles(rng.uniform(0, QUARTER_PI), rng.uniform(0, QUARTER_PI))
-        coords = reduced_coords(state)
-        assert 0.0 <= coords.v <= coords.u + 1e-15
-        assert coords.u <= 1.0
+        b = bloch_from_angles(state)
+        assert 0.0 <= b.b_y <= b.b_x + 1e-15
+        assert b.b_x <= 1.0

@@ -13,7 +13,6 @@ from pauli_tsallis import (
     certify_equality_conditions,
     check_alpha_concavity,
     check_kernel_monotonicity,
-    empirical_upper_pure,
     entropic_sum,
     g_sum,
     h_tilde,
@@ -102,7 +101,8 @@ class TestScanExtrema:
             for i, tau in enumerate(taus):
                 for j, phi_v in enumerate(phis):
                     scalar = entropic_sum(PureStateAngles(float(tau), float(phi_v)), alpha)
-                    assert block[i, j] == pytest.approx(scalar, abs=1e-13)
+                    # exact: one kernel, and numpy's float64 sin/cos match math's
+                    assert block[i, j] == scalar
 
     def test_chunking_does_not_change_result(self, monkeypatch):
         baseline = scan_extrema(0.7, GridSpec(157, 83))
@@ -116,6 +116,15 @@ class TestScanExtrema:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             GridSpec(1, 100)
+        with pytest.raises(TypeError, match="n_tau"):
+            GridSpec(2.5, 3)
+        with pytest.raises(TypeError, match="n_phi"):
+            GridSpec(3, 3.0)
+        with pytest.raises(TypeError, match="n_phi"):
+            GridSpec(3, "3")
+        grid = GridSpec(np.int64(5), np.int32(7))
+        assert (grid.n_tau, grid.n_phi) == (5, 7)
+        assert type(grid.n_tau) is int and type(grid.n_phi) is int
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 0.75, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 10.0])
@@ -138,12 +147,7 @@ def test_scan_maximum_tracks_pure_upper_bound(alpha):
 class TestFullDomainConsistency:
     @pytest.mark.parametrize("alpha", [0.3, 1.0, 2.0])
     def test_reduction_is_faithful(self, alpha):
-        grid = GridSpec(501, 1001, include_full_domain=True)
-        assert scan_full_domain_consistency(alpha, grid)
-
-    def test_requires_flag(self):
-        with pytest.raises(ValueError):
-            scan_full_domain_consistency(1.0, GridSpec(101, 101))
+        assert scan_full_domain_consistency(alpha, GridSpec(501, 1001))
 
 
 class TestCertifyEqualityConditions:
@@ -196,11 +200,13 @@ class TestAlphaConcavityCheck:
 
 
 class TestEmpiricalUpperPure:
+    """The grid maximum, the only pure-state upper information at non-integer alpha > 1."""
+
     def test_constant_order(self):
-        assert empirical_upper_pure(2.0, GridSpec(101, 101)) == pytest.approx(1.0, abs=1e-12)
+        assert scan_extrema(2.0, GridSpec(101, 101)).max_value == pytest.approx(1.0, abs=1e-12)
 
     def test_noninteger_order_stays_between_bounds(self):
-        value = empirical_upper_pure(2.5, GridSpec(301, 301))
+        value = scan_extrema(2.5, GridSpec(301, 301)).max_value
         low, _ = lower_bound(2.5)
         assert low < value < upper_bound_mixed(2.5)
 
