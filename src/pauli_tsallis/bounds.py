@@ -160,10 +160,10 @@ def h_tilde(alpha: AlphaLike) -> float:
     return tsallis_entropy(MAXIMIZER_PAIR, alpha)
 
 
-def upper_bound_pure(alpha: AlphaLike) -> Optional[tuple[float, bool]]:
+def upper_bound_pure(alpha: AlphaLike) -> Optional[float]:
     """Pure-state upper bound 3 h_tilde(alpha), or None where unproven.
 
-    Returns (3 h_tilde(alpha), tight=True) for alpha in (0, 1] and integer
+    Returns 3 h_tilde(alpha), a tight bound, for alpha in (0, 1] and integer
     alpha >= 2; for alpha = 2, 3 the bound is additionally attained by
     every pure state.  For non-integer alpha > 1 returns None: no analytic
     bound is available there, only the empirical grid estimate of the
@@ -172,7 +172,7 @@ def upper_bound_pure(alpha: AlphaLike) -> Optional[tuple[float, bool]]:
     a = as_param(alpha)
     if not is_proven_order(a):
         return None
-    return 3.0 * h_tilde(a), True
+    return 3.0 * h_tilde(a)
 
 
 def rescaled_band(alpha: AlphaLike) -> tuple[float, float]:
@@ -299,7 +299,7 @@ def bound_set(alpha: AlphaLike) -> BoundSet:
     """Assemble the full BoundSet for one entropic order."""
     a = as_param(alpha)
     low, tight = lower_bound(a)
-    up_pure, pure_tight = upper_bound_pure(a) or (None, False)
+    up_pure = upper_bound_pure(a)
     ht = h_tilde(a) if up_pure is not None else None
     return BoundSet(
         alpha=a,
@@ -307,7 +307,7 @@ def bound_set(alpha: AlphaLike) -> BoundSet:
         lower_is_tight=tight,
         upper_mixed=upper_bound_mixed(a),
         upper_pure=up_pure,
-        upper_pure_is_tight=pure_tight,
+        upper_pure_is_tight=is_proven_order(a),
         h_tilde=ht,
         r_alpha=ht / alpha_log(2.0, a) if ht is not None else None,
     )

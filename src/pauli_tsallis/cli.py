@@ -264,6 +264,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     alphas = _verify_alphas(args)
     if args.grid < 2:
         raise UsageError(f"grid resolution must be at least 2, got {args.grid!r}")
+    if args.grid > GridSpec.MAX_POINTS:
+        raise UsageError(f"grid resolution must be at most {GridSpec.MAX_POINTS}, got {args.grid!r}")
     print("check,alpha,status,observed,expected,tolerance")
     failed = False
     for alpha in alphas:
@@ -308,7 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the brute-force verification suite")
     p.add_argument("alphas", nargs="?", help="comma-separated list of orders, e.g. 0.5,1,2,4")
     p.add_argument("--alpha", help="alternative way to pass the comma-separated order list")
-    p.add_argument("--grid", type=int, default=2001, help="D-grid points per axis (default 2001)")
+    p.add_argument(
+        "--grid", type=int, default=2001, help="D-grid points per axis, 2 to 1000001 (default 2001)"
+    )
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for sampled checks")
     p.set_defaults(func=cmd_verify)
 

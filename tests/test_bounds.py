@@ -136,13 +136,11 @@ class TestHTilde:
 
 class TestUpperBoundPure:
     def test_constant_orders(self):
-        assert upper_bound_pure(2.0) == (pytest.approx(1.0, abs=1e-15), True)
-        assert upper_bound_pure(3.0) == (pytest.approx(0.75, abs=1e-15), True)
+        assert upper_bound_pure(2.0) == pytest.approx(1.0, abs=1e-15)
+        assert upper_bound_pure(3.0) == pytest.approx(0.75, abs=1e-15)
 
     def test_order_half(self):
-        value, tight = upper_bound_pure(0.5)
-        assert tight
-        assert value == pytest.approx(3.0 * H_TILDE_HALF, abs=1e-14)
+        assert upper_bound_pure(0.5) == pytest.approx(3.0 * H_TILDE_HALF, abs=1e-14)
 
     def test_absent_for_noninteger_above_one(self):
         assert upper_bound_pure(2.5) is None

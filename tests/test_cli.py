@@ -233,6 +233,13 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "1", "--grid", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("grid", ["1000002", str(10**12)])
+    def test_oversized_grid_is_usage_error(self, capsys, grid):
+        # rejected before any grid is built or row printed
+        code, out, err = run_cli(capsys, "verify", "1", "--grid", grid)
+        assert code == 2
+        assert out == "" and "at most 1000001" in err
+
     @pytest.mark.parametrize("alpha", BAD_ALPHAS)
     def test_bad_alpha_is_usage_error(self, capsys, alpha):
         # rejected before any row is printed, even after a valid order

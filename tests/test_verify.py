@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import pauli_tsallis.verify as verify
+from pauli_tsallis.cli import main
 from pauli_tsallis import (
     BlochVector,
     GridSpec,
@@ -95,7 +96,8 @@ class TestScanExtrema:
         rng = np.random.default_rng(17)
         taus = rng.uniform(0.0, QUARTER_PI, 5)
         phis = rng.uniform(0.0, QUARTER_PI, 5)
-        for alpha in (0.5, 1.0, 3.3):
+        # pow, Shannon, expm1 and integer-pow kernel branches, z-term per row included
+        for alpha in (0.5, 1.0, 1.005, 3.3, 4.0):
             a = verify.as_param(alpha)
             block = verify._grid_entropic_sum(taus, phis, a)
             for i, tau in enumerate(taus):
@@ -105,13 +107,79 @@ class TestScanExtrema:
                     assert block[i, j] == scalar
 
     def test_chunking_does_not_change_result(self, monkeypatch):
-        baseline = scan_extrema(0.7, GridSpec(157, 83))
-        monkeypatch.setattr(verify, "_CHUNK_ROWS", 7)
-        chunked = scan_extrema(0.7, GridSpec(157, 83))
-        assert chunked.min_value == baseline.min_value
-        assert chunked.max_value == baseline.max_value
-        assert (chunked.argmin.tau, chunked.argmin.phi) == (baseline.argmin.tau, baseline.argmin.phi)
-        assert (chunked.argmax.tau, chunked.argmax.phi) == (baseline.argmax.tau, baseline.argmax.phi)
+        grid = GridSpec(157, 83)
+        baseline = scan_extrema(0.7, grid)
+        n = grid.n_phi
+        # under one row, one row minus a point, exactly one row, several rows plus a tail
+        for budget in (1, n - 1, n, 7 * n + 3, verify._CHUNK_POINTS):
+            monkeypatch.setattr(verify, "_CHUNK_POINTS", budget)
+            assert scan_extrema(0.7, grid) == baseline, budget
+
+    @pytest.mark.parametrize("budget", [1, 7 * 83 + 3, verify._CHUNK_POINTS])
+    def test_ties_keep_lowest_grid_point(self, monkeypatch, budget):
+        # every grid point ties, so both extrema must stay at (0, 0) across chunks
+        monkeypatch.setattr(verify, "_CHUNK_POINTS", budget)
+
+        def constant(tau, phi_vals, alpha):
+            return np.ones((tau.size, phi_vals.size))
+
+        monkeypatch.setattr(verify, "_grid_entropic_sum", constant)
+        report = scan_extrema(0.7, GridSpec(157, 83))
+        assert (report.argmin.tau, report.argmin.phi) == (0.0, 0.0)
+        assert (report.argmax.tau, report.argmax.phi) == (0.0, 0.0)
+
+    def test_chunks_stay_within_point_budget(self, monkeypatch):
+        grid = GridSpec(101, 40001)
+        real = verify._grid_entropic_sum
+        rows = []
+
+        def spy(tau, phi_vals, alpha):
+            assert tau.size * phi_vals.size <= max(grid.n_phi, verify._CHUNK_POINTS)
+            rows.append(tau)
+            return real(tau, phi_vals, alpha)
+
+        monkeypatch.setattr(verify, "_grid_entropic_sum", spy)
+        scan_extrema(0.5, grid)
+        # whole rows in grid order, each row once
+        assert np.array_equal(np.concatenate(rows), np.linspace(0.0, QUARTER_PI, grid.n_tau))
+
+    # pair_entropy runs three times per chunk (x-, y-, z-term).  An 11x11 grid
+    # is one chunk by default; a 33-point budget makes 3-row chunks, so row 7
+    # is row 1 of the third chunk, whose x-term is call 6.  A NaN is caught by
+    # both argmin and argmax, -inf by argmin and +inf by argmax.
+    @pytest.mark.parametrize(
+        "budget,call,row,bad",
+        [
+            (verify._CHUNK_POINTS, 0, 7, math.nan),
+            (33, 6, 1, math.nan),
+            (verify._CHUNK_POINTS, 0, 7, -math.inf),
+            (verify._CHUNK_POINTS, 0, 7, math.inf),
+        ],
+    )
+    def test_nonfinite_value_raises(self, monkeypatch, capsys, budget, call, row, bad):
+        real = verify.pair_entropy
+        calls = []
+
+        def inject(p, m, alpha):
+            out = real(p, m, alpha)
+            if len(calls) == call:
+                out[row, 5] = bad
+            calls.append(None)
+            return out
+
+        monkeypatch.setattr(verify, "_CHUNK_POINTS", budget)
+        monkeypatch.setattr(verify, "pair_entropy", inject)
+        axis = np.linspace(0.0, QUARTER_PI, 11)
+        point = f"(tau, phi) = ({float(axis[7])!r}, {float(axis[5])!r})"
+        with pytest.raises(ValueError, match="alpha=0.5") as info:
+            scan_extrema(0.5, GridSpec(11, 11))
+        assert point in str(info.value)
+
+        calls.clear()
+        assert main(["verify", "0.5", "--grid", "11"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "check,alpha,status,observed,expected,tolerance\n"
+        assert point in err
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -125,6 +193,15 @@ class TestScanExtrema:
         grid = GridSpec(np.int64(5), np.int32(7))
         assert (grid.n_tau, grid.n_phi) == (5, 7)
         assert type(grid.n_tau) is int and type(grid.n_phi) is int
+
+    def test_grid_size_cap(self):
+        # construction allocates nothing, so the cap is checked at its edge
+        assert GridSpec.MAX_POINTS == 1_000_001
+        GridSpec(GridSpec.MAX_POINTS, GridSpec.MAX_POINTS)
+        with pytest.raises(ValueError, match="at most 1000001"):
+            GridSpec(2, GridSpec.MAX_POINTS + 1)
+        with pytest.raises(ValueError, match="at most 1000001"):
+            GridSpec(10**12, 2)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 0.75, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 10.0])
