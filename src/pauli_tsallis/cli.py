@@ -101,8 +101,9 @@ def _parse_state(spec: str):
     raise UsageError(f"unknown state kind {kind!r} (expected angles or bloch)")
 
 
-def _write_csv(path: Optional[str], header: str, rows: list[str]) -> None:
-    text = header + "\n" + "".join(row + "\n" for row in rows)
+def _write_csv(path: Optional[str], header: str, rows: Sequence[tuple]) -> None:
+    """Write header and rows, each cell formatted by _cell, in one piece (stdout when path is None)."""
+    text = header + "\n" + "".join(",".join(_cell(x) for x in row) + "\n" for row in rows)
     if path is None:
         sys.stdout.write(text)
         return
@@ -177,8 +178,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     print(f"r_alpha: {fmt(bounds.r_alpha) if bounds.r_alpha is not None else 'n/a'}")
     if args.out is not None:
         header = "alpha,lower,lower_is_tight,upper_mixed,upper_pure,upper_pure_is_tight,h_tilde,r_alpha"
-        values = [alpha] + [getattr(bounds, name) for name in header.split(",")[1:]]
-        _write_csv(args.out, header, [",".join(_cell(x) for x in values)])
+        row = (alpha, *(getattr(bounds, name) for name in header.split(",")[1:]))
+        _write_csv(args.out, header, [row])
     return EXIT_OK
 
 
@@ -187,23 +188,18 @@ def cmd_band(args: argparse.Namespace) -> int:
         raise UsageError(f"need 0 < alpha-min < alpha-max, got {args.alpha_min!r}, {args.alpha_max!r}")
     if args.steps < 2:
         raise UsageError(f"steps must be at least 2, got {args.steps!r}")
-    alphas = np.linspace(args.alpha_min, args.alpha_max, args.steps)
     rows = []
-    for alpha in alphas:
+    for alpha in np.linspace(args.alpha_min, args.alpha_max, args.steps).tolist():
         try:
-            low, high = rescaled_band(float(alpha))
+            rows.append((alpha, *rescaled_band(alpha)))
         except UnsupportedAlphaError as exc:
             raise UsageError(str(exc)) from exc
-        rows.append(f"{fmt(alpha)},{fmt(low)},{fmt(high)}")
     _write_csv(args.out, "alpha,band_low,band_high", rows)
     return EXIT_OK
 
 
 def cmd_rtable(args: argparse.Namespace) -> int:
-    rows = []
-    for alpha in [1.0] + [float(n) for n in range(2, 11)]:
-        _, high = rescaled_band(alpha)
-        rows.append(f"{fmt(alpha)},{fmt(high)}")
+    rows = [(alpha, rescaled_band(alpha)[1]) for alpha in [1.0] + [float(n) for n in range(2, 11)]]
     _write_csv(args.out, "alpha,r_alpha", rows)
     return EXIT_OK
 
@@ -229,9 +225,9 @@ def _status(ok: Optional[bool]) -> str:
     return "pass" if ok else "fail"
 
 
-def _verify_checks(alpha: float, grid_n: int, seed: int):
+def _verify_checks(alpha: float, grid: GridSpec, seed: int):
     """Yield (check, status, observed, expected, tolerance) rows for one order."""
-    report = scan_extrema(alpha, GridSpec(grid_n, grid_n))
+    report = scan_extrema(alpha, grid)
     low, up = report.analytic_lower, report.analytic_upper
     tol = 1e-12
     proven = is_proven_order(alpha)
@@ -255,24 +251,23 @@ def _verify_checks(alpha: float, grid_n: int, seed: int):
     ok = check_alpha_concavity(state, 1.0, max(2.0, alpha), 101)
     yield ("alpha_concavity", _status(ok), "", "", 1e-12)
 
-    n_full = min(grid_n, 501)
+    n_full = min(grid.n_tau, 501)
     full_grid = GridSpec(n_full, 4 * (n_full - 1) + 1)
     yield ("full_domain", _status(scan_full_domain_consistency(alpha, full_grid)), "", "", "")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     alphas = _verify_alphas(args)
-    if args.grid < 2:
-        raise UsageError(f"grid resolution must be at least 2, got {args.grid!r}")
-    if args.grid > GridSpec.MAX_POINTS:
-        raise UsageError(f"grid resolution must be at most {GridSpec.MAX_POINTS}, got {args.grid!r}")
-    print("check,alpha,status,observed,expected,tolerance")
-    failed = False
+    try:
+        grid = GridSpec(args.grid, args.grid)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    # all rows first: a run stopped by an error (exit 3) writes no partial CSV
+    rows = []
     for alpha in alphas:
-        for check, status, observed, expected, tol in _verify_checks(alpha, args.grid, args.seed):
-            failed = failed or status == "fail"
-            print(",".join(_cell(x) for x in (check, alpha, status, observed, expected, tol)))
-    return EXIT_VERIFY_FAILED if failed else EXIT_OK
+        rows += [(check, alpha, *cells) for check, *cells in _verify_checks(alpha, grid, args.seed)]
+    _write_csv(None, "check,alpha,status,observed,expected,tolerance", rows)
+    return EXIT_VERIFY_FAILED if any(row[2] == "fail" for row in rows) else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,7 +20,9 @@ block wider than the budget is a single row; GridSpec caps its width).
 Blocks are reduced deterministically (values compared first, earlier grid
 point wins ties), so results do not depend on chunking, and tie-breaking
 is always lowest tau, then lowest phi.  A non-finite value in a block
-raises ValueError naming the order and the grid point.
+raises ValueError naming the order and the grid point; certification
+evaluates its states in one batch under the same rule, so a NaN can never
+let a check pass.
 
 All stochastic checks take an explicit seed; DEFAULT_SEED fixes the
 default so failures are reproducible.  Pure states are sampled uniformly
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import ClassVar, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -42,9 +44,9 @@ from .states import (
     HALF_PI,
     QUARTER_PI,
     TWO_PI,
-    BlochVector,
     PureStateAngles,
     StateLike,
+    bloch_from_angles,
     eigenstate_witnesses,
     measurement_triple,
 )
@@ -104,11 +106,9 @@ class GridSpec:
                 object.__setattr__(self, name, operator.index(value))
             except TypeError:
                 raise TypeError(f"GridSpec.{name} must be an integer, got {value!r}") from None
-        if self.n_tau < 2 or self.n_phi < 2:
-            raise ValueError(f"grid needs at least 2 points per axis, got {self.n_tau}x{self.n_phi}")
-        if self.n_tau > self.MAX_POINTS or self.n_phi > self.MAX_POINTS:
+        if not (2 <= self.n_tau <= self.MAX_POINTS and 2 <= self.n_phi <= self.MAX_POINTS):
             raise ValueError(
-                f"grid allows at most {self.MAX_POINTS} points per axis, got {self.n_tau}x{self.n_phi}"
+                f"grid axes need at least 2, at most {self.MAX_POINTS} points, got {self.n_tau}x{self.n_phi}"
             )
 
 
@@ -171,17 +171,39 @@ def _pair_entropy_sum(s: np.ndarray, alpha: TsallisParam) -> np.ndarray:
     return pair_entropy(p, m, alpha)
 
 
+def _entropic_sums(bx: np.ndarray, by: np.ndarray, bz: np.ndarray, alpha: TsallisParam) -> np.ndarray:
+    """Entropic sums at Bloch components (bx, by, bz).
+
+    The result has the shape of bx; by and bz broadcast against it, so a
+    grid passes its z-term as one value per row.
+    """
+    total = _pair_entropy_sum(bx, alpha)
+    total += _pair_entropy_sum(by, alpha)
+    total += _pair_entropy_sum(bz, alpha)
+    return total
+
+
+def _extrema(values: np.ndarray, alpha: TsallisParam, where: Callable) -> tuple[int, float, int, float]:
+    """(argmin, min, argmax, max) of values, flat indices, lowest index on ties.
+
+    Raises ValueError naming alpha and where(k) at a non-finite pick:
+    argmin and argmax stop at the first NaN, and -inf or +inf is itself the
+    extremum, so checking the two picked values catches every one.
+    """
+    k_min, k_max = int(np.argmin(values)), int(np.argmax(values))
+    v_min, v_max = float(values.flat[k_min]), float(values.flat[k_max])
+    for k, v in ((k_min, v_min), (k_max, v_max)):
+        if not math.isfinite(v):
+            raise ValueError(f"entropic sum is {v!r} at alpha={alpha.alpha!r}, {where(k)}")
+    return k_min, v_min, k_max, v_max
+
+
 def _grid_entropic_sum(tau: np.ndarray, phi_vals: np.ndarray, alpha: TsallisParam) -> np.ndarray:
     """Entropic sum on the Cartesian grid tau x phi_vals, shape (len(tau), len(phi_vals))."""
     s2t = np.sin(2.0 * tau)[:, None]
+    # the z-term depends on tau alone: one value per row
     c2t = np.cos(2.0 * tau)[:, None]
-    cphi = np.cos(phi_vals)[None, :]
-    sphi = np.sin(phi_vals)[None, :]
-    total = _pair_entropy_sum(s2t * cphi, alpha)
-    total += _pair_entropy_sum(s2t * sphi, alpha)
-    # the z-term depends on tau alone: one value per row, broadcast by +=
-    total += _pair_entropy_sum(c2t, alpha)
-    return total
+    return _entropic_sums(s2t * np.cos(phi_vals), s2t * np.sin(phi_vals), c2t, alpha)
 
 
 def _scan_rectangle(
@@ -191,33 +213,22 @@ def _scan_rectangle(
 ) -> tuple[float, tuple[int, int], float, tuple[int, int]]:
     """Exact grid extrema with deterministic lowest-(tau, phi) tie-breaking.
 
-    Raises ValueError at a non-finite grid value: argmin and argmax stop at
-    the first NaN, and -inf or +inf is itself the extremum, so checking the
-    two picked values catches every one.
+    Raises ValueError at a non-finite grid value (see _extrema).
     """
     n_phi = len(phi_grid)
     rows = max(1, _CHUNK_POINTS // n_phi)
-    best_min = math.inf
-    best_min_idx = (0, 0)
-    best_max = -math.inf
-    best_max_idx = (0, 0)
+    lows, highs = [], []  # per block: (value, (i, j)) of its extrema
     for i0 in range(0, len(tau_grid), rows):
         block = _grid_entropic_sum(tau_grid[i0 : i0 + rows], phi_grid, alpha)
-        k_min, k_max = int(np.argmin(block)), int(np.argmax(block))
-        v_min, v_max = float(block.flat[k_min]), float(block.flat[k_max])
-        for k, v in ((k_min, v_min), (k_max, v_max)):
-            if not math.isfinite(v):
-                tau, phi_v = float(tau_grid[i0 + k // n_phi]), float(phi_grid[k % n_phi])
-                raise ValueError(
-                    f"entropic sum is {v!r} at alpha={alpha.alpha!r}, (tau, phi) = ({tau!r}, {phi_v!r})"
-                )
-        if v_min < best_min:  # strict: earlier chunks keep ties
-            best_min = v_min
-            best_min_idx = (i0 + k_min // n_phi, k_min % n_phi)
-        if v_max > best_max:
-            best_max = v_max
-            best_max_idx = (i0 + k_max // n_phi, k_max % n_phi)
-    return best_min, best_min_idx, best_max, best_max_idx
+        k_min, v_min, k_max, v_max = _extrema(
+            block,
+            alpha,
+            lambda k: f"(tau, phi) = ({float(tau_grid[i0 + k // n_phi])!r}, {float(phi_grid[k % n_phi])!r})",
+        )
+        lows.append((v_min, divmod(i0 * n_phi + k_min, n_phi)))
+        highs.append((v_max, divmod(i0 * n_phi + k_max, n_phi)))
+    # min and max return the first of equal keys: the earlier block keeps ties
+    return (*min(lows, key=operator.itemgetter(0)), *max(highs, key=operator.itemgetter(0)))
 
 
 def _grid_on_D(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -295,15 +306,6 @@ def sample_mixed_states(n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
     return directions * radii[:, None]
 
 
-def _sums_from_components(b: np.ndarray, alpha: TsallisParam) -> np.ndarray:
-    """Entropic sums for an (n, 3) array of Bloch components."""
-    return (
-        _pair_entropy_sum(b[:, 0], alpha)
-        + _pair_entropy_sum(b[:, 1], alpha)
-        + _pair_entropy_sum(b[:, 2], alpha)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Certification and property checks
 # ---------------------------------------------------------------------------
@@ -333,7 +335,9 @@ def certify_equality_conditions(
           strictly exceed the lower bound, which therefore cannot be
           saturated by any impure state.
 
-    Raises ValueError for orders outside the tight range.
+    All states are evaluated in one batch.  Raises ValueError for orders
+    outside the tight range, and at a non-finite sum anywhere in the batch,
+    naming the order and the Bloch vector.
     """
     a = as_param(alpha)
     if not is_proven_order(a):
@@ -341,32 +345,22 @@ def certify_equality_conditions(
             f"equality conditions are proven only for alpha in (0, 1] and integer "
             f"alpha >= 2, got {a.alpha!r}"
         )
-    constant = integer_order(a) in (2, 3)
     low, _ = lower_bound(a)
+    # one batch: the six eigenstates, the maximizer, 19 impure states on each
+    # axis (t-major: (t, 0, 0), (0, t, 0), (0, 0, t)), then the samples
+    fixed = [*eigenstate_witnesses(), bloch_from_angles(_MAXIMIZER_STATE)]
+    axis = (np.linspace(0.05, 0.95, 19)[:, None, None] * np.eye(3)).reshape(-1, 3)
+    b = np.vstack([[(w.b_x, w.b_y, w.b_z) for w in fixed], axis, sample_pure_states(n_samples, seed=seed)])
+    sums = _entropic_sums(b[:, 0], b[:, 1], b[:, 2], a)
+    _extrema(sums, a, lambda k: f"Bloch vector {tuple(b[k].tolist())}")  # raises if non-finite
+    eigen, top, impure, sampled = np.split(sums, [6, 7, 7 + len(axis)])
 
-    for witness in eigenstate_witnesses():
-        if abs(entropic_sum(witness, a) - low) > tolerance:
-            return False
-
-    b = sample_pure_states(n_samples, seed=seed)
-    sums = _sums_from_components(b, a)
-    if constant:
-        if np.max(np.abs(sums - low)) > tolerance:
-            return False
+    checks = [np.max(np.abs(eigen - low)) <= tolerance, np.min(impure) > low]
+    if integer_order(a) in (2, 3):
+        checks.append(np.max(np.abs(sampled - low)) <= tolerance)
     else:
-        if np.min(sums - low) <= 0.0:
-            return False
-        target = 3.0 * h_tilde(a)
-        if abs(entropic_sum(_MAXIMIZER_STATE, a) - target) > tolerance:
-            return False
-
-    for t in np.linspace(0.05, 0.95, 19):
-        for axis in range(3):
-            b_axis = [0.0, 0.0, 0.0]
-            b_axis[axis] = float(t)
-            if not entropic_sum(BlochVector(*b_axis), a) > low:
-                return False
-    return True
+        checks += [np.min(sampled) > low, abs(top[0] - 3.0 * h_tilde(a)) <= tolerance]
+    return bool(all(checks))
 
 
 def check_kernel_monotonicity(kernel: str, alpha: AlphaLike, n_points: int) -> bool:

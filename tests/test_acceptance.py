@@ -98,7 +98,7 @@ def test_c4_equality_condition_certification():
 def test_c5_constancy_at_orders_two_three():
     b = sample_pure_states(10_000, seed=verify.DEFAULT_SEED)
     for alpha, value in ((2.0, 1.0), (3.0, 0.75)):
-        sums = verify._sums_from_components(b, verify.as_param(alpha))
+        sums = verify._entropic_sums(b[:, 0], b[:, 1], b[:, 2], verify.as_param(alpha))
         assert float(np.max(sums) - np.min(sums)) <= 1e-12
         assert float(np.max(np.abs(sums - value))) <= 1e-12
     print("criterion 5 PASS: entropic sum constant (1 and 3/4) over 10^4 pure states")
@@ -191,7 +191,7 @@ def _sums_from_angles(taus, phis, a):
     sx = np.sin(2.0 * taus) * np.cos(phis)
     sy = np.sin(2.0 * taus) * np.sin(phis)
     sz = np.cos(2.0 * taus)
-    return verify._sums_from_components(np.column_stack([sx, sy, sz]), a)
+    return verify._entropic_sums(sx, sy, sz, a)
 
 
 def test_c9_band_data(tmp_path, capsys):

@@ -230,8 +230,9 @@ class TestVerify:
         assert code == 2
 
     def test_bad_grid_is_usage_error(self, capsys):
-        code, _, _ = run_cli(capsys, "verify", "1", "--grid", "1")
+        code, out, _ = run_cli(capsys, "verify", "1", "--grid", "1")
         assert code == 2
+        assert out == ""
 
     @pytest.mark.parametrize("grid", ["1000002", str(10**12)])
     def test_oversized_grid_is_usage_error(self, capsys, grid):

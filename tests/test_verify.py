@@ -178,7 +178,7 @@ class TestScanExtrema:
         calls.clear()
         assert main(["verify", "0.5", "--grid", "11"]) == 3
         out, err = capsys.readouterr()
-        assert out == "check,alpha,status,observed,expected,tolerance\n"
+        assert out == ""
         assert point in err
 
     def test_grid_validation(self):
@@ -239,6 +239,79 @@ class TestCertifyEqualityConditions:
     def test_unsupported_order_raises(self):
         with pytest.raises(ValueError):
             certify_equality_conditions(2.5, tolerance=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    def test_nonfinite_sample_raises(self, monkeypatch, capsys, alpha):
+        # one NaN state among the samples: the strict (0.5) and the constant (2) branch
+        real = verify.sample_pure_states
+
+        def with_nan(n, seed=verify.DEFAULT_SEED):
+            b = real(n, seed=seed)
+            b[3] = math.nan
+            return b
+
+        monkeypatch.setattr(verify, "sample_pure_states", with_nan)
+        with pytest.raises(ValueError, match=f"alpha={alpha!r}") as info:
+            certify_equality_conditions(alpha, tolerance=1e-12, n_samples=2000)
+        assert "Bloch vector (nan, nan, nan)" in str(info.value)
+
+        assert main(["verify", repr(alpha), "--grid", "11"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"alpha={alpha!r}" in err
+
+
+class TestCertificationCanFail:
+    """Each case breaks one clause of the certificate while the others still hold."""
+
+    @staticmethod
+    def shift(monkeypatch, name, delta):
+        real = getattr(verify, name)
+        if name == "lower_bound":
+            monkeypatch.setattr(verify, name, lambda a: (real(a)[0] + delta, real(a)[1]))
+        else:
+            monkeypatch.setattr(verify, name, lambda a: real(a) + delta)
+
+    @staticmethod
+    def replace_first_sample(monkeypatch, row):
+        real = verify.sample_pure_states
+
+        def patched(n, seed=verify.DEFAULT_SEED):
+            b = real(n, seed=seed)
+            b[0] = row
+            return b
+
+        monkeypatch.setattr(verify, "sample_pure_states", patched)
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    def test_holds_unshifted(self, alpha):
+        assert certify_equality_conditions(alpha, tolerance=1e-12, n_samples=2000)
+
+    @pytest.mark.parametrize("delta", [1e-9, -1e-9])
+    def test_eigenstates_off_the_bound(self, monkeypatch, delta):
+        # (a): the samples exceed the bound by > 5e-3 at alpha = 0.5, so only the eigenstates fail
+        self.shift(monkeypatch, "lower_bound", delta)
+        assert not certify_equality_conditions(0.5, tolerance=1e-12, n_samples=2000)
+
+    def test_sample_not_strictly_above(self, monkeypatch):
+        # (b), strict branch: with the bound 1e-9 high and a 1e-8 tolerance the
+        # eigenstates still certify; a sampled eigenstate then sits below the bound
+        self.shift(monkeypatch, "lower_bound", 1e-9)
+        assert certify_equality_conditions(0.5, tolerance=1e-8, n_samples=2000)
+        self.replace_first_sample(monkeypatch, (0.0, 0.0, 1.0))
+        assert not certify_equality_conditions(0.5, tolerance=1e-8, n_samples=2000)
+
+    def test_sample_off_the_constant(self, monkeypatch):
+        # (b), constant branch: one slightly impure sample misses the constant 1 at alpha = 2
+        self.replace_first_sample(monkeypatch, verify.sample_pure_states(1, seed=3)[0] * (1.0 - 1e-6))
+        assert not certify_equality_conditions(2.0, tolerance=1e-12, n_samples=2000)
+
+    @pytest.mark.parametrize("alpha", [0.5, 4.0])
+    @pytest.mark.parametrize("delta", [1e-9, -1e-9])
+    def test_maximizer_off_the_maximum(self, monkeypatch, alpha, delta):
+        # (c): only the maximizer check reads h_tilde
+        self.shift(monkeypatch, "h_tilde", delta)
+        assert not certify_equality_conditions(alpha, tolerance=1e-12, n_samples=2000)
 
 
 class TestKernelMonotonicityCheck:
@@ -337,6 +410,6 @@ class TestMixedStateProperties:
     def test_constancy_spread_orders_two_three(self):
         b = sample_pure_states(2000, seed=44)
         for alpha, value in ((2.0, 1.0), (3.0, 0.75)):
-            sums = verify._sums_from_components(b, verify.as_param(alpha))
+            sums = verify._entropic_sums(b[:, 0], b[:, 1], b[:, 2], verify.as_param(alpha))
             assert np.max(sums) - np.min(sums) <= 1e-12
             assert np.max(np.abs(sums - value)) <= 1e-12
