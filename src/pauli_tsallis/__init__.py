@@ -55,12 +55,14 @@ from .verify import (
     check_alpha_concavity,
     check_kernel_monotonicity,
     entropic_sum,
+    full_domain_orders,
     g_sum,
     refined_maximum,
     sample_mixed_states,
     sample_pure_states,
     scan_extrema,
     scan_full_domain_consistency,
+    scan_orders,
 )
 
 __version__ = "0.1.0"
@@ -104,7 +106,9 @@ __all__ = [
     "entropic_sum",
     "g_sum",
     "scan_extrema",
+    "scan_orders",
     "scan_full_domain_consistency",
+    "full_domain_orders",
     "certify_equality_conditions",
     "check_kernel_monotonicity",
     "check_alpha_concavity",

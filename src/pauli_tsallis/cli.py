@@ -35,12 +35,13 @@ from .states import BlochVector, PureStateAngles, measurement_triple
 from .verify import (
     DEFAULT_SEED,
     GridSpec,
+    ScanReport,
     certify_equality_conditions,
     check_alpha_concavity,
     check_kernel_monotonicity,
+    full_domain_orders,
     sample_pure_states,
-    scan_extrema,
-    scan_full_domain_consistency,
+    scan_orders,
 )
 
 EXIT_OK = 0
@@ -225,9 +226,12 @@ def _status(ok: Optional[bool]) -> str:
     return "pass" if ok else "fail"
 
 
-def _verify_checks(alpha: float, grid: GridSpec, seed: int):
-    """Yield (check, status, observed, expected, tolerance) rows for one order."""
-    report = scan_extrema(alpha, grid)
+def _verify_checks(alpha: float, report: ScanReport, full_domain: bool, seed: int):
+    """Yield (check, status, observed, expected, tolerance) rows for one order.
+
+    report is the order's scan of D and full_domain its full-domain
+    consistency, both taken by cmd_verify for all orders in one pass.
+    """
     low, up = report.analytic_lower, report.analytic_upper
     tol = 1e-12
     proven = is_proven_order(alpha)
@@ -251,9 +255,7 @@ def _verify_checks(alpha: float, grid: GridSpec, seed: int):
     ok = check_alpha_concavity(state, 1.0, max(2.0, alpha), 101)
     yield ("alpha_concavity", _status(ok), "", "", 1e-12)
 
-    n_full = min(grid.n_tau, 501)
-    full_grid = GridSpec(n_full, 4 * (n_full - 1) + 1)
-    yield ("full_domain", _status(scan_full_domain_consistency(alpha, full_grid)), "", "", "")
+    yield ("full_domain", _status(full_domain), "", "", "")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -262,10 +264,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         grid = GridSpec(args.grid, args.grid)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    # every order in one pass per scan: D at --grid, then the full-domain pair
+    reports = scan_orders(alphas, grid)
+    n_full = min(grid.n_tau, 501)
+    full_domain = full_domain_orders(alphas, GridSpec(n_full, 4 * (n_full - 1) + 1))
     # all rows first: a run stopped by an error (exit 3) writes no partial CSV
     rows = []
-    for alpha in alphas:
-        rows += [(check, alpha, *cells) for check, *cells in _verify_checks(alpha, grid, args.seed)]
+    for alpha, report, full in zip(alphas, reports, full_domain):
+        rows += [(check, alpha, *cells) for check, *cells in _verify_checks(alpha, report, full, args.seed)]
     _write_csv(None, "check,alpha,status,observed,expected,tolerance", rows)
     return EXIT_VERIFY_FAILED if any(row[2] == "fail" for row in rows) else EXIT_OK
 

@@ -19,8 +19,18 @@ points each, so every temporary of a block fits a core's L2 cache (a
 block wider than the budget is a single row; GridSpec caps its width).
 Blocks are reduced deterministically (values compared first, earlier grid
 point wins ties), so results do not depend on chunking, and tie-breaking
-is always lowest tau, then lowest phi.  A non-finite value in a block
-raises ValueError naming the order and the grid point; certification
+is always lowest tau, then lowest phi.
+
+A scan evaluates every order it is given in one pass.  cos phi and sin phi
+are taken once per scan, and the order-independent stage of each block
+(sin 2 tau, cos 2 tau and the clipped outcome probabilities of the three
+Bloch components) once per block for all orders; only pair_entropy and
+the reduction run per order.  An order's arithmetic is the same whichever
+orders share its pass, so scan_extrema and scan_full_domain_consistency
+are scan_orders and full_domain_orders with one order.  A non-finite
+value in a block raises ValueError naming the order and the grid point.
+With several orders the first one met is reported: blocks in grid order,
+and within a block the orders in the order given.  Certification
 evaluates its states in one batch under the same rule, so a NaN can never
 let a check pass.
 
@@ -34,7 +44,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Optional
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -59,7 +69,9 @@ __all__ = [
     "entropic_sum",
     "g_sum",
     "scan_extrema",
+    "scan_orders",
     "scan_full_domain_consistency",
+    "full_domain_orders",
     "certify_equality_conditions",
     "check_kernel_monotonicity",
     "check_alpha_concavity",
@@ -163,24 +175,29 @@ def g_sum(state: StateLike, alpha: AlphaLike) -> float:
 # Vectorized grid machinery
 # ---------------------------------------------------------------------------
 
+_Pairs = list[tuple[np.ndarray, np.ndarray]]
 
-def _pair_entropy_sum(s: np.ndarray, alpha: TsallisParam) -> np.ndarray:
-    """pair_entropy of p+- = (1 +- s)/2, clipped to [0, 1] like the ProbPair clamp."""
-    p = np.clip((1.0 + s) / 2.0, 0.0, 1.0)
-    m = np.clip((1.0 - s) / 2.0, 0.0, 1.0)
-    return pair_entropy(p, m, alpha)
+
+def _clipped_pairs(*components: np.ndarray) -> _Pairs:
+    """(p, m) = ((1 + s)/2, (1 - s)/2) per Bloch component s, clipped to [0, 1] like the ProbPair clamp."""
+    return [(np.clip((1.0 + s) / 2.0, 0.0, 1.0), np.clip((1.0 - s) / 2.0, 0.0, 1.0)) for s in components]
+
+
+def _pair_sums(pairs: _Pairs, alpha: TsallisParam) -> np.ndarray:
+    """Entropic sums from the clipped (x, y, z) pairs.
+
+    The result has the shape of the x pair; the y and z pairs broadcast
+    against it, so a grid passes its z pair as one value per row.
+    """
+    total = pair_entropy(*pairs[0], alpha)
+    for p, m in pairs[1:]:
+        total += pair_entropy(p, m, alpha)
+    return total
 
 
 def _entropic_sums(bx: np.ndarray, by: np.ndarray, bz: np.ndarray, alpha: TsallisParam) -> np.ndarray:
-    """Entropic sums at Bloch components (bx, by, bz).
-
-    The result has the shape of bx; by and bz broadcast against it, so a
-    grid passes its z-term as one value per row.
-    """
-    total = _pair_entropy_sum(bx, alpha)
-    total += _pair_entropy_sum(by, alpha)
-    total += _pair_entropy_sum(bz, alpha)
-    return total
+    """Entropic sums at Bloch components (bx, by, bz); by and bz broadcast against bx."""
+    return _pair_sums(_clipped_pairs(bx, by, bz), alpha)
 
 
 def _extrema(values: np.ndarray, alpha: TsallisParam, where: Callable) -> tuple[int, float, int, float]:
@@ -198,41 +215,85 @@ def _extrema(values: np.ndarray, alpha: TsallisParam, where: Callable) -> tuple[
     return k_min, v_min, k_max, v_max
 
 
-def _grid_entropic_sum(tau: np.ndarray, phi_vals: np.ndarray, alpha: TsallisParam) -> np.ndarray:
-    """Entropic sum on the Cartesian grid tau x phi_vals, shape (len(tau), len(phi_vals))."""
+def _grid_pairs(tau: np.ndarray, cos_phi: np.ndarray, sin_phi: np.ndarray) -> _Pairs:
+    """The order-independent stage of a block: clipped pairs on the grid tau x phi.
+
+    The x and y pairs have shape (len(tau), len(phi)); the z pair depends
+    on tau alone, one value per row.
+    """
     s2t = np.sin(2.0 * tau)[:, None]
-    # the z-term depends on tau alone: one value per row
-    c2t = np.cos(2.0 * tau)[:, None]
-    return _entropic_sums(s2t * np.cos(phi_vals), s2t * np.sin(phi_vals), c2t, alpha)
+    return _clipped_pairs(s2t * cos_phi, s2t * sin_phi, np.cos(2.0 * tau)[:, None])
 
 
 def _scan_rectangle(
-    alpha: TsallisParam,
+    alphas: Sequence[TsallisParam],
     tau_grid: np.ndarray,
     phi_grid: np.ndarray,
-) -> tuple[float, tuple[int, int], float, tuple[int, int]]:
-    """Exact grid extrema with deterministic lowest-(tau, phi) tie-breaking.
+) -> list[tuple[float, tuple[int, int], float, tuple[int, int]]]:
+    """Exact grid extrema of every order in one pass, lowest-(tau, phi) tie-breaking.
 
-    Raises ValueError at a non-finite grid value (see _extrema).
+    Returns (min, (i, j), max, (i, j)) per order.  The trig of phi is taken
+    once per scan and the clipped pairs once per block; only pair_entropy
+    and the reduction run per order.  Raises ValueError at the first
+    non-finite grid value met (see _extrema): blocks in grid order, and
+    within a block the orders in the given order.
     """
+    if not alphas:
+        return []
     n_phi = len(phi_grid)
     rows = max(1, _CHUNK_POINTS // n_phi)
-    lows, highs = [], []  # per block: (value, (i, j)) of its extrema
+    cos_phi, sin_phi = np.cos(phi_grid), np.sin(phi_grid)
+    lows, highs = [[] for _ in alphas], [[] for _ in alphas]  # per order, per block: (value, (i, j))
     for i0 in range(0, len(tau_grid), rows):
-        block = _grid_entropic_sum(tau_grid[i0 : i0 + rows], phi_grid, alpha)
-        k_min, v_min, k_max, v_max = _extrema(
-            block,
-            alpha,
-            lambda k: f"(tau, phi) = ({float(tau_grid[i0 + k // n_phi])!r}, {float(phi_grid[k % n_phi])!r})",
-        )
-        lows.append((v_min, divmod(i0 * n_phi + k_min, n_phi)))
-        highs.append((v_max, divmod(i0 * n_phi + k_max, n_phi)))
+        pairs = _grid_pairs(tau_grid[i0 : i0 + rows], cos_phi, sin_phi)
+
+        def where(k: int) -> str:
+            return f"(tau, phi) = ({float(tau_grid[i0 + k // n_phi])!r}, {float(phi_grid[k % n_phi])!r})"
+
+        for alpha, low, high in zip(alphas, lows, highs):
+            k_min, v_min, k_max, v_max = _extrema(_pair_sums(pairs, alpha), alpha, where)
+            low.append((v_min, divmod(i0 * n_phi + k_min, n_phi)))
+            high.append((v_max, divmod(i0 * n_phi + k_max, n_phi)))
     # min and max return the first of equal keys: the earlier block keeps ties
-    return (*min(lows, key=operator.itemgetter(0)), *max(highs, key=operator.itemgetter(0)))
+    value = operator.itemgetter(0)
+    return [(*min(low, key=value), *max(high, key=value)) for low, high in zip(lows, highs)]
 
 
 def _grid_on_D(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.linspace(0.0, QUARTER_PI, grid.n_tau), np.linspace(0.0, QUARTER_PI, grid.n_phi)
+
+
+def scan_orders(alphas: Sequence[AlphaLike], grid: Optional[GridSpec] = None) -> list[ScanReport]:
+    """scan_extrema for every order in alphas, in one pass over the grid.
+
+    Reports come back in the order of alphas, each equal to what
+    scan_extrema returns for its order alone.  A non-finite value raises
+    ValueError as in scan_extrema; with several orders, the one reported
+    is the first met: blocks in grid order, and within a block the orders
+    in the given order.
+    """
+    params = [as_param(a) for a in alphas]
+    grid = grid if grid is not None else DEFAULT_GRID
+    tau_grid, phi_grid = _grid_on_D(grid)
+    reports = []
+    for a, (mn, (i_mn, j_mn), mx, (i_mx, j_mx)) in zip(params, _scan_rectangle(params, tau_grid, phi_grid)):
+        bounds = bound_set(a)
+        low, up = bounds.lower, bounds.upper_pure
+        reports.append(
+            ScanReport(
+                alpha=a,
+                min_value=mn,
+                max_value=mx,
+                argmin=PureStateAngles(float(tau_grid[i_mn]), float(phi_grid[j_mn])),
+                argmax=PureStateAngles(float(tau_grid[i_mx]), float(phi_grid[j_mx])),
+                analytic_lower=low,
+                analytic_upper=up,
+                min_gap=mn - low,
+                max_gap=(up - mx) if up is not None else None,
+                grid=grid,
+            )
+        )
+    return reports
 
 
 def scan_extrema(alpha: AlphaLike, grid: Optional[GridSpec] = None) -> ScanReport:
@@ -240,26 +301,32 @@ def scan_extrema(alpha: AlphaLike, grid: Optional[GridSpec] = None) -> ScanRepor
 
     Returns exact extrema over the grid points (no refinement) together
     with witness states.  Corners of D are on the grid, so for tight
-    orders the grid minimum equals the analytic bound to rounding.
+    orders the grid minimum equals the analytic bound to rounding.  This
+    is scan_orders with one order.
     """
-    a = as_param(alpha)
-    grid = grid if grid is not None else DEFAULT_GRID
-    tau_grid, phi_grid = _grid_on_D(grid)
-    mn, (i_mn, j_mn), mx, (i_mx, j_mx) = _scan_rectangle(a, tau_grid, phi_grid)
-    bounds = bound_set(a)
-    low, up = bounds.lower, bounds.upper_pure
-    return ScanReport(
-        alpha=a,
-        min_value=mn,
-        max_value=mx,
-        argmin=PureStateAngles(float(tau_grid[i_mn]), float(phi_grid[j_mn])),
-        argmax=PureStateAngles(float(tau_grid[i_mx]), float(phi_grid[j_mx])),
-        analytic_lower=low,
-        analytic_upper=up,
-        min_gap=mn - low,
-        max_gap=(up - mx) if up is not None else None,
-        grid=grid,
+    return scan_orders([alpha], grid)[0]
+
+
+def full_domain_orders(alphas: Sequence[AlphaLike], grid: GridSpec) -> list[bool]:
+    """scan_full_domain_consistency for every order in alphas, one pass per domain.
+
+    Results come back in the order of alphas; a non-finite value raises
+    as in scan_orders, the full domain being scanned first.
+    """
+    params = [as_param(a) for a in alphas]
+    tau_full = np.linspace(0.0, HALF_PI, grid.n_tau)
+    phi_full = np.linspace(0.0, TWO_PI, grid.n_phi)
+    full = _scan_rectangle(params, tau_full, phi_full)
+    reduced = _scan_rectangle(params, *_grid_on_D(grid))
+    h = max(
+        HALF_PI / (grid.n_tau - 1),
+        TWO_PI / (grid.n_phi - 1),
     )
+    tol = (2.0 * h) ** 2
+    return [
+        abs(mn_f - mn_d) <= tol and abs(mx_f - mx_d) <= tol
+        for (mn_f, _, mx_f, _), (mn_d, _, mx_d, _) in zip(full, reduced)
+    ]
 
 
 def scan_full_domain_consistency(alpha: AlphaLike, grid: GridSpec) -> bool:
@@ -269,19 +336,9 @@ def scan_full_domain_consistency(alpha: AlphaLike, grid: GridSpec) -> bool:
     of the same point counts on D, and compares the extrema.  The
     tolerance is (2 h)^2 with h the coarsest step: extrema sit at interior
     quadratic flat points or exactly on-grid corners, so their grid error
-    is quadratic in the step.
+    is quadratic in the step.  This is full_domain_orders with one order.
     """
-    a = as_param(alpha)
-    tau_full = np.linspace(0.0, HALF_PI, grid.n_tau)
-    phi_full = np.linspace(0.0, TWO_PI, grid.n_phi)
-    mn_f, _, mx_f, _ = _scan_rectangle(a, tau_full, phi_full)
-    mn_d, _, mx_d, _ = _scan_rectangle(a, *_grid_on_D(grid))
-    h = max(
-        HALF_PI / (grid.n_tau - 1),
-        TWO_PI / (grid.n_phi - 1),
-    )
-    tol = (2.0 * h) ** 2
-    return abs(mn_f - mn_d) <= tol and abs(mx_f - mx_d) <= tol
+    return full_domain_orders([alpha], grid)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +393,8 @@ def certify_equality_conditions(
           saturated by any impure state.
 
     All states are evaluated in one batch.  Raises ValueError for orders
-    outside the tight range, and at a non-finite sum anywhere in the batch,
-    naming the order and the Bloch vector.
+    outside the tight range, for n_samples below 1, and at a non-finite sum
+    anywhere in the batch, naming the order and the Bloch vector.
     """
     a = as_param(alpha)
     if not is_proven_order(a):
@@ -345,6 +402,8 @@ def certify_equality_conditions(
             f"equality conditions are proven only for alpha in (0, 1] and integer "
             f"alpha >= 2, got {a.alpha!r}"
         )
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
     low, _ = lower_bound(a)
     # one batch: the six eigenstates, the maximizer, 19 impure states on each
     # axis (t-major: (t, 0, 0), (0, t, 0), (0, 0, t)), then the samples
@@ -370,9 +429,12 @@ def check_kernel_monotonicity(kernel: str, alpha: AlphaLike, n_points: int) -> b
     Successive values must be nondecreasing; strictly increasing is
     required for f with alpha < 1 and for g with alpha >= 4 (g is constant
     for alpha <= 3, f is still strictly increasing at alpha = 1 but only
-    nondecrease is demanded there).
+    nondecrease is demanded there).  Raises ValueError for n_points below
+    2, where there is nothing to compare.
     """
     a = as_param(alpha)
+    if n_points < 2:
+        raise ValueError(f"n_points must be at least 2, got {n_points!r}")
     u = np.arange(1, n_points + 1) / (n_points + 1)
     if kernel == "f":
         values = [kernel_f(float(x), a) for x in u]
@@ -395,10 +457,13 @@ def check_alpha_concavity(
 
     On a uniform alpha grid, every interior point must dominate the mean
     of its neighbours within 1e-12.  Affine stretches (deterministic
-    outcome components) pass as the degenerate case.
+    outcome components) pass as the degenerate case.  Raises ValueError
+    for n_points below 3, which leaves no interior point.
     """
     if not (1.0 <= alpha_lo < alpha_hi):
         raise ValueError(f"need 1 <= alpha_lo < alpha_hi, got {alpha_lo!r}, {alpha_hi!r}")
+    if n_points < 3:
+        raise ValueError(f"n_points must be at least 3, got {n_points!r}")
     triple = measurement_triple(state)
     alphas = np.linspace(alpha_lo, alpha_hi, n_points)
     values = np.array([g_sum(triple, float(x)) for x in alphas])
@@ -428,7 +493,7 @@ def refined_maximum(alpha: AlphaLike, grid: Optional[GridSpec] = None) -> tuple[
     report = scan_extrema(a, grid)
     tau_grid = _refine_axis(report.argmax.tau, grid.n_tau)
     phi_grid = _refine_axis(report.argmax.phi, grid.n_phi)
-    _, _, mx, (i, j) = _scan_rectangle(a, tau_grid, phi_grid)
+    ((_, _, mx, (i, j)),) = _scan_rectangle([a], tau_grid, phi_grid)
     if mx > report.max_value:
         return mx, PureStateAngles(float(tau_grid[i]), float(phi_grid[j]))
     return report.max_value, report.argmax

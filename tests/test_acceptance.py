@@ -1,10 +1,8 @@
 """Acceptance suite: every headline claim at its stated tolerance.
 
 Each test prints one pass line (visible with ``pytest -s``); a failure
-reads as the criterion number plus the violated assertion.  Heavy grid
-scans are cached per (alpha, resolution) within the module so criteria
-sharing a scan do not pay for it twice; the timed criteria run their own
-scans fresh.
+reads as the criterion number plus the violated assertion.  Criteria that
+scan many orders on one grid scan them in one scan_orders pass.
 """
 
 import math
@@ -31,23 +29,13 @@ from pauli_tsallis import (
     refined_maximum,
     rescaled_band,
     sample_pure_states,
-    scan_extrema,
+    scan_orders,
     tsallis_entropy,
 )
 from pauli_tsallis.cli import main
 
 TAU_STAR = math.atan(math.sqrt(2.0)) / 2.0
 QUARTER_PI = math.pi / 4.0
-
-_SCAN_CACHE: dict = {}
-
-
-def cached_scan(alpha: float, n: int):
-    key = (alpha, n)
-    if key not in _SCAN_CACHE:
-        _SCAN_CACHE[key] = scan_extrema(alpha, GridSpec(n, n))
-    return _SCAN_CACHE[key]
-
 
 def test_c1_r_table_reproduction():
     reference = {4: 0.698, 5: 0.741, 6: 0.784, 7: 0.823, 8: 0.857, 9: 0.885, 10: 0.909}
@@ -73,7 +61,7 @@ def test_c3_tight_lower_bound_attainment():
     alphas = [0.25, 0.5, 0.75, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 10.0]
     corners = [PureStateAngles(0.0, 0.0), PureStateAngles(QUARTER_PI, 0.0)]
     start = time.perf_counter()
-    reports = {alpha: cached_scan(alpha, 2001) for alpha in alphas}
+    reports = dict(zip(alphas, scan_orders(alphas, GridSpec(2001, 2001))))
     elapsed = time.perf_counter() - start
     for alpha, report in reports.items():
         bound = 2.0 * alpha_log(2.0, alpha)
@@ -117,19 +105,19 @@ def test_c6_pure_state_maximum():
 
 def test_c7_interpolated_bound_sanity():
     rng = np.random.default_rng(verify.DEFAULT_SEED)
-    checked = 0
-    while checked < 50:
+    alphas = []
+    while len(alphas) < 50:
         alpha = float(rng.uniform(1.0, 10.0))
-        if abs(alpha - round(alpha)) < 1e-9:
-            continue
-        report = cached_scan(alpha, 801)
-        assert interpolated_lower_bound(alpha) <= report.min_value + 1e-9, f"alpha={alpha}"
-        checked += 1
+        if abs(alpha - round(alpha)) >= 1e-9:
+            alphas.append(alpha)
     near_one = 1.0 + 1e-6
+    *reports, near_one_report = scan_orders(alphas + [near_one], GridSpec(801, 801))
+    for alpha, report in zip(alphas, reports):
+        assert interpolated_lower_bound(alpha) <= report.min_value + 1e-9, f"alpha={alpha}"
     bound, tight = lower_bound(near_one)
     assert not tight
     assert bound == pytest.approx(1.0, abs=1e-9)
-    grid_min = scan_extrema(near_one, GridSpec(801, 801)).min_value
+    grid_min = near_one_report.min_value
     assert grid_min == pytest.approx(2.0 * math.log(2.0), abs=1e-4)
     assert grid_min - bound > 0.38
     print("criterion 7 PASS: interpolated bound below grid minimum for 50 random "

@@ -22,13 +22,18 @@ from pauli_tsallis import (
     refined_maximum,
     sample_mixed_states,
     sample_pure_states,
+    full_domain_orders,
     scan_extrema,
     scan_full_domain_consistency,
+    scan_orders,
     upper_bound_mixed,
 )
 
 QUARTER_PI = math.pi / 4.0
 TAU_STAR = math.atan(math.sqrt(2.0)) / 2.0
+# every kernel branch: pow below and above 1, either side of the expm1 window,
+# Shannon, integer and non-integer pow
+TEN_ORDERS = (0.25, 0.5, 0.999, 1.0, 1.005, 2.0, 2.5, 4.0, 7.3, 10.0)
 
 
 class TestEntropicSum:
@@ -96,10 +101,12 @@ class TestScanExtrema:
         rng = np.random.default_rng(17)
         taus = rng.uniform(0.0, QUARTER_PI, 5)
         phis = rng.uniform(0.0, QUARTER_PI, 5)
+        # the order-independent stage once, shared by every order below
+        pairs = verify._grid_pairs(taus, np.cos(phis), np.sin(phis))
         # pow, Shannon, expm1 and integer-pow kernel branches, z-term per row included
         for alpha in (0.5, 1.0, 1.005, 3.3, 4.0):
             a = verify.as_param(alpha)
-            block = verify._grid_entropic_sum(taus, phis, a)
+            block = verify._pair_sums(pairs, a)
             for i, tau in enumerate(taus):
                 for j, phi_v in enumerate(phis):
                     scalar = entropic_sum(PureStateAngles(float(tau), float(phi_v)), alpha)
@@ -117,36 +124,44 @@ class TestScanExtrema:
 
     @pytest.mark.parametrize("budget", [1, 7 * 83 + 3, verify._CHUNK_POINTS])
     def test_ties_keep_lowest_grid_point(self, monkeypatch, budget):
-        # every grid point ties, so both extrema must stay at (0, 0) across chunks
+        # every grid point ties, so both extrema must stay at (0, 0) across
+        # chunks, for one order alone and for each order of a shared pass
         monkeypatch.setattr(verify, "_CHUNK_POINTS", budget)
 
-        def constant(tau, phi_vals, alpha):
-            return np.ones((tau.size, phi_vals.size))
+        def constant(tau, cos_phi, sin_phi):
+            half = np.full((tau.size, cos_phi.size), 0.5)
+            return [(half, half), (half, half), (half[:, :1], half[:, :1])]
 
-        monkeypatch.setattr(verify, "_grid_entropic_sum", constant)
-        report = scan_extrema(0.7, GridSpec(157, 83))
-        assert (report.argmin.tau, report.argmin.phi) == (0.0, 0.0)
-        assert (report.argmax.tau, report.argmax.phi) == (0.0, 0.0)
+        monkeypatch.setattr(verify, "_grid_pairs", constant)
+        grid = GridSpec(157, 83)
+        for report in [scan_extrema(0.7, grid), *scan_orders([0.7, 1.0, 3.0], grid)]:
+            assert (report.argmin.tau, report.argmin.phi) == (0.0, 0.0)
+            assert (report.argmax.tau, report.argmax.phi) == (0.0, 0.0)
 
     def test_chunks_stay_within_point_budget(self, monkeypatch):
         grid = GridSpec(101, 40001)
-        real = verify._grid_entropic_sum
+        real = verify._grid_pairs
         rows = []
 
-        def spy(tau, phi_vals, alpha):
-            assert tau.size * phi_vals.size <= max(grid.n_phi, verify._CHUNK_POINTS)
+        def spy(tau, cos_phi, sin_phi):
+            assert tau.size * cos_phi.size <= max(grid.n_phi, verify._CHUNK_POINTS)
             rows.append(tau)
-            return real(tau, phi_vals, alpha)
+            return real(tau, cos_phi, sin_phi)
 
-        monkeypatch.setattr(verify, "_grid_entropic_sum", spy)
+        monkeypatch.setattr(verify, "_grid_pairs", spy)
         scan_extrema(0.5, grid)
         # whole rows in grid order, each row once
         assert np.array_equal(np.concatenate(rows), np.linspace(0.0, QUARTER_PI, grid.n_tau))
+        # a multi-order pass runs the stage once per chunk, not once per order
+        rows.clear()
+        scan_orders([0.5, 1.0, 4.0], grid)
+        assert np.array_equal(np.concatenate(rows), np.linspace(0.0, QUARTER_PI, grid.n_tau))
 
-    # pair_entropy runs three times per chunk (x-, y-, z-term).  An 11x11 grid
-    # is one chunk by default; a 33-point budget makes 3-row chunks, so row 7
-    # is row 1 of the third chunk, whose x-term is call 6.  A NaN is caught by
-    # both argmin and argmax, -inf by argmin and +inf by argmax.
+    # The order-independent stage runs once per chunk, then pair_entropy three
+    # times per chunk and order (x-, y-, z-term).  An 11x11 grid is one chunk
+    # by default; a 33-point budget makes 3-row chunks, so row 7 is row 1 of
+    # the third chunk, whose x-term is call 6 of a one-order scan.  A NaN is
+    # caught by both argmin and argmax, -inf by argmin and +inf by argmax.
     @pytest.mark.parametrize(
         "budget,call,row,bad",
         [
@@ -180,6 +195,33 @@ class TestScanExtrema:
         out, err = capsys.readouterr()
         assert out == ""
         assert point in err
+
+    def test_nonfinite_value_in_second_order_raises(self, monkeypatch, capsys):
+        # in a pass over orders (0.5, 2.0) call 3 is the x-term of the second
+        # order in the first chunk; the first order's values stay finite
+        real = verify.pair_entropy
+        calls = []
+
+        def inject(p, m, alpha):
+            out = real(p, m, alpha)
+            if len(calls) == 3:
+                out[7, 5] = math.nan
+            calls.append(alpha.alpha)
+            return out
+
+        monkeypatch.setattr(verify, "pair_entropy", inject)
+        axis = np.linspace(0.0, QUARTER_PI, 11)
+        point = f"(tau, phi) = ({float(axis[7])!r}, {float(axis[5])!r})"
+        with pytest.raises(ValueError, match="alpha=2.0") as info:
+            scan_orders([0.5, 2.0], GridSpec(11, 11))
+        assert point in str(info.value)
+        assert calls == [0.5] * 3 + [2.0] * 3
+
+        calls.clear()
+        assert main(["verify", "0.5,2", "--grid", "11"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "alpha=2.0" in err and point in err
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -227,6 +269,30 @@ class TestFullDomainConsistency:
         assert scan_full_domain_consistency(alpha, GridSpec(501, 1001))
 
 
+class TestScanOrders:
+    def test_reports_match_single_order_scans(self, monkeypatch):
+        grid, full = GridSpec(157, 83), GridSpec(41, 161)
+        reports = [scan_extrema(a, grid) for a in TEN_ORDERS]
+        consistent = [scan_full_domain_consistency(a, full) for a in TEN_ORDERS]
+        assert all(consistent)
+        # chunk budgets as in test_chunking_does_not_change_result
+        n = grid.n_phi
+        for budget in (1, n - 1, n, 7 * n + 3, verify._CHUNK_POINTS):
+            monkeypatch.setattr(verify, "_CHUNK_POINTS", budget)
+            assert scan_orders(TEN_ORDERS, grid) == reports, budget
+            assert full_domain_orders(TEN_ORDERS, full) == consistent, budget
+
+    def test_reports_follow_the_given_order(self, monkeypatch):
+        grid = GridSpec(41, 41)
+        orders = [4.0, 0.5, 4.0, 1.0]
+        reports = scan_orders(orders, grid)
+        assert [r.alpha.alpha for r in reports] == orders
+        assert reports[0] == reports[2] == scan_extrema(4.0, grid)
+        # no order, no grid work
+        monkeypatch.setattr(verify, "_grid_pairs", None)
+        assert scan_orders([], grid) == [] and full_domain_orders([], grid) == []
+
+
 class TestCertifyEqualityConditions:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 4.0, 6.0])
     def test_tight_orders_certify(self, alpha):
@@ -235,6 +301,11 @@ class TestCertifyEqualityConditions:
     @pytest.mark.parametrize("alpha", [2.0, 3.0])
     def test_constant_orders_certify(self, alpha):
         assert certify_equality_conditions(alpha, tolerance=1e-12, n_samples=2000)
+
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_too_few_samples_raises(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples"):
+            certify_equality_conditions(0.5, tolerance=1e-12, n_samples=n_samples)
 
     def test_unsupported_order_raises(self):
         with pytest.raises(ValueError):
@@ -331,6 +402,14 @@ class TestKernelMonotonicityCheck:
         with pytest.raises(ValueError):
             check_kernel_monotonicity("h", 0.5, 100)
 
+    @pytest.mark.parametrize("kernel,alpha", [("f", 0.5), ("g", 4)])
+    @pytest.mark.parametrize("n_points", [0, 1])
+    def test_too_few_points_raises(self, kernel, alpha, n_points):
+        # one point has no neighbour to compare with; it used to pass vacuously
+        with pytest.raises(ValueError, match="n_points"):
+            check_kernel_monotonicity(kernel, alpha, n_points)
+        assert check_kernel_monotonicity(kernel, alpha, 2)
+
 
 class TestAlphaConcavityCheck:
     def test_generic_state(self):
@@ -347,6 +426,13 @@ class TestAlphaConcavityCheck:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             check_alpha_concavity(PureStateAngles(0.3, 0.4), 0.5, 2.0, 11)
+
+    @pytest.mark.parametrize("n_points", [0, 1, 2])
+    def test_too_few_points_raises(self, n_points):
+        # fewer than 3 points leave no interior point; it used to pass vacuously
+        with pytest.raises(ValueError, match="n_points"):
+            check_alpha_concavity(PureStateAngles(0.3, 0.4), 1.0, 3.0, n_points)
+        assert check_alpha_concavity(PureStateAngles(0.3, 0.4), 1.0, 3.0, 3)
 
 
 class TestEmpiricalUpperPure:
