@@ -185,12 +185,13 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_band(args: argparse.Namespace) -> int:
-    if not (0.0 < args.alpha_min < args.alpha_max):
-        raise UsageError(f"need 0 < alpha-min < alpha-max, got {args.alpha_min!r}, {args.alpha_max!r}")
-    if args.steps < 2:
-        raise UsageError(f"steps must be at least 2, got {args.steps!r}")
+    alpha_min, alpha_max = _parse_alpha(args.alpha_min), _parse_alpha(args.alpha_max)
+    if not alpha_min < alpha_max:
+        raise UsageError(f"need alpha-min < alpha-max, got {args.alpha_min!r}, {args.alpha_max!r}")
+    if not 2 <= args.steps <= GridSpec.MAX_POINTS:
+        raise UsageError(f"steps must be at least 2, at most {GridSpec.MAX_POINTS}, got {args.steps!r}")
     rows = []
-    for alpha in np.linspace(args.alpha_min, args.alpha_max, args.steps).tolist():
+    for alpha in np.linspace(alpha_min, alpha_max, args.steps).tolist():
         try:
             rows.append((alpha, *rescaled_band(alpha)))
         except UnsupportedAlphaError as exc:
@@ -216,7 +217,10 @@ def _verify_alphas(args: argparse.Namespace) -> list[float]:
     text = args.alphas if args.alphas is not None else args.alpha
     if text is None:
         raise UsageError("an alpha list is required (positional or --alpha)")
-    return [_parse_alpha(part) for part in str(text).split(",") if part != ""]
+    alphas = [_parse_alpha(part) for part in str(text).split(",") if part != ""]
+    if not alphas:
+        raise UsageError(f"no order given in the alpha list {text!r}")
+    return alphas
 
 
 def _status(ok: Optional[bool]) -> str:
@@ -260,13 +264,17 @@ def _verify_checks(alpha: float, report: ScanReport, full_domain: bool, seed: in
 
 def cmd_verify(args: argparse.Namespace) -> int:
     alphas = _verify_alphas(args)
+    if args.seed < 0:
+        raise UsageError(f"--seed must be a non-negative integer, got {args.seed!r}")
     try:
         grid = GridSpec(args.grid, args.grid)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    # every order in one pass per scan: D at --grid, then the full-domain pair
+    # every order in one pass per scan: D at --grid, then the full domain
     reports = scan_orders(alphas, grid)
-    n_full = min(grid.n_tau, 501)
+    # an odd tau count (even --grid rounds up) and 4 (n - 1) + 1 phi points
+    # put D on the full-domain grid as its leading block
+    n_full = min(grid.n_tau | 1, 501)
     full_domain = full_domain_orders(alphas, GridSpec(n_full, 4 * (n_full - 1) + 1))
     # all rows first: a run stopped by an error (exit 3) writes no partial CSV
     rows = []
@@ -298,9 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("band", help="CSV of the rescaled band over an alpha range")
-    p.add_argument("--alpha-min", type=float, required=True)
-    p.add_argument("--alpha-max", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--alpha-min", required=True)
+    p.add_argument("--alpha-max", required=True)
+    p.add_argument("--steps", type=int, required=True, help="number of orders, 2 to 1000001")
     p.add_argument("--out", help="output CSV path (stdout when omitted)")
     p.set_defaults(func=cmd_band)
 
@@ -314,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--grid", type=int, default=2001, help="D-grid points per axis, 2 to 1000001 (default 2001)"
     )
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for sampled checks")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for sampled checks (>= 0)")
     p.set_defaults(func=cmd_verify)
 
     return parser

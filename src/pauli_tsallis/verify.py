@@ -34,6 +34,13 @@ and within a block the orders in the order given.  Certification
 evaluates its states in one batch under the same rule, so a NaN can never
 let a check pass.
 
+The full-domain check scans one grid on tau in [0, pi/2], phi in
+[0, 2 pi] and compares its extrema with those of the grid's own leading
+block, tau and phi in [0, pi/4]: that block is a grid on D, and the
+symmetry maps send every other grid point onto one of its points, so no
+second grid is laid over D.  The block exists when n_tau - 1 is divisible
+by 2 and n_phi - 1 by 8; other full-domain grids raise ValueError.
+
 All stochastic checks take an explicit seed; DEFAULT_SEED fixes the
 default so failures are reproducible.  Pure states are sampled uniformly
 on the sphere (area measure), mixed states uniformly in the ball.
@@ -98,10 +105,12 @@ _REFINE_FACTOR = 10
 class GridSpec:
     """Uniform scan grid; endpoints of each interval are grid points.
 
-    n_tau, n_phi count the points along tau and phi, at least 2 each.  The
-    scans lay them over D; scan_full_domain_consistency lays the same
-    counts over tau in [0, pi/2], phi in [0, 2 pi) as well.  Counts must be
-    integers (numpy integers included); anything else raises TypeError.
+    n_tau, n_phi count the points along tau and phi, at least 2 each.
+    scan_orders lays them over D.  full_domain_orders lays them over tau in
+    [0, pi/2], phi in [0, 2 pi] and takes its grid on D from the leading
+    block of that same grid, so there n_tau - 1 must be divisible by 2 and
+    n_phi - 1 by 8.  Counts must be integers (numpy integers included);
+    anything else raises TypeError.
     Each count is capped at MAX_POINTS (1,000,001), which keeps a one-row
     scan block near 8 MB per temporary; a larger count raises ValueError.
     """
@@ -259,10 +268,6 @@ def _scan_rectangle(
     return [(*min(low, key=value), *max(high, key=value)) for low, high in zip(lows, highs)]
 
 
-def _grid_on_D(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    return np.linspace(0.0, QUARTER_PI, grid.n_tau), np.linspace(0.0, QUARTER_PI, grid.n_phi)
-
-
 def scan_orders(alphas: Sequence[AlphaLike], grid: Optional[GridSpec] = None) -> list[ScanReport]:
     """scan_extrema for every order in alphas, in one pass over the grid.
 
@@ -274,7 +279,8 @@ def scan_orders(alphas: Sequence[AlphaLike], grid: Optional[GridSpec] = None) ->
     """
     params = [as_param(a) for a in alphas]
     grid = grid if grid is not None else DEFAULT_GRID
-    tau_grid, phi_grid = _grid_on_D(grid)
+    tau_grid = np.linspace(0.0, QUARTER_PI, grid.n_tau)
+    phi_grid = np.linspace(0.0, QUARTER_PI, grid.n_phi)
     reports = []
     for a, (mn, (i_mn, j_mn), mx, (i_mx, j_mx)) in zip(params, _scan_rectangle(params, tau_grid, phi_grid)):
         bounds = bound_set(a)
@@ -308,16 +314,23 @@ def scan_extrema(alpha: AlphaLike, grid: Optional[GridSpec] = None) -> ScanRepor
 
 
 def full_domain_orders(alphas: Sequence[AlphaLike], grid: GridSpec) -> list[bool]:
-    """scan_full_domain_consistency for every order in alphas, one pass per domain.
+    """scan_full_domain_consistency for every order in alphas, in one full-domain pass.
 
     Results come back in the order of alphas; a non-finite value raises
-    as in scan_orders, the full domain being scanned first.
+    as in scan_orders, the full domain being scanned before its D block.
     """
+    if (grid.n_tau - 1) % 2 or (grid.n_phi - 1) % 8:
+        raise ValueError(
+            f"a full-domain grid holds D as a sub-grid only if n_tau - 1 is divisible by 2 "
+            f"and n_phi - 1 by 8, got {grid.n_tau}x{grid.n_phi}"
+        )
     params = [as_param(a) for a in alphas]
     tau_full = np.linspace(0.0, HALF_PI, grid.n_tau)
     phi_full = np.linspace(0.0, TWO_PI, grid.n_phi)
     full = _scan_rectangle(params, tau_full, phi_full)
-    reduced = _scan_rectangle(params, *_grid_on_D(grid))
+    # the leading block, tau and phi up to pi/4, is the full grid's own grid on D
+    d_block = tau_full[: (grid.n_tau - 1) // 2 + 1], phi_full[: (grid.n_phi - 1) // 8 + 1]
+    reduced = _scan_rectangle(params, *d_block)
     h = max(
         HALF_PI / (grid.n_tau - 1),
         TWO_PI / (grid.n_phi - 1),
@@ -332,11 +345,16 @@ def full_domain_orders(alphas: Sequence[AlphaLike], grid: GridSpec) -> list[bool
 def scan_full_domain_consistency(alpha: AlphaLike, grid: GridSpec) -> bool:
     """Check that the full domain and D give the same extrema.
 
-    Scans tau in [0, pi/2], phi in [0, 2 pi) on the given grid and a grid
-    of the same point counts on D, and compares the extrema.  The
-    tolerance is (2 h)^2 with h the coarsest step: extrema sit at interior
-    quadratic flat points or exactly on-grid corners, so their grid error
-    is quadratic in the step.  This is full_domain_orders with one order.
+    Scans tau in [0, pi/2], phi in [0, 2 pi] on the given grid, then the
+    grid's own leading block tau, phi in [0, pi/4], which is a grid on D,
+    and compares the extrema.  The block exists only if n_tau - 1 is
+    divisible by 2 and n_phi - 1 by 8; any other grid raises ValueError
+    naming its counts.  The four symmetry maps of the states module send
+    every grid point onto a block point (to rounding), so where the
+    reduction holds the two extrema agree to a few ulps.  The tolerance
+    is still (2 h)^2 with h the coarsest step, the grid error of an
+    extremum between two different grids; against a rounding-level gap
+    it is a wide margin.  This is full_domain_orders with one order.
     """
     return full_domain_orders([alpha], grid)[0]
 

@@ -5,9 +5,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import pauli_tsallis.cli as cli
 from pauli_tsallis.cli import main
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
@@ -185,11 +187,27 @@ class TestBand:
             ["--alpha-min", "0", "--alpha-max", "1", "--steps", "10"],
             ["--alpha-min", "0.1", "--alpha-max", "1", "--steps", "1"],
             ["--alpha-min", "0.5", "--alpha-max", "2.0", "--steps", "10"],
+            # non-finite orders go through the same validator as every other alpha
+            ["--alpha-min", "0.5", "--alpha-max", "inf", "--steps", "3"],
+            ["--alpha-min", "0.5", "--alpha-max", "1e400", "--steps", "3"],
+            ["--alpha-min", "0.5", "--alpha-max", "nan", "--steps", "3"],
         ],
     )
     def test_invalid_ranges_are_usage_errors(self, capsys, argv):
-        code, _, _ = run_cli(capsys, "band", *argv)
+        code, out, _ = run_cli(capsys, "band", *argv)
         assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("steps", ["1000002", str(10**12)])
+    def test_oversized_steps_is_usage_error(self, capsys, monkeypatch, steps):
+        # only the rejection path runs: the order grid is never allocated
+        def no_linspace(*args, **kwargs):
+            raise AssertionError("band built its order grid")
+
+        monkeypatch.setattr(cli, "np", SimpleNamespace(linspace=no_linspace))
+        code, out, err = run_cli(capsys, "band", "--alpha-min", "0.5", "--alpha-max", "1", "--steps", steps)
+        assert code == 2
+        assert out == "" and "at most 1000001" in err
 
 
 class TestRtable:
@@ -228,6 +246,24 @@ class TestVerify:
     def test_missing_alphas_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--grid", "101")
         assert code == 2
+        # a list that parses to no order would otherwise pass having checked nothing
+        for alphas in (",", ",,", ""):
+            code, out, err = run_cli(capsys, "verify", alphas, "--grid", "101")
+            assert code == 2, alphas
+            assert out == "" and "no order given" in err, alphas
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "0.5", "--grid", "3", "--seed", "-1")
+        assert code == 2
+        assert out == "" and "--seed" in err
+
+    @pytest.mark.parametrize("grid", ["2", "3", "42"])
+    def test_full_domain_passes_on_small_and_even_grids(self, capsys, grid):
+        # an even --grid rounds the full-domain tau count up, so D stays its sub-grid
+        code, out, _ = run_cli(capsys, "verify", "0.5,2.5", "--grid", grid)
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines() if line.startswith("full_domain,")]
+        assert len(rows) == 2 and all(row[2] == "pass" for row in rows)
 
     def test_bad_grid_is_usage_error(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "1", "--grid", "1")

@@ -268,6 +268,37 @@ class TestFullDomainConsistency:
     def test_reduction_is_faithful(self, alpha):
         assert scan_full_domain_consistency(alpha, GridSpec(501, 1001))
 
+    def test_D_is_the_full_grids_leading_block(self, monkeypatch):
+        # verify's full-domain shape: one full scan, then one scan of its own
+        # 251x251 block on D; the symmetry maps send every full-grid point
+        # onto a block point, so the extrema agree to rounding, far inside (2h)^2
+        calls = []
+
+        def spy(alphas, tau_grid, phi_grid):
+            out = scan(alphas, tau_grid, phi_grid)
+            calls.append((tau_grid, phi_grid, out))
+            return out
+
+        scan = verify._scan_rectangle
+        monkeypatch.setattr(verify, "_scan_rectangle", spy)
+        assert full_domain_orders(TEN_ORDERS, GridSpec(501, 2001)) == [True] * len(TEN_ORDERS)
+        assert len(calls) == 2
+        (tau_full, phi_full, full), (tau_d, phi_d, reduced) = calls
+        for block, axis in ((tau_d, tau_full), (phi_d, phi_full)):
+            assert np.shares_memory(block, axis) and np.array_equal(block, axis[:251])
+            assert block[-1] == pytest.approx(QUARTER_PI, abs=1e-15)
+        for (mn_f, _, mx_f, _), (mn_d, _, mx_d, _) in zip(full, reduced):
+            assert abs(mn_f - mn_d) <= 1e-12 and abs(mx_f - mx_d) <= 1e-12
+
+    @pytest.mark.parametrize("counts", [(42, 165), (41, 160)])
+    def test_grid_without_D_block_raises(self, monkeypatch, counts):
+        # n_tau - 1 odd, or n_phi - 1 not a multiple of 8: rejected before any scan
+        monkeypatch.setattr(verify, "_grid_pairs", None)
+        with pytest.raises(ValueError, match="{}x{}".format(*counts)):
+            full_domain_orders([0.5, 2.0], GridSpec(*counts))
+        with pytest.raises(ValueError, match="{}x{}".format(*counts)):
+            scan_full_domain_consistency(0.5, GridSpec(*counts))
+
 
 class TestScanOrders:
     def test_reports_match_single_order_scans(self, monkeypatch):
