@@ -161,8 +161,7 @@ def pair_entropy(p: np.ndarray, m: np.ndarray, alpha: TsallisParam) -> np.ndarra
     a = alpha.alpha
     if abs(a - 1.0) < EXPM1_WINDOW:
         # log(1) = 0 stands in for log(0), which the factor p = 0 cancels
-        p_safe = np.where(p > 0.0, p, 1.0)
-        m_safe = np.where(m > 0.0, m, 1.0)
+        p_safe, m_safe = p + (p == 0.0), m + (m == 0.0)
         if alpha.is_shannon:
             return -p * np.log(p_safe) - m * np.log(m_safe)
         hp = -p * np.expm1((a - 1.0) * np.log(p_safe)) / (a - 1.0)

@@ -2,13 +2,14 @@
 
 Everything here re-derives the analytic results numerically and
 independently of them: exhaustive grid scans of the entropic sum over the
-reduced rectangle D (optionally over the full angle domain, to validate
-the symmetry reduction), certification of the equality conditions, kernel
-monotonicity checks and concavity/convexity property checks.  Scans never
-use the bound formulas to steer the search; the formulas enter only when
-the observed extrema are compared against them afterwards.  Grid values
-come from entropy.pair_entropy, the kernel the scalar API uses, so a grid
-value equals entropic_sum at that grid point bit for bit wherever numpy's
+reduced rectangle D (optionally over the full angle domain, compared
+with that grid's own block on D to validate the symmetry reduction),
+certification of the equality conditions, kernel monotonicity checks and
+concavity/convexity property checks.  Scans never use the bound formulas
+to steer the search; the formulas enter only when the observed extrema
+are compared against them afterwards.  Grid values come from
+entropy.pair_entropy, the kernel the scalar API uses, so a grid value
+equals entropic_sum at that grid point bit for bit wherever numpy's
 float64 sin and cos agree with math's.
 
 Grids are uniform with both endpoints included, so the corners of D, which
@@ -23,23 +24,21 @@ is always lowest tau, then lowest phi.
 
 A scan evaluates every order it is given in one pass.  cos phi and sin phi
 are taken once per scan, and the order-independent stage of each block
-(sin 2 tau, cos 2 tau and the clipped outcome probabilities of the three
-Bloch components) once per block for all orders; only pair_entropy and
-the reduction run per order.  An order's arithmetic is the same whichever
+(sin 2 tau, cos 2 tau and the outcome probabilities of the three Bloch
+components) once per block for all orders; only pair_entropy and the
+reduction run per order.  An order's arithmetic is the same whichever
 orders share its pass, so scan_extrema and scan_full_domain_consistency
 are scan_orders and full_domain_orders with one order.  A non-finite
 value in a block raises ValueError naming the order and the grid point.
 With several orders the first one met is reported: blocks in grid order,
 and within a block the orders in the order given.  Certification
 evaluates its states in one batch under the same rule, so a NaN can never
-let a check pass.
-
-The full-domain check scans one grid on tau in [0, pi/2], phi in
-[0, 2 pi] and compares its extrema with those of the grid's own leading
-block, tau and phi in [0, pi/4]: that block is a grid on D, and the
-symmetry maps send every other grid point onto one of its points, so no
-second grid is laid over D.  The block exists when n_tau - 1 is divisible
-by 2 and n_phi - 1 by 8; other full-domain grids raise ValueError.
+let a check pass.  Grids and certification share one pair formula,
+(1/2 + h, 1/2 - h) with h = s/2, and clip to [-1, 1] only the 1-D trig
+vectors (the Bloch components when certifying): |h| <= 1/2 then keeps
+both in [0, 1] without a clip of the grid.  Halving is exact (short of
+subnormals, where 1/2 +- h is 1/2 anyway), so fl(1/2 + s/2) = fl(1 + s)/2,
+fl((a/2) b) = fl(a b)/2 and the pairs are bitwise clip((1 +- s)/2, 0, 1).
 
 All stochastic checks take an explicit seed; DEFAULT_SEED fixes the
 default so failures are reproducible.  Pure states are sampled uniformly
@@ -90,9 +89,10 @@ __all__ = [
 DEFAULT_SEED = 12345
 
 # Grid points evaluated per chunk, rounded down to whole tau rows (at least
-# one).  The scan is bound by memory traffic, not by the pow/log arithmetic:
-# at 65,536 points each float64 temporary of a block is 512 KB and stays in
-# a core's L2 cache; blocks a few times that cache ran about 3x slower.
+# one).  At 65,536 points each float64 temporary of a block is 512 KB and
+# stays in a core's L2 cache; blocks a few times that ran about 3x slower.
+# In cache the per-order pow/log kernel dominates: 45-155 ms per order at
+# 2001^2 against ~21 ms for the shared pair stage (2-core Xeon, numpy 2.4).
 # Results do not depend on it (deterministic reduction).
 _CHUNK_POINTS = 65_536
 
@@ -187,13 +187,18 @@ def g_sum(state: StateLike, alpha: AlphaLike) -> float:
 _Pairs = list[tuple[np.ndarray, np.ndarray]]
 
 
+def _half_pairs(*halves: np.ndarray) -> _Pairs:
+    """(p, m) = (1/2 + h, 1/2 - h) per h = s/2; |h| <= 1/2 puts p and m in [0, 1] exactly."""
+    return [(0.5 + h, 0.5 - h) for h in halves]
+
+
 def _clipped_pairs(*components: np.ndarray) -> _Pairs:
-    """(p, m) = ((1 + s)/2, (1 - s)/2) per Bloch component s, clipped to [0, 1] like the ProbPair clamp."""
-    return [(np.clip((1.0 + s) / 2.0, 0.0, 1.0), np.clip((1.0 - s) / 2.0, 0.0, 1.0)) for s in components]
+    """_half_pairs of Bloch components s clipped to [-1, 1]: bitwise clip((1 +- s)/2, 0, 1), NaN kept."""
+    return _half_pairs(*(0.5 * np.clip(s, -1.0, 1.0) for s in components))
 
 
 def _pair_sums(pairs: _Pairs, alpha: TsallisParam) -> np.ndarray:
-    """Entropic sums from the clipped (x, y, z) pairs.
+    """Entropic sums from the (x, y, z) outcome pairs.
 
     The result has the shape of the x pair; the y and z pairs broadcast
     against it, so a grid passes its z pair as one value per row.
@@ -225,24 +230,22 @@ def _extrema(values: np.ndarray, alpha: TsallisParam, where: Callable) -> tuple[
 
 
 def _grid_pairs(tau: np.ndarray, cos_phi: np.ndarray, sin_phi: np.ndarray) -> _Pairs:
-    """The order-independent stage of a block: clipped pairs on the grid tau x phi.
+    """The order-independent stage of a block: outcome pairs on the grid tau x phi.
 
     The x and y pairs have shape (len(tau), len(phi)); the z pair depends
-    on tau alone, one value per row.
+    on tau alone, one value per row.  cos_phi, sin_phi must lie in [-1, 1].
     """
-    s2t = np.sin(2.0 * tau)[:, None]
-    return _clipped_pairs(s2t * cos_phi, s2t * sin_phi, np.cos(2.0 * tau)[:, None])
+    half_s2t, half_c2t = (0.5 * np.clip(f(2.0 * tau), -1.0, 1.0)[:, None] for f in (np.sin, np.cos))
+    return _half_pairs(half_s2t * cos_phi, half_s2t * sin_phi, half_c2t)
 
 
 def _scan_rectangle(
-    alphas: Sequence[TsallisParam],
-    tau_grid: np.ndarray,
-    phi_grid: np.ndarray,
+    alphas: Sequence[TsallisParam], tau_grid: np.ndarray, phi_grid: np.ndarray
 ) -> list[tuple[float, tuple[int, int], float, tuple[int, int]]]:
     """Exact grid extrema of every order in one pass, lowest-(tau, phi) tie-breaking.
 
     Returns (min, (i, j), max, (i, j)) per order.  The trig of phi is taken
-    once per scan and the clipped pairs once per block; only pair_entropy
+    once per scan and the outcome pairs once per block; only pair_entropy
     and the reduction run per order.  Raises ValueError at the first
     non-finite grid value met (see _extrema): blocks in grid order, and
     within a block the orders in the given order.
@@ -251,7 +254,7 @@ def _scan_rectangle(
         return []
     n_phi = len(phi_grid)
     rows = max(1, _CHUNK_POINTS // n_phi)
-    cos_phi, sin_phi = np.cos(phi_grid), np.sin(phi_grid)
+    cos_phi, sin_phi = (np.clip(f(phi_grid), -1.0, 1.0) for f in (np.cos, np.sin))
     lows, highs = [[] for _ in alphas], [[] for _ in alphas]  # per order, per block: (value, (i, j))
     for i0 in range(0, len(tau_grid), rows):
         pairs = _grid_pairs(tau_grid[i0 : i0 + rows], cos_phi, sin_phi)
@@ -331,10 +334,7 @@ def full_domain_orders(alphas: Sequence[AlphaLike], grid: GridSpec) -> list[bool
     # the leading block, tau and phi up to pi/4, is the full grid's own grid on D
     d_block = tau_full[: (grid.n_tau - 1) // 2 + 1], phi_full[: (grid.n_phi - 1) // 8 + 1]
     reduced = _scan_rectangle(params, *d_block)
-    h = max(
-        HALF_PI / (grid.n_tau - 1),
-        TWO_PI / (grid.n_phi - 1),
-    )
+    h = max(HALF_PI / (grid.n_tau - 1), TWO_PI / (grid.n_phi - 1))
     tol = (2.0 * h) ** 2
     return [
         abs(mn_f - mn_d) <= tol and abs(mx_f - mx_d) <= tol

@@ -184,6 +184,14 @@ class TestScalarMatchesKernel:
         grid = pair_entropy(u, np.zeros_like(u), TsallisParam(alpha))
         assert np.array_equal(np.array([h_alpha(float(x), alpha) for x in u]), grid)
 
+    @pytest.mark.parametrize("alpha", [1.0, 1.005])
+    def test_log_branches_at_zero_and_nan(self, alpha):
+        # 0.0 and -0.0 contribute nothing, and a NaN probability gives NaN
+        p = np.array([0.0, -0.0, 1.0, math.nan])
+        values = pair_entropy(p, np.array([1.0, 1.0, -0.0, 0.5]), TsallisParam(alpha))
+        assert values[:3].tolist() == [0.0, 0.0, 0.0]
+        assert math.isnan(values[3])
+
     def test_deterministic_pair_is_positive_zero(self):
         for alpha in (0.5, 1.0, 1.005, 2.0):
             assert math.copysign(1.0, tsallis_entropy((1.0, 0.0), alpha)) == 1.0

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pauli_tsallis.verify as verify
 from pauli_tsallis.cli import main
@@ -34,6 +36,26 @@ TAU_STAR = math.atan(math.sqrt(2.0)) / 2.0
 # every kernel branch: pow below and above 1, either side of the expm1 window,
 # Shannon, integer and non-integer pow
 TEN_ORDERS = (0.25, 0.5, 0.999, 1.0, 1.005, 2.0, 2.5, 4.0, 7.3, 10.0)
+
+
+def clipped_half(s):
+    """The reference pair formula: clip((1 +- s)/2, 0, 1)."""
+    return np.clip((1.0 + s) / 2.0, 0.0, 1.0), np.clip((1.0 - s) / 2.0, 0.0, 1.0)
+
+
+def clipped_half_stage(tau, cos_phi, sin_phi):
+    """The reference stage: clipped_half of each Bloch component on the grid tau x phi."""
+    s2t = np.sin(2.0 * tau)[:, None]
+    return [clipped_half(s) for s in (s2t * cos_phi, s2t * sin_phi, np.cos(2.0 * tau)[:, None])]
+
+
+def assert_same_bits(pairs, expected):
+    """Pairs equal bit for bit (signed zeros and NaN payloads included)."""
+    assert len(pairs) == len(expected)
+    for got, want in zip(pairs, expected):
+        for a, b in zip(got, want):
+            a, b = np.broadcast_arrays(a, b)
+            assert np.array_equal(np.ascontiguousarray(a).view(np.int64), np.ascontiguousarray(b).view(np.int64))
 
 
 class TestEntropicSum:
@@ -112,6 +134,22 @@ class TestScanExtrema:
                     scalar = entropic_sum(PureStateAngles(float(tau), float(phi_v)), alpha)
                     # exact: one kernel, and numpy's float64 sin/cos match math's
                     assert block[i, j] == scalar
+
+    def test_stage_is_bitwise_clipped_half(self):
+        # 1/2 +- h without a 2-D clip is clip((1 +- s)/2, 0, 1) bit for bit on
+        # D, the full domain (negative cos and sin, -0.0 products) and a wide grid
+        grids = [
+            (QUARTER_PI, 2001, QUARTER_PI, 2001),
+            (math.pi / 2.0, 501, 2.0 * math.pi, 2001),
+            (QUARTER_PI, 11, QUARTER_PI, 40001),
+        ]
+        for tau_end, n_tau, phi_end, n_phi in grids:
+            tau, phis = np.linspace(0.0, tau_end, n_tau), np.linspace(0.0, phi_end, n_phi)
+            cos_phi, sin_phi = np.cos(phis), np.sin(phis)
+            rows = max(1, verify._CHUNK_POINTS // n_phi)
+            for i0 in range(0, n_tau, rows):
+                t = tau[i0 : i0 + rows]
+                assert_same_bits(verify._grid_pairs(t, cos_phi, sin_phi), clipped_half_stage(t, cos_phi, sin_phi))
 
     def test_chunking_does_not_change_result(self, monkeypatch):
         grid = GridSpec(157, 83)
@@ -246,6 +284,30 @@ class TestScanExtrema:
             GridSpec(10**12, 2)
 
 
+unit = st.floats(min_value=-1.0, max_value=1.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(s=unit)
+def test_half_form_is_bitwise_clipped_half(s):
+    assert_same_bits(verify._clipped_pairs(np.array([s])), [clipped_half(np.array([s]))])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tau=st.floats(min_value=0.0, max_value=math.pi / 2.0), c=unit, d=unit)
+def test_stage_product_is_bitwise_clipped_half(tau, c, d):
+    # any cos_phi, sin_phi values in [-1, 1], tiny and subnormal products included
+    t, cos_phi, sin_phi = np.array([tau]), np.array([c]), np.array([d])
+    assert_same_bits(verify._grid_pairs(t, cos_phi, sin_phi), clipped_half_stage(t, cos_phi, sin_phi))
+
+
+def test_half_form_edge_values():
+    # beyond +-1 the clip of the components gives the deterministic pair, as
+    # clipping the probabilities did; NaN stays NaN with the same bits
+    edges = np.array([0.0, -0.0, np.nextafter(1.0, 2.0), -np.nextafter(1.0, 2.0), 1.5, -1.5, 5e-324, math.nan])
+    assert_same_bits(verify._clipped_pairs(edges), [clipped_half(edges)])
+
+
 @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 0.75, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 10.0])
 def test_scan_minimum_never_undercuts_lower_bound(alpha):
     report = scan_extrema(alpha, GridSpec(501, 501))
@@ -361,6 +423,30 @@ class TestCertifyEqualityConditions:
         out, err = capsys.readouterr()
         assert out == ""
         assert f"alpha={alpha!r}" in err
+
+    def test_overshooting_component_gives_deterministic_pair(self):
+        # a Bloch component one ulp beyond 1 still measures (1, 0) exactly
+        ((p, m),) = verify._clipped_pairs(np.array([1.0 + 2.0**-52]))
+        assert (p[0], m[0]) == (1.0, 0.0)
+        assert math.copysign(1.0, m[0]) == 1.0
+        a = verify.as_param(0.5)
+        over = verify._entropic_sums(np.array([1.0 + 2.0**-52]), np.zeros(1), np.zeros(1), a)
+        assert over[0] == verify._entropic_sums(np.ones(1), np.zeros(1), np.zeros(1), a)[0]
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 0.995])
+    def test_nan_component_raises(self, monkeypatch, alpha):
+        # one NaN component of one sample, on the pow, Shannon and expm1 branches
+        real = verify.sample_pure_states
+
+        def with_nan(n, seed=verify.DEFAULT_SEED):
+            b = real(n, seed=seed)
+            b[5] = (math.nan, 0.0, 1.0)
+            return b
+
+        monkeypatch.setattr(verify, "sample_pure_states", with_nan)
+        with pytest.raises(ValueError, match=f"alpha={alpha!r}") as info:
+            certify_equality_conditions(alpha, tolerance=1e-12, n_samples=100)
+        assert "Bloch vector (nan, 0.0, 1.0)" in str(info.value)
 
 
 class TestCertificationCanFail:
