@@ -31,14 +31,17 @@ Kernels.  kernel_f and kernel_g are the scalar kernels whose monotonicity
 in u drives the optimization over the reduced rectangle: the azimuthal
 derivative of the entropic sum is proportional to
 u v [f_alpha(u) - f_alpha(v)], and its power-sum counterpart to
-u v [g_alpha(u) - g_alpha(v)].  Both quotient forms cancel like u^2 near
-u = 0, so below SERIES_THRESHOLD they switch to even-power expansions that
-are exact there; the expansions have strictly positive coefficients, which
-is what makes the kernels monotone.
+u v [g_alpha(u) - g_alpha(v)].  Both are even-power expansions in u with
+strictly positive coefficients, which is what makes the kernels monotone.
+g_alpha is a finite polynomial and is always evaluated as one: with no
+negative term it has no cancellation anywhere on [0, 1].  f_alpha's
+quotient form cancels like u^2 near u = 0, so below SERIES_THRESHOLD it
+switches to its series, which is exact there.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -69,8 +72,8 @@ __all__ = [
 # tie-break is value-neutral; it only decides the tightness flag.
 INTEGER_TOL = 1e-12
 
-# Below this u the kernel quotients lose ~u^2 of precision to cancellation
-# and the series/polynomial forms are used instead.
+# Below this u kernel_f's quotient loses ~u^2 of precision to cancellation
+# and its series is used instead.
 SERIES_THRESHOLD = 1e-3
 
 _INV_SQRT3 = 1.0 / math.sqrt(3.0)
@@ -134,10 +137,8 @@ def lower_bound(alpha: AlphaLike) -> tuple[float, bool]:
     Tight means attained: at the six Pauli eigenstates, and for
     alpha = 2, 3 at every pure state.
     """
-    a = as_param(alpha)
-    if is_proven_order(a):
-        return 2.0 * alpha_log(2.0, a), True
-    return interpolated_lower_bound(a), False
+    bounds = bound_set(alpha)
+    return bounds.lower, bounds.lower_is_tight
 
 
 def upper_bound_mixed(alpha: AlphaLike) -> float:
@@ -146,8 +147,7 @@ def upper_bound_mixed(alpha: AlphaLike) -> float:
     Attained exactly at the completely mixed state, where each measurement
     is equiprobable.
     """
-    a = as_param(alpha)
-    return 3.0 * alpha_log(2.0, a)
+    return bound_set(alpha).upper_mixed
 
 
 def h_tilde(alpha: AlphaLike) -> float:
@@ -169,10 +169,7 @@ def upper_bound_pure(alpha: AlphaLike) -> Optional[float]:
     bound is available there, only the empirical grid estimate of the
     verify module, which is deliberately not reported as a bound.
     """
-    a = as_param(alpha)
-    if not is_proven_order(a):
-        return None
-    return 3.0 * h_tilde(a)
+    return bound_set(alpha).upper_pure
 
 
 def rescaled_band(alpha: AlphaLike) -> tuple[float, float]:
@@ -184,13 +181,13 @@ def rescaled_band(alpha: AlphaLike) -> tuple[float, float]:
     integer alpha >= 2 (where both endpoints are attained); any other
     alpha raises UnsupportedAlphaError.
     """
-    a = as_param(alpha)
-    if not is_proven_order(a):
+    bounds = bound_set(alpha)
+    if bounds.r_alpha is None:
         raise UnsupportedAlphaError(
             f"rescaled band is proven only for alpha in (0, 1] and integer alpha >= 2, "
-            f"got {a.alpha!r}"
+            f"got {bounds.alpha.alpha!r}"
         )
-    return 2.0 / 3.0, h_tilde(a) / alpha_log(2.0, a)
+    return 2.0 / 3.0, bounds.r_alpha
 
 
 def _kernel_f_series(u: float, a: float) -> float:
@@ -238,41 +235,41 @@ def kernel_f(u: float, alpha: AlphaLike) -> float:
     return _kernel_f_quotient(u, a.alpha)
 
 
+@functools.lru_cache(maxsize=None)
+def _kernel_g_coefficients(n: int) -> tuple[float, ...]:
+    # Cached: each exact binomial costs O(n) big-integer work, and
+    # check_kernel_monotonicity evaluates g_n at thousands of points.
+    return tuple(2.0 * math.comb(n - 1, 2 * k + 1) for k in range(n // 2))
+
+
 def _kernel_g_polynomial(u: float, n: int) -> float:
     # Finite identity: g_n(u) = sum_{k=0}^{floor(n/2)-1} 2 C(n-1, 2k+1) u^(2k).
     # Constant for n <= 3 (0, 2, 4), which this evaluates exactly.
     total = 0.0
     u2 = u * u
     upow = 1.0
-    for k in range(n // 2):
-        total += 2.0 * math.comb(n - 1, 2 * k + 1) * upow
+    for c in _kernel_g_coefficients(n):
+        total += c * upow
         upow *= u2
     return total
-
-
-def _kernel_g_quotient(u: float, n: int) -> float:
-    return ((1.0 + u) ** (n - 1) - (1.0 - u) ** (n - 1)) / u
 
 
 def kernel_g(u: float, alpha_int: AlphaLike) -> float:
     """Monotone kernel g_alpha(u) for integer entropic orders alpha >= 1.
 
     g_alpha(u) = ((1+u)^(alpha-1) - (1-u)^(alpha-1)) / u on [0, 1], an even
-    polynomial of degree alpha - 2 with positive coefficients.  g_1 = 0,
-    g_2 = 2, g_3 = 4 identically (returned exactly); for alpha >= 4 the
-    kernel strictly increases.  The polynomial form is used below
-    SERIES_THRESHOLD (and for the constant orders), the quotient above.
+    polynomial of degree alpha - 2 with positive coefficients, which is
+    evaluated term by term on all of [0, 1]: no subtraction, so no
+    cancellation.  g_1 = 0, g_2 = 2, g_3 = 4 identically (returned
+    exactly); for alpha >= 4 the kernel strictly increases.
     """
-    a = as_param(alpha_int).alpha
-    n = integer_order(a)
+    n = integer_order(alpha_int)
     if n is None or n < 1:
-        raise ValueError(f"kernel_g requires an integer alpha >= 1, got {a!r}")
+        raise ValueError(f"kernel_g requires an integer alpha >= 1, got {as_param(alpha_int).alpha!r}")
     u = float(u)
     if u < 0.0 or u > 1.0:
         raise ValueError(f"kernel_g requires u in [0, 1], got {u!r}")
-    if n <= 3 or u < SERIES_THRESHOLD:
-        return _kernel_g_polynomial(u, n)
-    return _kernel_g_quotient(u, n)
+    return _kernel_g_polynomial(u, n)
 
 
 @dataclass(frozen=True)
@@ -296,18 +293,15 @@ class BoundSet:
 
 
 def bound_set(alpha: AlphaLike) -> BoundSet:
-    """Assemble the full BoundSet for one entropic order."""
+    """Assemble the full BoundSet for one entropic order.
+
+    The one place that branches on the proven range; lower_bound,
+    upper_bound_mixed, upper_bound_pure and rescaled_band read its fields.
+    """
     a = as_param(alpha)
-    low, tight = lower_bound(a)
-    up_pure = upper_bound_pure(a)
-    ht = h_tilde(a) if up_pure is not None else None
-    return BoundSet(
-        alpha=a,
-        lower=low,
-        lower_is_tight=tight,
-        upper_mixed=upper_bound_mixed(a),
-        upper_pure=up_pure,
-        upper_pure_is_tight=is_proven_order(a),
-        h_tilde=ht,
-        r_alpha=ht / alpha_log(2.0, a) if ht is not None else None,
-    )
+    scale = alpha_log(2.0, a)  # the per-observable scale ln_alpha(2)
+    # fields in BoundSet order
+    if not is_proven_order(a):
+        return BoundSet(a, interpolated_lower_bound(a), False, 3.0 * scale, None, False, None, None)
+    ht = h_tilde(a)
+    return BoundSet(a, 2.0 * scale, True, 3.0 * scale, 3.0 * ht, True, ht, ht / scale)

@@ -16,7 +16,6 @@ byte-deterministic for fixed inputs and seed.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import Optional, Sequence
 
@@ -30,7 +29,7 @@ from .bounds import (
     is_proven_order,
     rescaled_band,
 )
-from .entropy import tsallis_entropy
+from .entropy import as_param, tsallis_entropy
 from .states import BlochVector, PureStateAngles, measurement_triple
 from .verify import (
     DEFAULT_SEED,
@@ -73,14 +72,11 @@ def _cell(x) -> str:
 
 
 def _parse_alpha(text: str) -> float:
-    """The one validator of entropic orders given on the command line."""
+    """An entropic order given on the command line; TsallisParam decides which are valid."""
     try:
-        alpha = float(text)
+        return as_param(float(text)).alpha
     except ValueError:
-        raise UsageError(f"alpha must be a number, got {text!r}") from None
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise UsageError(f"alpha must be a finite positive number, got {text!r}")
-    return alpha
+        raise UsageError(f"alpha must be a finite positive number, got {text!r}") from None
 
 
 def _parse_state(spec: str):
@@ -169,7 +165,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    alpha = _require_alpha(args)
+    alpha = _parse_alpha(args.alpha)
     bounds = bound_set(alpha)
     print(f"alpha: {fmt(alpha)}")
     print(f"lower: {_lower_text(bounds)}")
@@ -206,18 +202,8 @@ def cmd_rtable(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _require_alpha(args: argparse.Namespace) -> float:
-    text = args.alpha_pos if args.alpha_pos is not None else args.alpha
-    if text is None:
-        raise UsageError("an alpha value is required (positional or --alpha)")
-    return _parse_alpha(text)
-
-
-def _verify_alphas(args: argparse.Namespace) -> list[float]:
-    text = args.alphas if args.alphas is not None else args.alpha
-    if text is None:
-        raise UsageError("an alpha list is required (positional or --alpha)")
-    alphas = [_parse_alpha(part) for part in str(text).split(",") if part != ""]
+def _verify_alphas(text: str) -> list[float]:
+    alphas = [_parse_alpha(part) for part in text.split(",") if part != ""]
     if not alphas:
         raise UsageError(f"no order given in the alpha list {text!r}")
     return alphas
@@ -263,7 +249,7 @@ def _verify_checks(alpha: float, report: ScanReport, full_domain: bool, seed: in
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    alphas = _verify_alphas(args)
+    alphas = _verify_alphas(args.alphas)
     if args.seed < 0:
         raise UsageError(f"--seed must be a non-negative integer, got {args.seed!r}")
     try:
@@ -271,11 +257,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     # every order in one pass per scan: D at --grid, then the full domain
+    # unfolded from a D grid of about half the points (at most 251 per axis)
     reports = scan_orders(alphas, grid)
-    # an odd tau count (even --grid rounds up) and 4 (n - 1) + 1 phi points
-    # put D on the full-domain grid as its leading block
-    n_full = min(grid.n_tau | 1, 501)
-    full_domain = full_domain_orders(alphas, GridSpec(n_full, 4 * (n_full - 1) + 1))
+    n = min(grid.n_tau // 2 + 1, 251)
+    full_domain = full_domain_orders(alphas, GridSpec(n, n))
     # all rows first: a run stopped by an error (exit 3) writes no partial CSV
     rows = []
     for alpha, report, full in zip(alphas, reports, full_domain):
@@ -299,9 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True, help="entropic order (> 0)")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("bounds", help="print the analytic bound set at one order")
-    p.add_argument("alpha_pos", nargs="?", metavar="alpha", help="entropic order (> 0)")
-    p.add_argument("--alpha", help="entropic order (> 0)")
+    p = sub.add_parser("bounds", help="print the analytic bound set at one order, e.g. bounds 4")
+    p.add_argument("alpha", help="entropic order (> 0), positional")
     p.add_argument("--out", help="also write the bound set as CSV to this path")
     p.set_defaults(func=cmd_bounds)
 
@@ -316,9 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output CSV path (stdout when omitted)")
     p.set_defaults(func=cmd_rtable)
 
-    p = sub.add_parser("verify", help="run the brute-force verification suite")
-    p.add_argument("alphas", nargs="?", help="comma-separated list of orders, e.g. 0.5,1,2,4")
-    p.add_argument("--alpha", help="alternative way to pass the comma-separated order list")
+    p = sub.add_parser("verify", help="run the brute-force verification suite, e.g. verify 0.5,1,2,4")
+    p.add_argument("alphas", help="comma-separated list of orders (positional), e.g. 0.5,1,2,4")
     p.add_argument(
         "--grid", type=int, default=2001, help="D-grid points per axis, 2 to 1000001 (default 2001)"
     )

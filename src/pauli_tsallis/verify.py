@@ -2,8 +2,8 @@
 
 Everything here re-derives the analytic results numerically and
 independently of them: exhaustive grid scans of the entropic sum over the
-reduced rectangle D (optionally over the full angle domain, compared
-with that grid's own block on D to validate the symmetry reduction),
+reduced rectangle D (optionally over the full angle domain, unfolded
+from a grid on D and compared with it to validate the symmetry reduction),
 certification of the equality conditions, kernel monotonicity checks and
 concavity/convexity property checks.  Scans never use the bound formulas
 to steer the search; the formulas enter only when the observed extrema
@@ -105,12 +105,9 @@ _REFINE_FACTOR = 10
 class GridSpec:
     """Uniform scan grid; endpoints of each interval are grid points.
 
-    n_tau, n_phi count the points along tau and phi, at least 2 each.
-    scan_orders lays them over D.  full_domain_orders lays them over tau in
-    [0, pi/2], phi in [0, 2 pi] and takes its grid on D from the leading
-    block of that same grid, so there n_tau - 1 must be divisible by 2 and
-    n_phi - 1 by 8.  Counts must be integers (numpy integers included);
-    anything else raises TypeError.
+    n_tau, n_phi count the points along tau and phi over D, at least 2
+    each; every scan function takes its grid on D.  Counts must be integers
+    (numpy integers included); anything else raises TypeError.
     Each count is capped at MAX_POINTS (1,000,001), which keeps a one-row
     scan block near 8 MB per temporary; a larger count raises ValueError.
     """
@@ -320,21 +317,16 @@ def full_domain_orders(alphas: Sequence[AlphaLike], grid: GridSpec) -> list[bool
     """scan_full_domain_consistency for every order in alphas, in one full-domain pass.
 
     Results come back in the order of alphas; a non-finite value raises
-    as in scan_orders, the full domain being scanned before its D block.
+    as in scan_orders, the full domain being scanned before D.
     """
-    if (grid.n_tau - 1) % 2 or (grid.n_phi - 1) % 8:
-        raise ValueError(
-            f"a full-domain grid holds D as a sub-grid only if n_tau - 1 is divisible by 2 "
-            f"and n_phi - 1 by 8, got {grid.n_tau}x{grid.n_phi}"
-        )
     params = [as_param(a) for a in alphas]
-    tau_full = np.linspace(0.0, HALF_PI, grid.n_tau)
-    phi_full = np.linspace(0.0, TWO_PI, grid.n_phi)
+    full_grid = GridSpec(2 * grid.n_tau - 1, 8 * grid.n_phi - 7)
+    tau_full = np.linspace(0.0, HALF_PI, full_grid.n_tau)
+    phi_full = np.linspace(0.0, TWO_PI, full_grid.n_phi)
     full = _scan_rectangle(params, tau_full, phi_full)
-    # the leading block, tau and phi up to pi/4, is the full grid's own grid on D
-    d_block = tau_full[: (grid.n_tau - 1) // 2 + 1], phi_full[: (grid.n_phi - 1) // 8 + 1]
-    reduced = _scan_rectangle(params, *d_block)
-    h = max(HALF_PI / (grid.n_tau - 1), TWO_PI / (grid.n_phi - 1))
+    # the leading block, tau and phi up to pi/4, is the grid on D
+    reduced = _scan_rectangle(params, tau_full[: grid.n_tau], phi_full[: grid.n_phi])
+    h = QUARTER_PI / (min(grid.n_tau, grid.n_phi) - 1)
     tol = (2.0 * h) ** 2
     return [
         abs(mn_f - mn_d) <= tol and abs(mx_f - mx_d) <= tol
@@ -345,16 +337,17 @@ def full_domain_orders(alphas: Sequence[AlphaLike], grid: GridSpec) -> list[bool
 def scan_full_domain_consistency(alpha: AlphaLike, grid: GridSpec) -> bool:
     """Check that the full domain and D give the same extrema.
 
-    Scans tau in [0, pi/2], phi in [0, 2 pi] on the given grid, then the
-    grid's own leading block tau, phi in [0, pi/4], which is a grid on D,
-    and compares the extrema.  The block exists only if n_tau - 1 is
-    divisible by 2 and n_phi - 1 by 8; any other grid raises ValueError
-    naming its counts.  The four symmetry maps of the states module send
-    every grid point onto a block point (to rounding), so where the
-    reduction holds the two extrema agree to a few ulps.  The tolerance
-    is still (2 h)^2 with h the coarsest step, the grid error of an
-    extremum between two different grids; against a rounding-level gap
-    it is a wide margin.  This is full_domain_orders with one order.
+    grid is the grid on D.  It is unfolded to the full domain, tau in
+    [0, pi/2] and phi in [0, 2 pi], with the same steps: 2 n_tau - 1 by
+    8 n_phi - 7 points, whose leading n_tau x n_phi block is the grid on D.
+    Both are scanned and their extrema compared.  An unfolding with an
+    axis above GridSpec.MAX_POINTS raises ValueError before any scan.  The
+    four symmetry maps of the states module send every full-domain point
+    onto a point of D's grid (to rounding), so where the reduction holds
+    the two extrema agree to a few ulps.  The tolerance is (2 h)^2 with h
+    the coarsest step, the grid error of an extremum between two
+    different grids; against a rounding-level gap it is a wide margin.
+    This is full_domain_orders with one order.
     """
     return full_domain_orders([alpha], grid)[0]
 

@@ -33,8 +33,6 @@ from pauli_tsallis.bounds import (
     SERIES_THRESHOLD,
     _kernel_f_quotient,
     _kernel_f_series,
-    _kernel_g_polynomial,
-    _kernel_g_quotient,
 )
 
 mp.mp.dps = 50
@@ -230,7 +228,6 @@ class TestKernelG:
     def test_order_four_half(self):
         # 2 C(3,1) + 2 C(3,3) u^2 at u = 1/2: 6 + 2/4 = 6.5
         assert kernel_g(0.5, 4) == pytest.approx(6.5, abs=1e-15)
-        assert _kernel_g_quotient(0.5, 4) == pytest.approx(6.5, abs=1e-14)
 
     @pytest.mark.parametrize("n", range(4, 13))
     def test_strictly_increasing_on_grid(self, n):
@@ -239,9 +236,13 @@ class TestKernelG:
         assert all(b > a for a, b in zip(values, values[1:]))
 
     @pytest.mark.parametrize("n", [4, 5, 8, 12])
-    def test_polynomial_quotient_agreement_near_threshold(self, n):
-        for u in np.linspace(SERIES_THRESHOLD / 2, 2 * SERIES_THRESHOLD, 25):
-            assert abs(_kernel_g_polynomial(float(u), n) - _kernel_g_quotient(float(u), n)) <= 1e-11
+    def test_matches_extended_precision(self, n):
+        # the polynomial has no cancellation on [0, 1], where a quotient form
+        # loses ~1e-13 relative near SERIES_THRESHOLD
+        for u in np.geomspace(SERIES_THRESHOLD / 2, 1.0, 200).tolist():
+            x = mp.mpf(u)
+            exact = ((1 + x) ** (n - 1) - (1 - x) ** (n - 1)) / x
+            assert abs(kernel_g(u, n) - exact) <= 1e-15 * exact, u
 
     def test_accepts_integral_floats(self):
         assert kernel_g(0.25, 4.0) == kernel_g(0.25, 4)

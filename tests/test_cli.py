@@ -22,6 +22,14 @@ BAD_ALPHAS = ["0", "-1", "abc", "inf", "-inf", "1e400", "nan"]
 # regimes (proven and interpolated); eval at bloch:0,0,1 has a deterministic
 # pair, whose entropy must print as 0, not -0.
 PINNED_VERIFY = "61a9caf2a256c88560d66daadd9af9076995d825e4260182aea66bcfb25c5c76"
+# `verify 0.5,2.5 --grid g` at small, odd and even grids, whose full-domain
+# check unfolds a D grid of min(g // 2 + 1, 251) points per axis.
+PINNED_FULL_DOMAIN = {
+    "2": "15b89e5eb1c25163afecaac880eb58a5ef4f19c10b15124375c919124470d240",
+    "3": "094dcfeb8da01b3e0d2f4a6e9614fdcb81712875cc37c70f96f6a0be92a28b50",
+    "42": "0a50130dc3f6a2cfbf84a6423947118c656b63577f6e837ad358c39b9fcf1b5c",
+    "101": "3634b5d81466005359b249b55e61fc733ad64a9ff82be71abd6df663763967d0",
+}
 PINNED_TEXT = {
     "bounds 0.5": "66b9a3164ea114ae0bce208c5509b9b7dadfd41310371d9291f8f03e9a1ba15f",
     "eval bloch:0,0,1 --alpha 0.5": "6df2ec54952857110eb5f5c2dfb4e8eaaa465dd362d63c6c33f812cc57d56840",
@@ -122,18 +130,14 @@ class TestBounds:
         assert "lower: 0.833333333333 (not tight)" in out
         assert "upper_pure: empirical only" in out
 
-    def test_alpha_flag_equivalent(self, capsys):
-        _, out_pos, _ = run_cli(capsys, "bounds", "4")
-        _, out_flag, _ = run_cli(capsys, "bounds", "--alpha", "4")
-        assert out_pos == out_flag
-
     @pytest.mark.parametrize("alpha", BAD_ALPHAS)
     def test_bad_alpha_is_usage_error(self, capsys, alpha):
         code, _, _ = run_cli(capsys, "bounds", alpha)
         assert code == 2
-        code, out, _ = run_cli(capsys, "bounds", f"--alpha={alpha}")
+        # after "--" even "-inf" reaches the order validator
+        code, out, err = run_cli(capsys, "bounds", "--", alpha)
         assert code == 2
-        assert out == ""
+        assert out == "" and "alpha must be a finite positive number" in err
 
     def test_csv_output(self, capsys, tmp_path):
         out_path = tmp_path / "bounds.csv"
@@ -257,13 +261,14 @@ class TestVerify:
         assert code == 2
         assert out == "" and "--seed" in err
 
-    @pytest.mark.parametrize("grid", ["2", "3", "42"])
+    @pytest.mark.parametrize("grid", list(PINNED_FULL_DOMAIN))
     def test_full_domain_passes_on_small_and_even_grids(self, capsys, grid):
-        # an even --grid rounds the full-domain tau count up, so D stays its sub-grid
+        # the full-domain check unfolds a D grid of grid // 2 + 1 points per axis
         code, out, _ = run_cli(capsys, "verify", "0.5,2.5", "--grid", grid)
         assert code == 0
         rows = [line.split(",") for line in out.splitlines() if line.startswith("full_domain,")]
         assert len(rows) == 2 and all(row[2] == "pass" for row in rows)
+        assert sha256(out) == PINNED_FULL_DOMAIN[grid], out
 
     def test_bad_grid_is_usage_error(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "1", "--grid", "1")
@@ -288,6 +293,14 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "0.5,1,1.005,2,2.5,4", "--grid", "201")
         assert code == 0
         assert sha256(out) == PINNED_VERIFY, out
+
+
+@pytest.mark.parametrize("argv", ["bounds 2 --alpha 4", "verify 0.5 --alpha 4 --grid 3"])
+def test_alpha_option_is_rejected(capsys, argv):
+    # orders are positional only; an --alpha beside them must not be ignored quietly
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
 
 
 @pytest.mark.parametrize("argv", list(PINNED_TEXT))

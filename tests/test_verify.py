@@ -328,12 +328,14 @@ def test_scan_maximum_tracks_pure_upper_bound(alpha):
 class TestFullDomainConsistency:
     @pytest.mark.parametrize("alpha", [0.3, 1.0, 2.0])
     def test_reduction_is_faithful(self, alpha):
-        assert scan_full_domain_consistency(alpha, GridSpec(501, 1001))
+        # unfolds to 501 x 1001 points over the full domain
+        assert scan_full_domain_consistency(alpha, GridSpec(251, 126))
 
     def test_D_is_the_full_grids_leading_block(self, monkeypatch):
-        # verify's full-domain shape: one full scan, then one scan of its own
-        # 251x251 block on D; the symmetry maps send every full-grid point
-        # onto a block point, so the extrema agree to rounding, far inside (2h)^2
+        # verify's full-domain shape: the 251x251 grid on D unfolds to 501x2001
+        # points; one full scan, then one scan of its leading 251x251 block; the
+        # symmetry maps send every full-grid point onto a block point, so the
+        # extrema agree to rounding, far inside (2h)^2
         calls = []
 
         def spy(alphas, tau_grid, phi_grid):
@@ -343,37 +345,40 @@ class TestFullDomainConsistency:
 
         scan = verify._scan_rectangle
         monkeypatch.setattr(verify, "_scan_rectangle", spy)
-        assert full_domain_orders(TEN_ORDERS, GridSpec(501, 2001)) == [True] * len(TEN_ORDERS)
+        assert full_domain_orders(TEN_ORDERS, GridSpec(251, 251)) == [True] * len(TEN_ORDERS)
         assert len(calls) == 2
         (tau_full, phi_full, full), (tau_d, phi_d, reduced) = calls
+        assert (len(tau_full), len(phi_full)) == (501, 2001)
+        assert tau_full[-1] == pytest.approx(math.pi / 2, abs=1e-15)
+        assert phi_full[-1] == pytest.approx(2 * math.pi, abs=1e-15)
         for block, axis in ((tau_d, tau_full), (phi_d, phi_full)):
             assert np.shares_memory(block, axis) and np.array_equal(block, axis[:251])
             assert block[-1] == pytest.approx(QUARTER_PI, abs=1e-15)
         for (mn_f, _, mx_f, _), (mn_d, _, mx_d, _) in zip(full, reduced):
             assert abs(mn_f - mn_d) <= 1e-12 and abs(mx_f - mx_d) <= 1e-12
 
-    @pytest.mark.parametrize("counts", [(42, 165), (41, 160)])
-    def test_grid_without_D_block_raises(self, monkeypatch, counts):
-        # n_tau - 1 odd, or n_phi - 1 not a multiple of 8: rejected before any scan
+    def test_oversized_unfolding_raises(self, monkeypatch):
+        # 125,002 phi points on D unfold to 1,000,009 > MAX_POINTS: rejected before any scan
         monkeypatch.setattr(verify, "_grid_pairs", None)
-        with pytest.raises(ValueError, match="{}x{}".format(*counts)):
-            full_domain_orders([0.5, 2.0], GridSpec(*counts))
-        with pytest.raises(ValueError, match="{}x{}".format(*counts)):
-            scan_full_domain_consistency(0.5, GridSpec(*counts))
+        grid = GridSpec(2, 125_002)
+        with pytest.raises(ValueError, match="at most 1000001 points, got 3x1000009"):
+            full_domain_orders([0.5, 2.0], grid)
+        with pytest.raises(ValueError, match="at most 1000001 points, got 3x1000009"):
+            scan_full_domain_consistency(0.5, grid)
 
 
 class TestScanOrders:
     def test_reports_match_single_order_scans(self, monkeypatch):
-        grid, full = GridSpec(157, 83), GridSpec(41, 161)
+        grid, small = GridSpec(157, 83), GridSpec(21, 21)  # small unfolds to 41 x 161
         reports = [scan_extrema(a, grid) for a in TEN_ORDERS]
-        consistent = [scan_full_domain_consistency(a, full) for a in TEN_ORDERS]
+        consistent = [scan_full_domain_consistency(a, small) for a in TEN_ORDERS]
         assert all(consistent)
         # chunk budgets as in test_chunking_does_not_change_result
         n = grid.n_phi
         for budget in (1, n - 1, n, 7 * n + 3, verify._CHUNK_POINTS):
             monkeypatch.setattr(verify, "_CHUNK_POINTS", budget)
             assert scan_orders(TEN_ORDERS, grid) == reports, budget
-            assert full_domain_orders(TEN_ORDERS, full) == consistent, budget
+            assert full_domain_orders(TEN_ORDERS, small) == consistent, budget
 
     def test_reports_follow_the_given_order(self, monkeypatch):
         grid = GridSpec(41, 41)
