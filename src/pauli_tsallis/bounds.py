@@ -33,10 +33,13 @@ derivative of the entropic sum is proportional to
 u v [f_alpha(u) - f_alpha(v)], and its power-sum counterpart to
 u v [g_alpha(u) - g_alpha(v)].  Both are even-power expansions in u with
 strictly positive coefficients, which is what makes the kernels monotone.
-g_alpha is a finite polynomial and is always evaluated as one: with no
-negative term it has no cancellation anywhere on [0, 1].  f_alpha's
-quotient form cancels like u^2 near u = 0, so below SERIES_THRESHOLD it
-switches to its series, which is exact there.
+Each is evaluated in one form with no subtraction, so neither cancels:
+g_alpha as its finite polynomial on all of [0, 1], f_alpha through exp,
+log1p, expm1 and atanh, which stays accurate near u = 0 and near
+alpha = 1 (the Shannon order alpha = 1 keeps its exact form).  g_alpha
+grows like 2^(alpha-1); an order whose coefficients or values exceed the
+float range (from about alpha = 1026 on) raises ValueError instead of
+returning inf.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ from .entropy import AlphaLike, ProbPair, TsallisParam, alpha_log, as_param, tsa
 
 __all__ = [
     "INTEGER_TOL",
-    "SERIES_THRESHOLD",
     "MAXIMIZER_PAIR",
     "UnsupportedAlphaError",
     "BoundSet",
@@ -71,10 +73,6 @@ __all__ = [
 # interpolated bound coincides with the tight one at integers, so the
 # tie-break is value-neutral; it only decides the tightness flag.
 INTEGER_TOL = 1e-12
-
-# Below this u kernel_f's quotient loses ~u^2 of precision to cancellation
-# and its series is used instead.
-SERIES_THRESHOLD = 1e-3
 
 _INV_SQRT3 = 1.0 / math.sqrt(3.0)
 
@@ -190,39 +188,19 @@ def rescaled_band(alpha: AlphaLike) -> tuple[float, float]:
     return 2.0 / 3.0, bounds.r_alpha
 
 
-def _kernel_f_series(u: float, a: float) -> float:
-    # Even-power expansion with coefficients c_0 = 2,
-    # c_{k+1} = c_k (2k+2-a)(2k+3-a) / ((2k+2)(2k+3)); all positive for
-    # a in (0, 1].  For u < SERIES_THRESHOLD three terms already reach
-    # relative 1e-17.
-    c = 2.0
-    u2 = u * u
-    upow = 1.0
-    total = 0.0
-    for k in range(64):
-        term = c * upow
-        total += term
-        if term <= 1e-17 * total:
-            break
-        c *= (2 * k + 2 - a) * (2 * k + 3 - a) / ((2 * k + 2) * (2 * k + 3))
-        upow *= u2
-    return total
-
-
-def _kernel_f_quotient(u: float, a: float) -> float:
-    if a == 1.0:
-        return math.log((1.0 + u) / (1.0 - u)) / u
-    return ((1.0 - u) ** (a - 1.0) - (1.0 + u) ** (a - 1.0)) / ((1.0 - a) * u)
-
-
 def kernel_f(u: float, alpha: AlphaLike) -> float:
     """Monotone kernel f_alpha(u) for entropic orders alpha in (0, 1].
 
     f_alpha(u) = ((1-u)^(alpha-1) - (1+u)^(alpha-1)) / ((1-alpha) u), with
-    the Shannon form (1/u) ln((1+u)/(1-u)) at alpha = 1.  Defined on
-    [0, 1); strictly increasing, with f_alpha(0) = 2 for every alpha.
-    Below SERIES_THRESHOLD the even-power series is used, which is where
-    the quotient would cancel catastrophically.
+    the Shannon form 2 atanh(u) / u at alpha = 1.  Defined on [0, 1);
+    strictly increasing, with f_alpha(0) = 2 for every alpha.  Evaluated
+    with b = alpha - 1 as
+
+        -(1+u)^b expm1(-2 b atanh u) / (b u),
+
+    which has no subtraction, so it keeps full precision near u = 0 and
+    near alpha = 1 alike.  Below u = 1e-8 it returns 2.0, which is
+    f_alpha(u) rounded: f_alpha(u) - 2 < 2 u^2 is below half an ulp of 2.
     """
     a = as_param(alpha)
     if a.alpha > 1.0:
@@ -230,38 +208,33 @@ def kernel_f(u: float, alpha: AlphaLike) -> float:
     u = float(u)
     if u < 0.0 or u >= 1.0:
         raise ValueError(f"kernel_f requires u in [0, 1), got {u!r}")
-    if u < SERIES_THRESHOLD:
-        return _kernel_f_series(u, a.alpha)
-    return _kernel_f_quotient(u, a.alpha)
+    if u < 1e-8:
+        return 2.0
+    if a.is_shannon:
+        return 2.0 * math.atanh(u) / u
+    b = a.alpha - 1.0
+    return -math.exp(b * math.log1p(u)) * math.expm1(-2.0 * b * math.atanh(u)) / (b * u)
 
 
 @functools.lru_cache(maxsize=None)
 def _kernel_g_coefficients(n: int) -> tuple[float, ...]:
     # Cached: each exact binomial costs O(n) big-integer work, and
     # check_kernel_monotonicity evaluates g_n at thousands of points.
-    return tuple(2.0 * math.comb(n - 1, 2 * k + 1) for k in range(n // 2))
-
-
-def _kernel_g_polynomial(u: float, n: int) -> float:
-    # Finite identity: g_n(u) = sum_{k=0}^{floor(n/2)-1} 2 C(n-1, 2k+1) u^(2k).
-    # Constant for n <= 3 (0, 2, 4), which this evaluates exactly.
-    total = 0.0
-    u2 = u * u
-    upow = 1.0
-    for c in _kernel_g_coefficients(n):
-        total += c * upow
-        upow *= u2
-    return total
+    # float() of the exact integer raises OverflowError beyond the float range
+    return tuple(float(2 * math.comb(n - 1, 2 * k + 1)) for k in range(n // 2))
 
 
 def kernel_g(u: float, alpha_int: AlphaLike) -> float:
     """Monotone kernel g_alpha(u) for integer entropic orders alpha >= 1.
 
     g_alpha(u) = ((1+u)^(alpha-1) - (1-u)^(alpha-1)) / u on [0, 1], an even
-    polynomial of degree alpha - 2 with positive coefficients, which is
-    evaluated term by term on all of [0, 1]: no subtraction, so no
-    cancellation.  g_1 = 0, g_2 = 2, g_3 = 4 identically (returned
-    exactly); for alpha >= 4 the kernel strictly increases.
+    polynomial of degree alpha - 2 with positive coefficients
+    2 C(alpha-1, 2k+1), which is evaluated term by term on all of [0, 1]:
+    no subtraction, so no cancellation.  g_1 = 0, g_2 = 2, g_3 = 4
+    identically (returned exactly); for alpha >= 4 the kernel strictly
+    increases.  Raises ValueError naming the order when a coefficient or
+    the value exceeds the float range (g_alpha(1) = 2^(alpha-1), so from
+    about alpha = 1026 on).
     """
     n = integer_order(alpha_int)
     if n is None or n < 1:
@@ -269,7 +242,22 @@ def kernel_g(u: float, alpha_int: AlphaLike) -> float:
     u = float(u)
     if u < 0.0 or u > 1.0:
         raise ValueError(f"kernel_g requires u in [0, 1], got {u!r}")
-    return _kernel_g_polynomial(u, n)
+    try:
+        coefficients = _kernel_g_coefficients(n)
+    except OverflowError:
+        raise ValueError(
+            f"kernel_g at alpha={float(n)!r}: a coefficient 2 C(alpha-1, 2k+1) exceeds the float range"
+        ) from None
+    # g_n(u) = sum_{k=0}^{floor(n/2)-1} 2 C(n-1, 2k+1) u^(2k)
+    total = 0.0
+    u2 = u * u
+    upow = 1.0
+    for c in coefficients:
+        total += c * upow
+        upow *= u2
+    if not math.isfinite(total):
+        raise ValueError(f"kernel_g at alpha={float(n)!r} exceeds the float range at u={u!r}")
+    return total
 
 
 @dataclass(frozen=True)

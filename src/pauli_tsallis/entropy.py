@@ -211,9 +211,8 @@ def phi(dist: DistLike, alpha: AlphaLike) -> float:
     alpha-derivative is sum_j p_j^alpha (ln p_j)^2 >= 0 over the nonzero
     components).
     """
-    a = as_param(alpha)
+    a = as_param(alpha).alpha
     d = _as_pair(dist)
-    if a.is_shannon:
-        return d.p_plus + d.p_minus
-    # 0^alpha = 0 is what ** already gives for alpha > 0.
-    return d.p_plus ** a.alpha + d.p_minus ** a.alpha
+    # 0^alpha = 0 is what ** already gives for alpha > 0, and x ** 1.0 is x
+    # exactly, so alpha = 1 needs no branch of its own.
+    return d.p_plus ** a + d.p_minus ** a

@@ -437,11 +437,11 @@ def check_kernel_monotonicity(kernel: str, alpha: AlphaLike, n_points: int) -> b
     """Check monotone increase of kernel_f or kernel_g on a grid of (0, 1).
 
     kernel "f" takes alpha in (0, 1], kernel "g" integer alpha >= 1.
-    Successive values must be nondecreasing; strictly increasing is
-    required for f with alpha < 1 and for g with alpha >= 4 (g is constant
-    for alpha <= 3, f is still strictly increasing at alpha = 1 but only
-    nondecrease is demanded there).  Raises ValueError for n_points below
-    2, where there is nothing to compare.
+    Successive values must strictly increase for f at every alpha in
+    (0, 1] and for g with alpha >= 4; g is constant for alpha <= 3, so
+    there they need only be nondecreasing.  Raises ValueError for n_points
+    below 2, where there is nothing to compare, and, through kernel_g, for
+    an order whose g exceeds the float range.
     """
     a = as_param(alpha)
     if n_points < 2:
@@ -449,7 +449,7 @@ def check_kernel_monotonicity(kernel: str, alpha: AlphaLike, n_points: int) -> b
     u = np.arange(1, n_points + 1) / (n_points + 1)
     if kernel == "f":
         values = [kernel_f(float(x), a) for x in u]
-        strict = a.alpha < 1.0
+        strict = True
     elif kernel == "g":
         values = [kernel_g(float(x), a) for x in u]
         strict = (integer_order(a) or 0) >= 4

@@ -8,6 +8,7 @@ digits); exact rationals are asserted tightly.
 """
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -29,12 +30,6 @@ from pauli_tsallis import (
     upper_bound_mixed,
     upper_bound_pure,
 )
-from pauli_tsallis.bounds import (
-    SERIES_THRESHOLD,
-    _kernel_f_quotient,
-    _kernel_f_series,
-)
-
 mp.mp.dps = 50
 
 # Oracle-frozen constants (50-digit evaluation of the defining formulas,
@@ -173,6 +168,13 @@ class TestRescaledBand:
             rescaled_band(1.0 + 1e-6)
 
 
+# Orders from near 0 to the last doubles below 1, and points from 1e-8 to
+# the last double below 1, for the extended-precision sweep of kernel_f.
+KERNEL_F_ORDERS = [1e-9, 1e-6, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0 - 1e-4,
+                   1.0 - 1e-7, 1.0 - 1e-10, 1.0 - 1e-13, 1.0 - 2.0**-52, 1.0 - 2.0**-53, 1.0]
+KERNEL_F_POINTS = np.geomspace(1e-8, 0.5, 60).tolist() + (1.0 - np.geomspace(0.5, 2.0**-53, 60)).tolist()[1:]
+
+
 class TestKernelF:
     @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 0.9, 1.0])
     def test_value_two_at_origin(self, alpha):
@@ -186,21 +188,32 @@ class TestKernelF:
     def test_monotone_pairwise(self, alpha):
         assert kernel_f(0.3, alpha) < kernel_f(0.7, alpha)
 
-    @pytest.mark.parametrize("alpha", [round(0.1 * k, 1) for k in range(1, 11)])
+    @pytest.mark.parametrize("alpha", [round(0.1 * k, 1) for k in range(1, 11)]
+                             + [1e-9, 1.0 - 1e-7, 1.0 - 1e-12, 1.0 - 2.0**-53])
     def test_strictly_increasing_on_grid(self, alpha):
         u = np.linspace(0.0, 1.0, 1002)[1:-1]
         values = [kernel_f(float(x), alpha) for x in u]
         assert all(b > a for a, b in zip(values, values[1:]))
 
-    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
-    def test_series_quotient_agreement_near_threshold(self, alpha):
-        for u in np.linspace(SERIES_THRESHOLD / 2, 2 * SERIES_THRESHOLD, 25):
-            assert abs(_kernel_f_series(float(u), alpha) - _kernel_f_quotient(float(u), alpha)) <= 1e-11
+    @pytest.mark.parametrize("alpha", KERNEL_F_ORDERS)
+    def test_matches_extended_precision(self, alpha):
+        # the defining quotient at 50 digits: near alpha = 1 and u = 0 its
+        # cancellation still leaves over 25 digits
+        a = mp.mpf(alpha)
+        for u in KERNEL_F_POINTS:
+            x = mp.mpf(u)
+            if alpha == 1.0:
+                exact = 2 * mp.atanh(x) / x
+            else:
+                exact = ((1 - x) ** (a - 1) - (1 + x) ** (a - 1)) / ((1 - a) * x)
+            assert abs(kernel_f(u, alpha) - exact) <= 1e-14 * exact, u
 
-    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
-    def test_continuous_at_threshold(self, alpha):
-        u = SERIES_THRESHOLD
-        assert abs(_kernel_f_series(u, alpha) - _kernel_f_quotient(u, alpha)) <= 1e-12
+    @pytest.mark.parametrize("alpha", [0.5, 1.0 - 2.0**-53, 1.0])
+    @pytest.mark.parametrize("u", [0.0, 5e-324, 1e-310, 1e-9])
+    def test_two_below_small_u(self, u, alpha):
+        # f_alpha(u) - 2 < 2 u^2 there, below half an ulp of 2; the bare
+        # form would divide by an underflowed b u
+        assert kernel_f(u, alpha) == 2.0
 
     def test_series_matches_extended_precision(self):
         for alpha in (0.25, 0.5, 0.9):
@@ -238,14 +251,26 @@ class TestKernelG:
     @pytest.mark.parametrize("n", [4, 5, 8, 12])
     def test_matches_extended_precision(self, n):
         # the polynomial has no cancellation on [0, 1], where a quotient form
-        # loses ~1e-13 relative near SERIES_THRESHOLD
-        for u in np.geomspace(SERIES_THRESHOLD / 2, 1.0, 200).tolist():
+        # loses ~1e-13 relative near u = 1e-3
+        for u in np.geomspace(5e-4, 1.0, 200).tolist():
             x = mp.mpf(u)
             exact = ((1 + x) ** (n - 1) - (1 - x) ** (n - 1)) / x
             assert abs(kernel_g(u, n) - exact) <= 1e-15 * exact, u
 
     def test_accepts_integral_floats(self):
         assert kernel_g(0.25, 4.0) == kernel_g(0.25, 4)
+
+    def test_large_finite_order(self):
+        # g_1027(1/2) = ((3/2)^1026 - (1/2)^1026) * 2, about 9.3e180
+        exact = ((mp.mpf(1.5) ** 1026) - mp.mpf(0.5) ** 1026) * 2
+        assert abs(kernel_g(0.5, 1027) - exact) <= 1e-13 * exact
+
+    @pytest.mark.parametrize("alpha,u", [(1026, 0.9987001299870013), (1027, 1.0), (2000, 0.5),
+                                         (1e5, 0.5), (1e16, 0.0), (1e300, 0.5)])
+    def test_beyond_float_range_raises(self, alpha, u):
+        # neither inf nor an OverflowError: the order is named in a ValueError
+        with pytest.raises(ValueError, match=re.escape(f"alpha={float(alpha)!r}")):
+            kernel_g(u, alpha)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

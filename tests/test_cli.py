@@ -289,6 +289,20 @@ class TestVerify:
         assert code == 2
         assert out == "" and err
 
+    def test_kernel_monotonic_passes_near_shannon(self, capsys):
+        # f must be accurate enough near alpha = 1 to show its strict increase
+        code, out, _ = run_cli(capsys, "verify", "0.9999999,0.999999999999", "--grid", "3")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines() if line.startswith("kernel_monotonic,")]
+        assert [row[1:3] for row in rows] == [["0.9999999", "pass"], ["0.999999999999", "pass"]]
+
+    @pytest.mark.parametrize("alpha", ["1027", "2000", "1e5", "1e16", "1e300"])
+    def test_order_beyond_float_range_is_domain_error(self, capsys, alpha):
+        # g_alpha beyond the float range is a domain error, not a failed check
+        code, out, err = run_cli(capsys, "verify", alpha, "--grid", "3")
+        assert code == 3
+        assert out == "" and f"alpha={float(alpha)!r}" in err
+
     def test_pinned_output(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "0.5,1,1.005,2,2.5,4", "--grid", "201")
         assert code == 0

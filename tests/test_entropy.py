@@ -222,6 +222,13 @@ class TestPhi:
     def test_order_one_is_one(self):
         assert phi((0.3, 0.7), 1.0) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("pair", [(0.0, 1.0), (5e-324, 1.0), (1e-310, 1.0), (0.3, 0.7),
+                                      (0.1, 0.9), (0.5, 0.5), (1.0 - 2.0**-53, 2.0**-53)])
+    def test_order_one_is_the_plain_sum(self, pair):
+        # no Shannon branch: x ** 1.0 is x bit for bit, subnormals included
+        d = ProbPair(*pair)
+        assert phi(d, 1.0).hex() == (d.p_plus + d.p_minus).hex()
+
     def test_equiprobable_order_two(self):
         # 2 * (1/4) = 1/2
         assert phi((0.5, 0.5), 2.0) == pytest.approx(0.5, abs=1e-15)

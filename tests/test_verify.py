@@ -514,6 +514,19 @@ class TestKernelMonotonicityCheck:
     def test_f_shannon(self):
         assert check_kernel_monotonicity("f", 1.0, 2_000)
 
+    @pytest.mark.parametrize("alpha,step", [(1.0, 0.0), (0.5, -1e-6)])
+    def test_f_flat_or_decreasing_step_fails(self, monkeypatch, alpha, step):
+        # f must strictly increase at every alpha in (0, 1], alpha = 1 included
+        real = verify.kernel_f
+        u = np.arange(1, 10_001) / 10_001  # the check's grid
+        before, after = float(u[4999]), float(u[5000])
+
+        def kinked(x, a):
+            return real(before, a) + step if x == after else real(x, a)
+
+        monkeypatch.setattr(verify, "kernel_f", kinked)
+        assert not check_kernel_monotonicity("f", alpha, 10_000)
+
     def test_g_constant_order(self):
         assert check_kernel_monotonicity("g", 3, 500)
 
