@@ -27,16 +27,17 @@ and it is kept clearly separate from the analytic results here.
 Dividing by the per-observable scale ln_alpha(2) and averaging gives the
 rescaled band [2/3, R_alpha] with R_alpha = h_tilde(alpha) / ln_alpha(2).
 
-Kernels.  kernel_f and kernel_g are the scalar kernels whose monotonicity
+Kernels.  kernel_f and kernel_g are the kernels whose monotonicity
 in u drives the optimization over the reduced rectangle: the azimuthal
 derivative of the entropic sum is proportional to
 u v [f_alpha(u) - f_alpha(v)], and its power-sum counterpart to
 u v [g_alpha(u) - g_alpha(v)].  Both are even-power expansions in u with
 strictly positive coefficients, which is what makes the kernels monotone.
 Each is evaluated in one form with no subtraction, so neither cancels:
-g_alpha as its finite polynomial on all of [0, 1], f_alpha through exp,
-log1p, expm1 and atanh, which stays accurate near u = 0 and near
-alpha = 1 (the Shannon order alpha = 1 keeps its exact form).  g_alpha
+g_alpha as its finite polynomial on all of [0, 1] (at a float, or at a
+whole array in one numpy pass with bitwise the same values), f_alpha
+through exp, log1p, expm1 and atanh, which stays accurate near u = 0 and
+near alpha = 1 (the Shannon order alpha = 1 keeps its exact form).  g_alpha
 grows like 2^(alpha-1); an order whose coefficients or values exceed the
 float range (from about alpha = 1026 on) raises ValueError instead of
 returning inf.
@@ -47,7 +48,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
+
+import numpy as np
 
 from .entropy import AlphaLike, ProbPair, TsallisParam, alpha_log, as_param, tsallis_entropy
 
@@ -218,13 +221,20 @@ def kernel_f(u: float, alpha: AlphaLike) -> float:
 
 @functools.lru_cache(maxsize=None)
 def _kernel_g_coefficients(n: int) -> tuple[float, ...]:
-    # Cached: each exact binomial costs O(n) big-integer work, and
-    # check_kernel_monotonicity evaluates g_n at thousands of points.
+    # Cached: each exact binomial costs O(n) big-integer work.
     # float() of the exact integer raises OverflowError beyond the float range
     return tuple(float(2 * math.comb(n - 1, 2 * k + 1)) for k in range(n // 2))
 
 
-def kernel_g(u: float, alpha_int: AlphaLike) -> float:
+def _first(u: Union[float, np.ndarray], mask) -> Optional[float]:
+    """The first u (in array order) where mask holds, or None."""
+    if isinstance(u, np.ndarray):
+        hits = u[mask]
+        return float(hits[0]) if hits.size else None
+    return u if mask else None
+
+
+def kernel_g(u: Union[float, np.ndarray], alpha_int: AlphaLike) -> Union[float, np.ndarray]:
     """Monotone kernel g_alpha(u) for integer entropic orders alpha >= 1.
 
     g_alpha(u) = ((1+u)^(alpha-1) - (1-u)^(alpha-1)) / u on [0, 1], an even
@@ -232,16 +242,22 @@ def kernel_g(u: float, alpha_int: AlphaLike) -> float:
     2 C(alpha-1, 2k+1), which is evaluated term by term on all of [0, 1]:
     no subtraction, so no cancellation.  g_1 = 0, g_2 = 2, g_3 = 4
     identically (returned exactly); for alpha >= 4 the kernel strictly
-    increases.  Raises ValueError naming the order when a coefficient or
-    the value exceeds the float range (g_alpha(1) = 2^(alpha-1), so from
-    about alpha = 1026 on).
+    increases.
+
+    u is a float or a 1-D array.  An array is evaluated in one numpy pass
+    by the same IEEE operations, in the same order, as a float, so each of
+    its values is bitwise kernel_g of that element.  Raises ValueError
+    naming the first offending u (in array order) for u outside [0, 1], and
+    naming the order when a coefficient or a value exceeds the float range
+    (g_alpha(1) = 2^(alpha-1), so from about alpha = 1026 on).
     """
     n = integer_order(alpha_int)
     if n is None or n < 1:
         raise ValueError(f"kernel_g requires an integer alpha >= 1, got {as_param(alpha_int).alpha!r}")
-    u = float(u)
-    if u < 0.0 or u > 1.0:
-        raise ValueError(f"kernel_g requires u in [0, 1], got {u!r}")
+    x = u.astype(float, copy=False) if isinstance(u, np.ndarray) else float(u)
+    bad = _first(x, (x < 0.0) | (x > 1.0))
+    if bad is not None:
+        raise ValueError(f"kernel_g requires u in [0, 1], got {bad!r}")
     try:
         coefficients = _kernel_g_coefficients(n)
     except OverflowError:
@@ -250,14 +266,17 @@ def kernel_g(u: float, alpha_int: AlphaLike) -> float:
         ) from None
     # g_n(u) = sum_{k=0}^{floor(n/2)-1} 2 C(n-1, 2k+1) u^(2k)
     total = 0.0
-    u2 = u * u
+    u2 = x * x
     upow = 1.0
-    for c in coefficients:
-        total += c * upow
-        upow *= u2
-    if not math.isfinite(total):
-        raise ValueError(f"kernel_g at alpha={float(n)!r} exceeds the float range at u={u!r}")
-    return total
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        for c in coefficients:
+            total += c * upow
+            upow *= u2
+    bad = _first(x, ~np.isfinite(total))
+    if bad is not None:
+        raise ValueError(f"kernel_g at alpha={float(n)!r} exceeds the float range at u={bad!r}")
+    # g_1, g_2 and g_3 are constants; an array argument gets one per element
+    return np.full_like(x, total) if isinstance(x, np.ndarray) else total
 
 
 @dataclass(frozen=True)

@@ -439,9 +439,11 @@ def check_kernel_monotonicity(kernel: str, alpha: AlphaLike, n_points: int) -> b
     kernel "f" takes alpha in (0, 1], kernel "g" integer alpha >= 1.
     Successive values must strictly increase for f at every alpha in
     (0, 1] and for g with alpha >= 4; g is constant for alpha <= 3, so
-    there they need only be nondecreasing.  Raises ValueError for n_points
-    below 2, where there is nothing to compare, and, through kernel_g, for
-    an order whose g exceeds the float range.
+    there they need only be nondecreasing.  f is evaluated point by point,
+    g in one numpy pass of kernel_g over the whole grid, whose values are
+    bitwise its scalar ones.  Raises ValueError for n_points below 2, where
+    there is nothing to compare, and, through kernel_g, for an order whose
+    g exceeds the float range, naming the first u where it does.
     """
     a = as_param(alpha)
     if n_points < 2:
@@ -451,7 +453,7 @@ def check_kernel_monotonicity(kernel: str, alpha: AlphaLike, n_points: int) -> b
         values = [kernel_f(float(x), a) for x in u]
         strict = True
     elif kernel == "g":
-        values = [kernel_g(float(x), a) for x in u]
+        values = kernel_g(u, a)
         strict = (integer_order(a) or 0) >= 4
     else:
         raise ValueError(f"kernel must be 'f' or 'g', got {kernel!r}")

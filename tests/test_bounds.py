@@ -272,6 +272,27 @@ class TestKernelG:
         with pytest.raises(ValueError, match=re.escape(f"alpha={float(alpha)!r}")):
             kernel_g(u, alpha)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 12, 40, 200, 1025])
+    def test_array_is_bitwise_scalar(self, n):
+        u = np.arange(1, 10_001) / 10_001  # check_kernel_monotonicity's grid
+        values = kernel_g(u, n)
+        assert values.shape == u.shape
+        assert values.tobytes() == np.array([kernel_g(float(x), n) for x in u]).tobytes()
+
+    def test_array_errors_name_the_first_u(self):
+        with pytest.raises(ValueError, match=re.escape("u in [0, 1], got 1.5")):
+            kernel_g(np.array([0.5, 1.5, -1.0]), 4)
+        # the first u of the grid at which a scalar call fails
+        u = np.arange(1, 10_001) / 10_001
+        for x in u[-50:]:
+            try:
+                kernel_g(float(x), 1026)
+            except ValueError:
+                first = float(x)
+                break
+        with pytest.raises(ValueError, match=re.escape(f"alpha=1026.0 exceeds the float range at u={first!r}")):
+            kernel_g(u, 1026)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             kernel_g(1.1, 4)
@@ -281,6 +302,13 @@ class TestKernelG:
             kernel_g(0.5, 2.5)
         with pytest.raises(ValueError):
             kernel_g(0.5, 0)
+
+
+@pytest.mark.parametrize("call", [bound_set, lambda a: kernel_g(0.5, a), integer_order])
+def test_int_order_beyond_float_range_is_value_error(call):
+    # not the OverflowError of float(10**400)
+    with pytest.raises(ValueError, match="entropic order must be a positive real"):
+        call(10**400)
 
 
 class TestBoundSet:

@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -22,6 +23,9 @@ BAD_ALPHAS = ["0", "-1", "abc", "inf", "-inf", "1e400", "nan"]
 # regimes (proven and interpolated); eval at bloch:0,0,1 has a deterministic
 # pair, whose entropy must print as 0, not -0.
 PINNED_VERIFY = "61a9caf2a256c88560d66daadd9af9076995d825e4260182aea66bcfb25c5c76"
+# `verify 4,5,7,10 --grid 201`: integer orders whose p^n comes from repeated
+# squaring; the digest was taken with numpy's pow at every order.
+PINNED_INTEGER_ORDERS = "9f53c896f517f37722516fe22607f8ccc37ca5f74ea6806e91dfef9c4d08489f"
 # `verify 0.5,2.5 --grid g` at small, odd and even grids, whose full-domain
 # check unfolds a D grid of min(g // 2 + 1, 251) points per axis.
 PINNED_FULL_DOMAIN = {
@@ -303,10 +307,27 @@ class TestVerify:
         assert code == 3
         assert out == "" and f"alpha={float(alpha)!r}" in err
 
+    @pytest.mark.parametrize("alpha,message", [
+        ("1026", "kernel_g at alpha=1026.0 exceeds the float range at u=0.9987001299870013"),
+        ("1027", "kernel_g at alpha=1027.0 exceeds the float range at u=0.9973002699730027"),
+        ("2000", "kernel_g at alpha=2000.0: a coefficient 2 C(alpha-1, 2k+1) exceeds the float range"),
+    ])
+    def test_g_beyond_float_range_message(self, capsys, alpha, message):
+        # the one-pass g check names the same first u as the scalar loop did, and warns nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "verify", alpha, "--grid", "3")
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
     def test_pinned_output(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "0.5,1,1.005,2,2.5,4", "--grid", "201")
         assert code == 0
         assert sha256(out) == PINNED_VERIFY, out
+
+    def test_pinned_integer_orders(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "4,5,7,10", "--grid", "201")
+        assert code == 0
+        assert sha256(out) == PINNED_INTEGER_ORDERS, out
 
 
 @pytest.mark.parametrize("argv", ["bounds 2 --alpha 4", "verify 0.5 --alpha 4 --grid 3"])

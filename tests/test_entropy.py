@@ -26,6 +26,7 @@ from pauli_tsallis import (
     phi,
     tsallis_entropy,
 )
+from pauli_tsallis import entropy
 from pauli_tsallis.entropy import EXPM1_WINDOW
 
 mp.mp.dps = 50
@@ -61,6 +62,11 @@ class TestTsallisParam:
     def test_rejects_nonpositive(self, bad):
         with pytest.raises(ValueError):
             TsallisParam(bad)
+
+    def test_int_beyond_float_range_is_value_error(self):
+        # float(10**400) raises OverflowError; the order is still just not a positive real
+        with pytest.raises(ValueError, match="entropic order must be a positive real"):
+            TsallisParam(10**400)
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -216,6 +222,55 @@ def test_scalar_and_array_kernels_agree_exactly(ps, alpha):
     for i, (x, y) in enumerate(zip(ps, m)):
         assert tsallis_entropy((x, float(y)), alpha) == grid[i]
         assert h_alpha(x, alpha) == alone[i]
+
+
+# Integer orders whose binary power takes at most _MAX_SQUARING_MULTIPLIES
+# multiplications, counted here apart from the kernel: one squaring per bit
+# after the leading one, one multiplication per further set bit.
+SQUARING_K = entropy._MAX_SQUARING_MULTIPLIES
+SQUARED_ORDERS = [
+    n for n in range(4, 2**SQUARING_K + 1) if (n.bit_length() - 1) + (bin(n).count("1") - 1) <= SQUARING_K
+]
+
+
+def pow_form(p, m, a):
+    """The pow branch of pair_entropy with numpy's pow for every order."""
+    return ((p ** a - p) + (m ** a - m)) / (1.0 - a)
+
+
+class TestIntegerPowers:
+    """Integer orders n >= 4 with a short binary power take p^n by repeated squaring."""
+
+    def test_covered_orders(self):
+        # the R_4..R_10 table, 12 and 16 among them; never 2 or 3
+        assert {4, 5, 6, 7, 8, 9, 10, 12, 16} <= set(SQUARED_ORDERS)
+        for n in range(1, 2 ** (SQUARING_K + 1)):
+            assert (entropy._squaring_bits(float(n)) is not None) == (n in SQUARED_ORDERS), n
+        assert entropy._squaring_bits(4.5) is None
+
+    @pytest.mark.parametrize("n", SQUARED_ORDERS)
+    def test_matches_extended_precision(self, n):
+        rng = np.random.default_rng(n)
+        p = np.concatenate([rng.uniform(0.0, 1.0, 60), np.geomspace(1e-300, 1.0, 30), 1.0 - np.geomspace(1e-16, 0.5, 20)])
+        m = 1.0 - p
+        values = pair_entropy(p, m, TsallisParam(n))
+        errors = [abs(mp.mpf(v) - oracle_h(x, n) - oracle_h(y, n)) for v, x, y in zip(values, p, m)]
+        # numpy's pow reaches 5.6e-17 on these pairs, and so does the chain
+        assert max(errors) <= 1e-16
+
+    @pytest.mark.parametrize("n", SQUARED_ORDERS)
+    def test_exact_at_equiprobable_and_deterministic_pairs(self, n):
+        # powers of 1/2, 1 and 0 are exact, so the ties at the minimum corners stay exact
+        p, m = np.array([0.5, 1.0, 0.0]), np.array([0.5, 0.0, 1.0])
+        values = pair_entropy(p, m, TsallisParam(n))
+        assert values.tolist() == [(2.0 ** (1 - n) - 1.0) / (1 - n), 0.0, 0.0]
+        assert values.tolist() == pow_form(p, m, float(n)).tolist()
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 3.0, 2.5, 4.5, 7.3, 2.0 ** (SQUARING_K + 1) - 1])
+    def test_other_orders_keep_pow_bits(self, alpha):
+        p = np.random.default_rng(3).uniform(0.0, 1.0, 5000)
+        m = 1.0 - p
+        assert pair_entropy(p, m, TsallisParam(alpha)).tobytes() == pow_form(p, m, alpha).tobytes()
 
 
 class TestPhi:

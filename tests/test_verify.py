@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pauli_tsallis.entropy as entropy
 import pauli_tsallis.verify as verify
 from pauli_tsallis.cli import main
 from pauli_tsallis import (
@@ -391,6 +392,31 @@ class TestScanOrders:
         assert scan_orders([], grid) == [] and full_domain_orders([], grid) == []
 
 
+class TestSquaredIntegerOrders:
+    """Scans at integer orders whose p^n comes from repeated squaring."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 10, 12, 16])
+    def test_witnesses_match_pow_reference(self, monkeypatch, n):
+        grid = GridSpec(401, 401)
+        report = scan_extrema(n, grid)
+        monkeypatch.setattr(entropy, "_power", lambda x, a: x ** a)
+        reference = scan_extrema(n, grid)
+        assert (report.argmin, report.argmax) == (reference.argmin, reference.argmax)
+        assert report.min_value == reference.min_value  # the eigenstate corners are exact
+        assert abs(report.max_value - reference.max_value) <= 4 * math.ulp(reference.max_value)
+
+    def test_grid_values_within_a_few_ulps_of_pow(self, monkeypatch):
+        tau = np.linspace(0.0, QUARTER_PI, 401)
+        pairs = verify._grid_pairs(tau, np.cos(tau), np.sin(tau))
+        orders = [n for n in range(4, 65) if entropy._squaring_bits(float(n)) is not None]
+        chained = [verify._pair_sums(pairs, entropy.TsallisParam(n)) for n in orders]
+        monkeypatch.setattr(entropy, "_power", lambda x, a: x ** a)
+        for n, values in zip(orders, chained):
+            reference = verify._pair_sums(pairs, entropy.TsallisParam(n))
+            ulps = np.abs(values - reference) / np.spacing(np.maximum(values, reference))
+            assert ulps.max() <= 7, n
+
+
 class TestCertifyEqualityConditions:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 4.0, 6.0])
     def test_tight_orders_certify(self, alpha):
@@ -526,6 +552,19 @@ class TestKernelMonotonicityCheck:
 
         monkeypatch.setattr(verify, "kernel_f", kinked)
         assert not check_kernel_monotonicity("f", alpha, 10_000)
+
+    @pytest.mark.parametrize("alpha,step", [(4, 0.0), (7, -1e-9)])
+    def test_g_flat_or_decreasing_step_fails(self, monkeypatch, alpha, step):
+        # g must strictly increase for alpha >= 4; kernel_g evaluates the whole grid
+        real = verify.kernel_g
+
+        def kinked(u, a):
+            values = real(u, a).copy()
+            values[5000] = values[4999] + step
+            return values
+
+        monkeypatch.setattr(verify, "kernel_g", kinked)
+        assert not check_kernel_monotonicity("g", alpha, 10_000)
 
     def test_g_constant_order(self):
         assert check_kernel_monotonicity("g", 3, 500)
