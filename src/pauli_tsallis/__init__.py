@@ -20,10 +20,7 @@ from .bounds import (
     is_proven_order,
     kernel_f,
     kernel_g,
-    lower_bound,
     rescaled_band,
-    upper_bound_mixed,
-    upper_bound_pure,
 )
 from .entropy import (
     ProbPair,
@@ -90,10 +87,7 @@ __all__ = [
     "BoundSet",
     "UnsupportedAlphaError",
     "bound_set",
-    "lower_bound",
     "interpolated_lower_bound",
-    "upper_bound_mixed",
-    "upper_bound_pure",
     "h_tilde",
     "rescaled_band",
     "kernel_f",

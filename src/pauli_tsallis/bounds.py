@@ -34,13 +34,13 @@ u v [f_alpha(u) - f_alpha(v)], and its power-sum counterpart to
 u v [g_alpha(u) - g_alpha(v)].  Both are even-power expansions in u with
 strictly positive coefficients, which is what makes the kernels monotone.
 Each is evaluated in one form with no subtraction, so neither cancels:
-g_alpha as its finite polynomial on all of [0, 1] (at a float, or at a
-whole array in one numpy pass with bitwise the same values), f_alpha
-through exp, log1p, expm1 and atanh, which stays accurate near u = 0 and
-near alpha = 1 (the Shannon order alpha = 1 keeps its exact form).  g_alpha
-grows like 2^(alpha-1); an order whose coefficients or values exceed the
-float range (from about alpha = 1026 on) raises ValueError instead of
-returning inf.
+g_alpha as its finite polynomial on all of [0, 1], f_alpha through exp,
+log1p, expm1 and atanh, which stays accurate near u = 0 and near
+alpha = 1 (the Shannon order alpha = 1 keeps its exact form).  Both take a
+float or a whole array, evaluated in one numpy pass whose values are
+bitwise the float ones.  g_alpha grows like 2^(alpha-1); an order whose
+coefficients or values exceed the float range (from about alpha = 1026
+on) raises ValueError instead of returning inf.
 """
 
 from __future__ import annotations
@@ -61,11 +61,8 @@ __all__ = [
     "BoundSet",
     "integer_order",
     "is_proven_order",
-    "lower_bound",
     "interpolated_lower_bound",
-    "upper_bound_mixed",
     "h_tilde",
-    "upper_bound_pure",
     "rescaled_band",
     "kernel_f",
     "kernel_g",
@@ -128,29 +125,6 @@ def interpolated_lower_bound(alpha: AlphaLike) -> float:
     return 2.0 * (1.0 - w) / (a - 1.0) + w * (a - n) / (a - 1.0)
 
 
-def lower_bound(alpha: AlphaLike) -> tuple[float, bool]:
-    """Lower bound on the entropic sum, with a tightness flag.
-
-    alpha in (0, 1]            -> (2 ln_alpha(2), tight)
-    integer alpha >= 2         -> (2 ln_alpha(2), tight)
-    non-integer alpha > 1      -> (interpolated bound, not tight)
-
-    Tight means attained: at the six Pauli eigenstates, and for
-    alpha = 2, 3 at every pure state.
-    """
-    bounds = bound_set(alpha)
-    return bounds.lower, bounds.lower_is_tight
-
-
-def upper_bound_mixed(alpha: AlphaLike) -> float:
-    """Upper bound 3 ln_alpha(2) on the entropic sum over all states.
-
-    Attained exactly at the completely mixed state, where each measurement
-    is equiprobable.
-    """
-    return bound_set(alpha).upper_mixed
-
-
 def h_tilde(alpha: AlphaLike) -> float:
     """Per-observable entropy of the pure-state maximizer.
 
@@ -159,18 +133,6 @@ def h_tilde(alpha: AlphaLike) -> float:
     alpha in (0, 1] and integer alpha >= 2.
     """
     return tsallis_entropy(MAXIMIZER_PAIR, alpha)
-
-
-def upper_bound_pure(alpha: AlphaLike) -> Optional[float]:
-    """Pure-state upper bound 3 h_tilde(alpha), or None where unproven.
-
-    Returns 3 h_tilde(alpha), a tight bound, for alpha in (0, 1] and integer
-    alpha >= 2; for alpha = 2, 3 the bound is additionally attained by
-    every pure state.  For non-integer alpha > 1 returns None: no analytic
-    bound is available there, only the empirical grid estimate of the
-    verify module, which is deliberately not reported as a bound.
-    """
-    return bound_set(alpha).upper_pure
 
 
 def rescaled_band(alpha: AlphaLike) -> tuple[float, float]:
@@ -191,7 +153,7 @@ def rescaled_band(alpha: AlphaLike) -> tuple[float, float]:
     return 2.0 / 3.0, bounds.r_alpha
 
 
-def kernel_f(u: float, alpha: AlphaLike) -> float:
+def kernel_f(u: Union[float, np.ndarray], alpha: AlphaLike) -> Union[float, np.ndarray]:
     """Monotone kernel f_alpha(u) for entropic orders alpha in (0, 1].
 
     f_alpha(u) = ((1-u)^(alpha-1) - (1+u)^(alpha-1)) / ((1-alpha) u), with
@@ -204,19 +166,27 @@ def kernel_f(u: float, alpha: AlphaLike) -> float:
     which has no subtraction, so it keeps full precision near u = 0 and
     near alpha = 1 alike.  Below u = 1e-8 it returns 2.0, which is
     f_alpha(u) rounded: f_alpha(u) - 2 < 2 u^2 is below half an ulp of 2.
+
+    u is a float or an array.  A float is evaluated as a one-element array,
+    so its value is bitwise that of the same u in an array.  Raises
+    ValueError naming the first u (in array order) outside [0, 1), NaN
+    included.
     """
     a = as_param(alpha)
     if a.alpha > 1.0:
         raise ValueError(f"kernel_f requires alpha in (0, 1], got {a.alpha!r}")
-    u = float(u)
-    if u < 0.0 or u >= 1.0:
-        raise ValueError(f"kernel_f requires u in [0, 1), got {u!r}")
-    if u < 1e-8:
-        return 2.0
+    x = u.astype(float, copy=False) if isinstance(u, np.ndarray) else np.array([float(u)])
+    bad = _first(x, np.logical_not((0.0 <= x) & (x < 1.0)))  # NaN included
+    if bad is not None:
+        raise ValueError(f"kernel_f requires u in [0, 1), got {bad!r}")
+    v = np.maximum(x, 1e-8)  # keeps b u from underflowing; those points get 2.0
     if a.is_shannon:
-        return 2.0 * math.atanh(u) / u
-    b = a.alpha - 1.0
-    return -math.exp(b * math.log1p(u)) * math.expm1(-2.0 * b * math.atanh(u)) / (b * u)
+        values = 2.0 * np.arctanh(v) / v
+    else:
+        b = a.alpha - 1.0
+        values = -np.exp(b * np.log1p(v)) * np.expm1(-2.0 * b * np.arctanh(v)) / (b * v)
+    values[x < 1e-8] = 2.0
+    return values if isinstance(u, np.ndarray) else float(values[0])
 
 
 @functools.lru_cache(maxsize=None)
@@ -247,15 +217,15 @@ def kernel_g(u: Union[float, np.ndarray], alpha_int: AlphaLike) -> Union[float, 
     u is a float or a 1-D array.  An array is evaluated in one numpy pass
     by the same IEEE operations, in the same order, as a float, so each of
     its values is bitwise kernel_g of that element.  Raises ValueError
-    naming the first offending u (in array order) for u outside [0, 1], and
-    naming the order when a coefficient or a value exceeds the float range
-    (g_alpha(1) = 2^(alpha-1), so from about alpha = 1026 on).
+    naming the first offending u (in array order) for u outside [0, 1] or
+    NaN, and naming the order when a coefficient or a value exceeds the
+    float range (g_alpha(1) = 2^(alpha-1), so from about alpha = 1026 on).
     """
     n = integer_order(alpha_int)
     if n is None or n < 1:
         raise ValueError(f"kernel_g requires an integer alpha >= 1, got {as_param(alpha_int).alpha!r}")
     x = u.astype(float, copy=False) if isinstance(u, np.ndarray) else float(u)
-    bad = _first(x, (x < 0.0) | (x > 1.0))
+    bad = _first(x, np.logical_not((0.0 <= x) & (x <= 1.0)))  # NaN included
     if bad is not None:
         raise ValueError(f"kernel_g requires u in [0, 1], got {bad!r}")
     try:
@@ -302,8 +272,9 @@ class BoundSet:
 def bound_set(alpha: AlphaLike) -> BoundSet:
     """Assemble the full BoundSet for one entropic order.
 
-    The one place that branches on the proven range; lower_bound,
-    upper_bound_mixed, upper_bound_pure and rescaled_band read its fields.
+    The one place that branches on the proven range.  Each bound has one
+    name, its field here: rescaled_band, the verify module and the CLI
+    read the fields rather than recompute them.
     """
     a = as_param(alpha)
     scale = alpha_log(2.0, a)  # the per-observable scale ln_alpha(2)

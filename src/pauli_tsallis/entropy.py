@@ -139,14 +139,6 @@ class ProbPair:
         object.__setattr__(self, "p_plus", p)
         object.__setattr__(self, "p_minus", m)
 
-    @classmethod
-    def from_plus(cls, p_plus: float) -> "ProbPair":
-        p = float(p_plus)
-        return cls(p, 1.0 - p)
-
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.p_plus, self.p_minus)
-
 
 DistLike = Union[ProbPair, Sequence[float]]
 

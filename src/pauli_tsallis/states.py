@@ -123,13 +123,6 @@ class MeasurementTriple:
     def pairs(self) -> tuple[ProbPair, ProbPair, ProbPair]:
         return (self.px, self.qy, self.rz)
 
-    def direction_norm_sq(self) -> float:
-        """Sum of the squared outcome asymmetries, = |b|^2 of the source.
-
-        Equals 1 (within rounding) exactly when the source state is pure.
-        """
-        return sum((pair.p_plus - pair.p_minus) ** 2 for pair in self.pairs())
-
 
 StateLike = Union[PureStateAngles, BlochVector, MeasurementTriple]
 

@@ -54,7 +54,7 @@ from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .bounds import bound_set, h_tilde, integer_order, is_proven_order, kernel_f, kernel_g, lower_bound
+from .bounds import bound_set, integer_order, is_proven_order, kernel_f, kernel_g
 from .entropy import AlphaLike, TsallisParam, as_param, pair_entropy, phi, tsallis_entropy
 from .states import (
     HALF_PI,
@@ -415,7 +415,8 @@ def certify_equality_conditions(
         )
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
-    low, _ = lower_bound(a)
+    bounds = bound_set(a)
+    low = bounds.lower
     # one batch: the six eigenstates, the maximizer, 19 impure states on each
     # axis (t-major: (t, 0, 0), (0, t, 0), (0, 0, t)), then the samples
     fixed = [*eigenstate_witnesses(), bloch_from_angles(_MAXIMIZER_STATE)]
@@ -429,7 +430,7 @@ def certify_equality_conditions(
     if integer_order(a) in (2, 3):
         checks.append(np.max(np.abs(sampled - low)) <= tolerance)
     else:
-        checks += [np.min(sampled) > low, abs(top[0] - 3.0 * h_tilde(a)) <= tolerance]
+        checks += [np.min(sampled) > low, abs(top[0] - bounds.upper_pure) <= tolerance]
     return bool(all(checks))
 
 
@@ -439,26 +440,23 @@ def check_kernel_monotonicity(kernel: str, alpha: AlphaLike, n_points: int) -> b
     kernel "f" takes alpha in (0, 1], kernel "g" integer alpha >= 1.
     Successive values must strictly increase for f at every alpha in
     (0, 1] and for g with alpha >= 4; g is constant for alpha <= 3, so
-    there they need only be nondecreasing.  f is evaluated point by point,
-    g in one numpy pass of kernel_g over the whole grid, whose values are
-    bitwise its scalar ones.  Raises ValueError for n_points below 2, where
-    there is nothing to compare, and, through kernel_g, for an order whose
-    g exceeds the float range, naming the first u where it does.
+    there they need only be nondecreasing.  Either kernel is evaluated in
+    one numpy pass over the whole grid, whose values are bitwise its scalar
+    ones.  Raises ValueError, before allocating the grid, for n_points
+    below 2, where there is nothing to compare, and above
+    GridSpec.MAX_POINTS; and, through kernel_g, for an order whose g
+    exceeds the float range, naming the first u where it does.
     """
     a = as_param(alpha)
     if n_points < 2:
         raise ValueError(f"n_points must be at least 2, got {n_points!r}")
-    u = np.arange(1, n_points + 1) / (n_points + 1)
-    if kernel == "f":
-        values = [kernel_f(float(x), a) for x in u]
-        strict = True
-    elif kernel == "g":
-        values = kernel_g(u, a)
-        strict = (integer_order(a) or 0) >= 4
-    else:
+    if n_points > GridSpec.MAX_POINTS:
+        raise ValueError(f"n_points must be at most {GridSpec.MAX_POINTS}, got {n_points!r}")
+    if kernel not in ("f", "g"):
         raise ValueError(f"kernel must be 'f' or 'g', got {kernel!r}")
-    diffs = np.diff(values)
-    if strict:
+    u = np.arange(1, n_points + 1) / (n_points + 1)
+    diffs = np.diff(kernel_f(u, a) if kernel == "f" else kernel_g(u, a))
+    if kernel == "f" or (integer_order(a) or 0) >= 4:
         return bool(np.all(diffs > 0.0))
     return bool(np.all(diffs >= 0.0))
 

@@ -17,6 +17,7 @@ from pauli_tsallis import (
     ProbPair,
     PureStateAngles,
     alpha_log,
+    bound_set,
     canonicalize_to_D,
     certify_equality_conditions,
     check_kernel_monotonicity,
@@ -24,7 +25,6 @@ from pauli_tsallis import (
     g_sum,
     h_tilde,
     interpolated_lower_bound,
-    lower_bound,
     phi,
     refined_maximum,
     rescaled_band,
@@ -50,9 +50,9 @@ def test_c1_r_table_reproduction():
 
 
 def test_c2_shannon_endpoints():
-    value, tight = lower_bound(1.0)
-    assert tight
-    assert abs(value - 2.0 * math.log(2.0)) <= 1e-12
+    bounds = bound_set(1.0)
+    assert bounds.lower_is_tight
+    assert abs(bounds.lower - 2.0 * math.log(2.0)) <= 1e-12
     assert h_tilde(1.0) / math.log(2.0) == pytest.approx(0.744, abs=5e-4)
     print("criterion 2 PASS: lower bound 2 ln 2 exact at alpha=1; h_tilde(1)/ln 2 = 0.744")
 
@@ -114,12 +114,12 @@ def test_c7_interpolated_bound_sanity():
     *reports, near_one_report = scan_orders(alphas + [near_one], GridSpec(801, 801))
     for alpha, report in zip(alphas, reports):
         assert interpolated_lower_bound(alpha) <= report.min_value + 1e-9, f"alpha={alpha}"
-    bound, tight = lower_bound(near_one)
-    assert not tight
-    assert bound == pytest.approx(1.0, abs=1e-9)
+    bounds = bound_set(near_one)
+    assert not bounds.lower_is_tight
+    assert bounds.lower == pytest.approx(1.0, abs=1e-9)
     grid_min = near_one_report.min_value
     assert grid_min == pytest.approx(2.0 * math.log(2.0), abs=1e-4)
-    assert grid_min - bound > 0.38
+    assert grid_min - bounds.lower > 0.38
     print("criterion 7 PASS: interpolated bound below grid minimum for 50 random "
           "non-integer orders; gap to 2 ln 2 reproduced at alpha = 1 + 1e-6")
 

@@ -25,10 +25,7 @@ from pauli_tsallis import (
     interpolated_lower_bound,
     kernel_f,
     kernel_g,
-    lower_bound,
     rescaled_band,
-    upper_bound_mixed,
-    upper_bound_pure,
 )
 mp.mp.dps = 50
 
@@ -59,38 +56,38 @@ class TestIntegerOrder:
 
 class TestLowerBound:
     def test_shannon_value(self):
-        value, tight = lower_bound(1.0)
-        assert tight
-        assert value == pytest.approx(2.0 * math.log(2.0), abs=1e-15)
+        bs = bound_set(1.0)
+        assert bs.lower_is_tight
+        assert bs.lower == pytest.approx(2.0 * math.log(2.0), abs=1e-15)
 
     def test_integer_two(self):
-        value, tight = lower_bound(2.0)
-        assert tight
-        assert value == pytest.approx(1.0, abs=1e-15)
+        bs = bound_set(2.0)
+        assert bs.lower_is_tight
+        assert bs.lower == pytest.approx(1.0, abs=1e-15)
         # the interpolated formula coincides there
-        assert interpolated_lower_bound(2.0) == pytest.approx(value, abs=1e-15)
+        assert interpolated_lower_bound(2.0) == pytest.approx(bs.lower, abs=1e-15)
 
     def test_order_half(self):
-        value, tight = lower_bound(0.5)
-        assert tight
-        assert value == pytest.approx(TWO_LN_HALF_2, abs=1e-15)
+        bs = bound_set(0.5)
+        assert bs.lower_is_tight
+        assert bs.lower == pytest.approx(TWO_LN_HALF_2, abs=1e-15)
 
     def test_just_above_one_interpolates_to_one(self):
-        value, tight = lower_bound(1.0 + 1e-9)
-        assert not tight
-        assert value == pytest.approx(1.0, abs=1e-9)
+        bs = bound_set(1.0 + 1e-9)
+        assert not bs.lower_is_tight
+        assert bs.lower == pytest.approx(1.0, abs=1e-9)
 
     def test_noninteger_branch(self):
-        value, tight = lower_bound(2.5)
-        assert not tight
+        bs = bound_set(2.5)
+        assert not bs.lower_is_tight
         # 2 (1 - 1/2)/1.5 + (1/2)(0.5)/1.5 = 5/6
-        assert value == pytest.approx(5.0 / 6.0, abs=1e-15)
+        assert bs.lower == pytest.approx(5.0 / 6.0, abs=1e-15)
 
     def test_continuity_from_below_at_one(self):
         for eps in (1e-2, 1e-4, 1e-6):
-            value, tight = lower_bound(1.0 - eps)
-            assert tight
-            assert abs(value - 2.0 * math.log(2.0)) <= 0.5 * eps
+            bs = bound_set(1.0 - eps)
+            assert bs.lower_is_tight
+            assert abs(bs.lower - 2.0 * math.log(2.0)) <= 0.5 * eps
 
     def test_interpolation_equals_tight_value_at_integers(self):
         for n in range(2, 11):
@@ -98,20 +95,20 @@ class TestLowerBound:
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            lower_bound(0.0)
+            bound_set(0.0)
         with pytest.raises(ValueError):
-            lower_bound(-2.0)
+            bound_set(-2.0)
 
 
 class TestUpperBoundMixed:
     def test_values(self):
-        assert upper_bound_mixed(1.0) == pytest.approx(3.0 * math.log(2.0), abs=1e-15)
-        assert upper_bound_mixed(2.0) == pytest.approx(1.5, abs=1e-15)
+        assert bound_set(1.0).upper_mixed == pytest.approx(3.0 * math.log(2.0), abs=1e-15)
+        assert bound_set(2.0).upper_mixed == pytest.approx(1.5, abs=1e-15)
 
     @pytest.mark.parametrize("alpha", [0.3, 1.0, 2.0, 4.2, 9.0])
     def test_attained_at_completely_mixed_state(self, alpha):
         value = entropic_sum(BlochVector(0.0, 0.0, 0.0), alpha)
-        assert value == pytest.approx(upper_bound_mixed(alpha), abs=1e-14)
+        assert value == pytest.approx(bound_set(alpha).upper_mixed, abs=1e-14)
 
 
 class TestHTilde:
@@ -129,15 +126,15 @@ class TestHTilde:
 
 class TestUpperBoundPure:
     def test_constant_orders(self):
-        assert upper_bound_pure(2.0) == pytest.approx(1.0, abs=1e-15)
-        assert upper_bound_pure(3.0) == pytest.approx(0.75, abs=1e-15)
+        assert bound_set(2.0).upper_pure == pytest.approx(1.0, abs=1e-15)
+        assert bound_set(3.0).upper_pure == pytest.approx(0.75, abs=1e-15)
 
     def test_order_half(self):
-        assert upper_bound_pure(0.5) == pytest.approx(3.0 * H_TILDE_HALF, abs=1e-14)
+        assert bound_set(0.5).upper_pure == pytest.approx(3.0 * H_TILDE_HALF, abs=1e-14)
 
     def test_absent_for_noninteger_above_one(self):
-        assert upper_bound_pure(2.5) is None
-        assert upper_bound_pure(1.0 + 1e-6) is None
+        assert bound_set(2.5).upper_pure is None
+        assert bound_set(1.0 + 1e-6).upper_pure is None
 
 
 class TestRescaledBand:
@@ -229,6 +226,11 @@ class TestKernelF:
             kernel_f(1.0, 0.5)
         with pytest.raises(ValueError):
             kernel_f(0.5, 1.5)
+        with pytest.raises(ValueError, match=re.escape("u in [0, 1), got nan")):
+            kernel_f(math.nan, 0.5)
+        # an array error names its first offending u
+        with pytest.raises(ValueError, match=re.escape("u in [0, 1), got 1.0")):
+            kernel_f(np.array([0.5, 1.0, -1.0, math.nan]), 1.0)
 
 
 class TestKernelG:
@@ -272,12 +274,19 @@ class TestKernelG:
         with pytest.raises(ValueError, match=re.escape(f"alpha={float(alpha)!r}")):
             kernel_g(u, alpha)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 12, 40, 200, 1025])
-    def test_array_is_bitwise_scalar(self, n):
+    @pytest.mark.parametrize(
+        "kernel,alpha",
+        [pytest.param(kernel_g, n, id=str(n)) for n in (1, 2, 3, 4, 5, 8, 12, 40, 200, 1025)]
+        + [pytest.param(kernel_f, a, id=f"f-{a!r}") for a in KERNEL_F_ORDERS],
+    )
+    def test_array_is_bitwise_scalar(self, kernel, alpha):
         u = np.arange(1, 10_001) / 10_001  # check_kernel_monotonicity's grid
-        values = kernel_g(u, n)
+        values = kernel(u, alpha)
         assert values.shape == u.shape
-        assert values.tobytes() == np.array([kernel_g(float(x), n) for x in u]).tobytes()
+        assert values.tobytes() == np.array([kernel(float(x), alpha) for x in u]).tobytes()
+        if kernel is kernel_f:  # the points of the extended-precision sweep, 0 and subnormals too
+            points = np.array([0.0, 5e-324, 1e-310, *KERNEL_F_POINTS])
+            assert kernel(points, alpha).tobytes() == np.array([kernel(float(x), alpha) for x in points]).tobytes()
 
     def test_array_errors_name_the_first_u(self):
         with pytest.raises(ValueError, match=re.escape("u in [0, 1], got 1.5")):
@@ -298,6 +307,12 @@ class TestKernelG:
             kernel_g(1.1, 4)
         with pytest.raises(ValueError):
             kernel_g(-0.1, 4)
+        # NaN is outside [0, 1], also at the constant orders
+        for n in (2, 4):
+            with pytest.raises(ValueError, match=re.escape("u in [0, 1], got nan")):
+                kernel_g(math.nan, n)
+        with pytest.raises(ValueError, match=re.escape("u in [0, 1], got nan")):
+            kernel_g(np.array([0.5, math.nan]), 4)
         with pytest.raises(ValueError):
             kernel_g(0.5, 2.5)
         with pytest.raises(ValueError):

@@ -94,9 +94,9 @@ class TestProbPair:
         with pytest.raises(ValueError):
             ProbPair(0.6, 0.5)
 
-    def test_from_plus(self):
-        pair = ProbPair.from_plus(0.3)
-        assert pair.as_tuple() == (0.3, 0.7)
+    def test_complement_pair(self):
+        pair = ProbPair(0.3, 1.0 - 0.3)
+        assert (pair.p_plus, pair.p_minus) == (0.3, 0.7)
 
 
 class TestAlphaLog:

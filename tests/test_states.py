@@ -23,7 +23,7 @@ TAU_STAR = math.atan(math.sqrt(2.0)) / 2.0
 
 
 def pairs_of(triple: MeasurementTriple):
-    return [pair.as_tuple() for pair in triple.pairs()]
+    return [(pair.p_plus, pair.p_minus) for pair in triple.pairs()]
 
 
 class TestPureStateAngles:
@@ -143,7 +143,10 @@ def test_pure_source_direction_norm():
     rng = np.random.default_rng(7)
     for _ in range(200):
         state = PureStateAngles(rng.uniform(0, math.pi / 2), rng.uniform(0, 2 * math.pi))
-        assert probs_from_angles(state).direction_norm_sq() == pytest.approx(1.0, abs=1e-10)
+        assert bloch_from_angles(state).norm_sq == pytest.approx(1.0, abs=1e-10)
+        # the outcome asymmetries p_plus - p_minus are the Bloch components
+        asymmetries = [pair.p_plus - pair.p_minus for pair in probs_from_angles(state).pairs()]
+        assert sum(d * d for d in asymmetries) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestCanonicalize:

@@ -1,5 +1,6 @@
 """Brute-force oracle: scans, certification, property checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,13 +15,13 @@ from pauli_tsallis import (
     BlochVector,
     GridSpec,
     PureStateAngles,
+    bound_set,
     certify_equality_conditions,
     check_alpha_concavity,
     check_kernel_monotonicity,
     entropic_sum,
     g_sum,
     h_tilde,
-    lower_bound,
     probs_from_bloch,
     refined_maximum,
     sample_mixed_states,
@@ -29,7 +30,6 @@ from pauli_tsallis import (
     scan_extrema,
     scan_full_domain_consistency,
     scan_orders,
-    upper_bound_mixed,
 )
 
 QUARTER_PI = math.pi / 4.0
@@ -74,7 +74,7 @@ class TestEntropicSum:
     def test_completely_mixed_order_three(self):
         value = entropic_sum(BlochVector(0.0, 0.0, 0.0), 3.0)
         assert value == pytest.approx(9.0 / 8.0, abs=1e-15)
-        assert value == pytest.approx(upper_bound_mixed(3.0), abs=1e-15)
+        assert value == pytest.approx(bound_set(3.0).upper_mixed, abs=1e-15)
 
     def test_accepts_triple_directly(self):
         triple = probs_from_bloch(BlochVector(0.0, 0.0, 1.0))
@@ -312,9 +312,10 @@ def test_half_form_edge_values():
 @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 0.75, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 10.0])
 def test_scan_minimum_never_undercuts_lower_bound(alpha):
     report = scan_extrema(alpha, GridSpec(501, 501))
-    low, tight = lower_bound(alpha)
+    bounds = bound_set(alpha)
+    low = bounds.lower
     assert report.min_value >= low - 1e-12
-    if tight:
+    if bounds.lower_is_tight:
         assert abs(report.min_value - low) <= 1e-12
 
 
@@ -484,12 +485,15 @@ class TestCertificationCanFail:
     """Each case breaks one clause of the certificate while the others still hold."""
 
     @staticmethod
-    def shift(monkeypatch, name, delta):
-        real = getattr(verify, name)
-        if name == "lower_bound":
-            monkeypatch.setattr(verify, name, lambda a: (real(a)[0] + delta, real(a)[1]))
-        else:
-            monkeypatch.setattr(verify, name, lambda a: real(a) + delta)
+    def shift(monkeypatch, field, delta):
+        # the certificate reads its bounds from one bound_set; move one field of it
+        real = verify.bound_set
+
+        def shifted(a):
+            bounds = real(a)
+            return dataclasses.replace(bounds, **{field: getattr(bounds, field) + delta})
+
+        monkeypatch.setattr(verify, "bound_set", shifted)
 
     @staticmethod
     def replace_first_sample(monkeypatch, row):
@@ -509,13 +513,13 @@ class TestCertificationCanFail:
     @pytest.mark.parametrize("delta", [1e-9, -1e-9])
     def test_eigenstates_off_the_bound(self, monkeypatch, delta):
         # (a): the samples exceed the bound by > 5e-3 at alpha = 0.5, so only the eigenstates fail
-        self.shift(monkeypatch, "lower_bound", delta)
+        self.shift(monkeypatch, "lower", delta)
         assert not certify_equality_conditions(0.5, tolerance=1e-12, n_samples=2000)
 
     def test_sample_not_strictly_above(self, monkeypatch):
         # (b), strict branch: with the bound 1e-9 high and a 1e-8 tolerance the
         # eigenstates still certify; a sampled eigenstate then sits below the bound
-        self.shift(monkeypatch, "lower_bound", 1e-9)
+        self.shift(monkeypatch, "lower", 1e-9)
         assert certify_equality_conditions(0.5, tolerance=1e-8, n_samples=2000)
         self.replace_first_sample(monkeypatch, (0.0, 0.0, 1.0))
         assert not certify_equality_conditions(0.5, tolerance=1e-8, n_samples=2000)
@@ -528,8 +532,8 @@ class TestCertificationCanFail:
     @pytest.mark.parametrize("alpha", [0.5, 4.0])
     @pytest.mark.parametrize("delta", [1e-9, -1e-9])
     def test_maximizer_off_the_maximum(self, monkeypatch, alpha, delta):
-        # (c): only the maximizer check reads h_tilde
-        self.shift(monkeypatch, "h_tilde", delta)
+        # (c): only the maximizer check reads upper_pure
+        self.shift(monkeypatch, "upper_pure", delta)
         assert not certify_equality_conditions(alpha, tolerance=1e-12, n_samples=2000)
 
 
@@ -542,13 +546,14 @@ class TestKernelMonotonicityCheck:
 
     @pytest.mark.parametrize("alpha,step", [(1.0, 0.0), (0.5, -1e-6)])
     def test_f_flat_or_decreasing_step_fails(self, monkeypatch, alpha, step):
-        # f must strictly increase at every alpha in (0, 1], alpha = 1 included
+        # f must strictly increase at every alpha in (0, 1], alpha = 1 included;
+        # kernel_f evaluates the whole grid
         real = verify.kernel_f
-        u = np.arange(1, 10_001) / 10_001  # the check's grid
-        before, after = float(u[4999]), float(u[5000])
 
-        def kinked(x, a):
-            return real(before, a) + step if x == after else real(x, a)
+        def kinked(u, a):
+            values = real(u, a).copy()
+            values[5000] = values[4999] + step
+            return values
 
         monkeypatch.setattr(verify, "kernel_f", kinked)
         assert not check_kernel_monotonicity("f", alpha, 10_000)
@@ -584,6 +589,16 @@ class TestKernelMonotonicityCheck:
             check_kernel_monotonicity(kernel, alpha, n_points)
         assert check_kernel_monotonicity(kernel, alpha, 2)
 
+    @pytest.mark.parametrize("kernel,alpha", [("f", 0.5), ("g", 4)])
+    def test_too_many_points_raises(self, monkeypatch, kernel, alpha):
+        # a memory-sized request fails before anything is allocated
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid allocated")
+
+        monkeypatch.setattr(verify.np, "arange", no_grid)
+        with pytest.raises(ValueError, match="n_points"):
+            check_kernel_monotonicity(kernel, alpha, GridSpec.MAX_POINTS + 1)
+
 
 class TestAlphaConcavityCheck:
     def test_generic_state(self):
@@ -617,8 +632,8 @@ class TestEmpiricalUpperPure:
 
     def test_noninteger_order_stays_between_bounds(self):
         value = scan_extrema(2.5, GridSpec(301, 301)).max_value
-        low, _ = lower_bound(2.5)
-        assert low < value < upper_bound_mixed(2.5)
+        bounds = bound_set(2.5)
+        assert bounds.lower < value < bounds.upper_mixed
 
 
 class TestRefinedMaximum:
@@ -663,7 +678,7 @@ class TestMixedStateProperties:
                 assert entropic_sum(mixed, alpha) >= combined - 1e-12
 
     def test_impure_axis_states_strictly_above_bound(self):
-        low, _ = lower_bound(1.0)
+        low = bound_set(1.0).lower
         for t in np.linspace(0.011, 0.989, 50):
             assert entropic_sum(BlochVector(float(t), 0.0, 0.0), 1.0) > low + 1e-6
 
