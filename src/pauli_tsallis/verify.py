@@ -91,14 +91,24 @@ DEFAULT_SEED = 12345
 # Grid points evaluated per chunk, rounded down to whole tau rows (at least
 # one).  At 65,536 points each float64 temporary of a block is 512 KB and
 # stays in a core's L2 cache; blocks a few times that ran about 3x slower.
-# In cache the per-order pow/log kernel dominates: 45-155 ms per order at
-# 2001^2 against ~21 ms for the shared pair stage (2-core Xeon, numpy 2.4).
+# In cache the per-order pair_entropy kernel dominates: at 2001^2, best of
+# 7, about 35-45 ms per order on the pow branch (75-90 ms at 2.5), 55 ms
+# on Shannon's and 90-105 ms on expm1's, against 35-45 ms for the shared
+# pair stage (2-core Xeon, numpy 2.4.6).
 # Results do not depend on it (deterministic reduction).
 _CHUNK_POINTS = 65_536
 
 # refined_maximum's box: +-_REFINE_WINDOW coarse steps, _REFINE_FACTOR times finer.
 _REFINE_WINDOW = 2
 _REFINE_FACTOR = 10
+
+
+def _count(value: int, name: str) -> int:
+    """value as an int through operator.index; TypeError naming name for a non-integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -119,11 +129,7 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         for name in ("n_tau", "n_phi"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise TypeError(f"GridSpec.{name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, _count(getattr(self, name), f"GridSpec.{name}"))
         if not (2 <= self.n_tau <= self.MAX_POINTS and 2 <= self.n_phi <= self.MAX_POINTS):
             raise ValueError(
                 f"grid axes need at least 2, at most {self.MAX_POINTS} points, got {self.n_tau}x{self.n_phi}"
@@ -404,8 +410,10 @@ def certify_equality_conditions(
           saturated by any impure state.
 
     All states are evaluated in one batch.  Raises ValueError for orders
-    outside the tight range, for n_samples below 1, and at a non-finite sum
-    anywhere in the batch, naming the order and the Bloch vector.
+    outside the tight range, for n_samples below 1, for a tolerance that
+    is negative, infinite or NaN, and at a non-finite sum anywhere in the
+    batch, naming the order and the Bloch vector.  A non-integer n_samples
+    raises TypeError.
     """
     a = as_param(alpha)
     if not is_proven_order(a):
@@ -413,8 +421,11 @@ def certify_equality_conditions(
             f"equality conditions are proven only for alpha in (0, 1] and integer "
             f"alpha >= 2, got {a.alpha!r}"
         )
+    n_samples = _count(n_samples, "n_samples")
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
     bounds = bound_set(a)
     low = bounds.lower
     # one batch: the six eigenstates, the maximizer, 19 impure states on each
@@ -445,9 +456,11 @@ def check_kernel_monotonicity(kernel: str, alpha: AlphaLike, n_points: int) -> b
     ones.  Raises ValueError, before allocating the grid, for n_points
     below 2, where there is nothing to compare, and above
     GridSpec.MAX_POINTS; and, through kernel_g, for an order whose g
-    exceeds the float range, naming the first u where it does.
+    exceeds the float range, naming the first u where it does.  A
+    non-integer n_points raises TypeError.
     """
     a = as_param(alpha)
+    n_points = _count(n_points, "n_points")
     if n_points < 2:
         raise ValueError(f"n_points must be at least 2, got {n_points!r}")
     if n_points > GridSpec.MAX_POINTS:
@@ -469,10 +482,12 @@ def check_alpha_concavity(
     On a uniform alpha grid, every interior point must dominate the mean
     of its neighbours within 1e-12.  Affine stretches (deterministic
     outcome components) pass as the degenerate case.  Raises ValueError
-    for n_points below 3, which leaves no interior point.
+    for n_points below 3, which leaves no interior point, and TypeError
+    for a non-integer n_points.
     """
     if not (1.0 <= alpha_lo < alpha_hi):
         raise ValueError(f"need 1 <= alpha_lo < alpha_hi, got {alpha_lo!r}, {alpha_hi!r}")
+    n_points = _count(n_points, "n_points")
     if n_points < 3:
         raise ValueError(f"n_points must be at least 3, got {n_points!r}")
     triple = measurement_triple(state)

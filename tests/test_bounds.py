@@ -9,6 +9,8 @@ digits); exact rationals are asserted tightly.
 
 import math
 import re
+import struct
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -344,3 +346,47 @@ class TestBoundSet:
         assert bs.h_tilde is None
         assert bs.r_alpha is None
         assert not bs.upper_pure_is_tight
+
+
+def exact_bounds(n):
+    """Every bound at integer order n as a Fraction.
+
+    ln_n(2) = (1 - 2^(1-n)) / (n - 1), and p^n + m^n at the maximizer pair
+    ((1 +- 1/sqrt3)/2) is sum_k C(n, 2k) 3^(-k) / 2^(n-1): the odd powers of
+    1/sqrt3 cancel, so h_tilde(n) is rational.
+    """
+    scale = (1 - Fraction(1, 2 ** (n - 1))) / (n - 1)
+    power_sum = sum(Fraction(math.comb(n, 2 * k), 3**k) for k in range(n // 2 + 1)) / 2 ** (n - 1)
+    ht = (1 - power_sum) / (n - 1)
+    return {"lower": 2 * scale, "upper_mixed": 3 * scale, "h_tilde": ht, "upper_pure": 3 * ht, "r_alpha": ht / scale}
+
+
+def ulps_apart(x, y):
+    """Steps between two positive floats."""
+    return abs(struct.unpack("<q", struct.pack("<d", x))[0] - struct.unpack("<q", struct.pack("<d", y))[0])
+
+
+class TestExactIntegerReferences:
+    """bound_set(n) against its exact rational values, n = 2..200.
+
+    float(Fraction) is correctly rounded, so these are the worst errors of
+    the float formulas as they stand; h_tilde runs through pair_entropy.
+    """
+
+    MAX_ULPS = {"lower": 0, "upper_mixed": 1, "h_tilde": 2, "upper_pure": 3, "r_alpha": 3}
+
+    def test_worst_errors(self):
+        worst = dict.fromkeys(self.MAX_ULPS, 0)
+        for n in range(2, 201):
+            bs = bound_set(n)
+            for name, exact in exact_bounds(n).items():
+                worst[name] = max(worst[name], ulps_apart(getattr(bs, name), float(exact)))
+        assert all(worst[name] <= limit for name, limit in self.MAX_ULPS.items()), worst
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 64, 200])
+    def test_reference_matches_mpmath(self, n):
+        # the rational h_tilde against its defining formula at 50 digits
+        x = (1 + 1 / mp.sqrt(3)) / 2
+        oracle = (x**n + (1 - x) ** n - 1) / (1 - n)
+        exact = exact_bounds(n)["h_tilde"]
+        assert abs(mp.mpf(exact.numerator) / exact.denominator - oracle) < mp.mpf(10) ** -40

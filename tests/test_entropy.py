@@ -273,6 +273,51 @@ class TestIntegerPowers:
         assert pair_entropy(p, m, TsallisParam(alpha)).tobytes() == pow_form(p, m, alpha).tobytes()
 
 
+def log_form(p, m, a):
+    """The Shannon and expm1 branches of pair_entropy before the in-place form.
+
+    A bool-add zero guard and one new array per pass; kept as the bitwise
+    reference for the log branches, as pow_form is for the pow branch.
+    """
+    p_safe, m_safe = p + (p == 0.0), m + (m == 0.0)
+    if a == 1.0:
+        return -p * np.log(p_safe) - m * np.log(m_safe)
+    hp = -p * np.expm1((a - 1.0) * np.log(p_safe)) / (a - 1.0)
+    hm = -m * np.expm1((a - 1.0) * np.log(m_safe)) / (a - 1.0)
+    return hp + hm
+
+
+KERNEL_EDGE_PS = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0, math.nan]
+
+
+class TestInPlaceKernel:
+    """The in-place pair_entropy gives the frozen forms' values without touching its inputs."""
+
+    @pytest.mark.parametrize("alpha", [1e-9, 0.991, 1.0 - 1e-7, 1.0, 1.0 + 1e-7, 1.005, 1.0099999])
+    def test_matches_frozen_forms(self, alpha):
+        p = np.concatenate([KERNEL_EDGE_PS, np.random.default_rng(12).uniform(0.0, 1.0, 5000)])
+        reference_form = log_form if abs(alpha - 1.0) < EXPM1_WINDOW else pow_form
+        for m in (1.0 - p, np.zeros_like(p), p[::-1].copy()):
+            values = pair_entropy(p, m, TsallisParam(alpha))
+            reference = reference_form(p, m, alpha)
+            # equal as floats everywhere (NaN where the reference is NaN) ...
+            assert np.array_equal(values, reference, equal_nan=True)
+            # ... and bit for bit except for the sign of a zero or a NaN
+            exact = (reference != 0.0) & ~np.isnan(reference)
+            assert exact.sum() > 5000 - len(KERNEL_EDGE_PS)
+            assert values[exact].tobytes() == reference[exact].tobytes()
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.005, 0.5, 2.0, 7.0])
+    def test_inputs_are_never_written(self, alpha):
+        # Shannon, expm1, pow, numpy's squaring and the squaring chain
+        p = np.concatenate([KERNEL_EDGE_PS, np.random.default_rng(13).uniform(0.0, 1.0, 200)])
+        m = 1.0 - p
+        before = p.tobytes(), m.tobytes()
+        values = pair_entropy(p, m, TsallisParam(alpha))
+        assert (p.tobytes(), m.tobytes()) == before
+        assert not np.shares_memory(values, p) and not np.shares_memory(values, m)
+
+
 class TestPhi:
     def test_order_one_is_one(self):
         assert phi((0.3, 0.7), 1.0) == pytest.approx(1.0, abs=1e-15)

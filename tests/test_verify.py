@@ -432,6 +432,21 @@ class TestCertifyEqualityConditions:
         with pytest.raises(ValueError, match="n_samples"):
             certify_equality_conditions(0.5, tolerance=1e-12, n_samples=n_samples)
 
+    @pytest.mark.parametrize("n_samples", [10.5, 100.0, "100"])
+    def test_non_integer_samples_raise_type_error(self, n_samples):
+        with pytest.raises(TypeError, match="n_samples"):
+            certify_equality_conditions(0.5, tolerance=1e-12, n_samples=n_samples)
+        assert certify_equality_conditions(0.5, tolerance=1e-12, n_samples=np.int64(100))
+
+    @pytest.mark.parametrize("tolerance", [math.nan, -1e-12, math.inf, -math.inf])
+    def test_bad_tolerance_raises(self, tolerance):
+        # inf used to pass clauses (a) and (c) unchecked; NaN or a negative
+        # value returned a quiet False
+        with pytest.raises(ValueError, match="tolerance"):
+            certify_equality_conditions(0.5, tolerance=tolerance, n_samples=100)
+        # zero is a valid tolerance: the eigenstate sums and the maximizer are exact at 0.5
+        assert certify_equality_conditions(0.5, tolerance=0.0, n_samples=100)
+
     def test_unsupported_order_raises(self):
         with pytest.raises(ValueError):
             certify_equality_conditions(2.5, tolerance=1e-12)
@@ -599,6 +614,14 @@ class TestKernelMonotonicityCheck:
         with pytest.raises(ValueError, match="n_points"):
             check_kernel_monotonicity(kernel, alpha, GridSpec.MAX_POINTS + 1)
 
+    @pytest.mark.parametrize("kernel,alpha", [("f", 0.5), ("g", 4)])
+    @pytest.mark.parametrize("n_points", [10.5, 11.0, "11"])
+    def test_non_integer_points_raise_type_error(self, kernel, alpha, n_points):
+        # 10.5 used to check an 11-point grid spaced 1/11.5 and pass
+        with pytest.raises(TypeError, match="n_points"):
+            check_kernel_monotonicity(kernel, alpha, n_points)
+        assert check_kernel_monotonicity(kernel, alpha, np.int64(11))
+
 
 class TestAlphaConcavityCheck:
     def test_generic_state(self):
@@ -622,6 +645,12 @@ class TestAlphaConcavityCheck:
         with pytest.raises(ValueError, match="n_points"):
             check_alpha_concavity(PureStateAngles(0.3, 0.4), 1.0, 3.0, n_points)
         assert check_alpha_concavity(PureStateAngles(0.3, 0.4), 1.0, 3.0, 3)
+
+    @pytest.mark.parametrize("n_points", [10.5, 11.0, "11"])
+    def test_non_integer_points_raise_type_error(self, n_points):
+        with pytest.raises(TypeError, match="n_points"):
+            check_alpha_concavity(PureStateAngles(0.3, 0.4), 1.0, 3.0, n_points)
+        assert check_alpha_concavity(PureStateAngles(0.3, 0.4), 1.0, 3.0, np.int64(11))
 
 
 class TestEmpiricalUpperPure:
