@@ -1,8 +1,9 @@
 """Exhaustive grid scans certifying the bounds without trusting them.
 
 The scan evaluates the three-entropy sum on a dense grid over the reduced
-rectangle and simply records extrema; the analytic formulas only enter
-afterwards, as predictions to compare against.
+rectangle and simply records extrema; its report holds no bound.  The
+analytic formulas only enter afterwards, read from bound_set, as
+predictions to compare against.
 
 Run:  python demos/brute_force_certification.py
 """
@@ -11,6 +12,7 @@ import math
 
 from pauli_tsallis import (
     GridSpec,
+    bound_set,
     certify_equality_conditions,
     h_tilde,
     refined_maximum,
@@ -23,10 +25,10 @@ print("grid extrema vs analytic bounds (801 x 801)")
 print(f"{'alpha':>6} {'grid min':>12} {'lower bound':>12} {'slack':>10} "
       f"{'grid max':>12} {'3 h_tilde':>12}")
 for alpha in (0.5, 1.0, 2.0, 2.5, 4.0, 7.0):
-    report = scan_extrema(alpha, GRID)
-    upper = f"{report.analytic_upper:.8f}" if report.analytic_upper is not None else "   (none)"
-    print(f"{alpha:>6} {report.min_value:>12.8f} {report.analytic_lower:>12.8f} "
-          f"{report.min_gap:>10.2e} {report.max_value:>12.8f} {upper:>12}")
+    report, bounds = scan_extrema(alpha, GRID), bound_set(alpha)
+    upper = f"{bounds.upper_pure:.8f}" if bounds.upper_pure is not None else "   (none)"
+    print(f"{alpha:>6} {report.min_value:>12.8f} {bounds.lower:>12.8f} "
+          f"{report.min_value - bounds.lower:>10.2e} {report.max_value:>12.8f} {upper:>12}")
 
 # For the tight orders the slack is zero to machine precision: the grid
 # contains the corners of the rectangle, which are exactly the minimizing

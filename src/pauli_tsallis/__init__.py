@@ -17,7 +17,6 @@ from .bounds import (
     h_tilde,
     integer_order,
     interpolated_lower_bound,
-    is_proven_order,
     kernel_f,
     kernel_g,
     rescaled_band,
@@ -93,7 +92,6 @@ __all__ = [
     "kernel_f",
     "kernel_g",
     "integer_order",
-    "is_proven_order",
     "GridSpec",
     "ScanReport",
     "DEFAULT_SEED",

@@ -27,6 +27,10 @@ and it is kept clearly separate from the analytic results here.
 Dividing by the per-observable scale ln_alpha(2) and averaging gives the
 rescaled band [2/3, R_alpha] with R_alpha = h_tilde(alpha) / ln_alpha(2).
 
+The proven range, alpha in (0, 1] and integer alpha >= 2, is decided in
+one place, bound_set: outside it the BoundSet's upper_pure is None, and
+every other module reads that field instead of deciding the range again.
+
 Kernels.  kernel_f and kernel_g are the kernels whose monotonicity
 in u drives the optimization over the reduced rectangle: the azimuthal
 derivative of the entropic sum is proportional to
@@ -60,7 +64,6 @@ __all__ = [
     "UnsupportedAlphaError",
     "BoundSet",
     "integer_order",
-    "is_proven_order",
     "interpolated_lower_bound",
     "h_tilde",
     "rescaled_band",
@@ -92,21 +95,6 @@ def integer_order(alpha: AlphaLike) -> Optional[int]:
     if abs(a - n) < INTEGER_TOL:
         return int(n)
     return None
-
-
-def is_proven_order(alpha: AlphaLike) -> bool:
-    """True for alpha in (0, 1] and integer alpha >= 2, the proven range.
-
-    There the lower bound 2 ln_alpha(2) is tight, the pure-state upper
-    bound 3 h_tilde(alpha) and the rescaled band hold, and the equality
-    conditions are certified.  Other orders get the interpolated lower
-    bound and only empirical pure-state upper information.
-    """
-    a = as_param(alpha).alpha
-    if a <= 1.0:
-        return True
-    n = integer_order(a)
-    return n is not None and n >= 2
 
 
 def interpolated_lower_bound(alpha: AlphaLike) -> float:
@@ -196,12 +184,10 @@ def _kernel_g_coefficients(n: int) -> tuple[float, ...]:
     return tuple(float(2 * math.comb(n - 1, 2 * k + 1)) for k in range(n // 2))
 
 
-def _first(u: Union[float, np.ndarray], mask) -> Optional[float]:
+def _first(u: np.ndarray, mask: np.ndarray) -> Optional[float]:
     """The first u (in array order) where mask holds, or None."""
-    if isinstance(u, np.ndarray):
-        hits = u[mask]
-        return float(hits[0]) if hits.size else None
-    return u if mask else None
+    hits = u[mask]
+    return float(hits[0]) if hits.size else None
 
 
 def kernel_g(u: Union[float, np.ndarray], alpha_int: AlphaLike) -> Union[float, np.ndarray]:
@@ -214,17 +200,17 @@ def kernel_g(u: Union[float, np.ndarray], alpha_int: AlphaLike) -> Union[float, 
     identically (returned exactly); for alpha >= 4 the kernel strictly
     increases.
 
-    u is a float or a 1-D array.  An array is evaluated in one numpy pass
-    by the same IEEE operations, in the same order, as a float, so each of
-    its values is bitwise kernel_g of that element.  Raises ValueError
-    naming the first offending u (in array order) for u outside [0, 1] or
-    NaN, and naming the order when a coefficient or a value exceeds the
-    float range (g_alpha(1) = 2^(alpha-1), so from about alpha = 1026 on).
+    u is a float or a 1-D array.  A float is evaluated as a one-element
+    array, as in kernel_f, so its value is bitwise that of the same u in an
+    array.  Raises ValueError naming the first offending u (in array
+    order) for u outside [0, 1] or NaN, and naming the order when a
+    coefficient or a value exceeds the float range (g_alpha(1) =
+    2^(alpha-1), so from about alpha = 1026 on).
     """
     n = integer_order(alpha_int)
     if n is None or n < 1:
         raise ValueError(f"kernel_g requires an integer alpha >= 1, got {as_param(alpha_int).alpha!r}")
-    x = u.astype(float, copy=False) if isinstance(u, np.ndarray) else float(u)
+    x = u.astype(float, copy=False) if isinstance(u, np.ndarray) else np.array([float(u)])
     bad = _first(x, np.logical_not((0.0 <= x) & (x <= 1.0)))  # NaN included
     if bad is not None:
         raise ValueError(f"kernel_g requires u in [0, 1], got {bad!r}")
@@ -235,9 +221,9 @@ def kernel_g(u: Union[float, np.ndarray], alpha_int: AlphaLike) -> Union[float, 
             f"kernel_g at alpha={float(n)!r}: a coefficient 2 C(alpha-1, 2k+1) exceeds the float range"
         ) from None
     # g_n(u) = sum_{k=0}^{floor(n/2)-1} 2 C(n-1, 2k+1) u^(2k)
-    total = 0.0
+    total = np.zeros_like(x)  # g_1 = 0
     u2 = x * x
-    upow = 1.0
+    upow = np.ones_like(x)
     with np.errstate(over="ignore"):  # an overflow is reported below
         for c in coefficients:
             total += c * upow
@@ -245,8 +231,7 @@ def kernel_g(u: Union[float, np.ndarray], alpha_int: AlphaLike) -> Union[float, 
     bad = _first(x, ~np.isfinite(total))
     if bad is not None:
         raise ValueError(f"kernel_g at alpha={float(n)!r} exceeds the float range at u={bad!r}")
-    # g_1, g_2 and g_3 are constants; an array argument gets one per element
-    return np.full_like(x, total) if isinstance(x, np.ndarray) else total
+    return total if isinstance(u, np.ndarray) else float(total[0])
 
 
 @dataclass(frozen=True)
@@ -256,7 +241,8 @@ class BoundSet:
     upper_pure, h_tilde and r_alpha are populated only where the
     pure-state analysis is proven (alpha in (0, 1] or integer alpha >= 2);
     elsewhere they are None and only the empirical machinery of the verify
-    module applies.
+    module applies.  upper_pure is not None is therefore the proven-range
+    test.
     """
 
     alpha: TsallisParam
@@ -272,14 +258,15 @@ class BoundSet:
 def bound_set(alpha: AlphaLike) -> BoundSet:
     """Assemble the full BoundSet for one entropic order.
 
-    The one place that branches on the proven range.  Each bound has one
-    name, its field here: rescaled_band, the verify module and the CLI
-    read the fields rather than recompute them.
+    The one place that decides the proven range, alpha in (0, 1] and
+    integer alpha >= 2 (within INTEGER_TOL).  Each bound has one name,
+    its field here: rescaled_band, the verify module and the CLI read the
+    fields rather than recompute them or the range.
     """
     a = as_param(alpha)
     scale = alpha_log(2.0, a)  # the per-observable scale ln_alpha(2)
     # fields in BoundSet order
-    if not is_proven_order(a):
+    if a.alpha > 1.0 and (integer_order(a) or 0) < 2:
         return BoundSet(a, interpolated_lower_bound(a), False, 3.0 * scale, None, False, None, None)
     ht = h_tilde(a)
     return BoundSet(a, 2.0 * scale, True, 3.0 * scale, 3.0 * ht, True, ht, ht / scale)

@@ -26,7 +26,6 @@ from .bounds import (
     UnsupportedAlphaError,
     bound_set,
     integer_order,
-    is_proven_order,
     rescaled_band,
 )
 from .entropy import as_param, tsallis_entropy
@@ -220,24 +219,28 @@ def _verify_checks(alpha: float, report: ScanReport, full_domain: bool, seed: in
     """Yield (check, status, observed, expected, tolerance) rows for one order.
 
     report is the order's scan of D and full_domain its full-domain
-    consistency, both taken by cmd_verify for all orders in one pass.
+    consistency, both taken by cmd_verify for all orders in one pass.  The
+    expected values and the proven range come from one bound_set: the
+    lower_tight, upper_pure, equality_conditions and kernel_monotonic rows
+    run only where upper_pure is not None, and skip elsewhere.
     """
-    low, up = report.analytic_lower, report.analytic_upper
+    bounds = bound_set(alpha)
+    low, up = bounds.lower, bounds.upper_pure
     tol = 1e-12
-    proven = is_proven_order(alpha)
+    proven = up is not None
     yield ("lower_bound", _status(report.min_value >= low - tol), report.min_value, low, tol)
 
     tight = abs(report.min_value - low) <= tol if proven else None
     yield ("lower_tight", _status(tight), report.min_value, low, tol)
 
-    below = report.max_value <= up + tol if up is not None else None
+    below = report.max_value <= up + tol if proven else None
     yield ("upper_pure", _status(below), report.max_value, up, tol)
 
     certified = certify_equality_conditions(alpha, tolerance=1e-12, seed=seed) if proven else None
     yield ("equality_conditions", _status(certified), "", "", 1e-12)
 
-    kernel = "f" if alpha <= 1.0 else "g" if integer_order(alpha) is not None else None
-    monotonic = check_kernel_monotonicity(kernel, alpha, 10_000) if kernel is not None else None
+    kernel = "f" if alpha <= 1.0 else "g"
+    monotonic = check_kernel_monotonicity(kernel, alpha, 10_000) if proven else None
     yield ("kernel_monotonic", _status(monotonic), "", "", "")
 
     b = sample_pure_states(1, seed=seed)[0]

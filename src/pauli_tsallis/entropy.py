@@ -273,10 +273,10 @@ def h_alpha(u: float, alpha: AlphaLike) -> float:
     exactly at u = 0 and u = 1 (the only zeros: h_alpha is strictly
     concave on [0, 1], h_alpha'' = -alpha u^(alpha-2) < 0 for u > 0).
 
-    Raises ValueError outside [0, 1].
+    Raises ValueError outside [0, 1], NaN included.
     """
     u = float(u)
-    if u < 0.0 or u > 1.0:
+    if not 0.0 <= u <= 1.0:
         raise ValueError(f"h_alpha requires u in [0, 1], got {u!r}")
     return _scalar_pair_entropy(u, 0.0, alpha)
 

@@ -5,9 +5,10 @@ independently of them: exhaustive grid scans of the entropic sum over the
 reduced rectangle D (optionally over the full angle domain, unfolded
 from a grid on D and compared with it to validate the symmetry reduction),
 certification of the equality conditions, kernel monotonicity checks and
-concavity/convexity property checks.  Scans never use the bound formulas
-to steer the search; the formulas enter only when the observed extrema
-are compared against them afterwards.  Grid values come from
+concavity/convexity property checks.  Scans never use the bound
+formulas: a ScanReport holds only what its scan measured, and callers
+compare it with bounds.bound_set afterwards.  Certification reads its
+bounds, and the proven range, from bound_set.  Grid values come from
 entropy.pair_entropy, the kernel the scalar API uses, so a grid value
 equals entropic_sum at that grid point bit for bit wherever numpy's
 float64 sin and cos agree with math's.
@@ -54,7 +55,7 @@ from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .bounds import bound_set, integer_order, is_proven_order, kernel_f, kernel_g
+from .bounds import bound_set, integer_order, kernel_f, kernel_g
 from .entropy import AlphaLike, TsallisParam, as_param, pair_entropy, phi, tsallis_entropy
 from .states import (
     HALF_PI,
@@ -143,14 +144,11 @@ DEFAULT_GRID = GridSpec(2001, 2001)
 class ScanReport:
     """Extrema of the entropic sum over a grid on D, with witnesses.
 
-    min_gap = min_value - analytic_lower (nonnegative up to rounding);
-    max_gap = analytic_upper - max_value where a proven pure-state upper
-    bound exists, else None.
-
-    max_value is a measured value, not an analytic bound: for non-integer
-    alpha > 1 it is the only pure-state upper information available.  For
-    alpha in (0, 1] and integer alpha >= 2 it lies within grid tolerance
-    below 3 h_tilde(alpha).
+    Every field is measured or given; the report holds no bound.  Against
+    bound_set(alpha), min_value - lower is nonnegative up to rounding, and
+    where upper_pure is not None (the proven range) max_value lies within
+    grid tolerance below it.  For non-integer alpha > 1 max_value is the
+    only pure-state upper information available.
     """
 
     alpha: TsallisParam
@@ -158,10 +156,6 @@ class ScanReport:
     max_value: float
     argmin: PureStateAngles
     argmax: PureStateAngles
-    analytic_lower: Optional[float]
-    analytic_upper: Optional[float]
-    min_gap: Optional[float]
-    max_gap: Optional[float]
     grid: GridSpec
 
 
@@ -287,25 +281,17 @@ def scan_orders(alphas: Sequence[AlphaLike], grid: Optional[GridSpec] = None) ->
     grid = grid if grid is not None else DEFAULT_GRID
     tau_grid = np.linspace(0.0, QUARTER_PI, grid.n_tau)
     phi_grid = np.linspace(0.0, QUARTER_PI, grid.n_phi)
-    reports = []
-    for a, (mn, (i_mn, j_mn), mx, (i_mx, j_mx)) in zip(params, _scan_rectangle(params, tau_grid, phi_grid)):
-        bounds = bound_set(a)
-        low, up = bounds.lower, bounds.upper_pure
-        reports.append(
-            ScanReport(
-                alpha=a,
-                min_value=mn,
-                max_value=mx,
-                argmin=PureStateAngles(float(tau_grid[i_mn]), float(phi_grid[j_mn])),
-                argmax=PureStateAngles(float(tau_grid[i_mx]), float(phi_grid[j_mx])),
-                analytic_lower=low,
-                analytic_upper=up,
-                min_gap=mn - low,
-                max_gap=(up - mx) if up is not None else None,
-                grid=grid,
-            )
+    return [
+        ScanReport(
+            alpha=a,
+            min_value=mn,
+            max_value=mx,
+            argmin=PureStateAngles(float(tau_grid[i_mn]), float(phi_grid[j_mn])),
+            argmax=PureStateAngles(float(tau_grid[i_mx]), float(phi_grid[j_mx])),
+            grid=grid,
         )
-    return reports
+        for a, (mn, (i_mn, j_mn), mx, (i_mx, j_mx)) in zip(params, _scan_rectangle(params, tau_grid, phi_grid))
+    ]
 
 
 def scan_extrema(alpha: AlphaLike, grid: Optional[GridSpec] = None) -> ScanReport:
@@ -313,7 +299,7 @@ def scan_extrema(alpha: AlphaLike, grid: Optional[GridSpec] = None) -> ScanRepor
 
     Returns exact extrema over the grid points (no refinement) together
     with witness states.  Corners of D are on the grid, so for tight
-    orders the grid minimum equals the analytic bound to rounding.  This
+    orders the grid minimum equals bound_set(alpha).lower to rounding.  This
     is scan_orders with one order.
     """
     return scan_orders([alpha], grid)[0]
@@ -364,7 +350,14 @@ def scan_full_domain_consistency(alpha: AlphaLike, grid: GridSpec) -> bool:
 
 
 def sample_pure_states(n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
-    """n Bloch vectors drawn uniformly on the unit sphere, shape (n, 3)."""
+    """n Bloch vectors drawn uniformly on the unit sphere, shape (n, 3).
+
+    n = 0 gives shape (0, 3).  Raises ValueError for a negative n and
+    TypeError for a non-integer one.
+    """
+    n = _count(n, "n")
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n!r}")
     rng = np.random.default_rng(seed)
     z = rng.uniform(-1.0, 1.0, size=n)
     az = rng.uniform(0.0, TWO_PI, size=n)
@@ -373,10 +366,13 @@ def sample_pure_states(n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
 
 
 def sample_mixed_states(n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
-    """n Bloch vectors drawn uniformly in the unit ball, shape (n, 3)."""
+    """n Bloch vectors drawn uniformly in the unit ball, shape (n, 3).
+
+    n is checked as in sample_pure_states, which draws the directions.
+    """
     rng = np.random.default_rng(seed)
     directions = sample_pure_states(n, seed=rng.integers(0, 2**63))
-    radii = rng.uniform(0.0, 1.0, size=n) ** (1.0 / 3.0)
+    radii = rng.uniform(0.0, 1.0, size=len(directions)) ** (1.0 / 3.0)
     return directions * radii[:, None]
 
 
@@ -415,8 +411,9 @@ def certify_equality_conditions(
     batch, naming the order and the Bloch vector.  A non-integer n_samples
     raises TypeError.
     """
-    a = as_param(alpha)
-    if not is_proven_order(a):
+    bounds = bound_set(alpha)
+    a = bounds.alpha
+    if bounds.upper_pure is None:
         raise ValueError(
             f"equality conditions are proven only for alpha in (0, 1] and integer "
             f"alpha >= 2, got {a.alpha!r}"
@@ -426,7 +423,6 @@ def certify_equality_conditions(
         raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
     if not 0.0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
-    bounds = bound_set(a)
     low = bounds.lower
     # one batch: the six eigenstates, the maximizer, 19 impure states on each
     # axis (t-major: (t, 0, 0), (0, t, 0), (0, 0, t)), then the samples
@@ -482,11 +478,12 @@ def check_alpha_concavity(
     On a uniform alpha grid, every interior point must dominate the mean
     of its neighbours within 1e-12.  Affine stretches (deterministic
     outcome components) pass as the degenerate case.  Raises ValueError
-    for n_points below 3, which leaves no interior point, and TypeError
-    for a non-integer n_points.
+    unless 1 <= alpha_lo < alpha_hi < inf (NaN included), for n_points
+    below 3, which leaves no interior point, and TypeError for a
+    non-integer n_points.
     """
-    if not (1.0 <= alpha_lo < alpha_hi):
-        raise ValueError(f"need 1 <= alpha_lo < alpha_hi, got {alpha_lo!r}, {alpha_hi!r}")
+    if not (1.0 <= alpha_lo < alpha_hi < math.inf):
+        raise ValueError(f"need 1 <= alpha_lo < alpha_hi < inf, got {alpha_lo!r}, {alpha_hi!r}")
     n_points = _count(n_points, "n_points")
     if n_points < 3:
         raise ValueError(f"n_points must be at least 3, got {n_points!r}")

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 import pauli_tsallis.cli as cli
+from pauli_tsallis import bound_set
 from pauli_tsallis.cli import main
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
@@ -299,6 +300,23 @@ class TestVerify:
         assert code == 0
         rows = [line.split(",") for line in out.splitlines() if line.startswith("kernel_monotonic,")]
         assert [row[1:3] for row in rows] == [["0.9999999", "pass"], ["0.999999999999", "pass"]]
+
+    def test_proven_range_rows_follow_bound_set(self, capsys):
+        # the four proven-range rows skip exactly where bound_set has no
+        # upper_pure; at 1.0000000000001 (integral within INTEGER_TOL, but
+        # above 1) kernel_monotonic must not run g_1 = 0 and print a pass
+        orders = ["0.5", "1", "1.0000000000001", "1.9999999999999", "2", "2.5", "4", "7.5"]
+        code, out, _ = run_cli(capsys, "verify", ",".join(orders), "--grid", "21")
+        assert code == 0
+        # 12 digits print 1.0000000000001 as 1: rows are grouped by position, seven per order
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 7 * len(orders)
+        for k, text in enumerate(orders):
+            status = {row[0]: row[2] for row in rows[7 * k : 7 * k + 7]}
+            unproven = bound_set(float(text)).upper_pure is None
+            for check in ("lower_tight", "upper_pure", "equality_conditions", "kernel_monotonic"):
+                assert (status[check] == "skip") == unproven, (check, text)
+        assert rows[7 * 2 + 4][:3] == ["kernel_monotonic", "1", "skip"]
 
     @pytest.mark.parametrize("alpha", ["1027", "2000", "1e5", "1e16", "1e300"])
     def test_order_beyond_float_range_is_domain_error(self, capsys, alpha):

@@ -144,9 +144,9 @@ class TestHAlpha:
         expected = float(oracle_h(u, alpha))
         assert h_alpha(u, alpha) == pytest.approx(expected, rel=5e-15, abs=5e-15)
 
-    @pytest.mark.parametrize("u", [-0.1, 1.1])
+    @pytest.mark.parametrize("u", [-0.1, 1.1, math.nan])  # NaN fails every comparison
     def test_domain_error(self, u):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"u in \[0, 1\]"):
             h_alpha(u, 0.5)
 
 

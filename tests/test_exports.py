@@ -31,6 +31,9 @@ def test_all_entries_resolve(module):
         (bounds, "lower_bound"),
         (bounds, "upper_bound_mixed"),
         (bounds, "upper_bound_pure"),
+        # the proven range is decided by bound_set: upper_pure is None outside it
+        (pauli_tsallis, "is_proven_order"),
+        (bounds, "is_proven_order"),
         # ProbPair(p, 1 - p), the pair's two fields, BlochVector.norm_sq
         (ProbPair, "from_plus"),
         (ProbPair, "as_tuple"),

@@ -109,16 +109,16 @@ class TestScanExtrema:
         report = scan_extrema(1.0, GridSpec(201, 201))
         assert report.min_value == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
         assert (report.argmin.tau, report.argmin.phi) == (0.0, 0.0)
-        assert report.min_gap == pytest.approx(0.0, abs=1e-12)
+        assert report.min_value - bound_set(1.0).lower == pytest.approx(0.0, abs=1e-12)
 
     def test_order_half_attains_bound_exactly_on_grid(self):
         report = scan_extrema(0.5, GridSpec(101, 101))
-        assert abs(report.min_value - report.analytic_lower) <= 1e-12
+        assert abs(report.min_value - bound_set(0.5).lower) <= 1e-12
 
     def test_max_approaches_pure_upper(self):
         report = scan_extrema(1.0, GridSpec(501, 501))
         h = QUARTER_PI / 500
-        assert -1e-12 <= report.max_gap <= 10.0 * h * h
+        assert -1e-12 <= bound_set(1.0).upper_pure - report.max_value <= 10.0 * h * h
 
     def test_vectorized_grid_agrees_with_scalar_sum(self):
         rng = np.random.default_rng(17)
@@ -392,6 +392,30 @@ class TestScanOrders:
         monkeypatch.setattr(verify, "_grid_pairs", None)
         assert scan_orders([], grid) == [] and full_domain_orders([], grid) == []
 
+    def test_scans_never_read_the_bounds(self, monkeypatch):
+        grid, small = GridSpec(41, 23), GridSpec(11, 11)
+        orders = (0.5, 1.0, 2.5, 4.0)
+
+        def results():
+            return (
+                scan_orders(orders, grid),
+                [scan_extrema(a, grid) for a in orders],
+                full_domain_orders(orders, small),
+                [refined_maximum(a, grid) for a in orders],
+            )
+
+        expected = results()
+
+        def forbidden(alpha):
+            raise AssertionError(f"a scan read bound_set({alpha!r})")
+
+        monkeypatch.setattr(verify, "bound_set", forbidden)
+        assert results() == expected
+
+    def test_report_holds_only_measurements(self):
+        names = [field.name for field in dataclasses.fields(verify.ScanReport)]
+        assert names == ["alpha", "min_value", "max_value", "argmin", "argmax", "grid"]
+
 
 class TestSquaredIntegerOrders:
     """Scans at integer orders whose p^n comes from repeated squaring."""
@@ -639,6 +663,12 @@ class TestAlphaConcavityCheck:
         with pytest.raises(ValueError):
             check_alpha_concavity(PureStateAngles(0.3, 0.4), 0.5, 2.0, 11)
 
+    @pytest.mark.parametrize("alpha_hi", [math.inf, math.nan])
+    def test_non_finite_upper_order_raises(self, alpha_hi):
+        # rejected by the range check, before numpy warns on a linspace to inf
+        with pytest.raises(ValueError, match="alpha_hi"):
+            check_alpha_concavity(PureStateAngles(0.3, 0.4), 1.0, alpha_hi, 5)
+
     @pytest.mark.parametrize("n_points", [0, 1, 2])
     def test_too_few_points_raises(self, n_points):
         # fewer than 3 points leave no interior point; it used to pass vacuously
@@ -690,6 +720,16 @@ class TestSampling:
     def test_seeded_reproducibility(self):
         assert np.array_equal(sample_pure_states(50, seed=9), sample_pure_states(50, seed=9))
         assert not np.array_equal(sample_pure_states(50, seed=9), sample_pure_states(50, seed=10))
+
+    @pytest.mark.parametrize("sample", [sample_pure_states, sample_mixed_states])
+    def test_count_is_checked(self, sample):
+        # numpy's own errors here named no argument
+        with pytest.raises(TypeError, match="n must be an integer"):
+            sample(2.5)
+        with pytest.raises(ValueError, match="n must be nonnegative, got -1"):
+            sample(-1)
+        assert sample(0).shape == (0, 3)
+        assert sample(np.int64(4)).shape == (4, 3)
 
 
 class TestMixedStateProperties:
