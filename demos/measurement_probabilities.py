@@ -11,7 +11,7 @@ from pauli_tsallis import (
     bloch_from_angles,
     canonicalize_to_D,
     entropic_sum,
-    probs_from_angles,
+    measurement_triple,
     probs_from_bloch,
 )
 
@@ -24,7 +24,7 @@ def show(label, triple):
 
 # A pure state is cos(tau)|0> + e^(i phi) sin(tau)|1>.  The |0> state is a
 # sigma_z eigenstate: its z-measurement is certain, x and y are fair coins.
-show("state |0>  (tau=0, phi=0)", probs_from_angles(PureStateAngles(0.0, 0.0)))
+show("state |0>  (tau=0, phi=0)", measurement_triple(PureStateAngles(0.0, 0.0)))
 
 # Mixed states enter through the Bloch vector; outcome probabilities are
 # (1 +- b_nu)/2 componentwise.
@@ -36,13 +36,13 @@ show("\ncompletely mixed state", probs_from_bloch(BlochVector(0.0, 0.0, 0.0)))
 # This is the state that maximizes the entropic sum among pure states.
 tau_star = math.atan(math.sqrt(2.0)) / 2.0
 show(f"\nbalanced state (tau={tau_star:.6f}, phi=pi/4)",
-     probs_from_angles(PureStateAngles(tau_star, math.pi / 4)))
+     measurement_triple(PureStateAngles(tau_star, math.pi / 4)))
 
 # Angle and Bloch routes describe the same physics.
 state = PureStateAngles(0.9, 5.1)
 b = bloch_from_angles(state)
 print("\nangle route == Bloch route:",
-      probs_from_angles(state).pairs() == probs_from_bloch(b).pairs())
+      measurement_triple(state).pairs() == probs_from_bloch(b).pairs())
 
 # Symmetry folding: any state maps into the rectangle
 # tau, phi in [0, pi/4] without changing the multiset of distributions,

@@ -242,7 +242,8 @@ class BoundSet:
     pure-state analysis is proven (alpha in (0, 1] or integer alpha >= 2);
     elsewhere they are None and only the empirical machinery of the verify
     module applies.  upper_pure is not None is therefore the proven-range
-    test.
+    test, and it is also the tightness of upper_pure: where it is given it
+    is attained, so it carries no tightness flag of its own.
     """
 
     alpha: TsallisParam
@@ -250,7 +251,6 @@ class BoundSet:
     lower_is_tight: bool
     upper_mixed: float
     upper_pure: Optional[float]
-    upper_pure_is_tight: bool
     h_tilde: Optional[float]
     r_alpha: Optional[float]
 
@@ -267,6 +267,6 @@ def bound_set(alpha: AlphaLike) -> BoundSet:
     scale = alpha_log(2.0, a)  # the per-observable scale ln_alpha(2)
     # fields in BoundSet order
     if a.alpha > 1.0 and (integer_order(a) or 0) < 2:
-        return BoundSet(a, interpolated_lower_bound(a), False, 3.0 * scale, None, False, None, None)
+        return BoundSet(a, interpolated_lower_bound(a), False, 3.0 * scale, None, None, None)
     ht = h_tilde(a)
-    return BoundSet(a, 2.0 * scale, True, 3.0 * scale, 3.0 * ht, True, ht, ht / scale)
+    return BoundSet(a, 2.0 * scale, True, 3.0 * scale, 3.0 * ht, ht, ht / scale)

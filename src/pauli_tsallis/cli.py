@@ -21,16 +21,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import (
-    BoundSet,
-    UnsupportedAlphaError,
-    bound_set,
-    integer_order,
-    rescaled_band,
-)
+from .bounds import BoundSet, UnsupportedAlphaError, bound_set, integer_order, rescaled_band
 from .entropy import as_param, tsallis_entropy
 from .states import BlochVector, PureStateAngles, measurement_triple
 from .verify import (
+    DEFAULT_GRID,
     DEFAULT_SEED,
     GridSpec,
     ScanReport,
@@ -117,10 +112,8 @@ def _lower_text(bounds: BoundSet) -> str:
 def _upper_pure_text(bounds: BoundSet) -> str:
     if bounds.upper_pure is None:
         return "empirical only"
-    note = " (tight)" if bounds.upper_pure_is_tight else ""
-    if integer_order(bounds.alpha) in (2, 3):
-        note += " (attained by every pure state)"
-    return fmt(bounds.upper_pure) + note
+    note = " (attained by every pure state)" if integer_order(bounds.alpha) in (2, 3) else ""
+    return fmt(bounds.upper_pure) + " (tight)" + note
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -174,7 +167,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     print(f"r_alpha: {fmt(bounds.r_alpha) if bounds.r_alpha is not None else 'n/a'}")
     if args.out is not None:
         header = "alpha,lower,lower_is_tight,upper_mixed,upper_pure,upper_pure_is_tight,h_tilde,r_alpha"
-        row = (alpha, *(getattr(bounds, name) for name in header.split(",")[1:]))
+        # an upper_pure that is given is attained (see BoundSet)
+        cells = {**vars(bounds), "upper_pure_is_tight": bounds.upper_pure is not None}
+        row = (alpha, *(cells[name] for name in header.split(",")[1:]))
         _write_csv(args.out, header, [row])
     return EXIT_OK
 
@@ -295,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("band", help="CSV of the rescaled band over an alpha range")
     p.add_argument("--alpha-min", required=True)
     p.add_argument("--alpha-max", required=True)
-    p.add_argument("--steps", type=int, required=True, help="number of orders, 2 to 1000001")
+    p.add_argument("--steps", type=int, required=True, help=f"number of orders, 2 to {GridSpec.MAX_POINTS}")
     p.add_argument("--out", help="output CSV path (stdout when omitted)")
     p.set_defaults(func=cmd_band)
 
@@ -306,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the brute-force verification suite, e.g. verify 0.5,1,2,4")
     p.add_argument("alphas", help="comma-separated list of orders (positional), e.g. 0.5,1,2,4")
     p.add_argument(
-        "--grid", type=int, default=2001, help="D-grid points per axis, 2 to 1000001 (default 2001)"
+        "--grid", type=int, default=DEFAULT_GRID.n_tau,
+        help=f"D-grid points per axis, 2 to {GridSpec.MAX_POINTS} (default %(default)s)",
     )
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for sampled checks (>= 0)")
     p.set_defaults(func=cmd_verify)

@@ -36,7 +36,6 @@ __all__ = [
     "BlochVector",
     "MeasurementTriple",
     "StateLike",
-    "probs_from_angles",
     "probs_from_bloch",
     "measurement_triple",
     "bloch_from_angles",
@@ -127,15 +126,6 @@ class MeasurementTriple:
 StateLike = Union[PureStateAngles, BlochVector, MeasurementTriple]
 
 
-def probs_from_angles(state: PureStateAngles) -> MeasurementTriple:
-    """Outcome distributions of the three Pauli measurements on |psi(tau, phi)>.
-
-    px = (1 +- sin 2tau cos phi)/2, qy = (1 +- sin 2tau sin phi)/2,
-    rz = (1 +- cos 2tau)/2.
-    """
-    return probs_from_bloch(bloch_from_angles(state))
-
-
 def probs_from_bloch(b: BlochVector) -> MeasurementTriple:
     """Outcome distributions ((1 +- b_nu)/2) for nu = x, y, z."""
     return MeasurementTriple(
@@ -146,11 +136,16 @@ def probs_from_bloch(b: BlochVector) -> MeasurementTriple:
 
 
 def measurement_triple(state: StateLike) -> MeasurementTriple:
-    """Outcome distributions of a state given in any of the three forms."""
+    """Outcome distributions of a state given in any of the three forms.
+
+    A Bloch vector b gives ((1 +- b_nu)/2) for nu = x, y, z, and |psi(tau, phi)>
+    those of its Bloch vector: px = (1 +- sin 2tau cos phi)/2,
+    qy = (1 +- sin 2tau sin phi)/2, rz = (1 +- cos 2tau)/2.
+    """
     if isinstance(state, MeasurementTriple):
         return state
     if isinstance(state, PureStateAngles):
-        return probs_from_angles(state)
+        return probs_from_bloch(bloch_from_angles(state))
     if isinstance(state, BlochVector):
         return probs_from_bloch(state)
     raise TypeError(f"expected PureStateAngles, BlochVector or MeasurementTriple, got {type(state)!r}")

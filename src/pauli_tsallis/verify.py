@@ -349,16 +349,24 @@ def scan_full_domain_consistency(alpha: AlphaLike, grid: GridSpec) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _seed(seed: int) -> int:
+    """seed as an int; TypeError for a non-integer (None included), ValueError below 0."""
+    seed = _count(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed!r}")
+    return seed
+
+
 def sample_pure_states(n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
     """n Bloch vectors drawn uniformly on the unit sphere, shape (n, 3).
 
-    n = 0 gives shape (0, 3).  Raises ValueError for a negative n and
-    TypeError for a non-integer one.
+    n = 0 gives shape (0, 3).  Raises ValueError for a negative n or seed
+    and TypeError for a non-integer one (a seed of None included).
     """
     n = _count(n, "n")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     z = rng.uniform(-1.0, 1.0, size=n)
     az = rng.uniform(0.0, TWO_PI, size=n)
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
@@ -368,9 +376,10 @@ def sample_pure_states(n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
 def sample_mixed_states(n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
     """n Bloch vectors drawn uniformly in the unit ball, shape (n, 3).
 
-    n is checked as in sample_pure_states, which draws the directions.
+    seed is checked as in sample_pure_states, and n by sample_pure_states,
+    which draws the directions.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     directions = sample_pure_states(n, seed=rng.integers(0, 2**63))
     radii = rng.uniform(0.0, 1.0, size=len(directions)) ** (1.0 / 3.0)
     return directions * radii[:, None]
@@ -449,13 +458,16 @@ def check_kernel_monotonicity(kernel: str, alpha: AlphaLike, n_points: int) -> b
     (0, 1] and for g with alpha >= 4; g is constant for alpha <= 3, so
     there they need only be nondecreasing.  Either kernel is evaluated in
     one numpy pass over the whole grid, whose values are bitwise its scalar
-    ones.  Raises ValueError, before allocating the grid, for n_points
-    below 2, where there is nothing to compare, and above
+    ones.  Raises ValueError, before allocating the grid, for an order
+    outside bound_set's proven range (so 1 + 1e-13 never passes on g_1 = 0),
+    for n_points below 2, where there is nothing to compare, and above
     GridSpec.MAX_POINTS; and, through kernel_g, for an order whose g
     exceeds the float range, naming the first u where it does.  A
     non-integer n_points raises TypeError.
     """
     a = as_param(alpha)
+    if bound_set(a).upper_pure is None:
+        raise ValueError(f"kernel monotonicity needs alpha in (0, 1] or integer alpha >= 2, got {a.alpha!r}")
     n_points = _count(n_points, "n_points")
     if n_points < 2:
         raise ValueError(f"n_points must be at least 2, got {n_points!r}")

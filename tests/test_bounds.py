@@ -337,7 +337,8 @@ class TestBoundSet:
         assert bs.upper_pure <= bs.upper_mixed + 1e-12
         assert bs.lower <= bs.upper_pure + 1e-12
         assert bs.r_alpha == pytest.approx(bs.h_tilde / alpha_log(2.0, alpha), abs=1e-15)
-        assert bs.upper_pure_is_tight
+        # a given upper_pure is the attained (tight) value 3 h_tilde
+        assert bs.upper_pure == 3.0 * bs.h_tilde
 
     def test_noninteger_above_one_has_no_pure_data(self):
         bs = bound_set(2.5)
@@ -345,7 +346,6 @@ class TestBoundSet:
         assert bs.upper_pure is None
         assert bs.h_tilde is None
         assert bs.r_alpha is None
-        assert not bs.upper_pure_is_tight
 
 
 def exact_bounds(n):

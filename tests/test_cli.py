@@ -56,6 +56,17 @@ PINNED_TEXT = {
     "eval angles:0.3,1.1 --alpha 4": "9f811154a49cca233204aec7b84a95748af9c095b741b5767017dfbeec5027d5",
 }
 
+# `bounds alpha --out path`: digests of the CSV file.  Its upper_pure_is_tight
+# column is derived from upper_pure (true where it is given) and must print
+# false at 2.5.
+PINNED_BOUNDS_CSV = {
+    "0.5": "a121011e810469aa465061903b51fe9bcd68777b9d985df34f8d2be3a2414a19",
+    "1": "5bf25848dbe51a5d7b09a9656ac1a8b0ae25a8e929c7100e4db20313754b086b",
+    "2": "8f49d6490fc766b5711280db819690f9d4ffcf90cd00fae96087b7c1d3cd6e1b",
+    "2.5": "12e6013d2e120333278441e05eca63d97cc977bc0b5133033f70a90ed8fa77b7",
+    "4": "53a827d0e0438dc98f53dbb103c27ac4ad7e8d1277c20b69d59c532b37c5ce66",
+}
+
 
 def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -151,6 +162,17 @@ class TestBounds:
         lines = out_path.read_text().splitlines()
         assert lines[0].startswith("alpha,lower,")
         assert lines[1].startswith("4,0.583333333333,true,")
+
+    @pytest.mark.parametrize("alpha", list(PINNED_BOUNDS_CSV))
+    def test_pinned_csv_output(self, capsys, tmp_path, alpha):
+        out_path = tmp_path / "bounds.csv"
+        code, _, _ = run_cli(capsys, "bounds", alpha, "--out", str(out_path))
+        assert code == 0
+        text = out_path.read_text()
+        assert sha256(text) == PINNED_BOUNDS_CSV[alpha], text
+        header, row = (line.split(",") for line in text.splitlines())
+        tight = row[header.index("upper_pure_is_tight")]
+        assert tight == ("false" if alpha == "2.5" else "true")
 
 
 class TestBand:
@@ -354,6 +376,21 @@ def test_alpha_option_is_rejected(capsys, argv):
     code, out, _ = run_cli(capsys, *argv.split())
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "command,line",
+    [
+        ("verify", "  --grid GRID  D-grid points per axis, 2 to 1000001 (default 2001)\n"),
+        ("band", "  --steps STEPS         number of orders, 2 to 1000001\n"),
+    ],
+)
+def test_help_reads_library_limits(capsys, monkeypatch, command, line):
+    # the numbers come from GridSpec.MAX_POINTS and DEFAULT_GRID; the text is unchanged
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == 0
+    assert line in out
 
 
 @pytest.mark.parametrize("argv", list(PINNED_TEXT))

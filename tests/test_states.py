@@ -13,7 +13,7 @@ from pauli_tsallis import (
     canonicalize_to_D,
     eigenstate_witnesses,
     entropic_sum,
-    probs_from_angles,
+    measurement_triple,
     probs_from_bloch,
     tsallis_entropy,
 )
@@ -59,11 +59,11 @@ class TestBlochVector:
 
 class TestProbsFromAngles:
     def test_sigma_z_eigenstate(self):
-        triple = probs_from_angles(PureStateAngles(0.0, 0.0))
+        triple = measurement_triple(PureStateAngles(0.0, 0.0))
         assert pairs_of(triple) == [(0.5, 0.5), (0.5, 0.5), (1.0, 0.0)]
 
     def test_phi_zero_line(self):
-        triple = probs_from_angles(PureStateAngles(math.pi / 4, 0.0))
+        triple = measurement_triple(PureStateAngles(math.pi / 4, 0.0))
         px, qy, rz = pairs_of(triple)
         assert px == (1.0, 0.0)
         assert qy == (0.5, 0.5)
@@ -71,7 +71,7 @@ class TestProbsFromAngles:
         assert rz[1] == pytest.approx(0.5, abs=1e-15)
 
     def test_maximizer_state_yields_identical_pairs(self):
-        triple = probs_from_angles(PureStateAngles(TAU_STAR, QUARTER_PI))
+        triple = measurement_triple(PureStateAngles(TAU_STAR, QUARTER_PI))
         expected_plus = (1.0 + 1.0 / math.sqrt(3.0)) / 2.0
         for plus, minus in pairs_of(triple):
             assert plus == pytest.approx(expected_plus, abs=1e-15)
@@ -97,7 +97,7 @@ class TestProbsFromBloch:
     def test_agrees_with_angle_route(self):
         # same state: tau = arccos(0.8)/2 on the phi = 0 meridian
         state = PureStateAngles(math.acos(0.8) / 2.0, 0.0)
-        via_angles = pairs_of(probs_from_angles(state))
+        via_angles = pairs_of(measurement_triple(state))
         via_bloch = pairs_of(probs_from_bloch(BlochVector(0.6, 0.0, 0.8)))
         for a, b in zip(via_angles, via_bloch):
             assert a == pytest.approx(b, abs=1e-14)
@@ -109,7 +109,7 @@ def test_bloch_and_angle_routes_agree_on_random_states():
     phis = rng.uniform(0.0, 2.0 * math.pi, size=10_000)
     for tau, phi in zip(taus, phis):
         state = PureStateAngles(tau, phi)
-        direct = probs_from_angles(state)
+        direct = measurement_triple(state)
         via_bloch = probs_from_bloch(bloch_from_angles(state))
         for a, b in zip(direct.pairs(), via_bloch.pairs()):
             assert abs(a.p_plus - b.p_plus) <= 1e-14
@@ -131,7 +131,7 @@ def test_closed_forms_match_explicit_eigenvector_overlaps():
         tau = rng.uniform(0.0, math.pi / 2.0)
         phi = rng.uniform(0.0, 2.0 * math.pi)
         psi = np.array([math.cos(tau), np.exp(1.0j * phi) * math.sin(tau)])
-        triple = probs_from_angles(PureStateAngles(tau, phi))
+        triple = measurement_triple(PureStateAngles(tau, phi))
         for pair, (plus, minus) in zip(
             triple.pairs(), ((x_plus, x_minus), (y_plus, y_minus), (z_plus, z_minus))
         ):
@@ -145,7 +145,7 @@ def test_pure_source_direction_norm():
         state = PureStateAngles(rng.uniform(0, math.pi / 2), rng.uniform(0, 2 * math.pi))
         assert bloch_from_angles(state).norm_sq == pytest.approx(1.0, abs=1e-10)
         # the outcome asymmetries p_plus - p_minus are the Bloch components
-        asymmetries = [pair.p_plus - pair.p_minus for pair in probs_from_angles(state).pairs()]
+        asymmetries = [pair.p_plus - pair.p_minus for pair in measurement_triple(state).pairs()]
         assert sum(d * d for d in asymmetries) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -189,10 +189,10 @@ class TestCanonicalize:
             state = PureStateAngles(rng.uniform(0, math.pi / 2), rng.uniform(0, 2 * math.pi))
             folded = canonicalize_to_D(state)
             original = sorted(
-                tsallis_entropy(p, alpha) for p in probs_from_angles(state).pairs()
+                tsallis_entropy(p, alpha) for p in measurement_triple(state).pairs()
             )
             canonical = sorted(
-                tsallis_entropy(p, alpha) for p in probs_from_angles(folded).pairs()
+                tsallis_entropy(p, alpha) for p in measurement_triple(folded).pairs()
             )
             for a, b in zip(original, canonical):
                 assert abs(a - b) <= 1e-12

@@ -616,6 +616,13 @@ class TestKernelMonotonicityCheck:
     def test_g_order_seven_strict(self):
         assert check_kernel_monotonicity("g", 7, 10_000)
 
+    @pytest.mark.parametrize("kernel,alpha", [("g", 1.0000000000001), ("g", 2.5), ("f", 1.5)])
+    def test_order_outside_proven_range_raises(self, kernel, alpha):
+        # 1.0000000000001 rounds to 1 within INTEGER_TOL: g_1 = 0 used to pass quietly
+        with pytest.raises(ValueError, match=f"needs alpha in .* got {alpha!r}"):
+            check_kernel_monotonicity(kernel, alpha, 10)
+        assert check_kernel_monotonicity("g", 1, 10)
+
     def test_unknown_kernel(self):
         with pytest.raises(ValueError):
             check_kernel_monotonicity("h", 0.5, 100)
@@ -730,6 +737,20 @@ class TestSampling:
             sample(-1)
         assert sample(0).shape == (0, 3)
         assert sample(np.int64(4)).shape == (4, 3)
+
+    @pytest.mark.parametrize("sample", [sample_pure_states, sample_mixed_states])
+    def test_seed_is_checked(self, sample):
+        # numpy's own error here ("expected non-negative integer") named no argument
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            sample(3, seed=-1)
+        for seed in (None, 2.5, "7"):
+            with pytest.raises(TypeError, match="seed must be an integer"):
+                sample(3, seed=seed)
+        assert np.array_equal(sample(3, seed=np.int64(5)), sample(3, seed=5))
+
+    def test_certification_seed_is_checked(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            certify_equality_conditions(0.5, 1e-12, seed=-1)
 
 
 class TestMixedStateProperties:
