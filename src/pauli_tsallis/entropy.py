@@ -31,11 +31,12 @@ pow's to within 7 ulps at the orders it covers.  Powers of 1/2, 0 and 1
 are exact either way, so the sums at the eigenstates, the analytic
 minimizers, are unchanged bit for bit.
 
-In place.  pair_entropy allocates one new array per side of the pair
-and runs every further pass in it.  The log branches guard log(0) with
-max(p, 5e-324), one plain comparison that leaves every p > 0 as it is
-(5e-324 is the smallest positive float); the factor p = 0 then cancels
-the finite log it gets.  Each branch keeps the operation order of the
+In place.  pair_entropy runs every pass in two arrays of the pair's
+shape, one per side: the caller's out when given (a scan block's
+workspace), else one new array holding both.  The log branches guard
+log(0) with max(p, 5e-324), one plain comparison that leaves every
+p > 0 as it is (5e-324 is the smallest positive float); the factor
+p = 0 then cancels the finite log it gets.  Each branch keeps the operation order of the
 plain formulas -p ln p - m ln m, -p expm1((a-1) ln p) / (a-1) + ...
 and ((p^a - p) + (m^a - m)) / (1 - a), negating the sum once rather
 than each side (negation is exact: -(A + B) is (-A) - B).  So, the sign
@@ -181,7 +182,9 @@ def alpha_log(u: float, alpha: AlphaLike) -> float:
     return (u ** (1.0 - a.alpha) - 1.0) / (1.0 - a.alpha)
 
 
-def pair_entropy(p: np.ndarray, m: np.ndarray, alpha: TsallisParam) -> np.ndarray:
+def pair_entropy(
+    p: np.ndarray, m: np.ndarray, alpha: TsallisParam, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Elementwise h_alpha(p) + h_alpha(m) for float64 arrays p, m in [0, 1].
 
     Shannon branch at alpha = 1, expm1 forms within EXPM1_WINDOW of it,
@@ -190,38 +193,43 @@ def pair_entropy(p: np.ndarray, m: np.ndarray, alpha: TsallisParam) -> np.ndarra
     the module docstring).  Every branch gives h_alpha(0) = 0 exactly, so
     m = 0 yields h_alpha(p) alone.
 
-    Each branch works in place on one new array per side (module
+    Each branch works in place in two arrays, one per side (module
     docstring): 8 passes over the block on the Shannon branch, 14 on the
-    expm1 branch, 6 on the pow branch (more with a squaring chain), and
-    the log branches guard log(0) with max(p, 5e-324).  The sign of a
-    zero or of a NaN aside, the values are bit for bit those of the plain
-    formulas.  The result is a new array; p and m are never written.  p
-    and m must have one shape, of at least one dimension (numpy turns a
-    0-d result into a scalar, which the in-place passes cannot write).
+    expm1 branch and 8 on the pow branch (each side copied into out and
+    raised there; a squaring chain multiplies instead), and the log
+    branches guard log(0) with max(p, 5e-324).  The sign of a zero or of
+    a NaN aside, the values are bit for bit those of the plain formulas.
+
+    out, a float64 array of shape (2, *p.shape), takes the two sides: the
+    result is written into out[0] and returned, and out[1] is
+    overwritten.  Without out one such array is allocated.  p and m are
+    never written and must not overlap out.  p and m must have one shape,
+    of at least one dimension (numpy turns a 0-d result into a scalar,
+    which the in-place passes cannot write).
     """
     a = alpha.alpha
+    total, other = np.empty((2, *p.shape)) if out is None else out
     if abs(a - 1.0) < EXPM1_WINDOW:
-        total = _log_term(p, a - 1.0)
-        total += _log_term(m, a - 1.0)
+        _log_term(p, a - 1.0, total)
+        total += _log_term(m, a - 1.0, other)
         # -(A + B) is (-A) - B bit for bit: negation is exact
         return np.negative(total, out=total)
-    total = _power(p, a)
+    _power(p, a, total)
     total -= p
-    other = _power(m, a)
+    _power(m, a, other)
     other -= m
     total += other
     total /= 1.0 - a
     return total
 
 
-def _log_term(x: np.ndarray, b: float) -> np.ndarray:
-    """x ln x at b = 0, else x expm1(b ln x) / b: minus h_alpha(x), b = alpha - 1.
+def _log_term(x: np.ndarray, b: float, out: np.ndarray) -> np.ndarray:
+    """x ln x at b = 0, else x expm1(b ln x) / b, into out: minus h_alpha(x), b = alpha - 1.
 
-    Works in place on one new array.  The guard max(x, 5e-324) leaves
-    every x > 0 as it is and gives x = 0 a finite log, which the factor
-    x = 0 then cancels; a NaN stays NaN.
+    The guard max(x, 5e-324) leaves every x > 0 as it is and gives x = 0
+    a finite log, which the factor x = 0 then cancels; a NaN stays NaN.
     """
-    t = np.maximum(x, 5e-324)
+    t = np.maximum(x, 5e-324, out=out)
     np.log(t, out=t)
     if b:
         t *= b
@@ -242,15 +250,19 @@ def _squaring_bits(a: float) -> Optional[str]:
     return bits if len(bits) + bits.count("1") <= _MAX_SQUARING_MULTIPLIES else None
 
 
-def _power(x: np.ndarray, a: float) -> np.ndarray:
-    """x ** a, by left-to-right repeated squaring where _squaring_bits allows it.
+def _power(x: np.ndarray, a: float, out: np.ndarray) -> np.ndarray:
+    """x ** a into out, by left-to-right repeated squaring where _squaring_bits allows it.
 
-    The chain allocates one array, as x ** a does, and works in place.
+    Elsewhere x is copied into out and raised in place: **= takes the
+    fast paths that numpy's ** takes for some orders (a square root at
+    0.5), so the bits are those of x ** a.
     """
     bits = _squaring_bits(a)
     if bits is None:
-        return x ** a
-    r = x * x
+        np.copyto(out, x)
+        out **= a
+        return out
+    r = np.multiply(x, x, out=out)
     if bits[0] == "1":
         r *= x
     for bit in bits[1:]:

@@ -16,12 +16,26 @@ float64 sin and cos agree with math's.
 Grids are uniform with both endpoints included, so the corners of D, which
 are the analytic minimizers, are exactly represented and tight bounds are
 attained on the grid rather than merely approached.  Grid evaluation is
-chunked into blocks of whole tau rows holding about _CHUNK_POINTS grid
-points each, so every temporary of a block fits a core's L2 cache (a
-block wider than the budget is a single row; GridSpec caps its width).
+chunked into blocks of whole tau rows, and the blocks are split into
+contiguous runs, one per worker: a scan takes one worker per usable CPU,
+at most one per _WORKER_POINTS grid points and one per block, so small
+scans (refinement windows, test grids) stay in the calling thread.  The
+first run is the caller's own, the others go to helper threads started
+for the scan, run in copies of the caller's context (so numpy's error
+state holds in them) and joined before it returns.  The workers share
+the _CHUNK_POINTS budget: each block holds about _CHUNK_POINTS / workers
+points (a block wider than that is a single row; GridSpec caps its
+width).  Each scan allocates one workspace, seven block-sized arrays per
+worker, and the stage and the kernel write into it with out=, so no
+block allocates a temporary of its own and every array stays in a
+core's L2 cache.
+
 Blocks are reduced deterministically (values compared first, earlier grid
 point wins ties), so results do not depend on chunking, and tie-breaking
-is always lowest tau, then lowest phi.
+is always lowest tau, then lowest phi.  The bytes cannot depend on the
+worker count either: a grid value's arithmetic is that of its point
+alone (the same operations in the same order, out= or not), and the
+blocks' extrema are merged in block order, whichever thread found them.
 
 A scan evaluates every order it is given in one pass.  cos phi and sin phi
 are taken once per scan, and the order-independent stage of each block
@@ -32,7 +46,9 @@ orders share its pass, so scan_extrema and scan_full_domain_consistency
 are scan_orders and full_domain_orders with one order.  A non-finite
 value in a block raises ValueError naming the order and the grid point.
 With several orders the first one met is reported: blocks in grid order,
-and within a block the orders in the order given.  Certification
+and within a block the orders in the order given.  An error in a run
+stops the later runs at their next block, and the earliest run's error
+is raised in the caller, after every helper has ended.  Certification
 evaluates its states in one batch under the same rule, so a NaN can never
 let a check pass.  Grids and certification share one pair formula,
 (1/2 + h, 1/2 - h) with h = s/2, and clip to [-1, 1] only the 1-D trig
@@ -48,8 +64,11 @@ on the sphere (area measure), mixed states uniformly in the ball.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Optional, Sequence
 
@@ -89,15 +108,20 @@ __all__ = [
 
 DEFAULT_SEED = 12345
 
-# Grid points evaluated per chunk, rounded down to whole tau rows (at least
-# one).  At 65,536 points each float64 temporary of a block is 512 KB and
-# stays in a core's L2 cache; blocks a few times that ran about 3x slower.
-# In cache the per-order pair_entropy kernel dominates: at 2001^2, best of
-# 7, about 35-45 ms per order on the pow branch (75-90 ms at 2.5), 55 ms
-# on Shannon's and 90-105 ms on expm1's, against 35-45 ms for the shared
-# pair stage (2-core Xeon, numpy 2.4.6).
-# Results do not depend on it (deterministic reduction).
+# Grid points evaluated per chunk, shared among a scan's workers and
+# rounded down to whole tau rows (at least one).  At 65,536 points and one
+# worker each float64 array of a block is 512 KB, 256 KB each with two, and
+# a worker's seven arrays stay in a core's L2 cache; blocks a few times
+# that ran about 3x slower.  In cache the per-order pair_entropy kernel
+# dominates.  All blocks of a 2001^2 scan in one thread, best of 7, at 16
+# and 32 rows per block: 36-43 ms per order on the squaring chain (4),
+# 53-64 ms on pow at 0.5, 80-118 ms at 2.5, 47-60 ms on Shannon's branch
+# and 84-101 ms on expm1's, against 14-23 ms for the shared pair stage
+# (2-core Xeon, numpy 2.4.6).  Results do not depend on it (deterministic
+# reduction).
 _CHUNK_POINTS = 65_536
+# A scan takes at most one worker per this many grid points.
+_WORKER_POINTS = 1 << 16
 
 # refined_maximum's box: +-_REFINE_WINDOW coarse steps, _REFINE_FACTOR times finer.
 _REFINE_WINDOW = 2
@@ -194,15 +218,21 @@ def _clipped_pairs(*components: np.ndarray) -> _Pairs:
     return _half_pairs(*(0.5 * np.clip(s, -1.0, 1.0) for s in components))
 
 
-def _pair_sums(pairs: _Pairs, alpha: TsallisParam) -> np.ndarray:
+def _pair_sums(pairs: _Pairs, alpha: TsallisParam, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Entropic sums from the (x, y, z) outcome pairs.
 
-    The result has the shape of the x pair; the y and z pairs broadcast
-    against it, so a grid passes its z pair as one value per row.
+    The result has the shape of the x pair; the y pair has that shape too,
+    and the z pair broadcasts against it, so a grid passes its z pair as
+    one value per row.  out, of shape (3, *x shape), takes the x and y
+    terms (pair_entropy's out): the sum is written into out[0] and
+    returned.  Without out one such array is allocated.
     """
-    total = pair_entropy(*pairs[0], alpha)
-    for p, m in pairs[1:]:
-        total += pair_entropy(p, m, alpha)
+    x, y, z = pairs
+    if out is None:
+        out = np.empty((3, *x[0].shape))
+    total = pair_entropy(*x, alpha, out=out[:2])
+    total += pair_entropy(*y, alpha, out=out[1:])
+    total += pair_entropy(*z, alpha)
     return total
 
 
@@ -226,14 +256,36 @@ def _extrema(values: np.ndarray, alpha: TsallisParam, where: Callable) -> tuple[
     return k_min, v_min, k_max, v_max
 
 
-def _grid_pairs(tau: np.ndarray, cos_phi: np.ndarray, sin_phi: np.ndarray) -> _Pairs:
+def _grid_pairs(
+    tau: np.ndarray, cos_phi: np.ndarray, sin_phi: np.ndarray, out: Optional[np.ndarray] = None
+) -> _Pairs:
     """The order-independent stage of a block: outcome pairs on the grid tau x phi.
 
     The x and y pairs have shape (len(tau), len(phi)); the z pair depends
     on tau alone, one value per row.  cos_phi, sin_phi must lie in [-1, 1].
+    out, of shape (5, len(tau), len(phi)), takes the x and y pairs in
+    out[:4], and out[4] is overwritten.  Without out one such array is
+    allocated.
     """
     half_s2t, half_c2t = (0.5 * np.clip(f(2.0 * tau), -1.0, 1.0)[:, None] for f in (np.sin, np.cos))
-    return _half_pairs(half_s2t * cos_phi, half_s2t * sin_phi, half_c2t)
+    if out is None:
+        out = np.empty((5, tau.size, cos_phi.size))
+    h = out[4]
+    for k, trig in ((0, cos_phi), (2, sin_phi)):
+        # _half_pairs of half_s2t * trig, each pass written into out
+        np.multiply(half_s2t, trig, out=h)
+        np.add(0.5, h, out=out[k])
+        np.subtract(0.5, h, out=out[k + 1])
+    return [(out[0], out[1]), (out[2], out[3]), *_half_pairs(half_c2t)]
+
+
+def _workers(points: int) -> int:
+    """Threads for a scan of this many grid points: the usable CPUs, at most one per _WORKER_POINTS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, points // _WORKER_POINTS))
 
 
 def _scan_rectangle(
@@ -243,29 +295,80 @@ def _scan_rectangle(
 
     Returns (min, (i, j), max, (i, j)) per order.  The trig of phi is taken
     once per scan and the outcome pairs once per block; only pair_entropy
-    and the reduction run per order.  Raises ValueError at the first
-    non-finite grid value met (see _extrema): blocks in grid order, and
-    within a block the orders in the given order.
+    and the reduction run per order.  The blocks are split into contiguous
+    runs, one per worker: the first runs in the calling thread, each other
+    in a helper thread under the caller's context (numpy's error state
+    included), and every worker writes into its own part of one workspace.
+    Raises ValueError at the first non-finite grid value met (see
+    _extrema): blocks in grid order, and within a block the orders in the
+    given order.  An error in a run stops every later run at its next
+    block and is raised here after every helper has ended; the earliest
+    run's error wins.
     """
     if not alphas:
         return []
-    n_phi = len(phi_grid)
-    rows = max(1, _CHUNK_POINTS // n_phi)
+    n_tau, n_phi = len(tau_grid), len(phi_grid)
+    workers = _workers(n_tau * n_phi)
+    # the workers share the point budget
+    rows = max(1, _CHUNK_POINTS // workers // n_phi)
+    n_blocks = -(-n_tau // rows)
+    workers = min(workers, n_blocks)
     cos_phi, sin_phi = (np.clip(f(phi_grid), -1.0, 1.0) for f in (np.cos, np.sin))
-    lows, highs = [[] for _ in alphas], [[] for _ in alphas]  # per order, per block: (value, (i, j))
-    for i0 in range(0, len(tau_grid), rows):
-        pairs = _grid_pairs(tau_grid[i0 : i0 + rows], cos_phi, sin_phi)
+    # per worker: one block's x and y pairs, its sum, its y term and scratch
+    workspace = np.empty((workers, 7, rows * n_phi))
+    found = [[] for _ in range(n_blocks)]  # per block, per order: (min, (i, j)), (max, (i, j))
+    errors: list[Optional[BaseException]] = [None] * workers  # per run, the error that ended it
 
-        def where(k: int) -> str:
-            return f"(tau, phi) = ({float(tau_grid[i0 + k // n_phi])!r}, {float(phi_grid[k % n_phi])!r})"
+    def run(k: int) -> None:
+        """Worker k's blocks, a contiguous run in grid order, in its part of the workspace."""
+        for b in range(n_blocks * k // workers, n_blocks * (k + 1) // workers):
+            if any(e is not None for e in errors[:k]):
+                return  # an earlier run failed: its error is the one raised
+            i0 = b * rows
+            tau = tau_grid[i0 : i0 + rows]
+            w = workspace[k, :, : tau.size * n_phi].reshape(7, tau.size, n_phi)
+            pairs = _grid_pairs(tau, cos_phi, sin_phi, out=w[:5])
 
-        for alpha, low, high in zip(alphas, lows, highs):
-            k_min, v_min, k_max, v_max = _extrema(_pair_sums(pairs, alpha), alpha, where)
-            low.append((v_min, divmod(i0 * n_phi + k_min, n_phi)))
-            high.append((v_max, divmod(i0 * n_phi + k_max, n_phi)))
+            def where(j: int) -> str:
+                return f"(tau, phi) = ({float(tau_grid[i0 + j // n_phi])!r}, {float(phi_grid[j % n_phi])!r})"
+
+            for alpha in alphas:
+                k_min, v_min, k_max, v_max = _extrema(_pair_sums(pairs, alpha, out=w[4:]), alpha, where)
+                at_min, at_max = (divmod(i0 * n_phi + j, n_phi) for j in (k_min, k_max))
+                found[b].append(((v_min, at_min), (v_max, at_max)))
+
+    def helper(k: int) -> None:
+        try:
+            run(k)
+        except BaseException as exc:  # raised in the caller, after the join
+            errors[k] = exc
+
+    # each helper runs in its own copy of the caller's context (one context cannot run in two threads)
+    helpers = [
+        threading.Thread(target=contextvars.copy_context().run, args=(helper, k)) for k in range(1, workers)
+    ]
+    try:
+        for thread in helpers:
+            thread.start()
+        run(0)
+        for thread in helpers:
+            thread.join()
+    except BaseException as exc:  # an interrupt included: stop every helper at its next block
+        errors[0] = exc
+        raise
+    finally:
+        for thread in helpers:
+            if thread.ident is not None:  # started
+                thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     # min and max return the first of equal keys: the earlier block keeps ties
     value = operator.itemgetter(0)
-    return [(*min(low, key=value), *max(high, key=value)) for low, high in zip(lows, highs)]
+    return [
+        (*min((low for low, _ in per_block), key=value), *max((high for _, high in per_block), key=value))
+        for per_block in zip(*found)
+    ]
 
 
 def scan_orders(alphas: Sequence[AlphaLike], grid: Optional[GridSpec] = None) -> list[ScanReport]:

@@ -2,6 +2,12 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,7 +173,7 @@ class TestScanExtrema:
         # chunks, for one order alone and for each order of a shared pass
         monkeypatch.setattr(verify, "_CHUNK_POINTS", budget)
 
-        def constant(tau, cos_phi, sin_phi):
+        def constant(tau, cos_phi, sin_phi, out=None):
             half = np.full((tau.size, cos_phi.size), 0.5)
             return [(half, half), (half, half), (half[:, :1], half[:, :1])]
 
@@ -182,19 +188,29 @@ class TestScanExtrema:
         real = verify._grid_pairs
         rows = []
 
-        def spy(tau, cos_phi, sin_phi):
+        def spy(tau, cos_phi, sin_phi, out=None):
             assert tau.size * cos_phi.size <= max(grid.n_phi, verify._CHUNK_POINTS)
-            rows.append(tau)
-            return real(tau, cos_phi, sin_phi)
+            rows.append((threading.current_thread(), tau))
+            return real(tau, cos_phi, sin_phi, out=out)
+
+        def assert_each_row_once():
+            # per worker, the rows in the order they came; sorted by their first
+            # row and joined, they are the axis: each worker's rows are whole,
+            # contiguous and in grid order, and every row comes exactly once
+            per_worker = {}
+            for thread, tau in rows:
+                per_worker.setdefault(thread, []).append(tau)
+            runs = sorted((np.concatenate(taus) for taus in per_worker.values()), key=lambda run: run[0])
+            assert len(runs) == verify._workers(grid.n_tau * grid.n_phi)
+            assert np.array_equal(np.concatenate(runs), np.linspace(0.0, QUARTER_PI, grid.n_tau))
+            rows.clear()
 
         monkeypatch.setattr(verify, "_grid_pairs", spy)
         scan_extrema(0.5, grid)
-        # whole rows in grid order, each row once
-        assert np.array_equal(np.concatenate(rows), np.linspace(0.0, QUARTER_PI, grid.n_tau))
+        assert_each_row_once()
         # a multi-order pass runs the stage once per chunk, not once per order
-        rows.clear()
         scan_orders([0.5, 1.0, 4.0], grid)
-        assert np.array_equal(np.concatenate(rows), np.linspace(0.0, QUARTER_PI, grid.n_tau))
+        assert_each_row_once()
 
     # The order-independent stage runs once per chunk, then pair_entropy three
     # times per chunk and order (x-, y-, z-term).  An 11x11 grid is one chunk
@@ -214,8 +230,8 @@ class TestScanExtrema:
         real = verify.pair_entropy
         calls = []
 
-        def inject(p, m, alpha):
-            out = real(p, m, alpha)
+        def inject(p, m, alpha, out=None):
+            out = real(p, m, alpha, out=out)
             if len(calls) == call:
                 out[row, 5] = bad
             calls.append(None)
@@ -241,8 +257,8 @@ class TestScanExtrema:
         real = verify.pair_entropy
         calls = []
 
-        def inject(p, m, alpha):
-            out = real(p, m, alpha)
+        def inject(p, m, alpha, out=None):
+            out = real(p, m, alpha, out=out)
             if len(calls) == 3:
                 out[7, 5] = math.nan
             calls.append(alpha.alpha)
@@ -417,6 +433,212 @@ class TestScanOrders:
         assert names == ["alpha", "min_value", "max_value", "argmin", "argmax", "grid"]
 
 
+# A 401x401 grid engages a helper thread wherever two CPUs are usable: its
+# 5 blocks of 81 rows split into runs of 2 blocks (rows 0-161, the caller's)
+# and 3 blocks (rows 162-400, the helper's).
+WORKER_GRID = GridSpec(401, 401)
+WORKER_ORDERS = (0.5, 1.0, 1.005, 2.5, 4.0)
+SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def one_worker(monkeypatch):
+    monkeypatch.setattr(verify, "_workers", lambda points: 1)
+
+
+class TestWorkers:
+    """Scans split their blocks among threads and give the bytes of one worker."""
+
+    def test_worker_count(self):
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        for points in (0, 9, 2**16 - 1, 2**16, 2**17, 2001 * 2001):
+            assert verify._workers(points) == max(1, min(cpus, points // 2**16)), points
+
+    @pytest.mark.parametrize("grid", [WORKER_GRID, GridSpec(11, 40001)], ids=str)
+    def test_reports_match_one_worker(self, monkeypatch, grid):
+        n = grid.n_phi
+        for budget in (1, n - 1, n, 7 * n + 3, verify._CHUNK_POINTS):
+            monkeypatch.setattr(verify, "_CHUNK_POINTS", budget)
+            reports = scan_orders(WORKER_ORDERS, grid)
+            with monkeypatch.context() as m:
+                one_worker(m)
+                assert scan_orders(WORKER_ORDERS, grid) == reports, budget
+
+    def test_full_domain_matches_one_worker(self, monkeypatch):
+        # GridSpec(101, 101) unfolds to 201 x 801 points, past two workers' minimum
+        grid = GridSpec(101, 101)
+        params = [verify.as_param(a) for a in WORKER_ORDERS]
+        tau, phi = np.linspace(0.0, math.pi / 2.0, 201), np.linspace(0.0, 2.0 * math.pi, 801)
+        n = len(phi)
+        for budget in (1, n - 1, n, 7 * n + 3, verify._CHUNK_POINTS):
+            monkeypatch.setattr(verify, "_CHUNK_POINTS", budget)
+            extrema, consistent = verify._scan_rectangle(params, tau, phi), full_domain_orders(WORKER_ORDERS, grid)
+            with monkeypatch.context() as m:
+                one_worker(m)
+                assert verify._scan_rectangle(params, tau, phi) == extrema, budget
+                assert full_domain_orders(WORKER_ORDERS, grid) == consistent == [True] * len(params), budget
+
+    def test_ties_keep_lowest_grid_point(self, monkeypatch):
+        def constant(tau, cos_phi, sin_phi, out=None):
+            half = np.full((tau.size, cos_phi.size), 0.5)
+            return [(half, half), (half, half), (half[:, :1], half[:, :1])]
+
+        monkeypatch.setattr(verify, "_grid_pairs", constant)
+        for report in scan_orders([0.7, 1.0, 3.0], WORKER_GRID):
+            assert (report.argmin.tau, report.argmin.phi) == (0.0, 0.0)
+            assert (report.argmax.tau, report.argmax.phi) == (0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "orders,bad_rows",
+        [
+            ((0.5,), {None: [300]}),  # the helper's run alone
+            ((0.5,), {None: [100, 300]}),  # both runs: the caller's row wins
+            ((0.5,), {None: [300, 170]}),  # two of the helper's blocks: the earlier wins
+            ((0.5, 2.0), {2.0: [300]}),  # the second order, in the helper's run
+            ((0.5, 2.0), {2.0: [100], 0.5: [300]}),  # the second order's earlier block wins
+            ((0.5, 2.0), {2.0: [100], 0.5: [100]}),  # one point: the first order wins
+        ],
+    )
+    def test_nonfinite_value_reports_the_first_in_grid_order(self, monkeypatch, orders, bad_rows):
+        axis = np.linspace(0.0, QUARTER_PI, WORKER_GRID.n_tau)
+        real_pairs, real_kernel = verify._grid_pairs, verify.pair_entropy
+        block = threading.local()  # the tau rows of the block each thread is on
+
+        def pairs(tau, cos_phi, sin_phi, out=None):
+            block.tau = tau
+            return real_pairs(tau, cos_phi, sin_phi, out=out)
+
+        def kernel(p, m, alpha, out=None):
+            values = real_kernel(p, m, alpha, out=out)
+            rows = bad_rows.get(None, []) + bad_rows.get(alpha.alpha, [])
+            if values.shape[1] > 1:  # the x and y terms, not the per-row z term
+                values[np.isin(block.tau, axis[rows]), 5] = math.nan
+            return values
+
+        monkeypatch.setattr(verify, "_grid_pairs", pairs)
+        monkeypatch.setattr(verify, "pair_entropy", kernel)
+        with pytest.raises(ValueError) as threaded:
+            scan_orders(orders, WORKER_GRID)
+        with monkeypatch.context() as m:
+            one_worker(m)
+            with pytest.raises(ValueError) as alone:
+                scan_orders(orders, WORKER_GRID)
+        assert str(threaded.value) == str(alone.value)
+        # the first bad value in grid order: the lowest row, then the order given first
+        row, k = min((row, 0 if a is None else orders.index(a)) for a, rows in bad_rows.items() for row in rows)
+        assert f"alpha={orders[k]!r}" in str(alone.value)
+        assert f"(tau, phi) = ({float(axis[row])!r}, {float(axis[5])!r})" in str(alone.value)
+
+    def test_more_workers_than_cores(self, monkeypatch):
+        # eight runs on at most a few cores, threads switching as often as the
+        # interpreter allows: every block's extrema still reach the merge
+        with monkeypatch.context() as m:
+            one_worker(m)
+            reports = scan_orders(WORKER_ORDERS, WORKER_GRID)
+        real, threads = verify._grid_pairs, set()
+
+        def pairs(tau, cos_phi, sin_phi, out=None):
+            threads.add(threading.current_thread())
+            return real(tau, cos_phi, sin_phi, out=out)
+
+        monkeypatch.setattr(verify, "_grid_pairs", pairs)
+        monkeypatch.setattr(verify, "_workers", lambda points: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                threads.clear()
+                assert scan_orders(WORKER_ORDERS, WORKER_GRID) == reports
+                assert len(threads) == 8
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, ValueError])
+    def test_caller_error_stops_the_helper(self, monkeypatch, error):
+        caller, failed, helper_blocks = threading.get_ident(), threading.Event(), []
+        threads = threading.active_count()
+        real = verify._grid_pairs
+
+        def pairs(tau, cos_phi, sin_phi, out=None):
+            if threading.get_ident() == caller:
+                failed.set()
+                raise error("stop")
+            helper_blocks.append(tau[0])
+            assert failed.wait(timeout=30)
+            time.sleep(0.1)  # the caller records its error meanwhile
+            return real(tau, cos_phi, sin_phi, out=out)
+
+        monkeypatch.setattr(verify, "_grid_pairs", pairs)
+        with pytest.raises(error, match="stop"):
+            scan_extrema(0.5, WORKER_GRID)
+        # the helper ended before the error left the scan, at most one of its three blocks done
+        assert threading.active_count() == threads
+        assert len(helper_blocks) <= 1
+
+    def test_helper_error_is_raised_in_the_caller(self, monkeypatch):
+        caller, threads = threading.get_ident(), threading.active_count()
+        real = verify._grid_pairs
+
+        def pairs(tau, cos_phi, sin_phi, out=None):
+            if threading.get_ident() != caller:
+                raise MemoryError("helper")
+            return real(tau, cos_phi, sin_phi, out=out)
+
+        monkeypatch.setattr(verify, "_grid_pairs", pairs)
+        if verify._workers(401 * 401) > 1:
+            with pytest.raises(MemoryError, match="helper"):
+                scan_extrema(0.5, WORKER_GRID)
+        assert threading.active_count() == threads
+
+    def test_helpers_run_under_the_callers_error_state(self, monkeypatch):
+        real = verify.pair_entropy
+        threads = set()
+
+        def noisy(p, m, alpha, out=None):
+            threads.add(threading.current_thread())
+            np.log(np.zeros(1))  # a divide warning, an error under this suite's filters
+            return real(p, m, alpha, out=out)
+
+        expected = scan_extrema(0.5, WORKER_GRID)
+        monkeypatch.setattr(verify, "pair_entropy", noisy)
+        with np.errstate(divide="ignore"):
+            assert scan_extrema(0.5, WORKER_GRID) == expected
+        assert len(threads) == verify._workers(401 * 401)
+        with pytest.raises(RuntimeWarning, match="divide by zero"):
+            scan_extrema(0.5, WORKER_GRID)
+
+    @pytest.mark.parametrize("grid", [GridSpec(3, 3), GridSpec(11, 11), GridSpec(255, 257)], ids=str)
+    def test_small_scans_stay_in_the_caller(self, monkeypatch, grid):
+        # below 2**16 points, and refinement's 41 x 41 windows: no helper thread
+        caller, seen = threading.get_ident(), set()
+        real = verify._grid_pairs
+
+        def pairs(tau, cos_phi, sin_phi, out=None):
+            seen.add(threading.get_ident())
+            return real(tau, cos_phi, sin_phi, out=out)
+
+        monkeypatch.setattr(verify, "_grid_pairs", pairs)
+        scan_orders([0.5, 2.0], grid)
+        refined_maximum(0.5, grid)
+        assert seen == {caller}
+
+    def test_scan_reuses_its_workspace(self):
+        # a fresh process, so the allocator starts cold: one 2001^2 scan takes
+        # ~930 minor page faults with a reused workspace, ~16,000 with new
+        # block temporaries that the allocator maps and unmaps
+        pytest.importorskip("resource")
+        code = (
+            "import resource\n"
+            "from pauli_tsallis import GridSpec, scan_extrema\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "scan_extrema(0.5, GridSpec(2001, 2001))\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert int(result.stdout) < 5000
+
+
 class TestSquaredIntegerOrders:
     """Scans at integer orders whose p^n comes from repeated squaring."""
 
@@ -424,7 +646,7 @@ class TestSquaredIntegerOrders:
     def test_witnesses_match_pow_reference(self, monkeypatch, n):
         grid = GridSpec(401, 401)
         report = scan_extrema(n, grid)
-        monkeypatch.setattr(entropy, "_power", lambda x, a: x ** a)
+        monkeypatch.setattr(entropy, "_power", lambda x, a, out: np.power(x, a, out=out))
         reference = scan_extrema(n, grid)
         assert (report.argmin, report.argmax) == (reference.argmin, reference.argmax)
         assert report.min_value == reference.min_value  # the eigenstate corners are exact
@@ -435,7 +657,7 @@ class TestSquaredIntegerOrders:
         pairs = verify._grid_pairs(tau, np.cos(tau), np.sin(tau))
         orders = [n for n in range(4, 65) if entropy._squaring_bits(float(n)) is not None]
         chained = [verify._pair_sums(pairs, entropy.TsallisParam(n)) for n in orders]
-        monkeypatch.setattr(entropy, "_power", lambda x, a: x ** a)
+        monkeypatch.setattr(entropy, "_power", lambda x, a, out: np.power(x, a, out=out))
         for n, values in zip(orders, chained):
             reference = verify._pair_sums(pairs, entropy.TsallisParam(n))
             ulps = np.abs(values - reference) / np.spacing(np.maximum(values, reference))
