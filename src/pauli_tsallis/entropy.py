@@ -31,13 +31,13 @@ pow's to within 7 ulps at the orders it covers.  Powers of 1/2, 0 and 1
 are exact either way, so the sums at the eigenstates, the analytic
 minimizers, are unchanged bit for bit.
 
-In place.  pair_entropy runs every pass in two arrays of the pair's
-shape, one per side: the caller's out when given (a scan block's
-workspace), else one new array holding both.  The log branches guard
-log(0) with max(p, 5e-324), one plain comparison that leaves every
-p > 0 as it is (5e-324 is the smallest positive float); the factor
-p = 0 then cancels the finite log it gets.  Each branch keeps the operation order of the
-plain formulas -p ln p - m ln m, -p expm1((a-1) ln p) / (a-1) + ...
+In place.  _pair_entropy_into, the kernel behind pair_entropy, runs
+every pass in two arrays of the pair's shape, one per side: a new array
+holding both for pair_entropy, a scan block's workspace for the grid
+scans.  The log branches guard log(0) with max(p, 5e-324), one plain
+comparison that leaves every p > 0 as it is (5e-324 is the smallest
+positive float); the factor p = 0 then cancels the finite log it gets.
+Each branch keeps the operation order of the plain formulas -p ln p - m ln m, -p expm1((a-1) ln p) / (a-1) + ...
 and ((p^a - p) + (m^a - m)) / (1 - a), negating the sum once rather
 than each side (negation is exact: -(A + B) is (-A) - B).  So, the sign
 of a zero or of a NaN aside, its values are bit for bit the plain
@@ -182,9 +182,7 @@ def alpha_log(u: float, alpha: AlphaLike) -> float:
     return (u ** (1.0 - a.alpha) - 1.0) / (1.0 - a.alpha)
 
 
-def pair_entropy(
-    p: np.ndarray, m: np.ndarray, alpha: TsallisParam, out: Optional[np.ndarray] = None
-) -> np.ndarray:
+def pair_entropy(p: np.ndarray, m: np.ndarray, alpha: TsallisParam) -> np.ndarray:
     """Elementwise h_alpha(p) + h_alpha(m) for float64 arrays p, m in [0, 1].
 
     Shannon branch at alpha = 1, expm1 forms within EXPM1_WINDOW of it,
@@ -193,22 +191,31 @@ def pair_entropy(
     the module docstring).  Every branch gives h_alpha(0) = 0 exactly, so
     m = 0 yields h_alpha(p) alone.
 
-    Each branch works in place in two arrays, one per side (module
-    docstring): 8 passes over the block on the Shannon branch, 14 on the
-    expm1 branch and 8 on the pow branch (each side copied into out and
-    raised there; a squaring chain multiplies instead), and the log
+    Each branch works in place in one new array, one half per side
+    (module docstring): 8 passes over the block on the Shannon branch, 14
+    on the expm1 branch and 8 on the pow branch (each side copied and
+    raised in place; a squaring chain multiplies instead), and the log
     branches guard log(0) with max(p, 5e-324).  The sign of a zero or of
     a NaN aside, the values are bit for bit those of the plain formulas.
-
-    out, a float64 array of shape (2, *p.shape), takes the two sides: the
-    result is written into out[0] and returned, and out[1] is
-    overwritten.  Without out one such array is allocated.  p and m are
-    never written and must not overlap out.  p and m must have one shape,
-    of at least one dimension (numpy turns a 0-d result into a scalar,
-    which the in-place passes cannot write).
+    The result is a new array; p and m are never written.  p and m must
+    have one shape, of at least one dimension (numpy turns a 0-d result
+    into a scalar, which the in-place passes cannot write).
     """
+    return _pair_entropy_into(p, m, alpha, np.empty((2, *p.shape)))
+
+
+def _pair_entropy_into(p: np.ndarray, m: np.ndarray, alpha: TsallisParam, out: np.ndarray) -> np.ndarray:
+    """pair_entropy computed in out, a float64 array of shape (2, *p.shape).
+
+    The result is written into out[0] and returned; out[1] is
+    overwritten.  A pass writes out before it has read all of p and m,
+    so out must not overlap them: ValueError where their memory bounds
+    meet (np.may_share_memory, a cheap and conservative check).
+    """
+    if np.may_share_memory(out, p) or np.may_share_memory(out, m):
+        raise ValueError("out must not share memory with p or m")
     a = alpha.alpha
-    total, other = np.empty((2, *p.shape)) if out is None else out
+    total, other = out
     if abs(a - 1.0) < EXPM1_WINDOW:
         _log_term(p, a - 1.0, total)
         total += _log_term(m, a - 1.0, other)

@@ -9,7 +9,7 @@ concavity/convexity property checks.  Scans never use the bound
 formulas: a ScanReport holds only what its scan measured, and callers
 compare it with bounds.bound_set afterwards.  Certification reads its
 bounds, and the proven range, from bound_set.  Grid values come from
-entropy.pair_entropy, the kernel the scalar API uses, so a grid value
+pair_entropy's kernel, the one the scalar API uses, so a grid value
 equals entropic_sum at that grid point bit for bit wherever numpy's
 float64 sin and cos agree with math's.
 
@@ -18,17 +18,19 @@ are the analytic minimizers, are exactly represented and tight bounds are
 attained on the grid rather than merely approached.  Grid evaluation is
 chunked into blocks of whole tau rows, and the blocks are split into
 contiguous runs, one per worker: a scan takes one worker per usable CPU,
-at most one per _WORKER_POINTS grid points and one per block, so small
-scans (refinement windows, test grids) stay in the calling thread.  The
-first run is the caller's own, the others go to helper threads started
-for the scan, run in copies of the caller's context (so numpy's error
-state holds in them) and joined before it returns.  The workers share
-the _CHUNK_POINTS budget: each block holds about _CHUNK_POINTS / workers
-points (a block wider than that is a single row; GridSpec caps its
-width).  Each scan allocates one workspace, seven block-sized arrays per
-worker, and the stage and the kernel write into it with out=, so no
-block allocates a temporary of its own and every array stays in a
-core's L2 cache.
+at most _MAX_WORKERS (two; no larger count was measured), one per
+_WORKER_POINTS grid points and one per block, so small scans (refinement
+windows, test grids) stay in the calling thread.  The first run is the
+caller's own, the others go to helper threads started for the scan, run
+in copies of the caller's context (so numpy's error state holds in them)
+and joined before it returns.  The workers share the _CHUNK_POINTS
+budget: each block holds about _CHUNK_POINTS / workers points (a block
+wider than that is a single row; GridSpec caps its width).  Each scan
+allocates one workspace, seven block-sized arrays per worker, and the
+stage and the kernel write into it, so no block allocates a temporary
+of its own and every array stays in a core's L2 cache.  The worker cap
+bounds the workspace whatever the CPU count: at most
+7 max(_CHUNK_POINTS, _MAX_WORKERS n_phi) float64 values.
 
 Blocks are reduced deterministically (values compared first, earlier grid
 point wins ties), so results do not depend on chunking, and tie-breaking
@@ -75,7 +77,7 @@ from typing import Callable, ClassVar, Optional, Sequence
 import numpy as np
 
 from .bounds import bound_set, integer_order, kernel_f, kernel_g
-from .entropy import AlphaLike, TsallisParam, as_param, pair_entropy, phi, tsallis_entropy
+from .entropy import AlphaLike, TsallisParam, _pair_entropy_into, as_param, phi, tsallis_entropy
 from .states import (
     HALF_PI,
     QUARTER_PI,
@@ -120,8 +122,15 @@ DEFAULT_SEED = 12345
 # (2-core Xeon, numpy 2.4.6).  Results do not depend on it (deterministic
 # reduction).
 _CHUNK_POINTS = 65_536
-# A scan takes at most one worker per this many grid points.
-_WORKER_POINTS = 1 << 16
+# A scan takes at most one worker per full default chunk of grid points.
+# Fixed at import, so a budget set for a test shapes the blocks alone.
+_WORKER_POINTS = _CHUNK_POINTS
+# Most worker threads a scan takes.  One and two workers were measured
+# (BENCH_15.json, 2-core Xeon); more are unverified: each halves the blocks
+# again, so the per-block Python work, which holds the interpreter lock,
+# grows while the arithmetic per thread shrinks.  The cap also bounds the
+# scan's workspace, which holds seven block arrays per worker.
+_MAX_WORKERS = 2
 
 # refined_maximum's box: +-_REFINE_WINDOW coarse steps, _REFINE_FACTOR times finer.
 _REFINE_WINDOW = 2
@@ -144,7 +153,9 @@ class GridSpec:
     each; every scan function takes its grid on D.  Counts must be integers
     (numpy integers included); anything else raises TypeError.
     Each count is capped at MAX_POINTS (1,000,001), which keeps a one-row
-    scan block near 8 MB per temporary; a larger count raises ValueError.
+    scan block near 8 MB per array and a scan's workspace, seven such
+    arrays for each of at most two workers, near 112 MB; a larger count
+    raises ValueError.
     """
 
     MAX_POINTS: ClassVar[int] = 1_000_001
@@ -224,15 +235,15 @@ def _pair_sums(pairs: _Pairs, alpha: TsallisParam, out: Optional[np.ndarray] = N
     The result has the shape of the x pair; the y pair has that shape too,
     and the z pair broadcasts against it, so a grid passes its z pair as
     one value per row.  out, of shape (3, *x shape), takes the x and y
-    terms (pair_entropy's out): the sum is written into out[0] and
-    returned.  Without out one such array is allocated.
+    terms (entropy._pair_entropy_into's out): the sum is written into
+    out[0] and returned.  Without out one such array is allocated.
     """
     x, y, z = pairs
     if out is None:
         out = np.empty((3, *x[0].shape))
-    total = pair_entropy(*x, alpha, out=out[:2])
-    total += pair_entropy(*y, alpha, out=out[1:])
-    total += pair_entropy(*z, alpha)
+    total = _pair_entropy_into(*x, alpha, out[:2])
+    total += _pair_entropy_into(*y, alpha, out[1:])
+    total += _pair_entropy_into(*z, alpha, np.empty((2, *z[0].shape)))
     return total
 
 
@@ -256,20 +267,15 @@ def _extrema(values: np.ndarray, alpha: TsallisParam, where: Callable) -> tuple[
     return k_min, v_min, k_max, v_max
 
 
-def _grid_pairs(
-    tau: np.ndarray, cos_phi: np.ndarray, sin_phi: np.ndarray, out: Optional[np.ndarray] = None
-) -> _Pairs:
+def _grid_pairs(tau: np.ndarray, cos_phi: np.ndarray, sin_phi: np.ndarray, out: np.ndarray) -> _Pairs:
     """The order-independent stage of a block: outcome pairs on the grid tau x phi.
 
     The x and y pairs have shape (len(tau), len(phi)); the z pair depends
     on tau alone, one value per row.  cos_phi, sin_phi must lie in [-1, 1].
     out, of shape (5, len(tau), len(phi)), takes the x and y pairs in
-    out[:4], and out[4] is overwritten.  Without out one such array is
-    allocated.
+    out[:4], and out[4] is overwritten.
     """
     half_s2t, half_c2t = (0.5 * np.clip(f(2.0 * tau), -1.0, 1.0)[:, None] for f in (np.sin, np.cos))
-    if out is None:
-        out = np.empty((5, tau.size, cos_phi.size))
     h = out[4]
     for k, trig in ((0, cos_phi), (2, sin_phi)):
         # _half_pairs of half_s2t * trig, each pass written into out
@@ -280,12 +286,12 @@ def _grid_pairs(
 
 
 def _workers(points: int) -> int:
-    """Threads for a scan of this many grid points: the usable CPUs, at most one per _WORKER_POINTS."""
+    """Threads for a scan of this many grid points: the usable CPUs, at most _MAX_WORKERS and one per _WORKER_POINTS."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, points // _WORKER_POINTS))
+    return max(1, min(cpus, _MAX_WORKERS, points // _WORKER_POINTS))
 
 
 def _scan_rectangle(

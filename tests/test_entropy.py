@@ -317,6 +317,29 @@ class TestInPlaceKernel:
         assert (p.tobytes(), m.tobytes()) == before
         assert not np.shares_memory(values, p) and not np.shares_memory(values, m)
 
+    @pytest.mark.parametrize("alpha", [1.0, 1.005, 0.5, 2.0, 2.5, 7.0])
+    def test_kernel_into_workspace_gives_the_same_bytes(self, alpha):
+        # the scans' entry: a workspace slice in, the result in out[0], inputs untouched
+        p = np.concatenate([KERNEL_EDGE_PS, np.random.default_rng(14).uniform(0.0, 1.0, 200)])
+        m = 1.0 - p
+        before = p.tobytes(), m.tobytes()
+        workspace = np.full((3, 2, p.size), 7.0)
+        values = entropy._pair_entropy_into(p, m, TsallisParam(alpha), workspace[1])
+        assert values is workspace[1, 0] or np.shares_memory(values, workspace[1, 0])
+        assert values.tobytes() == workspace[1, 0].tobytes() == pair_entropy(p, m, TsallisParam(alpha)).tobytes()
+        assert (p.tobytes(), m.tobytes()) == before
+        assert np.all(workspace[0] == 7.0) and np.all(workspace[2] == 7.0)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_kernel_rejects_out_overlapping_its_inputs(self, side):
+        # p or m in out would be overwritten before it is read: zeros on the pow branch
+        o = np.random.default_rng(15).uniform(0.0, 1.0, (2, 8))
+        before = o.copy()
+        for pair in ((o[side], 1.0 - o[side]), (1.0 - o[side], o[side])):
+            with pytest.raises(ValueError, match="share memory"):
+                entropy._pair_entropy_into(*pair, TsallisParam(0.5), o)
+        assert np.array_equal(o, before)
+
 
 class TestPhi:
     def test_order_one_is_one(self):

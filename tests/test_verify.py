@@ -56,6 +56,11 @@ def clipped_half_stage(tau, cos_phi, sin_phi):
     return [clipped_half(s) for s in (s2t * cos_phi, s2t * sin_phi, np.cos(2.0 * tau)[:, None])]
 
 
+def grid_pairs(tau, cos_phi, sin_phi):
+    """verify._grid_pairs of one block, in a new array."""
+    return verify._grid_pairs(tau, cos_phi, sin_phi, np.empty((5, tau.size, cos_phi.size)))
+
+
 def assert_same_bits(pairs, expected):
     """Pairs equal bit for bit (signed zeros and NaN payloads included)."""
     assert len(pairs) == len(expected)
@@ -131,7 +136,7 @@ class TestScanExtrema:
         taus = rng.uniform(0.0, QUARTER_PI, 5)
         phis = rng.uniform(0.0, QUARTER_PI, 5)
         # the order-independent stage once, shared by every order below
-        pairs = verify._grid_pairs(taus, np.cos(phis), np.sin(phis))
+        pairs = grid_pairs(taus, np.cos(phis), np.sin(phis))
         # pow, Shannon, expm1 and integer-pow kernel branches, z-term per row included
         for alpha in (0.5, 1.0, 1.005, 3.3, 4.0):
             a = verify.as_param(alpha)
@@ -156,7 +161,7 @@ class TestScanExtrema:
             rows = max(1, verify._CHUNK_POINTS // n_phi)
             for i0 in range(0, n_tau, rows):
                 t = tau[i0 : i0 + rows]
-                assert_same_bits(verify._grid_pairs(t, cos_phi, sin_phi), clipped_half_stage(t, cos_phi, sin_phi))
+                assert_same_bits(grid_pairs(t, cos_phi, sin_phi), clipped_half_stage(t, cos_phi, sin_phi))
 
     def test_chunking_does_not_change_result(self, monkeypatch):
         grid = GridSpec(157, 83)
@@ -212,7 +217,7 @@ class TestScanExtrema:
         scan_orders([0.5, 1.0, 4.0], grid)
         assert_each_row_once()
 
-    # The order-independent stage runs once per chunk, then pair_entropy three
+    # The order-independent stage runs once per chunk, then the pair kernel three
     # times per chunk and order (x-, y-, z-term).  An 11x11 grid is one chunk
     # by default; a 33-point budget makes 3-row chunks, so row 7 is row 1 of
     # the third chunk, whose x-term is call 6 of a one-order scan.  A NaN is
@@ -227,18 +232,18 @@ class TestScanExtrema:
         ],
     )
     def test_nonfinite_value_raises(self, monkeypatch, capsys, budget, call, row, bad):
-        real = verify.pair_entropy
+        real = verify._pair_entropy_into
         calls = []
 
-        def inject(p, m, alpha, out=None):
-            out = real(p, m, alpha, out=out)
+        def inject(p, m, alpha, out):
+            out = real(p, m, alpha, out)
             if len(calls) == call:
                 out[row, 5] = bad
             calls.append(None)
             return out
 
         monkeypatch.setattr(verify, "_CHUNK_POINTS", budget)
-        monkeypatch.setattr(verify, "pair_entropy", inject)
+        monkeypatch.setattr(verify, "_pair_entropy_into", inject)
         axis = np.linspace(0.0, QUARTER_PI, 11)
         point = f"(tau, phi) = ({float(axis[7])!r}, {float(axis[5])!r})"
         with pytest.raises(ValueError, match="alpha=0.5") as info:
@@ -254,17 +259,17 @@ class TestScanExtrema:
     def test_nonfinite_value_in_second_order_raises(self, monkeypatch, capsys):
         # in a pass over orders (0.5, 2.0) call 3 is the x-term of the second
         # order in the first chunk; the first order's values stay finite
-        real = verify.pair_entropy
+        real = verify._pair_entropy_into
         calls = []
 
-        def inject(p, m, alpha, out=None):
-            out = real(p, m, alpha, out=out)
+        def inject(p, m, alpha, out):
+            out = real(p, m, alpha, out)
             if len(calls) == 3:
                 out[7, 5] = math.nan
             calls.append(alpha.alpha)
             return out
 
-        monkeypatch.setattr(verify, "pair_entropy", inject)
+        monkeypatch.setattr(verify, "_pair_entropy_into", inject)
         axis = np.linspace(0.0, QUARTER_PI, 11)
         point = f"(tau, phi) = ({float(axis[7])!r}, {float(axis[5])!r})"
         with pytest.raises(ValueError, match="alpha=2.0") as info:
@@ -315,7 +320,7 @@ def test_half_form_is_bitwise_clipped_half(s):
 def test_stage_product_is_bitwise_clipped_half(tau, c, d):
     # any cos_phi, sin_phi values in [-1, 1], tiny and subnormal products included
     t, cos_phi, sin_phi = np.array([tau]), np.array([c]), np.array([d])
-    assert_same_bits(verify._grid_pairs(t, cos_phi, sin_phi), clipped_half_stage(t, cos_phi, sin_phi))
+    assert_same_bits(grid_pairs(t, cos_phi, sin_phi), clipped_half_stage(t, cos_phi, sin_phi))
 
 
 def test_half_form_edge_values():
@@ -451,7 +456,31 @@ class TestWorkers:
     def test_worker_count(self):
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         for points in (0, 9, 2**16 - 1, 2**16, 2**17, 2001 * 2001):
-            assert verify._workers(points) == max(1, min(cpus, points // 2**16)), points
+            assert verify._workers(points) == max(1, min(cpus, 2, points // 2**16)), points
+
+    def test_many_cpus_keep_the_workspace_bounded(self, monkeypatch):
+        # 64 usable CPUs still give two workers, and on rows wider than a
+        # worker's share of the budget the workspace holds one row per worker
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert verify._MAX_WORKERS == 2
+        for points in (2**17, 2001 * 2001, GridSpec.MAX_POINTS**2):
+            assert verify._workers(points) == 2, points
+        grid, workspaces, threads = GridSpec(6, 200_001), set(), set()
+        real = verify._grid_pairs
+
+        def pairs(tau, cos_phi, sin_phi, out):
+            base = out
+            while base.base is not None:
+                base = base.base
+            workspaces.add((id(base), base.shape))
+            threads.add(threading.current_thread())
+            return real(tau, cos_phi, sin_phi, out)
+
+        monkeypatch.setattr(verify, "_grid_pairs", pairs)
+        scan_extrema(0.5, grid)
+        assert {shape for _, shape in workspaces} == {(2, 7, grid.n_phi)}
+        assert len(workspaces) == 1 and len(threads) == 2
 
     @pytest.mark.parametrize("grid", [WORKER_GRID, GridSpec(11, 40001)], ids=str)
     def test_reports_match_one_worker(self, monkeypatch, grid):
@@ -500,22 +529,22 @@ class TestWorkers:
     )
     def test_nonfinite_value_reports_the_first_in_grid_order(self, monkeypatch, orders, bad_rows):
         axis = np.linspace(0.0, QUARTER_PI, WORKER_GRID.n_tau)
-        real_pairs, real_kernel = verify._grid_pairs, verify.pair_entropy
+        real_pairs, real_kernel = verify._grid_pairs, verify._pair_entropy_into
         block = threading.local()  # the tau rows of the block each thread is on
 
         def pairs(tau, cos_phi, sin_phi, out=None):
             block.tau = tau
             return real_pairs(tau, cos_phi, sin_phi, out=out)
 
-        def kernel(p, m, alpha, out=None):
-            values = real_kernel(p, m, alpha, out=out)
+        def kernel(p, m, alpha, out):
+            values = real_kernel(p, m, alpha, out)
             rows = bad_rows.get(None, []) + bad_rows.get(alpha.alpha, [])
             if values.shape[1] > 1:  # the x and y terms, not the per-row z term
                 values[np.isin(block.tau, axis[rows]), 5] = math.nan
             return values
 
         monkeypatch.setattr(verify, "_grid_pairs", pairs)
-        monkeypatch.setattr(verify, "pair_entropy", kernel)
+        monkeypatch.setattr(verify, "_pair_entropy_into", kernel)
         with pytest.raises(ValueError) as threaded:
             scan_orders(orders, WORKER_GRID)
         with monkeypatch.context() as m:
@@ -590,16 +619,16 @@ class TestWorkers:
         assert threading.active_count() == threads
 
     def test_helpers_run_under_the_callers_error_state(self, monkeypatch):
-        real = verify.pair_entropy
+        real = verify._pair_entropy_into
         threads = set()
 
-        def noisy(p, m, alpha, out=None):
+        def noisy(p, m, alpha, out):
             threads.add(threading.current_thread())
             np.log(np.zeros(1))  # a divide warning, an error under this suite's filters
-            return real(p, m, alpha, out=out)
+            return real(p, m, alpha, out)
 
         expected = scan_extrema(0.5, WORKER_GRID)
-        monkeypatch.setattr(verify, "pair_entropy", noisy)
+        monkeypatch.setattr(verify, "_pair_entropy_into", noisy)
         with np.errstate(divide="ignore"):
             assert scan_extrema(0.5, WORKER_GRID) == expected
         assert len(threads) == verify._workers(401 * 401)
@@ -654,7 +683,7 @@ class TestSquaredIntegerOrders:
 
     def test_grid_values_within_a_few_ulps_of_pow(self, monkeypatch):
         tau = np.linspace(0.0, QUARTER_PI, 401)
-        pairs = verify._grid_pairs(tau, np.cos(tau), np.sin(tau))
+        pairs = grid_pairs(tau, np.cos(tau), np.sin(tau))
         orders = [n for n in range(4, 65) if entropy._squaring_bits(float(n)) is not None]
         chained = [verify._pair_sums(pairs, entropy.TsallisParam(n)) for n in orders]
         monkeypatch.setattr(entropy, "_power", lambda x, a, out: np.power(x, a, out=out))
