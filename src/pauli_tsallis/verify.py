@@ -1,7 +1,7 @@
 """Brute-force verification of the entropic-sum bounds.
 
 Everything here re-derives the analytic results numerically and
-independently of them: exhaustive grid scans of the entropic sum over the
+independently of them: exact grid scans of the entropic sum over the
 reduced rectangle D (optionally over the full angle domain, unfolded
 from a grid on D and compared with it to validate the symmetry reduction),
 certification of the equality conditions, kernel monotonicity checks and
@@ -16,47 +16,84 @@ float64 sin and cos agree with math's.
 Grids are uniform with both endpoints included, so the corners of D, which
 are the analytic minimizers, are exactly represented and tight bounds are
 attained on the grid rather than merely approached.  Grid evaluation is
-chunked into blocks of whole tau rows, and the blocks are split into
-contiguous runs, one per worker: a scan takes one worker per usable CPU,
-at most _MAX_WORKERS (two; no larger count was measured), one per
+chunked into blocks of whole rows of tiles (below), and the blocks are
+split into contiguous runs, one per worker, of about equal kept work
+(grid points to evaluate, not rows): a scan takes one worker per usable
+CPU, at most _MAX_WORKERS (two; no larger count was measured), one per
 _WORKER_POINTS grid points and one per block, so small scans (refinement
 windows, test grids) stay in the calling thread.  The first run is the
 caller's own, the others go to helper threads started for the scan, run
 in copies of the caller's context (so numpy's error state holds in them)
 and joined before it returns.  The workers share the _CHUNK_POINTS
 budget: each block holds about _CHUNK_POINTS / workers points (a block
-wider than that is a single row; GridSpec caps its width).  Each scan
-allocates one workspace, seven block-sized arrays per worker, and the
-stage and the kernel write into it, so no block allocates a temporary
-of its own and every array stays in a core's L2 cache.  The worker cap
-bounds the workspace whatever the CPU count: at most
+wider than that is a single row of tiles, at most max(_WORKER_POINTS /
+_MAX_WORKERS, n_phi) points; GridSpec caps n_phi).  Each scan allocates
+one workspace, seven block-sized arrays per worker, and the stage and the
+kernel write into it, so no block allocates a temporary of its own and
+every array stays in a core's L2 cache.  The worker cap bounds the
+workspace whatever the CPU count: at most
 7 max(_CHUNK_POINTS, _MAX_WORKERS n_phi) float64 values.
 
-Blocks are reduced deterministically (values compared first, earlier grid
-point wins ties), so results do not depend on chunking, and tie-breaking
-is always lowest tau, then lowest phi.  The bytes cannot depend on the
-worker count either: a grid value's arithmetic is that of its point
-alone (the same operations in the same order, out= or not), and the
-blocks' extrema are merged in block order, whichever thread found them.
+Pruning.  A scan of at least _PRUNE_POINTS grid points skips, for each
+order, the tiles that cannot hold a grid extremum or a tie with one.  A
+tile (_tile_edges) is a rectangle of about _TILE_SIDE^2 grid points.  The
+sum is F(h_x) + F(h_y) + F(h_z), where F(h) is the pair entropy of
+(1/2 + h, 1/2 - h): symmetric in h and, for every alpha > 0, falling as
+|h| grows, since binary Tsallis entropy is symmetric and concave.  The
+grid's h_x is fl(a b), a product of a row's (sin 2 tau)/2 and a column's
+cos phi (sin phi for h_y), so |h_x| = fl(|a| |b|); fl is monotone, so the
+products of the least and of the greatest |a| and |b| over the tile's
+rows and columns bound every |h_x| of the tile, and h_z, (cos 2 tau)/2,
+is bounded by its rows alone.  F at the greatest |h| of the three,
+summed by the grid's own kernel in the grid's order, gives LB, a lower
+bound of the tile's grid sums; F at the least |h| gives UB.  The
+incumbents are the least and greatest sums over a subgrid of true grid
+points: each tile's first row and column, and the grid's last.  An order
+skips a tile when LB > least + _PRUNE_MARGIN and UB < greatest -
+_PRUNE_MARGIN.  This is sound: the computed F is monotone in |h| only up
+to rounding, and the margin covers that rounding and the two additions,
+so every grid sum of a skipped tile exceeds least, which is at least the
+grid minimum, and falls below greatest, at most the grid maximum.
+Neither extremum nor any tie with it lies in a skipped tile, so the
+extrema and their witnesses are those of the exhaustive scan, which an
+infinite margin gives.  Pruning speeds up the exact grid answer and
+proves nothing between grid points.  In each tile row an order evaluates
+its span, from its first kept tile to its last (measured as fast as
+separate runs of kept tiles, with fewer kernel calls), and the stage
+runs on the span of every order's kept tiles.  Consecutive tile rows with the
+same span form one rectangle, and each order's kernel runs on its own
+rectangles in the block's workspace.
 
-A scan evaluates every order it is given in one pass.  cos phi and sin phi
-are taken once per scan, and the order-independent stage of each block
-(sin 2 tau, cos 2 tau and the outcome probabilities of the three Bloch
-components) once per block for all orders; only pair_entropy and the
-reduction run per order.  An order's arithmetic is the same whichever
+Extrema merge deterministically on (value, tau index, phi index), so
+results do not depend on chunking, tiles or workers, and tie-breaking is
+always lowest tau, then lowest phi.  The bytes cannot depend on the
+worker count either: a grid value's arithmetic is that of its point
+alone (the same operations in the same order, out= or not), whichever
+thread computed it.
+
+A scan evaluates every order it is given in one pass.  The stage vectors,
+(sin 2 tau)/2 and (cos 2 tau)/2 per row and cos phi and sin phi per
+column, are taken once per scan, and the order-independent stage of each
+block (the outcome probabilities of the three Bloch components) once per
+block for all orders; only pair_entropy and the reduction run per order.
+An order's arithmetic, and the tiles it skips, are the same whichever
 orders share its pass, so scan_extrema and scan_full_domain_consistency
 are scan_orders and full_domain_orders with one order.  A non-finite
-value in a block raises ValueError naming the order and the grid point.
-With several orders the first one met is reported: blocks in grid order,
-and within a block the orders in the order given.  An error in a run
-stops the later runs at their next block, and the earliest run's error
-is raised in the caller, after every helper has ended.  Certification
-evaluates its states in one batch under the same rule, so a NaN can never
-let a check pass.  Grids and certification share one pair formula,
-(1/2 + h, 1/2 - h) with h = s/2, and clip to [-1, 1] only the 1-D trig
-vectors (the Bloch components when certifying): |h| <= 1/2 then keeps
-both in [0, 1] without a clip of the grid.  Halving is exact (short of
-subnormals, where 1/2 +- h is 1/2 anyway), so fl(1/2 + s/2) = fl(1 + s)/2,
+value raises ValueError naming the order, and the grid point where there
+is one.  The first one met is reported.  The pruning pass comes first:
+orders in the order given, each on its subgrid (the first non-finite sum
+in grid order, with its grid point) and then on its tile bounds (the
+tile named by its first and last grid points).  Then the blocks, in grid
+order; within a block the orders in the order given, and within an order
+its rectangles, each in grid order.  An error in a run stops the later
+runs at their next block, and the earliest run's error is raised in the
+caller, after every helper has ended.  Certification evaluates its
+states in one batch under the same rule, so a NaN can never let a check
+pass.  Grids and certification share one pair formula, (1/2 + h, 1/2 - h)
+with h = s/2, and clip to [-1, 1] only the 1-D trig vectors (the Bloch
+components when certifying): |h| <= 1/2 then keeps both in [0, 1]
+without a clip of the grid.  Halving is exact (short of subnormals, where
+1/2 +- h is 1/2 anyway), so fl(1/2 + s/2) = fl(1 + s)/2,
 fl((a/2) b) = fl(a b)/2 and the pairs are bitwise clip((1 +- s)/2, 0, 1).
 
 All stochastic checks take an explicit seed; DEFAULT_SEED fixes the
@@ -111,16 +148,18 @@ __all__ = [
 DEFAULT_SEED = 12345
 
 # Grid points evaluated per chunk, shared among a scan's workers and
-# rounded down to whole tau rows (at least one).  At 65,536 points and one
-# worker each float64 array of a block is 512 KB, 256 KB each with two, and
-# a worker's seven arrays stay in a core's L2 cache; blocks a few times
+# rounded down to whole rows of tiles (at least one).  At 65,536 points and
+# one worker each float64 array of a block is 512 KB, 256 KB each with two,
+# and a worker's seven arrays stay in a core's L2 cache; blocks a few times
 # that ran about 3x slower.  In cache the per-order pair_entropy kernel
-# dominates.  All blocks of a 2001^2 scan in one thread, best of 7, at 16
-# and 32 rows per block: 36-43 ms per order on the squaring chain (4),
-# 53-64 ms on pow at 0.5, 80-118 ms at 2.5, 47-60 ms on Shannon's branch
-# and 84-101 ms on expm1's, against 14-23 ms for the shared pair stage
-# (2-core Xeon, numpy 2.4.6).  Results do not depend on it (deterministic
-# reduction).
+# dominates.  All blocks of an exhaustive 2001^2 scan in one thread, best
+# of 7, at 16 and 32 rows per block: 36-43 ms per order on the squaring
+# chain (4), 53-64 ms on pow at 0.5, 80-118 ms at 2.5, 47-60 ms on
+# Shannon's branch and 84-101 ms on expm1's, against 14-23 ms for the
+# shared pair stage (2-core Xeon, numpy 2.4.6).  A pruned scan's block
+# holds fewer points (its spans), and each of its kernel calls costs
+# 40-60 us of Python besides 12-30 ns a point.  Results do not depend on it
+# (deterministic reduction).
 _CHUNK_POINTS = 65_536
 # A scan takes at most one worker per full default chunk of grid points.
 # Fixed at import, so a budget set for a test shapes the blocks alone.
@@ -131,6 +170,26 @@ _WORKER_POINTS = _CHUNK_POINTS
 # grows while the arithmetic per thread shrinks.  The cap also bounds the
 # scan's workspace, which holds seven block arrays per worker.
 _MAX_WORKERS = 2
+# Pruning (module docstring).  A tile holds about _TILE_SIDE^2 grid points:
+# on 2001^2, 16 x 16 tiles leave 5.1% of the points to evaluate at
+# alpha = 0.5, 8.9% at 1 and 18.7% at 4; on 101 x 40001 the 1 x 400 tiles
+# leave 2.6-5.4% at 0.5, 1, 1.005 and 4, where 32 x 32 tiles left 95%.
+# Scans of fewer than _PRUNE_POINTS grid points are exhaustive: at 513^2
+# the bound pass and the extra kernel calls cost more than the skipped
+# tiles saved at three of four order sets, and at 801^2 pruning won where
+# an order kept under about half of the points (2-core Xeon, numpy 2.4.6).
+_TILE_SIDE = 16
+_PRUNE_POINTS = 2**19
+# An order skips a tile only when its lower bound exceeds the incumbent
+# minimum by more than this and its upper bound falls short of the
+# incumbent maximum by more than this.  It covers rounding: the computed
+# pair entropy rose with |h| by at most 1.7e-14 over 3 million |h| values
+# in [0, 1/2] at 30 orders from 0.01 to 1000 (the most at 0.98999, where
+# pow's cancellation near alpha = 1 peaks; at most 4.5e-16 at the orders
+# off (0.9, 1.05)), so a grid sum lies within 3 x 1.7e-14 plus two
+# roundings of its tile's bounds, under 6e-14.  math.inf gives the
+# exhaustive scan.
+_PRUNE_MARGIN = 1e-12
 
 # refined_maximum's box: +-_REFINE_WINDOW coarse steps, _REFINE_FACTOR times finer.
 _REFINE_WINDOW = 2
@@ -183,7 +242,10 @@ class ScanReport:
     bound_set(alpha), min_value - lower is nonnegative up to rounding, and
     where upper_pure is not None (the proven range) max_value lies within
     grid tolerance below it.  For non-integer alpha > 1 max_value is the
-    only pure-state upper information available.
+    only pure-state upper information available.  points_evaluated counts
+    the grid points at which the scan ran the order's kernel: n_tau n_phi
+    where the scan is exhaustive, fewer where it prunes (module
+    docstring), and the same for any worker count or chunk budget.
     """
 
     alpha: TsallisParam
@@ -192,6 +254,7 @@ class ScanReport:
     argmin: PureStateAngles
     argmax: PureStateAngles
     grid: GridSpec
+    points_evaluated: int
 
 
 def entropic_sum(state: StateLike, alpha: AlphaLike) -> float:
@@ -267,22 +330,36 @@ def _extrema(values: np.ndarray, alpha: TsallisParam, where: Callable) -> tuple[
     return k_min, v_min, k_max, v_max
 
 
-def _grid_pairs(tau: np.ndarray, cos_phi: np.ndarray, sin_phi: np.ndarray, out: np.ndarray) -> _Pairs:
-    """The order-independent stage of a block: outcome pairs on the grid tau x phi.
+_Stage = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
-    The x and y pairs have shape (len(tau), len(phi)); the z pair depends
-    on tau alone, one value per row.  cos_phi, sin_phi must lie in [-1, 1].
-    out, of shape (5, len(tau), len(phi)), takes the x and y pairs in
-    out[:4], and out[4] is overwritten.
+
+def _stage(tau_grid: np.ndarray, phi_grid: np.ndarray) -> _Stage:
+    """A scan's 1-D stage vectors: (sin 2 tau)/2, (cos 2 tau)/2 per row and cos phi, sin phi per column.
+
+    Each sine and cosine is clipped to [-1, 1], so every Bloch half h of
+    the grid, a product of two of these (x and y) or (cos 2 tau)/2 itself
+    (z), has |h| <= 1/2.
     """
-    half_s2t, half_c2t = (0.5 * np.clip(f(2.0 * tau), -1.0, 1.0)[:, None] for f in (np.sin, np.cos))
+    half_s2t, half_c2t = (0.5 * np.clip(f(2.0 * tau_grid), -1.0, 1.0) for f in (np.sin, np.cos))
+    cos_phi, sin_phi = (np.clip(f(phi_grid), -1.0, 1.0) for f in (np.cos, np.sin))
+    return half_s2t, half_c2t, cos_phi, sin_phi
+
+
+def _grid_pairs(stage: _Stage, rows, cols, out: np.ndarray) -> None:
+    """The x and y outcome pairs on the grid rows x cols, written into out[:4].
+
+    rows and cols (slices or index arrays) select from the stage vectors;
+    out has shape (5, rows, cols), and out[4] is overwritten.  The z pair
+    depends on the row alone: _half_pairs of the stage's (cos 2 tau)/2.
+    """
+    half_s2t, _, cos_phi, sin_phi = stage
+    s2t = half_s2t[rows][:, None]
     h = out[4]
-    for k, trig in ((0, cos_phi), (2, sin_phi)):
-        # _half_pairs of half_s2t * trig, each pass written into out
-        np.multiply(half_s2t, trig, out=h)
+    for k, trig in ((0, cos_phi[cols]), (2, sin_phi[cols])):
+        # _half_pairs of s2t * trig, each pass written into out
+        np.multiply(s2t, trig, out=h)
         np.add(0.5, h, out=out[k])
         np.subtract(0.5, h, out=out[k + 1])
-    return [(out[0], out[1]), (out[2], out[3]), *_half_pairs(half_c2t)]
 
 
 def _workers(points: int) -> int:
@@ -294,54 +371,216 @@ def _workers(points: int) -> int:
     return max(1, min(cpus, _MAX_WORKERS, points // _WORKER_POINTS))
 
 
+def _tile_edges(tau_grid: np.ndarray, phi_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A pruned scan's tile boundaries: grid indices from 0 to n_tau, and from 0 to n_phi.
+
+    A tile is about square in angle, with about _TILE_SIDE^2 points and at
+    least one row and one column: 16 x 16 on 2001^2 and on the 501 x 2001
+    full-domain unfolding, 1 x 400 on 101 x 40001.  A row of tiles holds at
+    most max(_WORKER_POINTS / _MAX_WORKERS, n_phi) points, so a block, at
+    least one row of tiles, keeps the workspace bound of the module
+    docstring.  The last tile along an axis may be shorter.
+    """
+    n_tau, n_phi = len(tau_grid), len(phi_grid)
+    d_tau, d_phi = ((float(axis[-1]) - float(axis[0])) / (len(axis) - 1) for axis in (tau_grid, phi_grid))
+    side = max(_TILE_SIDE * math.sqrt(d_tau * d_phi), d_tau, d_phi)
+    rows = max(1, min(round(side / d_tau), _WORKER_POINTS // _MAX_WORKERS // n_phi))
+    cols = max(1, round(side / d_phi))
+    return np.append(np.arange(0, n_tau, rows), n_tau), np.append(np.arange(0, n_phi, cols), n_phi)
+
+
+def _abs_ranges(v: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least and greatest |v| over each tile's span v[edges[t] : edges[t + 1]]."""
+    a = np.abs(v)
+    return np.minimum.reduceat(a, edges[:-1]), np.maximum.reduceat(a, edges[:-1])
+
+
+def _bound_pairs(stage: _Stage, row_edges: np.ndarray, col_edges: np.ndarray) -> _Pairs:
+    """The (x, y, z) outcome pairs at each tile's greatest |h| and at its least, stacked.
+
+    Each pair has shape (2, tile rows, tile columns), the z pair one value
+    per tile row: index 0 holds the greatest |h|, whose sums are the tiles'
+    lower bounds LB, and index 1 the least, whose sums are the upper bounds
+    UB (module docstring).  The grid's |h| is fl(|a| |b|) and fl is
+    monotone, so the products of the ends of the tile's row and column
+    ranges of |a| and |b| bound it.
+    """
+    half_s2t, half_c2t, cos_phi, sin_phi = stage
+    (s_lo, s_hi), (z_lo, z_hi) = (_abs_ranges(v, row_edges) for v in (half_s2t, half_c2t))
+    (x_lo, x_hi), (y_lo, y_hi) = (_abs_ranges(v, col_edges) for v in (cos_phi, sin_phi))
+    h = np.empty((2, 2, len(s_lo), len(x_lo)))  # x then y; greatest |h| then least
+    for k, (lo, hi) in enumerate(((x_lo, x_hi), (y_lo, y_hi))):
+        np.multiply.outer(s_hi, hi, out=h[k, 0])
+        np.multiply.outer(s_lo, lo, out=h[k, 1])
+    return _half_pairs(h[0], h[1], np.stack([z_hi, z_lo])[:, :, None])
+
+
+def _kept_tiles(
+    alphas: Sequence[TsallisParam],
+    stage: _Stage,
+    z_pair: tuple[np.ndarray, np.ndarray],
+    row_edges: np.ndarray,
+    col_edges: np.ndarray,
+    where: Callable[[int, int], str],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The tiles each order evaluates, and the incumbent subgrid's points per tile.
+
+    Returns keep, of shape (orders, tile rows, tile columns), and the count
+    of subgrid points in each tile.  The incumbents are the least and
+    greatest sums on a subgrid of true grid points: each tile's first row
+    and column and the grid's last.  An order keeps a tile unless its
+    lower bound LB > least + _PRUNE_MARGIN and its upper bound
+    UB < greatest - _PRUNE_MARGIN (_bound_pairs), and then evaluates the
+    span of each tile row (_spans).  Raises ValueError at a non-finite
+    subgrid sum (naming its grid point, the first in grid order) or tile
+    bound (naming the tile), orders in the given order.
+    """
+    bound_pairs = _bound_pairs(stage, row_edges, col_edges)
+    rows, cols = (np.union1d(edges[:-1], edges[-1] - 1) for edges in (row_edges, col_edges))
+    # the subgrid's x and y pairs and stage scratch, then its sums' three arrays
+    sub = np.empty((8, rows.size, cols.size))
+    _grid_pairs(stage, rows, cols, sub[:5])
+    sub_pairs = [(sub[0], sub[1]), (sub[2], sub[3]), (z_pair[0][rows], z_pair[1][rows])]
+    bound_sums = np.empty((3, *bound_pairs[0][0].shape))
+    keep = []
+    for alpha in alphas:
+        _, least, _, greatest = _extrema(
+            _pair_sums(sub_pairs, alpha, out=sub[5:]), alpha, lambda k: where(rows[k // cols.size], cols[k % cols.size])
+        )
+        lb, ub = _pair_sums(bound_pairs, alpha, out=bound_sums)
+        finite = np.isfinite(lb) & np.isfinite(ub)
+        if not finite.all():
+            t, u = divmod(int(np.argmin(finite)), finite.shape[1])
+            v = lb[t, u] if not math.isfinite(lb[t, u]) else ub[t, u]
+            raise ValueError(
+                f"entropic sum bound is {float(v)!r} at alpha={alpha.alpha!r}, on the tile from "
+                f"{where(row_edges[t], col_edges[u])} to {where(row_edges[t + 1] - 1, col_edges[u + 1] - 1)}"
+            )
+        keep.append(_spans((lb <= least + _PRUNE_MARGIN) | (ub >= greatest - _PRUNE_MARGIN)))
+    per_tile = np.multiply.outer(np.diff(np.searchsorted(rows, row_edges)), np.diff(np.searchsorted(cols, col_edges)))
+    return np.array(keep), per_tile
+
+
+def _spans(keep: np.ndarray) -> np.ndarray:
+    """keep with each tile row's tiles from its first kept one to its last kept too."""
+    return np.logical_or.accumulate(keep, axis=1) & np.logical_or.accumulate(keep[:, ::-1], axis=1)[:, ::-1]
+
+
+def _rects(keep: np.ndarray, row_edges: np.ndarray, col_edges: np.ndarray, block_tiles: list[int]) -> list:
+    """Per block, the rectangles [row, end row, column, end column] of keep's kept tiles.
+
+    keep holds one span per tile row (see _spans), and block b holds the
+    tile rows block_tiles[b] to block_tiles[b + 1] - 1.  Consecutive tile
+    rows of a block with the same span share a rectangle, so a block's
+    rectangles come in grid order and hold no grid point twice.
+    """
+    kept = keep.any(axis=1).tolist()
+    first = col_edges[np.argmax(keep, axis=1)].tolist()
+    end = col_edges[keep.shape[1] - np.argmax(keep[:, ::-1], axis=1)].tolist()
+    rows = row_edges.tolist()
+    blocks = []
+    for t0, t1 in zip(block_tiles, block_tiles[1:]):
+        rects: list[list[int]] = []
+        for t in range(t0, t1):
+            if not kept[t]:
+                continue
+            if rects and rects[-1][1:] == [rows[t], first[t], end[t]]:
+                rects[-1][1] = rows[t + 1]
+            else:
+                rects.append([rows[t], rows[t + 1], first[t], end[t]])
+        blocks.append(rects)
+    return blocks
+
+
 def _scan_rectangle(
     alphas: Sequence[TsallisParam], tau_grid: np.ndarray, phi_grid: np.ndarray
-) -> list[tuple[float, tuple[int, int], float, tuple[int, int]]]:
+) -> list[tuple[float, tuple[int, int], float, tuple[int, int], int]]:
     """Exact grid extrema of every order in one pass, lowest-(tau, phi) tie-breaking.
 
-    Returns (min, (i, j), max, (i, j)) per order.  The trig of phi is taken
-    once per scan and the outcome pairs once per block; only pair_entropy
-    and the reduction run per order.  The blocks are split into contiguous
-    runs, one per worker: the first runs in the calling thread, each other
-    in a helper thread under the caller's context (numpy's error state
-    included), and every worker writes into its own part of one workspace.
-    Raises ValueError at the first non-finite grid value met (see
-    _extrema): blocks in grid order, and within a block the orders in the
-    given order.  An error in a run stops every later run at its next
-    block and is raised here after every helper has ended; the earliest
-    run's error wins.
+    Returns (min, (i, j), max, (i, j), points evaluated) per order.  The
+    stage vectors are taken once per scan, the bound pass (_kept_tiles)
+    picks each order's tiles, and the blocks, whole rows of tiles, are
+    split into contiguous runs of about equal kept work, one per worker:
+    the first runs in the calling thread, each other in a helper thread
+    under the caller's context (numpy's error state included), and every
+    worker writes into its own part of one workspace.  In a block the
+    stage runs on the spans of every order's kept tiles, then each
+    order's kernel on its own spans (_rects).  Raises ValueError at the
+    first non-finite value met: the bound pass's first, then blocks in
+    grid order, within a block the orders in the given order, and within
+    an order its rectangles in grid order (see _extrema).  An error in a
+    run stops every later run at its next block and is raised here after
+    every helper has ended; the earliest run's error wins.
     """
     if not alphas:
         return []
     n_tau, n_phi = len(tau_grid), len(phi_grid)
+
+    def where(i: int, j: int) -> str:
+        return f"(tau, phi) = ({float(tau_grid[i])!r}, {float(phi_grid[j])!r})"
+
+    stage = _stage(tau_grid, phi_grid)
+    ((z_plus, z_minus),) = _half_pairs(stage[1][:, None])
     workers = _workers(n_tau * n_phi)
-    # the workers share the point budget
-    rows = max(1, _CHUNK_POINTS // workers // n_phi)
-    n_blocks = -(-n_tau // rows)
+    if _PRUNE_MARGIN < math.inf and n_tau * n_phi >= _PRUNE_POINTS:
+        row_edges, col_edges = _tile_edges(tau_grid, phi_grid)
+        keep, per_tile = _kept_tiles(alphas, stage, (z_plus, z_minus), row_edges, col_edges, where)
+    else:  # the exhaustive scan: each block is one tile, and every tile is kept
+        rows = max(1, _CHUNK_POINTS // workers // n_phi)
+        row_edges, col_edges = np.append(np.arange(0, n_tau, rows), n_tau), np.array([0, n_phi])
+        keep = np.ones((len(alphas), len(row_edges) - 1, 1), dtype=bool)
+        per_tile = np.zeros(keep.shape[1:], dtype=int)
+    n_tiles = keep.shape[1:]
+
+    # the workers share the point budget; a block is at least one row of tiles
+    tile_rows = max(1, _CHUNK_POINTS // workers // (int(row_edges[1]) * n_phi))
+    block_tiles = list(range(0, n_tiles[0], tile_rows)) + [n_tiles[0]]
+    n_blocks = len(block_tiles) - 1
     workers = min(workers, n_blocks)
-    cos_phi, sin_phi = (np.clip(f(phi_grid), -1.0, 1.0) for f in (np.cos, np.sin))
-    # per worker: one block's x and y pairs, its sum, its y term and scratch
-    workspace = np.empty((workers, 7, rows * n_phi))
-    found = [[] for _ in range(n_blocks)]  # per block, per order: (min, (i, j)), (max, (i, j))
+    stage_rects, *order_rects = (_rects(k, row_edges, col_edges, block_tiles) for k in (_spans(keep.any(0)), *keep))
+    # the grid points of each block's rectangles: the stage's, then each order's
+    areas = np.array(
+        [[sum((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in rects) for rects in m] for m in (stage_rects, *order_rects)]
+    )
+    # the points evaluated: the kernel's rectangles, and the subgrid's points outside them
+    points = [int(a.sum() + per_tile[~k].sum()) for a, k in zip(areas[1:], keep)]
+    # kept work per block, the stage counted as one order's kernel
+    work = areas.sum(axis=0)
+    # run k starts at the first block whose midpoint in the cumulative work reaches k / workers of it
+    middle = np.cumsum(work) - work / 2.0
+    bounds = [0, *np.searchsorted(middle, work.sum() * np.arange(1, workers) / workers).tolist(), n_blocks]
+    block_rows = int(row_edges[min(tile_rows, n_tiles[0])])  # the first block is the largest
+    # per worker: one block's x and y pairs and stage scratch, then the kernel's three arrays
+    workspace = np.empty((workers, 7, block_rows * n_phi))
+    found = [[[] for _ in alphas] for _ in range(n_blocks)]  # per block and order: ((min, (i, j)), (max, (i, j)))
     errors: list[Optional[BaseException]] = [None] * workers  # per run, the error that ended it
 
     def run(k: int) -> None:
         """Worker k's blocks, a contiguous run in grid order, in its part of the workspace."""
-        for b in range(n_blocks * k // workers, n_blocks * (k + 1) // workers):
+        for b in range(bounds[k], bounds[k + 1]):
             if any(e is not None for e in errors[:k]):
                 return  # an earlier run failed: its error is the one raised
-            i0 = b * rows
-            tau = tau_grid[i0 : i0 + rows]
-            w = workspace[k, :, : tau.size * n_phi].reshape(7, tau.size, n_phi)
-            pairs = _grid_pairs(tau, cos_phi, sin_phi, out=w[:5])
+            i0 = int(row_edges[block_tiles[b]])
+            w = workspace[k, :5, : (int(row_edges[block_tiles[b + 1]]) - i0) * n_phi].reshape(5, -1, n_phi)
+            for r0, r1, c0, c1 in stage_rects[b]:
+                _grid_pairs(stage, slice(r0, r1), slice(c0, c1), w[:, r0 - i0 : r1 - i0, c0:c1])
+            for o, alpha in enumerate(alphas):
+                for r0, r1, c0, c1 in order_rects[o][b]:
+                    r, c = slice(r0 - i0, r1 - i0), slice(c0, c1)
+                    pairs = [(w[0, r, c], w[1, r, c]), (w[2, r, c], w[3, r, c]), (z_plus[r0:r1], z_minus[r0:r1])]
+                    width = c1 - c0
+                    # the kernel's three arrays, after the stage's four: contiguous
+                    # whatever the span's width, so its in-place pow, log and expm1
+                    # run on contiguous rows, as in every exhaustive scan
+                    out = workspace[k, 4:, : (r1 - r0) * width].reshape(3, r1 - r0, width)
 
-            def where(j: int) -> str:
-                return f"(tau, phi) = ({float(tau_grid[i0 + j // n_phi])!r}, {float(phi_grid[j % n_phi])!r})"
+                    def at(j: int) -> tuple[int, int]:
+                        return r0 + j // width, c0 + j % width
 
-            for alpha in alphas:
-                k_min, v_min, k_max, v_max = _extrema(_pair_sums(pairs, alpha, out=w[4:]), alpha, where)
-                at_min, at_max = (divmod(i0 * n_phi + j, n_phi) for j in (k_min, k_max))
-                found[b].append(((v_min, at_min), (v_max, at_max)))
+                    k_min, v_min, k_max, v_max = _extrema(
+                        _pair_sums(pairs, alpha, out=out), alpha, lambda j: where(*at(j))
+                    )
+                    found[b][o].append(((v_min, at(k_min)), (v_max, at(k_max))))
 
     def helper(k: int) -> None:
         try:
@@ -369,12 +608,14 @@ def _scan_rectangle(
     for exc in errors:
         if exc is not None:
             raise exc
-    # min and max return the first of equal keys: the earlier block keeps ties
-    value = operator.itemgetter(0)
-    return [
-        (*min((low for low, _ in per_block), key=value), *max((high for _, high in per_block), key=value))
-        for per_block in zip(*found)
-    ]
+    results = []
+    for o, count in enumerate(points):
+        lows, highs = zip(*(pair for per_block in found for pair in per_block[o]))
+        # on (value, (i, j)): ties keep the lowest (i, j) whichever block found them
+        v_min, at_min = min(lows)
+        v_max, at_max = min(highs, key=lambda c: (-c[0], c[1]))
+        results.append((v_min, at_min, v_max, at_max, count))
+    return results
 
 
 def scan_orders(alphas: Sequence[AlphaLike], grid: Optional[GridSpec] = None) -> list[ScanReport]:
@@ -398,16 +639,20 @@ def scan_orders(alphas: Sequence[AlphaLike], grid: Optional[GridSpec] = None) ->
             argmin=PureStateAngles(float(tau_grid[i_mn]), float(phi_grid[j_mn])),
             argmax=PureStateAngles(float(tau_grid[i_mx]), float(phi_grid[j_mx])),
             grid=grid,
+            points_evaluated=points,
         )
-        for a, (mn, (i_mn, j_mn), mx, (i_mx, j_mx)) in zip(params, _scan_rectangle(params, tau_grid, phi_grid))
+        for a, (mn, (i_mn, j_mn), mx, (i_mx, j_mx), points) in zip(
+            params, _scan_rectangle(params, tau_grid, phi_grid)
+        )
     ]
 
 
 def scan_extrema(alpha: AlphaLike, grid: Optional[GridSpec] = None) -> ScanReport:
-    """Exhaustive evaluation of the entropic sum over a grid on D.
+    """Exact extrema of the entropic sum over a grid on D.
 
-    Returns exact extrema over the grid points (no refinement) together
-    with witness states.  Corners of D are on the grid, so for tight
+    Returns the extrema over the grid points (no refinement) together
+    with witness states, those of an exhaustive evaluation (a pruned scan
+    skips only tiles that hold neither extremum nor a tie with one).  Corners of D are on the grid, so for tight
     orders the grid minimum equals bound_set(alpha).lower to rounding.  This
     is scan_orders with one order.
     """
@@ -431,7 +676,7 @@ def full_domain_orders(alphas: Sequence[AlphaLike], grid: GridSpec) -> list[bool
     tol = (2.0 * h) ** 2
     return [
         abs(mn_f - mn_d) <= tol and abs(mx_f - mx_d) <= tol
-        for (mn_f, _, mx_f, _), (mn_d, _, mx_d, _) in zip(full, reduced)
+        for (mn_f, _, mx_f, _, _), (mn_d, _, mx_d, _, _) in zip(full, reduced)
     ]
 
 
@@ -637,7 +882,7 @@ def refined_maximum(alpha: AlphaLike, grid: Optional[GridSpec] = None) -> tuple[
     report = scan_extrema(a, grid)
     tau_grid = _refine_axis(report.argmax.tau, grid.n_tau)
     phi_grid = _refine_axis(report.argmax.phi, grid.n_phi)
-    ((_, _, mx, (i, j)),) = _scan_rectangle([a], tau_grid, phi_grid)
+    ((_, _, mx, (i, j), _),) = _scan_rectangle([a], tau_grid, phi_grid)
     if mx > report.max_value:
         return mx, PureStateAngles(float(tau_grid[i]), float(phi_grid[j]))
     return report.max_value, report.argmax

@@ -57,8 +57,21 @@ def clipped_half_stage(tau, cos_phi, sin_phi):
 
 
 def grid_pairs(tau, cos_phi, sin_phi):
-    """verify._grid_pairs of one block, in a new array."""
-    return verify._grid_pairs(tau, cos_phi, sin_phi, np.empty((5, tau.size, cos_phi.size)))
+    """The x, y and z outcome pairs on the grid tau x phi as a scan forms them, in new arrays."""
+    half_s2t, half_c2t, _, _ = verify._stage(tau, np.zeros(1))
+    out = np.empty((5, tau.size, cos_phi.size))
+    verify._grid_pairs((half_s2t, half_c2t, cos_phi, sin_phi), slice(None), slice(None), out)
+    return [(out[0], out[1]), (out[2], out[3]), *verify._half_pairs(half_c2t[:, None])]
+
+
+def constant_stage(tau_grid, phi_grid):
+    """A stand-in for verify._stage whose Bloch halves are all 0: every pair is (1/2, 1/2), every grid point ties."""
+    return np.zeros(len(tau_grid)), np.zeros(len(tau_grid)), np.ones(len(phi_grid)), np.ones(len(phi_grid))
+
+
+def exhaustive(monkeypatch):
+    """Scans evaluate every grid point: an infinite pruning margin."""
+    monkeypatch.setattr(verify, "_PRUNE_MARGIN", math.inf)
 
 
 def assert_same_bits(pairs, expected):
@@ -177,26 +190,25 @@ class TestScanExtrema:
         # every grid point ties, so both extrema must stay at (0, 0) across
         # chunks, for one order alone and for each order of a shared pass
         monkeypatch.setattr(verify, "_CHUNK_POINTS", budget)
-
-        def constant(tau, cos_phi, sin_phi, out=None):
-            half = np.full((tau.size, cos_phi.size), 0.5)
-            return [(half, half), (half, half), (half[:, :1], half[:, :1])]
-
-        monkeypatch.setattr(verify, "_grid_pairs", constant)
+        monkeypatch.setattr(verify, "_stage", constant_stage)
         grid = GridSpec(157, 83)
         for report in [scan_extrema(0.7, grid), *scan_orders([0.7, 1.0, 3.0], grid)]:
             assert (report.argmin.tau, report.argmin.phi) == (0.0, 0.0)
             assert (report.argmax.tau, report.argmax.phi) == (0.0, 0.0)
 
     def test_chunks_stay_within_point_budget(self, monkeypatch):
+        # every row evaluated once: the exhaustive scan
+        exhaustive(monkeypatch)
         grid = GridSpec(101, 40001)
         real = verify._grid_pairs
         rows = []
+        axis = np.linspace(0.0, QUARTER_PI, grid.n_tau)
 
-        def spy(tau, cos_phi, sin_phi, out=None):
-            assert tau.size * cos_phi.size <= max(grid.n_phi, verify._CHUNK_POINTS)
+        def spy(stage, r, c, out):
+            tau = axis[r]
+            assert tau.size * out.shape[2] <= max(grid.n_phi, verify._CHUNK_POINTS)
             rows.append((threading.current_thread(), tau))
-            return real(tau, cos_phi, sin_phi, out=out)
+            return real(stage, r, c, out)
 
         def assert_each_row_once():
             # per worker, the rows in the order they came; sorted by their first
@@ -207,7 +219,7 @@ class TestScanExtrema:
                 per_worker.setdefault(thread, []).append(tau)
             runs = sorted((np.concatenate(taus) for taus in per_worker.values()), key=lambda run: run[0])
             assert len(runs) == verify._workers(grid.n_tau * grid.n_phi)
-            assert np.array_equal(np.concatenate(runs), np.linspace(0.0, QUARTER_PI, grid.n_tau))
+            assert np.array_equal(np.concatenate(runs), axis)
             rows.clear()
 
         monkeypatch.setattr(verify, "_grid_pairs", spy)
@@ -242,6 +254,7 @@ class TestScanExtrema:
             calls.append(None)
             return out
 
+        exhaustive(monkeypatch)  # the calls counted are the blocks'
         monkeypatch.setattr(verify, "_CHUNK_POINTS", budget)
         monkeypatch.setattr(verify, "_pair_entropy_into", inject)
         axis = np.linspace(0.0, QUARTER_PI, 11)
@@ -269,6 +282,7 @@ class TestScanExtrema:
             calls.append(alpha.alpha)
             return out
 
+        exhaustive(monkeypatch)  # the calls counted are the blocks'
         monkeypatch.setattr(verify, "_pair_entropy_into", inject)
         axis = np.linspace(0.0, QUARTER_PI, 11)
         point = f"(tau, phi) = ({float(axis[7])!r}, {float(axis[5])!r})"
@@ -377,7 +391,7 @@ class TestFullDomainConsistency:
         for block, axis in ((tau_d, tau_full), (phi_d, phi_full)):
             assert np.shares_memory(block, axis) and np.array_equal(block, axis[:251])
             assert block[-1] == pytest.approx(QUARTER_PI, abs=1e-15)
-        for (mn_f, _, mx_f, _), (mn_d, _, mx_d, _) in zip(full, reduced):
+        for (mn_f, _, mx_f, _, _), (mn_d, _, mx_d, _, _) in zip(full, reduced):
             assert abs(mn_f - mn_d) <= 1e-12 and abs(mx_f - mx_d) <= 1e-12
 
     def test_oversized_unfolding_raises(self, monkeypatch):
@@ -435,7 +449,7 @@ class TestScanOrders:
 
     def test_report_holds_only_measurements(self):
         names = [field.name for field in dataclasses.fields(verify.ScanReport)]
-        assert names == ["alpha", "min_value", "max_value", "argmin", "argmax", "grid"]
+        assert names == ["alpha", "min_value", "max_value", "argmin", "argmax", "grid", "points_evaluated"]
 
 
 # A 401x401 grid engages a helper thread wherever two CPUs are usable: its
@@ -463,19 +477,20 @@ class TestWorkers:
         # worker's share of the budget the workspace holds one row per worker
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        exhaustive(monkeypatch)  # the stage's arrays are the blocks' alone
         assert verify._MAX_WORKERS == 2
         for points in (2**17, 2001 * 2001, GridSpec.MAX_POINTS**2):
             assert verify._workers(points) == 2, points
         grid, workspaces, threads = GridSpec(6, 200_001), set(), set()
         real = verify._grid_pairs
 
-        def pairs(tau, cos_phi, sin_phi, out):
+        def pairs(stage, rows, cols, out):
             base = out
             while base.base is not None:
                 base = base.base
             workspaces.add((id(base), base.shape))
             threads.add(threading.current_thread())
-            return real(tau, cos_phi, sin_phi, out)
+            return real(stage, rows, cols, out)
 
         monkeypatch.setattr(verify, "_grid_pairs", pairs)
         scan_extrema(0.5, grid)
@@ -507,11 +522,7 @@ class TestWorkers:
                 assert full_domain_orders(WORKER_ORDERS, grid) == consistent == [True] * len(params), budget
 
     def test_ties_keep_lowest_grid_point(self, monkeypatch):
-        def constant(tau, cos_phi, sin_phi, out=None):
-            half = np.full((tau.size, cos_phi.size), 0.5)
-            return [(half, half), (half, half), (half[:, :1], half[:, :1])]
-
-        monkeypatch.setattr(verify, "_grid_pairs", constant)
+        monkeypatch.setattr(verify, "_stage", constant_stage)
         for report in scan_orders([0.7, 1.0, 3.0], WORKER_GRID):
             assert (report.argmin.tau, report.argmin.phi) == (0.0, 0.0)
             assert (report.argmax.tau, report.argmax.phi) == (0.0, 0.0)
@@ -528,19 +539,20 @@ class TestWorkers:
         ],
     )
     def test_nonfinite_value_reports_the_first_in_grid_order(self, monkeypatch, orders, bad_rows):
+        exhaustive(monkeypatch)  # column 5 of every row evaluated
         axis = np.linspace(0.0, QUARTER_PI, WORKER_GRID.n_tau)
         real_pairs, real_kernel = verify._grid_pairs, verify._pair_entropy_into
-        block = threading.local()  # the tau rows of the block each thread is on
+        block = threading.local()  # the rows of the block each thread is on
 
-        def pairs(tau, cos_phi, sin_phi, out=None):
-            block.tau = tau
-            return real_pairs(tau, cos_phi, sin_phi, out=out)
+        def pairs(stage, r, c, out):
+            block.rows = np.arange(WORKER_GRID.n_tau)[r]
+            return real_pairs(stage, r, c, out)
 
         def kernel(p, m, alpha, out):
             values = real_kernel(p, m, alpha, out)
             rows = bad_rows.get(None, []) + bad_rows.get(alpha.alpha, [])
             if values.shape[1] > 1:  # the x and y terms, not the per-row z term
-                values[np.isin(block.tau, axis[rows]), 5] = math.nan
+                values[np.isin(block.rows, rows), 5] = math.nan
             return values
 
         monkeypatch.setattr(verify, "_grid_pairs", pairs)
@@ -565,9 +577,9 @@ class TestWorkers:
             reports = scan_orders(WORKER_ORDERS, WORKER_GRID)
         real, threads = verify._grid_pairs, set()
 
-        def pairs(tau, cos_phi, sin_phi, out=None):
+        def pairs(stage, rows, cols, out):
             threads.add(threading.current_thread())
-            return real(tau, cos_phi, sin_phi, out=out)
+            return real(stage, rows, cols, out)
 
         monkeypatch.setattr(verify, "_grid_pairs", pairs)
         monkeypatch.setattr(verify, "_workers", lambda points: 8)
@@ -587,14 +599,14 @@ class TestWorkers:
         threads = threading.active_count()
         real = verify._grid_pairs
 
-        def pairs(tau, cos_phi, sin_phi, out=None):
+        def pairs(stage, rows, cols, out):
             if threading.get_ident() == caller:
                 failed.set()
                 raise error("stop")
-            helper_blocks.append(tau[0])
+            helper_blocks.append(rows.start)
             assert failed.wait(timeout=30)
             time.sleep(0.1)  # the caller records its error meanwhile
-            return real(tau, cos_phi, sin_phi, out=out)
+            return real(stage, rows, cols, out)
 
         monkeypatch.setattr(verify, "_grid_pairs", pairs)
         with pytest.raises(error, match="stop"):
@@ -607,10 +619,10 @@ class TestWorkers:
         caller, threads = threading.get_ident(), threading.active_count()
         real = verify._grid_pairs
 
-        def pairs(tau, cos_phi, sin_phi, out=None):
+        def pairs(stage, rows, cols, out):
             if threading.get_ident() != caller:
                 raise MemoryError("helper")
-            return real(tau, cos_phi, sin_phi, out=out)
+            return real(stage, rows, cols, out)
 
         monkeypatch.setattr(verify, "_grid_pairs", pairs)
         if verify._workers(401 * 401) > 1:
@@ -641,9 +653,9 @@ class TestWorkers:
         caller, seen = threading.get_ident(), set()
         real = verify._grid_pairs
 
-        def pairs(tau, cos_phi, sin_phi, out=None):
+        def pairs(stage, rows, cols, out):
             seen.add(threading.get_ident())
-            return real(tau, cos_phi, sin_phi, out=out)
+            return real(stage, rows, cols, out)
 
         monkeypatch.setattr(verify, "_grid_pairs", pairs)
         scan_orders([0.5, 2.0], grid)
@@ -666,6 +678,181 @@ class TestWorkers:
         env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
         assert int(result.stdout) < 5000
+
+
+# Every order of the CI pins of `pauli-tsallis verify`.
+PINNED_ORDERS = (
+    0.25, 0.5, 0.991, 0.9999999, 1.0, 1.0000001, 1.005, 1.009, 1.5, 1.7, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 7.0, 7.5, 10.0
+)
+# (tau end, n_tau, phi end, n_phi): grids on D, and the full-domain
+# unfoldings of the 101^2 and 251^2 grids on D
+PARITY_GRIDS = {
+    "11x11": (QUARTER_PI, 11, QUARTER_PI, 11),
+    "401x401": (QUARTER_PI, 401, QUARTER_PI, 401),
+    "2001x2001": (QUARTER_PI, 2001, QUARTER_PI, 2001),
+    "101x40001": (QUARTER_PI, 101, QUARTER_PI, 40001),
+    "201x801 unfolded": (math.pi / 2.0, 201, 2.0 * math.pi, 801),
+    "501x2001 unfolded": (math.pi / 2.0, 501, 2.0 * math.pi, 2001),
+}
+
+
+def pruning_everywhere(monkeypatch):
+    """Scans of any size prune."""
+    monkeypatch.setattr(verify, "_PRUNE_POINTS", 0)
+
+
+class TestPruning:
+    """Pruned scans skip tiles and report the exhaustive scan's extrema and witnesses."""
+
+    @pytest.mark.parametrize("grid", PARITY_GRIDS)
+    def test_pruned_scans_equal_the_exhaustive_scan(self, monkeypatch, grid):
+        tau_end, n_tau, phi_end, n_phi = PARITY_GRIDS[grid]
+        tau, phi = np.linspace(0.0, tau_end, n_tau), np.linspace(0.0, phi_end, n_phi)
+        params = [verify.as_param(a) for a in PINNED_ORDERS]
+        with monkeypatch.context() as m:
+            exhaustive(m)
+            expected = verify._scan_rectangle(params, tau, phi)
+        assert [points for *_, points in expected] == [n_tau * n_phi] * len(params)
+        pruning_everywhere(monkeypatch)
+        counts = set()
+        # chunk budgets as in test_chunking_does_not_change_result, one and two workers
+        for budget in (1, n_phi - 1, n_phi, 7 * n_phi + 3):
+            monkeypatch.setattr(verify, "_CHUNK_POINTS", budget)
+            for workers in (1, 2):
+                monkeypatch.setattr(verify, "_workers", lambda points, w=workers: w)
+                pruned = verify._scan_rectangle(params, tau, phi)
+                assert [r[:4] for r in pruned] == [r[:4] for r in expected], (budget, workers)
+                counts.add(tuple(points for *_, points in pruned))
+        # the points evaluated depend on the grid and the orders alone
+        (points,) = counts
+        assert all(0 < p <= n_tau * n_phi for p in points)
+
+    @pytest.mark.parametrize("grid", ["401x401", "201x801 unfolded"])
+    def test_tile_bounds_hold_every_grid_sum(self, grid):
+        # LB and UB bound each tile's grid sums within the rounding the margin covers
+        tau_end, n_tau, phi_end, n_phi = PARITY_GRIDS[grid]
+        tau, phi = np.linspace(0.0, tau_end, n_tau), np.linspace(0.0, phi_end, n_phi)
+        stage = verify._stage(tau, phi)
+        row_edges, col_edges = verify._tile_edges(tau, phi)
+        assert row_edges[0] == col_edges[0] == 0 and (row_edges[-1], col_edges[-1]) == (n_tau, n_phi)
+        pairs, bounds = grid_pairs(tau, stage[2], stage[3]), verify._bound_pairs(stage, row_edges, col_edges)
+        for alpha in PINNED_ORDERS:
+            a = verify.as_param(alpha)
+            values = verify._pair_sums(pairs, a)
+            lb, ub = verify._pair_sums(bounds, a)
+            per_tile = [
+                reduce.reduceat(reduce.reduceat(values, row_edges[:-1], axis=0), col_edges[:-1], axis=1)
+                for reduce in (np.minimum, np.maximum)
+            ]
+            assert np.all(per_tile[0] >= lb - 6e-14) and np.all(per_tile[1] <= ub + 6e-14), alpha
+
+    def test_large_scans_prune(self):
+        # below _PRUNE_POINTS a scan is exhaustive; on 2001^2 the sum is constant
+        # at 2 (every tile kept) and each other order skips most of the grid
+        assert [r.points_evaluated for r in scan_orders([0.5, 2.0], GridSpec(401, 401))] == [401 * 401] * 2
+        grid = GridSpec(2001, 2001)
+        low, constant, high = (r.points_evaluated for r in scan_orders([0.5, 2.0, 4.0], grid))
+        assert constant == grid.n_tau * grid.n_phi
+        assert low < high < constant / 4
+
+    def test_ties_keep_lowest_grid_point(self, monkeypatch):
+        # every grid point ties, so no tile is skipped and both extrema stay at (0, 0)
+        monkeypatch.setattr(verify, "_stage", constant_stage)
+        pruning_everywhere(monkeypatch)
+        for budget in (1, 7 * 401 + 3, verify._CHUNK_POINTS):
+            monkeypatch.setattr(verify, "_CHUNK_POINTS", budget)
+            for report in scan_orders([0.7, 1.0, 3.0], WORKER_GRID):
+                assert (report.argmin.tau, report.argmin.phi) == (0.0, 0.0)
+                assert (report.argmax.tau, report.argmax.phi) == (0.0, 0.0)
+                assert report.points_evaluated == 401 * 401
+
+    @pytest.mark.parametrize("grid", [GridSpec(2001, 2001), GridSpec(101, 40001), GridSpec(3001, 3001)], ids=str)
+    def test_workspace_stays_bounded(self, monkeypatch, grid):
+        # a block is at least one row of tiles; a row of tiles holds at most
+        # max(2**15, n_phi) points, so the workspace keeps the exhaustive bound
+        real, workspaces = verify._grid_pairs, set()
+
+        def pairs(stage, rows, cols, out):
+            base = out
+            while base.base is not None:
+                base = base.base
+            if base.ndim == 3 and base.shape[1] == 7:  # not the bound pass's subgrid
+                workspaces.add(base.shape)
+            return real(stage, rows, cols, out)
+
+        monkeypatch.setattr(verify, "_grid_pairs", pairs)
+        scan_extrema(0.5, grid)
+        ((workers, planes, size),) = workspaces
+        assert workers * size <= max(verify._CHUNK_POINTS, verify._MAX_WORKERS * grid.n_phi)
+
+    @pytest.mark.parametrize("alpha", PINNED_ORDERS)
+    def test_pair_entropy_falls_as_h_grows(self, alpha):
+        # the tile bounds take F(h), the pair entropy of (1/2 + h, 1/2 - h), as
+        # even in h and falling in |h|; rounding lifts it 100x under the margin
+        h = np.linspace(0.0, 0.5, 1_000_001)
+        a = entropy.TsallisParam(alpha)
+        values = entropy.pair_entropy(0.5 + h, 0.5 - h, a)
+        assert np.array_equal(entropy.pair_entropy(0.5 - h, 0.5 + h, a), values)
+        assert np.max(values[1:] - np.minimum.accumulate(values)[:-1]) <= 1e-14
+        assert 1e-14 * 100 <= verify._PRUNE_MARGIN
+
+    # A pruned scan's first kernel calls are the bound pass's, order by order:
+    # three for the incumbent subgrid's sums (x, y, z), then three for the tile
+    # bounds, of shape (2, tile rows, tile columns), the lower bounds first.
+    @pytest.mark.parametrize("k,orders", [(0, (0.5, 2.0)), (1, (0.5, 2.0)), (0, (4.0,))])
+    def test_nonfinite_incumbent_raises(self, monkeypatch, capsys, k, orders):
+        axis = np.linspace(0.0, QUARTER_PI, 801)
+        row_edges, col_edges = verify._tile_edges(axis, axis)
+        real = verify._pair_entropy_into
+        calls = []
+
+        def inject(p, m, alpha, out):
+            out = real(p, m, alpha, out)
+            if len(calls) == 6 * k:  # the x term of order k's subgrid sums
+                out[3, 2] = math.nan
+            calls.append(None)
+            return out
+
+        monkeypatch.setattr(verify, "_pair_entropy_into", inject)
+        point = f"(tau, phi) = ({float(axis[row_edges[3]])!r}, {float(axis[col_edges[2]])!r})"
+        with pytest.raises(ValueError, match=f"alpha={orders[k]!r}") as info:
+            scan_orders(orders, GridSpec(801, 801))
+        assert "entropic sum is nan" in str(info.value) and point in str(info.value)
+
+        calls.clear()
+        assert main(["verify", ",".join(map(repr, orders)), "--grid", "801"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"alpha={orders[k]!r}" in err and point in err
+
+    @pytest.mark.parametrize("k,orders,side,bad", [(0, (0.5, 2.0), 0, math.nan), (1, (0.5, 2.0), 1, math.inf)])
+    def test_nonfinite_tile_bound_raises(self, monkeypatch, capsys, k, orders, side, bad):
+        axis = np.linspace(0.0, QUARTER_PI, 801)
+        row_edges, col_edges = verify._tile_edges(axis, axis)
+        real = verify._pair_entropy_into
+        calls = []
+
+        def inject(p, m, alpha, out):
+            out = real(p, m, alpha, out)
+            if len(calls) == 6 * k + 3:  # the x term of order k's tile bounds
+                out[side, 4, 6] = bad
+            calls.append(None)
+            return out
+
+        def point(i, j):
+            return f"(tau, phi) = ({float(axis[i])!r}, {float(axis[j])!r})"
+
+        monkeypatch.setattr(verify, "_pair_entropy_into", inject)
+        tile = f"on the tile from {point(row_edges[4], col_edges[6])} to {point(row_edges[5] - 1, col_edges[7] - 1)}"
+        with pytest.raises(ValueError, match=f"alpha={orders[k]!r}") as info:
+            scan_orders(orders, GridSpec(801, 801))
+        assert f"entropic sum bound is {bad!r}" in str(info.value) and tile in str(info.value)
+
+        calls.clear()
+        assert main(["verify", ",".join(map(repr, orders)), "--grid", "801"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"alpha={orders[k]!r}" in err and tile in err
 
 
 class TestSquaredIntegerOrders:
