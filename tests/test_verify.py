@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -70,8 +71,8 @@ def constant_stage(tau_grid, phi_grid):
 
 
 def exhaustive(monkeypatch):
-    """Scans evaluate every grid point: an infinite pruning margin."""
-    monkeypatch.setattr(verify, "_PRUNE_MARGIN", math.inf)
+    """Scans of any size are exhaustive: every grid point in blocks of whole grid rows, no bound pass."""
+    monkeypatch.setattr(verify, "_PRUNE_POINTS", math.inf)
 
 
 def assert_same_bits(pairs, expected):
@@ -726,6 +727,9 @@ class TestPruning:
         # the points evaluated depend on the grid and the orders alone
         (points,) = counts
         assert all(0 < p <= n_tau * n_phi for p in points)
+        # an infinite margin keeps every tile: the exhaustive scan's reports, points included
+        monkeypatch.setattr(verify, "_PRUNE_MARGIN", math.inf)
+        assert verify._scan_rectangle(params, tau, phi) == expected
 
     @pytest.mark.parametrize("grid", ["401x401", "201x801 unfolded"])
     def test_tile_bounds_hold_every_grid_sum(self, grid):
@@ -735,7 +739,8 @@ class TestPruning:
         stage = verify._stage(tau, phi)
         row_edges, col_edges = verify._tile_edges(tau, phi)
         assert row_edges[0] == col_edges[0] == 0 and (row_edges[-1], col_edges[-1]) == (n_tau, n_phi)
-        pairs, bounds = grid_pairs(tau, stage[2], stage[3]), verify._bound_pairs(stage, row_edges, col_edges)
+        ranges, tiles = verify._tile_ranges(stage, row_edges, col_edges), (len(row_edges) - 1, len(col_edges) - 1)
+        pairs, bounds = grid_pairs(tau, stage[2], stage[3]), verify._bound_pairs(ranges, slice(None), np.empty((12, *tiles)))
         for alpha in PINNED_ORDERS:
             a = verify.as_param(alpha)
             values = verify._pair_sums(pairs, a)
@@ -776,7 +781,7 @@ class TestPruning:
             base = out
             while base.base is not None:
                 base = base.base
-            if base.ndim == 3 and base.shape[1] == 7:  # not the bound pass's subgrid
+            if base.ndim == 3 and base.shape[1] == 7:  # the workspace; test_scan_memory_stays_bounded takes the rest
                 workspaces.add(base.shape)
             return real(stage, rows, cols, out)
 
@@ -784,6 +789,46 @@ class TestPruning:
         scan_extrema(0.5, grid)
         ((workers, planes, size),) = workspaces
         assert workers * size <= max(verify._CHUNK_POINTS, verify._MAX_WORKERS * grid.n_phi)
+
+    @pytest.mark.parametrize("grid", [GridSpec(4001, 4001), GridSpec(1001, 40001)], ids=str)
+    def test_scan_memory_stays_bounded(self, monkeypatch, grid):
+        # the bound pass works a chunk of subgrid rows or of rows of tiles at a
+        # time, so a whole scan allocates at most the workspace bound of the
+        # module docstring and a few vectors along the axes (5.7 and 15 MB
+        # here); the tile bounds taken all at once raise the peak to 16 and 47 MB
+        with monkeypatch.context() as m:
+            pruning_everywhere(m)
+            scan_extrema(0.5, GridSpec(41, 41))  # the pruned scan's first-use imports
+        tracemalloc.start()
+        try:
+            assert scan_extrema(0.5, grid).points_evaluated < grid.n_tau * grid.n_phi / 10
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        workspace = 7 * max(verify._CHUNK_POINTS, verify._MAX_WORKERS * grid.n_phi)
+        assert peak <= 8 * (workspace + 32 * (grid.n_tau + grid.n_phi))
+
+    def test_workers_follow_the_kept_points(self, monkeypatch):
+        # a pruned scan takes one worker per _WORKER_POINTS points its stage
+        # evaluates: every point where every tile is kept (alpha = 2), a few
+        # percent at 0.5, and under 2**17 on 801^2 at 0.5, which stays in the caller
+        real, asked, threads = verify._workers, [], set()
+        real_pairs = verify._grid_pairs
+
+        def pairs(stage, rows, cols, out):
+            threads.add(threading.get_ident())
+            return real_pairs(stage, rows, cols, out)
+
+        monkeypatch.setattr(verify, "_workers", lambda points: asked.append(points) or real(points))
+        monkeypatch.setattr(verify, "_grid_pairs", pairs)
+        grid = GridSpec(2001, 2001)
+        constant, low = (scan_extrema(a, grid).points_evaluated for a in (2.0, 0.5))
+        assert asked[0] == constant == grid.n_tau * grid.n_phi
+        assert asked[1] < low < constant / 10
+        asked.clear()
+        threads.clear()
+        scan_extrema(0.5, GridSpec(801, 801))
+        assert asked[0] < 2 * verify._WORKER_POINTS and threads == {threading.get_ident()}
 
     @pytest.mark.parametrize("alpha", PINNED_ORDERS)
     def test_pair_entropy_falls_as_h_grows(self, alpha):
@@ -796,25 +841,26 @@ class TestPruning:
         assert np.max(values[1:] - np.minimum.accumulate(values)[:-1]) <= 1e-14
         assert 1e-14 * 100 <= verify._PRUNE_MARGIN
 
-    # A pruned scan's first kernel calls are the bound pass's, order by order:
-    # three for the incumbent subgrid's sums (x, y, z), then three for the tile
-    # bounds, of shape (2, tile rows, tile columns), the lower bounds first.
+    # A pruned scan's first kernel calls are the bound pass's.  On 801^2 the
+    # incumbent subgrid is one chunk and the tile bounds another: three calls
+    # per order for the subgrid's sums (x, y, z), then three per order for the
+    # tile bounds, of shape (2, tile rows, tile columns), the lower bounds first.
     @pytest.mark.parametrize("k,orders", [(0, (0.5, 2.0)), (1, (0.5, 2.0)), (0, (4.0,))])
     def test_nonfinite_incumbent_raises(self, monkeypatch, capsys, k, orders):
         axis = np.linspace(0.0, QUARTER_PI, 801)
-        row_edges, col_edges = verify._tile_edges(axis, axis)
+        rows, cols = verify._subgrid(axis, axis)
         real = verify._pair_entropy_into
         calls = []
 
         def inject(p, m, alpha, out):
             out = real(p, m, alpha, out)
-            if len(calls) == 6 * k:  # the x term of order k's subgrid sums
+            if len(calls) == 3 * k:  # the x term of order k's subgrid sums
                 out[3, 2] = math.nan
             calls.append(None)
             return out
 
         monkeypatch.setattr(verify, "_pair_entropy_into", inject)
-        point = f"(tau, phi) = ({float(axis[row_edges[3]])!r}, {float(axis[col_edges[2]])!r})"
+        point = f"(tau, phi) = ({float(axis[rows[3]])!r}, {float(axis[cols[2]])!r})"
         with pytest.raises(ValueError, match=f"alpha={orders[k]!r}") as info:
             scan_orders(orders, GridSpec(801, 801))
         assert "entropic sum is nan" in str(info.value) and point in str(info.value)
@@ -834,7 +880,7 @@ class TestPruning:
 
         def inject(p, m, alpha, out):
             out = real(p, m, alpha, out)
-            if len(calls) == 6 * k + 3:  # the x term of order k's tile bounds
+            if len(calls) == 3 * len(orders) + 3 * k:  # the x term of order k's tile bounds
                 out[side, 4, 6] = bad
             calls.append(None)
             return out
