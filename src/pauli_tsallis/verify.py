@@ -83,21 +83,28 @@ thread computed it.
 A scan evaluates every order it is given in one pass.  The stage vectors,
 (sin 2 tau)/2 and (cos 2 tau)/2 per row and cos phi and sin phi per
 column, are taken once per scan, and the order-independent stage of each
-block (the outcome probabilities of the three Bloch components) once per
-block for all orders; only pair_entropy and the reduction run per order.
-An order's arithmetic, and the tiles it skips, are the same whichever
-orders share its pass, so scan_extrema and scan_full_domain_consistency
-are scan_orders and full_domain_orders with one order.  A non-finite
-value raises ValueError naming the order, and the grid point where there
-is one.  The first one met is reported.  The bound pass comes first: its
-subgrid in chunks of rows, in grid order, and within a chunk the orders
-in the order given (the chunk's first non-finite sum in grid order, with
-its grid point), then its tile bounds in chunks of rows of tiles, the
-same way (the tile named by its first and last grid points).  Then the
-blocks, in grid order; within a block the orders in the order given, and
-within an order its rectangles, each in grid order.  An error in a run stops the later
-runs at their next block, and the earliest run's error is raised in the
-caller, after every helper has ended.  Certification evaluates its
+block (the outcome probabilities of the x and y Bloch components) once
+per block for all orders.  The z component depends on the row alone, so
+each order's z term, the pair entropy of (1/2 + h_z, 1/2 - h_z), is
+taken once per scan too, one value per grid row from the grid's own
+kernel; the subgrid and the blocks add slices of it.  Only the x and y
+pair entropies and the reduction run per block and order.  An order's
+arithmetic, and the tiles it skips, are the same whichever orders share
+its pass, so scan_extrema and scan_full_domain_consistency are
+scan_orders and full_domain_orders with one order.  A non-finite value
+raises ValueError naming the order, and the grid point where there is
+one.  The first one met is reported.  Computing the z terms raises
+nothing: a non-finite z term is met in the first sum that adds it, at
+the first grid point of its row that the order evaluates.  The bound
+pass comes first: its subgrid in chunks of rows, in grid order, and
+within a chunk the orders in the order given (the chunk's first
+non-finite sum in grid order, with its grid point), then its tile bounds
+in chunks of rows of tiles, the same way (the tile named by its first
+and last grid points).  Then the blocks, in grid order; within a block
+the orders in the order given, and within an order its rectangles, each
+in grid order.  An error in a run stops the later runs at their next
+block, and the earliest run's error is raised in the caller, after every
+helper has ended.  Certification evaluates its
 states in one batch under the same rule, so a NaN can never let a check
 pass.  Grids and certification share one pair formula, (1/2 + h, 1/2 - h)
 with h = s/2, and clip to [-1, 1] only the 1-D trig vectors (the Bloch
@@ -124,7 +131,7 @@ from typing import Callable, ClassVar, Optional, Sequence
 import numpy as np
 
 from .bounds import bound_set, integer_order, kernel_f, kernel_g
-from .entropy import AlphaLike, TsallisParam, _pair_entropy_into, as_param, phi, tsallis_entropy
+from .entropy import AlphaLike, TsallisParam, _pair_entropy_into, as_param, pair_entropy, phi, tsallis_entropy
 from .states import (
     HALF_PI,
     QUARTER_PI,
@@ -171,6 +178,10 @@ DEFAULT_SEED = 12345
 # so it runs few full blocks: each kernel call costs tens of microseconds
 # of Python besides 12-30 ns a point.  The bound pass's chunks take their
 # size from it too.  Results do not depend on it (deterministic reduction).
+# The budget stays shared rather than one per worker: a full block per
+# worker cut the raw scan time by about 20%, but it doubled the workspace,
+# and the benchmark's host-speed probe, run between passes, then took
+# fewer page faults and ran faster, which hid the gain (ROADMAP item 5).
 _CHUNK_POINTS = 65_536
 # A scan takes at most one worker per full default chunk of grid points.
 # Fixed at import, so a budget set for a test shapes the blocks alone.
@@ -178,8 +189,10 @@ _WORKER_POINTS = _CHUNK_POINTS
 # Most worker threads a scan takes.  One and two workers were measured
 # (BENCH_15.json, 2-core Xeon); more are unverified: each halves the blocks
 # again, so the per-block Python work, which holds the interpreter lock,
-# grows while the arithmetic per thread shrinks.  The cap also bounds the
-# scan's workspace, which holds seven block arrays per worker.
+# grows while the arithmetic per thread shrinks.  Workers hand the lock
+# over at each numpy call, so the calls a block makes per order, not only
+# its arithmetic, set how long they wait on each other.  The cap also
+# bounds the scan's workspace, which holds seven block arrays per worker.
 _MAX_WORKERS = 2
 # Pruning (module docstring).  A tile holds about _TILE_SIDE^2 grid points:
 # on 2001^2, 16 x 16 tiles leave 5.1% of the points to evaluate at
@@ -225,7 +238,8 @@ class GridSpec:
     Each count is capped at MAX_POINTS (1,000,001), which keeps a one-row
     scan block near 8 MB per array and a scan's workspace, seven such
     arrays for each of at most two workers, near 112 MB (a pruned scan's
-    bound pass holds less); a larger count raises ValueError.
+    bound pass holds less); each order of a scan adds one n_tau-long
+    vector, its z term per row.  A larger count raises ValueError.
     """
 
     MAX_POINTS: ClassVar[int] = 1_000_001
@@ -303,27 +317,29 @@ def _clipped_pairs(*components: np.ndarray) -> _Pairs:
     return _half_pairs(*(0.5 * np.clip(s, -1.0, 1.0) for s in components))
 
 
-def _pair_sums(pairs: _Pairs, alpha: TsallisParam, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Entropic sums from the (x, y, z) outcome pairs.
+def _pair_sums(pairs: _Pairs, z_term: np.ndarray, alpha: TsallisParam, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Entropic sums from the x and y outcome pairs and the z term, the z pair's entropies.
 
     The result has the shape of the x pair; the y pair has that shape too,
-    and the z pair broadcasts against it, so a grid passes its z pair as
-    one value per row.  out, of shape (3, *x shape), takes the x and y
-    terms (entropy._pair_entropy_into's out): the sum is written into
-    out[0] and returned.  Without out one such array is allocated.
+    and z_term broadcasts against it, so a grid passes its z term as one
+    value per row, each computed once per scan.  out, of shape
+    (3, *x shape), takes the x and y terms (entropy._pair_entropy_into's
+    out): the sum is written into out[0] and returned.  Without out one
+    such array is allocated.
     """
-    x, y, z = pairs
+    x, y = pairs
     if out is None:
         out = np.empty((3, *x[0].shape))
     total = _pair_entropy_into(*x, alpha, out[:2])
     total += _pair_entropy_into(*y, alpha, out[1:])
-    total += _pair_entropy_into(*z, alpha, np.empty((2, *z[0].shape)))
+    total += z_term
     return total
 
 
 def _entropic_sums(bx: np.ndarray, by: np.ndarray, bz: np.ndarray, alpha: TsallisParam) -> np.ndarray:
-    """Entropic sums at Bloch components (bx, by, bz); by and bz broadcast against bx."""
-    return _pair_sums(_clipped_pairs(bx, by, bz), alpha)
+    """Entropic sums at Bloch components (bx, by, bz) of one shape."""
+    x, y, z = _clipped_pairs(bx, by, bz)
+    return _pair_sums([x, y], pair_entropy(*z, alpha), alpha)
 
 
 def _extrema(values: np.ndarray, alpha: TsallisParam, where: Callable) -> tuple[int, float, int, float]:
@@ -361,7 +377,8 @@ def _grid_pairs(stage: _Stage, rows, cols, out: np.ndarray) -> None:
 
     rows and cols (slices or index arrays) select from the stage vectors;
     out has shape (5, rows, cols), and out[4] is overwritten.  The z pair
-    depends on the row alone: _half_pairs of the stage's (cos 2 tau)/2.
+    depends on the row alone, _half_pairs of the stage's (cos 2 tau)/2, and
+    a scan takes its entropies once (_scan_rectangle).
     """
     half_s2t, _, cos_phi, sin_phi = stage
     s2t = half_s2t[rows][:, None]
@@ -424,13 +441,14 @@ def _subgrid(tau_grid: np.ndarray, phi_grid: np.ndarray) -> tuple[np.ndarray, np
 def _incumbents(
     alphas: Sequence[TsallisParam],
     stage: _Stage,
-    z_pair: tuple[np.ndarray, np.ndarray],
+    z_terms: np.ndarray,
     sub: tuple[np.ndarray, np.ndarray],
     where: Callable[[int, int], str],
 ) -> list[tuple[float, float]]:
     """Each order's least and greatest sum over the subgrid sub = (rows, columns) of true grid points.
 
-    The subgrid is evaluated a chunk of rows at a time, at most
+    z_terms, of shape (orders, grid rows, 1), holds each order's z term per
+    grid row.  The subgrid is evaluated a chunk of rows at a time, at most
     max(_CHUNK_POINTS / 2, columns) points, in one array of eight planes
     of that size, and within a chunk the orders in the given order.  Raises
     ValueError at a non-finite sum, naming its grid point (see _extrema).
@@ -444,10 +462,12 @@ def _incumbents(
         # the chunk's x and y pairs and stage scratch, then the kernel's three arrays
         w = scratch[:, : chunk.size * cols.size].reshape(8, chunk.size, cols.size)
         _grid_pairs(stage, chunk, cols, w[:5])
-        pairs = [(w[0], w[1]), (w[2], w[3]), (z_pair[0][chunk], z_pair[1][chunk])]
+        pairs = [(w[0], w[1]), (w[2], w[3])]
         for o, alpha in enumerate(alphas):
             _, low, _, high = _extrema(
-                _pair_sums(pairs, alpha, out=w[5:]), alpha, lambda k: where(chunk[k // cols.size], cols[k % cols.size])
+                _pair_sums(pairs, z_terms[o, chunk], alpha, out=w[5:]),
+                alpha,
+                lambda k: where(chunk[k // cols.size], cols[k % cols.size]),
             )
             least[o], greatest[o] = min(least[o], low), max(greatest[o], high)
     return list(zip(least, greatest))
@@ -495,7 +515,7 @@ def _bound_pairs(ranges: list[tuple[np.ndarray, np.ndarray]], tiles: slice, out:
 def _kept_spans(
     alphas: Sequence[TsallisParam],
     stage: _Stage,
-    z_pair: tuple[np.ndarray, np.ndarray],
+    z_terms: np.ndarray,
     row_edges: np.ndarray,
     col_edges: np.ndarray,
     sub: tuple[np.ndarray, np.ndarray],
@@ -509,8 +529,9 @@ def _kept_spans(
     tile between them.  An order keeps a tile unless its lower bound
     LB > least + _PRUNE_MARGIN and its upper bound UB < greatest -
     _PRUNE_MARGIN, least and greatest being its incumbents over the
-    subgrid sub (_incumbents) and LB and UB the sums of _bound_pairs.  The
-    bounds are taken a chunk of rows of tiles at a time, at most
+    subgrid sub (_incumbents, which adds z_terms) and LB and UB the sums
+    of _bound_pairs, whose z terms are taken from the bounds' own z pairs.
+    The bounds are taken a chunk of rows of tiles at a time, at most
     max(_CHUNK_POINTS / 4, columns of tiles) tiles of fourteen values, and
     within a chunk the orders in the given order.  Raises ValueError at a
     non-finite subgrid sum (_incumbents) or tile bound, naming the tile.
@@ -518,7 +539,7 @@ def _kept_spans(
     its chunks' arrays, it took 1.8 ms on 2001^2 at alpha = 2.5 against
     1.4 ms on one (2-core Xeon, numpy 2.4.6).
     """
-    incumbents = _incumbents(alphas, stage, z_pair, sub, where)
+    incumbents = _incumbents(alphas, stage, z_terms, sub, where)
     ranges = _tile_ranges(stage, row_edges, col_edges)
     n_rows, n_cols = len(row_edges) - 1, len(col_edges) - 1
     spans = np.empty((len(alphas), n_rows, 2), dtype=int)
@@ -527,10 +548,10 @@ def _kept_spans(
     scratch = np.empty((14, min(step, n_rows) * n_cols))
     for t0 in range(0, n_rows, step):
         w = scratch[:, : (min(t0 + step, n_rows) - t0) * n_cols].reshape(14, -1, n_cols)
-        pairs = _bound_pairs(ranges, slice(t0, t0 + step), w[:12])
+        *pairs, z_pair = _bound_pairs(ranges, slice(t0, t0 + step), w[:12])
         sums = w[8:].reshape(3, 2, -1, n_cols)
         for o, (alpha, (least, greatest)) in enumerate(zip(alphas, incumbents)):
-            lb, ub = _pair_sums(pairs, alpha, out=sums)
+            lb, ub = _pair_sums(pairs, pair_entropy(*z_pair, alpha), alpha, out=sums)
             finite = np.isfinite(lb) & np.isfinite(ub)
             if not finite.all():
                 t, u = divmod(int(np.argmin(finite)), n_cols)
@@ -607,19 +628,20 @@ def _scan_rectangle(
     """Exact grid extrema of every order in one pass, lowest-(tau, phi) tie-breaking.
 
     Returns (min, (i, j), max, (i, j), points evaluated) per order.  The
-    stage vectors are taken once per scan, and the bound pass
-    (_kept_spans) gives each order's span per row of tiles.  The blocks,
-    whole rows of tiles packed by the points their stage evaluates
-    (_blocks), are split into contiguous runs of about equal kept work,
-    one per worker: the first runs in the calling thread, each other in a
-    helper thread under the caller's context (numpy's error state
-    included), and every worker writes into its own part of one
-    workspace.  In a block the stage runs on its stage rectangles, each
-    packed into the worker's part, then each order's kernel on its own
-    rectangles.  Raises ValueError at the first non-finite value met: the
-    bound pass's first, then blocks in grid order, within a block the
-    orders in the given order, and within an order its rectangles in grid
-    order (see _extrema).  An error in a run stops every later run at its
+    stage vectors and each order's z term per row are taken once per
+    scan, and the bound pass (_kept_spans) gives each order's span per
+    row of tiles.  The blocks, whole rows of tiles packed by the points
+    their stage evaluates (_blocks), are split into contiguous runs of
+    about equal kept work, one per worker: the first runs in the calling
+    thread, each other in a helper thread under the caller's context
+    (numpy's error state included), and every worker writes into its own
+    part of one workspace.  In a block the stage runs on its stage
+    rectangles, each packed into the worker's part, then each order's
+    kernel on its own rectangles, adding a slice of its z term.  Raises
+    ValueError at the first non-finite value met: the bound pass's first,
+    then blocks in grid order, within a block the orders in the given
+    order, and within an order its rectangles in grid order (see
+    _extrema).  An error in a run stops every later run at its
     next block and is raised here after every helper has ended; the
     earliest run's error wins.
     """
@@ -631,11 +653,17 @@ def _scan_rectangle(
         return f"(tau, phi) = ({float(tau_grid[i])!r}, {float(phi_grid[j])!r})"
 
     stage = _stage(tau_grid, phi_grid)
-    ((z_plus, z_minus),) = _half_pairs(stage[1][:, None])
+    # each order's z term per row, from the grid's own kernel: order o's into
+    # z_terms[o], the next plane its kernel's scratch
+    ((z_plus, z_minus),) = _half_pairs(stage[1])
+    z_terms = np.empty((len(alphas) + 1, n_tau))
+    for o, alpha in enumerate(alphas):
+        _pair_entropy_into(z_plus, z_minus, alpha, z_terms[o : o + 2])
+    z_terms = z_terms[:, :, None]  # one value per row, broadcast along it
     if n_tau * n_phi >= _PRUNE_POINTS:
         row_edges, col_edges = _tile_edges(tau_grid, phi_grid)
         sub = _subgrid(tau_grid, phi_grid)
-        spans = _kept_spans(alphas, stage, (z_plus, z_minus), row_edges, col_edges, sub, where)
+        spans = _kept_spans(alphas, stage, z_terms, row_edges, col_edges, sub, where)
         outside = _outside(spans, row_edges, sub)
     else:  # the exhaustive scan: each row of tiles is a block, and every tile is kept
         rows = max(1, _CHUNK_POINTS // _workers(n_tau * n_phi) // n_phi)
@@ -679,7 +707,7 @@ def _scan_rectangle(
                 for s, r0, r1, c0, c1 in order_rects[o]:
                     i0, j0 = rects[s][0], rects[s][2]
                     w = views[s][:4, r0 - i0 : r1 - i0, c0 - j0 : c1 - j0]
-                    pairs = [(w[0], w[1]), (w[2], w[3]), (z_plus[r0:r1], z_minus[r0:r1])]
+                    pairs = [(w[0], w[1]), (w[2], w[3])]
                     width = c1 - c0
                     # the kernel's three arrays, after the stage's four: contiguous
                     # whatever the span's width, so its in-place pow, log and expm1
@@ -690,7 +718,7 @@ def _scan_rectangle(
                         return r0 + j // width, c0 + j % width
 
                     k_min, v_min, k_max, v_max = _extrema(
-                        _pair_sums(pairs, alpha, out=out), alpha, lambda j: where(*at(j))
+                        _pair_sums(pairs, z_terms[o, r0:r1], alpha, out=out), alpha, lambda j: where(*at(j))
                     )
                     found[b][o].append(((v_min, at(k_min)), (v_max, at(k_max))))
 

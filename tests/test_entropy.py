@@ -330,6 +330,20 @@ class TestInPlaceKernel:
         assert (p.tobytes(), m.tobytes()) == before
         assert np.all(workspace[0] == 7.0) and np.all(workspace[2] == 7.0)
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.25, 0.5, 0.75, 0.999, 1.5, 2.0, 2.5, 3.0, 7.3, 100.0])
+    def test_power_is_the_in_place_power_bitwise(self, alpha):
+        # x ** a written straight into out equals a copy of x raised in place,
+        # on contiguous rows and on a scan block's strided span views
+        x = np.random.default_rng(16).uniform(0.0, 1.0, (4, 64, 37))
+        x[:, :, :5] = [0.0, 5e-324, 1e-310, 0.5, 1.0]
+        for view in (x[0], x[1, 3:40, 2:31], x[2, ::3, ::2]):
+            reference = np.empty(view.shape)
+            np.copyto(reference, view)
+            reference **= alpha
+            out = np.full(view.shape, 7.0)
+            assert entropy._power(view, alpha, out) is out
+            assert out.tobytes() == reference.tobytes()
+
     @pytest.mark.parametrize("side", [0, 1])
     def test_kernel_rejects_out_overlapping_its_inputs(self, side):
         # p or m in out would be overwritten before it is read: zeros on the pow branch

@@ -65,6 +65,12 @@ def grid_pairs(tau, cos_phi, sin_phi):
     return [(out[0], out[1]), (out[2], out[3]), *verify._half_pairs(half_c2t[:, None])]
 
 
+def pair_sums(pairs, alpha):
+    """Entropic sums at the (x, y, z) outcome pairs as a scan sums them: the z term added to the x and y terms."""
+    *xy, z = pairs
+    return verify._pair_sums(xy, entropy.pair_entropy(*z, alpha), alpha)
+
+
 def constant_stage(tau_grid, phi_grid):
     """A stand-in for verify._stage whose Bloch halves are all 0: every pair is (1/2, 1/2), every grid point ties."""
     return np.zeros(len(tau_grid)), np.zeros(len(tau_grid)), np.ones(len(phi_grid)), np.ones(len(phi_grid))
@@ -154,7 +160,7 @@ class TestScanExtrema:
         # pow, Shannon, expm1 and integer-pow kernel branches, z-term per row included
         for alpha in (0.5, 1.0, 1.005, 3.3, 4.0):
             a = verify.as_param(alpha)
-            block = verify._pair_sums(pairs, a)
+            block = pair_sums(pairs, a)
             for i, tau in enumerate(taus):
                 for j, phi_v in enumerate(phis):
                     scalar = entropic_sum(PureStateAngles(float(tau), float(phi_v)), alpha)
@@ -230,11 +236,13 @@ class TestScanExtrema:
         scan_orders([0.5, 1.0, 4.0], grid)
         assert_each_row_once()
 
-    # The order-independent stage runs once per chunk, then the pair kernel three
-    # times per chunk and order (x-, y-, z-term).  An 11x11 grid is one chunk
-    # by default; a 33-point budget makes 3-row chunks, so row 7 is row 1 of
-    # the third chunk, whose x-term is call 6 of a one-order scan.  A NaN is
-    # caught by both argmin and argmax, -inf by argmin and +inf by argmax.
+    # Each order's z term, one value per row, comes first, one kernel call per
+    # scan; then the order-independent stage runs once per chunk, and the pair
+    # kernel twice per chunk and order (x-, y-term), the blocks' calls counted
+    # here.  An 11x11 grid is one chunk by default, whose x-term is the
+    # blocks' call 0 in a one-order scan; a 33-point budget makes 3-row
+    # chunks, and call 6 is the x-term of the fourth, rows 9 and 10.  A NaN
+    # is caught by both argmin and argmax, -inf by argmin and +inf by argmax.
     @pytest.mark.parametrize(
         "budget,call,row,bad",
         [
@@ -250,16 +258,19 @@ class TestScanExtrema:
 
         def inject(p, m, alpha, out):
             out = real(p, m, alpha, out)
-            if len(calls) == call:
-                out[row, 5] = bad
-            calls.append(None)
+            if out.ndim == 2:  # a block's x- or y-term, not the per-row z term
+                if len(calls) == call:
+                    out[row, 5] = bad
+                calls.append(None)
             return out
 
         exhaustive(monkeypatch)  # the calls counted are the blocks'
         monkeypatch.setattr(verify, "_CHUNK_POINTS", budget)
         monkeypatch.setattr(verify, "_pair_entropy_into", inject)
         axis = np.linspace(0.0, QUARTER_PI, 11)
-        point = f"(tau, phi) = ({float(axis[7])!r}, {float(axis[5])!r})"
+        # the chunk's first row, then the row within it
+        grid_row = min(budget // 11, 11) * (call // 2) + row
+        point = f"(tau, phi) = ({float(axis[grid_row])!r}, {float(axis[5])!r})"
         with pytest.raises(ValueError, match="alpha=0.5") as info:
             scan_extrema(0.5, GridSpec(11, 11))
         assert point in str(info.value)
@@ -271,14 +282,15 @@ class TestScanExtrema:
         assert point in err
 
     def test_nonfinite_value_in_second_order_raises(self, monkeypatch, capsys):
-        # in a pass over orders (0.5, 2.0) call 3 is the x-term of the second
-        # order in the first chunk; the first order's values stay finite
+        # in a pass over orders (0.5, 2.0) calls 0 and 1 are the z terms and
+        # call 4 is the x-term of the second order in the first chunk; the
+        # first order's values stay finite
         real = verify._pair_entropy_into
         calls = []
 
         def inject(p, m, alpha, out):
             out = real(p, m, alpha, out)
-            if len(calls) == 3:
+            if len(calls) == 4:
                 out[7, 5] = math.nan
             calls.append(alpha.alpha)
             return out
@@ -290,10 +302,49 @@ class TestScanExtrema:
         with pytest.raises(ValueError, match="alpha=2.0") as info:
             scan_orders([0.5, 2.0], GridSpec(11, 11))
         assert point in str(info.value)
-        assert calls == [0.5] * 3 + [2.0] * 3
+        assert calls == [0.5, 2.0] + [0.5] * 2 + [2.0] * 2
 
         calls.clear()
         assert main(["verify", "0.5,2", "--grid", "11"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "alpha=2.0" in err and point in err
+
+    @pytest.mark.parametrize(
+        "n,row,prune",
+        [(11, 7, False), (801, "subgrid", True), (801, "between", True)],
+    )
+    def test_nonfinite_z_term_reports_its_rows_first_point(self, monkeypatch, capsys, n, row, prune):
+        # computing a z term raises nothing: a NaN in one is reported where the
+        # scan first sums it, at the first grid point of its row that the order
+        # evaluates.  Every tile of the constant order 2.0 is kept, so that is
+        # column 0, in the incumbent subgrid for a subgrid row and in a block
+        # for a row between two subgrid rows
+        axis = np.linspace(0.0, QUARTER_PI, n)
+        if prune:
+            rows, _ = verify._subgrid(axis, axis)
+            row = int(rows[3]) + (row == "between")
+        else:
+            exhaustive(monkeypatch)
+        real = verify._pair_entropy_into
+        calls = []
+
+        def inject(p, m, alpha, out):
+            out = real(p, m, alpha, out)
+            if len(calls) == 1:  # the z term of the second order
+                out[row] = math.nan
+            calls.append(out.shape)
+            return out
+
+        monkeypatch.setattr(verify, "_pair_entropy_into", inject)
+        point = f"(tau, phi) = ({float(axis[row])!r}, {float(axis[0])!r})"
+        with pytest.raises(ValueError, match="alpha=2.0") as info:
+            scan_orders([0.5, 2.0], GridSpec(n, n))
+        assert "entropic sum is nan" in str(info.value) and point in str(info.value)
+        assert calls[:2] == [(n,), (n,)]
+
+        calls.clear()
+        assert main(["verify", "0.5,2", "--grid", str(n)]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert "alpha=2.0" in err and point in err
@@ -552,7 +603,7 @@ class TestWorkers:
         def kernel(p, m, alpha, out):
             values = real_kernel(p, m, alpha, out)
             rows = bad_rows.get(None, []) + bad_rows.get(alpha.alpha, [])
-            if values.shape[1] > 1:  # the x and y terms, not the per-row z term
+            if values.ndim > 1:  # the x and y terms, not the per-row z term
                 values[np.isin(block.rows, rows), 5] = math.nan
             return values
 
@@ -743,8 +794,8 @@ class TestPruning:
         pairs, bounds = grid_pairs(tau, stage[2], stage[3]), verify._bound_pairs(ranges, slice(None), np.empty((12, *tiles)))
         for alpha in PINNED_ORDERS:
             a = verify.as_param(alpha)
-            values = verify._pair_sums(pairs, a)
-            lb, ub = verify._pair_sums(bounds, a)
+            values = pair_sums(pairs, a)
+            lb, ub = pair_sums(bounds, a)
             per_tile = [
                 reduce.reduceat(reduce.reduceat(values, row_edges[:-1], axis=0), col_edges[:-1], axis=1)
                 for reduce in (np.minimum, np.maximum)
@@ -841,10 +892,12 @@ class TestPruning:
         assert np.max(values[1:] - np.minimum.accumulate(values)[:-1]) <= 1e-14
         assert 1e-14 * 100 <= verify._PRUNE_MARGIN
 
-    # A pruned scan's first kernel calls are the bound pass's.  On 801^2 the
-    # incumbent subgrid is one chunk and the tile bounds another: three calls
-    # per order for the subgrid's sums (x, y, z), then three per order for the
-    # tile bounds, of shape (2, tile rows, tile columns), the lower bounds first.
+    # A pruned scan's first kernel calls are its z terms, one per order, then
+    # the bound pass's.  On 801^2 the incumbent subgrid is one chunk and the
+    # tile bounds another: two calls per order for the subgrid's sums (x, y),
+    # then two per order for the tile bounds (x, y; their z terms come from
+    # pair_entropy), of shape (2, tile rows, tile columns), the lower bounds
+    # first.
     @pytest.mark.parametrize("k,orders", [(0, (0.5, 2.0)), (1, (0.5, 2.0)), (0, (4.0,))])
     def test_nonfinite_incumbent_raises(self, monkeypatch, capsys, k, orders):
         axis = np.linspace(0.0, QUARTER_PI, 801)
@@ -854,7 +907,7 @@ class TestPruning:
 
         def inject(p, m, alpha, out):
             out = real(p, m, alpha, out)
-            if len(calls) == 3 * k:  # the x term of order k's subgrid sums
+            if len(calls) == len(orders) + 2 * k:  # the x term of order k's subgrid sums
                 out[3, 2] = math.nan
             calls.append(None)
             return out
@@ -880,7 +933,7 @@ class TestPruning:
 
         def inject(p, m, alpha, out):
             out = real(p, m, alpha, out)
-            if len(calls) == 3 * len(orders) + 3 * k:  # the x term of order k's tile bounds
+            if len(calls) == 3 * len(orders) + 2 * k:  # the x term of order k's tile bounds
                 out[side, 4, 6] = bad
             calls.append(None)
             return out
@@ -901,6 +954,57 @@ class TestPruning:
         assert f"alpha={orders[k]!r}" in err and tile in err
 
 
+class TestKernelCalls:
+    """Each order's z term is taken once per scan, and a block rectangle makes two kernel calls."""
+
+    @pytest.mark.parametrize("grid", [GridSpec(401, 401), GridSpec(2001, 2001)], ids=str)
+    def test_z_term_once_per_scan_and_two_calls_per_rectangle(self, monkeypatch, grid):
+        # 401^2 is exhaustive, 2001^2 pruned; kernel calls and extrema on the
+        # workspace's planes are the blocks', one extrema per rectangle
+        orders = (0.5, 2.0, 4.0)
+        real_kernel, real_extrema = verify._pair_entropy_into, verify._extrema
+        kernel_calls, rectangles = [], []
+
+        def in_workspace(a):
+            while a.base is not None:
+                a = a.base
+            return a.ndim == 3 and a.shape[1] == 7
+
+        def kernel(p, m, alpha, out):
+            kernel_calls.append((alpha.alpha, out.shape, in_workspace(out)))
+            return real_kernel(p, m, alpha, out)
+
+        def extrema(values, alpha, where):
+            rectangles.append(in_workspace(values))
+            return real_extrema(values, alpha, where)
+
+        monkeypatch.setattr(verify, "_pair_entropy_into", kernel)
+        monkeypatch.setattr(verify, "_extrema", extrema)
+        scan_orders(orders, grid)
+        z_terms = [(a, (2, grid.n_tau), False) for a in orders]
+        assert kernel_calls[: len(orders)] == z_terms
+        assert sum(shape == (2, grid.n_tau) for _, shape, _ in kernel_calls) == len(orders)
+        blocks = sum(block for *_, block in kernel_calls)
+        assert blocks == 2 * sum(rectangles) > 0
+
+
+def test_rounding_picks_the_constant_orders_witnesses():
+    # at 2 and 3 the pure-state sum is constant, so rounding alone picks the
+    # grid extrema and witnesses: a one-ulp change in the pow branch or in the
+    # order of the sum's additions moves them (bench/references.json holds the same)
+    axis = np.linspace(0.0, QUARTER_PI, 2001)
+    expected = {
+        2.0: (0.9999999999999996, (1323, 1734), 1.0000000000000004, (732, 74)),
+        3.0: (0.7499999999999998, (3, 10), 0.7500000000000002, (5, 3)),
+    }
+    for report in scan_orders([2.0, 3.0], GridSpec(2001, 2001)):
+        low, (i, j), high, (k, l) = expected[report.alpha.alpha]
+        assert (report.min_value, report.max_value) == (low, high)
+        assert report.argmin == PureStateAngles(float(axis[i]), float(axis[j]))
+        assert report.argmax == PureStateAngles(float(axis[k]), float(axis[l]))
+        assert report.points_evaluated == 2001 * 2001
+
+
 class TestSquaredIntegerOrders:
     """Scans at integer orders whose p^n comes from repeated squaring."""
 
@@ -918,10 +1022,10 @@ class TestSquaredIntegerOrders:
         tau = np.linspace(0.0, QUARTER_PI, 401)
         pairs = grid_pairs(tau, np.cos(tau), np.sin(tau))
         orders = [n for n in range(4, 65) if entropy._squaring_bits(float(n)) is not None]
-        chained = [verify._pair_sums(pairs, entropy.TsallisParam(n)) for n in orders]
+        chained = [pair_sums(pairs, entropy.TsallisParam(n)) for n in orders]
         monkeypatch.setattr(entropy, "_power", lambda x, a, out: np.power(x, a, out=out))
         for n, values in zip(orders, chained):
-            reference = verify._pair_sums(pairs, entropy.TsallisParam(n))
+            reference = pair_sums(pairs, entropy.TsallisParam(n))
             ulps = np.abs(values - reference) / np.spacing(np.maximum(values, reference))
             assert ulps.max() <= 7, n
 
