@@ -30,16 +30,18 @@ returns.  The workers share the _CHUNK_POINTS budget: a block
 takes rows of tiles while its stage evaluates at most _CHUNK_POINTS /
 workers points (one row of tiles may hold more, at most
 max(_WORKER_POINTS / _MAX_WORKERS, n_phi) points; GridSpec caps n_phi).
-Each scan allocates one workspace, seven arrays per worker of its
-largest block's points, and the stage, its rectangles packed one after
-another, and the kernel write into it, so no block allocates a temporary
-of its own and every array stays in a core's L2 cache.  The worker cap
-bounds the workspace whatever the CPU count: at most
-7 max(_CHUNK_POINTS, _MAX_WORKERS n_phi) float64 values.  The bound pass
-(below) stays within that bound too: it takes its subgrid and its tile
-bounds a chunk at a time, in 8 max(_CHUNK_POINTS / 2, n_phi) and
-14 max(_CHUNK_POINTS / 4, n_phi) values, and keeps two column indices
-per order and row of tiles.
+One block runner (_run) evaluates every grid: a scan's, and a pruned
+scan's incumbent subgrid (below).  Each run allocates one workspace,
+seven arrays per worker of its largest block's points, and the stage,
+its rectangles packed one after another, and the kernel write into it,
+so no block allocates a temporary of its own and every array stays in a
+core's L2 cache.  The worker cap bounds the workspace whatever the CPU
+count: at most 7 max(_CHUNK_POINTS, _MAX_WORKERS n_phi) float64 values,
+and the subgrid's run, on fewer rows and columns, ends before the
+grid's starts.  The tile bounds (below) stay within that bound too: they
+are taken a chunk of rows of tiles at a time, in
+14 max(_CHUNK_POINTS / 4, columns of tiles) values, and the bound pass
+keeps two column indices per order and row of tiles.
 
 Pruning.  A scan of at least _PRUNE_POINTS grid points skips, for each
 order, the tiles that cannot hold a grid extremum or a tie with one.  A
@@ -51,14 +53,19 @@ grid's h_x is fl(a b), a product of a row's (sin 2 tau)/2 and a column's
 cos phi (sin phi for h_y), so |h_x| = fl(|a| |b|); fl is monotone, so the
 products of the least and of the greatest |a| and |b| over the tile's
 rows and columns bound every |h_x| of the tile, and h_z, (cos 2 tau)/2,
-is bounded by its rows alone.  F at the greatest |h| of the three,
-summed by the grid's own kernel in the grid's order, gives LB, a lower
-bound of the tile's grid sums; F at the least |h| gives UB.  The
-incumbents are the least and greatest sums over a subgrid of true grid
-points (_subgrid): every other tile's first row and column, the rows
-taken before _tile_edges caps them, and the grid's last.  An order
-skips a tile when LB > least + _PRUNE_MARGIN and UB < greatest -
-_PRUNE_MARGIN.  This is sound: the computed F is monotone in |h| only up
+is bounded by its rows alone.  So the tile bounds are grid sums too, on
+a grid of one point per tile.  The tile stage (_tile_stage) holds, per
+row of tiles, the greatest |(sin 2 tau)/2| and |(cos 2 tau)/2| over its
+rows and, per column of tiles, the greatest |cos phi| and |sin phi| over
+its columns; its sums, formed as the grid's (_grid_pairs, _pair_sums,
+the z terms from _z_terms), are F at the greatest |h| of the three, LB,
+a lower bound of the tile's grid sums.  Stacked under it, the least
+|values| give UB.  The incumbents are the least and greatest sums of an
+exhaustive run over a subgrid of true grid points (_subgrid): every
+other tile's first row and column, the rows taken before _tile_edges
+caps them, and the grid's last; the run takes the stage and the z terms
+at those rows and columns.  An order skips a tile when
+LB > least + _PRUNE_MARGIN and UB < greatest - _PRUNE_MARGIN.  This is sound: the computed F is monotone in |h| only up
 to rounding, and the margin covers that rounding and the two additions,
 so every grid sum of a skipped tile exceeds least, which is at least the
 grid minimum, and falls below greatest, at most the grid maximum.
@@ -68,10 +75,11 @@ infinite margin gives.  Pruning speeds up the exact grid answer and
 proves nothing between grid points.  The bound pass (_kept_spans) runs
 in the calling thread and leaves each order's span in each row of
 tiles, from its first kept tile to its last (measured as fast as
-separate runs of kept tiles, with fewer kernel calls); the stage runs on
-the span of every order's kept tiles.  Consecutive rows of tiles with
-the same span form one rectangle, and each order's kernel runs on its
-own rectangles in the block's workspace (_blocks).
+separate runs of kept tiles, with fewer kernel calls); the grid's run
+takes those spans, and its stage runs on the span of every order's kept
+tiles.  Consecutive rows of tiles with the same span form one rectangle,
+and each order's kernel runs on its own rectangles in the block's
+workspace (_blocks).
 
 Extrema merge deterministically on (value, tau index, phi index), so
 results do not depend on chunking, tiles or workers, and tie-breaking is
@@ -95,18 +103,18 @@ scan_orders and full_domain_orders with one order.  A non-finite value
 raises ValueError naming the order, and the grid point where there is
 one.  The first one met is reported.  Computing the z terms raises
 nothing: a non-finite z term is met in the first sum that adds it, at
-the first grid point of its row that the order evaluates.  The bound
-pass comes first: its subgrid in chunks of rows, in grid order, and
-within a chunk the orders in the order given (the chunk's first
-non-finite sum in grid order, with its grid point), then its tile bounds
-in chunks of rows of tiles, the same way (the tile named by its first
-and last grid points).  Then the blocks, in grid order; within a block
-the orders in the order given, and within an order its rectangles, each
-in grid order.  An error in a run stops the later runs at their next
-block, and the earliest run's error is raised in the caller, after every
-helper has ended.  Certification evaluates its
-states in one batch under the same rule, so a NaN can never let a check
-pass.  Grids and certification share one pair formula, (1/2 + h, 1/2 - h)
+the first grid point of its row that the order evaluates.  A pruned
+scan meets its values in three steps: the subgrid run, then the tile
+bounds (a non-finite bound names its tile by its first and last grid
+points), then the grid run, each in grid order with the orders in the
+given order.  A run takes its blocks in grid order; within a block the
+orders in the order given, and within an order its rectangles, each in
+grid order.  The tile bounds go a chunk of rows of tiles at a time, and
+within a chunk the orders in the order given.  An error in a run stops
+the later runs at their next block, and the earliest run's error is
+raised in the caller, after every helper has ended.  Certification
+evaluates its states in one batch under the same rule, so a NaN can
+never let a check pass.  Grids and certification share one pair formula, (1/2 + h, 1/2 - h)
 with h = s/2, and clip to [-1, 1] only the 1-D trig vectors (the Bloch
 components when certifying): |h| <= 1/2 then keeps both in [0, 1]
 without a clip of the grid.  Halving is exact (short of subnormals, where
@@ -176,8 +184,9 @@ DEFAULT_SEED = 12345
 # shared pair stage (2-core Xeon, numpy 2.4.6).  A pruned scan packs its
 # blocks with the points of its spans, not the rows of tiles they cross,
 # so it runs few full blocks: each kernel call costs tens of microseconds
-# of Python besides 12-30 ns a point.  The bound pass's chunks take their
-# size from it too.  Results do not depend on it (deterministic reduction).
+# of Python besides 12-30 ns a point.  The incumbent subgrid's run packs its
+# blocks by it, and the tile bounds' chunks take their size from it too.
+# Results do not depend on it (deterministic reduction).
 # The budget stays shared rather than one per worker: a full block per
 # worker cut the raw scan time by about 20%, but it doubled the workspace,
 # and the benchmark's host-speed probe, run between passes, then took
@@ -238,8 +247,10 @@ class GridSpec:
     Each count is capped at MAX_POINTS (1,000,001), which keeps a one-row
     scan block near 8 MB per array and a scan's workspace, seven such
     arrays for each of at most two workers, near 112 MB (a pruned scan's
-    bound pass holds less); each order of a scan adds one n_tau-long
-    vector, its z term per row.  A larger count raises ValueError.
+    subgrid run and tile bounds hold less); each order of a scan adds one
+    n_tau-long vector, its z term per row.  A larger count raises
+    ValueError.  The check functions' counts (certification's n_samples,
+    the kernel and concavity checks' n_points) share the cap.
     """
 
     MAX_POINTS: ClassVar[int] = 1_000_001
@@ -257,6 +268,16 @@ class GridSpec:
 
 
 DEFAULT_GRID = GridSpec(2001, 2001)
+
+
+def _points(value: int, name: str, least: int) -> int:
+    """value as an int (_count), from least to GridSpec.MAX_POINTS; ValueError naming name outside that range."""
+    value = _count(value, name)
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
+    if value > GridSpec.MAX_POINTS:
+        raise ValueError(f"{name} must be at most {GridSpec.MAX_POINTS}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -375,19 +396,34 @@ def _stage(tau_grid: np.ndarray, phi_grid: np.ndarray) -> _Stage:
 def _grid_pairs(stage: _Stage, rows, cols, out: np.ndarray) -> None:
     """The x and y outcome pairs on the grid rows x cols, written into out[:4].
 
-    rows and cols (slices or index arrays) select from the stage vectors;
-    out has shape (5, rows, cols), and out[4] is overwritten.  The z pair
-    depends on the row alone, _half_pairs of the stage's (cos 2 tau)/2, and
-    a scan takes its entropies once (_scan_rectangle).
+    rows and cols (slices or index arrays) select from the stage vectors'
+    last axis, and any leading axes broadcast (_tile_stage stacks two
+    stages); out has shape (5, ..., rows, cols), and out[4] is overwritten.
+    The z pair depends on the row alone, _half_pairs of the stage's
+    (cos 2 tau)/2, and a scan takes its entropies once (_z_terms).
     """
     half_s2t, _, cos_phi, sin_phi = stage
-    s2t = half_s2t[rows][:, None]
+    s2t = half_s2t[..., rows, None]
     h = out[4]
-    for k, trig in ((0, cos_phi[cols]), (2, sin_phi[cols])):
+    for k, trig in ((0, cos_phi[..., None, cols]), (2, sin_phi[..., None, cols])):
         # _half_pairs of s2t * trig, each pass written into out
         np.multiply(s2t, trig, out=h)
         np.add(0.5, h, out=out[k])
         np.subtract(0.5, h, out=out[k + 1])
+
+
+def _z_terms(alphas: Sequence[TsallisParam], stage: _Stage) -> np.ndarray:
+    """Each order's z term per stage row, shape (orders, ..., rows, 1): the kernel on _half_pairs of (cos 2 tau)/2.
+
+    Computing them raises nothing: a non-finite z term is met in the
+    first sum that adds it.
+    """
+    ((plus, minus),) = _half_pairs(stage[1])
+    # order o's into z_terms[o], the next plane its kernel's scratch
+    z_terms = np.empty((len(alphas) + 1, *plus.shape))
+    for o, alpha in enumerate(alphas):
+        _pair_entropy_into(plus, minus, alpha, z_terms[o : o + 2])
+    return z_terms[:-1, ..., None]  # one value per row, broadcast along it
 
 
 def _workers(points: int) -> int:
@@ -438,87 +474,26 @@ def _subgrid(tau_grid: np.ndarray, phi_grid: np.ndarray) -> tuple[np.ndarray, np
     )
 
 
-def _incumbents(
-    alphas: Sequence[TsallisParam],
-    stage: _Stage,
-    z_terms: np.ndarray,
-    sub: tuple[np.ndarray, np.ndarray],
-    where: Callable[[int, int], str],
-) -> list[tuple[float, float]]:
-    """Each order's least and greatest sum over the subgrid sub = (rows, columns) of true grid points.
+def _tile_stage(stage: _Stage, row_edges: np.ndarray, col_edges: np.ndarray) -> _Stage:
+    """The tile bounds' stage: each stage vector's greatest |value| per row or column of tiles, stacked on its least.
 
-    z_terms, of shape (orders, grid rows, 1), holds each order's z term per
-    grid row.  The subgrid is evaluated a chunk of rows at a time, at most
-    max(_CHUNK_POINTS / 2, columns) points, in one array of eight planes
-    of that size, and within a chunk the orders in the given order.  Raises
-    ValueError at a non-finite sum, naming its grid point (see _extrema).
+    Each vector has shape (2, rows or columns of tiles).  A tile's grid |h|
+    is fl(|a| |b|) and fl is monotone, so the grid sums of the first stage
+    are the tiles' lower bounds LB and those of the second their upper
+    bounds UB (module docstring).
     """
-    rows, cols = sub
-    step = max(1, _CHUNK_POINTS // 2 // cols.size)
-    scratch = np.empty((8, min(step, rows.size) * cols.size))
-    least, greatest = [math.inf] * len(alphas), [-math.inf] * len(alphas)
-    for r in range(0, rows.size, step):
-        chunk = rows[r : r + step]
-        # the chunk's x and y pairs and stage scratch, then the kernel's three arrays
-        w = scratch[:, : chunk.size * cols.size].reshape(8, chunk.size, cols.size)
-        _grid_pairs(stage, chunk, cols, w[:5])
-        pairs = [(w[0], w[1]), (w[2], w[3])]
-        for o, alpha in enumerate(alphas):
-            _, low, _, high = _extrema(
-                _pair_sums(pairs, z_terms[o, chunk], alpha, out=w[5:]),
-                alpha,
-                lambda k: where(chunk[k // cols.size], cols[k % cols.size]),
-            )
-            least[o], greatest[o] = min(least[o], low), max(greatest[o], high)
-    return list(zip(least, greatest))
-
-
-def _abs_ranges(v: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least and greatest |v| over each tile's span v[edges[t] : edges[t + 1]], edges running from 0 to len(v)."""
-    a = np.abs(v)
-    return np.minimum.reduceat(a, edges[:-1]), np.maximum.reduceat(a, edges[:-1])
-
-
-def _tile_ranges(stage: _Stage, row_edges: np.ndarray, col_edges: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """_abs_ranges of (sin 2 tau)/2 and (cos 2 tau)/2 per row of tiles, then of cos phi and sin phi per column."""
-    half_s2t, half_c2t, cos_phi, sin_phi = stage
-    return [
-        *(_abs_ranges(v, row_edges) for v in (half_s2t, half_c2t)),
-        *(_abs_ranges(v, col_edges) for v in (cos_phi, sin_phi)),
-    ]
-
-
-def _bound_pairs(ranges: list[tuple[np.ndarray, np.ndarray]], tiles: slice, out: np.ndarray) -> _Pairs:
-    """The (x, y, z) outcome pairs at the greatest |h| and at the least of each tile in the rows of tiles `tiles`.
-
-    ranges is _tile_ranges.  Each pair has shape (2, rows of tiles,
-    columns of tiles), the z pair one value per row of tiles: index 0
-    holds the greatest |h|, whose sums are the tiles' lower bounds LB, and
-    index 1 the least, whose sums are the upper bounds UB (module
-    docstring).  The grid's |h| is fl(|a| |b|) and fl is monotone, so the
-    products of the ends of the tile's row and column ranges of |a| and
-    |b| bound it.  The x and y pairs are written into out[:8], of shape
-    (12, rows of tiles, columns of tiles), and out[8:] is overwritten.
-    """
-    (s_lo, s_hi), (z_lo, z_hi), (x_lo, x_hi), (y_lo, y_hi) = ranges
-    s_lo, s_hi, z_lo, z_hi = (v[tiles] for v in (s_lo, s_hi, z_lo, z_hi))
-    plus, minus, h = (out[k : k + 4].reshape(2, 2, *out.shape[1:]) for k in (0, 4, 8))  # x then y; greatest |h| then least
-    for k, (lo, hi) in enumerate(((x_lo, x_hi), (y_lo, y_hi))):
-        np.multiply.outer(s_hi, hi, out=h[k, 0])
-        np.multiply.outer(s_lo, lo, out=h[k, 1])
-    # _half_pairs of h, written into out
-    np.add(0.5, h, out=plus)
-    np.subtract(0.5, h, out=minus)
-    return [(plus[0], minus[0]), (plus[1], minus[1]), *_half_pairs(np.stack([z_hi, z_lo])[:, :, None])]
+    starts = [row_edges[:-1]] * 2 + [col_edges[:-1]] * 2
+    return tuple(
+        np.stack([np.maximum.reduceat(np.abs(v), s), np.minimum.reduceat(np.abs(v), s)]) for v, s in zip(stage, starts)
+    )
 
 
 def _kept_spans(
     alphas: Sequence[TsallisParam],
     stage: _Stage,
-    z_terms: np.ndarray,
+    incumbents: list[tuple[float, float]],
     row_edges: np.ndarray,
     col_edges: np.ndarray,
-    sub: tuple[np.ndarray, np.ndarray],
     where: Callable[[int, int], str],
 ) -> np.ndarray:
     """The bound pass: each order's span in each row of tiles.
@@ -528,30 +503,29 @@ def _kept_spans(
     of its last, (0, 0) where it keeps none; the order evaluates every
     tile between them.  An order keeps a tile unless its lower bound
     LB > least + _PRUNE_MARGIN and its upper bound UB < greatest -
-    _PRUNE_MARGIN, least and greatest being its incumbents over the
-    subgrid sub (_incumbents, which adds z_terms) and LB and UB the sums
-    of _bound_pairs, whose z terms are taken from the bounds' own z pairs.
-    The bounds are taken a chunk of rows of tiles at a time, at most
-    max(_CHUNK_POINTS / 4, columns of tiles) tiles of fourteen values, and
-    within a chunk the orders in the given order.  Raises ValueError at a
-    non-finite subgrid sum (_incumbents) or tile bound, naming the tile.
+    _PRUNE_MARGIN, (least, greatest) being the order's incumbents and LB
+    and UB the sums on _tile_stage.  The bounds are taken a chunk of rows
+    of tiles at a time, at most max(_CHUNK_POINTS / 4, columns of tiles)
+    tiles of fourteen values, and within a chunk the orders in the given
+    order.  Raises ValueError at a non-finite tile bound, naming the tile.
     The pass runs in the calling thread: on two workers, each allocating
     its chunks' arrays, it took 1.8 ms on 2001^2 at alpha = 2.5 against
     1.4 ms on one (2-core Xeon, numpy 2.4.6).
     """
-    incumbents = _incumbents(alphas, stage, z_terms, sub, where)
-    ranges = _tile_ranges(stage, row_edges, col_edges)
+    tile_stage = _tile_stage(stage, row_edges, col_edges)
+    z_terms = _z_terms(alphas, tile_stage)
     n_rows, n_cols = len(row_edges) - 1, len(col_edges) - 1
     spans = np.empty((len(alphas), n_rows, 2), dtype=int)
     step = max(1, _CHUNK_POINTS // 4 // n_cols)
-    # a chunk's x and y pairs, then its sums' three arrays of two planes (the pairs' scratch before)
-    scratch = np.empty((14, min(step, n_rows) * n_cols))
+    # a chunk's x and y pairs, then its sums' three arrays (the pairs' scratch first), each of LB then UB
+    scratch = np.empty((7, 2, min(step, n_rows) * n_cols))
     for t0 in range(0, n_rows, step):
-        w = scratch[:, : (min(t0 + step, n_rows) - t0) * n_cols].reshape(14, -1, n_cols)
-        *pairs, z_pair = _bound_pairs(ranges, slice(t0, t0 + step), w[:12])
-        sums = w[8:].reshape(3, 2, -1, n_cols)
+        tiles = slice(t0, t0 + step)
+        w = scratch[..., : (min(t0 + step, n_rows) - t0) * n_cols].reshape(7, 2, -1, n_cols)
+        _grid_pairs(tile_stage, tiles, slice(None), w[:5])
+        pairs = [(w[0], w[1]), (w[2], w[3])]
         for o, (alpha, (least, greatest)) in enumerate(zip(alphas, incumbents)):
-            lb, ub = _pair_sums(pairs, pair_entropy(*z_pair, alpha), alpha, out=sums)
+            lb, ub = _pair_sums(pairs, z_terms[o, :, tiles], alpha, out=w[4:])
             finite = np.isfinite(lb) & np.isfinite(ub)
             if not finite.all():
                 t, u = divmod(int(np.argmin(finite)), n_cols)
@@ -628,22 +602,14 @@ def _scan_rectangle(
     """Exact grid extrema of every order in one pass, lowest-(tau, phi) tie-breaking.
 
     Returns (min, (i, j), max, (i, j), points evaluated) per order.  The
-    stage vectors and each order's z term per row are taken once per
-    scan, and the bound pass (_kept_spans) gives each order's span per
-    row of tiles.  The blocks, whole rows of tiles packed by the points
-    their stage evaluates (_blocks), are split into contiguous runs of
-    about equal kept work, one per worker: the first runs in the calling
-    thread, each other in a helper thread under the caller's context
-    (numpy's error state included), and every worker writes into its own
-    part of one workspace.  In a block the stage runs on its stage
-    rectangles, each packed into the worker's part, then each order's
-    kernel on its own rectangles, adding a slice of its z term.  Raises
-    ValueError at the first non-finite value met: the bound pass's first,
-    then blocks in grid order, within a block the orders in the given
-    order, and within an order its rectangles in grid order (see
-    _extrema).  An error in a run stops every later run at its
-    next block and is raised here after every helper has ended; the
-    earliest run's error wins.
+    stage vectors and each order's z term per row (_z_terms) are taken
+    once per scan.  A scan of fewer than _PRUNE_POINTS points runs every
+    grid point (_run).  A larger one first runs its incumbent subgrid, an
+    exhaustive _run on the stage and z terms at _subgrid's rows and
+    columns, then the bound pass (_kept_spans), then _run on each order's
+    spans.  Raises ValueError at the first non-finite value met: the
+    subgrid run's, then the tile bounds', then the grid run's, each in
+    grid order with the orders in the given order (see _run).
     """
     if not alphas:
         return []
@@ -653,23 +619,62 @@ def _scan_rectangle(
         return f"(tau, phi) = ({float(tau_grid[i])!r}, {float(phi_grid[j])!r})"
 
     stage = _stage(tau_grid, phi_grid)
-    # each order's z term per row, from the grid's own kernel: order o's into
-    # z_terms[o], the next plane its kernel's scratch
-    ((z_plus, z_minus),) = _half_pairs(stage[1])
-    z_terms = np.empty((len(alphas) + 1, n_tau))
-    for o, alpha in enumerate(alphas):
-        _pair_entropy_into(z_plus, z_minus, alpha, z_terms[o : o + 2])
-    z_terms = z_terms[:, :, None]  # one value per row, broadcast along it
-    if n_tau * n_phi >= _PRUNE_POINTS:
-        row_edges, col_edges = _tile_edges(tau_grid, phi_grid)
-        sub = _subgrid(tau_grid, phi_grid)
-        spans = _kept_spans(alphas, stage, z_terms, row_edges, col_edges, sub, where)
-        outside = _outside(spans, row_edges, sub)
-    else:  # the exhaustive scan: each row of tiles is a block, and every tile is kept
-        rows = max(1, _CHUNK_POINTS // _workers(n_tau * n_phi) // n_phi)
-        row_edges = np.append(np.arange(0, n_tau, rows), n_tau)
-        spans = np.tile([0, n_phi], (len(alphas), len(row_edges) - 1, 1))
-        outside = [0] * len(alphas)
+    z_terms = _z_terms(alphas, stage)
+    if n_tau * n_phi < _PRUNE_POINTS:
+        return _run(alphas, stage, z_terms, *_whole_rows(len(alphas), n_tau, n_phi), where)
+    row_edges, col_edges = _tile_edges(tau_grid, phi_grid)
+    rows, cols = sub = _subgrid(tau_grid, phi_grid)
+    sub_stage = tuple(v[k] for v, k in zip(stage, (rows, rows, cols, cols)))
+    incumbents = _run(
+        alphas, sub_stage, z_terms[:, rows], *_whole_rows(len(alphas), rows.size, cols.size),
+        lambda i, j: where(rows[i], cols[j]),
+    )
+    spans = _kept_spans(alphas, stage, [(low, high) for low, _, high, _, _ in incumbents], row_edges, col_edges, where)
+    results = _run(alphas, stage, z_terms, row_edges, spans, where)
+    # the points evaluated: the kernel's rectangles, and the subgrid's points outside them
+    return [(*found[:4], found[4] + outside) for found, outside in zip(results, _outside(spans, row_edges, sub))]
+
+
+def _whole_rows(orders: int, n_tau: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
+    """An exhaustive scan's row edges and spans for _run: blocks of whole rows, every point kept.
+
+    A block takes a worker's share of _CHUNK_POINTS, at least one row.
+    """
+    rows = max(1, _CHUNK_POINTS // _workers(n_tau * n_phi) // n_phi)
+    row_edges = np.append(np.arange(0, n_tau, rows), n_tau)
+    return row_edges, np.tile([0, n_phi], (orders, len(row_edges) - 1, 1))
+
+
+def _run(
+    alphas: Sequence[TsallisParam],
+    stage: _Stage,
+    z_terms: np.ndarray,
+    row_edges: np.ndarray,
+    spans: np.ndarray,
+    where: Callable[[int, int], str],
+) -> list[tuple[float, tuple[int, int], float, tuple[int, int], int]]:
+    """Each order's grid extrema over its spans, with the points its kernel ran on.
+
+    stage is a scan's stage (or a subgrid of it), z_terms each order's z
+    term per stage row, of shape (orders, rows, 1), row_edges the rows of
+    tiles and spans, of shape (orders, rows of tiles, 2), each order's span
+    in each (as _kept_spans).  Returns (min, (i, j), max, (i, j), points)
+    per order, indices into the stage.  The blocks, whole rows of tiles
+    packed by the points their stage evaluates (_blocks), are split into
+    contiguous runs of about equal kept work, one per worker: the first
+    runs in the calling thread, each other in a helper thread under the
+    caller's context (numpy's error state included), and every worker
+    writes into its own part of one workspace.  In a block the stage runs
+    on its stage rectangles, each packed into the worker's part, then each
+    order's kernel on its own rectangles, adding a slice of its z term.
+    Raises ValueError at the first non-finite value met: blocks in grid
+    order, within a block the orders in the given order, and within an
+    order its rectangles in grid order (see _extrema, which names the
+    point through where).  An error in a run stops every later run at its
+    next block and is raised here after every helper has ended; the
+    earliest run's error wins.
+    """
+    n_phi = len(stage[2])
     # the stage's span in each row of tiles: from the first column any order keeps to the last
     kept = spans[..., 0] < spans[..., 1]
     union = np.stack([np.where(kept, spans[..., 0], n_phi).min(axis=0), spans[..., 1].max(axis=0)], axis=1)
@@ -679,8 +684,6 @@ def _scan_rectangle(
     blocks, areas = _blocks(np.concatenate([union[None], spans]), row_edges, _CHUNK_POINTS // workers)
     n_blocks = len(blocks)
     workers = min(workers, n_blocks)
-    # the points evaluated: the kernel's rectangles, and the subgrid's points outside them
-    points = [int(a.sum()) + out for a, out in zip(areas[1:], outside)]
     # kept work per block, the stage counted as one order's kernel
     work = areas.sum(axis=0)
     # run k starts at the first block whose midpoint in the cumulative work reaches k / workers of it
@@ -749,12 +752,12 @@ def _scan_rectangle(
         if exc is not None:
             raise exc
     results = []
-    for o, count in enumerate(points):
+    for o, area in enumerate(areas[1:]):
         lows, highs = zip(*(pair for per_block in found for pair in per_block[o]))
         # on (value, (i, j)): ties keep the lowest (i, j) whichever block found them
         v_min, at_min = min(lows)
         v_max, at_max = min(highs, key=lambda c: (-c[0], c[1]))
-        results.append((v_min, at_min, v_max, at_max, count))
+        results.append((v_min, at_min, v_max, at_max, int(area.sum())))
     return results
 
 
@@ -765,7 +768,8 @@ def scan_orders(alphas: Sequence[AlphaLike], grid: Optional[GridSpec] = None) ->
     scan_extrema returns for its order alone.  A non-finite value raises
     ValueError as in scan_extrema; with several orders, the one reported
     is the first met: blocks in grid order, and within a block the orders
-    in the given order.
+    in the given order (a pruned scan meets its subgrid's values first,
+    then its tile bounds'; module docstring).
     """
     params = [as_param(a) for a in alphas]
     grid = grid if grid is not None else DEFAULT_GRID
@@ -909,7 +913,8 @@ def certify_equality_conditions(
           saturated by any impure state.
 
     All states are evaluated in one batch.  Raises ValueError for orders
-    outside the tight range, for n_samples below 1, for a tolerance that
+    outside the tight range, for n_samples below 1 or above
+    GridSpec.MAX_POINTS (before any state is drawn), for a tolerance that
     is negative, infinite or NaN, and at a non-finite sum anywhere in the
     batch, naming the order and the Bloch vector.  A non-integer n_samples
     raises TypeError.
@@ -921,9 +926,7 @@ def certify_equality_conditions(
             f"equality conditions are proven only for alpha in (0, 1] and integer "
             f"alpha >= 2, got {a.alpha!r}"
         )
-    n_samples = _count(n_samples, "n_samples")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
+    n_samples = _points(n_samples, "n_samples", 1)
     if not 0.0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
     low = bounds.lower
@@ -962,11 +965,7 @@ def check_kernel_monotonicity(kernel: str, alpha: AlphaLike, n_points: int) -> b
     a = as_param(alpha)
     if bound_set(a).upper_pure is None:
         raise ValueError(f"kernel monotonicity needs alpha in (0, 1] or integer alpha >= 2, got {a.alpha!r}")
-    n_points = _count(n_points, "n_points")
-    if n_points < 2:
-        raise ValueError(f"n_points must be at least 2, got {n_points!r}")
-    if n_points > GridSpec.MAX_POINTS:
-        raise ValueError(f"n_points must be at most {GridSpec.MAX_POINTS}, got {n_points!r}")
+    n_points = _points(n_points, "n_points", 2)
     if kernel not in ("f", "g"):
         raise ValueError(f"kernel must be 'f' or 'g', got {kernel!r}")
     u = np.arange(1, n_points + 1) / (n_points + 1)
@@ -985,14 +984,13 @@ def check_alpha_concavity(
     of its neighbours within 1e-12.  Affine stretches (deterministic
     outcome components) pass as the degenerate case.  Raises ValueError
     unless 1 <= alpha_lo < alpha_hi < inf (NaN included), for n_points
-    below 3, which leaves no interior point, and TypeError for a
-    non-integer n_points.
+    below 3, which leaves no interior point, or above GridSpec.MAX_POINTS
+    (before the order grid is allocated; each point is one scalar g_sum),
+    and TypeError for a non-integer n_points.
     """
     if not (1.0 <= alpha_lo < alpha_hi < math.inf):
         raise ValueError(f"need 1 <= alpha_lo < alpha_hi < inf, got {alpha_lo!r}, {alpha_hi!r}")
-    n_points = _count(n_points, "n_points")
-    if n_points < 3:
-        raise ValueError(f"n_points must be at least 3, got {n_points!r}")
+    n_points = _points(n_points, "n_points", 3)
     triple = measurement_triple(state)
     alphas = np.linspace(alpha_lo, alpha_hi, n_points)
     values = np.array([g_sum(triple, float(x)) for x in alphas])

@@ -57,12 +57,17 @@ def clipped_half_stage(tau, cos_phi, sin_phi):
     return [clipped_half(s) for s in (s2t * cos_phi, s2t * sin_phi, np.cos(2.0 * tau)[:, None])]
 
 
+def stage_pairs(stage):
+    """The x, y and z outcome pairs on a whole stage's grid (or stacked stages') as a scan forms them, in new arrays."""
+    out = np.empty((5, *stage[0].shape, stage[2].shape[-1]))
+    verify._grid_pairs(stage, slice(None), slice(None), out)
+    return [(out[0], out[1]), (out[2], out[3]), *verify._half_pairs(stage[1][..., None])]
+
+
 def grid_pairs(tau, cos_phi, sin_phi):
     """The x, y and z outcome pairs on the grid tau x phi as a scan forms them, in new arrays."""
     half_s2t, half_c2t, _, _ = verify._stage(tau, np.zeros(1))
-    out = np.empty((5, tau.size, cos_phi.size))
-    verify._grid_pairs((half_s2t, half_c2t, cos_phi, sin_phi), slice(None), slice(None), out)
-    return [(out[0], out[1]), (out[2], out[3]), *verify._half_pairs(half_c2t[:, None])]
+    return stage_pairs((half_s2t, half_c2t, cos_phi, sin_phi))
 
 
 def pair_sums(pairs, alpha):
@@ -790,8 +795,9 @@ class TestPruning:
         stage = verify._stage(tau, phi)
         row_edges, col_edges = verify._tile_edges(tau, phi)
         assert row_edges[0] == col_edges[0] == 0 and (row_edges[-1], col_edges[-1]) == (n_tau, n_phi)
-        ranges, tiles = verify._tile_ranges(stage, row_edges, col_edges), (len(row_edges) - 1, len(col_edges) - 1)
-        pairs, bounds = grid_pairs(tau, stage[2], stage[3]), verify._bound_pairs(ranges, slice(None), np.empty((12, *tiles)))
+        pairs, tile_stage = grid_pairs(tau, stage[2], stage[3]), verify._tile_stage(stage, row_edges, col_edges)
+        assert [v.shape for v in tile_stage] == [(2, len(row_edges) - 1)] * 2 + [(2, len(col_edges) - 1)] * 2
+        bounds = stage_pairs(tile_stage)
         for alpha in PINNED_ORDERS:
             a = verify.as_param(alpha)
             values = pair_sums(pairs, a)
@@ -811,6 +817,21 @@ class TestPruning:
         assert constant == grid.n_tau * grid.n_phi
         assert low < high < constant / 4
 
+    # points_evaluated at orders 0.5, 1, 2, 2.5, 4 and 7.3 (numpy 2.4.6): the
+    # skip decisions themselves, so a change that keeps more tiles, or fewer,
+    # shows here though the extrema stay the same
+    @pytest.mark.parametrize(
+        "grid,points",
+        [
+            (GridSpec(2001, 2001), [193159, 344686, 4004001, 4003815, 740894, 109165]),
+            (GridSpec(101, 40001), [97718, 148487, 4040101, 1290162, 212050, 69335]),
+            (GridSpec(801, 801), [79668, 149329, 641601, 641570, 361072, 44312]),
+        ],
+        ids=["2001x2001", "101x40001", "801x801"],
+    )
+    def test_points_evaluated_are_pinned(self, grid, points):
+        assert [r.points_evaluated for r in scan_orders([0.5, 1.0, 2.0, 2.5, 4.0, 7.3], grid)] == points
+
     def test_ties_keep_lowest_grid_point(self, monkeypatch):
         # every grid point ties, so no tile is skipped and both extrema stay at (0, 0)
         monkeypatch.setattr(verify, "_stage", constant_stage)
@@ -825,21 +846,26 @@ class TestPruning:
     @pytest.mark.parametrize("grid", [GridSpec(2001, 2001), GridSpec(101, 40001), GridSpec(3001, 3001)], ids=str)
     def test_workspace_stays_bounded(self, monkeypatch, grid):
         # a block is at least one row of tiles; a row of tiles holds at most
-        # max(2**15, n_phi) points, so the workspace keeps the exhaustive bound
-        real, workspaces = verify._grid_pairs, set()
+        # max(2**15, n_phi) points, so the workspace keeps the exhaustive bound;
+        # the incumbent subgrid's run, whose rows are whole, keeps it too
+        real, workspaces = verify._grid_pairs, {}
 
         def pairs(stage, rows, cols, out):
             base = out
             while base.base is not None:
                 base = base.base
-            if base.ndim == 3 and base.shape[1] == 7:  # the workspace; test_scan_memory_stays_bounded takes the rest
-                workspaces.add(base.shape)
+            if base.ndim == 3 and base.shape[1] == 7:  # a run's workspace; test_scan_memory_stays_bounded takes the rest
+                workspaces[id(base)] = (base, stage[0].size)
             return real(stage, rows, cols, out)
 
         monkeypatch.setattr(verify, "_grid_pairs", pairs)
         scan_extrema(0.5, grid)
-        ((workers, planes, size),) = workspaces
-        assert workers * size <= max(verify._CHUNK_POINTS, verify._MAX_WORKERS * grid.n_phi)
+        # the subgrid's run, then the grid's
+        sub_rows, _ = verify._subgrid(*(np.linspace(0.0, QUARTER_PI, n) for n in (grid.n_tau, grid.n_phi)))
+        assert [n_rows for _, n_rows in workspaces.values()] == [sub_rows.size, grid.n_tau]
+        for base, _ in workspaces.values():
+            workers, planes, size = base.shape
+            assert workers * size <= max(verify._CHUNK_POINTS, verify._MAX_WORKERS * grid.n_phi)
 
     @pytest.mark.parametrize("grid", [GridSpec(4001, 4001), GridSpec(1001, 40001)], ids=str)
     def test_scan_memory_stays_bounded(self, monkeypatch, grid):
@@ -862,7 +888,9 @@ class TestPruning:
     def test_workers_follow_the_kept_points(self, monkeypatch):
         # a pruned scan takes one worker per _WORKER_POINTS points its stage
         # evaluates: every point where every tile is kept (alpha = 2), a few
-        # percent at 0.5, and under 2**17 on 801^2 at 0.5, which stays in the caller
+        # percent at 0.5, and under 2**17 on 801^2 at 0.5, which stays in the
+        # caller.  Each scan asks three times: the subgrid's rows per block and
+        # the subgrid's run, then the grid's run, the count checked here
         real, asked, threads = verify._workers, [], set()
         real_pairs = verify._grid_pairs
 
@@ -874,12 +902,14 @@ class TestPruning:
         monkeypatch.setattr(verify, "_grid_pairs", pairs)
         grid = GridSpec(2001, 2001)
         constant, low = (scan_extrema(a, grid).points_evaluated for a in (2.0, 0.5))
-        assert asked[0] == constant == grid.n_tau * grid.n_phi
-        assert asked[1] < low < constant / 10
+        assert len(asked) == 6
+        assert asked[2] == constant == grid.n_tau * grid.n_phi
+        assert asked[5] < low < constant / 10
         asked.clear()
         threads.clear()
         scan_extrema(0.5, GridSpec(801, 801))
-        assert asked[0] < 2 * verify._WORKER_POINTS and threads == {threading.get_ident()}
+        assert len(asked) == 3
+        assert asked[2] < 2 * verify._WORKER_POINTS and threads == {threading.get_ident()}
 
     @pytest.mark.parametrize("alpha", PINNED_ORDERS)
     def test_pair_entropy_falls_as_h_grows(self, alpha):
@@ -893,11 +923,11 @@ class TestPruning:
         assert 1e-14 * 100 <= verify._PRUNE_MARGIN
 
     # A pruned scan's first kernel calls are its z terms, one per order, then
-    # the bound pass's.  On 801^2 the incumbent subgrid is one chunk and the
-    # tile bounds another: two calls per order for the subgrid's sums (x, y),
-    # then two per order for the tile bounds (x, y; their z terms come from
-    # pair_entropy), of shape (2, tile rows, tile columns), the lower bounds
-    # first.
+    # the bound pass's.  On 801^2 the incumbent subgrid's run is one block:
+    # two calls per order for the subgrid's sums (x, y).  Then the tile
+    # stage's z terms, one call per order, and the tile bounds are one chunk:
+    # two calls per order (x, y), of shape (2, tile rows, tile columns), the
+    # lower bounds first.
     @pytest.mark.parametrize("k,orders", [(0, (0.5, 2.0)), (1, (0.5, 2.0)), (0, (4.0,))])
     def test_nonfinite_incumbent_raises(self, monkeypatch, capsys, k, orders):
         axis = np.linspace(0.0, QUARTER_PI, 801)
@@ -933,7 +963,7 @@ class TestPruning:
 
         def inject(p, m, alpha, out):
             out = real(p, m, alpha, out)
-            if len(calls) == 3 * len(orders) + 2 * k:  # the x term of order k's tile bounds
+            if len(calls) == 4 * len(orders) + 2 * k:  # the x term of order k's tile bounds
                 out[side, 4, 6] = bad
             calls.append(None)
             return out
@@ -959,8 +989,10 @@ class TestKernelCalls:
 
     @pytest.mark.parametrize("grid", [GridSpec(401, 401), GridSpec(2001, 2001)], ids=str)
     def test_z_term_once_per_scan_and_two_calls_per_rectangle(self, monkeypatch, grid):
-        # 401^2 is exhaustive, 2001^2 pruned; kernel calls and extrema on the
-        # workspace's planes are the blocks', one extrema per rectangle
+        # 401^2 is exhaustive, 2001^2 pruned; kernel calls and extrema on a
+        # run's workspace planes are the blocks' (the incumbent subgrid's run
+        # included, which adds slices of the grid's z terms), one extrema per
+        # rectangle; the tile stage's z terms are one value per row of tiles
         orders = (0.5, 2.0, 4.0)
         real_kernel, real_extrema = verify._pair_entropy_into, verify._extrema
         kernel_calls, rectangles = [], []
@@ -983,7 +1015,14 @@ class TestKernelCalls:
         scan_orders(orders, grid)
         z_terms = [(a, (2, grid.n_tau), False) for a in orders]
         assert kernel_calls[: len(orders)] == z_terms
-        assert sum(shape == (2, grid.n_tau) for _, shape, _ in kernel_calls) == len(orders)
+        # the only other z terms are the tile stage's, its lower bounds stacked
+        # on its upper bounds: the subgrid's run takes slices of the grid's
+        axis = np.linspace(0.0, QUARTER_PI, grid.n_tau)
+        tile_rows = len(verify._tile_edges(axis, axis)[0]) - 1 if grid.n_tau * grid.n_phi >= verify._PRUNE_POINTS else 0
+        tile_z_terms = [(a, (2, 2, tile_rows)) for a in orders] if tile_rows else []
+        # (outside the workspace, the tile bounds' calls are the 4-D ones)
+        z_calls = [(a, shape) for a, shape, block in kernel_calls if not block and len(shape) < 4]
+        assert z_calls == [z[:2] for z in z_terms] + tile_z_terms
         blocks = sum(block for *_, block in kernel_calls)
         assert blocks == 2 * sum(rectangles) > 0
 
@@ -1043,6 +1082,22 @@ class TestCertifyEqualityConditions:
     def test_too_few_samples_raises(self, n_samples):
         with pytest.raises(ValueError, match="n_samples"):
             certify_equality_conditions(0.5, tolerance=1e-12, n_samples=n_samples)
+
+    @pytest.mark.parametrize("n_samples", [GridSpec.MAX_POINTS + 1, 10**9])
+    def test_too_many_samples_raises(self, monkeypatch, n_samples):
+        # a memory-sized request fails before any state is drawn
+        def no_states(*args, **kwargs):
+            raise AssertionError("states drawn")
+
+        with monkeypatch.context() as m:
+            m.setattr(verify, "sample_pure_states", no_states)
+            with pytest.raises(ValueError, match=f"n_samples must be at most 1000001, got {n_samples}"):
+                certify_equality_conditions(0.5, tolerance=1e-12, n_samples=n_samples)
+        # the cap is GridSpec.MAX_POINTS, inclusive
+        monkeypatch.setattr(GridSpec, "MAX_POINTS", 100)
+        assert certify_equality_conditions(0.5, tolerance=1e-12, n_samples=100)
+        with pytest.raises(ValueError, match="n_samples must be at most 100, got 101"):
+            certify_equality_conditions(0.5, tolerance=1e-12, n_samples=101)
 
     @pytest.mark.parametrize("n_samples", [10.5, 100.0, "100"])
     def test_non_integer_samples_raise_type_error(self, n_samples):
@@ -1270,6 +1325,24 @@ class TestAlphaConcavityCheck:
         with pytest.raises(ValueError, match="n_points"):
             check_alpha_concavity(PureStateAngles(0.3, 0.4), 1.0, 3.0, n_points)
         assert check_alpha_concavity(PureStateAngles(0.3, 0.4), 1.0, 3.0, 3)
+
+    @pytest.mark.parametrize("n_points", [GridSpec.MAX_POINTS + 1, 10**9])
+    def test_too_many_points_raises(self, monkeypatch, n_points):
+        # a memory-sized request fails before the order grid is allocated or any g_sum runs
+        def forbidden(*args, **kwargs):
+            raise AssertionError("order grid allocated")
+
+        state = PureStateAngles(0.3, 0.4)
+        with monkeypatch.context() as m:
+            m.setattr(verify.np, "linspace", forbidden)
+            m.setattr(verify, "g_sum", forbidden)
+            with pytest.raises(ValueError, match=f"n_points must be at most 1000001, got {n_points}"):
+                check_alpha_concavity(state, 1.0, 3.0, n_points)
+        # the cap is GridSpec.MAX_POINTS, inclusive
+        monkeypatch.setattr(GridSpec, "MAX_POINTS", 11)
+        assert check_alpha_concavity(state, 1.0, 3.0, 11)
+        with pytest.raises(ValueError, match="n_points must be at most 11, got 12"):
+            check_alpha_concavity(state, 1.0, 3.0, 12)
 
     @pytest.mark.parametrize("n_points", [10.5, 11.0, "11"])
     def test_non_integer_points_raise_type_error(self, n_points):
