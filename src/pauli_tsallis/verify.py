@@ -40,8 +40,10 @@ count: at most 7 max(_CHUNK_POINTS, _MAX_WORKERS n_phi) float64 values,
 and the subgrid's run, on fewer rows and columns, ends before the
 grid's starts.  The tile bounds (below) stay within that bound too: they
 are taken a chunk of rows of tiles at a time, in
-14 max(_CHUNK_POINTS / 4, columns of tiles) values, and the bound pass
-keeps two column indices per order and row of tiles.
+14 max(_CHUNK_POINTS / 4, columns of tiles) values, their refinement on
+the sphere a batch of at most _WORKER_POINTS / 16 kept tiles at a time,
+in 38 values per tile (2.4 _CHUNK_POINTS values at the default budget),
+and the bound pass keeps two column indices per order and row of tiles.
 
 Pruning.  A scan of at least _PRUNE_POINTS grid points skips, for each
 order, the tiles that cannot hold a grid extremum or a tie with one.  A
@@ -57,29 +59,96 @@ is bounded by its rows alone.  So the tile bounds are grid sums too, on
 a grid of one point per tile.  The tile stage (_tile_stage) holds, per
 row of tiles, the greatest |(sin 2 tau)/2| and |(cos 2 tau)/2| over its
 rows and, per column of tiles, the greatest |cos phi| and |sin phi| over
-its columns; its sums, formed as the grid's (_grid_pairs, _pair_sums,
-the z terms from _z_terms), are F at the greatest |h| of the three, LB,
-a lower bound of the tile's grid sums.  Stacked under it, the least
-|values| give UB.  The incumbents are the least and greatest sums of an
-exhaustive run over a subgrid of true grid points (_subgrid): every
-other tile's first row and column, the rows taken before _tile_edges
-caps them, and the grid's last; the run takes the stage and the z terms
-at those rows and columns.  An order skips a tile when
-LB > least + _PRUNE_MARGIN and UB < greatest - _PRUNE_MARGIN.  This is sound: the computed F is monotone in |h| only up
-to rounding, and the margin covers that rounding and the two additions,
-so every grid sum of a skipped tile exceeds least, which is at least the
-grid minimum, and falls below greatest, at most the grid maximum.
-Neither extremum nor any tie with it lies in a skipped tile, so the
-extrema and their witnesses are those of the exhaustive scan, which an
-infinite margin gives.  Pruning speeds up the exact grid answer and
-proves nothing between grid points.  The bound pass (_kept_spans) runs
-in the calling thread and leaves each order's span in each row of
-tiles, from its first kept tile to its last (measured as fast as
-separate runs of kept tiles, with fewer kernel calls); the grid's run
-takes those spans, and its stage runs on the span of every order's kept
-tiles.  Consecutive rows of tiles with the same span form one rectangle,
-and each order's kernel runs on its own rectangles in the block's
-workspace (_blocks).
+its columns; its sums, formed as the grid's (_grid_pairs, the x and y
+pair entropies plus the z terms from _z_terms), are F at the greatest |h|
+of the three, LB, a lower bound of the tile's grid sums.  Stacked under
+it, the least |values| give UB.  The incumbents are the least and
+greatest sums of an exhaustive run over a subgrid of true grid points
+(_subgrid): every other tile's first row and column, the rows taken
+before _tile_edges caps them, and the grid's last; the run takes the
+stage and the z terms at those rows and columns.  An order skips a tile
+when LB > least + _PRUNE_MARGIN and UB < greatest - _PRUNE_MARGIN.  This
+is sound: the computed F is monotone in |h| only up to rounding, and the
+margin covers that rounding and the two additions, so every grid sum of
+a skipped tile exceeds least, which is at least the grid minimum, and
+falls below greatest, at most the grid maximum.  Neither extremum nor
+any tie with it lies in a skipped tile, so the extrema and their
+witnesses are those of the exhaustive scan, which an infinite margin
+gives.  Pruning speeds up the exact grid answer and proves nothing
+between grid points.  The bound pass (_kept_spans) runs in the calling
+thread and leaves each order's span in each row of tiles, from its
+first kept tile to its last (measured as fast as separate runs of kept
+tiles, with fewer kernel calls); the grid's run takes those spans, and
+its stage runs on the span of every order's kept tiles.  Consecutive
+rows of tiles with the same span form one rectangle, and each order's
+kernel runs on its own rectangles in the block's workspace (_blocks).
+
+The sphere.  LB and UB treat the three |h| as independent, so they are
+loose to first order in a tile's size, and kept 63-100% of 2001^2 at
+orders from 1.7 to 3.2.  But every grid point lies on the pure-state
+sphere to rounding.  With w = h^2, the sum is sum_k G(w_k), G(w) =
+F(sqrt w), and at a grid point, with a, b a row's (sin 2 tau)/2 and
+(cos 2 tau)/2 and c, s a column's cos phi and sin phi, w_x + w_y + w_z =
+fl(a c)^2 + fl(a s)^2 + b^2 lies within |a^2 + b^2 - 1/4| +
+|c^2 + s^2 - 1| / 4 of 1/4, plus the products' rounding (at most 2^-54).
+eta (_slab) is the largest such distance over the stage plus a pad of
+2^-46, 128 units of 2^-53, over ten times the at most 12 such units by
+which the rounding of the products, of eta itself and of the sums of
+squares below (the room, the split's filled levels and its share) can
+move them; so each of those errors moves the slab outward.  So each
+grid point of a tile lies in the tile's box B, w_k in [L_k, U_k] (the
+squares of its least and greatest |h| per axis), and in the slab
+|w_x + w_y + w_z - 1/4| <= eta.  G falls, and its slope is -alpha /
+2^(alpha - 1) times K(2 sqrt w), K(u) twice the mean of (1 + t)^(alpha - 2)
+over [-u, u]; by Hermite-Hadamard K rises for alpha < 2 and alpha > 3
+and falls between, so G is concave off [2, 3] and convex inside
+(_sphere_regime; the paper's kernel-monotonicity lemma, behind its
+tight bounds, is the case alpha in (0, 1] or integer).  At 2 and 3 G is
+affine, every pure state's sum is the same, and no bound can skip a
+tile.  Elsewhere the bound pass takes, for each tile the monotone test
+keeps, two more bounds, and each side keeps the tighter of its two:
+  * The chord side (_chord_bound), LB where G is concave.  For every
+    lam >= 0, G(w) + lam w is concave on [L, U], so it is least at an
+    end, and with sum_k w_k <= S = 1/4 + eta,
+    sum_k G(w_k) >= sum_k min(G(L_k), G(U_k) + lam (U_k - L_k)) - lam (S - sum_k L_k).
+    This is the dual of minimising the three chords of G over B in the
+    slab, so at its best lam, one of the chords' falls, it is the
+    greedy's value (mass on the steepest chord first); any lam >= 0 gives
+    a sound bound.  G(L_k) and G(U_k) are F at the tile's least and
+    greatest |h|, the tile bounds' own kernel values.  Where G is convex,
+    max and S = 1/4 - eta give UB the same way.
+  * The split side (_split_bound), UB where G is concave, on the tiles
+    the chord side leaves undecided.  The greatest sum_k G(w_k) over B
+    with sum_k w_k >= 1/4 - eta lies, by KKT (G concave, decreasing, the
+    same for the three axes), at the clipped equal split w_k =
+    clip(t, L_k, U_k) that sums to 1/4 - eta, or at L where sum L exceeds
+    it.  The levels that the six breakpoints L_k, U_k fill, with no
+    sort, tell which axes the split leaves full (U_k), empty (L_k) or
+    free, and so t, the share of the free ones (with none free, the
+    greatest full U_k).  Each |h| is sqrt(t) rounded down and clipped to
+    the tile's least and greatest |h|, so it lies in [0, 1/2]; the slab's
+    pad keeps the computed t at most the exact one, so every |h| is at
+    most the split's and, F falling, the sum of F there bounds the
+    maximum above.  Where G is convex, the least sum with
+    sum_k w_k <= 1/4 + eta lies at the split of 1/4 + eta, with t at
+    least the exact one and sqrt(t) rounded up, and bounds LB.  Three
+    kernel values per tile.
+Error budget.  These bounds compare grid sums with the exact G, so they
+need eps_F, the kernel's absolute error against the exact pair entropy
+at (1/2 + h, 1/2 - h): at most 1.5e-14 over [0, 1/2] at 30 orders from
+0.01 to 1000 (1.1e-14 at 0.98999 and 0.99, the edges of the expm1 window,
+where the pow form's cancellation peaks; a 50-digit mpmath test pins it
+and the regime of G).  A grid sum lies within 3 eps_F and two roundings
+(under 7e-16) of the exact sum at its point.  A chord-side bound lies
+within 3 eps_F of its exact value, plus about 30 roundings of values
+under 4 (under 1.4e-14; at a lam that can win, lam (S - sum L) is under
+3, and lam itself carries no error: any lam >= 0 is sound).  A split-side
+bound lies within 3 eps_F and two roundings of the exact sum at its
+split.  So a grid sum of a skipped tile lies past its LB or UB by at
+most 6 eps_F + 1.5e-14, under 1e-13, ten times under _PRUNE_MARGIN, as
+the monotone bounds' 6e-14 is.  On 2001^2 every order but 2 and 3 then
+evaluates 36,333 points, most of them the first row of tiles, whose grid
+row tau = 0 (an eigenstate for every phi) ties the minimum.
 
 Extrema merge deterministically on (value, tau index, phi index), so
 results do not depend on chunking, tiles or workers, and tie-breaking is
@@ -107,10 +176,12 @@ the first grid point of its row that the order evaluates.  A pruned
 scan meets its values in three steps: the subgrid run, then the tile
 bounds (a non-finite bound names its tile by its first and last grid
 points), then the grid run, each in grid order with the orders in the
-given order.  A run takes its blocks in grid order; within a block the
-orders in the order given, and within an order its rectangles, each in
-grid order.  The tile bounds go a chunk of rows of tiles at a time, and
-within a chunk the orders in the order given.  An error in a run stops
+given order; each order's tile bounds in a chunk come before their
+refinement on the sphere, its chord side before its split side.  A run
+takes its blocks in grid order; within a block the orders in the order
+given, and within an order its rectangles, each in grid order.  The tile
+bounds go a chunk of rows of tiles at a time, and within a chunk the
+orders in the order given.  An error in a run stops
 the later runs at their next block, and the earliest run's error is
 raised in the caller, after every helper has ended.  Certification
 evaluates its states in one batch under the same rule, so a NaN can
@@ -204,9 +275,11 @@ _WORKER_POINTS = _CHUNK_POINTS
 # bounds the scan's workspace, which holds seven block arrays per worker.
 _MAX_WORKERS = 2
 # Pruning (module docstring).  A tile holds about _TILE_SIDE^2 grid points:
-# on 2001^2, 16 x 16 tiles leave 5.1% of the points to evaluate at
-# alpha = 0.5, 8.9% at 1 and 18.7% at 4; on 101 x 40001 the 1 x 400 tiles
-# leave 2.6-5.4% at 0.5, 1, 1.005 and 4, where 32 x 32 tiles left 95%.
+# on 2001^2, with the monotone bounds alone, 16 x 16 tiles left 5.1% of the
+# points to evaluate at alpha = 0.5, 8.9% at 1 and 18.7% at 4; on
+# 101 x 40001 the 1 x 400 tiles left 2.6-5.4% at 0.5, 1, 1.005 and 4, where
+# 32 x 32 tiles left 95%.  With the sphere bounds every order but 2 and 3
+# leaves 0.91% of 2001^2, 1.1% of 101 x 40001 and 2.2% of 801^2.
 # Scans of fewer than _PRUNE_POINTS grid points are exhaustive: at 513^2
 # the bound pass and the extra kernel calls cost more than the skipped
 # tiles saved at three of four order sets, and at 801^2 pruning won where
@@ -220,8 +293,9 @@ _PRUNE_POINTS = 2**19
 # in [0, 1/2] at 30 orders from 0.01 to 1000 (the most at 0.98999, where
 # pow's cancellation near alpha = 1 peaks; at most 4.5e-16 at the orders
 # off (0.9, 1.05)), so a grid sum lies within 3 x 1.7e-14 plus two
-# roundings of its tile's bounds, under 6e-14.  math.inf gives the
-# exhaustive scan.
+# roundings of its tile's bounds, under 6e-14; the sphere bounds' error
+# budget, which adds the kernel's error against the exact pair entropy, is
+# under 1e-13 (module docstring).  math.inf gives the exhaustive scan.
 _PRUNE_MARGIN = 1e-12
 
 # refined_maximum's box: +-_REFINE_WINDOW coarse steps, _REFINE_FACTOR times finer.
@@ -488,6 +562,151 @@ def _tile_stage(stage: _Stage, row_edges: np.ndarray, col_edges: np.ndarray) -> 
     )
 
 
+def _sphere_regime(alpha: TsallisParam) -> Optional[bool]:
+    """Whether G(w) = F(sqrt w) is concave on [0, 1/4]: True off [2, 3], False inside, None at 2 and 3.
+
+    At 2 and 3 G is affine (module docstring).
+    """
+    a = alpha.alpha
+    return None if a in (2.0, 3.0) else not 2.0 < a < 3.0
+
+
+def _slab(stage: _Stage) -> float:
+    """eta: every grid point of the stage has |h_x^2 + h_y^2 + h_z^2 - 1/4| <= eta, with rounding (module docstring)."""
+    half_s2t, half_c2t, cos_phi, sin_phi = stage
+    rows = np.abs(half_s2t * half_s2t + half_c2t * half_c2t - 0.25).max()
+    columns = np.abs(cos_phi * cos_phi + sin_phi * sin_phi - 1.0).max()
+    return float(rows) + float(columns) / 4.0 + 2.0**-46
+
+
+def _tile_boxes(
+    tile_stage: _Stage, terms: tuple, bounds: np.ndarray, t0: int, kept: np.ndarray, work: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each kept tile's box, gathered into work[:14]: its greatest and least |h| per axis, F there, and its LB and UB.
+
+    terms holds a chunk's x and y terms, each of shape (2, rows, columns
+    of tiles), and the order's z term per row of tiles, shape (2, rows of
+    tiles); bounds the chunk's LB and UB; kept the n kept tiles' flat
+    indices in the chunk, whose first row of tiles is t0.  Returns h and
+    g, of shape (2, 3, n), greatest |h| over least for axes x, y and z
+    and F at them, and the tiles' (LB, UB), shape (2, n): views of work,
+    with every |h| the tile stage's own product.
+    """
+    n = kept.size
+    fx, fy, z = terms
+    n_cols = fx.shape[-1]
+    rows = kept // n_cols + t0
+    h, g = work[:6, :n].reshape(2, 3, n), work[6:12, :n].reshape(2, 3, n)
+    np.take(tile_stage[0], rows, axis=1, out=h[:, 2], mode="clip")
+    for axis, trig in enumerate(tile_stage[2:]):
+        np.take(trig, kept % n_cols, axis=1, out=h[:, axis], mode="clip")
+        h[:, axis] *= h[:, 2]
+    np.take(tile_stage[1], rows, axis=1, out=h[:, 2], mode="clip")
+    for axis, f in enumerate((fx, fy)):
+        np.take(f.reshape(2, -1), kept, axis=1, out=g[:, axis], mode="clip")
+    np.take(z, rows, axis=1, out=g[:, 2], mode="clip")
+    box_bounds = np.take(bounds.reshape(2, -1), kept, axis=1, out=work[12:14, :n], mode="clip")
+    return h, g, box_bounds
+
+
+def _chord_bound(concave: bool, h: np.ndarray, g: np.ndarray, bounds: np.ndarray, eta: float, work: np.ndarray) -> None:
+    """Tighten the chord side of n tiles' bounds in place: LB where G is concave, UB where convex.
+
+    h, of shape (2, 3, n), holds each tile's greatest |h| per axis (x, y,
+    z) stacked on its least, g the pair entropies F there, and bounds, of
+    shape (2, n), the tiles' LB and UB.  With L and U the squares of the
+    least and greatest |h|, the side is the best of the dual values
+    sum_k pick(G(L_k), G(U_k) + lam (U_k - L_k)) - lam (S - sum_k L_k)
+    at lam = each chord's fall, pick being min and S 1/4 + eta where G is
+    concave, max and 1/4 - eta where convex (module docstring).  work[14:26]
+    is scratch.
+    """
+    n = h.shape[-1]
+    hi, lo = h
+    g_hi, g_lo = g
+    width, tmp, slopes = (work[k : k + 3, :n] for k in (14, 17, 20))
+    room, value, shift = work[23:26, :n]
+    np.subtract(hi, lo, out=width)
+    width *= np.add(hi, lo, out=tmp)
+    np.multiply(lo, lo, out=tmp)
+    np.add(tmp[0], tmp[1], out=room)
+    room += tmp[2]
+    np.subtract(0.25 + eta if concave else 0.25 - eta, room, out=room)
+    # each chord's fall, a lam >= 0; the floor on the width keeps lam (U - L) and lam (S - sum L) finite
+    np.subtract(g_lo, g_hi, out=slopes)
+    np.maximum(slopes, 0.0, out=slopes)
+    slopes /= np.maximum(width, 2.0**-1000, out=tmp)
+    pick, best = (np.minimum, np.maximum) if concave else (np.maximum, np.minimum)
+    side = bounds[0] if concave else bounds[1]
+    for lam in slopes:
+        np.multiply(lam, width, out=tmp)
+        tmp += g_hi
+        pick(tmp, g_lo, out=tmp)
+        np.add(tmp[0], tmp[1], out=value)
+        value += tmp[2]
+        value -= np.multiply(lam, room, out=shift)
+        best(side, value, out=side)
+
+
+def _split_bound(
+    alpha: TsallisParam, concave: bool, h: np.ndarray, tiles: np.ndarray, eta: float, work: np.ndarray
+) -> np.ndarray:
+    """The split side of the given tiles' bounds: UB where G is concave, LB where convex.
+
+    h is _chord_bound's, tiles the indices of the m tiles to bound.  The
+    side is the sum of F at the split w_k = clip(t, L_k, U_k) of the total
+    S = 1/4 - eta where G is concave, 1/4 + eta where convex, over the
+    tile's box in w = h^2, with sqrt(t) rounded down where G is concave
+    and up where convex, and every |h| within the tile's (module
+    docstring).  One kernel call on the three axes; returns a view of
+    work[20], length m.  work[14:38] is scratch.
+    """
+    m = tiles.size
+    box = work[14:20, :m].reshape(2, 3, m)
+    np.take(h, tiles, axis=2, out=box, mode="clip")
+    hi, lo = box
+    squares, states, tmp = (work[k : k + 6, :m] for k in (20, 26, 32))
+    np.multiply(box, box, out=squares.reshape(2, 3, m))
+    # the level sum_k clip(b, L_k, U_k) filled at each breakpoint b, U_k (rows 0-2) and L_k (3-5)
+    for k in range(3):
+        np.maximum(squares, squares[3 + k], out=tmp)
+        np.minimum(tmp, squares[k], out=tmp)
+        if k:
+            states += tmp
+        else:
+            states[...] = tmp
+    total = 0.25 - eta if concave else 0.25 + eta
+    # at the split an axis is full (U_k) where U_k fills at most the total,
+    # empty (L_k) where L_k fills more, and free otherwise: 1 in rows 0-2
+    # where full, in rows 3-5 where empty
+    np.greater(states, total, out=states)
+    np.subtract(1.0, states[:3], out=states[:3])
+    np.multiply(squares, states, out=tmp)
+    free, left, level = work[20:23, :m]
+    np.add.reduce(states, axis=0, out=free)
+    np.subtract(3.0, free, out=free)
+    np.subtract(total, tmp[0], out=left)
+    for k in range(1, 6):
+        left -= tmp[k]
+    # the free axes share what the fixed ones leave; with none free, every
+    # level from the greatest full U_k to the least empty L_k gives the split
+    np.maximum(tmp[0], tmp[1], out=level)
+    np.maximum(level, tmp[2], out=level)
+    np.divide(left, free, out=level, where=free > 0.0)
+    np.maximum(level, 0.0, out=level)
+    np.sqrt(level, out=level)
+    np.nextafter(level, 0.0 if concave else 1.0, out=level)
+    root, minus = work[26:29, :m], work[29:32, :m]
+    np.maximum(level, lo, out=root)
+    np.minimum(root, hi, out=root)
+    np.subtract(0.5, root, out=minus)
+    root += 0.5
+    terms = _pair_entropy_into(root, minus, alpha, work[32:38, :m].reshape(2, 3, m))
+    split = np.add(terms[0], terms[1], out=work[20, :m])
+    split += terms[2]
+    return split
+
+
 def _kept_spans(
     alphas: Sequence[TsallisParam],
     stage: _Stage,
@@ -503,39 +722,82 @@ def _kept_spans(
     of its last, (0, 0) where it keeps none; the order evaluates every
     tile between them.  An order keeps a tile unless its lower bound
     LB > least + _PRUNE_MARGIN and its upper bound UB < greatest -
-    _PRUNE_MARGIN, (least, greatest) being the order's incumbents and LB
-    and UB the sums on _tile_stage.  The bounds are taken a chunk of rows
-    of tiles at a time, at most max(_CHUNK_POINTS / 4, columns of tiles)
-    tiles of fourteen values, and within a chunk the orders in the given
-    order.  Raises ValueError at a non-finite tile bound, naming the tile.
-    The pass runs in the calling thread: on two workers, each allocating
-    its chunks' arrays, it took 1.8 ms on 2001^2 at alpha = 2.5 against
-    1.4 ms on one (2-core Xeon, numpy 2.4.6).
+    _PRUNE_MARGIN, (least, greatest) being the order's incumbents.  LB
+    and UB are first the sums on _tile_stage; at every order but 2 and 3
+    the tiles those keep are then bounded on the sphere (module
+    docstring), a batch of _WORKER_POINTS / 16 kept tiles at a time
+    (_tile_boxes): the chord side (_chord_bound) on every kept tile, the
+    split side (_split_bound) on those the chord side leaves undecided,
+    each side the tighter of its bounds.  The sums are taken a chunk of
+    rows of tiles at a time, at most max(_CHUNK_POINTS / 4, columns of
+    tiles) tiles of fourteen values, and within a chunk the orders in the
+    given order.  Raises ValueError at a non-finite tile bound, naming the
+    tile: an order's sums, then its chord side, then its split side.  The
+    pass runs in the calling thread (with the monotone bounds alone, on
+    two workers each allocating its chunks' arrays, it took 1.8 ms on
+    2001^2 at alpha = 2.5 against 1.4 ms on one).  On 2001^2 it takes
+    0.5 ms at alpha = 2, about 1 ms at the orders whose G is concave and
+    3 ms at 2.5, where every tile needs the split side (best of 30 per
+    order, 2-core Xeon, numpy 2.4.6).
     """
     tile_stage = _tile_stage(stage, row_edges, col_edges)
-    z_terms = _z_terms(alphas, tile_stage)
+    z_terms = _z_terms(alphas, tile_stage)[..., 0]
+    eta = _slab(stage)
     n_rows, n_cols = len(row_edges) - 1, len(col_edges) - 1
     spans = np.empty((len(alphas), n_rows, 2), dtype=int)
     step = max(1, _CHUNK_POINTS // 4 // n_cols)
     # a chunk's x and y pairs, then its sums' three arrays (the pairs' scratch first), each of LB then UB
     scratch = np.empty((7, 2, min(step, n_rows) * n_cols))
+    # a batch of kept tiles' boxes (_tile_boxes, work[:14]), then the chord
+    # side's scratch (work[14:26]) or the split side's (work[14:38]); the
+    # batch is fixed at import, as _WORKER_POINTS is, so a chunk budget set
+    # for a test does not shrink it
+    batch = _WORKER_POINTS // 16
+    work = np.empty((38, batch))
+
+    def check(values: np.ndarray, alpha: TsallisParam, tiles: np.ndarray) -> None:
+        finite = np.isfinite(values)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            t, u = divmod(int(tiles[k]), n_cols)
+            raise ValueError(
+                f"entropic sum bound is {float(values[k])!r} at alpha={alpha.alpha!r}, on the tile from "
+                f"{where(row_edges[t], col_edges[u])} to {where(row_edges[t + 1] - 1, col_edges[u + 1] - 1)}"
+            )
+
     for t0 in range(0, n_rows, step):
         tiles = slice(t0, t0 + step)
         w = scratch[..., : (min(t0 + step, n_rows) - t0) * n_cols].reshape(7, 2, -1, n_cols)
         _grid_pairs(tile_stage, tiles, slice(None), w[:5])
-        pairs = [(w[0], w[1]), (w[2], w[3])]
+        first = t0 * n_cols
         for o, (alpha, (least, greatest)) in enumerate(zip(alphas, incumbents)):
-            lb, ub = _pair_sums(pairs, z_terms[o, :, tiles], alpha, out=w[4:])
-            finite = np.isfinite(lb) & np.isfinite(ub)
-            if not finite.all():
-                t, u = divmod(int(np.argmin(finite)), n_cols)
-                v = lb[t, u] if not math.isfinite(lb[t, u]) else ub[t, u]
-                t += t0
-                raise ValueError(
-                    f"entropic sum bound is {float(v)!r} at alpha={alpha.alpha!r}, on the tile from "
-                    f"{where(row_edges[t], col_edges[u])} to {where(row_edges[t + 1] - 1, col_edges[u + 1] - 1)}"
-                )
-            keep = (lb <= least + _PRUNE_MARGIN) | (ub >= greatest - _PRUNE_MARGIN)
+            fx = _pair_entropy_into(w[0], w[1], alpha, w[4:6])
+            fy = _pair_entropy_into(w[2], w[3], alpha, w[5:7])
+            bounds = np.add(fx, fy, out=w[6])
+            bounds += z_terms[o, :, tiles, None]
+            lb, ub = bounds
+            if not np.isfinite(bounds).all():
+                check(np.where(np.isfinite(lb), ub, lb).ravel(), alpha, first + np.arange(lb.size))
+            low_cut, high_cut = least + _PRUNE_MARGIN, greatest - _PRUNE_MARGIN
+            keep = (lb <= low_cut) | (ub >= high_cut)
+            concave = _sphere_regime(alpha)
+            kept_tiles = np.flatnonzero(keep) if concave is not None else ()
+            for k0 in range(0, len(kept_tiles), batch):
+                kept = kept_tiles[k0 : k0 + batch]
+                h, g, box_bounds = _tile_boxes(tile_stage, (fx, fy, z_terms[o]), bounds, t0, kept, work)
+                low, high = box_bounds
+                _chord_bound(concave, h, g, box_bounds, eta, work)
+                check(low if concave else high, alpha, first + kept)
+                if concave:
+                    undecided = np.flatnonzero((low > low_cut) & (high >= high_cut))
+                else:
+                    undecided = np.flatnonzero((high < high_cut) & (low <= low_cut))
+                if undecided.size:
+                    split = _split_bound(alpha, concave, h, undecided, eta, work)
+                    check(split, alpha, first + kept[undecided])
+                    side = high if concave else low
+                    side[undecided] = (np.minimum if concave else np.maximum)(side[undecided], split)
+                keep.ravel()[kept] = (low <= low_cut) | (high >= high_cut)
             ends = np.stack([np.argmax(keep, axis=1), n_cols - np.argmax(keep[:, ::-1], axis=1)], axis=1)
             spans[o, t0 : t0 + len(keep)] = np.where(keep.any(axis=1)[:, None], col_edges[ends], 0)
     return spans

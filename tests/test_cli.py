@@ -28,9 +28,13 @@ PINNED_VERIFY = "61a9caf2a256c88560d66daadd9af9076995d825e4260182aea66bcfb25c5c7
 # squaring; the digest was taken with numpy's pow at every order.
 PINNED_INTEGER_ORDERS = "9f53c896f517f37722516fe22607f8ccc37ca5f74ea6806e91dfef9c4d08489f"
 # `verify 0.5,1,1.005,2.5,4 --grid 801`: the smallest pruned square grid, so
-# every scan of D runs the incumbent subgrid and the tile bounds; 2.5 keeps
-# nearly every tile, the others skip most of them.
+# every scan of D runs the incumbent subgrid, the tile bounds and their
+# refinement on the sphere; each order skips most tiles.
 PINNED_PRUNED = "d5e95283c539584104ea641ea0a979eaef5a7b79258791eaa92ba8a4daabbeab"
+# `verify 1.5,2.5,2.98,3.2,3.9 --grid 2001`: orders whose tile bounds the
+# sphere refinement decides, G concave (1.5, 3.2, 3.9) and convex (2.5, 2.98);
+# the digest was taken before that refinement, when they kept 63-100% of D.
+PINNED_SPHERE = "4eb5fc835374e872d86162e65f19b5a537a06c7777f2dd793efe9e403f917983"
 # `verify 0.5,2.5 --grid g` at small, odd and even grids, whose full-domain
 # check unfolds a D grid of min(g // 2 + 1, 251) points per axis.
 PINNED_FULL_DOMAIN = {
@@ -379,6 +383,11 @@ class TestVerify:
         statuses = [row.split(",")[2] for row in out.splitlines()[1:]]
         assert (statuses.count("pass"), statuses.count("skip"), len(statuses)) == (27, 8, 35)
         assert sha256(out) == PINNED_PRUNED, out
+
+    def test_pinned_sphere_bound_output(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "1.5,2.5,2.98,3.2,3.9", "--grid", "2001")
+        assert code == 0
+        assert sha256(out) == PINNED_SPHERE, out
 
 
 @pytest.mark.parametrize("argv", ["bounds 2 --alpha 4", "verify 0.5 --alpha 4 --grid 3"])

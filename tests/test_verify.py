@@ -8,8 +8,10 @@ import sys
 import threading
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -741,6 +743,13 @@ class TestWorkers:
 PINNED_ORDERS = (
     0.25, 0.5, 0.991, 0.9999999, 1.0, 1.0000001, 1.005, 1.009, 1.5, 1.7, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 7.0, 7.5, 10.0
 )
+# The pinned orders and orders either side of the sphere bound's regime
+# changes at 2 and 3 (module docstring of verify), where G(w) = F(sqrt w)
+# turns from concave to convex and back
+PARITY_ORDERS = PINNED_ORDERS + (1.86, 2.98, 3.2, 3.9, 2.0 - 1e-9, 2.0 + 1e-9, 3.0 - 1e-9, 3.0 + 1e-9)
+# The error budget of the tile bounds (verify's module docstring): how far a
+# grid sum may lie past its tile's LB or UB, all rounding included
+BOUND_BUDGET = 1e-13
 # (tau end, n_tau, phi end, n_phi): grids on D, and the full-domain
 # unfoldings of the 101^2 and 251^2 grids on D
 PARITY_GRIDS = {
@@ -751,6 +760,23 @@ PARITY_GRIDS = {
     "201x801 unfolded": (math.pi / 2.0, 201, 2.0 * math.pi, 801),
     "501x2001 unfolded": (math.pi / 2.0, 501, 2.0 * math.pi, 2001),
 }
+
+
+# The 30 orders of the monotonicity and kernel-error measurements, from 0.01
+# to 1000: both edges of the expm1 window and the orders next to Shannon
+KERNEL_ERROR_ORDERS = (
+    0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.98999, 0.99, 0.991, 0.999, 0.9999999, 1.0, 1.0000001, 1.001, 1.009,
+    1.01, 1.01001, 1.05, 1.5, 1.7, 2.0, 2.5, 3.0, 4.0, 5.0, 7.3, 10.0, 30.0, 100.0, 1000.0,
+)
+
+
+def exact_pair_entropy(h, alpha):
+    """The pair entropy of (1/2 + h, 1/2 - h) in mpmath at the working precision, h an mpf in [0, 1/2]."""
+    p, m = mp.mpf(1) / 2 + h, mp.mpf(1) / 2 - h
+    if alpha == 1.0:
+        return -sum(x * mp.log(x) for x in (p, m) if x > 0)
+    a = mp.mpf(alpha)
+    return (p**a + m**a - 1) / (1 - a)
 
 
 def pruning_everywhere(monkeypatch):
@@ -765,7 +791,7 @@ class TestPruning:
     def test_pruned_scans_equal_the_exhaustive_scan(self, monkeypatch, grid):
         tau_end, n_tau, phi_end, n_phi = PARITY_GRIDS[grid]
         tau, phi = np.linspace(0.0, tau_end, n_tau), np.linspace(0.0, phi_end, n_phi)
-        params = [verify.as_param(a) for a in PINNED_ORDERS]
+        params = [verify.as_param(a) for a in PARITY_ORDERS]
         with monkeypatch.context() as m:
             exhaustive(m)
             expected = verify._scan_rectangle(params, tau, phi)
@@ -787,45 +813,93 @@ class TestPruning:
         monkeypatch.setattr(verify, "_PRUNE_MARGIN", math.inf)
         assert verify._scan_rectangle(params, tau, phi) == expected
 
-    @pytest.mark.parametrize("grid", ["401x401", "201x801 unfolded"])
+    @pytest.mark.parametrize("grid", PARITY_GRIDS)
     def test_tile_bounds_hold_every_grid_sum(self, grid):
-        # LB and UB bound each tile's grid sums within the rounding the margin covers
+        # each tile's LB and UB, the monotone bounds combined with the sphere
+        # bounds (taken here on every tile, the split side included), bound
+        # its grid sums within the error budget, under the pruning margin
         tau_end, n_tau, phi_end, n_phi = PARITY_GRIDS[grid]
         tau, phi = np.linspace(0.0, tau_end, n_tau), np.linspace(0.0, phi_end, n_phi)
         stage = verify._stage(tau, phi)
         row_edges, col_edges = verify._tile_edges(tau, phi)
         assert row_edges[0] == col_edges[0] == 0 and (row_edges[-1], col_edges[-1]) == (n_tau, n_phi)
-        pairs, tile_stage = grid_pairs(tau, stage[2], stage[3]), verify._tile_stage(stage, row_edges, col_edges)
+        tile_stage = verify._tile_stage(stage, row_edges, col_edges)
         assert [v.shape for v in tile_stage] == [(2, len(row_edges) - 1)] * 2 + [(2, len(col_edges) - 1)] * 2
-        bounds = stage_pairs(tile_stage)
-        for alpha in PINNED_ORDERS:
+        (x, y, z), eta = stage_pairs(tile_stage), verify._slab(stage)
+        tiles = np.arange((len(row_edges) - 1) * (len(col_edges) - 1))
+        work = np.empty((38, tiles.size))
+        # grid sums a few rows of tiles at a time, every order on one pair stage
+        rows_per_part = max(1, 2**18 // n_phi // (row_edges[1] - row_edges[0]))
+        parts = [(t, min(t + rows_per_part, len(row_edges) - 1)) for t in range(0, len(row_edges) - 1, rows_per_part)]
+        cos_phi, sin_phi = stage[2:]
+        for alpha in PARITY_ORDERS:
             a = verify.as_param(alpha)
-            values = pair_sums(pairs, a)
-            lb, ub = pair_sums(bounds, a)
-            per_tile = [
-                reduce.reduceat(reduce.reduceat(values, row_edges[:-1], axis=0), col_edges[:-1], axis=1)
-                for reduce in (np.minimum, np.maximum)
-            ]
-            assert np.all(per_tile[0] >= lb - 6e-14) and np.all(per_tile[1] <= ub + 6e-14), alpha
+            fx, fy, fz = (entropy.pair_entropy(*pair, a) for pair in (x, y, z))
+            bounds = fx + fy + fz
+            h, g, (lb, ub) = verify._tile_boxes(tile_stage, (fx, fy, fz[..., 0]), bounds, 0, tiles, work)
+            concave = verify._sphere_regime(a)
+            if concave is not None:
+                verify._chord_bound(concave, h, g, (lb, ub), eta, work)
+                split = verify._split_bound(a, concave, h, tiles, eta, work)
+                assert np.isfinite(split).all(), alpha
+                side = ub if concave else lb
+                (np.minimum if concave else np.maximum)(side, split, out=side)
+            for t0, t1 in parts:
+                rows = slice(row_edges[t0], row_edges[t1])
+                values = pair_sums(grid_pairs(tau[rows], cos_phi, sin_phi), a)
+                starts = row_edges[t0:t1] - row_edges[t0]
+                per_tile = [
+                    reduce.reduceat(reduce.reduceat(values, starts, axis=0), col_edges[:-1], axis=1)
+                    for reduce in (np.minimum, np.maximum)
+                ]
+                own = slice(t0 * (len(col_edges) - 1), t1 * (len(col_edges) - 1))
+                shape = per_tile[0].shape
+                assert np.all(per_tile[0] >= lb[own].reshape(shape) - BOUND_BUDGET), alpha
+                assert np.all(per_tile[1] <= ub[own].reshape(shape) + BOUND_BUDGET), alpha
+        assert 10 * BOUND_BUDGET <= verify._PRUNE_MARGIN
+
+    @pytest.mark.parametrize("grid", ["401x401", "201x801 unfolded"])
+    def test_slab_holds_the_grid_points(self, grid):
+        # the squared halves of grid points, as the scan forms them, sum to
+        # within eta of 1/4 in exact rational arithmetic (the grid's edges and
+        # 40 random rows and columns); eta is a few ulps
+        tau_end, n_tau, phi_end, n_phi = PARITY_GRIDS[grid]
+        stage = verify._stage(np.linspace(0.0, tau_end, n_tau), np.linspace(0.0, phi_end, n_phi))
+        eta = verify._slab(stage)
+        assert 0.0 < eta < 2e-14
+        half_s2t, half_c2t, cos_phi, sin_phi = stage
+        rng = np.random.default_rng(3)
+        rows = np.concatenate([[0, n_tau - 1], rng.integers(0, n_tau, 40)])
+        cols = np.concatenate([[0, n_phi - 1], rng.integers(0, n_phi, 40)])
+        for i in rows:
+            hx, hy = half_s2t[i] * cos_phi[cols], half_s2t[i] * sin_phi[cols]
+            for x, y in zip(hx.tolist(), hy.tolist()):
+                total = Fraction(x) ** 2 + Fraction(y) ** 2 + Fraction(float(half_c2t[i])) ** 2
+                assert abs(total - Fraction(1, 4)) <= eta
 
     def test_large_scans_prune(self):
         # below _PRUNE_POINTS a scan is exhaustive; on 2001^2 the sum is constant
-        # at 2 (every tile kept) and each other order skips most of the grid
+        # at 2 and 3 (every tile kept) and every other order keeps under 2% of the grid
         assert [r.points_evaluated for r in scan_orders([0.5, 2.0], GridSpec(401, 401))] == [401 * 401] * 2
         grid = GridSpec(2001, 2001)
-        low, constant, high = (r.points_evaluated for r in scan_orders([0.5, 2.0, 4.0], grid))
-        assert constant == grid.n_tau * grid.n_phi
-        assert low < high < constant / 4
+        orders = (0.25, 0.5, 1.0, 1.7, 1.86, 2.0, 2.5, 2.98, 3.0, 3.2, 3.9, 4.0, 10.0)
+        for alpha, report in zip(orders, scan_orders(orders, grid)):
+            if alpha in (2.0, 3.0):
+                assert report.points_evaluated == grid.n_tau * grid.n_phi
+            else:
+                assert report.points_evaluated < 0.02 * grid.n_tau * grid.n_phi, alpha
 
     # points_evaluated at orders 0.5, 1, 2, 2.5, 4 and 7.3 (numpy 2.4.6): the
     # skip decisions themselves, so a change that keeps more tiles, or fewer,
-    # shows here though the extrema stay the same
+    # shows here though the extrema stay the same.  Every order but 2 keeps
+    # the same tiles: the first row of tiles, whose grid row tau = 0 ties the
+    # eigenstate minimum, and the few around each order's extrema
     @pytest.mark.parametrize(
         "grid,points",
         [
-            (GridSpec(2001, 2001), [193159, 344686, 4004001, 4003815, 740894, 109165]),
-            (GridSpec(101, 40001), [97718, 148487, 4040101, 1290162, 212050, 69335]),
-            (GridSpec(801, 801), [79668, 149329, 641601, 641570, 361072, 44312]),
+            (GridSpec(2001, 2001), [36333, 36333, 4004001, 36333, 36333, 36333]),
+            (GridSpec(101, 40001), [43751, 43751, 4040101, 43751, 43751, 43751]),
+            (GridSpec(801, 801), [14007, 14007, 641601, 14007, 14007, 14007]),
         ],
         ids=["2001x2001", "101x40001", "801x801"],
     )
@@ -922,12 +996,61 @@ class TestPruning:
         assert np.max(values[1:] - np.minimum.accumulate(values)[:-1]) <= 1e-14
         assert 1e-14 * 100 <= verify._PRUNE_MARGIN
 
+    # The sphere bounds rest on two more facts (verify's module docstring).
+    # First, the regime of G(w) = F(sqrt w) on w in [0, 1/4]: concave off
+    # [2, 3], convex inside, affine at 2 and 3, by 50-digit second differences
+    # of the exact pair entropy, with no float kernel involved
+    @pytest.mark.parametrize(
+        "alpha,sign",
+        [(a, -1) for a in (0.01, 0.5, 1.0, 1.5, 1.999999, 3.000001, 4.0, 7.5, 100.0)]
+        + [(a, 1) for a in (2.000001, 2.5, 2.999999)]
+        + [(2.0, 0), (3.0, 0)],
+    )
+    def test_sphere_regime(self, alpha, sign):
+        with mp.workdps(50):
+            n = 200
+            g = [exact_pair_entropy(mp.sqrt(mp.mpf(i) / (4 * n)), alpha) for i in range(n + 1)]
+            second = [g[i - 1] - 2 * g[i] + g[i + 1] for i in range(1, n)]
+            if sign:
+                assert all(sign * d > 0 for d in second), alpha
+            else:
+                assert max(abs(d) for d in second) < mp.mpf(10) ** -45
+        assert verify._sphere_regime(verify.as_param(alpha)) == {-1: True, 1: False, 0: None}[sign]
+
+    # Second, eps_F, the grid kernel's absolute error against the exact pair
+    # entropy at (1/2 + h, 1/2 - h), h a float in [0, 1/2]: at the 30 orders
+    # of the monotonicity measurement (_PRUNE_MARGIN's comment), the worst at
+    # the edges of the expm1 window, where the pow form's cancellation peaks
+    # (1.1e-14 at 0.98999 and 0.99); the docstring's budget takes 1.5e-14
+    def test_kernel_error_against_exact_pair_entropy(self):
+        rng = np.random.default_rng(20)
+        h = np.unique(
+            np.concatenate(
+                [
+                    np.linspace(0.0, 0.5, 101),
+                    rng.uniform(0.0, 0.5, 150),
+                    0.5 - np.geomspace(1e-16, 1e-2, 40),  # near the eigenstates
+                    np.geomspace(1e-300, 1e-2, 20),
+                ]
+            )
+        )
+        worst = {}
+        with mp.workdps(50):
+            exact_h = [mp.mpf(float(x)) for x in h]
+            for alpha in KERNEL_ERROR_ORDERS:
+                got = entropy.pair_entropy(0.5 + h, 0.5 - h, entropy.TsallisParam(alpha))
+                worst[alpha] = max(abs(float(v - exact_pair_entropy(x, alpha))) for v, x in zip(got, exact_h))
+        assert max(worst.values()) <= 1.5e-14, worst
+        assert max(worst, key=worst.get) in (0.98999, 0.99, 1.01, 1.01001)
+        assert 6 * 1.5e-14 + 4e-15 <= BOUND_BUDGET
+
     # A pruned scan's first kernel calls are its z terms, one per order, then
     # the bound pass's.  On 801^2 the incumbent subgrid's run is one block:
     # two calls per order for the subgrid's sums (x, y).  Then the tile
     # stage's z terms, one call per order, and the tile bounds are one chunk:
-    # two calls per order (x, y), of shape (2, tile rows, tile columns), the
-    # lower bounds first.
+    # two calls per order (x, y), of shape (2, 2, tile rows, tile columns),
+    # the lower bounds first, each order's followed, outside 2 and 3, by its
+    # split side's call on the kept tiles its chord side leaves undecided.
     @pytest.mark.parametrize("k,orders", [(0, (0.5, 2.0)), (1, (0.5, 2.0)), (0, (4.0,))])
     def test_nonfinite_incumbent_raises(self, monkeypatch, capsys, k, orders):
         axis = np.linspace(0.0, QUARTER_PI, 801)
@@ -954,34 +1077,67 @@ class TestPruning:
         assert out == ""
         assert f"alpha={orders[k]!r}" in err and point in err
 
-    @pytest.mark.parametrize("k,orders,side,bad", [(0, (0.5, 2.0), 0, math.nan), (1, (0.5, 2.0), 1, math.inf)])
-    def test_nonfinite_tile_bound_raises(self, monkeypatch, capsys, k, orders, side, bad):
+    @pytest.mark.parametrize(
+        "k,orders,side,bad,split",
+        [
+            pytest.param(0, (0.5, 2.0), 0, math.nan, False, id="0-orders0-0-nan"),
+            pytest.param(1, (0.5, 2.0), 1, math.inf, False, id="1-orders1-1-inf"),
+            # the split side's kernel: an upper bound at 0.5 (concave), a lower one at 2.5 (convex)
+            pytest.param(0, (0.5, 2.0), 2, math.nan, True, id="split-0-orders0-2-nan"),
+            pytest.param(0, (2.5,), 1, math.nan, True, id="split-0-orders1-1-nan"),
+        ],
+    )
+    def test_nonfinite_tile_bound_raises(self, monkeypatch, capsys, k, orders, side, bad, split):
         axis = np.linspace(0.0, QUARTER_PI, 801)
         row_edges, col_edges = verify._tile_edges(axis, axis)
-        real = verify._pair_entropy_into
-        calls = []
+        real, real_boxes, real_split = verify._pair_entropy_into, verify._tile_boxes, verify._split_bound
+        tile_calls, boxes, splits = [], [], []
 
         def inject(p, m, alpha, out):
+            tile_bound = out.ndim == 4
             out = real(p, m, alpha, out)
-            if len(calls) == 4 * len(orders) + 2 * k:  # the x term of order k's tile bounds
-                out[side, 4, 6] = bad
-            calls.append(None)
+            if tile_bound:
+                if not split and len(tile_calls) == 2 * k:  # the x term of order k's tile bounds
+                    out[side, 4, 6] = bad
+                tile_calls.append(None)
+            elif split and len(splits) == 1 and splits[0][1] is None:  # the first split side's kernel call
+                out[side, 0] = bad  # the first tile it bounds
+                splits[0][1] = out.shape
             return out
+
+        def tile_boxes(tile_stage, terms, bounds, t0, kept, work):
+            boxes.append(t0 * terms[0].shape[-1] + kept)  # the kept tiles' flat indices in the tile grid
+            return real_boxes(tile_stage, terms, bounds, t0, kept, work)
+
+        def split_bound(alpha, concave, h, tiles, *rest):
+            splits.append([(alpha.alpha, int(boxes[-1][tiles[0]])), None])
+            return real_split(alpha, concave, h, tiles, *rest)
 
         def point(i, j):
             return f"(tau, phi) = ({float(axis[i])!r}, {float(axis[j])!r})"
 
+        def tile():
+            t, u = divmod(splits[0][0][1], len(col_edges) - 1) if split else (4, 6)
+            first, last = point(row_edges[t], col_edges[u]), point(row_edges[t + 1] - 1, col_edges[u + 1] - 1)
+            return f"on the tile from {first} to {last}"
+
         monkeypatch.setattr(verify, "_pair_entropy_into", inject)
-        tile = f"on the tile from {point(row_edges[4], col_edges[6])} to {point(row_edges[5] - 1, col_edges[7] - 1)}"
+        monkeypatch.setattr(verify, "_tile_boxes", tile_boxes)
+        monkeypatch.setattr(verify, "_split_bound", split_bound)
         with pytest.raises(ValueError, match=f"alpha={orders[k]!r}") as info:
             scan_orders(orders, GridSpec(801, 801))
-        assert f"entropic sum bound is {bad!r}" in str(info.value) and tile in str(info.value)
+        assert f"entropic sum bound is {bad!r}" in str(info.value) and tile() in str(info.value)
+        if split:  # order k's split side met the value, at three axes' kernel values per tile
+            assert len(splits) == 1 and splits[0][0][0] == orders[k] and splits[0][1][0] == 3
+        expected = tile()
 
-        calls.clear()
+        tile_calls.clear()
+        boxes.clear()
+        splits.clear()
         assert main(["verify", ",".join(map(repr, orders)), "--grid", "801"]) == 3
         out, err = capsys.readouterr()
         assert out == ""
-        assert f"alpha={orders[k]!r}" in err and tile in err
+        assert f"alpha={orders[k]!r}" in err and expected in err and tile() == expected
 
 
 class TestKernelCalls:
@@ -1020,8 +1176,9 @@ class TestKernelCalls:
         axis = np.linspace(0.0, QUARTER_PI, grid.n_tau)
         tile_rows = len(verify._tile_edges(axis, axis)[0]) - 1 if grid.n_tau * grid.n_phi >= verify._PRUNE_POINTS else 0
         tile_z_terms = [(a, (2, 2, tile_rows)) for a in orders] if tile_rows else []
-        # (outside the workspace, the tile bounds' calls are the 4-D ones)
-        z_calls = [(a, shape) for a, shape, block in kernel_calls if not block and len(shape) < 4]
+        # (outside the workspace, the tile bounds' calls are the 4-D ones and
+        # the split side's bound three axes at once, shape (2, 3, tiles))
+        z_calls = [(a, shape) for a, shape, block in kernel_calls if not block and len(shape) < 4 and shape[1] != 3]
         assert z_calls == [z[:2] for z in z_terms] + tile_z_terms
         blocks = sum(block for *_, block in kernel_calls)
         assert blocks == 2 * sum(rectangles) > 0
