@@ -40,10 +40,11 @@ count: at most 7 max(_CHUNK_POINTS, _MAX_WORKERS n_phi) float64 values,
 and the subgrid's run, on fewer rows and columns, ends before the
 grid's starts.  The tile bounds (below) stay within that bound too: they
 are taken a chunk of rows of tiles at a time, in
-14 max(_CHUNK_POINTS / 4, columns of tiles) values, their refinement on
-the sphere a batch of at most _WORKER_POINTS / 16 kept tiles at a time,
-in 38 values per tile (2.4 _CHUNK_POINTS values at the default budget),
-and the bound pass keeps two column indices per order and row of tiles.
+14 max(_CHUNK_POINTS / 4, columns of tiles) values, their boxes on the
+sphere a batch of at most _WORKER_POINTS / 16 kept tiles at a time, in
+38 values per tile (14 for the box, 24 for _box_bound's scratch; 2.4
+_CHUNK_POINTS values at the default budget), and the bound pass keeps
+two column indices per order and row of tiles.
 
 Pruning.  A scan of at least _PRUNE_POINTS grid points skips, for each
 order, the tiles that cannot hold a grid extremum or a tie with one.  A
@@ -105,20 +106,24 @@ and falls between, so G is concave off [2, 3] and convex inside
 (_sphere_regime; the paper's kernel-monotonicity lemma, behind its
 tight bounds, is the case alpha in (0, 1] or integer).  At 2 and 3 G is
 affine, every pure state's sum is the same, and no bound can skip a
-tile.  Elsewhere the bound pass takes, for each tile the monotone test
-keeps, two more bounds, and each side keeps the tighter of its two:
-  * The chord side (_chord_bound), LB where G is concave.  For every
-    lam >= 0, G(w) + lam w is concave on [L, U], so it is least at an
-    end, and with sum_k w_k <= S = 1/4 + eta,
+tile.  Elsewhere each tile the monotone test keeps is bounded as its box
+B (_box_bound, which takes the |h| ranges and F at them and knows
+nothing of tiles), on two sides, each keeping the tighter of its bounds:
+  * The chord side, LB where G is concave.  For every lam >= 0,
+    G(w) + lam w is concave on [L, U], so it is least at an end, and
+    with sum_k w_k <= S = 1/4 + eta,
     sum_k G(w_k) >= sum_k min(G(L_k), G(U_k) + lam (U_k - L_k)) - lam (S - sum_k L_k).
     This is the dual of minimising the three chords of G over B in the
     slab, so at its best lam, one of the chords' falls, it is the
     greedy's value (mass on the steepest chord first); any lam >= 0 gives
-    a sound bound.  G(L_k) and G(U_k) are F at the tile's least and
-    greatest |h|, the tile bounds' own kernel values.  Where G is convex,
-    max and S = 1/4 - eta give UB the same way.
-  * The split side (_split_bound), UB where G is concave, on the tiles
-    the chord side leaves undecided.  The greatest sum_k G(w_k) over B
+    a sound bound.  G(L_k) and G(U_k) are F at the box's least and
+    greatest |h|, for a tile the tile bounds' own kernel values.  Where G
+    is convex, max and S = 1/4 - eta give UB the same way.
+  * The split side, UB where G is concave, on every box: on a tile the
+    chord side has decided it decides nothing more, but the tiles it
+    leaves undecided were 61-91% of the kept ones on 2001^2 (634 of 761
+    at alpha = 0.5, 9,322 of 15,318 at 2.5), not worth a second gather.
+    The greatest sum_k G(w_k) over B
     with sum_k w_k >= 1/4 - eta lies, by KKT (G concave, decreasing, the
     same for the three axes), at the clipped equal split w_k =
     clip(t, L_k, U_k) that sums to 1/4 - eta, or at L where sum L exceeds
@@ -126,13 +131,13 @@ keeps, two more bounds, and each side keeps the tighter of its two:
     sort, tell which axes the split leaves full (U_k), empty (L_k) or
     free, and so t, the share of the free ones (with none free, the
     greatest full U_k).  Each |h| is sqrt(t) rounded down and clipped to
-    the tile's least and greatest |h|, so it lies in [0, 1/2]; the slab's
+    the box's least and greatest |h|, so it lies in [0, 1/2]; the slab's
     pad keeps the computed t at most the exact one, so every |h| is at
     most the split's and, F falling, the sum of F there bounds the
     maximum above.  Where G is convex, the least sum with
     sum_k w_k <= 1/4 + eta lies at the split of 1/4 + eta, with t at
     least the exact one and sqrt(t) rounded up, and bounds LB.  Three
-    kernel values per tile.
+    kernel values per box.
 Error budget.  These bounds compare grid sums with the exact G, so they
 need eps_F, the kernel's absolute error against the exact pair entropy
 at (1/2 + h, 1/2 - h): at most 1.5e-14 over [0, 1/2] at 30 orders from
@@ -176,16 +181,15 @@ the first grid point of its row that the order evaluates.  A pruned
 scan meets its values in three steps: the subgrid run, then the tile
 bounds (a non-finite bound names its tile by its first and last grid
 points), then the grid run, each in grid order with the orders in the
-given order; each order's tile bounds in a chunk come before their
-refinement on the sphere, its chord side before its split side.  A run
-takes its blocks in grid order; within a block the orders in the order
-given, and within an order its rectangles, each in grid order.  The tile
-bounds go a chunk of rows of tiles at a time, and within a chunk the
-orders in the order given.  An error in a run stops
-the later runs at their next block, and the earliest run's error is
-raised in the caller, after every helper has ended.  Certification
-evaluates its states in one batch under the same rule, so a NaN can
-never let a check pass.  Grids and certification share one pair formula, (1/2 + h, 1/2 - h)
+given order; each order's tile bounds in a chunk come before its boxes,
+and in a batch of boxes the chord side comes before the split side.  A
+run takes its blocks in grid order; within a block the orders in the
+order given, and within an order its rectangles, each in grid order.  An
+error in a run stops the later runs at their next block, and the
+earliest run's error is raised in the caller, after every helper has
+ended.  Certification evaluates its states in one batch under the same
+rule, so a NaN can never let a check pass.  Grids, tile boxes and
+certification share one pair formula (_half_pair), (1/2 + h, 1/2 - h)
 with h = s/2, and clip to [-1, 1] only the 1-D trig vectors (the Bloch
 components when certifying): |h| <= 1/2 then keeps both in [0, 1]
 without a clip of the grid.  Halving is exact (short of subnormals, where
@@ -399,17 +403,27 @@ def g_sum(state: StateLike, alpha: AlphaLike) -> float:
 # Vectorized grid machinery
 # ---------------------------------------------------------------------------
 
-_Pairs = list[tuple[np.ndarray, np.ndarray]]
+_Pairs = list[Sequence[np.ndarray]]  # (p, m) per axis: a tuple of two arrays, or an array of two rows
 
 
-def _half_pairs(*halves: np.ndarray) -> _Pairs:
-    """(p, m) = (1/2 + h, 1/2 - h) per h = s/2; |h| <= 1/2 puts p and m in [0, 1] exactly."""
-    return [(0.5 + h, 0.5 - h) for h in halves]
+def _half_pair(h: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """(p, m) = (1/2 + h, 1/2 - h), the one pair formula: out, or a new array, with p in out[0] and m in out[1].
+
+    h = s/2 for a Bloch component s; |h| <= 1/2 puts p and m in [0, 1] exactly.
+    """
+    if out is None:
+        out = np.empty((2, *h.shape))
+    # out[0] and out[1], not p, m = out: unpacking took about 1 us more per
+    # call, and every block of a scan makes two (+4% on the benchmark's
+    # acceptance_scans, whose constant orders run hundreds of blocks)
+    np.add(0.5, h, out=out[0])
+    np.subtract(0.5, h, out=out[1])
+    return out
 
 
 def _clipped_pairs(*components: np.ndarray) -> _Pairs:
-    """_half_pairs of Bloch components s clipped to [-1, 1]: bitwise clip((1 +- s)/2, 0, 1), NaN kept."""
-    return _half_pairs(*(0.5 * np.clip(s, -1.0, 1.0) for s in components))
+    """_half_pair of each Bloch component s clipped to [-1, 1]: bitwise clip((1 +- s)/2, 0, 1), NaN kept."""
+    return [_half_pair(0.5 * np.clip(s, -1.0, 1.0)) for s in components]
 
 
 def _pair_sums(pairs: _Pairs, z_term: np.ndarray, alpha: TsallisParam, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -473,26 +487,24 @@ def _grid_pairs(stage: _Stage, rows, cols, out: np.ndarray) -> None:
     rows and cols (slices or index arrays) select from the stage vectors'
     last axis, and any leading axes broadcast (_tile_stage stacks two
     stages); out has shape (5, ..., rows, cols), and out[4] is overwritten.
-    The z pair depends on the row alone, _half_pairs of the stage's
+    The z pair depends on the row alone, _half_pair of the stage's
     (cos 2 tau)/2, and a scan takes its entropies once (_z_terms).
     """
     half_s2t, _, cos_phi, sin_phi = stage
     s2t = half_s2t[..., rows, None]
     h = out[4]
     for k, trig in ((0, cos_phi[..., None, cols]), (2, sin_phi[..., None, cols])):
-        # _half_pairs of s2t * trig, each pass written into out
         np.multiply(s2t, trig, out=h)
-        np.add(0.5, h, out=out[k])
-        np.subtract(0.5, h, out=out[k + 1])
+        _half_pair(h, out[k : k + 2])
 
 
 def _z_terms(alphas: Sequence[TsallisParam], stage: _Stage) -> np.ndarray:
-    """Each order's z term per stage row, shape (orders, ..., rows, 1): the kernel on _half_pairs of (cos 2 tau)/2.
+    """Each order's z term per stage row, shape (orders, ..., rows, 1): the kernel on _half_pair of (cos 2 tau)/2.
 
     Computing them raises nothing: a non-finite z term is met in the
     first sum that adds it.
     """
-    ((plus, minus),) = _half_pairs(stage[1])
+    plus, minus = _half_pair(stage[1])
     # order o's into z_terms[o], the next plane its kernel's scratch
     z_terms = np.empty((len(alphas) + 1, *plus.shape))
     for o, alpha in enumerate(alphas):
@@ -587,10 +599,9 @@ def _tile_boxes(
     terms holds a chunk's x and y terms, each of shape (2, rows, columns
     of tiles), and the order's z term per row of tiles, shape (2, rows of
     tiles); bounds the chunk's LB and UB; kept the n kept tiles' flat
-    indices in the chunk, whose first row of tiles is t0.  Returns h and
-    g, of shape (2, 3, n), greatest |h| over least for axes x, y and z
-    and F at them, and the tiles' (LB, UB), shape (2, n): views of work,
-    with every |h| the tile stage's own product.
+    indices in the chunk, whose first row of tiles is t0.  Returns h, g
+    and (LB, UB) as _box_bound takes them, views of work, with every |h|
+    the tile stage's own product.
     """
     n = kept.size
     fx, fy, z = terms
@@ -609,23 +620,36 @@ def _tile_boxes(
     return h, g, box_bounds
 
 
-def _chord_bound(concave: bool, h: np.ndarray, g: np.ndarray, bounds: np.ndarray, eta: float, work: np.ndarray) -> None:
-    """Tighten the chord side of n tiles' bounds in place: LB where G is concave, UB where convex.
+def _check_bounds(values: np.ndarray, alpha: TsallisParam, where: Callable[[int], str]) -> None:
+    """Raise ValueError at the first non-finite value of a 1-D array of bounds, naming its box through where."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(f"entropic sum bound is {float(values[k])!r} at alpha={alpha.alpha!r}, {where(k)}")
 
-    h, of shape (2, 3, n), holds each tile's greatest |h| per axis (x, y,
-    z) stacked on its least, g the pair entropies F there, and bounds, of
-    shape (2, n), the tiles' LB and UB.  With L and U the squares of the
-    least and greatest |h|, the side is the best of the dual values
-    sum_k pick(G(L_k), G(U_k) + lam (U_k - L_k)) - lam (S - sum_k L_k)
-    at lam = each chord's fall, pick being min and S 1/4 + eta where G is
-    concave, max and 1/4 - eta where convex (module docstring).  work[14:26]
-    is scratch.
+
+def _box_bound(
+    alpha: TsallisParam, concave: bool, h: np.ndarray, g: np.ndarray, bounds: np.ndarray, eta: float,
+    work: np.ndarray, where: Callable[[int], str],
+) -> None:
+    """Tighten n boxes' (LB, UB) in place on the sphere: the chord side, then the split side (module docstring).
+
+    A box is w_k = h_k^2 in [L_k, U_k] per axis k (x, y, z) within the slab
+    |sum_k w_k - 1/4| <= eta.  h, of shape (2, 3, n), holds each box's
+    greatest |h| per axis stacked on its least, g the pair entropies F
+    there, bounds, of shape (2, n), the boxes' LB and UB, and concave is
+    _sphere_regime(alpha), True or False.  work, of shape (24, n) or
+    wider, is scratch.  Each side keeps the tighter of its old and new
+    bounds.  Raises ValueError naming box k through where(k) at a
+    non-finite chord side, then at a non-finite split value.
     """
     n = h.shape[-1]
     hi, lo = h
     g_hi, g_lo = g
-    width, tmp, slopes = (work[k : k + 3, :n] for k in (14, 17, 20))
-    room, value, shift = work[23:26, :n]
+    # the chord side, LB where G is concave and UB where convex: the best
+    # dual value over lam = each chord's fall, with S = 1/4 +- eta
+    width, tmp, slopes = (work[k : k + 3, :n] for k in (0, 3, 6))
+    room, value, shift = work[9:12, :n]
     np.subtract(hi, lo, out=width)
     width *= np.add(hi, lo, out=tmp)
     np.multiply(lo, lo, out=tmp)
@@ -637,7 +661,7 @@ def _chord_bound(concave: bool, h: np.ndarray, g: np.ndarray, bounds: np.ndarray
     np.maximum(slopes, 0.0, out=slopes)
     slopes /= np.maximum(width, 2.0**-1000, out=tmp)
     pick, best = (np.minimum, np.maximum) if concave else (np.maximum, np.minimum)
-    side = bounds[0] if concave else bounds[1]
+    chord, split_side = bounds if concave else bounds[::-1]
     for lam in slopes:
         np.multiply(lam, width, out=tmp)
         tmp += g_hi
@@ -645,28 +669,12 @@ def _chord_bound(concave: bool, h: np.ndarray, g: np.ndarray, bounds: np.ndarray
         np.add(tmp[0], tmp[1], out=value)
         value += tmp[2]
         value -= np.multiply(lam, room, out=shift)
-        best(side, value, out=side)
-
-
-def _split_bound(
-    alpha: TsallisParam, concave: bool, h: np.ndarray, tiles: np.ndarray, eta: float, work: np.ndarray
-) -> np.ndarray:
-    """The split side of the given tiles' bounds: UB where G is concave, LB where convex.
-
-    h is _chord_bound's, tiles the indices of the m tiles to bound.  The
-    side is the sum of F at the split w_k = clip(t, L_k, U_k) of the total
-    S = 1/4 - eta where G is concave, 1/4 + eta where convex, over the
-    tile's box in w = h^2, with sqrt(t) rounded down where G is concave
-    and up where convex, and every |h| within the tile's (module
-    docstring).  One kernel call on the three axes; returns a view of
-    work[20], length m.  work[14:38] is scratch.
-    """
-    m = tiles.size
-    box = work[14:20, :m].reshape(2, 3, m)
-    np.take(h, tiles, axis=2, out=box, mode="clip")
-    hi, lo = box
-    squares, states, tmp = (work[k : k + 6, :m] for k in (20, 26, 32))
-    np.multiply(box, box, out=squares.reshape(2, 3, m))
+        best(chord, value, out=chord)
+    _check_bounds(chord, alpha, where)
+    # the split side, UB where G is concave and LB where convex: F at the
+    # clipped equal split of the total
+    squares, states, tmp = (work[k : k + 6, :n] for k in (0, 6, 12))
+    np.multiply(h, h, out=squares.reshape(2, 3, n))
     # the level sum_k clip(b, L_k, U_k) filled at each breakpoint b, U_k (rows 0-2) and L_k (3-5)
     for k in range(3):
         np.maximum(squares, squares[3 + k], out=tmp)
@@ -682,7 +690,7 @@ def _split_bound(
     np.greater(states, total, out=states)
     np.subtract(1.0, states[:3], out=states[:3])
     np.multiply(squares, states, out=tmp)
-    free, left, level = work[20:23, :m]
+    free, left, level = work[0:3, :n]
     np.add.reduce(states, axis=0, out=free)
     np.subtract(3.0, free, out=free)
     np.subtract(total, tmp[0], out=left)
@@ -696,15 +704,15 @@ def _split_bound(
     np.maximum(level, 0.0, out=level)
     np.sqrt(level, out=level)
     np.nextafter(level, 0.0 if concave else 1.0, out=level)
-    root, minus = work[26:29, :m], work[29:32, :m]
+    root = work[3:6, :n]
     np.maximum(level, lo, out=root)
     np.minimum(root, hi, out=root)
-    np.subtract(0.5, root, out=minus)
-    root += 0.5
-    terms = _pair_entropy_into(root, minus, alpha, work[32:38, :m].reshape(2, 3, m))
-    split = np.add(terms[0], terms[1], out=work[20, :m])
+    pair = _half_pair(root, work[6:12, :n].reshape(2, 3, n))
+    terms = _pair_entropy_into(*pair, alpha, work[18:24, :n].reshape(2, 3, n))
+    split = np.add(terms[0], terms[1], out=work[0, :n])
     split += terms[2]
-    return split
+    _check_bounds(split, alpha, where)
+    (np.minimum if concave else np.maximum)(split_side, split, out=split_side)
 
 
 def _kept_spans(
@@ -720,25 +728,22 @@ def _kept_spans(
     Returns spans, of shape (orders, rows of tiles, 2): the first grid
     column of the order's first kept tile in the row and the end column
     of its last, (0, 0) where it keeps none; the order evaluates every
-    tile between them.  An order keeps a tile unless its lower bound
-    LB > least + _PRUNE_MARGIN and its upper bound UB < greatest -
-    _PRUNE_MARGIN, (least, greatest) being the order's incumbents.  LB
-    and UB are first the sums on _tile_stage; at every order but 2 and 3
-    the tiles those keep are then bounded on the sphere (module
-    docstring), a batch of _WORKER_POINTS / 16 kept tiles at a time
-    (_tile_boxes): the chord side (_chord_bound) on every kept tile, the
-    split side (_split_bound) on those the chord side leaves undecided,
-    each side the tighter of its bounds.  The sums are taken a chunk of
-    rows of tiles at a time, at most max(_CHUNK_POINTS / 4, columns of
-    tiles) tiles of fourteen values, and within a chunk the orders in the
-    given order.  Raises ValueError at a non-finite tile bound, naming the
-    tile: an order's sums, then its chord side, then its split side.  The
+    tile between them.  An order keeps a tile unless LB > least +
+    _PRUNE_MARGIN and UB < greatest - _PRUNE_MARGIN, (least, greatest)
+    being its incumbents.  LB and UB are the sums on _tile_stage, taken a
+    chunk of rows of tiles at a time (at most max(_CHUNK_POINTS / 4,
+    columns of tiles) tiles of fourteen values), within a chunk the
+    orders in the given order.  At every order but 2 and 3 the tiles
+    those keep are then bounded as boxes on the sphere, a batch of
+    _WORKER_POINTS / 16 at a time: gathered (_tile_boxes), bounded
+    (_box_bound) and kept or skipped.  Raises ValueError at a non-finite
+    tile bound, naming the tile: an order's sums, then its boxes.  The
     pass runs in the calling thread (with the monotone bounds alone, on
     two workers each allocating its chunks' arrays, it took 1.8 ms on
     2001^2 at alpha = 2.5 against 1.4 ms on one).  On 2001^2 it takes
-    0.5 ms at alpha = 2, about 1 ms at the orders whose G is concave and
-    3 ms at 2.5, where every tile needs the split side (best of 30 per
-    order, 2-core Xeon, numpy 2.4.6).
+    about 1 ms at the orders whose G is concave and 3.7 ms at 2.5, where
+    the most tiles are kept (best of 64 per order on one CPU, 2-core
+    Xeon, numpy 2.4.6).
     """
     tile_stage = _tile_stage(stage, row_edges, col_edges)
     z_terms = _z_terms(alphas, tile_stage)[..., 0]
@@ -748,22 +753,17 @@ def _kept_spans(
     step = max(1, _CHUNK_POINTS // 4 // n_cols)
     # a chunk's x and y pairs, then its sums' three arrays (the pairs' scratch first), each of LB then UB
     scratch = np.empty((7, 2, min(step, n_rows) * n_cols))
-    # a batch of kept tiles' boxes (_tile_boxes, work[:14]), then the chord
-    # side's scratch (work[14:26]) or the split side's (work[14:38]); the
-    # batch is fixed at import, as _WORKER_POINTS is, so a chunk budget set
-    # for a test does not shrink it
+    # a batch of kept tiles' boxes (_tile_boxes, work[:14]), then _box_bound's
+    # scratch (work[14:]); the batch is fixed at import, as _WORKER_POINTS
+    # is, so a chunk budget set for a test does not shrink it
     batch = _WORKER_POINTS // 16
     work = np.empty((38, batch))
 
-    def check(values: np.ndarray, alpha: TsallisParam, tiles: np.ndarray) -> None:
-        finite = np.isfinite(values)
-        if not finite.all():
-            k = int(np.argmin(finite))
-            t, u = divmod(int(tiles[k]), n_cols)
-            raise ValueError(
-                f"entropic sum bound is {float(values[k])!r} at alpha={alpha.alpha!r}, on the tile from "
-                f"{where(row_edges[t], col_edges[u])} to {where(row_edges[t + 1] - 1, col_edges[u + 1] - 1)}"
-            )
+    def tile(k: int) -> str:
+        """The tile of flat index k in the grid of tiles, by its first and last grid points."""
+        t, u = divmod(int(k), n_cols)
+        start, end = where(row_edges[t], col_edges[u]), where(row_edges[t + 1] - 1, col_edges[u + 1] - 1)
+        return f"on the tile from {start} to {end}"
 
     for t0 in range(0, n_rows, step):
         tiles = slice(t0, t0 + step)
@@ -777,7 +777,7 @@ def _kept_spans(
             bounds += z_terms[o, :, tiles, None]
             lb, ub = bounds
             if not np.isfinite(bounds).all():
-                check(np.where(np.isfinite(lb), ub, lb).ravel(), alpha, first + np.arange(lb.size))
+                _check_bounds(np.where(np.isfinite(lb), ub, lb).ravel(), alpha, lambda k: tile(first + k))
             low_cut, high_cut = least + _PRUNE_MARGIN, greatest - _PRUNE_MARGIN
             keep = (lb <= low_cut) | (ub >= high_cut)
             concave = _sphere_regime(alpha)
@@ -785,18 +785,8 @@ def _kept_spans(
             for k0 in range(0, len(kept_tiles), batch):
                 kept = kept_tiles[k0 : k0 + batch]
                 h, g, box_bounds = _tile_boxes(tile_stage, (fx, fy, z_terms[o]), bounds, t0, kept, work)
+                _box_bound(alpha, concave, h, g, box_bounds, eta, work[14:], lambda k: tile(first + kept[k]))
                 low, high = box_bounds
-                _chord_bound(concave, h, g, box_bounds, eta, work)
-                check(low if concave else high, alpha, first + kept)
-                if concave:
-                    undecided = np.flatnonzero((low > low_cut) & (high >= high_cut))
-                else:
-                    undecided = np.flatnonzero((high < high_cut) & (low <= low_cut))
-                if undecided.size:
-                    split = _split_bound(alpha, concave, h, undecided, eta, work)
-                    check(split, alpha, first + kept[undecided])
-                    side = high if concave else low
-                    side[undecided] = (np.minimum if concave else np.maximum)(side[undecided], split)
                 keep.ravel()[kept] = (low <= low_cut) | (high >= high_cut)
             ends = np.stack([np.argmax(keep, axis=1), n_cols - np.argmax(keep[:, ::-1], axis=1)], axis=1)
             spans[o, t0 : t0 + len(keep)] = np.where(keep.any(axis=1)[:, None], col_edges[ends], 0)
@@ -1120,12 +1110,15 @@ def _seed(seed: int) -> int:
 def sample_pure_states(n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
     """n Bloch vectors drawn uniformly on the unit sphere, shape (n, 3).
 
-    n = 0 gives shape (0, 3).  Raises ValueError for a negative n or seed
-    and TypeError for a non-integer one (a seed of None included).
+    n = 0 gives shape (0, 3).  Raises ValueError for a negative n or seed,
+    and for n above GridSpec.MAX_POINTS before anything is drawn (a
+    memory-sized request would take several arrays of 8 n bytes), and
+    TypeError for a non-integer n or seed (a seed of None included).
     """
     n = _count(n, "n")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n!r}")
+    n = _points(n, "n", 0)
     rng = np.random.default_rng(_seed(seed))
     z = rng.uniform(-1.0, 1.0, size=n)
     az = rng.uniform(0.0, TWO_PI, size=n)
@@ -1136,8 +1129,9 @@ def sample_pure_states(n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
 def sample_mixed_states(n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
     """n Bloch vectors drawn uniformly in the unit ball, shape (n, 3).
 
-    seed is checked as in sample_pure_states, and n by sample_pure_states,
-    which draws the directions.
+    seed is checked as in sample_pure_states, and n, capped at
+    GridSpec.MAX_POINTS, by sample_pure_states before it draws the
+    directions.
     """
     rng = np.random.default_rng(_seed(seed))
     directions = sample_pure_states(n, seed=rng.integers(0, 2**63))

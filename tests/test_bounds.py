@@ -285,8 +285,22 @@ class TestKernelG:
         u = np.arange(1, 10_001) / 10_001  # check_kernel_monotonicity's grid
         values = kernel(u, alpha)
         assert values.shape == u.shape
-        assert values.tobytes() == np.array([kernel(float(x), alpha) for x in u]).tobytes()
-        if kernel is kernel_f:  # the points of the extended-precision sweep, 0 and subnormals too
+        if kernel is kernel_g:
+            # a scalar call is a one-element array pass, so the reference is
+            # the polynomial's float operations in pure Python, in kernel_g's
+            # order, with its coefficients 2 C(n - 1, 2k + 1) built here
+            coefficients = [float(2 * math.comb(alpha - 1, 2 * k + 1)) for k in range(alpha // 2)]
+            expected = []
+            for x in u.tolist():
+                total, upow, u2 = 0.0, 1.0, x * x
+                for c in coefficients:
+                    total += c * upow
+                    upow *= u2
+                expected.append(total)
+            assert values.tobytes() == np.array(expected).tobytes()
+            assert kernel(float(u[-1]), alpha) == expected[-1]
+        else:  # SIMD transcendentals: the scalar path is the reference, 0, subnormals and the sweep's points too
+            assert values.tobytes() == np.array([kernel(float(x), alpha) for x in u]).tobytes()
             points = np.array([0.0, 5e-324, 1e-310, *KERNEL_F_POINTS])
             assert kernel(points, alpha).tobytes() == np.array([kernel(float(x), alpha) for x in points]).tobytes()
 

@@ -63,7 +63,7 @@ def stage_pairs(stage):
     """The x, y and z outcome pairs on a whole stage's grid (or stacked stages') as a scan forms them, in new arrays."""
     out = np.empty((5, *stage[0].shape, stage[2].shape[-1]))
     verify._grid_pairs(stage, slice(None), slice(None), out)
-    return [(out[0], out[1]), (out[2], out[3]), *verify._half_pairs(stage[1][..., None])]
+    return [(out[0], out[1]), (out[2], out[3]), verify._half_pair(stage[1][..., None])]
 
 
 def grid_pairs(tau, cos_phi, sin_phi):
@@ -779,6 +779,38 @@ def exact_pair_entropy(h, alpha):
     return (p**a + m**a - 1) / (1 - a)
 
 
+# Orders either side of each regime change of G at 2 and 3, and well inside each regime
+BOX_ORDERS = (0.25, 0.5, 1.0, 1.5, 1.86, 2.0 - 1e-9, 2.0 + 1e-9, 2.5, 2.98, 3.0 - 1e-9, 3.0 + 1e-9, 3.2, 4.0, 7.3)
+
+
+def angle_boxes():
+    """Boxes [tau0, tau1] x [phi0, phi1] in D that are not tiles: each one's 41 x 41 grid stage, and the |h| ranges.
+
+    D itself, then for each side (small, 1e-4; a 2001^2 tile, pi/500; and
+    a 16 x 16 block of such tiles, pi/32) the boxes at the corners (0, 0),
+    (pi/4, 0) and (pi/4, pi/4), and 12 random ones.  On D, (sin 2 tau)/2
+    and sin phi rise and (cos 2 tau)/2 and cos phi fall, so each axis's
+    greatest and least |h| are products at the box's ends, taken from its
+    grid's own stage.  Returns the stages and h, of shape (2, 3, boxes):
+    the greatest |h| per axis (x, y, z) stacked on the least.
+    """
+    rng = np.random.default_rng(21)
+    boxes = [(0.0, QUARTER_PI, 0.0, QUARTER_PI)]
+    for side in (1e-4, math.pi / 500, math.pi / 32):
+        far = QUARTER_PI - side
+        boxes += [(0.0, side, 0.0, side), (far, QUARTER_PI, 0.0, side), (far, QUARTER_PI, far, QUARTER_PI)]
+        for _ in range(12):
+            tau0, phi0 = rng.uniform(0.0, far, 2)
+            d_tau, d_phi = side * rng.uniform(0.5, 1.0, 2)
+            boxes.append((tau0, tau0 + d_tau, phi0, phi0 + d_phi))
+    stages = [verify._stage(np.linspace(t0, t1, 41), np.linspace(p0, p1, 41)) for t0, t1, p0, p1 in boxes]
+    h = [
+        [[s2t[-1] * cos[0], s2t[-1] * sin[-1], c2t[0]], [s2t[0] * cos[-1], s2t[0] * sin[0], c2t[-1]]]
+        for s2t, c2t, cos, sin in stages
+    ]
+    return stages, np.moveaxis(np.array(h), 0, -1)
+
+
 def pruning_everywhere(monkeypatch):
     """Scans of any size prune."""
     monkeypatch.setattr(verify, "_PRUNE_POINTS", 0)
@@ -836,14 +868,11 @@ class TestPruning:
             a = verify.as_param(alpha)
             fx, fy, fz = (entropy.pair_entropy(*pair, a) for pair in (x, y, z))
             bounds = fx + fy + fz
-            h, g, (lb, ub) = verify._tile_boxes(tile_stage, (fx, fy, fz[..., 0]), bounds, 0, tiles, work)
+            h, g, box = verify._tile_boxes(tile_stage, (fx, fy, fz[..., 0]), bounds, 0, tiles, work)
             concave = verify._sphere_regime(a)
-            if concave is not None:
-                verify._chord_bound(concave, h, g, (lb, ub), eta, work)
-                split = verify._split_bound(a, concave, h, tiles, eta, work)
-                assert np.isfinite(split).all(), alpha
-                side = ub if concave else lb
-                (np.minimum if concave else np.maximum)(side, split, out=side)
+            if concave is not None:  # raises at a non-finite bound
+                verify._box_bound(a, concave, h, g, box, eta, work[14:], lambda k: f"on tile {k}")
+            lb, ub = box
             for t0, t1 in parts:
                 rows = slice(row_edges[t0], row_edges[t1])
                 values = pair_sums(grid_pairs(tau[rows], cos_phi, sin_phi), a)
@@ -857,6 +886,32 @@ class TestPruning:
                 assert np.all(per_tile[0] >= lb[own].reshape(shape) - BOUND_BUDGET), alpha
                 assert np.all(per_tile[1] <= ub[own].reshape(shape) + BOUND_BUDGET), alpha
         assert 10 * BOUND_BUDGET <= verify._PRUNE_MARGIN
+
+    @pytest.mark.parametrize("alpha", BOX_ORDERS)
+    def test_box_bound_holds_on_angle_boxes(self, alpha):
+        # _box_bound on boxes that are not tiles, with eta over their grids:
+        # every sum on each box's grid lies within the budget of its LB and UB,
+        # the chord side is tight on D, and the bound with the regime flipped
+        # breaks on some box
+        stages, h = angle_boxes()
+        eta = verify._slab(tuple(np.concatenate(v) for v in zip(*stages)))
+        a = verify.as_param(alpha)
+        sums = [pair_sums(stage_pairs(stage), a) for stage in stages]
+        least, greatest = np.array([v.min() for v in sums]), np.array([v.max() for v in sums])
+
+        def box_bounds(concave):
+            g = entropy.pair_entropy(0.5 + h, 0.5 - h, a)
+            bounds = g[:, 0] + g[:, 1] + g[:, 2]  # the monotone LB and UB
+            verify._box_bound(a, concave, h, g, bounds, eta, np.empty((24, h.shape[-1])), lambda k: f"on box {k}")
+            return bounds
+
+        concave = verify._sphere_regime(a)
+        lb, ub = box_bounds(concave)
+        assert np.all(least >= lb - BOUND_BUDGET) and np.all(greatest <= ub + BOUND_BUDGET)
+        # on D the chord side meets the eigenstates' sum, which its grid holds
+        assert abs((lb - least if concave else ub - greatest)[0]) <= BOUND_BUDGET
+        lb, ub = box_bounds(not concave)
+        assert np.any(least < lb - BOUND_BUDGET) or np.any(greatest > ub + BOUND_BUDGET)
 
     @pytest.mark.parametrize("grid", ["401x401", "201x801 unfolded"])
     def test_slab_holds_the_grid_points(self, grid):
@@ -1050,7 +1105,7 @@ class TestPruning:
     # stage's z terms, one call per order, and the tile bounds are one chunk:
     # two calls per order (x, y), of shape (2, 2, tile rows, tile columns),
     # the lower bounds first, each order's followed, outside 2 and 3, by its
-    # split side's call on the kept tiles its chord side leaves undecided.
+    # boxes' split side's call on the tiles it keeps.
     @pytest.mark.parametrize("k,orders", [(0, (0.5, 2.0)), (1, (0.5, 2.0)), (0, (4.0,))])
     def test_nonfinite_incumbent_raises(self, monkeypatch, capsys, k, orders):
         axis = np.linspace(0.0, QUARTER_PI, 801)
@@ -1090,7 +1145,7 @@ class TestPruning:
     def test_nonfinite_tile_bound_raises(self, monkeypatch, capsys, k, orders, side, bad, split):
         axis = np.linspace(0.0, QUARTER_PI, 801)
         row_edges, col_edges = verify._tile_edges(axis, axis)
-        real, real_boxes, real_split = verify._pair_entropy_into, verify._tile_boxes, verify._split_bound
+        real, real_boxes, real_box_bound = verify._pair_entropy_into, verify._tile_boxes, verify._box_bound
         tile_calls, boxes, splits = [], [], []
 
         def inject(p, m, alpha, out):
@@ -1101,7 +1156,7 @@ class TestPruning:
                     out[side, 4, 6] = bad
                 tile_calls.append(None)
             elif split and len(splits) == 1 and splits[0][1] is None:  # the first split side's kernel call
-                out[side, 0] = bad  # the first tile it bounds
+                out[side, 0] = bad  # axis side of the first tile it bounds
                 splits[0][1] = out.shape
             return out
 
@@ -1109,9 +1164,10 @@ class TestPruning:
             boxes.append(t0 * terms[0].shape[-1] + kept)  # the kept tiles' flat indices in the tile grid
             return real_boxes(tile_stage, terms, bounds, t0, kept, work)
 
-        def split_bound(alpha, concave, h, tiles, *rest):
-            splits.append([(alpha.alpha, int(boxes[-1][tiles[0]])), None])
-            return real_split(alpha, concave, h, tiles, *rest)
+        def box_bound(alpha, *rest):
+            # the split side bounds every box, so its first tile is the batch's first
+            splits.append([(alpha.alpha, int(boxes[-1][0])), None])
+            return real_box_bound(alpha, *rest)
 
         def point(i, j):
             return f"(tau, phi) = ({float(axis[i])!r}, {float(axis[j])!r})"
@@ -1123,7 +1179,7 @@ class TestPruning:
 
         monkeypatch.setattr(verify, "_pair_entropy_into", inject)
         monkeypatch.setattr(verify, "_tile_boxes", tile_boxes)
-        monkeypatch.setattr(verify, "_split_bound", split_bound)
+        monkeypatch.setattr(verify, "_box_bound", box_bound)
         with pytest.raises(ValueError, match=f"alpha={orders[k]!r}") as info:
             scan_orders(orders, GridSpec(801, 801))
         assert f"entropic sum bound is {bad!r}" in str(info.value) and tile() in str(info.value)
@@ -1138,6 +1194,41 @@ class TestPruning:
         out, err = capsys.readouterr()
         assert out == ""
         assert f"alpha={orders[k]!r}" in err and expected in err and tile() == expected
+
+    def test_chord_side_is_met_before_the_split_side(self, monkeypatch, capsys):
+        # a NaN in F at the second kept tile's box (its monotone bounds
+        # finite) reaches that tile's chord side; a NaN from the split side's
+        # kernel at every tile comes later, so the second tile is named
+        axis = np.linspace(0.0, QUARTER_PI, 801)
+        row_edges, col_edges = verify._tile_edges(axis, axis)
+        real_boxes, real = verify._tile_boxes, verify._pair_entropy_into
+        tiles = []
+
+        def tile_boxes(tile_stage, terms, bounds, t0, kept, work):
+            h, g, box = real_boxes(tile_stage, terms, bounds, t0, kept, work)
+            if not tiles:
+                g[1, 0, 1] = math.nan  # F at the second box's least |h_x|
+                tiles.append(t0 * terms[0].shape[-1] + int(kept[1]))
+            return h, g, box
+
+        def inject(p, m, alpha, out):
+            split = bool(tiles) and out.shape[:2] == (2, 3)  # the split side's call, three axes per tile
+            out = real(p, m, alpha, out)
+            if split:
+                out[...] = math.nan
+            return out
+
+        monkeypatch.setattr(verify, "_tile_boxes", tile_boxes)
+        monkeypatch.setattr(verify, "_pair_entropy_into", inject)
+        with pytest.raises(ValueError, match="entropic sum bound is nan at alpha=0.5") as info:
+            scan_orders([0.5], GridSpec(801, 801))
+        t, u = divmod(tiles[0], len(col_edges) - 1)
+        first = f"(tau, phi) = ({float(axis[row_edges[t]])!r}, {float(axis[col_edges[u]])!r})"
+        assert f"on the tile from {first} to" in str(info.value)
+        tiles.clear()
+        assert main(["verify", "0.5", "--grid", "801"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and f"on the tile from {first} to" in err
 
 
 class TestKernelCalls:
@@ -1547,7 +1638,7 @@ class TestSampling:
         assert not np.array_equal(sample_pure_states(50, seed=9), sample_pure_states(50, seed=10))
 
     @pytest.mark.parametrize("sample", [sample_pure_states, sample_mixed_states])
-    def test_count_is_checked(self, sample):
+    def test_count_is_checked(self, monkeypatch, sample):
         # numpy's own errors here named no argument
         with pytest.raises(TypeError, match="n must be an integer"):
             sample(2.5)
@@ -1555,6 +1646,13 @@ class TestSampling:
             sample(-1)
         assert sample(0).shape == (0, 3)
         assert sample(np.int64(4)).shape == (4, 3)
+        # a memory-sized count fails before any array is drawn; the cap is
+        # GridSpec.MAX_POINTS, inclusive, lowered here so nothing large is allocated
+        monkeypatch.setattr(GridSpec, "MAX_POINTS", 100)
+        assert sample(100).shape == (100, 3)
+        for n in (101, 1000):
+            with pytest.raises(ValueError, match=f"n must be at most 100, got {n}"):
+                sample(n)
 
     @pytest.mark.parametrize("sample", [sample_pure_states, sample_mixed_states])
     def test_seed_is_checked(self, sample):
