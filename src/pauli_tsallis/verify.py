@@ -26,20 +26,20 @@ windows, test grids) and pruned scans with little kept work stay in the
 calling thread.  The first run is the caller's own, the others go to
 helper threads started for the scan, run in copies of the caller's
 context (so numpy's error state holds in them) and joined before it
-returns.  The workers share the _CHUNK_POINTS budget: a block
-takes rows of tiles while its stage evaluates at most _CHUNK_POINTS /
+returns.  The workers share the _CHUNK_POINTS budget: a block takes
+rows of tiles of one stage span while it holds at most _CHUNK_POINTS /
 workers points (one row of tiles may hold more, at most
 max(_WORKER_POINTS / _MAX_WORKERS, n_phi) points; GridSpec caps n_phi).
 One block runner (_run) evaluates every grid: a scan's, and a pruned
 scan's incumbent subgrid (below).  Each run allocates one workspace,
 seven arrays per worker of its largest block's points, and the stage,
-its rectangles packed one after another, and the kernel write into it,
-so no block allocates a temporary of its own and every array stays in a
-core's L2 cache.  The worker cap bounds the workspace whatever the CPU
-count: at most 7 max(_CHUNK_POINTS, _MAX_WORKERS n_phi) float64 values,
-and the subgrid's run, on fewer rows and columns, ends before the
-grid's starts.  The tile bounds (below) stay within that bound too: they
-are taken a chunk of rows of tiles at a time, in
+one block at a time at the start of the worker's part, and the kernel
+write into it, so no block allocates a temporary of its own and every
+array stays in a core's L2 cache.  The worker cap bounds the workspace
+whatever the CPU count: at most 7 max(_CHUNK_POINTS, _MAX_WORKERS n_phi)
+float64 values, and the subgrid's run, on fewer rows and columns, ends
+before the grid's starts.  The tile bounds (below) stay within that
+bound too: they are taken a chunk of rows of tiles at a time, in
 14 max(_CHUNK_POINTS / 4, columns of tiles) values, their boxes on the
 sphere a batch of at most _WORKER_POINTS / 16 kept tiles at a time, in
 38 values per tile (14 for the box, 24 for _box_bound's scratch; 2.4
@@ -80,9 +80,10 @@ between grid points.  The bound pass (_kept_spans) runs in the calling
 thread and leaves each order's span in each row of tiles, from its
 first kept tile to its last (measured as fast as separate runs of kept
 tiles, with fewer kernel calls); the grid's run takes those spans, and
-its stage runs on the span of every order's kept tiles.  Consecutive
-rows of tiles with the same span form one rectangle, and each order's
-kernel runs on its own rectangles in the block's workspace (_blocks).
+its stage runs on the span of every order's kept tiles.  Each block is
+one rectangle of that stage, consecutive rows of tiles with the same
+span, and each order's kernel runs on its own rectangles in it
+(_blocks).
 
 The sphere.  LB and UB treat the three |h| as independent, so they are
 loose to first order in a tile's size, and kept 63-100% of 2001^2 at
@@ -152,8 +153,9 @@ bound lies within 3 eps_F and two roundings of the exact sum at its
 split.  So a grid sum of a skipped tile lies past its LB or UB by at
 most 6 eps_F + 1.5e-14, under 1e-13, ten times under _PRUNE_MARGIN, as
 the monotone bounds' 6e-14 is.  On 2001^2 every order but 2 and 3 then
-evaluates 36,333 points, most of them the first row of tiles, whose grid
-row tau = 0 (an eigenstate for every phi) ties the minimum.
+evaluates 6,318 points: grid row tau = 0, a row of tiles of its own
+(_tile_edges) whose every point (an eigenstate for every phi) ties the
+minimum, and the tiles around each order's extrema.
 
 Extrema merge deterministically on (value, tau index, phi index), so
 results do not depend on chunking, tiles or workers, and tie-breaking is
@@ -256,10 +258,10 @@ DEFAULT_SEED = 12345
 # of 7, at 16 and 32 rows per block: 36-43 ms per order on the squaring
 # chain (4), 53-64 ms on pow at 0.5, 80-118 ms at 2.5, 47-60 ms on
 # Shannon's branch and 84-101 ms on expm1's, against 14-23 ms for the
-# shared pair stage (2-core Xeon, numpy 2.4.6).  A pruned scan packs its
-# blocks with the points of its spans, not the rows of tiles they cross,
-# so it runs few full blocks: each kernel call costs tens of microseconds
-# of Python besides 12-30 ns a point.  The incumbent subgrid's run packs its
+# shared pair stage (2-core Xeon, numpy 2.4.6).  A pruned scan measures its
+# blocks by the points of their spans, not the rows of tiles they cross,
+# so it runs few blocks: each kernel call costs tens of microseconds of
+# Python besides 12-30 ns a point.  The incumbent subgrid's run sizes its
 # blocks by it, and the tile bounds' chunks take their size from it too.
 # Results do not depend on it (deterministic reduction).
 # The budget stays shared rather than one per worker: a full block per
@@ -282,8 +284,9 @@ _MAX_WORKERS = 2
 # on 2001^2, with the monotone bounds alone, 16 x 16 tiles left 5.1% of the
 # points to evaluate at alpha = 0.5, 8.9% at 1 and 18.7% at 4; on
 # 101 x 40001 the 1 x 400 tiles left 2.6-5.4% at 0.5, 1, 1.005 and 4, where
-# 32 x 32 tiles left 95%.  With the sphere bounds every order but 2 and 3
-# leaves 0.91% of 2001^2, 1.1% of 101 x 40001 and 2.2% of 801^2.
+# 32 x 32 tiles left 95%.  With the sphere bounds, and grid row tau = 0 a
+# row of tiles of its own, every order but 2 and 3 leaves 0.16% of 2001^2,
+# 1.1% of 101 x 40001 and 0.31% of 801^2.
 # Scans of fewer than _PRUNE_POINTS grid points are exhaustive: at 513^2
 # the bound pass and the extra kernel calls cost more than the skipped
 # tiles saved at three of four order sets, and at 801^2 pruning won where
@@ -403,9 +406,6 @@ def g_sum(state: StateLike, alpha: AlphaLike) -> float:
 # Vectorized grid machinery
 # ---------------------------------------------------------------------------
 
-_Pairs = list[Sequence[np.ndarray]]  # (p, m) per axis: a tuple of two arrays, or an array of two rows
-
-
 def _half_pair(h: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """(p, m) = (1/2 + h, 1/2 - h), the one pair formula: out, or a new array, with p in out[0] and m in out[1].
 
@@ -421,26 +421,22 @@ def _half_pair(h: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return out
 
 
-def _clipped_pairs(*components: np.ndarray) -> _Pairs:
+def _clipped_pairs(*components: np.ndarray) -> list[np.ndarray]:
     """_half_pair of each Bloch component s clipped to [-1, 1]: bitwise clip((1 +- s)/2, 0, 1), NaN kept."""
     return [_half_pair(0.5 * np.clip(s, -1.0, 1.0)) for s in components]
 
 
-def _pair_sums(pairs: _Pairs, z_term: np.ndarray, alpha: TsallisParam, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Entropic sums from the x and y outcome pairs and the z term, the z pair's entropies.
+def _pair_sums(x: np.ndarray, y: np.ndarray, z_term: np.ndarray, alpha: TsallisParam, out: np.ndarray) -> np.ndarray:
+    """Entropic sums from the x and y outcome pairs, (p, m) each, and the z term, the z pair's entropies.
 
-    The result has the shape of the x pair; the y pair has that shape too,
-    and z_term broadcasts against it, so a grid passes its z term as one
-    value per row, each computed once per scan.  out, of shape
-    (3, *x shape), takes the x and y terms (entropy._pair_entropy_into's
-    out): the sum is written into out[0] and returned.  Without out one
-    such array is allocated.
+    The result has the shape of p; z_term broadcasts against it, so a grid
+    passes its z term as one value per row, each computed once per scan.
+    out, of shape (3, *p shape), takes the x and y terms
+    (entropy._pair_entropy_into's out): the sum is written into out[0] and
+    returned.
     """
-    x, y = pairs
-    if out is None:
-        out = np.empty((3, *x[0].shape))
-    total = _pair_entropy_into(*x, alpha, out[:2])
-    total += _pair_entropy_into(*y, alpha, out[1:])
+    total = _pair_entropy_into(x[0], x[1], alpha, out[:2])
+    total += _pair_entropy_into(y[0], y[1], alpha, out[1:])
     total += z_term
     return total
 
@@ -448,7 +444,7 @@ def _pair_sums(pairs: _Pairs, z_term: np.ndarray, alpha: TsallisParam, out: Opti
 def _entropic_sums(bx: np.ndarray, by: np.ndarray, bz: np.ndarray, alpha: TsallisParam) -> np.ndarray:
     """Entropic sums at Bloch components (bx, by, bz) of one shape."""
     x, y, z = _clipped_pairs(bx, by, bz)
-    return _pair_sums([x, y], pair_entropy(*z, alpha), alpha)
+    return _pair_sums(x, y, pair_entropy(*z, alpha), alpha, np.empty((3, *bx.shape)))
 
 
 def _extrema(values: np.ndarray, alpha: TsallisParam, where: Callable) -> tuple[int, float, int, float]:
@@ -536,12 +532,17 @@ def _tile_edges(tau_grid: np.ndarray, phi_grid: np.ndarray) -> tuple[np.ndarray,
     max(1, _WORKER_POINTS / _MAX_WORKERS / n_phi) rows: a row of tiles then
     holds at most max(_WORKER_POINTS / _MAX_WORKERS, n_phi) points, so a
     block, at least one row of tiles, keeps the workspace bound of the
-    module docstring.  The last tile along an axis may be shorter.
+    module docstring.  The last tile along an axis may be shorter.  Grid
+    row 0 is a row of tiles of its own: tau = 0 is the z eigenstate at every
+    phi, so each of its points ties the minimum and its tiles are always
+    kept.  No edge repeats: np.maximum.reduceat takes the element at a
+    repeated start, not an empty reduction, so a repeated edge would give
+    an unsound tile bound.
     """
     n_tau, n_phi = len(tau_grid), len(phi_grid)
     rows, cols = _tile_steps(tau_grid, phi_grid)
     rows = min(rows, max(1, _WORKER_POINTS // _MAX_WORKERS // n_phi))
-    return np.append(np.arange(0, n_tau, rows), n_tau), np.append(np.arange(0, n_phi, cols), n_phi)
+    return np.union1d(np.arange(0, n_tau, rows), [1, n_tau]), np.append(np.arange(0, n_phi, cols), n_phi)
 
 
 def _subgrid(tau_grid: np.ndarray, phi_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -801,49 +802,42 @@ def _outside(spans: np.ndarray, row_edges: np.ndarray, sub: tuple[np.ndarray, np
     return (rows.size * cols.size - inside.sum(axis=1)).tolist()
 
 
-def _blocks(spans: np.ndarray, row_edges: np.ndarray, budget: int) -> tuple[list[tuple[list, list]], np.ndarray]:
-    """Rows of tiles packed into blocks, in grid order, with each block's rectangles and their points.
+def _blocks(spans: np.ndarray, row_edges: np.ndarray, budget: int) -> tuple[list[list], np.ndarray]:
+    """The stage's blocks in grid order, each one rectangle, with each order's rectangles in it and their points.
 
     spans, of shape (1 + orders, rows of tiles, 2), holds the stage's span
     in each row of tiles, and then each order's (as _kept_spans).  A block
-    takes rows of tiles while its stage rectangles hold at most budget
-    points, and at least one row; a row of tiles with an empty stage span
-    belongs to no block.  Consecutive rows of tiles with the same stage
-    span share a stage rectangle [row, end row, column, end column,
-    offset], offset being its first point in the block's packed
-    workspace; an order's rectangles [stage rectangle, row, end row,
-    column, end column] join consecutive rows of tiles of one stage
-    rectangle with the same span.  So each list of rectangles is in grid
-    order and holds no grid point twice.  Returns (stage rectangles,
-    rectangles per order) per block, and the points of each block's
-    rectangles, shape (1 + orders, blocks): the stage's, then each order's.
+    [row, end row, column, end column, rectangles per order] joins
+    consecutive rows of tiles with the same stage span while it holds at
+    most budget points, and takes at least one row; a row of tiles with an
+    empty stage span belongs to no block.  An order's rectangles [row, end
+    row, column, end column] join consecutive rows of tiles of its block
+    with the same span, so they come in grid order and hold no grid point
+    twice.  Returns the blocks and the points of each block's rectangles,
+    shape (1 + orders, blocks): the stage's, then each order's.
     """
     rows = row_edges.tolist()
     stage, *orders = spans.tolist()
-    blocks: list[tuple[list, list]] = []
+    blocks: list[list] = []
     areas: list[list[int]] = []
     for t, ((c0, c1), *own_spans) in enumerate(zip(stage, *orders)):
         if c0 == c1:
             continue
         r0, r1 = rows[t], rows[t + 1]
-        if not blocks or areas[-1][0] + (r1 - r0) * (c1 - c0) > budget:
-            blocks.append(([], [[] for _ in orders]))
-            areas.append([0] * len(spans))
-        (rects, order_rects), area = blocks[-1], areas[-1]
-        joined = bool(rects) and rects[-1][1] == r0 and rects[-1][2] == c0 and rects[-1][3] == c1
-        if joined:
-            rects[-1][1] = r1
+        if blocks and blocks[-1][1:4] == [r0, c0, c1] and areas[-1][0] + (r1 - r0) * (c1 - c0) <= budget:
+            blocks[-1][1] = r1
         else:
-            rects.append([r0, r1, c0, c1, area[0]])
+            blocks.append([r0, r1, c0, c1, [[] for _ in orders]])
+            areas.append([0] * len(spans))
+        area = areas[-1]
         area[0] += (r1 - r0) * (c1 - c0)
-        for o, (own, (d0, d1)) in enumerate(zip(order_rects, own_spans), 1):
+        for o, (own, (d0, d1)) in enumerate(zip(blocks[-1][4], own_spans), 1):
             if d0 == d1:
                 continue
-            last = own[-1] if joined and own else None
-            if last is not None and last[0] == len(rects) - 1 and last[2] == r0 and last[3] == d0 and last[4] == d1:
-                last[2] = r1
+            if own and own[-1][1] == r0 and own[-1][2:] == [d0, d1]:
+                own[-1][1] = r1
             else:
-                own.append([len(rects) - 1, r0, r1, d0, d1])
+                own.append([r0, r1, d0, d1])
             area[o] += (r1 - r0) * (d1 - d0)
     return blocks, np.array(areas).T
 
@@ -911,20 +905,19 @@ def _run(
     term per stage row, of shape (orders, rows, 1), row_edges the rows of
     tiles and spans, of shape (orders, rows of tiles, 2), each order's span
     in each (as _kept_spans).  Returns (min, (i, j), max, (i, j), points)
-    per order, indices into the stage.  The blocks, whole rows of tiles
-    packed by the points their stage evaluates (_blocks), are split into
-    contiguous runs of about equal kept work, one per worker: the first
-    runs in the calling thread, each other in a helper thread under the
-    caller's context (numpy's error state included), and every worker
-    writes into its own part of one workspace.  In a block the stage runs
-    on its stage rectangles, each packed into the worker's part, then each
-    order's kernel on its own rectangles, adding a slice of its z term.
-    Raises ValueError at the first non-finite value met: blocks in grid
-    order, within a block the orders in the given order, and within an
-    order its rectangles in grid order (see _extrema, which names the
-    point through where).  An error in a run stops every later run at its
-    next block and is raised here after every helper has ended; the
-    earliest run's error wins.
+    per order, indices into the stage.  The blocks, rectangles of the
+    stage (_blocks), are split into contiguous runs of about equal kept
+    work, one per worker: the first runs in the calling thread, each other
+    in a helper thread under the caller's context (numpy's error state
+    included), and every worker writes into its own part of one workspace.
+    In a block the stage runs on the block, at the start of the worker's
+    part, then each order's kernel on its own rectangles, adding a slice of
+    its z term.  Raises ValueError at the first non-finite value met:
+    blocks in grid order, within a block the orders in the given order,
+    and within an order its rectangles in grid order (see _extrema, which
+    names the point through where).  An error in a run stops every later
+    run at its next block and is raised here after every helper has ended;
+    the earliest run's error wins.
     """
     n_phi = len(stage[2])
     # the stage's span in each row of tiles: from the first column any order keeps to the last
@@ -934,35 +927,29 @@ def _run(
     # one worker per _WORKER_POINTS points the stage evaluates, which share the point budget
     workers = _workers(int(np.diff(row_edges) @ (union[:, 1] - union[:, 0])))
     blocks, areas = _blocks(np.concatenate([union[None], spans]), row_edges, _CHUNK_POINTS // workers)
-    n_blocks = len(blocks)
-    workers = min(workers, n_blocks)
+    workers = min(workers, len(blocks))
     # kept work per block, the stage counted as one order's kernel
     work = areas.sum(axis=0)
     # run k starts at the first block whose midpoint in the cumulative work reaches k / workers of it
     middle = np.cumsum(work) - work / 2.0
-    bounds = [0, *np.searchsorted(middle, work.sum() * np.arange(1, workers) / workers).tolist(), n_blocks]
-    # per worker: the largest block's packed x and y pairs and stage scratch, then the kernel's three arrays
+    bounds = [0, *np.searchsorted(middle, work.sum() * np.arange(1, workers) / workers).tolist(), len(blocks)]
+    # per worker: the largest block's x and y pairs and stage scratch, then the kernel's three arrays
     workspace = np.empty((workers, 7, int(areas[0].max())))
-    found = [[[] for _ in alphas] for _ in range(n_blocks)]  # per block and order: ((min, (i, j)), (max, (i, j)))
+    # per order, each rectangle's ((min, (i, j)), (max, (i, j))), in whatever order the workers append them
+    found: list[list] = [[] for _ in alphas]
     errors: list[Optional[BaseException]] = [None] * workers  # per run, the error that ended it
 
     def run(k: int) -> None:
         """Worker k's blocks, a contiguous run in grid order, in its part of the workspace."""
         part = workspace[k]
-        for b in range(bounds[k], bounds[k + 1]):
+        for i0, i1, j0, j1, rects in blocks[bounds[k] : bounds[k + 1]]:
             if any(e is not None for e in errors[:k]):
                 return  # an earlier run failed: its error is the one raised
-            rects, order_rects = blocks[b]
-            views = []
-            for r0, r1, c0, c1, offset in rects:
-                w = part[:5, offset : offset + (r1 - r0) * (c1 - c0)].reshape(5, r1 - r0, c1 - c0)
-                _grid_pairs(stage, slice(r0, r1), slice(c0, c1), w)
-                views.append(w)
+            pairs = part[:5, : (i1 - i0) * (j1 - j0)].reshape(5, i1 - i0, j1 - j0)
+            _grid_pairs(stage, slice(i0, i1), slice(j0, j1), pairs)
             for o, alpha in enumerate(alphas):
-                for s, r0, r1, c0, c1 in order_rects[o]:
-                    i0, j0 = rects[s][0], rects[s][2]
-                    w = views[s][:4, r0 - i0 : r1 - i0, c0 - j0 : c1 - j0]
-                    pairs = [(w[0], w[1]), (w[2], w[3])]
+                for r0, r1, c0, c1 in rects[o]:
+                    w = pairs[:4, r0 - i0 : r1 - i0, c0 - j0 : c1 - j0]
                     width = c1 - c0
                     # the kernel's three arrays, after the stage's four: contiguous
                     # whatever the span's width, so its in-place pow, log and expm1
@@ -973,9 +960,9 @@ def _run(
                         return r0 + j // width, c0 + j % width
 
                     k_min, v_min, k_max, v_max = _extrema(
-                        _pair_sums(pairs, z_terms[o, r0:r1], alpha, out=out), alpha, lambda j: where(*at(j))
+                        _pair_sums(w[:2], w[2:], z_terms[o, r0:r1], alpha, out), alpha, lambda j: where(*at(j))
                     )
-                    found[b][o].append(((v_min, at(k_min)), (v_max, at(k_max))))
+                    found[o].append(((v_min, at(k_min)), (v_max, at(k_max))))
 
     def helper(k: int) -> None:
         try:
@@ -1004,9 +991,9 @@ def _run(
         if exc is not None:
             raise exc
     results = []
-    for o, area in enumerate(areas[1:]):
-        lows, highs = zip(*(pair for per_block in found for pair in per_block[o]))
-        # on (value, (i, j)): ties keep the lowest (i, j) whichever block found them
+    for extrema, area in zip(found, areas[1:]):
+        lows, highs = zip(*extrema)
+        # on (value, (i, j)), a total order: ties keep the lowest (i, j) whichever block found them
         v_min, at_min = min(lows)
         v_max, at_max = min(highs, key=lambda c: (-c[0], c[1]))
         results.append((v_min, at_min, v_max, at_max, int(area.sum())))

@@ -74,8 +74,8 @@ def grid_pairs(tau, cos_phi, sin_phi):
 
 def pair_sums(pairs, alpha):
     """Entropic sums at the (x, y, z) outcome pairs as a scan sums them: the z term added to the x and y terms."""
-    *xy, z = pairs
-    return verify._pair_sums(xy, entropy.pair_entropy(*z, alpha), alpha)
+    x, y, z = pairs
+    return verify._pair_sums(x, y, entropy.pair_entropy(*z, alpha), alpha, np.empty((3, *x[0].shape)))
 
 
 def constant_stage(tau_grid, phi_grid):
@@ -944,22 +944,37 @@ class TestPruning:
             else:
                 assert report.points_evaluated < 0.02 * grid.n_tau * grid.n_phi, alpha
 
-    # points_evaluated at orders 0.5, 1, 2, 2.5, 4 and 7.3 (numpy 2.4.6): the
-    # skip decisions themselves, so a change that keeps more tiles, or fewer,
-    # shows here though the extrema stay the same.  Every order but 2 keeps
-    # the same tiles: the first row of tiles, whose grid row tau = 0 ties the
-    # eigenstate minimum, and the few around each order's extrema
+    # points_evaluated at orders 0.5, 1, 2, 2.5, 4 and 7.3 (numpy 2.4.6), on
+    # grids on D and the full-domain unfolding of 251^2: the skip decisions
+    # themselves, so a change that keeps more tiles, or fewer, shows here
+    # though the extrema stay the same.  Every order but 2 keeps the same
+    # tiles: grid row tau = 0, a row of tiles of its own whose every point
+    # ties the eigenstate minimum, and the few around each order's extrema
     @pytest.mark.parametrize(
         "grid,points",
         [
-            (GridSpec(2001, 2001), [36333, 36333, 4004001, 36333, 36333, 36333]),
-            (GridSpec(101, 40001), [43751, 43751, 4040101, 43751, 43751, 43751]),
-            (GridSpec(801, 801), [14007, 14007, 641601, 14007, 14007, 14007]),
+            (PARITY_GRIDS["2001x2001"], [6318, 6318, 4004001, 6318, 6318, 6318]),
+            (PARITY_GRIDS["101x40001"], [43751, 43751, 4040101, 43751, 43751, 43751]),
+            ((QUARTER_PI, 801, QUARTER_PI, 801), [1992, 1992, 641601, 1992, 1992, 1992]),
+            (PARITY_GRIDS["501x2001 unfolded"], [118919, 118919, 1002501, 118919, 118919, 118919]),
         ],
-        ids=["2001x2001", "101x40001", "801x801"],
+        ids=["2001x2001", "101x40001", "801x801", "501x2001 unfolded"],
     )
     def test_points_evaluated_are_pinned(self, grid, points):
-        assert [r.points_evaluated for r in scan_orders([0.5, 1.0, 2.0, 2.5, 4.0, 7.3], grid)] == points
+        tau_end, n_tau, phi_end, n_phi = grid
+        tau, phi = np.linspace(0.0, tau_end, n_tau), np.linspace(0.0, phi_end, n_phi)
+        params = [verify.as_param(a) for a in (0.5, 1.0, 2.0, 2.5, 4.0, 7.3)]
+        assert [found[4] for found in verify._scan_rectangle(params, tau, phi)] == points
+
+    @pytest.mark.parametrize("n_tau,n_phi", [(2001, 2001), (101, 40001), (2, 801)], ids=str)
+    def test_tile_edges_never_repeat(self, n_tau, n_phi):
+        # grid row 0 is a row of tiles of its own, also where the row step is
+        # already 1 (101 x 40001) or the grid has two rows: a repeated edge
+        # would make np.maximum.reduceat take one element for an empty tile
+        tau, phi = np.linspace(0.0, QUARTER_PI, n_tau), np.linspace(0.0, QUARTER_PI, n_phi)
+        row_edges, col_edges = verify._tile_edges(tau, phi)
+        assert row_edges[:2].tolist() == [0, 1] and row_edges[-1] == n_tau and col_edges[[0, -1]].tolist() == [0, n_phi]
+        assert np.all(np.diff(row_edges) > 0) and np.all(np.diff(col_edges) > 0)
 
     def test_ties_keep_lowest_grid_point(self, monkeypatch):
         # every grid point ties, so no tile is skipped and both extrema stay at (0, 0)
@@ -1229,6 +1244,60 @@ class TestPruning:
         assert main(["verify", "0.5", "--grid", "801"]) == 3
         out, err = capsys.readouterr()
         assert out == "" and f"on the tile from {first} to" in err
+
+
+class TestBlocks:
+    """_blocks cuts the stage into rectangles, one per block, and each order's spans into rectangles in them."""
+
+    # rows of tiles (grid rows 0-1, 1-5, ...; the first one row, as in a
+    # pruned scan, the last one row too), 40 columns; the stage's span
+    # changes between the rows of tiles 1 and 2 and at the empty row of
+    # tiles 4; order 1's span changes inside the stage's, order 2's ends
+    # before the last row of tiles and order 3 keeps nothing
+    ROW_EDGES = np.array([0, 1, 5, 9, 13, 17, 21, 22])
+    ORDER_SPANS = [
+        [(0, 40), (0, 40), (8, 16), (8, 16), (0, 0), (8, 24), (8, 24)],
+        [(0, 40), (0, 8), (4, 16), (4, 16), (0, 0), (16, 24), (0, 0)],
+        [(0, 0)] * 7,
+    ]
+    STAGE_SPAN = [(0, 40), (0, 40), (4, 16), (4, 16), (0, 0), (8, 24), (8, 24)]
+
+    @pytest.mark.parametrize("budget,n_blocks", [(1, 6), (4 * 40, 4), (verify._CHUNK_POINTS, 3)])
+    def test_blocks_are_stage_rectangles(self, budget, n_blocks):
+        spans = np.array([self.STAGE_SPAN, *self.ORDER_SPANS])
+        blocks, areas = verify._blocks(spans, self.ROW_EDGES, budget)
+        assert len(blocks) == n_blocks and areas.shape == (len(spans), n_blocks)
+        edges = self.ROW_EDGES.tolist()
+
+        def mask(span):
+            points = np.zeros((edges[-1], 40), dtype=int)
+            for t, (c0, c1) in enumerate(span):
+                points[edges[t] : edges[t + 1], c0:c1] = 1
+            return points
+
+        covered = np.zeros((len(spans), edges[-1], 40), dtype=int)
+        last_row = 0
+        for b, (i0, i1, j0, j1, rects) in enumerate(blocks):
+            # one rectangle of the stage, in grid order: its rows of tiles all
+            # have its span, and it fits the budget or is one row of tiles
+            assert last_row <= i0 < i1 and i0 in edges and i1 in edges
+            last_row = i1
+            assert all(self.STAGE_SPAN[t] == (j0, j1) for t in range(edges.index(i0), edges.index(i1)))
+            assert (i1 - i0) * (j1 - j0) <= budget or edges.index(i1) == edges.index(i0) + 1
+            covered[0, i0:i1, j0:j1] += 1
+            assert areas[0, b] == (i1 - i0) * (j1 - j0)
+            assert len(rects) == len(self.ORDER_SPANS)
+            for o, own in enumerate(rects, 1):
+                # in the block and in grid order
+                assert [r0 for r0, *_ in own] == sorted(r0 for r0, *_ in own)
+                for r0, r1, c0, c1 in own:
+                    assert i0 <= r0 < r1 <= i1 and j0 <= c0 < c1 <= j1
+                    covered[o, r0:r1, c0:c1] += 1
+                assert areas[o, b] == sum((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in own)
+        # every span point exactly once, the stage's and each order's
+        for o, span in enumerate(spans.tolist()):
+            assert np.array_equal(covered[o], mask(span)), o
+        assert not areas[3].any()
 
 
 class TestKernelCalls:
