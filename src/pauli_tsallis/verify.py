@@ -166,37 +166,43 @@ thread computed it.
 
 A scan evaluates every order it is given in one pass.  The stage vectors,
 (sin 2 tau)/2 and (cos 2 tau)/2 per row and cos phi and sin phi per
-column, are taken once per scan, and the order-independent stage of each
-block (the outcome probabilities of the x and y Bloch components) once
-per block for all orders.  The z component depends on the row alone, so
-each order's z term, the pair entropy of (1/2 + h_z, 1/2 - h_z), is
-taken once per scan too, one value per grid row from the grid's own
-kernel; the subgrid and the blocks add slices of it.  Only the x and y
-pair entropies and the reduction run per block and order.  An order's
-arithmetic, and the tiles it skips, are the same whichever orders share
-its pass, so scan_extrema and scan_full_domain_consistency are
-scan_orders and full_domain_orders with one order.  A non-finite value
-raises ValueError naming the order, and the grid point where there is
-one.  The first one met is reported.  Computing the z terms raises
+column, are taken once per grid (_Plan: a GridSpec keeps its plan, and
+every later scan of it reuses the axes, the stage and, once one has
+pruned, the tiles, the subgrid, the tile stage and the slab), and the
+order-independent stage of each block (the outcome probabilities of the
+x and y Bloch components) once per block for all orders.  The z
+component depends on the row alone, so each order's z term, the pair
+entropy of (1/2 + h_z, 1/2 - h_z), is taken once per scan, one value per
+grid row from the grid's own kernel; the subgrid and the blocks add
+slices of it.  Only the x and y pair entropies and the reduction run per
+block and order.  An order's arithmetic, and the tiles it skips, are the
+same whichever orders share its pass, so scan_extrema and
+scan_full_domain_consistency are scan_orders and full_domain_orders with
+one order.  A non-finite value raises ValueError naming the order, and
+the grid point where there is one.  Computing the z terms raises
 nothing: a non-finite z term is met in the first sum that adds it, at
 the first grid point of its row that the order evaluates.  A pruned
 scan meets its values in three steps: the subgrid run, then the tile
 bounds (a non-finite bound names its tile by its first and last grid
-points), then the grid run, each in grid order with the orders in the
-given order; each order's tile bounds in a chunk come before its boxes,
-and in a batch of boxes the chord side comes before the split side.  A
-run takes its blocks in grid order; within a block the orders in the
-order given, and within an order its rectangles, each in grid order.  An
-error in a run stops the later runs at their next block, and the
-earliest run's error is raised in the caller, after every helper has
-ended.  Certification evaluates its states in one batch under the same
-rule, so a NaN can never let a check pass.  Grids, tile boxes and
-certification share one pair formula (_half_pair), (1/2 + h, 1/2 - h)
-with h = s/2, and clip to [-1, 1] only the 1-D trig vectors (the Bloch
-components when certifying): |h| <= 1/2 then keeps both in [0, 1]
-without a clip of the grid.  Halving is exact (short of subnormals, where
-1/2 +- h is 1/2 anyway), so fl(1/2 + s/2) = fl(1 + s)/2,
-fl((a/2) b) = fl(a b)/2 and the pairs are bitwise clip((1 +- s)/2, 0, 1).
+points; in a chunk of rows of tiles the orders in the given order, each
+order's tile bounds before its boxes, and in a batch of boxes the chord
+side before the split side), then the grid run.  A run reports its
+first non-finite value in grid order: the least (row, column) over every
+order, ties going to the order given first.  It takes its blocks, each
+whole rows of the grid, in grid order, and raises at the first block
+that holds a non-finite value, for the least (row, column) over all of
+that block's orders; so the value named does not depend on the blocks
+or the workers.  An error in a run stops the later runs at their next
+block, and the earliest run's error is raised in the caller, after
+every helper has ended.  Certification evaluates its states in one batch
+and names its first non-finite sum, so a NaN can never let a check
+pass.  Grids, tile boxes and certification share one pair formula
+(_half_pair), (1/2 + h, 1/2 - h) with h = s/2, and clip to [-1, 1] only
+the 1-D trig vectors (the Bloch components when certifying): |h| <= 1/2
+then keeps both in [0, 1] without a clip of the grid.  Halving is exact
+(short of subnormals, where 1/2 +- h is 1/2 anyway), so fl(1/2 + s/2) =
+fl(1 + s)/2, fl((a/2) b) = fl(a b)/2 and the pairs are bitwise
+clip((1 +- s)/2, 0, 1).
 
 All stochastic checks take an explicit seed; DEFAULT_SEED fixes the
 default so failures are reproducible.  Pure states are sampled uniformly
@@ -206,6 +212,7 @@ on the sphere (area measure), mixed states uniformly in the ball.
 from __future__ import annotations
 
 import contextvars
+import functools
 import math
 import operator
 import os
@@ -332,6 +339,15 @@ class GridSpec:
     n_tau-long vector, its z term per row.  A larger count raises
     ValueError.  The check functions' counts (certification's n_samples,
     the kernel and concavity checks' n_points) share the cap.
+
+    The first scan of an instance builds its plan (_Plan: the axes, the
+    stage and, on a grid that prunes, the tiles), and the instance keeps
+    it until it is freed, for every later scan: about 3 (n_tau + n_phi)
+    float64 values, about 48 MB at MAX_POINTS per axis.  Its arrays are
+    read-only.  Two equal instances do not share a plan: to scan a grid
+    again, reuse one instance, or pass every order to one scan_orders
+    call.  The plan is not a field: ==, hash, repr, dataclasses.replace,
+    copies and pickles see the two counts alone.
     """
 
     MAX_POINTS: ClassVar[int] = 1_000_001
@@ -346,6 +362,15 @@ class GridSpec:
             raise ValueError(
                 f"grid axes need at least 2, at most {self.MAX_POINTS} points, got {self.n_tau}x{self.n_phi}"
             )
+
+    @functools.cached_property
+    def _plan(self) -> _Plan:
+        """The scan plan of this grid on D, built on first use and kept in the instance's __dict__."""
+        return _Plan(np.linspace(0.0, QUARTER_PI, self.n_tau), np.linspace(0.0, QUARTER_PI, self.n_phi))
+
+    def __getstate__(self) -> dict:
+        """The two counts, without the plan: a pickle of a scanned grid, or of its reports, stays small."""
+        return {"n_tau": self.n_tau, "n_phi": self.n_phi}
 
 
 DEFAULT_GRID = GridSpec(2001, 2001)
@@ -450,15 +475,16 @@ def _entropic_sums(bx: np.ndarray, by: np.ndarray, bz: np.ndarray, alpha: Tsalli
 def _extrema(values: np.ndarray, alpha: TsallisParam, where: Callable) -> tuple[int, float, int, float]:
     """(argmin, min, argmax, max) of values, flat indices, lowest index on ties.
 
-    Raises ValueError naming alpha and where(k) at a non-finite pick:
-    argmin and argmax stop at the first NaN, and -inf or +inf is itself the
-    extremum, so checking the two picked values catches every one.
+    Raises ValueError naming alpha and where(k) at the first non-finite
+    value in flat order.  argmin and argmax stop at the first NaN, and -inf
+    or +inf is itself the extremum, so any non-finite value leaves a
+    non-finite pick; only then does a second pass find the first one.
     """
     k_min, k_max = int(np.argmin(values)), int(np.argmax(values))
     v_min, v_max = float(values.flat[k_min]), float(values.flat[k_max])
-    for k, v in ((k_min, v_min), (k_max, v_max)):
-        if not math.isfinite(v):
-            raise ValueError(f"entropic sum is {v!r} at alpha={alpha.alpha!r}, {where(k)}")
+    if not (math.isfinite(v_min) and math.isfinite(v_max)):
+        k = int(np.argmin(np.isfinite(values)))
+        raise ValueError(f"entropic sum is {float(values.flat[k])!r} at alpha={alpha.alpha!r}, {where(k)}")
     return k_min, v_min, k_max, v_max
 
 
@@ -592,6 +618,46 @@ def _slab(stage: _Stage) -> float:
     return float(rows) + float(columns) / 4.0 + 2.0**-46
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Read-only views of arrays."""
+    views = tuple(a.view() for a in arrays)
+    for view in views:
+        view.flags.writeable = False
+    return views
+
+
+class _Plan:
+    """What every scan of one grid shares, whatever its orders: the axes, the stage and, once a scan prunes, tiles.
+
+    A GridSpec keeps its plan on D; full_domain_orders and refined_maximum's
+    window build one per call.  Everything that depends on the orders, on
+    _CHUNK_POINTS or on the CPU count (the z terms, the blocks, the workers,
+    the workspaces) stays per scan.  Every array is a read-only view, so
+    scans in any thread share it.  On 101 x 40001 the plan took 1.9 ms (the
+    stage 1.3 ms) of a 3.7 ms first scan at alpha = 0.5, and the scan
+    repeated took 2.4 ms (best of 30, 2-core Xeon, numpy 2.4.6).
+    """
+
+    def __init__(self, tau_grid: np.ndarray, phi_grid: np.ndarray) -> None:
+        self.tau_grid, self.phi_grid = _read_only(tau_grid, phi_grid)
+        self.stage: _Stage = _read_only(*_stage(tau_grid, phi_grid))
+
+    @functools.cached_property
+    def tiles(self) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray], _Stage, _Stage, float]:
+        """A pruned scan's (row edges, column edges, subgrid rows and columns, subgrid stage, tile stage, eta).
+
+        The edges are _tile_edges's, the subgrid _subgrid's with the stage
+        at its rows and columns, then _tile_stage and _slab.  Built on the
+        first scan that prunes, so an exhaustive grid never pays for it.
+        """
+        row_edges, col_edges, rows, cols = _read_only(
+            *_tile_edges(self.tau_grid, self.phi_grid), *_subgrid(self.tau_grid, self.phi_grid)
+        )
+        sub_stage = _read_only(*(v[k] for v, k in zip(self.stage, (rows, rows, cols, cols))))
+        tile_stage = _read_only(*_tile_stage(self.stage, row_edges, col_edges))
+        return row_edges, col_edges, (rows, cols), sub_stage, tile_stage, _slab(self.stage)
+
+
 def _tile_boxes(
     tile_stage: _Stage, terms: tuple, bounds: np.ndarray, t0: int, kept: np.ndarray, work: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -718,13 +784,14 @@ def _box_bound(
 
 def _kept_spans(
     alphas: Sequence[TsallisParam],
-    stage: _Stage,
+    tile_stage: _Stage,
+    eta: float,
     incumbents: list[tuple[float, float]],
     row_edges: np.ndarray,
     col_edges: np.ndarray,
     where: Callable[[int, int], str],
 ) -> np.ndarray:
-    """The bound pass: each order's span in each row of tiles.
+    """The bound pass: each order's span in each row of tiles, from the tile stage and the slab's eta (_Plan.tiles).
 
     Returns spans, of shape (orders, rows of tiles, 2): the first grid
     column of the order's first kept tile in the row and the end column
@@ -746,9 +813,7 @@ def _kept_spans(
     the most tiles are kept (best of 64 per order on one CPU, 2-core
     Xeon, numpy 2.4.6).
     """
-    tile_stage = _tile_stage(stage, row_edges, col_edges)
     z_terms = _z_terms(alphas, tile_stage)[..., 0]
-    eta = _slab(stage)
     n_rows, n_cols = len(row_edges) - 1, len(col_edges) - 1
     spans = np.empty((len(alphas), n_rows, 2), dtype=int)
     step = max(1, _CHUNK_POINTS // 4 // n_cols)
@@ -843,39 +908,41 @@ def _blocks(spans: np.ndarray, row_edges: np.ndarray, budget: int) -> tuple[list
 
 
 def _scan_rectangle(
-    alphas: Sequence[TsallisParam], tau_grid: np.ndarray, phi_grid: np.ndarray
+    alphas: Sequence[TsallisParam], plan: _Plan
 ) -> list[tuple[float, tuple[int, int], float, tuple[int, int], int]]:
-    """Exact grid extrema of every order in one pass, lowest-(tau, phi) tie-breaking.
+    """Exact grid extrema of every order in one pass over the plan's grid, lowest-(tau, phi) tie-breaking.
 
     Returns (min, (i, j), max, (i, j), points evaluated) per order.  The
-    stage vectors and each order's z term per row (_z_terms) are taken
-    once per scan.  A scan of fewer than _PRUNE_POINTS points runs every
-    grid point (_run).  A larger one first runs its incumbent subgrid, an
-    exhaustive _run on the stage and z terms at _subgrid's rows and
-    columns, then the bound pass (_kept_spans), then _run on each order's
-    spans.  Raises ValueError at the first non-finite value met: the
-    subgrid run's, then the tile bounds', then the grid run's, each in
-    grid order with the orders in the given order (see _run).
+    plan holds the axes and the stage vectors, and each order's z term per
+    row (_z_terms) is taken once per scan.  A scan of fewer than
+    _PRUNE_POINTS points runs every grid point (_run).  A larger one first
+    runs its incumbent subgrid, an exhaustive _run on the stage and z
+    terms at _subgrid's rows and columns, then the bound pass
+    (_kept_spans), then _run on each order's spans; the plan holds the
+    tiles, the subgrid, its stage, the tile stage and eta (_Plan.tiles).
+    Raises ValueError at the first non-finite value met: the subgrid
+    run's, then the tile bounds', then the grid run's (see _run).
     """
     if not alphas:
         return []
+    tau_grid, phi_grid, stage = plan.tau_grid, plan.phi_grid, plan.stage
     n_tau, n_phi = len(tau_grid), len(phi_grid)
 
     def where(i: int, j: int) -> str:
         return f"(tau, phi) = ({float(tau_grid[i])!r}, {float(phi_grid[j])!r})"
 
-    stage = _stage(tau_grid, phi_grid)
     z_terms = _z_terms(alphas, stage)
     if n_tau * n_phi < _PRUNE_POINTS:
         return _run(alphas, stage, z_terms, *_whole_rows(len(alphas), n_tau, n_phi), where)
-    row_edges, col_edges = _tile_edges(tau_grid, phi_grid)
-    rows, cols = sub = _subgrid(tau_grid, phi_grid)
-    sub_stage = tuple(v[k] for v, k in zip(stage, (rows, rows, cols, cols)))
+    row_edges, col_edges, sub, sub_stage, tile_stage, eta = plan.tiles
+    rows, cols = sub
     incumbents = _run(
         alphas, sub_stage, z_terms[:, rows], *_whole_rows(len(alphas), rows.size, cols.size),
         lambda i, j: where(rows[i], cols[j]),
     )
-    spans = _kept_spans(alphas, stage, [(low, high) for low, _, high, _, _ in incumbents], row_edges, col_edges, where)
+    spans = _kept_spans(
+        alphas, tile_stage, eta, [(low, high) for low, _, high, _, _ in incumbents], row_edges, col_edges, where
+    )
     results = _run(alphas, stage, z_terms, row_edges, spans, where)
     # the points evaluated: the kernel's rectangles, and the subgrid's points outside them
     return [(*found[:4], found[4] + outside) for found, outside in zip(results, _outside(spans, row_edges, sub))]
@@ -912,12 +979,15 @@ def _run(
     included), and every worker writes into its own part of one workspace.
     In a block the stage runs on the block, at the start of the worker's
     part, then each order's kernel on its own rectangles, adding a slice of
-    its z term.  Raises ValueError at the first non-finite value met:
-    blocks in grid order, within a block the orders in the given order,
-    and within an order its rectangles in grid order (see _extrema, which
-    names the point through where).  An error in a run stops every later
-    run at its next block and is raised here after every helper has ended;
-    the earliest run's error wins.
+    its z term.  Raises ValueError at the first non-finite value in grid
+    order, the least (row, column) over every order, ties going to the
+    order given first: the blocks come in grid order, each whole rows of
+    the stage, and the first that holds a non-finite value raises for the
+    least (row, column) over all of its orders (each order's first, from
+    _extrema, which names the point through where), so neither the blocks
+    nor the workers change the value named.  An error in a run stops every
+    later run at its next block and is raised here after every helper has
+    ended; the earliest run's error wins.
     """
     n_phi = len(stage[2])
     # the stage's span in each row of tiles: from the first column any order keeps to the last
@@ -947,6 +1017,7 @@ def _run(
                 return  # an earlier run failed: its error is the one raised
             pairs = part[:5, : (i1 - i0) * (j1 - j0)].reshape(5, i1 - i0, j1 - j0)
             _grid_pairs(stage, slice(i0, i1), slice(j0, j1), pairs)
+            bad = []  # each order's first non-finite value in the block: (point, order, error)
             for o, alpha in enumerate(alphas):
                 for r0, r1, c0, c1 in rects[o]:
                     w = pairs[:4, r0 - i0 : r1 - i0, c0 - j0 : c1 - j0]
@@ -959,10 +1030,19 @@ def _run(
                     def at(j: int) -> tuple[int, int]:
                         return r0 + j // width, c0 + j % width
 
-                    k_min, v_min, k_max, v_max = _extrema(
-                        _pair_sums(w[:2], w[2:], z_terms[o, r0:r1], alpha, out), alpha, lambda j: where(*at(j))
-                    )
+                    def named(j: int) -> str:
+                        bad.append((at(j), o))
+                        return where(*at(j))
+
+                    values = _pair_sums(w[:2], w[2:], z_terms[o, r0:r1], alpha, out)
+                    try:
+                        k_min, v_min, k_max, v_max = _extrema(values, alpha, named)
+                    except ValueError as exc:
+                        bad[-1] += (exc,)
+                        break  # the order's later rectangles lie after this one in grid order
                     found[o].append(((v_min, at(k_min)), (v_max, at(k_max))))
+            if bad:
+                raise min(bad, key=lambda b: b[:2])[2]
 
     def helper(k: int) -> None:
         try:
@@ -1006,14 +1086,16 @@ def scan_orders(alphas: Sequence[AlphaLike], grid: Optional[GridSpec] = None) ->
     Reports come back in the order of alphas, each equal to what
     scan_extrema returns for its order alone.  A non-finite value raises
     ValueError as in scan_extrema; with several orders, the one reported
-    is the first met: blocks in grid order, and within a block the orders
-    in the given order (a pruned scan meets its subgrid's values first,
-    then its tile bounds'; module docstring).
+    is the first in grid order, the least (tau, phi) over every order,
+    ties going to the order given first, whatever the number of workers
+    (a pruned scan meets its subgrid's values first, then its tile
+    bounds'; module docstring).  The grid's plan (GridSpec) is built on
+    its first scan and reused by every later one.
     """
     params = [as_param(a) for a in alphas]
     grid = grid if grid is not None else DEFAULT_GRID
-    tau_grid = np.linspace(0.0, QUARTER_PI, grid.n_tau)
-    phi_grid = np.linspace(0.0, QUARTER_PI, grid.n_phi)
+    plan = grid._plan
+    tau_grid, phi_grid = plan.tau_grid, plan.phi_grid
     return [
         ScanReport(
             alpha=a,
@@ -1025,7 +1107,7 @@ def scan_orders(alphas: Sequence[AlphaLike], grid: Optional[GridSpec] = None) ->
             points_evaluated=points,
         )
         for a, (mn, (i_mn, j_mn), mx, (i_mx, j_mx), points) in zip(
-            params, _scan_rectangle(params, tau_grid, phi_grid)
+            params, _scan_rectangle(params, plan)
         )
     ]
 
@@ -1050,11 +1132,10 @@ def full_domain_orders(alphas: Sequence[AlphaLike], grid: GridSpec) -> list[bool
     """
     params = [as_param(a) for a in alphas]
     full_grid = GridSpec(2 * grid.n_tau - 1, 8 * grid.n_phi - 7)
-    tau_full = np.linspace(0.0, HALF_PI, full_grid.n_tau)
-    phi_full = np.linspace(0.0, TWO_PI, full_grid.n_phi)
-    full = _scan_rectangle(params, tau_full, phi_full)
+    plan = _Plan(np.linspace(0.0, HALF_PI, full_grid.n_tau), np.linspace(0.0, TWO_PI, full_grid.n_phi))
+    full = _scan_rectangle(params, plan)
     # the leading block, tau and phi up to pi/4, is the grid on D
-    reduced = _scan_rectangle(params, tau_full[: grid.n_tau], phi_full[: grid.n_phi])
+    reduced = _scan_rectangle(params, _Plan(plan.tau_grid[: grid.n_tau], plan.phi_grid[: grid.n_phi]))
     h = QUARTER_PI / (min(grid.n_tau, grid.n_phi) - 1)
     tol = (2.0 * h) ** 2
     return [
@@ -1261,9 +1342,8 @@ def refined_maximum(alpha: AlphaLike, grid: Optional[GridSpec] = None) -> tuple[
     a = as_param(alpha)
     grid = grid if grid is not None else DEFAULT_GRID
     report = scan_extrema(a, grid)
-    tau_grid = _refine_axis(report.argmax.tau, grid.n_tau)
-    phi_grid = _refine_axis(report.argmax.phi, grid.n_phi)
-    ((_, _, mx, (i, j), _),) = _scan_rectangle([a], tau_grid, phi_grid)
+    window = _Plan(_refine_axis(report.argmax.tau, grid.n_tau), _refine_axis(report.argmax.phi, grid.n_phi))
+    ((_, _, mx, (i, j), _),) = _scan_rectangle([a], window)
     if mx > report.max_value:
-        return mx, PureStateAngles(float(tau_grid[i]), float(phi_grid[j]))
+        return mx, PureStateAngles(float(window.tau_grid[i]), float(window.phi_grid[j]))
     return report.max_value, report.argmax

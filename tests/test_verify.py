@@ -1,8 +1,10 @@
 """Brute-force oracle: scans, certification, property checks."""
 
+import copy
 import dataclasses
 import math
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -434,9 +436,9 @@ class TestFullDomainConsistency:
         # extrema agree to rounding, far inside (2h)^2
         calls = []
 
-        def spy(alphas, tau_grid, phi_grid):
-            out = scan(alphas, tau_grid, phi_grid)
-            calls.append((tau_grid, phi_grid, out))
+        def spy(alphas, plan):
+            out = scan(alphas, plan)
+            calls.append((plan.tau_grid, plan.phi_grid, out))
             return out
 
         scan = verify._scan_rectangle
@@ -570,19 +572,20 @@ class TestWorkers:
         # GridSpec(101, 101) unfolds to 201 x 801 points, past two workers' minimum
         grid = GridSpec(101, 101)
         params = [verify.as_param(a) for a in WORKER_ORDERS]
-        tau, phi = np.linspace(0.0, math.pi / 2.0, 201), np.linspace(0.0, 2.0 * math.pi, 801)
-        n = len(phi)
+        plan = verify._Plan(np.linspace(0.0, math.pi / 2.0, 201), np.linspace(0.0, 2.0 * math.pi, 801))
+        n = len(plan.phi_grid)
         for budget in (1, n - 1, n, 7 * n + 3, verify._CHUNK_POINTS):
             monkeypatch.setattr(verify, "_CHUNK_POINTS", budget)
-            extrema, consistent = verify._scan_rectangle(params, tau, phi), full_domain_orders(WORKER_ORDERS, grid)
+            extrema, consistent = verify._scan_rectangle(params, plan), full_domain_orders(WORKER_ORDERS, grid)
             with monkeypatch.context() as m:
                 one_worker(m)
-                assert verify._scan_rectangle(params, tau, phi) == extrema, budget
+                assert verify._scan_rectangle(params, plan) == extrema, budget
                 assert full_domain_orders(WORKER_ORDERS, grid) == consistent == [True] * len(params), budget
 
     def test_ties_keep_lowest_grid_point(self, monkeypatch):
+        # a fresh grid: the shared WORKER_GRID keeps the plan, and so the stage, of its first scan
         monkeypatch.setattr(verify, "_stage", constant_stage)
-        for report in scan_orders([0.7, 1.0, 3.0], WORKER_GRID):
+        for report in scan_orders([0.7, 1.0, 3.0], GridSpec(401, 401)):
             assert (report.argmin.tau, report.argmin.phi) == (0.0, 0.0)
             assert (report.argmax.tau, report.argmax.phi) == (0.0, 0.0)
 
@@ -738,6 +741,136 @@ class TestWorkers:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
         assert int(result.stdout) < 5000
 
+    def test_nonfinite_value_is_the_same_on_any_number_of_workers(self, monkeypatch):
+        # NaN z terms at row 70 for alpha = 2 and at row 100 for 0.5: one
+        # worker runs rows 0-162 as one block, two workers blocks of 81 rows,
+        # and both name the least grid point, alpha = 2's at row 70, column 0
+        exhaustive(monkeypatch)
+        real = verify._pair_entropy_into
+        bad_rows = {2.0: 70, 0.5: 100}
+
+        def kernel(p, m, alpha, out):
+            values = real(p, m, alpha, out)
+            if values.ndim == 1:  # an order's z term per row
+                values[bad_rows[alpha.alpha]] = math.nan
+            return values
+
+        monkeypatch.setattr(verify, "_pair_entropy_into", kernel)
+        messages = []
+        for workers in (1, 2):
+            monkeypatch.setattr(verify, "_workers", lambda points, w=workers: w)
+            with pytest.raises(ValueError) as info:
+                scan_orders([0.5, 2.0], GridSpec(401, 401))
+            messages.append(str(info.value))
+        axis = np.linspace(0.0, QUARTER_PI, 401)
+        assert messages[0] == messages[1]
+        assert "entropic sum is nan at alpha=2.0," in messages[0]
+        assert f"(tau, phi) = ({float(axis[70])!r}, 0.0)" in messages[0]
+
+    @pytest.mark.parametrize("first,second", [(math.inf, math.nan), (math.inf, -math.inf), (math.nan, math.inf)])
+    def test_first_nonfinite_value_of_a_rectangle_is_named(self, monkeypatch, first, second):
+        # two non-finite values in one row of one rectangle: argmin and argmax
+        # may pick either, and the value named is the first in grid order
+        exhaustive(monkeypatch)
+        real = verify._pair_entropy_into
+
+        def kernel(p, m, alpha, out):
+            values = real(p, m, alpha, out)
+            if values.ndim == 2:  # the block's x and y terms
+                values[4, 3], values[4, 7] = first, second
+            return values
+
+        monkeypatch.setattr(verify, "_pair_entropy_into", kernel)
+        axis = np.linspace(0.0, QUARTER_PI, 11)
+        with pytest.raises(ValueError) as info:
+            scan_extrema(0.5, GridSpec(11, 11))
+        assert str(info.value).startswith(f"entropic sum is {first!r} at alpha=0.5,")
+        assert f"(tau, phi) = ({float(axis[4])!r}, {float(axis[3])!r})" in str(info.value)
+
+
+def plan_arrays(plan):
+    """Every array a plan holds: the axes, the stage and, once built, the tiles'."""
+    arrays = [plan.tau_grid, plan.phi_grid, *plan.stage]
+    if "tiles" in vars(plan):
+        row_edges, col_edges, sub, sub_stage, tile_stage, _ = plan.tiles
+        arrays += [row_edges, col_edges, *sub, *sub_stage, *tile_stage]
+    return arrays
+
+
+class TestPlan:
+    """A GridSpec keeps the order-independent inputs of its scans, built on its first scan."""
+
+    @pytest.mark.parametrize("n", [41, 801], ids=["41x41 exhaustive", "801x801 pruned"])
+    def test_repeated_scans_equal_a_fresh_grid(self, monkeypatch, n):
+        # the second scan of one instance, with other orders, builds nothing
+        # and reports what a scan of a fresh equal grid does
+        built = []
+        for name in ("_stage", "_tile_edges", "_subgrid", "_tile_stage", "_slab"):
+            real = getattr(verify, name)
+            monkeypatch.setattr(verify, name, lambda *args, name=name, real=real: built.append(name) or real(*args))
+        grid, first_orders, orders = GridSpec(n, n), (0.5, 2.0, 4.0), (1.0, 2.5, 7.3, 0.5)
+        first = scan_orders(first_orders, grid)
+        plan = grid._plan
+        again = scan_orders(orders, grid)
+        assert grid._plan is plan
+        pruned = n * n >= verify._PRUNE_POINTS
+        assert built == (["_stage", "_tile_edges", "_subgrid", "_tile_stage", "_slab"] if pruned else ["_stage"])
+        assert ("tiles" in vars(plan)) == pruned  # an exhaustive grid never builds its tiles
+        assert again == scan_orders(orders, GridSpec(n, n))
+        assert first == scan_orders(first_orders, GridSpec(n, n))
+        assert GridSpec(n, n)._plan is not plan  # equal instances do not share a plan
+
+    def test_plan_arrays_are_read_only(self):
+        grid = GridSpec(801, 801)
+        scan_extrema(0.5, grid)
+        arrays = plan_arrays(grid._plan)
+        assert len(arrays) == 18
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 0
+
+    def test_scanned_grid_is_unchanged(self):
+        grid = GridSpec(801, 801)
+        before = (repr(grid), hash(grid), dataclasses.astuple(grid))
+        scan_orders([0.5, 4.0], grid)
+        assert "_plan" in vars(grid)
+        assert (repr(grid), hash(grid), dataclasses.astuple(grid)) == before
+        assert grid == GridSpec(801, 801) and len({grid, GridSpec(801, 801)}) == 1
+        assert [f.name for f in dataclasses.fields(grid)] == ["n_tau", "n_phi"]
+        assert "_plan" not in vars(dataclasses.replace(grid))
+        # copies and pickles carry the counts alone (a pickle with the plan took 974 KB on 101 x 40001)
+        for copied in (copy.copy(grid), copy.deepcopy(grid), pickle.loads(pickle.dumps(grid))):
+            assert copied == grid and "_plan" not in vars(copied)
+        assert len(pickle.dumps(grid)) == len(pickle.dumps(GridSpec(801, 801))) < 200
+
+    def test_threads_share_one_plan(self):
+        # four threads scan one fresh grid at once, so two may build its plan
+        # together, with threads switching as often as the interpreter allows
+        orders = (0.5, 1.0, 2.5, 4.0)
+        expected = scan_orders(orders, GridSpec(801, 801))
+        grid, reports, errors = GridSpec(801, 801), [None] * 4, []
+
+        def scan(k):
+            try:
+                reports[k] = scan_orders(orders, grid)
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=scan, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert reports == [expected] * 4
+        assert all(not a.flags.writeable for a in plan_arrays(grid._plan))
+
 
 # Every order of the CI pins of `pauli-tsallis verify`.
 PINNED_ORDERS = (
@@ -822,11 +955,12 @@ class TestPruning:
     @pytest.mark.parametrize("grid", PARITY_GRIDS)
     def test_pruned_scans_equal_the_exhaustive_scan(self, monkeypatch, grid):
         tau_end, n_tau, phi_end, n_phi = PARITY_GRIDS[grid]
-        tau, phi = np.linspace(0.0, tau_end, n_tau), np.linspace(0.0, phi_end, n_phi)
+        # one plan for every scan below: its tiles are built by the first pruned scan and reused
+        plan = verify._Plan(np.linspace(0.0, tau_end, n_tau), np.linspace(0.0, phi_end, n_phi))
         params = [verify.as_param(a) for a in PARITY_ORDERS]
         with monkeypatch.context() as m:
             exhaustive(m)
-            expected = verify._scan_rectangle(params, tau, phi)
+            expected = verify._scan_rectangle(params, plan)
         assert [points for *_, points in expected] == [n_tau * n_phi] * len(params)
         pruning_everywhere(monkeypatch)
         counts = set()
@@ -835,7 +969,7 @@ class TestPruning:
             monkeypatch.setattr(verify, "_CHUNK_POINTS", budget)
             for workers in (1, 2):
                 monkeypatch.setattr(verify, "_workers", lambda points, w=workers: w)
-                pruned = verify._scan_rectangle(params, tau, phi)
+                pruned = verify._scan_rectangle(params, plan)
                 assert [r[:4] for r in pruned] == [r[:4] for r in expected], (budget, workers)
                 counts.add(tuple(points for *_, points in pruned))
         # the points evaluated depend on the grid and the orders alone
@@ -843,7 +977,7 @@ class TestPruning:
         assert all(0 < p <= n_tau * n_phi for p in points)
         # an infinite margin keeps every tile: the exhaustive scan's reports, points included
         monkeypatch.setattr(verify, "_PRUNE_MARGIN", math.inf)
-        assert verify._scan_rectangle(params, tau, phi) == expected
+        assert verify._scan_rectangle(params, plan) == expected
 
     @pytest.mark.parametrize("grid", PARITY_GRIDS)
     def test_tile_bounds_hold_every_grid_sum(self, grid):
@@ -962,9 +1096,9 @@ class TestPruning:
     )
     def test_points_evaluated_are_pinned(self, grid, points):
         tau_end, n_tau, phi_end, n_phi = grid
-        tau, phi = np.linspace(0.0, tau_end, n_tau), np.linspace(0.0, phi_end, n_phi)
+        plan = verify._Plan(np.linspace(0.0, tau_end, n_tau), np.linspace(0.0, phi_end, n_phi))
         params = [verify.as_param(a) for a in (0.5, 1.0, 2.0, 2.5, 4.0, 7.3)]
-        assert [found[4] for found in verify._scan_rectangle(params, tau, phi)] == points
+        assert [found[4] for found in verify._scan_rectangle(params, plan)] == points
 
     @pytest.mark.parametrize("n_tau,n_phi", [(2001, 2001), (101, 40001), (2, 801)], ids=str)
     def test_tile_edges_never_repeat(self, n_tau, n_phi):
@@ -978,11 +1112,13 @@ class TestPruning:
 
     def test_ties_keep_lowest_grid_point(self, monkeypatch):
         # every grid point ties, so no tile is skipped and both extrema stay at (0, 0)
+        # a fresh grid, as in TestWorkers: its plan takes the patched stage
         monkeypatch.setattr(verify, "_stage", constant_stage)
         pruning_everywhere(monkeypatch)
+        grid = GridSpec(401, 401)
         for budget in (1, 7 * 401 + 3, verify._CHUNK_POINTS):
             monkeypatch.setattr(verify, "_CHUNK_POINTS", budget)
-            for report in scan_orders([0.7, 1.0, 3.0], WORKER_GRID):
+            for report in scan_orders([0.7, 1.0, 3.0], grid):
                 assert (report.argmin.tau, report.argmin.phi) == (0.0, 0.0)
                 assert (report.argmax.tau, report.argmax.phi) == (0.0, 0.0)
                 assert report.points_evaluated == 401 * 401
