@@ -22,18 +22,18 @@ split into contiguous runs, one per worker, of about equal kept work
 CPU, at most _MAX_WORKERS (two; no larger count was measured), one per
 _WORKER_POINTS grid points its stage evaluates (every grid point where
 no tile is skipped) and one per block, so small scans (refinement
-windows, test grids) and pruned scans with little kept work stay in the
-calling thread.  The first run is the caller's own, the others go to
-helper threads started for the scan, run in copies of the caller's
-context (so numpy's error state holds in them) and joined before it
-returns.  The workers share the _CHUNK_POINTS budget: a block takes
-rows of tiles of one stage span while it holds at most _CHUNK_POINTS /
-workers points (one row of tiles may hold more, at most
-max(_WORKER_POINTS / _MAX_WORKERS, n_phi) points; GridSpec caps n_phi).
-One block runner (_run) evaluates every grid: a scan's, and a pruned
-scan's incumbent subgrid (below).  Each run allocates one workspace,
-seven arrays per worker of its largest block's points, and the stage,
-one block at a time at the start of the worker's part, and the kernel
+windows, test grids) and scans with little kept work stay in the calling
+thread.  The first run is the caller's own, the others go to helper
+threads started for the scan, run in copies of the caller's context (so
+numpy's error state holds in them) and joined before it returns.  The
+workers share the _CHUNK_POINTS budget: a block takes rows of tiles of
+one stage span while it holds at most _CHUNK_POINTS / workers points
+(one row of tiles may hold more, at most max(_WORKER_POINTS /
+_MAX_WORKERS, n_phi) points; GridSpec caps n_phi).
+One block runner (_run) evaluates every grid: a scan's, and its
+incumbent subgrid (below).  Each run allocates one workspace, seven
+arrays per worker of its largest block's points, and the stage, one
+block at a time at the start of the worker's part, and the kernel
 write into it, so no block allocates a temporary of its own and every
 array stays in a core's L2 cache.  The worker cap bounds the workspace
 whatever the CPU count: at most 7 max(_CHUNK_POINTS, _MAX_WORKERS n_phi)
@@ -46,12 +46,12 @@ sphere a batch of at most _WORKER_POINTS / 16 kept tiles at a time, in
 _CHUNK_POINTS values at the default budget), and the bound pass keeps
 two column indices per order and row of tiles.
 
-Pruning.  A scan of at least _PRUNE_POINTS grid points skips, for each
-order, the tiles that cannot hold a grid extremum or a tie with one.  A
-tile (_tile_edges) is a rectangle of about _TILE_SIDE^2 grid points.  The
-sum is F(h_x) + F(h_y) + F(h_z), where F(h) is the pair entropy of
-(1/2 + h, 1/2 - h): symmetric in h and, for every alpha > 0, falling as
-|h| grows, since binary Tsallis entropy is symmetric and concave.  The
+Pruning.  Every scan skips, for each order, the tiles that cannot hold a
+grid extremum or a tie with one.  A tile (_tile_edges) is a rectangle of
+about _TILE_SIDE^2 grid points.  The sum is F(h_x) + F(h_y) + F(h_z),
+where F(h) is the pair entropy of (1/2 + h, 1/2 - h): symmetric in h
+and, for every alpha > 0, falling as |h| grows, since binary Tsallis
+entropy is symmetric and concave.  The
 grid's h_x is fl(a b), a product of a row's (sin 2 tau)/2 and a column's
 cos phi (sin phi for h_y), so |h_x| = fl(|a| |b|); fl is monotone, so the
 products of the least and of the greatest |a| and |b| over the tile's
@@ -167,10 +167,10 @@ thread computed it.
 A scan evaluates every order it is given in one pass.  The stage vectors,
 (sin 2 tau)/2 and (cos 2 tau)/2 per row and cos phi and sin phi per
 column, are taken once per grid (_Plan: a GridSpec keeps its plan, and
-every later scan of it reuses the axes, the stage and, once one has
-pruned, the tiles, the subgrid, the tile stage and the slab), and the
-order-independent stage of each block (the outcome probabilities of the
-x and y Bloch components) once per block for all orders.  The z
+every later scan of it reuses the axes, the stage, the tiles, the
+subgrid, the tile stage and the slab), and the order-independent stage
+of each block (the outcome probabilities of the x and y Bloch
+components) once per block for all orders.  The z
 component depends on the row alone, so each order's z term, the pair
 entropy of (1/2 + h_z, 1/2 - h_z), is taken once per scan, one value per
 grid row from the grid's own kernel; the subgrid and the blocks add
@@ -181,8 +181,8 @@ scan_full_domain_consistency are scan_orders and full_domain_orders with
 one order.  A non-finite value raises ValueError naming the order, and
 the grid point where there is one.  Computing the z terms raises
 nothing: a non-finite z term is met in the first sum that adds it, at
-the first grid point of its row that the order evaluates.  A pruned
-scan meets its values in three steps: the subgrid run, then the tile
+the first grid point of its row that the order evaluates.  A scan
+meets its values in three steps: the subgrid run, then the tile
 bounds (a non-finite bound names its tile by its first and last grid
 points; in a chunk of rows of tiles the orders in the given order, each
 order's tile bounds before its boxes, and in a batch of boxes the chord
@@ -212,7 +212,6 @@ on the sphere (area measure), mixed states uniformly in the ball.
 from __future__ import annotations
 
 import contextvars
-import functools
 import math
 import operator
 import os
@@ -265,7 +264,7 @@ DEFAULT_SEED = 12345
 # of 7, at 16 and 32 rows per block: 36-43 ms per order on the squaring
 # chain (4), 53-64 ms on pow at 0.5, 80-118 ms at 2.5, 47-60 ms on
 # Shannon's branch and 84-101 ms on expm1's, against 14-23 ms for the
-# shared pair stage (2-core Xeon, numpy 2.4.6).  A pruned scan measures its
+# shared pair stage (2-core Xeon, numpy 2.4.6).  A scan measures its
 # blocks by the points of their spans, not the rows of tiles they cross,
 # so it runs few blocks: each kernel call costs tens of microseconds of
 # Python besides 12-30 ns a point.  The incumbent subgrid's run sizes its
@@ -294,12 +293,7 @@ _MAX_WORKERS = 2
 # 32 x 32 tiles left 95%.  With the sphere bounds, and grid row tau = 0 a
 # row of tiles of its own, every order but 2 and 3 leaves 0.16% of 2001^2,
 # 1.1% of 101 x 40001 and 0.31% of 801^2.
-# Scans of fewer than _PRUNE_POINTS grid points are exhaustive: at 513^2
-# the bound pass and the extra kernel calls cost more than the skipped
-# tiles saved at three of four order sets, and at 801^2 pruning won where
-# an order kept under about half of the points (2-core Xeon, numpy 2.4.6).
 _TILE_SIDE = 16
-_PRUNE_POINTS = 2**19
 # An order skips a tile only when its lower bound exceeds the incumbent
 # minimum by more than this and its upper bound falls short of the
 # incumbent maximum by more than this.  It covers rounding: the computed
@@ -334,20 +328,23 @@ class GridSpec:
     (numpy integers included); anything else raises TypeError.
     Each count is capped at MAX_POINTS (1,000,001), which keeps a one-row
     scan block near 8 MB per array and a scan's workspace, seven such
-    arrays for each of at most two workers, near 112 MB (a pruned scan's
-    subgrid run and tile bounds hold less); each order of a scan adds one
+    arrays for each of at most two workers, near 112 MB (a scan's subgrid
+    run and tile bounds hold less); each order of a scan adds one
     n_tau-long vector, its z term per row.  A larger count raises
     ValueError.  The check functions' counts (certification's n_samples,
     the kernel and concavity checks' n_points) share the cap.
 
     The first scan of an instance builds its plan (_Plan: the axes, the
-    stage and, on a grid that prunes, the tiles), and the instance keeps
-    it until it is freed, for every later scan: about 3 (n_tau + n_phi)
-    float64 values, about 48 MB at MAX_POINTS per axis.  Its arrays are
-    read-only.  Two equal instances do not share a plan: to scan a grid
-    again, reuse one instance, or pass every order to one scan_orders
-    call.  The plan is not a field: ==, hash, repr, dataclasses.replace,
-    copies and pickles see the two counts alone.
+    stage and the tiles), and the instance keeps it until it is freed, for
+    every later scan: about 3 (n_tau + n_phi) float64 values, about 48 MB
+    at MAX_POINTS per axis.  Its arrays are read-only.  Building takes no
+    lock: first scans of two instances in two threads build at once, and
+    two threads that first scan one instance together may each build a
+    plan, both then scanning with the one stored first.  Two equal
+    instances do not share a plan: to scan a grid again, reuse one
+    instance, or pass every order to one scan_orders call.  The plan is
+    not a field: ==, hash, repr, dataclasses.replace, copies and pickles
+    see the two counts alone.
     """
 
     MAX_POINTS: ClassVar[int] = 1_000_001
@@ -363,10 +360,14 @@ class GridSpec:
                 f"grid axes need at least 2, at most {self.MAX_POINTS} points, got {self.n_tau}x{self.n_phi}"
             )
 
-    @functools.cached_property
+    @property
     def _plan(self) -> _Plan:
         """The scan plan of this grid on D, built on first use and kept in the instance's __dict__."""
-        return _Plan(np.linspace(0.0, QUARTER_PI, self.n_tau), np.linspace(0.0, QUARTER_PI, self.n_phi))
+        plan = self.__dict__.get("_plan")
+        if plan is None:
+            plan = _Plan(np.linspace(0.0, QUARTER_PI, self.n_tau), np.linspace(0.0, QUARTER_PI, self.n_phi))
+            plan = self.__dict__.setdefault("_plan", plan)  # one plan for every thread, whichever built first
+        return plan
 
     def __getstate__(self) -> dict:
         """The two counts, without the plan: a pickle of a scanned grid, or of its reports, stays small."""
@@ -396,7 +397,7 @@ class ScanReport:
     grid tolerance below it.  For non-integer alpha > 1 max_value is the
     only pure-state upper information available.  points_evaluated counts
     the grid points at which the scan ran the order's kernel: n_tau n_phi
-    where the scan is exhaustive, fewer where it prunes (module
+    where it keeps every tile, fewer where it skips some (module
     docstring), and the same for any worker count or chunk budget.
     """
 
@@ -551,7 +552,7 @@ def _tile_steps(tau_grid: np.ndarray, phi_grid: np.ndarray) -> tuple[int, int]:
 
 
 def _tile_edges(tau_grid: np.ndarray, phi_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A pruned scan's tile boundaries: grid indices from 0 to n_tau, and from 0 to n_phi.
+    """A scan's tile boundaries: grid indices from 0 to n_tau, and from 0 to n_phi.
 
     Tiles take _tile_steps (16 x 16 on 2001^2 and on the 501 x 2001
     full-domain unfolding, 1 x 400 on 101 x 40001), with at most
@@ -627,10 +628,13 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 class _Plan:
-    """What every scan of one grid shares, whatever its orders: the axes, the stage and, once a scan prunes, tiles.
+    """What every scan of one grid shares, whatever its orders: the axes, the stage and the tiles.
 
     A GridSpec keeps its plan on D; full_domain_orders and refined_maximum's
-    window build one per call.  Everything that depends on the orders, on
+    window build one per call.  Besides the axes and the stage (_stage), a
+    plan holds the tile edges (_tile_edges), the incumbent subgrid's rows
+    and columns (_subgrid) and its stage, the tile stage (_tile_stage) and
+    the slab's eta (_slab).  Everything that depends on the orders, on
     _CHUNK_POINTS or on the CPU count (the z terms, the blocks, the workers,
     the workspaces) stays per scan.  Every array is a read-only view, so
     scans in any thread share it.  On 101 x 40001 the plan took 1.9 ms (the
@@ -641,21 +645,13 @@ class _Plan:
     def __init__(self, tau_grid: np.ndarray, phi_grid: np.ndarray) -> None:
         self.tau_grid, self.phi_grid = _read_only(tau_grid, phi_grid)
         self.stage: _Stage = _read_only(*_stage(tau_grid, phi_grid))
-
-    @functools.cached_property
-    def tiles(self) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray], _Stage, _Stage, float]:
-        """A pruned scan's (row edges, column edges, subgrid rows and columns, subgrid stage, tile stage, eta).
-
-        The edges are _tile_edges's, the subgrid _subgrid's with the stage
-        at its rows and columns, then _tile_stage and _slab.  Built on the
-        first scan that prunes, so an exhaustive grid never pays for it.
-        """
-        row_edges, col_edges, rows, cols = _read_only(
-            *_tile_edges(self.tau_grid, self.phi_grid), *_subgrid(self.tau_grid, self.phi_grid)
+        self.row_edges, self.col_edges, self.sub_rows, self.sub_cols = _read_only(
+            *_tile_edges(tau_grid, phi_grid), *_subgrid(tau_grid, phi_grid)
         )
-        sub_stage = _read_only(*(v[k] for v, k in zip(self.stage, (rows, rows, cols, cols))))
-        tile_stage = _read_only(*_tile_stage(self.stage, row_edges, col_edges))
-        return row_edges, col_edges, (rows, cols), sub_stage, tile_stage, _slab(self.stage)
+        rows, cols = self.sub_rows, self.sub_cols
+        self.sub_stage: _Stage = _read_only(*(v[k] for v, k in zip(self.stage, (rows, rows, cols, cols))))
+        self.tile_stage: _Stage = _read_only(*_tile_stage(self.stage, self.row_edges, self.col_edges))
+        self.eta = _slab(self.stage)
 
 
 def _tile_boxes(
@@ -783,15 +779,9 @@ def _box_bound(
 
 
 def _kept_spans(
-    alphas: Sequence[TsallisParam],
-    tile_stage: _Stage,
-    eta: float,
-    incumbents: list[tuple[float, float]],
-    row_edges: np.ndarray,
-    col_edges: np.ndarray,
-    where: Callable[[int, int], str],
+    alphas: Sequence[TsallisParam], plan: _Plan, incumbents: list[tuple[float, float]], where: Callable[[int, int], str]
 ) -> np.ndarray:
-    """The bound pass: each order's span in each row of tiles, from the tile stage and the slab's eta (_Plan.tiles).
+    """The bound pass: each order's span in each row of tiles, from the plan's tile stage and the slab's eta.
 
     Returns spans, of shape (orders, rows of tiles, 2): the first grid
     column of the order's first kept tile in the row and the end column
@@ -813,6 +803,7 @@ def _kept_spans(
     the most tiles are kept (best of 64 per order on one CPU, 2-core
     Xeon, numpy 2.4.6).
     """
+    tile_stage, row_edges, col_edges = plan.tile_stage, plan.row_edges, plan.col_edges
     z_terms = _z_terms(alphas, tile_stage)[..., 0]
     n_rows, n_cols = len(row_edges) - 1, len(col_edges) - 1
     spans = np.empty((len(alphas), n_rows, 2), dtype=int)
@@ -851,7 +842,7 @@ def _kept_spans(
             for k0 in range(0, len(kept_tiles), batch):
                 kept = kept_tiles[k0 : k0 + batch]
                 h, g, box_bounds = _tile_boxes(tile_stage, (fx, fy, z_terms[o]), bounds, t0, kept, work)
-                _box_bound(alpha, concave, h, g, box_bounds, eta, work[14:], lambda k: tile(first + kept[k]))
+                _box_bound(alpha, concave, h, g, box_bounds, plan.eta, work[14:], lambda k: tile(first + kept[k]))
                 low, high = box_bounds
                 keep.ravel()[kept] = (low <= low_cut) | (high >= high_cut)
             ends = np.stack([np.argmax(keep, axis=1), n_cols - np.argmax(keep[:, ::-1], axis=1)], axis=1)
@@ -859,10 +850,10 @@ def _kept_spans(
     return spans
 
 
-def _outside(spans: np.ndarray, row_edges: np.ndarray, sub: tuple[np.ndarray, np.ndarray]) -> list[int]:
+def _outside(spans: np.ndarray, plan: _Plan) -> list[int]:
     """Per order, its subgrid points outside its spans: the points where only the bound pass ran its kernel."""
-    rows, cols = sub
-    at = spans[:, np.searchsorted(row_edges, rows, side="right") - 1]  # each subgrid row's span
+    rows, cols = plan.sub_rows, plan.sub_cols
+    at = spans[:, np.searchsorted(plan.row_edges, rows, side="right") - 1]  # each subgrid row's span
     inside = np.searchsorted(cols, at[..., 1]) - np.searchsorted(cols, at[..., 0])
     return (rows.size * cols.size - inside.sum(axis=1)).tolist()
 
@@ -912,44 +903,32 @@ def _scan_rectangle(
 ) -> list[tuple[float, tuple[int, int], float, tuple[int, int], int]]:
     """Exact grid extrema of every order in one pass over the plan's grid, lowest-(tau, phi) tie-breaking.
 
-    Returns (min, (i, j), max, (i, j), points evaluated) per order.  The
-    plan holds the axes and the stage vectors, and each order's z term per
-    row (_z_terms) is taken once per scan.  A scan of fewer than
-    _PRUNE_POINTS points runs every grid point (_run).  A larger one first
-    runs its incumbent subgrid, an exhaustive _run on the stage and z
-    terms at _subgrid's rows and columns, then the bound pass
-    (_kept_spans), then _run on each order's spans; the plan holds the
-    tiles, the subgrid, its stage, the tile stage and eta (_Plan.tiles).
+    Returns (min, (i, j), max, (i, j), points evaluated) per order, for
+    one order or more.  Each order's z term per row (_z_terms) is taken
+    once per scan.  The scan runs its incumbent subgrid, an exhaustive
+    _run on the stage and z terms at the plan's subgrid rows and columns,
+    then the bound pass (_kept_spans), then _run on each order's spans.
     Raises ValueError at the first non-finite value met: the subgrid
     run's, then the tile bounds', then the grid run's (see _run).
     """
-    if not alphas:
-        return []
-    tau_grid, phi_grid, stage = plan.tau_grid, plan.phi_grid, plan.stage
-    n_tau, n_phi = len(tau_grid), len(phi_grid)
+    tau_grid, phi_grid, rows, cols = plan.tau_grid, plan.phi_grid, plan.sub_rows, plan.sub_cols
 
     def where(i: int, j: int) -> str:
         return f"(tau, phi) = ({float(tau_grid[i])!r}, {float(phi_grid[j])!r})"
 
-    z_terms = _z_terms(alphas, stage)
-    if n_tau * n_phi < _PRUNE_POINTS:
-        return _run(alphas, stage, z_terms, *_whole_rows(len(alphas), n_tau, n_phi), where)
-    row_edges, col_edges, sub, sub_stage, tile_stage, eta = plan.tiles
-    rows, cols = sub
+    z_terms = _z_terms(alphas, plan.stage)
     incumbents = _run(
-        alphas, sub_stage, z_terms[:, rows], *_whole_rows(len(alphas), rows.size, cols.size),
+        alphas, plan.sub_stage, z_terms[:, rows], *_whole_rows(len(alphas), rows.size, cols.size),
         lambda i, j: where(rows[i], cols[j]),
     )
-    spans = _kept_spans(
-        alphas, tile_stage, eta, [(low, high) for low, _, high, _, _ in incumbents], row_edges, col_edges, where
-    )
-    results = _run(alphas, stage, z_terms, row_edges, spans, where)
+    spans = _kept_spans(alphas, plan, [(low, high) for low, _, high, _, _ in incumbents], where)
+    results = _run(alphas, plan.stage, z_terms, plan.row_edges, spans, where)
     # the points evaluated: the kernel's rectangles, and the subgrid's points outside them
-    return [(*found[:4], found[4] + outside) for found, outside in zip(results, _outside(spans, row_edges, sub))]
+    return [(*found[:4], found[4] + outside) for found, outside in zip(results, _outside(spans, plan))]
 
 
 def _whole_rows(orders: int, n_tau: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
-    """An exhaustive scan's row edges and spans for _run: blocks of whole rows, every point kept.
+    """The incumbent subgrid's row edges and spans for _run: blocks of whole rows, every point kept.
 
     A block takes a worker's share of _CHUNK_POINTS, at least one row.
     """
@@ -1024,7 +1003,7 @@ def _run(
                     width = c1 - c0
                     # the kernel's three arrays, after the stage's four: contiguous
                     # whatever the span's width, so its in-place pow, log and expm1
-                    # run on contiguous rows, as in every exhaustive scan
+                    # run on contiguous rows
                     out = part[4:, : (r1 - r0) * width].reshape(3, r1 - r0, width)
 
                     def at(j: int) -> tuple[int, int]:
@@ -1088,11 +1067,13 @@ def scan_orders(alphas: Sequence[AlphaLike], grid: Optional[GridSpec] = None) ->
     ValueError as in scan_extrema; with several orders, the one reported
     is the first in grid order, the least (tau, phi) over every order,
     ties going to the order given first, whatever the number of workers
-    (a pruned scan meets its subgrid's values first, then its tile
-    bounds'; module docstring).  The grid's plan (GridSpec) is built on
-    its first scan and reused by every later one.
+    (a scan meets its subgrid's values first, then its tile bounds';
+    module docstring).  The grid's plan (GridSpec) is built on its first
+    scan and reused by every later one; no order, no plan.
     """
     params = [as_param(a) for a in alphas]
+    if not params:
+        return []
     grid = grid if grid is not None else DEFAULT_GRID
     plan = grid._plan
     tau_grid, phi_grid = plan.tau_grid, plan.phi_grid
@@ -1116,10 +1097,11 @@ def scan_extrema(alpha: AlphaLike, grid: Optional[GridSpec] = None) -> ScanRepor
     """Exact extrema of the entropic sum over a grid on D.
 
     Returns the extrema over the grid points (no refinement) together
-    with witness states, those of an exhaustive evaluation (a pruned scan
-    skips only tiles that hold neither extremum nor a tie with one).  Corners of D are on the grid, so for tight
-    orders the grid minimum equals bound_set(alpha).lower to rounding.  This
-    is scan_orders with one order.
+    with witness states, those of an exhaustive evaluation (a scan skips
+    only tiles that hold neither extremum nor a tie with one).  Corners of
+    D are on the grid, so for tight orders the grid minimum equals
+    bound_set(alpha).lower to rounding.  This is scan_orders with one
+    order.
     """
     return scan_orders([alpha], grid)[0]
 
@@ -1128,10 +1110,13 @@ def full_domain_orders(alphas: Sequence[AlphaLike], grid: GridSpec) -> list[bool
     """scan_full_domain_consistency for every order in alphas, in one full-domain pass.
 
     Results come back in the order of alphas; a non-finite value raises
-    as in scan_orders, the full domain being scanned before D.
+    as in scan_orders, the full domain being scanned before D.  No order
+    builds no plan.
     """
     params = [as_param(a) for a in alphas]
     full_grid = GridSpec(2 * grid.n_tau - 1, 8 * grid.n_phi - 7)
+    if not params:
+        return []
     plan = _Plan(np.linspace(0.0, HALF_PI, full_grid.n_tau), np.linspace(0.0, TWO_PI, full_grid.n_phi))
     full = _scan_rectangle(params, plan)
     # the leading block, tau and phi up to pi/4, is the grid on D

@@ -85,9 +85,23 @@ def constant_stage(tau_grid, phi_grid):
     return np.zeros(len(tau_grid)), np.zeros(len(tau_grid)), np.ones(len(phi_grid)), np.ones(len(phi_grid))
 
 
-def exhaustive(monkeypatch):
-    """Scans of any size are exhaustive: every grid point in blocks of whole grid rows, no bound pass."""
-    monkeypatch.setattr(verify, "_PRUNE_POINTS", math.inf)
+def grid_run_rows(monkeypatch, n_tau):
+    """Spy on _grid_pairs; returns rows(), in the calling thread the grid rows of the block its scan is on.
+
+    rows() is None in the incumbent subgrid's run and in the tile bounds,
+    which a scan of n_tau rows also runs through _grid_pairs, on stages of
+    fewer rows.  Each scan takes its z terms, one value per row, before
+    either, while rows() still holds the last block of the thread's
+    previous scan.
+    """
+    real, block = verify._grid_pairs, threading.local()
+
+    def pairs(stage, rows, cols, out):
+        block.rows = np.arange(n_tau)[rows] if stage[0].shape == (n_tau,) else None
+        return real(stage, rows, cols, out)
+
+    monkeypatch.setattr(verify, "_grid_pairs", pairs)
+    return lambda: getattr(block, "rows", None)
 
 
 def assert_same_bits(pairs, expected):
@@ -213,17 +227,18 @@ class TestScanExtrema:
             assert (report.argmax.tau, report.argmax.phi) == (0.0, 0.0)
 
     def test_chunks_stay_within_point_budget(self, monkeypatch):
-        # every row evaluated once: the exhaustive scan
-        exhaustive(monkeypatch)
+        # every row of the grid's run evaluated once: an infinite margin keeps every tile
+        monkeypatch.setattr(verify, "_PRUNE_MARGIN", math.inf)
         grid = GridSpec(101, 40001)
         real = verify._grid_pairs
         rows = []
         axis = np.linspace(0.0, QUARTER_PI, grid.n_tau)
 
         def spy(stage, r, c, out):
-            tau = axis[r]
-            assert tau.size * out.shape[2] <= max(grid.n_phi, verify._CHUNK_POINTS)
-            rows.append((threading.current_thread(), tau))
+            if stage[0].shape == axis.shape:  # the grid's run, not the subgrid's nor the tile bounds
+                tau = axis[r]
+                assert tau.size * out.shape[2] <= max(grid.n_phi, verify._CHUNK_POINTS)
+                rows.append((threading.current_thread(), tau))
             return real(stage, r, c, out)
 
         def assert_each_row_once():
@@ -246,17 +261,19 @@ class TestScanExtrema:
         assert_each_row_once()
 
     # Each order's z term, one value per row, comes first, one kernel call per
-    # scan; then the order-independent stage runs once per chunk, and the pair
-    # kernel twice per chunk and order (x-, y-term), the blocks' calls counted
-    # here.  An 11x11 grid is one chunk by default, whose x-term is the
-    # blocks' call 0 in a one-order scan; a 33-point budget makes 3-row
-    # chunks, and call 6 is the x-term of the fourth, rows 9 and 10.  A NaN
-    # is caught by both argmin and argmax, -inf by argmin and +inf by argmax.
+    # scan; then, after the incumbent subgrid and the tile bounds, the grid's
+    # run takes the order-independent stage once per block, and the pair
+    # kernel twice per rectangle of an order (x-, y-term), the grid run's
+    # calls counted here.  With every tile kept, an 11x11 grid is one block by
+    # default, whose x-term is the grid run's call 0 in a one-order scan; a
+    # 33-point budget makes a block of each row of tiles, grid row 0 and rows
+    # 1-10, and call 2 is the x-term of the second.  A NaN at grid row 7 is
+    # caught by both argmin and argmax, -inf by argmin and +inf by argmax.
     @pytest.mark.parametrize(
         "budget,call,row,bad",
         [
             (verify._CHUNK_POINTS, 0, 7, math.nan),
-            (33, 6, 1, math.nan),
+            (33, 2, 7, math.nan),
             (verify._CHUNK_POINTS, 0, 7, -math.inf),
             (verify._CHUNK_POINTS, 0, 7, math.inf),
         ],
@@ -267,19 +284,19 @@ class TestScanExtrema:
 
         def inject(p, m, alpha, out):
             out = real(p, m, alpha, out)
-            if out.ndim == 2:  # a block's x- or y-term, not the per-row z term
+            rows = block_rows()
+            if rows is not None and out.ndim == 2:  # a block's x- or y-term, not the per-row z term
                 if len(calls) == call:
-                    out[row, 5] = bad
+                    out[row - rows[0], 5] = bad
                 calls.append(None)
             return out
 
-        exhaustive(monkeypatch)  # the calls counted are the blocks'
+        monkeypatch.setattr(verify, "_PRUNE_MARGIN", math.inf)  # every grid point in the grid's run
         monkeypatch.setattr(verify, "_CHUNK_POINTS", budget)
+        block_rows = grid_run_rows(monkeypatch, 11)
         monkeypatch.setattr(verify, "_pair_entropy_into", inject)
         axis = np.linspace(0.0, QUARTER_PI, 11)
-        # the chunk's first row, then the row within it
-        grid_row = min(budget // 11, 11) * (call // 2) + row
-        point = f"(tau, phi) = ({float(axis[grid_row])!r}, {float(axis[5])!r})"
+        point = f"(tau, phi) = ({float(axis[row])!r}, {float(axis[5])!r})"
         with pytest.raises(ValueError, match="alpha=0.5") as info:
             scan_extrema(0.5, GridSpec(11, 11))
         assert point in str(info.value)
@@ -291,20 +308,22 @@ class TestScanExtrema:
         assert point in err
 
     def test_nonfinite_value_in_second_order_raises(self, monkeypatch, capsys):
-        # in a pass over orders (0.5, 2.0) calls 0 and 1 are the z terms and
-        # call 4 is the x-term of the second order in the first chunk; the
-        # first order's values stay finite
+        # in a pass over orders (0.5, 2.0) calls 0 and 1 are the z terms and,
+        # counting the grid run's alone, call 4 is the x-term of the second
+        # order in its one block; the first order's values stay finite
         real = verify._pair_entropy_into
         calls = []
 
         def inject(p, m, alpha, out):
             out = real(p, m, alpha, out)
-            if len(calls) == 4:
-                out[7, 5] = math.nan
-            calls.append(alpha.alpha)
+            if out.ndim == 1 or block_rows() is not None:
+                if len(calls) == 4:
+                    out[7, 5] = math.nan
+                calls.append(alpha.alpha)
             return out
 
-        exhaustive(monkeypatch)  # the calls counted are the blocks'
+        monkeypatch.setattr(verify, "_PRUNE_MARGIN", math.inf)  # one block, every order on every point
+        block_rows = grid_run_rows(monkeypatch, 11)
         monkeypatch.setattr(verify, "_pair_entropy_into", inject)
         axis = np.linspace(0.0, QUARTER_PI, 11)
         point = f"(tau, phi) = ({float(axis[7])!r}, {float(axis[5])!r})"
@@ -328,13 +347,14 @@ class TestScanExtrema:
         # scan first sums it, at the first grid point of its row that the order
         # evaluates.  Every tile of the constant order 2.0 is kept, so that is
         # column 0, in the incumbent subgrid for a subgrid row and in a block
-        # for a row between two subgrid rows
+        # for a row between two subgrid rows (row 7 of 11x11, whose subgrid
+        # rows are 0 and 10), with the margin or, without pruning, an infinite one
         axis = np.linspace(0.0, QUARTER_PI, n)
         if prune:
             rows, _ = verify._subgrid(axis, axis)
             row = int(rows[3]) + (row == "between")
         else:
-            exhaustive(monkeypatch)
+            monkeypatch.setattr(verify, "_PRUNE_MARGIN", math.inf)
         real = verify._pair_entropy_into
         calls = []
 
@@ -484,9 +504,13 @@ class TestScanOrders:
         reports = scan_orders(orders, grid)
         assert [r.alpha.alpha for r in reports] == orders
         assert reports[0] == reports[2] == scan_extrema(4.0, grid)
-        # no order, no grid work
+        # no order, no grid work and no plan, not even on a grid never scanned
+        monkeypatch.setattr(verify, "_Plan", None)
         monkeypatch.setattr(verify, "_grid_pairs", None)
+        fresh = GridSpec(41, 41)
         assert scan_orders([], grid) == [] and full_domain_orders([], grid) == []
+        assert scan_orders([], fresh) == [] and full_domain_orders([], fresh) == []
+        assert "_plan" not in vars(fresh)
 
     def test_scans_never_read_the_bounds(self, monkeypatch):
         grid, small = GridSpec(41, 23), GridSpec(11, 11)
@@ -513,11 +537,13 @@ class TestScanOrders:
         assert names == ["alpha", "min_value", "max_value", "argmin", "argmax", "grid", "points_evaluated"]
 
 
-# A 401x401 grid engages a helper thread wherever two CPUs are usable: its
-# 5 blocks of 81 rows split into runs of 2 blocks (rows 0-161, the caller's)
-# and 3 blocks (rows 162-400, the helper's).
+# A 401x401 grid engages a helper thread wherever two CPUs are usable, in a
+# scan with an order that keeps every tile (2, whose pure-state sum is
+# constant, or any order at an infinite margin): its 5 blocks of 80 rows
+# split into runs of 3 blocks (rows 0-239, the caller's) and 2 blocks (rows
+# 240-400, the helper's).  The other orders keep a few tiles each.
 WORKER_GRID = GridSpec(401, 401)
-WORKER_ORDERS = (0.5, 1.0, 1.005, 2.5, 4.0)
+WORKER_ORDERS = (0.5, 1.0, 1.005, 2.0, 2.5, 4.0)
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -538,7 +564,7 @@ class TestWorkers:
         # worker's share of the budget the workspace holds one row per worker
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        exhaustive(monkeypatch)  # the stage's arrays are the blocks' alone
+        monkeypatch.setattr(verify, "_PRUNE_MARGIN", math.inf)  # every grid point in the grid's run
         assert verify._MAX_WORKERS == 2
         for points in (2**17, 2001 * 2001, GridSpec.MAX_POINTS**2):
             assert verify._workers(points) == 2, points
@@ -546,11 +572,12 @@ class TestWorkers:
         real = verify._grid_pairs
 
         def pairs(stage, rows, cols, out):
-            base = out
-            while base.base is not None:
-                base = base.base
-            workspaces.add((id(base), base.shape))
-            threads.add(threading.current_thread())
+            if stage[0].shape == (grid.n_tau,):  # the grid's run, not the subgrid's nor the tile bounds
+                base = out
+                while base.base is not None:
+                    base = base.base
+                workspaces.add((id(base), base.shape))
+                threads.add(threading.current_thread())
             return real(stage, rows, cols, out)
 
         monkeypatch.setattr(verify, "_grid_pairs", pairs)
@@ -594,30 +621,25 @@ class TestWorkers:
         [
             ((0.5,), {None: [300]}),  # the helper's run alone
             ((0.5,), {None: [100, 300]}),  # both runs: the caller's row wins
-            ((0.5,), {None: [300, 170]}),  # two of the helper's blocks: the earlier wins
+            ((0.5,), {None: [350, 250]}),  # two of the helper's blocks: the earlier wins
             ((0.5, 2.0), {2.0: [300]}),  # the second order, in the helper's run
             ((0.5, 2.0), {2.0: [100], 0.5: [300]}),  # the second order's earlier block wins
             ((0.5, 2.0), {2.0: [100], 0.5: [100]}),  # one point: the first order wins
         ],
     )
     def test_nonfinite_value_reports_the_first_in_grid_order(self, monkeypatch, orders, bad_rows):
-        exhaustive(monkeypatch)  # column 5 of every row evaluated
+        monkeypatch.setattr(verify, "_PRUNE_MARGIN", math.inf)  # column 5 of every row evaluated
         axis = np.linspace(0.0, QUARTER_PI, WORKER_GRID.n_tau)
-        real_pairs, real_kernel = verify._grid_pairs, verify._pair_entropy_into
-        block = threading.local()  # the rows of the block each thread is on
-
-        def pairs(stage, r, c, out):
-            block.rows = np.arange(WORKER_GRID.n_tau)[r]
-            return real_pairs(stage, r, c, out)
+        real_kernel = verify._pair_entropy_into
+        block_rows = grid_run_rows(monkeypatch, WORKER_GRID.n_tau)
 
         def kernel(p, m, alpha, out):
             values = real_kernel(p, m, alpha, out)
             rows = bad_rows.get(None, []) + bad_rows.get(alpha.alpha, [])
-            if values.ndim > 1:  # the x and y terms, not the per-row z term
-                values[np.isin(block.rows, rows), 5] = math.nan
+            if values.ndim > 1 and block_rows() is not None:  # the grid run's x and y terms
+                values[np.isin(block_rows(), rows), 5] = math.nan
             return values
 
-        monkeypatch.setattr(verify, "_grid_pairs", pairs)
         monkeypatch.setattr(verify, "_pair_entropy_into", kernel)
         with pytest.raises(ValueError) as threaded:
             scan_orders(orders, WORKER_GRID)
@@ -662,18 +684,19 @@ class TestWorkers:
         real = verify._grid_pairs
 
         def pairs(stage, rows, cols, out):
-            if threading.get_ident() == caller:
-                failed.set()
-                raise error("stop")
-            helper_blocks.append(rows.start)
-            assert failed.wait(timeout=30)
-            time.sleep(0.1)  # the caller records its error meanwhile
+            if stage[0].shape == (WORKER_GRID.n_tau,):  # the grid's run, not the subgrid's nor the tile bounds
+                if threading.get_ident() == caller:
+                    failed.set()
+                    raise error("stop")
+                helper_blocks.append(rows.start)
+                assert failed.wait(timeout=30)
+                time.sleep(0.1)  # the caller records its error meanwhile
             return real(stage, rows, cols, out)
 
         monkeypatch.setattr(verify, "_grid_pairs", pairs)
         with pytest.raises(error, match="stop"):
-            scan_extrema(0.5, WORKER_GRID)
-        # the helper ended before the error left the scan, at most one of its three blocks done
+            scan_extrema(2.0, WORKER_GRID)
+        # the helper ended before the error left the scan, at most one of its two blocks done
         assert threading.active_count() == threads
         assert len(helper_blocks) <= 1
 
@@ -687,9 +710,9 @@ class TestWorkers:
             return real(stage, rows, cols, out)
 
         monkeypatch.setattr(verify, "_grid_pairs", pairs)
-        if verify._workers(401 * 401) > 1:
-            with pytest.raises(MemoryError, match="helper"):
-                scan_extrema(0.5, WORKER_GRID)
+        monkeypatch.setattr(verify, "_workers", lambda points: 2)  # a helper whatever the CPU count
+        with pytest.raises(MemoryError, match="helper"):
+            scan_extrema(2.0, WORKER_GRID)
         assert threading.active_count() == threads
 
     def test_helpers_run_under_the_callers_error_state(self, monkeypatch):
@@ -701,13 +724,13 @@ class TestWorkers:
             np.log(np.zeros(1))  # a divide warning, an error under this suite's filters
             return real(p, m, alpha, out)
 
-        expected = scan_extrema(0.5, WORKER_GRID)
+        expected = scan_extrema(2.0, WORKER_GRID)
         monkeypatch.setattr(verify, "_pair_entropy_into", noisy)
         with np.errstate(divide="ignore"):
-            assert scan_extrema(0.5, WORKER_GRID) == expected
+            assert scan_extrema(2.0, WORKER_GRID) == expected
         assert len(threads) == verify._workers(401 * 401)
         with pytest.raises(RuntimeWarning, match="divide by zero"):
-            scan_extrema(0.5, WORKER_GRID)
+            scan_extrema(2.0, WORKER_GRID)
 
     @pytest.mark.parametrize("grid", [GridSpec(3, 3), GridSpec(11, 11), GridSpec(255, 257)], ids=str)
     def test_small_scans_stay_in_the_caller(self, monkeypatch, grid):
@@ -742,10 +765,10 @@ class TestWorkers:
         assert int(result.stdout) < 5000
 
     def test_nonfinite_value_is_the_same_on_any_number_of_workers(self, monkeypatch):
-        # NaN z terms at row 70 for alpha = 2 and at row 100 for 0.5: one
-        # worker runs rows 0-162 as one block, two workers blocks of 81 rows,
-        # and both name the least grid point, alpha = 2's at row 70, column 0
-        exhaustive(monkeypatch)
+        # NaN z terms at row 70 for alpha = 2 and at row 100 for 0.5: alpha =
+        # 2 keeps every tile, and one worker runs rows 0-159 as one block, two
+        # workers blocks of 80 rows, and both name the least grid point, alpha
+        # = 2's at row 70, column 0
         real = verify._pair_entropy_into
         bad_rows = {2.0: 70, 0.5: 100}
 
@@ -770,13 +793,15 @@ class TestWorkers:
     @pytest.mark.parametrize("first,second", [(math.inf, math.nan), (math.inf, -math.inf), (math.nan, math.inf)])
     def test_first_nonfinite_value_of_a_rectangle_is_named(self, monkeypatch, first, second):
         # two non-finite values in one row of one rectangle: argmin and argmax
-        # may pick either, and the value named is the first in grid order
-        exhaustive(monkeypatch)
+        # may pick either, and the value named is the first in grid order;
+        # with every tile kept the grid's run is one 11 x 11 rectangle
+        monkeypatch.setattr(verify, "_PRUNE_MARGIN", math.inf)
         real = verify._pair_entropy_into
+        block_rows = grid_run_rows(monkeypatch, 11)
 
         def kernel(p, m, alpha, out):
             values = real(p, m, alpha, out)
-            if values.ndim == 2:  # the block's x and y terms
+            if values.ndim == 2 and block_rows() is not None:  # the grid run's x and y terms
                 values[4, 3], values[4, 7] = first, second
             return values
 
@@ -789,21 +814,23 @@ class TestWorkers:
 
 
 def plan_arrays(plan):
-    """Every array a plan holds: the axes, the stage and, once built, the tiles'."""
-    arrays = [plan.tau_grid, plan.phi_grid, *plan.stage]
-    if "tiles" in vars(plan):
-        row_edges, col_edges, sub, sub_stage, tile_stage, _ = plan.tiles
-        arrays += [row_edges, col_edges, *sub, *sub_stage, *tile_stage]
-    return arrays
+    """Every array a plan holds: the axes, the stage and the tiles'."""
+    return [
+        plan.tau_grid, plan.phi_grid, *plan.stage, plan.row_edges, plan.col_edges, plan.sub_rows, plan.sub_cols,
+        *plan.sub_stage, *plan.tile_stage,
+    ]
 
 
 class TestPlan:
     """A GridSpec keeps the order-independent inputs of its scans, built on its first scan."""
 
-    @pytest.mark.parametrize("n", [41, 801], ids=["41x41 exhaustive", "801x801 pruned"])
-    def test_repeated_scans_equal_a_fresh_grid(self, monkeypatch, n):
+    @pytest.mark.parametrize("n,exhaustive", [(41, True), (801, False)], ids=["41x41 exhaustive", "801x801 pruned"])
+    def test_repeated_scans_equal_a_fresh_grid(self, monkeypatch, n, exhaustive):
         # the second scan of one instance, with other orders, builds nothing
-        # and reports what a scan of a fresh equal grid does
+        # and reports what a scan of a fresh equal grid does, whether the
+        # scans keep every tile (an infinite margin) or skip some
+        if exhaustive:
+            monkeypatch.setattr(verify, "_PRUNE_MARGIN", math.inf)
         built = []
         for name in ("_stage", "_tile_edges", "_subgrid", "_tile_stage", "_slab"):
             real = getattr(verify, name)
@@ -813,9 +840,8 @@ class TestPlan:
         plan = grid._plan
         again = scan_orders(orders, grid)
         assert grid._plan is plan
-        pruned = n * n >= verify._PRUNE_POINTS
-        assert built == (["_stage", "_tile_edges", "_subgrid", "_tile_stage", "_slab"] if pruned else ["_stage"])
-        assert ("tiles" in vars(plan)) == pruned  # an exhaustive grid never builds its tiles
+        assert built == ["_stage", "_tile_edges", "_subgrid", "_tile_stage", "_slab"]
+        assert (min(r.points_evaluated for r in again) == n * n) == exhaustive
         assert again == scan_orders(orders, GridSpec(n, n))
         assert first == scan_orders(first_orders, GridSpec(n, n))
         assert GridSpec(n, n)._plan is not plan  # equal instances do not share a plan
@@ -871,6 +897,40 @@ class TestPlan:
         assert reports == [expected] * 4
         assert all(not a.flags.writeable for a in plan_arrays(grid._plan))
 
+    def test_plan_builds_of_two_grids_overlap(self, monkeypatch):
+        # one instance's plan build, held until released, does not hold up the
+        # first scan of another instance in another thread
+        real, held, release = verify._Plan, threading.Event(), threading.Event()
+        reports, errors = {}, []
+
+        def plan(tau_grid, phi_grid):
+            if len(tau_grid) == 41:
+                held.set()
+                assert release.wait(timeout=30)
+            return real(tau_grid, phi_grid)
+
+        def scan(n):
+            try:
+                reports[n] = scan_orders([0.5], GridSpec(n, n))
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+
+        monkeypatch.setattr(verify, "_Plan", plan)
+        first, second = (threading.Thread(target=scan, args=(n,)) for n in (41, 43))
+        first.start()
+        try:
+            assert held.wait(timeout=30)
+            second.start()
+            second.join(timeout=10)
+            assert not second.is_alive() and 43 in reports
+        finally:
+            release.set()
+            first.join(timeout=30)
+            second.join(timeout=30)
+        assert not first.is_alive() and not second.is_alive()
+        assert errors == []
+        assert reports == {n: scan_orders([0.5], GridSpec(n, n)) for n in (41, 43)}
+
 
 # Every order of the CI pins of `pauli-tsallis verify`.
 PINNED_ORDERS = (
@@ -883,10 +943,14 @@ PARITY_ORDERS = PINNED_ORDERS + (1.86, 2.98, 3.2, 3.9, 2.0 - 1e-9, 2.0 + 1e-9, 3
 # The error budget of the tile bounds (verify's module docstring): how far a
 # grid sum may lie past its tile's LB or UB, all rounding included
 BOUND_BUDGET = 1e-13
-# (tau end, n_tau, phi end, n_phi): grids on D, and the full-domain
-# unfoldings of the 101^2 and 251^2 grids on D
+# (tau end, n_tau, phi end, n_phi): grids on D, the smallest two and the
+# 41^2 of a refinement window among them, and the full-domain unfoldings of
+# the 101^2 and 251^2 grids on D
 PARITY_GRIDS = {
+    "2x2": (QUARTER_PI, 2, QUARTER_PI, 2),
+    "3x3": (QUARTER_PI, 3, QUARTER_PI, 3),
     "11x11": (QUARTER_PI, 11, QUARTER_PI, 11),
+    "41x41": (QUARTER_PI, 41, QUARTER_PI, 41),
     "401x401": (QUARTER_PI, 401, QUARTER_PI, 401),
     "2001x2001": (QUARTER_PI, 2001, QUARTER_PI, 2001),
     "101x40001": (QUARTER_PI, 101, QUARTER_PI, 40001),
@@ -944,25 +1008,24 @@ def angle_boxes():
     return stages, np.moveaxis(np.array(h), 0, -1)
 
 
-def pruning_everywhere(monkeypatch):
-    """Scans of any size prune."""
-    monkeypatch.setattr(verify, "_PRUNE_POINTS", 0)
+def whole_grid(params, plan):
+    """The exhaustive reference: every grid point in blocks of whole grid rows, without subgrid or bound pass."""
+    stage = plan.stage
+    edges, spans = verify._whole_rows(len(params), len(plan.tau_grid), len(plan.phi_grid))
+    return verify._run(params, stage, verify._z_terms(params, stage), edges, spans, lambda i, j: f"({i}, {j})")
 
 
 class TestPruning:
-    """Pruned scans skip tiles and report the exhaustive scan's extrema and witnesses."""
+    """Scans skip tiles and report the exhaustive scan's extrema and witnesses."""
 
     @pytest.mark.parametrize("grid", PARITY_GRIDS)
     def test_pruned_scans_equal_the_exhaustive_scan(self, monkeypatch, grid):
         tau_end, n_tau, phi_end, n_phi = PARITY_GRIDS[grid]
-        # one plan for every scan below: its tiles are built by the first pruned scan and reused
+        # one plan for every scan below
         plan = verify._Plan(np.linspace(0.0, tau_end, n_tau), np.linspace(0.0, phi_end, n_phi))
         params = [verify.as_param(a) for a in PARITY_ORDERS]
-        with monkeypatch.context() as m:
-            exhaustive(m)
-            expected = verify._scan_rectangle(params, plan)
+        expected = whole_grid(params, plan)
         assert [points for *_, points in expected] == [n_tau * n_phi] * len(params)
-        pruning_everywhere(monkeypatch)
         counts = set()
         # chunk budgets as in test_chunking_does_not_change_result, one and two workers
         for budget in (1, n_phi - 1, n_phi, 7 * n_phi + 3):
@@ -977,7 +1040,9 @@ class TestPruning:
         assert all(0 < p <= n_tau * n_phi for p in points)
         # an infinite margin keeps every tile: the exhaustive scan's reports, points included
         monkeypatch.setattr(verify, "_PRUNE_MARGIN", math.inf)
-        assert verify._scan_rectangle(params, plan) == expected
+        for workers in (1, 2):
+            monkeypatch.setattr(verify, "_workers", lambda points, w=workers: w)
+            assert verify._scan_rectangle(params, plan) == expected, workers
 
     @pytest.mark.parametrize("grid", PARITY_GRIDS)
     def test_tile_bounds_hold_every_grid_sum(self, grid):
@@ -1067,9 +1132,12 @@ class TestPruning:
                 assert abs(total - Fraction(1, 4)) <= eta
 
     def test_large_scans_prune(self):
-        # below _PRUNE_POINTS a scan is exhaustive; on 2001^2 the sum is constant
-        # at 2 and 3 (every tile kept) and every other order keeps under 2% of the grid
-        assert [r.points_evaluated for r in scan_orders([0.5, 2.0], GridSpec(401, 401))] == [401 * 401] * 2
+        # every scan prunes, a refinement window's 41^2 and 401^2 too; on
+        # 2001^2 the sum is constant at 2 and 3 (every tile kept) and every
+        # other order keeps under 2% of the grid
+        for n in (41, 401):
+            low, constant = (r.points_evaluated for r in scan_orders([0.5, 2.0], GridSpec(n, n)))
+            assert low < constant == n * n, n
         grid = GridSpec(2001, 2001)
         orders = (0.25, 0.5, 1.0, 1.7, 1.86, 2.0, 2.5, 2.98, 3.0, 3.2, 3.9, 4.0, 10.0)
         for alpha, report in zip(orders, scan_orders(orders, grid)):
@@ -1114,7 +1182,6 @@ class TestPruning:
         # every grid point ties, so no tile is skipped and both extrema stay at (0, 0)
         # a fresh grid, as in TestWorkers: its plan takes the patched stage
         monkeypatch.setattr(verify, "_stage", constant_stage)
-        pruning_everywhere(monkeypatch)
         grid = GridSpec(401, 401)
         for budget in (1, 7 * 401 + 3, verify._CHUNK_POINTS):
             monkeypatch.setattr(verify, "_CHUNK_POINTS", budget)
@@ -1153,9 +1220,7 @@ class TestPruning:
         # time, so a whole scan allocates at most the workspace bound of the
         # module docstring and a few vectors along the axes (5.7 and 15 MB
         # here); the tile bounds taken all at once raise the peak to 16 and 47 MB
-        with monkeypatch.context() as m:
-            pruning_everywhere(m)
-            scan_extrema(0.5, GridSpec(41, 41))  # the pruned scan's first-use imports
+        scan_extrema(0.5, GridSpec(41, 41))  # a scan's first-use imports
         tracemalloc.start()
         try:
             assert scan_extrema(0.5, grid).points_evaluated < grid.n_tau * grid.n_phi / 10
@@ -1441,10 +1506,10 @@ class TestKernelCalls:
 
     @pytest.mark.parametrize("grid", [GridSpec(401, 401), GridSpec(2001, 2001)], ids=str)
     def test_z_term_once_per_scan_and_two_calls_per_rectangle(self, monkeypatch, grid):
-        # 401^2 is exhaustive, 2001^2 pruned; kernel calls and extrema on a
-        # run's workspace planes are the blocks' (the incumbent subgrid's run
-        # included, which adds slices of the grid's z terms), one extrema per
-        # rectangle; the tile stage's z terms are one value per row of tiles
+        # kernel calls and extrema on a run's workspace planes are the blocks'
+        # (the incumbent subgrid's run included, which adds slices of the
+        # grid's z terms), one extrema per rectangle; the tile stage's z terms
+        # are one value per row of tiles
         orders = (0.5, 2.0, 4.0)
         real_kernel, real_extrema = verify._pair_entropy_into, verify._extrema
         kernel_calls, rectangles = [], []
@@ -1470,8 +1535,8 @@ class TestKernelCalls:
         # the only other z terms are the tile stage's, its lower bounds stacked
         # on its upper bounds: the subgrid's run takes slices of the grid's
         axis = np.linspace(0.0, QUARTER_PI, grid.n_tau)
-        tile_rows = len(verify._tile_edges(axis, axis)[0]) - 1 if grid.n_tau * grid.n_phi >= verify._PRUNE_POINTS else 0
-        tile_z_terms = [(a, (2, 2, tile_rows)) for a in orders] if tile_rows else []
+        tile_rows = len(verify._tile_edges(axis, axis)[0]) - 1
+        tile_z_terms = [(a, (2, 2, tile_rows)) for a in orders]
         # (outside the workspace, the tile bounds' calls are the 4-D ones and
         # the split side's bound three axes at once, shape (2, 3, tiles))
         z_calls = [(a, shape) for a, shape, block in kernel_calls if not block and len(shape) < 4 and shape[1] != 3]
