@@ -569,7 +569,10 @@ def _tile_edges(tau_grid: np.ndarray, phi_grid: np.ndarray) -> tuple[np.ndarray,
     n_tau, n_phi = len(tau_grid), len(phi_grid)
     rows, cols = _tile_steps(tau_grid, phi_grid)
     rows = min(rows, max(1, _WORKER_POINTS // _MAX_WORKERS // n_phi))
-    return np.union1d(np.arange(0, n_tau, rows), [1, n_tau]), np.append(np.arange(0, n_phi, cols), n_phi)
+    row_edges = np.append(np.arange(0, n_tau, rows), n_tau)
+    if rows > 1:  # row 0's own row of tiles
+        row_edges = np.insert(row_edges, 1, 1)
+    return row_edges, np.append(np.arange(0, n_phi, cols), n_phi)
 
 
 def _subgrid(tau_grid: np.ndarray, phi_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -584,7 +587,8 @@ def _subgrid(tau_grid: np.ndarray, phi_grid: np.ndarray) -> tuple[np.ndarray, np
     """
     steps = _tile_steps(tau_grid, phi_grid)
     return tuple(
-        np.union1d(np.arange(0, len(axis), 2 * step), len(axis) - 1) for axis, step in zip((tau_grid, phi_grid), steps)
+        np.append(np.arange(0, len(axis) - 1, 2 * step), len(axis) - 1)
+        for axis, step in zip((tau_grid, phi_grid), steps)
     )
 
 

@@ -85,19 +85,27 @@ def constant_stage(tau_grid, phi_grid):
     return np.zeros(len(tau_grid)), np.zeros(len(tau_grid)), np.ones(len(phi_grid)), np.ones(len(phi_grid))
 
 
+def grid_run(stage, n_tau):
+    """Whether a _grid_pairs call on stage is a scan's run on its grid of n_tau rows.
+
+    A scan also calls _grid_pairs in its incumbent subgrid's run and in its
+    tile bounds, on stages of fewer rows.
+    """
+    return stage[0].shape == (n_tau,)
+
+
 def grid_run_rows(monkeypatch, n_tau):
     """Spy on _grid_pairs; returns rows(), in the calling thread the grid rows of the block its scan is on.
 
-    rows() is None in the incumbent subgrid's run and in the tile bounds,
-    which a scan of n_tau rows also runs through _grid_pairs, on stages of
-    fewer rows.  Each scan takes its z terms, one value per row, before
+    rows() is None in the incumbent subgrid's run and in the tile bounds
+    (grid_run).  Each scan takes its z terms, one value per row, before
     either, while rows() still holds the last block of the thread's
     previous scan.
     """
     real, block = verify._grid_pairs, threading.local()
 
     def pairs(stage, rows, cols, out):
-        block.rows = np.arange(n_tau)[rows] if stage[0].shape == (n_tau,) else None
+        block.rows = np.arange(n_tau)[rows] if grid_run(stage, n_tau) else None
         return real(stage, rows, cols, out)
 
     monkeypatch.setattr(verify, "_grid_pairs", pairs)
@@ -235,7 +243,7 @@ class TestScanExtrema:
         axis = np.linspace(0.0, QUARTER_PI, grid.n_tau)
 
         def spy(stage, r, c, out):
-            if stage[0].shape == axis.shape:  # the grid's run, not the subgrid's nor the tile bounds
+            if grid_run(stage, grid.n_tau):
                 tau = axis[r]
                 assert tau.size * out.shape[2] <= max(grid.n_phi, verify._CHUNK_POINTS)
                 rows.append((threading.current_thread(), tau))
@@ -572,7 +580,7 @@ class TestWorkers:
         real = verify._grid_pairs
 
         def pairs(stage, rows, cols, out):
-            if stage[0].shape == (grid.n_tau,):  # the grid's run, not the subgrid's nor the tile bounds
+            if grid_run(stage, grid.n_tau):
                 base = out
                 while base.base is not None:
                     base = base.base
@@ -684,7 +692,7 @@ class TestWorkers:
         real = verify._grid_pairs
 
         def pairs(stage, rows, cols, out):
-            if stage[0].shape == (WORKER_GRID.n_tau,):  # the grid's run, not the subgrid's nor the tile bounds
+            if grid_run(stage, WORKER_GRID.n_tau):
                 if threading.get_ident() == caller:
                     failed.set()
                     raise error("stop")
@@ -765,10 +773,12 @@ class TestWorkers:
         assert int(result.stdout) < 5000
 
     def test_nonfinite_value_is_the_same_on_any_number_of_workers(self, monkeypatch):
-        # NaN z terms at row 70 for alpha = 2 and at row 100 for 0.5: alpha =
-        # 2 keeps every tile, and one worker runs rows 0-159 as one block, two
-        # workers blocks of 80 rows, and both name the least grid point, alpha
-        # = 2's at row 70, column 0
+        # NaN z terms at row 70 for alpha = 2 and at row 100 for 0.5, rows
+        # the incumbent subgrid skips: with every tile kept the grid's run
+        # meets both, one worker in one block of rows 0-159, two workers in
+        # blocks of 80 rows, and both name the least grid point, alpha = 2's
+        # at row 70, column 0
+        monkeypatch.setattr(verify, "_PRUNE_MARGIN", math.inf)
         real = verify._pair_entropy_into
         bad_rows = {2.0: 70, 0.5: 100}
 
@@ -845,6 +855,24 @@ class TestPlan:
         assert again == scan_orders(orders, GridSpec(n, n))
         assert first == scan_orders(first_orders, GridSpec(n, n))
         assert GridSpec(n, n)._plan is not plan  # equal instances do not share a plan
+
+    def test_first_scan_imports_no_module(self):
+        # a fresh process, whose first scans build their plans: a CLI call on
+        # a small grid pays for no import beyond the package's (np.unique, for
+        # one, imports numpy.ma on first use)
+        code = (
+            "import sys\n"
+            "from pauli_tsallis import GridSpec, full_domain_orders, refined_maximum, scan_orders\n"
+            "before = set(sys.modules)\n"
+            "scan_orders([0.5, 2.0], GridSpec(3, 3))\n"
+            "full_domain_orders([0.5], GridSpec(2, 2))\n"
+            "refined_maximum(0.5, GridSpec(41, 41))\n"
+            "print(sorted(set(sys.modules) - before))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert result.stdout == "[]\n"
 
     def test_plan_arrays_are_read_only(self):
         grid = GridSpec(801, 801)
