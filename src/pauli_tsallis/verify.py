@@ -20,10 +20,10 @@ chunked into blocks of whole rows of tiles (below), and the blocks are
 split into contiguous runs, one per worker, of about equal kept work
 (grid points to evaluate, not rows): a scan takes one worker per usable
 CPU, at most _MAX_WORKERS (two; no larger count was measured), one per
-_WORKER_POINTS grid points its stage evaluates (every grid point where
-no tile is skipped) and one per block, so small scans (refinement
-windows, test grids) and scans with little kept work stay in the calling
-thread.  The first run is the caller's own, the others go to helper
+_WORKER_POINTS grid points its stage evaluates (every grid point outside
+the exact tiles where no tile is skipped) and one per block, so small
+scans (refinement windows, test grids) and scans with little kept work
+stay in the calling thread.  The first run is the caller's own, the others go to helper
 threads started for the scan, run in copies of the caller's context (so
 numpy's error state holds in them) and joined before it returns.  The
 workers share the _CHUNK_POINTS budget: a block takes rows of tiles of
@@ -74,13 +74,27 @@ margin covers that rounding and the two additions, so every grid sum of
 a skipped tile exceeds least, which is at least the grid minimum, and
 falls below greatest, at most the grid maximum.  Neither extremum nor
 any tie with it lies in a skipped tile, so the extrema and their
-witnesses are those of the exhaustive scan, which an infinite margin
-gives.  Pruning speeds up the exact grid answer and proves nothing
-between grid points.  The bound pass (_kept_spans) runs in the calling
-thread and leaves each order's span in each row of tiles, from its
-first kept tile to its last (measured as fast as separate runs of kept
-tiles, with fewer kernel calls); the grid's run takes those spans, and
-its stage runs on the span of every order's kept tiles.  Each block is
+witnesses are those of the exhaustive scan.  A tile is exact
+(_exact_tiles) when its greatest and least |h| give bitwise the same
+outcome pairs on all three axes: on x and y the pairs of LB and UB, on z
+_half_pair of its rows' greatest and least |(cos 2 tau)/2|.  Every grid
+sum of an exact tile then equals its LB bit for bit: fl is monotone, so
+each of the tile's p = fl(1/2 + |h|) and m = fl(1/2 - |h|) is pinned by
+its two ends; F is even in h (a negative h swaps p and m, whose terms
+add the same either way); LB adds the x, y and z terms in the grid's
+order; and the tile stage's products are the grid's own.  So no order
+evaluates an exact tile: each merges (LB, the tile's first grid point)
+into its extrema, on the key of a block's result, and every other point
+of the tile ties it after that point.  Exactness depends on the grid
+alone, so the plan finds the exact tiles once.  An exact tile needs no
+margin: an infinite margin skips no tile and still resolves the exact
+ones.  Grid row tau = 0 is a row of exact tiles (_tile_edges), and so is
+every 1 x 1 tile.  Pruning speeds up the exact grid answer and proves
+nothing between grid points.  The bound pass (_kept_spans) runs in the
+calling thread and leaves each order's span in each row of tiles, from
+its first kept tile to its last (measured as fast as separate runs of
+kept tiles, with fewer kernel calls); the grid's run takes those spans,
+and its stage runs on the span of every order's kept tiles.  Each block is
 one rectangle of that stage, consecutive rows of tiles with the same
 span, and each order's kernel runs on its own rectangles in it
 (_blocks).
@@ -153,9 +167,10 @@ bound lies within 3 eps_F and two roundings of the exact sum at its
 split.  So a grid sum of a skipped tile lies past its LB or UB by at
 most 6 eps_F + 1.5e-14, under 1e-13, ten times under _PRUNE_MARGIN, as
 the monotone bounds' 6e-14 is.  On 2001^2 every order but 2 and 3 then
-evaluates 6,318 points: grid row tau = 0, a row of tiles of its own
-(_tile_edges) whose every point (an eigenstate for every phi) ties the
-minimum, and the tiles around each order's extrema.
+evaluates 4,381 points: the tiles around each order's extrema and the
+subgrid's points outside them.  Grid row tau = 0, a row of tiles of its
+own (_tile_edges) whose every point (an eigenstate for every phi) ties
+the minimum, is exact, and only the subgrid evaluates it.
 
 Extrema merge deterministically on (value, tau index, phi index), so
 results do not depend on chunking, tiles or workers, and tie-breaking is
@@ -168,7 +183,8 @@ A scan evaluates every order it is given in one pass.  The stage vectors,
 (sin 2 tau)/2 and (cos 2 tau)/2 per row and cos phi and sin phi per
 column, are taken once per grid (_Plan: a GridSpec keeps its plan, and
 every later scan of it reuses the axes, the stage, the tiles, the
-subgrid, the tile stage and the slab), and the order-independent stage
+subgrid, the tile stage, the exact tiles and the slab), and the
+order-independent stage
 of each block (the outcome probabilities of the x and y Bloch
 components) once per block for all orders.  The z
 component depends on the row alone, so each order's z term, the pair
@@ -186,7 +202,9 @@ meets its values in three steps: the subgrid run, then the tile
 bounds (a non-finite bound names its tile by its first and last grid
 points; in a chunk of rows of tiles the orders in the given order, each
 order's tile bounds before its boxes, and in a batch of boxes the chord
-side before the split side), then the grid run.  A run reports its
+side before the split side), then the grid run.  An exact tile's grid
+sums are its LB, so a non-finite value there is met as its tile bound,
+and the grid run never reaches it.  A run reports its
 first non-finite value in grid order: the least (row, column) over every
 order, ties going to the order given first.  It takes its blocks, each
 whole rows of the grid, in grid order, and raises at the first block
@@ -291,8 +309,8 @@ _MAX_WORKERS = 2
 # points to evaluate at alpha = 0.5, 8.9% at 1 and 18.7% at 4; on
 # 101 x 40001 the 1 x 400 tiles left 2.6-5.4% at 0.5, 1, 1.005 and 4, where
 # 32 x 32 tiles left 95%.  With the sphere bounds, and grid row tau = 0 a
-# row of tiles of its own, every order but 2 and 3 leaves 0.16% of 2001^2,
-# 1.1% of 101 x 40001 and 0.31% of 801^2.
+# row of exact tiles of its own, every order but 2 and 3 evaluates 0.11%
+# of 2001^2, 0.094% of 101 x 40001 and 0.19% of 801^2.
 _TILE_SIDE = 16
 # An order skips a tile only when its lower bound exceeds the incumbent
 # minimum by more than this and its upper bound falls short of the
@@ -303,7 +321,9 @@ _TILE_SIDE = 16
 # off (0.9, 1.05)), so a grid sum lies within 3 x 1.7e-14 plus two
 # roundings of its tile's bounds, under 6e-14; the sphere bounds' error
 # budget, which adds the kernel's error against the exact pair entropy, is
-# under 1e-13 (module docstring).  math.inf gives the exhaustive scan.
+# under 1e-13 (module docstring).  math.inf skips no tile, but an exact
+# tile needs no margin and is still resolved from its bounds: the scan then
+# evaluates every grid point but the exact tiles' outside its subgrid.
 _PRUNE_MARGIN = 1e-12
 
 # refined_maximum's box: +-_REFINE_WINDOW coarse steps, _REFINE_FACTOR times finer.
@@ -396,9 +416,10 @@ class ScanReport:
     where upper_pure is not None (the proven range) max_value lies within
     grid tolerance below it.  For non-integer alpha > 1 max_value is the
     only pure-state upper information available.  points_evaluated counts
-    the grid points at which the scan ran the order's kernel: n_tau n_phi
-    where it keeps every tile, fewer where it skips some (module
-    docstring), and the same for any worker count or chunk budget.
+    the grid points at which the scan ran the order's kernel: those of the
+    tiles it keeps and of its incumbent subgrid, fewer than n_tau n_phi
+    wherever it skips a tile or resolves an exact one from its bounds
+    (module docstring), and the same for any worker count or chunk budget.
     """
 
     alpha: TsallisParam
@@ -561,10 +582,10 @@ def _tile_edges(tau_grid: np.ndarray, phi_grid: np.ndarray) -> tuple[np.ndarray,
     block, at least one row of tiles, keeps the workspace bound of the
     module docstring.  The last tile along an axis may be shorter.  Grid
     row 0 is a row of tiles of its own: tau = 0 is the z eigenstate at every
-    phi, so each of its points ties the minimum and its tiles are always
-    kept.  No edge repeats: np.maximum.reduceat takes the element at a
-    repeated start, not an empty reduction, so a repeated edge would give
-    an unsound tile bound.
+    phi, so each of its points ties the minimum, and its tiles are exact
+    (_exact_tiles), resolved from their bounds.  No edge repeats:
+    np.maximum.reduceat takes the element at a repeated start, not an empty
+    reduction, so a repeated edge would give an unsound tile bound.
     """
     n_tau, n_phi = len(tau_grid), len(phi_grid)
     rows, cols = _tile_steps(tau_grid, phi_grid)
@@ -606,6 +627,30 @@ def _tile_stage(stage: _Stage, row_edges: np.ndarray, col_edges: np.ndarray) -> 
     )
 
 
+def _exact_tiles(tile_stage: _Stage) -> np.ndarray:
+    """The exact tiles' flat indices in the grid of tiles, ascending (module docstring).
+
+    A tile is exact when its greatest and least |h| give bitwise the same
+    outcome pairs on all three axes: on x and y the pairs _grid_pairs
+    writes on the tile stage for LB and UB, on z _half_pair of its rows'
+    greatest and least |(cos 2 tau)/2|.  Only rows of tiles whose z pairs
+    agree are compared, _WORKER_POINTS / 4 tiles at a time.
+    """
+    z = _half_pair(tile_stage[1])
+    rows = np.flatnonzero((z[:, 0] == z[:, 1]).all(axis=0))
+    n_cols = tile_stage[2].shape[-1]
+    step = max(1, _WORKER_POINTS // 4 // n_cols)
+    pairs = np.empty((5, 2, min(step, rows.size) * n_cols))
+    exact = [np.empty(0, dtype=int)]
+    for k in range(0, rows.size, step):
+        chunk = rows[k : k + step]
+        w = pairs[..., : chunk.size * n_cols].reshape(5, 2, chunk.size, n_cols)
+        _grid_pairs(tile_stage, chunk, slice(None), w)
+        same = (w[:4, 0] == w[:4, 1]).all(axis=0)
+        exact.append((chunk[:, None] * n_cols + np.arange(n_cols))[same])
+    return np.concatenate(exact)
+
+
 def _sphere_regime(alpha: TsallisParam) -> Optional[bool]:
     """Whether G(w) = F(sqrt w) is concave on [0, 1/4]: True off [2, 3], False inside, None at 2 and 3.
 
@@ -637,10 +682,11 @@ class _Plan:
     A GridSpec keeps its plan on D; full_domain_orders and refined_maximum's
     window build one per call.  Besides the axes and the stage (_stage), a
     plan holds the tile edges (_tile_edges), the incumbent subgrid's rows
-    and columns (_subgrid) and its stage, the tile stage (_tile_stage) and
-    the slab's eta (_slab).  Everything that depends on the orders, on
-    _CHUNK_POINTS or on the CPU count (the z terms, the blocks, the workers,
-    the workspaces) stays per scan.  Every array is a read-only view, so
+    and columns (_subgrid) and its stage, the tile stage (_tile_stage), the
+    exact tiles' flat indices (_exact_tiles) and the slab's eta (_slab).
+    Everything that depends on the orders, on _CHUNK_POINTS or on the CPU
+    count (the z terms, the blocks, the workers, the workspaces) stays per
+    scan.  Every array is a read-only view, so
     scans in any thread share it.  On 101 x 40001 the plan took 1.9 ms (the
     stage 1.3 ms) of a 3.7 ms first scan at alpha = 0.5, and the scan
     repeated took 2.4 ms (best of 30, 2-core Xeon, numpy 2.4.6).
@@ -655,6 +701,7 @@ class _Plan:
         rows, cols = self.sub_rows, self.sub_cols
         self.sub_stage: _Stage = _read_only(*(v[k] for v, k in zip(self.stage, (rows, rows, cols, cols))))
         self.tile_stage: _Stage = _read_only(*_tile_stage(self.stage, self.row_edges, self.col_edges))
+        (self.exact,) = _read_only(_exact_tiles(self.tile_stage))
         self.eta = _slab(self.stage)
 
 
@@ -784,7 +831,7 @@ def _box_bound(
 
 def _kept_spans(
     alphas: Sequence[TsallisParam], plan: _Plan, incumbents: list[tuple[float, float]], where: Callable[[int, int], str]
-) -> np.ndarray:
+) -> tuple[np.ndarray, list[list]]:
     """The bound pass: each order's span in each row of tiles, from the plan's tile stage and the slab's eta.
 
     Returns spans, of shape (orders, rows of tiles, 2): the first grid
@@ -792,10 +839,14 @@ def _kept_spans(
     of its last, (0, 0) where it keeps none; the order evaluates every
     tile between them.  An order keeps a tile unless LB > least +
     _PRUNE_MARGIN and UB < greatest - _PRUNE_MARGIN, (least, greatest)
-    being its incumbents.  LB and UB are the sums on _tile_stage, taken a
-    chunk of rows of tiles at a time (at most max(_CHUNK_POINTS / 4,
-    columns of tiles) tiles of fourteen values), within a chunk the
-    orders in the given order.  At every order but 2 and 3 the tiles
+    being its incumbents, and never keeps an exact tile (plan.exact),
+    whose grid sums are its LB.  Returns too, per order, the exact tiles'
+    extrema: for each chunk that holds one, ((min, (i, j)), (max, (i, j)))
+    as _run's, the least and greatest LB and the first grid point of the
+    first exact tile that holds each.  LB and UB are the sums on
+    _tile_stage, taken a chunk of rows of tiles at a time (at most
+    max(_CHUNK_POINTS / 4, columns of tiles) tiles of fourteen values),
+    within a chunk the orders in the given order.  At every order but 2 and 3 the tiles
     those keep are then bounded as boxes on the sphere, a batch of
     _WORKER_POINTS / 16 at a time: gathered (_tile_boxes), bounded
     (_box_bound) and kept or skipped.  Raises ValueError at a non-finite
@@ -816,9 +867,12 @@ def _kept_spans(
     scratch = np.empty((7, 2, min(step, n_rows) * n_cols))
     # a batch of kept tiles' boxes (_tile_boxes, work[:14]), then _box_bound's
     # scratch (work[14:]); the batch is fixed at import, as _WORKER_POINTS
-    # is, so a chunk budget set for a test does not shrink it
+    # is, so a chunk budget set for a test does not shrink it.  work grows to
+    # the most kept tiles a batch has held: a full batch's 1.2 MB, allocated
+    # and freed by every scan, made the allocator return and fault in that
+    # memory again (about 300 minor faults a scan on 101 x 40001)
     batch = _WORKER_POINTS // 16
-    work = np.empty((38, batch))
+    work = np.empty((38, 0))
 
     def tile(k: int) -> str:
         """The tile of flat index k in the grid of tiles, by its first and last grid points."""
@@ -826,11 +880,20 @@ def _kept_spans(
         start, end = where(row_edges[t], col_edges[u]), where(row_edges[t + 1] - 1, col_edges[u + 1] - 1)
         return f"on the tile from {start} to {end}"
 
+    def first_point(k: int) -> tuple[int, int]:
+        """The first grid point (i, j) of the tile of flat index k."""
+        t, u = divmod(int(k), n_cols)
+        return int(row_edges[t]), int(col_edges[u])
+
+    resolved: list[list] = [[] for _ in alphas]
     for t0 in range(0, n_rows, step):
         tiles = slice(t0, t0 + step)
         w = scratch[..., : (min(t0 + step, n_rows) - t0) * n_cols].reshape(7, 2, -1, n_cols)
         _grid_pairs(tile_stage, tiles, slice(None), w[:5])
         first = t0 * n_cols
+        # the chunk's exact tiles, by flat index in the chunk
+        exact = plan.exact[np.searchsorted(plan.exact, first) : np.searchsorted(plan.exact, first + w[0, 0].size)]
+        exact = exact - first
         for o, (alpha, (least, greatest)) in enumerate(zip(alphas, incumbents)):
             fx = _pair_entropy_into(w[0], w[1], alpha, w[4:6])
             fy = _pair_entropy_into(w[2], w[3], alpha, w[5:7])
@@ -841,17 +904,24 @@ def _kept_spans(
                 _check_bounds(np.where(np.isfinite(lb), ub, lb).ravel(), alpha, lambda k: tile(first + k))
             low_cut, high_cut = least + _PRUNE_MARGIN, greatest - _PRUNE_MARGIN
             keep = (lb <= low_cut) | (ub >= high_cut)
+            if exact.size:  # every grid sum of an exact tile is its LB
+                keep.ravel()[exact] = False
+                values = lb.ravel()[exact]
+                picks = exact[[np.argmin(values), np.argmax(values)]]
+                resolved[o].append(tuple((float(lb.flat[k]), first_point(first + k)) for k in picks))
             concave = _sphere_regime(alpha)
             kept_tiles = np.flatnonzero(keep) if concave is not None else ()
             for k0 in range(0, len(kept_tiles), batch):
                 kept = kept_tiles[k0 : k0 + batch]
+                if work.shape[1] < kept.size:
+                    work = np.empty((38, kept.size))
                 h, g, box_bounds = _tile_boxes(tile_stage, (fx, fy, z_terms[o]), bounds, t0, kept, work)
                 _box_bound(alpha, concave, h, g, box_bounds, plan.eta, work[14:], lambda k: tile(first + kept[k]))
                 low, high = box_bounds
                 keep.ravel()[kept] = (low <= low_cut) | (high >= high_cut)
             ends = np.stack([np.argmax(keep, axis=1), n_cols - np.argmax(keep[:, ::-1], axis=1)], axis=1)
             spans[o, t0 : t0 + len(keep)] = np.where(keep.any(axis=1)[:, None], col_edges[ends], 0)
-    return spans
+    return spans, resolved
 
 
 def _outside(spans: np.ndarray, plan: _Plan) -> list[int]:
@@ -911,7 +981,8 @@ def _scan_rectangle(
     one order or more.  Each order's z term per row (_z_terms) is taken
     once per scan.  The scan runs its incumbent subgrid, an exhaustive
     _run on the stage and z terms at the plan's subgrid rows and columns,
-    then the bound pass (_kept_spans), then _run on each order's spans.
+    then the bound pass (_kept_spans), then _run on each order's spans,
+    and merges the exact tiles' extrema into the blocks' (_merged).
     Raises ValueError at the first non-finite value met: the subgrid
     run's, then the tile bounds', then the grid run's (see _run).
     """
@@ -921,14 +992,31 @@ def _scan_rectangle(
         return f"(tau, phi) = ({float(tau_grid[i])!r}, {float(phi_grid[j])!r})"
 
     z_terms = _z_terms(alphas, plan.stage)
-    incumbents = _run(
+    subgrid = _run(
         alphas, plan.sub_stage, z_terms[:, rows], *_whole_rows(len(alphas), rows.size, cols.size),
         lambda i, j: where(rows[i], cols[j]),
     )
-    spans = _kept_spans(alphas, plan, [(low, high) for low, _, high, _, _ in incumbents], where)
+    incumbents = [_merged(found) for found, _ in subgrid]
+    spans, resolved = _kept_spans(alphas, plan, [(low, high) for low, _, high, _ in incumbents], where)
     results = _run(alphas, plan.stage, z_terms, plan.row_edges, spans, where)
-    # the points evaluated: the kernel's rectangles, and the subgrid's points outside them
-    return [(*found[:4], found[4] + outside) for found, outside in zip(results, _outside(spans, plan))]
+    # the extrema of the blocks and the exact tiles; the points evaluated: the
+    # kernel's rectangles, and the subgrid's points outside them
+    return [
+        (*_merged(found + exact), points + outside)
+        for (found, points), exact, outside in zip(results, resolved, _outside(spans, plan))
+    ]
+
+
+def _merged(extrema: list) -> tuple[float, tuple[int, int], float, tuple[int, int]]:
+    """(min, (i, j), max, (i, j)) of candidate extrema, each ((min, (i, j)), (max, (i, j))).
+
+    Merged on (value, (i, j)), a total order: ties keep the lowest (i, j),
+    whichever block or tile found them.
+    """
+    lows, highs = zip(*extrema)
+    v_min, at_min = min(lows)
+    v_max, at_max = min(highs, key=lambda c: (-c[0], c[1]))
+    return v_min, at_min, v_max, at_max
 
 
 def _whole_rows(orders: int, n_tau: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -954,8 +1042,11 @@ def _run(
     stage is a scan's stage (or a subgrid of it), z_terms each order's z
     term per stage row, of shape (orders, rows, 1), row_edges the rows of
     tiles and spans, of shape (orders, rows of tiles, 2), each order's span
-    in each (as _kept_spans).  Returns (min, (i, j), max, (i, j), points)
-    per order, indices into the stage.  The blocks, rectangles of the
+    in each (as _kept_spans).  Returns, per order, its rectangles' extrema,
+    each ((min, (i, j)), (max, (i, j))) with indices into the stage, in no
+    set order (_merged takes the least and greatest), and the points its
+    kernel ran on; spans that keep nothing give no extrema and 0 points,
+    with no workspace and no helper thread.  The blocks, rectangles of the
     stage (_blocks), are split into contiguous runs of about equal kept
     work, one per worker: the first runs in the calling thread, each other
     in a helper thread under the caller's context (numpy's error state
@@ -980,6 +1071,8 @@ def _run(
     # one worker per _WORKER_POINTS points the stage evaluates, which share the point budget
     workers = _workers(int(np.diff(row_edges) @ (union[:, 1] - union[:, 0])))
     blocks, areas = _blocks(np.concatenate([union[None], spans]), row_edges, _CHUNK_POINTS // workers)
+    if not blocks:  # every span empty
+        return [([], 0) for _ in alphas]
     workers = min(workers, len(blocks))
     # kept work per block, the stage counted as one order's kernel
     work = areas.sum(axis=0)
@@ -1053,14 +1146,7 @@ def _run(
     for exc in errors:
         if exc is not None:
             raise exc
-    results = []
-    for extrema, area in zip(found, areas[1:]):
-        lows, highs = zip(*extrema)
-        # on (value, (i, j)), a total order: ties keep the lowest (i, j) whichever block found them
-        v_min, at_min = min(lows)
-        v_max, at_max = min(highs, key=lambda c: (-c[0], c[1]))
-        results.append((v_min, at_min, v_max, at_max, int(area.sum())))
-    return results
+    return [(extrema, int(area.sum())) for extrema, area in zip(found, areas[1:])]
 
 
 def scan_orders(alphas: Sequence[AlphaLike], grid: Optional[GridSpec] = None) -> list[ScanReport]:
@@ -1102,7 +1188,8 @@ def scan_extrema(alpha: AlphaLike, grid: Optional[GridSpec] = None) -> ScanRepor
 
     Returns the extrema over the grid points (no refinement) together
     with witness states, those of an exhaustive evaluation (a scan skips
-    only tiles that hold neither extremum nor a tie with one).  Corners of
+    only tiles that hold neither extremum nor a tie with one, and takes an
+    exact tile's sums from its bound).  Corners of
     D are on the grid, so for tight orders the grid minimum equals
     bound_set(alpha).lower to rounding.  This is scan_orders with one
     order.

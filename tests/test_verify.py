@@ -235,7 +235,8 @@ class TestScanExtrema:
             assert (report.argmax.tau, report.argmax.phi) == (0.0, 0.0)
 
     def test_chunks_stay_within_point_budget(self, monkeypatch):
-        # every row of the grid's run evaluated once: an infinite margin keeps every tile
+        # every row of the grid's run evaluated once: an infinite margin keeps
+        # every tile but the exact ones, grid row 0's among them
         monkeypatch.setattr(verify, "_PRUNE_MARGIN", math.inf)
         grid = GridSpec(101, 40001)
         real = verify._grid_pairs
@@ -251,14 +252,15 @@ class TestScanExtrema:
 
         def assert_each_row_once():
             # per worker, the rows in the order they came; sorted by their first
-            # row and joined, they are the axis: each worker's rows are whole,
-            # contiguous and in grid order, and every row comes exactly once
+            # row and joined, they are the axis after row 0: each worker's rows
+            # are whole, contiguous and in grid order, and every row comes
+            # exactly once
             per_worker = {}
             for thread, tau in rows:
                 per_worker.setdefault(thread, []).append(tau)
             runs = sorted((np.concatenate(taus) for taus in per_worker.values()), key=lambda run: run[0])
             assert len(runs) == verify._workers(grid.n_tau * grid.n_phi)
-            assert np.array_equal(np.concatenate(runs), axis)
+            assert np.array_equal(np.concatenate(runs), axis[1:])
             rows.clear()
 
         monkeypatch.setattr(verify, "_grid_pairs", spy)
@@ -272,16 +274,17 @@ class TestScanExtrema:
     # scan; then, after the incumbent subgrid and the tile bounds, the grid's
     # run takes the order-independent stage once per block, and the pair
     # kernel twice per rectangle of an order (x-, y-term), the grid run's
-    # calls counted here.  With every tile kept, an 11x11 grid is one block by
-    # default, whose x-term is the grid run's call 0 in a one-order scan; a
-    # 33-point budget makes a block of each row of tiles, grid row 0 and rows
-    # 1-10, and call 2 is the x-term of the second.  A NaN at grid row 7 is
-    # caught by both argmin and argmax, -inf by argmin and +inf by argmax.
+    # calls counted here.  With every tile kept but grid row 0's, which are
+    # exact, a 41x41 grid is one block by default, rows 1-40, whose x-term is
+    # the grid run's call 0 in a one-order scan; a 33-point budget makes a
+    # block of each row of tiles, grid rows 1-15, 16-31 and 32-40, and call 2
+    # is the x-term of the second.  A NaN is caught by both argmin and
+    # argmax, -inf by argmin and +inf by argmax.
     @pytest.mark.parametrize(
         "budget,call,row,bad",
         [
             (verify._CHUNK_POINTS, 0, 7, math.nan),
-            (33, 2, 7, math.nan),
+            (33, 2, 20, math.nan),
             (verify._CHUNK_POINTS, 0, 7, -math.inf),
             (verify._CHUNK_POINTS, 0, 7, math.inf),
         ],
@@ -299,18 +302,18 @@ class TestScanExtrema:
                 calls.append(None)
             return out
 
-        monkeypatch.setattr(verify, "_PRUNE_MARGIN", math.inf)  # every grid point in the grid's run
+        monkeypatch.setattr(verify, "_PRUNE_MARGIN", math.inf)  # every grid point in the grid's run but row 0's
         monkeypatch.setattr(verify, "_CHUNK_POINTS", budget)
-        block_rows = grid_run_rows(monkeypatch, 11)
+        block_rows = grid_run_rows(monkeypatch, 41)
         monkeypatch.setattr(verify, "_pair_entropy_into", inject)
-        axis = np.linspace(0.0, QUARTER_PI, 11)
+        axis = np.linspace(0.0, QUARTER_PI, 41)
         point = f"(tau, phi) = ({float(axis[row])!r}, {float(axis[5])!r})"
         with pytest.raises(ValueError, match="alpha=0.5") as info:
-            scan_extrema(0.5, GridSpec(11, 11))
+            scan_extrema(0.5, GridSpec(41, 41))
         assert point in str(info.value)
 
         calls.clear()
-        assert main(["verify", "0.5", "--grid", "11"]) == 3
+        assert main(["verify", "0.5", "--grid", "41"]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert point in err
@@ -326,11 +329,12 @@ class TestScanExtrema:
             out = real(p, m, alpha, out)
             if out.ndim == 1 or block_rows() is not None:
                 if len(calls) == 4:
-                    out[7, 5] = math.nan
+                    out[7 - block_rows()[0], 5] = math.nan
                 calls.append(alpha.alpha)
             return out
 
-        monkeypatch.setattr(verify, "_PRUNE_MARGIN", math.inf)  # one block, every order on every point
+        # one block, rows 1-10, every order on every point but grid row 0's, whose tile is exact
+        monkeypatch.setattr(verify, "_PRUNE_MARGIN", math.inf)
         block_rows = grid_run_rows(monkeypatch, 11)
         monkeypatch.setattr(verify, "_pair_entropy_into", inject)
         axis = np.linspace(0.0, QUARTER_PI, 11)
@@ -546,10 +550,12 @@ class TestScanOrders:
 
 
 # A 401x401 grid engages a helper thread wherever two CPUs are usable, in a
-# scan with an order that keeps every tile (2, whose pure-state sum is
-# constant, or any order at an infinite margin): its 5 blocks of 80 rows
-# split into runs of 3 blocks (rows 0-239, the caller's) and 2 blocks (rows
-# 240-400, the helper's).  The other orders keep a few tiles each.
+# scan with an order that keeps every tile but the exact ones (2, whose
+# pure-state sum is constant, or any order at an infinite margin): grid row
+# 0 and the 1 x 1 tile at (400, 400) are exact, so its 6 blocks, rows 1-79,
+# four of 80 rows and row 400 without its last column, split into runs of 3
+# blocks (rows 1-239, the caller's) and 3 blocks (rows 240-400, the
+# helper's).  The other orders keep a few tiles each.
 WORKER_GRID = GridSpec(401, 401)
 WORKER_ORDERS = (0.5, 1.0, 1.005, 2.0, 2.5, 4.0)
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
@@ -572,7 +578,9 @@ class TestWorkers:
         # worker's share of the budget the workspace holds one row per worker
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        monkeypatch.setattr(verify, "_PRUNE_MARGIN", math.inf)  # every grid point in the grid's run
+        # every grid point in the grid's run but the exact tiles': grid row 0
+        # and the 1 x 1 tiles of the last column
+        monkeypatch.setattr(verify, "_PRUNE_MARGIN", math.inf)
         assert verify._MAX_WORKERS == 2
         for points in (2**17, 2001 * 2001, GridSpec.MAX_POINTS**2):
             assert verify._workers(points) == 2, points
@@ -590,7 +598,7 @@ class TestWorkers:
 
         monkeypatch.setattr(verify, "_grid_pairs", pairs)
         scan_extrema(0.5, grid)
-        assert {shape for _, shape in workspaces} == {(2, 7, grid.n_phi)}
+        assert {shape for _, shape in workspaces} == {(2, 7, grid.n_phi - 1)}
         assert len(workspaces) == 1 and len(threads) == 2
 
     @pytest.mark.parametrize("grid", [WORKER_GRID, GridSpec(11, 40001)], ids=str)
@@ -704,7 +712,7 @@ class TestWorkers:
         monkeypatch.setattr(verify, "_grid_pairs", pairs)
         with pytest.raises(error, match="stop"):
             scan_extrema(2.0, WORKER_GRID)
-        # the helper ended before the error left the scan, at most one of its two blocks done
+        # the helper ended before the error left the scan, at most one of its three blocks done
         assert threading.active_count() == threads
         assert len(helper_blocks) <= 1
 
@@ -804,7 +812,8 @@ class TestWorkers:
     def test_first_nonfinite_value_of_a_rectangle_is_named(self, monkeypatch, first, second):
         # two non-finite values in one row of one rectangle: argmin and argmax
         # may pick either, and the value named is the first in grid order;
-        # with every tile kept the grid's run is one 11 x 11 rectangle
+        # with every tile kept but grid row 0's, which is exact, the grid's run
+        # is one 10 x 11 rectangle, rows 1-10
         monkeypatch.setattr(verify, "_PRUNE_MARGIN", math.inf)
         real = verify._pair_entropy_into
         block_rows = grid_run_rows(monkeypatch, 11)
@@ -812,7 +821,7 @@ class TestWorkers:
         def kernel(p, m, alpha, out):
             values = real(p, m, alpha, out)
             if values.ndim == 2 and block_rows() is not None:  # the grid run's x and y terms
-                values[4, 3], values[4, 7] = first, second
+                values[4 - block_rows()[0], 3], values[4 - block_rows()[0], 7] = first, second
             return values
 
         monkeypatch.setattr(verify, "_pair_entropy_into", kernel)
@@ -827,7 +836,7 @@ def plan_arrays(plan):
     """Every array a plan holds: the axes, the stage and the tiles'."""
     return [
         plan.tau_grid, plan.phi_grid, *plan.stage, plan.row_edges, plan.col_edges, plan.sub_rows, plan.sub_cols,
-        *plan.sub_stage, *plan.tile_stage,
+        *plan.sub_stage, *plan.tile_stage, plan.exact,
     ]
 
 
@@ -842,7 +851,7 @@ class TestPlan:
         if exhaustive:
             monkeypatch.setattr(verify, "_PRUNE_MARGIN", math.inf)
         built = []
-        for name in ("_stage", "_tile_edges", "_subgrid", "_tile_stage", "_slab"):
+        for name in ("_stage", "_tile_edges", "_subgrid", "_tile_stage", "_exact_tiles", "_slab"):
             real = getattr(verify, name)
             monkeypatch.setattr(verify, name, lambda *args, name=name, real=real: built.append(name) or real(*args))
         grid, first_orders, orders = GridSpec(n, n), (0.5, 2.0, 4.0), (1.0, 2.5, 7.3, 0.5)
@@ -850,8 +859,8 @@ class TestPlan:
         plan = grid._plan
         again = scan_orders(orders, grid)
         assert grid._plan is plan
-        assert built == ["_stage", "_tile_edges", "_subgrid", "_tile_stage", "_slab"]
-        assert (min(r.points_evaluated for r in again) == n * n) == exhaustive
+        assert built == ["_stage", "_tile_edges", "_subgrid", "_tile_stage", "_exact_tiles", "_slab"]
+        assert (min(r.points_evaluated for r in again) == n * n - resolved_points(plan)) == exhaustive
         assert again == scan_orders(orders, GridSpec(n, n))
         assert first == scan_orders(first_orders, GridSpec(n, n))
         assert GridSpec(n, n)._plan is not plan  # equal instances do not share a plan
@@ -878,7 +887,7 @@ class TestPlan:
         grid = GridSpec(801, 801)
         scan_extrema(0.5, grid)
         arrays = plan_arrays(grid._plan)
-        assert len(arrays) == 18
+        assert len(arrays) == 19
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 0
@@ -1040,7 +1049,41 @@ def whole_grid(params, plan):
     """The exhaustive reference: every grid point in blocks of whole grid rows, without subgrid or bound pass."""
     stage = plan.stage
     edges, spans = verify._whole_rows(len(params), len(plan.tau_grid), len(plan.phi_grid))
-    return verify._run(params, stage, verify._z_terms(params, stage), edges, spans, lambda i, j: f"({i}, {j})")
+    runs = verify._run(params, stage, verify._z_terms(params, stage), edges, spans, lambda i, j: f"({i}, {j})")
+    return [(*verify._merged(found), points) for found, points in runs]
+
+
+def exact_tiles(plan):
+    """The plan's exact tiles as arrays of their first and end rows and columns."""
+    t, u = np.divmod(plan.exact, len(plan.col_edges) - 1)
+    return plan.row_edges[t], plan.row_edges[t + 1], plan.col_edges[u], plan.col_edges[u + 1]
+
+
+def resolved_points(plan):
+    """The points of the plan's exact tiles outside its incumbent subgrid.
+
+    A scan that keeps every other tile evaluates every grid point but
+    these: the exact tiles are resolved from their bounds, and the subgrid
+    run evaluates its own points.
+    """
+    r0, r1, c0, c1 = exact_tiles(plan)
+    rows, cols = (
+        np.searchsorted(sub, end) - np.searchsorted(sub, start)
+        for sub, start, end in ((plan.sub_rows, r0, r1), (plan.sub_cols, c0, c1))
+    )
+    return int(((r1 - r0) * (c1 - c0) - rows * cols).sum())
+
+
+def exact_tile_sums(plan, alpha):
+    """Every grid sum of the plan's exact tiles, as the scan forms them, and each one's tile LB, flat, in tile order."""
+    r0, r1, c0, c1 = exact_tiles(plan)
+    rows, cols = zip(*(np.mgrid[a:b, c:d].reshape(2, -1) for a, b, c, d in zip(r0, r1, c0, c1)))
+    counts = [len(r) for r in rows]
+    i, j = np.concatenate(rows), np.concatenate(cols)
+    half_s2t, half_c2t, cos_phi, sin_phi = plan.stage
+    pairs = [verify._half_pair(half_s2t[i] * trig[j]) for trig in (cos_phi, sin_phi)] + [verify._half_pair(half_c2t[i])]
+    lb = pair_sums(stage_pairs(plan.tile_stage), alpha)[0]
+    return pair_sums(pairs, alpha), np.repeat(lb.ravel()[plan.exact], counts)
 
 
 class TestPruning:
@@ -1066,11 +1109,14 @@ class TestPruning:
         # the points evaluated depend on the grid and the orders alone
         (points,) = counts
         assert all(0 < p <= n_tau * n_phi for p in points)
-        # an infinite margin keeps every tile: the exhaustive scan's reports, points included
+        # an infinite margin keeps every tile but the exact ones: the
+        # exhaustive scan's extrema and witnesses, and every point but the
+        # exact tiles' outside the subgrid
         monkeypatch.setattr(verify, "_PRUNE_MARGIN", math.inf)
+        unpruned = [(*found[:4], n_tau * n_phi - resolved_points(plan)) for found in expected]
         for workers in (1, 2):
             monkeypatch.setattr(verify, "_workers", lambda points, w=workers: w)
-            assert verify._scan_rectangle(params, plan) == expected, workers
+            assert verify._scan_rectangle(params, plan) == unpruned, workers
 
     @pytest.mark.parametrize("grid", PARITY_GRIDS)
     def test_tile_bounds_hold_every_grid_sum(self, grid):
@@ -1113,6 +1159,46 @@ class TestPruning:
                 assert np.all(per_tile[0] >= lb[own].reshape(shape) - BOUND_BUDGET), alpha
                 assert np.all(per_tile[1] <= ub[own].reshape(shape) + BOUND_BUDGET), alpha
         assert 10 * BOUND_BUDGET <= verify._PRUNE_MARGIN
+
+    @pytest.mark.parametrize("grid", PARITY_GRIDS)
+    def test_exact_tiles_equal_their_bounds(self, grid):
+        # every grid sum of a tile the scan resolves from its bounds equals the
+        # tile's LB bit for bit, at every order; grid row 0's tiles are exact
+        # on every grid, and on the grids on D only they and 1 x 1 tiles are
+        tau_end, n_tau, phi_end, n_phi = PARITY_GRIDS[grid]
+        plan = verify._Plan(np.linspace(0.0, tau_end, n_tau), np.linspace(0.0, phi_end, n_phi))
+        r0, r1, c0, c1 = exact_tiles(plan)
+        assert np.count_nonzero(r0 == 0) == len(plan.col_edges) - 1
+        if tau_end == phi_end == QUARTER_PI:
+            assert np.all((r1 == 1) | ((r1 - r0 == 1) & (c1 - c0 == 1)))
+        for alpha in PARITY_ORDERS:
+            values, lb = exact_tile_sums(plan, verify.as_param(alpha))
+            assert np.array_equal(values.view(np.int64), lb.view(np.int64)), alpha
+
+    def test_exact_tiles_need_the_z_pairs(self, monkeypatch):
+        # a stage whose second row of tiles has (sin 2 tau)/2 = 0 while its
+        # (cos 2 tau)/2 varies: its x and y pairs agree at both ends, its z
+        # pairs do not, so none of its tiles is exact, and the scan still
+        # reports the exhaustive extrema and witnesses
+        real = verify._stage
+        axis = np.linspace(0.0, QUARTER_PI, 401)
+        row_edges, _ = verify._tile_edges(axis, axis)
+
+        def stage(tau_grid, phi_grid):
+            half_s2t, *rest = real(tau_grid, phi_grid)
+            half_s2t = half_s2t.copy()
+            half_s2t[row_edges[1] : row_edges[2]] = 0.0
+            return half_s2t, *rest
+
+        monkeypatch.setattr(verify, "_stage", stage)
+        plan = verify._Plan(axis, axis)
+        r0, _, _, _ = exact_tiles(plan)
+        assert np.all(r0 != row_edges[1])
+        params = [verify.as_param(a) for a in PARITY_ORDERS]
+        for alpha in params:
+            values, lb = exact_tile_sums(plan, alpha)
+            assert np.array_equal(values.view(np.int64), lb.view(np.int64)), alpha
+        assert [r[:4] for r in verify._scan_rectangle(params, plan)] == [r[:4] for r in whole_grid(params, plan)]
 
     @pytest.mark.parametrize("alpha", BOX_ORDERS)
     def test_box_bound_holds_on_angle_boxes(self, alpha):
@@ -1161,16 +1247,17 @@ class TestPruning:
 
     def test_large_scans_prune(self):
         # every scan prunes, a refinement window's 41^2 and 401^2 too; on
-        # 2001^2 the sum is constant at 2 and 3 (every tile kept) and every
-        # other order keeps under 2% of the grid
+        # 2001^2 the sum is constant at 2 and 3 (every tile kept but the
+        # exact ones) and every other order keeps under 2% of the grid
         for n in (41, 401):
-            low, constant = (r.points_evaluated for r in scan_orders([0.5, 2.0], GridSpec(n, n)))
-            assert low < constant == n * n, n
+            grid = GridSpec(n, n)
+            low, constant = (r.points_evaluated for r in scan_orders([0.5, 2.0], grid))
+            assert low < constant == n * n - resolved_points(grid._plan), n
         grid = GridSpec(2001, 2001)
         orders = (0.25, 0.5, 1.0, 1.7, 1.86, 2.0, 2.5, 2.98, 3.0, 3.2, 3.9, 4.0, 10.0)
         for alpha, report in zip(orders, scan_orders(orders, grid)):
             if alpha in (2.0, 3.0):
-                assert report.points_evaluated == grid.n_tau * grid.n_phi
+                assert report.points_evaluated == grid.n_tau * grid.n_phi - resolved_points(grid._plan)
             else:
                 assert report.points_evaluated < 0.02 * grid.n_tau * grid.n_phi, alpha
 
@@ -1178,15 +1265,17 @@ class TestPruning:
     # grids on D and the full-domain unfolding of 251^2: the skip decisions
     # themselves, so a change that keeps more tiles, or fewer, shows here
     # though the extrema stay the same.  Every order but 2 keeps the same
-    # tiles: grid row tau = 0, a row of tiles of its own whose every point
-    # ties the eigenstate minimum, and the few around each order's extrema
+    # tiles, the few around each order's extrema; grid row tau = 0, a row of
+    # tiles of its own whose every point ties the eigenstate minimum, is
+    # exact and resolved from its bounds, as are the 1 x 1 tiles of the last
+    # column on 101 x 40001, so only their subgrid points are evaluated
     @pytest.mark.parametrize(
         "grid,points",
         [
-            (PARITY_GRIDS["2001x2001"], [6318, 6318, 4004001, 6318, 6318, 6318]),
-            (PARITY_GRIDS["101x40001"], [43751, 43751, 4040101, 43751, 43751, 43751]),
-            ((QUARTER_PI, 801, QUARTER_PI, 801), [1992, 1992, 641601, 1992, 1992, 1992]),
-            (PARITY_GRIDS["501x2001 unfolded"], [118919, 118919, 1002501, 118919, 118919, 118919]),
+            (PARITY_GRIDS["2001x2001"], [4381, 4381, 4002064, 4381, 4381, 4381]),
+            (PARITY_GRIDS["101x40001"], [3800, 3800, 4000101, 3800, 3800, 3800]),
+            ((QUARTER_PI, 801, QUARTER_PI, 801), [1217, 1217, 640826, 1217, 1217, 1217]),
+            (PARITY_GRIDS["501x2001 unfolded"], [116982, 116982, 1000564, 116982, 116982, 116982]),
         ],
         ids=["2001x2001", "101x40001", "801x801", "501x2001 unfolded"],
     )
@@ -1207,8 +1296,10 @@ class TestPruning:
         assert np.all(np.diff(row_edges) > 0) and np.all(np.diff(col_edges) > 0)
 
     def test_ties_keep_lowest_grid_point(self, monkeypatch):
-        # every grid point ties, so no tile is skipped and both extrema stay at (0, 0)
-        # a fresh grid, as in TestWorkers: its plan takes the patched stage
+        # every grid point ties, so no tile is skipped and both extrema stay at
+        # (0, 0); every tile is exact, so the grid's run has no block and the
+        # scan evaluates its subgrid alone.  A fresh grid, as in TestWorkers:
+        # its plan takes the patched stage
         monkeypatch.setattr(verify, "_stage", constant_stage)
         grid = GridSpec(401, 401)
         for budget in (1, 7 * 401 + 3, verify._CHUNK_POINTS):
@@ -1216,7 +1307,20 @@ class TestPruning:
             for report in scan_orders([0.7, 1.0, 3.0], grid):
                 assert (report.argmin.tau, report.argmin.phi) == (0.0, 0.0)
                 assert (report.argmax.tau, report.argmax.phi) == (0.0, 0.0)
-                assert report.points_evaluated == 401 * 401
+                plan = grid._plan
+                assert plan.exact.size == (len(plan.row_edges) - 1) * (len(plan.col_edges) - 1)
+                assert report.points_evaluated == plan.sub_rows.size * plan.sub_cols.size
+
+    def test_run_without_blocks(self, monkeypatch):
+        # spans that keep nothing: each order has no extrema and no point, and
+        # the run forms no pair and starts no helper thread
+        plan = GridSpec(401, 401)._plan
+        params = [verify.as_param(a) for a in (0.5, 2.0)]
+        spans = np.zeros((len(params), len(plan.row_edges) - 1, 2), dtype=int)
+        monkeypatch.setattr(verify, "_grid_pairs", None)
+        monkeypatch.setattr(verify, "threading", None)
+        z_terms = verify._z_terms(params, plan.stage)
+        assert verify._run(params, plan.stage, z_terms, plan.row_edges, spans, None) == [([], 0), ([], 0)]
 
     @pytest.mark.parametrize("grid", [GridSpec(2001, 2001), GridSpec(101, 40001), GridSpec(3001, 3001)], ids=str)
     def test_workspace_stays_bounded(self, monkeypatch, grid):
@@ -1276,7 +1380,11 @@ class TestPruning:
         grid = GridSpec(2001, 2001)
         constant, low = (scan_extrema(a, grid).points_evaluated for a in (2.0, 0.5))
         assert len(asked) == 6
-        assert asked[2] == constant == grid.n_tau * grid.n_phi
+        # at 2 the grid's run takes every point outside the exact tiles, and
+        # the subgrid's run the exact tiles' subgrid points
+        r0, r1, c0, c1 = exact_tiles(grid._plan)
+        assert asked[2] == grid.n_tau * grid.n_phi - ((r1 - r0) * (c1 - c0)).sum()
+        assert constant == grid.n_tau * grid.n_phi - resolved_points(grid._plan)
         assert asked[5] < low < constant / 10
         asked.clear()
         threads.clear()
@@ -1587,7 +1695,8 @@ def test_rounding_picks_the_constant_orders_witnesses():
         assert (report.min_value, report.max_value) == (low, high)
         assert report.argmin == PureStateAngles(float(axis[i]), float(axis[j]))
         assert report.argmax == PureStateAngles(float(axis[k]), float(axis[l]))
-        assert report.points_evaluated == 2001 * 2001
+        # every point but grid row 0's outside the subgrid: that row's tiles are exact
+        assert report.points_evaluated == 2001 * 2001 - 1937
 
 
 class TestSquaredIntegerOrders:
