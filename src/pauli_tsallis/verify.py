@@ -26,9 +26,9 @@ scans (refinement windows, test grids) and scans with little kept work
 stay in the calling thread.  The first run is the caller's own, the others go to helper
 threads started for the scan, run in copies of the caller's context (so
 numpy's error state holds in them) and joined before it returns.  The
-workers share the _CHUNK_POINTS budget: a block takes rows of tiles of
-one stage span while it holds at most _CHUNK_POINTS / workers points
-(one row of tiles may hold more, at most max(_WORKER_POINTS /
+workers share the _CHUNK_POINTS budget: a block takes rows of tiles with
+the same spans (below) while it holds at most _CHUNK_POINTS / workers
+points (one row of tiles may hold more, at most max(_WORKER_POINTS /
 _MAX_WORKERS, n_phi) points; GridSpec caps n_phi).
 One block runner (_run) evaluates every grid: a scan's, and its
 incumbent subgrid (below).  Each run allocates one workspace, seven
@@ -95,8 +95,9 @@ calling thread and leaves each order's span in each row of tiles, from
 its first kept tile to its last (measured as fast as separate runs of
 kept tiles, with fewer kernel calls); the grid's run takes those spans,
 and its stage runs on the span of every order's kept tiles.  Each block is
-one rectangle of that stage, consecutive rows of tiles with the same
-span, and each order's kernel runs on its own rectangles in it
+one rectangle of that stage, consecutive rows of tiles in which the
+stage's span and every order's stay the same, so each order's kernel
+runs on one rectangle in it, the block's rows times the order's span
 (_blocks).
 
 The sphere.  LB and UB treat the three |h| as independent, so they are
@@ -291,7 +292,8 @@ DEFAULT_SEED = 12345
 # The budget stays shared rather than one per worker: a full block per
 # worker cut the raw scan time by about 20%, but it doubled the workspace,
 # and the benchmark's host-speed probe, run between passes, then took
-# fewer page faults and ran faster, which hid the gain (ROADMAP item 5).
+# fewer page faults and ran faster, which hid the gain (ROADMAP item 6,
+# blocked on mending that probe, item 1).
 _CHUNK_POINTS = 65_536
 # A scan takes at most one worker per full default chunk of grid points.
 # Fixed at import, so a budget set for a test shapes the blocks alone.
@@ -933,42 +935,29 @@ def _outside(spans: np.ndarray, plan: _Plan) -> list[int]:
 
 
 def _blocks(spans: np.ndarray, row_edges: np.ndarray, budget: int) -> tuple[list[list], np.ndarray]:
-    """The stage's blocks in grid order, each one rectangle, with each order's rectangles in it and their points.
+    """The stage's blocks in grid order, each one rectangle in which each order's points are one rectangle too.
 
     spans, of shape (1 + orders, rows of tiles, 2), holds the stage's span
     in each row of tiles, and then each order's (as _kept_spans).  A block
-    [row, end row, column, end column, rectangles per order] joins
-    consecutive rows of tiles with the same stage span while it holds at
-    most budget points, and takes at least one row; a row of tiles with an
-    empty stage span belongs to no block.  An order's rectangles [row, end
-    row, column, end column] join consecutive rows of tiles of its block
-    with the same span, so they come in grid order and hold no grid point
-    twice.  Returns the blocks and the points of each block's rectangles,
-    shape (1 + orders, blocks): the stage's, then each order's.
+    [row, end row, spans] joins consecutive rows of tiles whose spans, the
+    stage's and every order's, are all the same, while it holds at most
+    budget points, and takes at least one row; a row of tiles with an
+    empty stage span belongs to no block.  So each order's points in a
+    block are the block's rows times its span.  Returns the blocks and the
+    points of each, shape (1 + orders, blocks): the stage's, then each
+    order's.
     """
     rows = row_edges.tolist()
-    stage, *orders = spans.tolist()
     blocks: list[list] = []
-    areas: list[list[int]] = []
-    for t, ((c0, c1), *own_spans) in enumerate(zip(stage, *orders)):
+    for t, row in enumerate(spans.transpose(1, 0, 2).tolist()):
+        (c0, c1), r0, r1 = row[0], rows[t], rows[t + 1]
         if c0 == c1:
             continue
-        r0, r1 = rows[t], rows[t + 1]
-        if blocks and blocks[-1][1:4] == [r0, c0, c1] and areas[-1][0] + (r1 - r0) * (c1 - c0) <= budget:
+        if blocks and blocks[-1][1:] == [r0, row] and (r1 - blocks[-1][0]) * (c1 - c0) <= budget:
             blocks[-1][1] = r1
         else:
-            blocks.append([r0, r1, c0, c1, [[] for _ in orders]])
-            areas.append([0] * len(spans))
-        area = areas[-1]
-        area[0] += (r1 - r0) * (c1 - c0)
-        for o, (own, (d0, d1)) in enumerate(zip(blocks[-1][4], own_spans), 1):
-            if d0 == d1:
-                continue
-            if own and own[-1][1] == r0 and own[-1][2:] == [d0, d1]:
-                own[-1][1] = r1
-            else:
-                own.append([r0, r1, d0, d1])
-            area[o] += (r1 - r0) * (d1 - d0)
+            blocks.append([r0, r1, row])
+    areas = [[(r1 - r0) * (d1 - d0) for d0, d1 in row] for r0, r1, row in blocks]
     return blocks, np.array(areas).T
 
 
@@ -1000,7 +989,7 @@ def _scan_rectangle(
     spans, resolved = _kept_spans(alphas, plan, [(low, high) for low, _, high, _ in incumbents], where)
     results = _run(alphas, plan.stage, z_terms, plan.row_edges, spans, where)
     # the extrema of the blocks and the exact tiles; the points evaluated: the
-    # kernel's rectangles, and the subgrid's points outside them
+    # kernel's blocks, and the subgrid's points outside them
     return [
         (*_merged(found + exact), points + outside)
         for (found, points), exact, outside in zip(results, resolved, _outside(spans, plan))
@@ -1042,7 +1031,7 @@ def _run(
     stage is a scan's stage (or a subgrid of it), z_terms each order's z
     term per stage row, of shape (orders, rows, 1), row_edges the rows of
     tiles and spans, of shape (orders, rows of tiles, 2), each order's span
-    in each (as _kept_spans).  Returns, per order, its rectangles' extrema,
+    in each (as _kept_spans).  Returns, per order, its blocks' extrema,
     each ((min, (i, j)), (max, (i, j))) with indices into the stage, in no
     set order (_merged takes the least and greatest), and the points its
     kernel ran on; spans that keep nothing give no extrema and 0 points,
@@ -1052,14 +1041,15 @@ def _run(
     in a helper thread under the caller's context (numpy's error state
     included), and every worker writes into its own part of one workspace.
     In a block the stage runs on the block, at the start of the worker's
-    part, then each order's kernel on its own rectangles, adding a slice of
-    its z term.  Raises ValueError at the first non-finite value in grid
-    order, the least (row, column) over every order, ties going to the
-    order given first: the blocks come in grid order, each whole rows of
-    the stage, and the first that holds a non-finite value raises for the
-    least (row, column) over all of its orders (each order's first, from
-    _extrema, which names the point through where), so neither the blocks
-    nor the workers change the value named.  An error in a run stops every
+    part, then the kernel of each order with a non-empty span on the
+    block's rows times that span, adding a slice of its z term.  Raises
+    ValueError at the first non-finite value in grid order, the least
+    (row, column) over every order, ties going to the order given first:
+    the blocks come in grid order, each whole rows of the stage, and the
+    first that holds a non-finite value raises for the least (row, column)
+    over all of its orders (each order's first, from _extrema, which names
+    the point through where), so neither the blocks nor the workers change
+    the value named.  An error in a run stops every
     later run at its next block and is raised here after every helper has
     ended; the earliest run's error wins.
     """
@@ -1081,42 +1071,43 @@ def _run(
     bounds = [0, *np.searchsorted(middle, work.sum() * np.arange(1, workers) / workers).tolist(), len(blocks)]
     # per worker: the largest block's x and y pairs and stage scratch, then the kernel's three arrays
     workspace = np.empty((workers, 7, int(areas[0].max())))
-    # per order, each rectangle's ((min, (i, j)), (max, (i, j))), in whatever order the workers append them
+    # per order, each block's ((min, (i, j)), (max, (i, j))), in whatever order the workers append them
     found: list[list] = [[] for _ in alphas]
     errors: list[Optional[BaseException]] = [None] * workers  # per run, the error that ended it
 
     def run(k: int) -> None:
         """Worker k's blocks, a contiguous run in grid order, in its part of the workspace."""
         part = workspace[k]
-        for i0, i1, j0, j1, rects in blocks[bounds[k] : bounds[k + 1]]:
+        for i0, i1, ((j0, j1), *own) in blocks[bounds[k] : bounds[k + 1]]:
             if any(e is not None for e in errors[:k]):
                 return  # an earlier run failed: its error is the one raised
             pairs = part[:5, : (i1 - i0) * (j1 - j0)].reshape(5, i1 - i0, j1 - j0)
             _grid_pairs(stage, slice(i0, i1), slice(j0, j1), pairs)
             bad = []  # each order's first non-finite value in the block: (point, order, error)
-            for o, alpha in enumerate(alphas):
-                for r0, r1, c0, c1 in rects[o]:
-                    w = pairs[:4, r0 - i0 : r1 - i0, c0 - j0 : c1 - j0]
-                    width = c1 - c0
-                    # the kernel's three arrays, after the stage's four: contiguous
-                    # whatever the span's width, so its in-place pow, log and expm1
-                    # run on contiguous rows
-                    out = part[4:, : (r1 - r0) * width].reshape(3, r1 - r0, width)
+            for o, (alpha, (c0, c1)) in enumerate(zip(alphas, own)):
+                if c0 == c1:
+                    continue
+                w = pairs[:4, :, c0 - j0 : c1 - j0]
+                width = c1 - c0
+                # the kernel's three arrays, after the stage's four: contiguous
+                # whatever the span's width, so its in-place pow, log and expm1
+                # run on contiguous rows
+                out = part[4:, : (i1 - i0) * width].reshape(3, i1 - i0, width)
 
-                    def at(j: int) -> tuple[int, int]:
-                        return r0 + j // width, c0 + j % width
+                def at(j: int) -> tuple[int, int]:
+                    return i0 + j // width, c0 + j % width
 
-                    def named(j: int) -> str:
-                        bad.append((at(j), o))
-                        return where(*at(j))
+                def named(j: int) -> str:
+                    bad.append((at(j), o))
+                    return where(*at(j))
 
-                    values = _pair_sums(w[:2], w[2:], z_terms[o, r0:r1], alpha, out)
-                    try:
-                        k_min, v_min, k_max, v_max = _extrema(values, alpha, named)
-                    except ValueError as exc:
-                        bad[-1] += (exc,)
-                        break  # the order's later rectangles lie after this one in grid order
-                    found[o].append(((v_min, at(k_min)), (v_max, at(k_max))))
+                values = _pair_sums(w[:2], w[2:], z_terms[o, i0:i1], alpha, out)
+                try:
+                    k_min, v_min, k_max, v_max = _extrema(values, alpha, named)
+                except ValueError as exc:
+                    bad[-1] += (exc,)
+                    continue
+                found[o].append(((v_min, at(k_min)), (v_max, at(k_max))))
             if bad:
                 raise min(bad, key=lambda b: b[:2])[2]
 

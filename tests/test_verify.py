@@ -977,6 +977,9 @@ PINNED_ORDERS = (
 # changes at 2 and 3 (module docstring of verify), where G(w) = F(sqrt w)
 # turns from concave to convex and back
 PARITY_ORDERS = PINNED_ORDERS + (1.86, 2.98, 3.2, 3.9, 2.0 - 1e-9, 2.0 + 1e-9, 3.0 - 1e-9, 3.0 + 1e-9)
+# Large orders: above about 100 most tiles tie the maximum within the pruning
+# margin, and many of the kernel's powers fall below the least normal double
+LARGE_ORDERS = (30.0, 100.0, 300.0, 300.5, 1000.0)
 # The error budget of the tile bounds (verify's module docstring): how far a
 # grid sum may lie past its tile's LB or UB, all rounding included
 BOUND_BUDGET = 1e-13
@@ -1086,37 +1089,48 @@ def exact_tile_sums(plan, alpha):
     return pair_sums(pairs, alpha), np.repeat(lb.ravel()[plan.exact], counts)
 
 
+def assert_parity(monkeypatch, grid, orders):
+    """Pruned scans of grid, (tau end, n_tau, phi end, n_phi), report whole_grid's extrema and witnesses at orders."""
+    tau_end, n_tau, phi_end, n_phi = grid
+    # one plan for every scan below
+    plan = verify._Plan(np.linspace(0.0, tau_end, n_tau), np.linspace(0.0, phi_end, n_phi))
+    params = [verify.as_param(a) for a in orders]
+    expected = whole_grid(params, plan)
+    assert [points for *_, points in expected] == [n_tau * n_phi] * len(params)
+    counts = set()
+    # chunk budgets as in test_chunking_does_not_change_result, one and two workers
+    for budget in (1, n_phi - 1, n_phi, 7 * n_phi + 3):
+        monkeypatch.setattr(verify, "_CHUNK_POINTS", budget)
+        for workers in (1, 2):
+            monkeypatch.setattr(verify, "_workers", lambda points, w=workers: w)
+            pruned = verify._scan_rectangle(params, plan)
+            assert [r[:4] for r in pruned] == [r[:4] for r in expected], (budget, workers)
+            counts.add(tuple(points for *_, points in pruned))
+    # the points evaluated depend on the grid and the orders alone
+    (points,) = counts
+    assert all(0 < p <= n_tau * n_phi for p in points)
+    # an infinite margin keeps every tile but the exact ones: the
+    # exhaustive scan's extrema and witnesses, and every point but the
+    # exact tiles' outside the subgrid
+    monkeypatch.setattr(verify, "_PRUNE_MARGIN", math.inf)
+    unpruned = [(*found[:4], n_tau * n_phi - resolved_points(plan)) for found in expected]
+    for workers in (1, 2):
+        monkeypatch.setattr(verify, "_workers", lambda points, w=workers: w)
+        assert verify._scan_rectangle(params, plan) == unpruned, workers
+
+
 class TestPruning:
     """Scans skip tiles and report the exhaustive scan's extrema and witnesses."""
 
     @pytest.mark.parametrize("grid", PARITY_GRIDS)
     def test_pruned_scans_equal_the_exhaustive_scan(self, monkeypatch, grid):
-        tau_end, n_tau, phi_end, n_phi = PARITY_GRIDS[grid]
-        # one plan for every scan below
-        plan = verify._Plan(np.linspace(0.0, tau_end, n_tau), np.linspace(0.0, phi_end, n_phi))
-        params = [verify.as_param(a) for a in PARITY_ORDERS]
-        expected = whole_grid(params, plan)
-        assert [points for *_, points in expected] == [n_tau * n_phi] * len(params)
-        counts = set()
-        # chunk budgets as in test_chunking_does_not_change_result, one and two workers
-        for budget in (1, n_phi - 1, n_phi, 7 * n_phi + 3):
-            monkeypatch.setattr(verify, "_CHUNK_POINTS", budget)
-            for workers in (1, 2):
-                monkeypatch.setattr(verify, "_workers", lambda points, w=workers: w)
-                pruned = verify._scan_rectangle(params, plan)
-                assert [r[:4] for r in pruned] == [r[:4] for r in expected], (budget, workers)
-                counts.add(tuple(points for *_, points in pruned))
-        # the points evaluated depend on the grid and the orders alone
-        (points,) = counts
-        assert all(0 < p <= n_tau * n_phi for p in points)
-        # an infinite margin keeps every tile but the exact ones: the
-        # exhaustive scan's extrema and witnesses, and every point but the
-        # exact tiles' outside the subgrid
-        monkeypatch.setattr(verify, "_PRUNE_MARGIN", math.inf)
-        unpruned = [(*found[:4], n_tau * n_phi - resolved_points(plan)) for found in expected]
-        for workers in (1, 2):
-            monkeypatch.setattr(verify, "_workers", lambda points, w=workers: w)
-            assert verify._scan_rectangle(params, plan) == unpruned, workers
+        assert_parity(monkeypatch, PARITY_GRIDS[grid], PARITY_ORDERS)
+
+    @pytest.mark.parametrize("grid", ["41x41", "401x401", "201x801 unfolded"])
+    def test_large_orders_equal_the_exhaustive_scan(self, monkeypatch, grid):
+        # at 1000 a scan of 2001^2 or 101 x 40001 evaluates about 3M points,
+        # so these orders stay on the smaller grids
+        assert_parity(monkeypatch, PARITY_GRIDS[grid], LARGE_ORDERS)
 
     @pytest.mark.parametrize("grid", PARITY_GRIDS)
     def test_tile_bounds_hold_every_grid_sum(self, grid):
@@ -1584,13 +1598,14 @@ class TestPruning:
 
 
 class TestBlocks:
-    """_blocks cuts the stage into rectangles, one per block, and each order's spans into rectangles in them."""
+    """_blocks cuts the stage into rectangles, one per block, in which each order's points are one rectangle too."""
 
     # rows of tiles (grid rows 0-1, 1-5, ...; the first one row, as in a
     # pruned scan, the last one row too), 40 columns; the stage's span
     # changes between the rows of tiles 1 and 2 and at the empty row of
-    # tiles 4; order 1's span changes inside the stage's, order 2's ends
-    # before the last row of tiles and order 3 keeps nothing
+    # tiles 4; order 1's span changes inside the stage's, order 2's changes
+    # where the stage's does not (rows of tiles 0 and 1) and ends before the
+    # last row of tiles, and order 3 keeps nothing
     ROW_EDGES = np.array([0, 1, 5, 9, 13, 17, 21, 22])
     ORDER_SPANS = [
         [(0, 40), (0, 40), (8, 16), (8, 16), (0, 0), (8, 24), (8, 24)],
@@ -1599,56 +1614,68 @@ class TestBlocks:
     ]
     STAGE_SPAN = [(0, 40), (0, 40), (4, 16), (4, 16), (0, 0), (8, 24), (8, 24)]
 
-    @pytest.mark.parametrize("budget,n_blocks", [(1, 6), (4 * 40, 4), (verify._CHUNK_POINTS, 3)])
-    def test_blocks_are_stage_rectangles(self, budget, n_blocks):
-        spans = np.array([self.STAGE_SPAN, *self.ORDER_SPANS])
+    def check_blocks(self, stage_span, order_spans, budget):
+        """The blocks of these spans, checked: grid order, the budget, one span per order, every point once."""
+        spans = np.array([stage_span, *order_spans])
         blocks, areas = verify._blocks(spans, self.ROW_EDGES, budget)
-        assert len(blocks) == n_blocks and areas.shape == (len(spans), n_blocks)
+        assert areas.shape == (len(spans), len(blocks))
         edges = self.ROW_EDGES.tolist()
-
-        def mask(span):
+        covered = np.zeros((len(spans), edges[-1], 40), dtype=int)
+        last_row = 0
+        for b, (i0, i1, row) in enumerate(blocks):
+            # one rectangle of the stage, in grid order: its rows of tiles all
+            # have its spans, and it fits the budget or is one row of tiles
+            assert last_row <= i0 < i1 and i0 in edges and i1 in edges
+            last_row = i1
+            assert all(spans[:, t].tolist() == row for t in range(edges.index(i0), edges.index(i1)))
+            (j0, j1), *own = row
+            assert (i1 - i0) * (j1 - j0) <= budget or edges.index(i1) == edges.index(i0) + 1
+            for o, (c0, c1) in enumerate(row):
+                # each order's points in the block: its rows times the order's span, inside the stage's
+                assert j0 <= c0 <= c1 <= j1 or c0 == c1
+                covered[o, i0:i1, c0:c1] += 1
+                assert areas[o, b] == (i1 - i0) * (c1 - c0)
+        # every span point exactly once, the stage's and each order's
+        for o, span in enumerate(spans.tolist()):
             points = np.zeros((edges[-1], 40), dtype=int)
             for t, (c0, c1) in enumerate(span):
                 points[edges[t] : edges[t + 1], c0:c1] = 1
-            return points
+            assert np.array_equal(covered[o], points), o
+        return blocks, areas
 
-        covered = np.zeros((len(spans), edges[-1], 40), dtype=int)
-        last_row = 0
-        for b, (i0, i1, j0, j1, rects) in enumerate(blocks):
-            # one rectangle of the stage, in grid order: its rows of tiles all
-            # have its span, and it fits the budget or is one row of tiles
-            assert last_row <= i0 < i1 and i0 in edges and i1 in edges
-            last_row = i1
-            assert all(self.STAGE_SPAN[t] == (j0, j1) for t in range(edges.index(i0), edges.index(i1)))
-            assert (i1 - i0) * (j1 - j0) <= budget or edges.index(i1) == edges.index(i0) + 1
-            covered[0, i0:i1, j0:j1] += 1
-            assert areas[0, b] == (i1 - i0) * (j1 - j0)
-            assert len(rects) == len(self.ORDER_SPANS)
-            for o, own in enumerate(rects, 1):
-                # in the block and in grid order
-                assert [r0 for r0, *_ in own] == sorted(r0 for r0, *_ in own)
-                for r0, r1, c0, c1 in own:
-                    assert i0 <= r0 < r1 <= i1 and j0 <= c0 < c1 <= j1
-                    covered[o, r0:r1, c0:c1] += 1
-                assert areas[o, b] == sum((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in own)
-        # every span point exactly once, the stage's and each order's
-        for o, span in enumerate(spans.tolist()):
-            assert np.array_equal(covered[o], mask(span)), o
+    @pytest.mark.parametrize("budget,n_blocks", [(1, 6), (4 * 40, 5), (verify._CHUNK_POINTS, 5)])
+    def test_blocks_are_stage_rectangles(self, budget, n_blocks):
+        blocks, areas = self.check_blocks(self.STAGE_SPAN, self.ORDER_SPANS, budget)
+        assert len(blocks) == n_blocks
         assert not areas[3].any()
+
+    def test_an_order_span_change_starts_a_block(self):
+        # rows of tiles 2 and 3 share the stage's span (4, 16): they join while
+        # each order's span stays the same, and part where order 2's changes
+        # inside the stage's
+        kept = [(0, 40), (0, 40), (4, 16), (4, 16), (0, 0), (8, 24), (8, 24)]
+        blocks, _ = self.check_blocks(self.STAGE_SPAN, [kept, kept], verify._CHUNK_POINTS)
+        assert [(i0, i1) for i0, i1, _ in blocks] == [(0, 5), (5, 13), (17, 22)]
+        moved = [(0, 40), (0, 40), (4, 8), (8, 16), (0, 0), (8, 24), (8, 24)]
+        blocks, _ = self.check_blocks(self.STAGE_SPAN, [kept, moved], verify._CHUNK_POINTS)
+        assert [(i0, i1) for i0, i1, _ in blocks] == [(0, 5), (5, 9), (9, 13), (17, 22)]
 
 
 class TestKernelCalls:
-    """Each order's z term is taken once per scan, and a block rectangle makes two kernel calls."""
+    """Each order's z term is taken once per scan, and in a block each order makes one extrema and two kernel calls."""
 
     @pytest.mark.parametrize("grid", [GridSpec(401, 401), GridSpec(2001, 2001)], ids=str)
     def test_z_term_once_per_scan_and_two_calls_per_rectangle(self, monkeypatch, grid):
         # kernel calls and extrema on a run's workspace planes are the blocks'
         # (the incumbent subgrid's run included, which adds slices of the
-        # grid's z terms), one extrema per rectangle; the tile stage's z terms
-        # are one value per row of tiles
+        # grid's z terms), at most one extrema per order and block, each
+        # block starting at its stage's pairs; the tile stage's z terms are
+        # one value per row of tiles
         orders = (0.5, 2.0, 4.0)
-        real_kernel, real_extrema = verify._pair_entropy_into, verify._extrema
-        kernel_calls, rectangles = [], []
+        real_kernel, real_extrema, real_pairs = verify._pair_entropy_into, verify._extrema, verify._grid_pairs
+        kernel_calls, extrema_calls = [], []
+        # per thread, the orders of its extrema calls, each block's in a list of its own
+        block_orders = {}
 
         def in_workspace(a):
             while a.base is not None:
@@ -1660,11 +1687,18 @@ class TestKernelCalls:
             return real_kernel(p, m, alpha, out)
 
         def extrema(values, alpha, where):
-            rectangles.append(in_workspace(values))
+            extrema_calls.append(in_workspace(values))
+            block_orders[threading.get_ident()][-1].append(alpha.alpha)
             return real_extrema(values, alpha, where)
+
+        def grid_pairs(stage, rows, cols, out):
+            if in_workspace(out):
+                block_orders.setdefault(threading.get_ident(), []).append([])
+            return real_pairs(stage, rows, cols, out)
 
         monkeypatch.setattr(verify, "_pair_entropy_into", kernel)
         monkeypatch.setattr(verify, "_extrema", extrema)
+        monkeypatch.setattr(verify, "_grid_pairs", grid_pairs)
         scan_orders(orders, grid)
         z_terms = [(a, (2, grid.n_tau), False) for a in orders]
         assert kernel_calls[: len(orders)] == z_terms
@@ -1678,7 +1712,10 @@ class TestKernelCalls:
         z_calls = [(a, shape) for a, shape, block in kernel_calls if not block and len(shape) < 4 and shape[1] != 3]
         assert z_calls == [z[:2] for z in z_terms] + tile_z_terms
         blocks = sum(block for *_, block in kernel_calls)
-        assert blocks == 2 * sum(rectangles) > 0
+        assert blocks == 2 * sum(extrema_calls) > 0
+        per_block = [calls for runs in block_orders.values() for calls in runs]
+        assert sum(map(len, per_block)) == sum(extrema_calls)
+        assert all(len(set(calls)) == len(calls) for calls in per_block)
 
 
 def test_rounding_picks_the_constant_orders_witnesses():
