@@ -32,10 +32,17 @@ points (one row of tiles may hold more, at most max(_WORKER_POINTS /
 _MAX_WORKERS, n_phi) points; GridSpec caps n_phi).
 One block runner (_run) evaluates every grid: a scan's, and its
 incumbent subgrid (below).  Each run allocates one workspace, seven
-arrays per worker of its largest block's points, and the stage, one
-block at a time at the start of the worker's part, and the kernel
-write into it, so no block allocates a temporary of its own and every
-array stays in a core's L2 cache.  The worker cap bounds the workspace
+arrays per worker of its largest block's points: the stage writes a
+block's four outcome planes (p_x, p_y, m_x, m_y) at the start of the
+worker's part, and each order's kernel its three after them, so no
+block allocates a temporary of its own and every array stays in a
+core's L2 cache.  Each worker's run sets numpy's ufunc buffer to the
+stage's row length (a multiple of 16, at most numpy's default 8192) and
+restores the caller's before it returns: numpy's buffered iterator
+copies the operands of a row broadcast whose row is shorter than the
+buffer, which made the stage's product and each order's z-term
+addition two to five times slower on 2001-column blocks, and no
+elementwise result depends on the buffer.  The worker cap bounds the workspace
 whatever the CPU count: at most 7 max(_CHUNK_POINTS, _MAX_WORKERS n_phi)
 float64 values, and the subgrid's run, on fewer rows and columns, ends
 before the grid's starts.  The tile bounds (below) stay within that
@@ -280,10 +287,11 @@ DEFAULT_SEED = 12345
 # and a worker's seven arrays stay in a core's L2 cache; blocks a few times
 # that ran about 3x slower.  In cache the per-order pair_entropy kernel
 # dominates.  All blocks of an exhaustive 2001^2 scan in one thread, best
-# of 7, at 16 and 32 rows per block: 36-43 ms per order on the squaring
-# chain (4), 53-64 ms on pow at 0.5, 80-118 ms at 2.5, 47-60 ms on
-# Shannon's branch and 84-101 ms on expm1's, against 14-23 ms for the
-# shared pair stage (2-core Xeon, numpy 2.4.6).  A scan measures its
+# of 7, at 16 and 32 rows per block, with the ufunc buffer at the row's
+# 2000 (_run): 37-39 ms per order on the squaring chain (4) and on pow at
+# 0.5, 26-28 ms at 2, 70 ms at 2.5, 43 ms on Shannon's branch and 84-85 ms
+# on expm1's, against 9-11 ms for the shared pair stage (2-core Xeon,
+# numpy 2.4.6; 19-20 ms with numpy's default buffer).  A scan measures its
 # blocks by the points of their spans, not the rows of tiles they cross,
 # so it runs few blocks: each kernel call costs tens of microseconds of
 # Python besides 12-30 ns a point.  The incumbent subgrid's run sizes its
@@ -512,36 +520,43 @@ def _extrema(values: np.ndarray, alpha: TsallisParam, where: Callable) -> tuple[
     return k_min, v_min, k_max, v_max
 
 
-_Stage = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+_Stage = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _stage(tau_grid: np.ndarray, phi_grid: np.ndarray) -> _Stage:
-    """A scan's 1-D stage vectors: (sin 2 tau)/2, (cos 2 tau)/2 per row and cos phi, sin phi per column.
+    """A scan's stage vectors: (sin 2 tau)/2 and (cos 2 tau)/2 per row, and trig, cos phi stacked over sin phi per column.
 
-    Each sine and cosine is clipped to [-1, 1], so every Bloch half h of
-    the grid, a product of two of these (x and y) or (cos 2 tau)/2 itself
-    (z), has |h| <= 1/2.
+    trig has shape (2, columns), so one product with a row's (sin 2 tau)/2
+    gives both the x and the y halves (_grid_pairs).  Each sine and cosine
+    is clipped to [-1, 1], so every Bloch half h of the grid, a product of
+    two of these (x and y) or (cos 2 tau)/2 itself (z), has |h| <= 1/2.
     """
     half_s2t, half_c2t = (0.5 * np.clip(f(2.0 * tau_grid), -1.0, 1.0) for f in (np.sin, np.cos))
-    cos_phi, sin_phi = (np.clip(f(phi_grid), -1.0, 1.0) for f in (np.cos, np.sin))
-    return half_s2t, half_c2t, cos_phi, sin_phi
+    # cos and sin written into trig's rows: stacking new arrays took three
+    # times the memory, and on a 40001-column grid the allocator kept that
+    # peak resident (+1 MB peak RSS)
+    trig = np.empty((2, len(phi_grid)))
+    np.cos(phi_grid, out=trig[0])
+    np.sin(phi_grid, out=trig[1])
+    return half_s2t, half_c2t, np.clip(trig, -1.0, 1.0, out=trig)
 
 
 def _grid_pairs(stage: _Stage, rows, cols, out: np.ndarray) -> None:
-    """The x and y outcome pairs on the grid rows x cols, written into out[:4].
+    """The x and y outcome pairs on the grid rows x cols, written into out as (p_x, p_y, m_x, m_y).
 
     rows and cols (slices or index arrays) select from the stage vectors'
     last axis, and any leading axes broadcast (_tile_stage stacks two
-    stages); out has shape (5, ..., rows, cols), and out[4] is overwritten.
-    The z pair depends on the row alone, _half_pair of the stage's
-    (cos 2 tau)/2, and a scan takes its entropies once (_z_terms).
+    stages); out has shape (4, ..., rows, cols).  One product writes both
+    halves h = (sin 2 tau)/2 (cos phi, sin phi) into out[2:], and the pairs
+    follow from them in place: p = 1/2 + h into out[:2], then m = 1/2 - h
+    over h (_half_pair's formula, on both axes at once).  The z pair
+    depends on the row alone, _half_pair of the stage's (cos 2 tau)/2, and
+    a scan takes its entropies once (_z_terms).
     """
-    half_s2t, _, cos_phi, sin_phi = stage
-    s2t = half_s2t[..., rows, None]
-    h = out[4]
-    for k, trig in ((0, cos_phi[..., None, cols]), (2, sin_phi[..., None, cols])):
-        np.multiply(s2t, trig, out=h)
-        _half_pair(h, out[k : k + 2])
+    half_s2t, _, trig = stage
+    h = np.multiply(half_s2t[..., rows, None], trig[..., None, cols], out=out[2:])
+    np.add(0.5, h, out=out[:2])
+    np.subtract(0.5, h, out=h)
 
 
 def _z_terms(alphas: Sequence[TsallisParam], stage: _Stage) -> np.ndarray:
@@ -618,14 +633,16 @@ def _subgrid(tau_grid: np.ndarray, phi_grid: np.ndarray) -> tuple[np.ndarray, np
 def _tile_stage(stage: _Stage, row_edges: np.ndarray, col_edges: np.ndarray) -> _Stage:
     """The tile bounds' stage: each stage vector's greatest |value| per row or column of tiles, stacked on its least.
 
-    Each vector has shape (2, rows or columns of tiles).  A tile's grid |h|
-    is fl(|a| |b|) and fl is monotone, so the grid sums of the first stage
-    are the tiles' lower bounds LB and those of the second their upper
-    bounds UB (module docstring).
+    The row vectors have shape (2, rows of tiles) and trig (2, 2, columns
+    of tiles): the axis (cos phi, sin phi), then the bound.  A tile's grid
+    |h| is fl(|a| |b|) and fl is monotone, so the grid sums of the first
+    stage are the tiles' lower bounds LB and those of the second their
+    upper bounds UB (module docstring).
     """
-    starts = [row_edges[:-1]] * 2 + [col_edges[:-1]] * 2
+    starts = (row_edges[:-1], row_edges[:-1], col_edges[:-1])
     return tuple(
-        np.stack([np.maximum.reduceat(np.abs(v), s), np.minimum.reduceat(np.abs(v), s)]) for v, s in zip(stage, starts)
+        np.stack([f.reduceat(np.abs(v), s, axis=-1) for f in (np.maximum, np.minimum)], axis=-2)
+        for v, s in zip(stage, starts)
     )
 
 
@@ -642,13 +659,13 @@ def _exact_tiles(tile_stage: _Stage) -> np.ndarray:
     rows = np.flatnonzero((z[:, 0] == z[:, 1]).all(axis=0))
     n_cols = tile_stage[2].shape[-1]
     step = max(1, _WORKER_POINTS // 4 // n_cols)
-    pairs = np.empty((5, 2, min(step, rows.size) * n_cols))
+    pairs = np.empty((4, 2, min(step, rows.size) * n_cols))
     exact = [np.empty(0, dtype=int)]
     for k in range(0, rows.size, step):
         chunk = rows[k : k + step]
-        w = pairs[..., : chunk.size * n_cols].reshape(5, 2, chunk.size, n_cols)
+        w = pairs[..., : chunk.size * n_cols].reshape(4, 2, chunk.size, n_cols)
         _grid_pairs(tile_stage, chunk, slice(None), w)
-        same = (w[:4, 0] == w[:4, 1]).all(axis=0)
+        same = (w[:, 0] == w[:, 1]).all(axis=0)
         exact.append((chunk[:, None] * n_cols + np.arange(n_cols))[same])
     return np.concatenate(exact)
 
@@ -664,7 +681,7 @@ def _sphere_regime(alpha: TsallisParam) -> Optional[bool]:
 
 def _slab(stage: _Stage) -> float:
     """eta: every grid point of the stage has |h_x^2 + h_y^2 + h_z^2 - 1/4| <= eta, with rounding (module docstring)."""
-    half_s2t, half_c2t, cos_phi, sin_phi = stage
+    half_s2t, half_c2t, (cos_phi, sin_phi) = stage
     rows = np.abs(half_s2t * half_s2t + half_c2t * half_c2t - 0.25).max()
     columns = np.abs(cos_phi * cos_phi + sin_phi * sin_phi - 1.0).max()
     return float(rows) + float(columns) / 4.0 + 2.0**-46
@@ -686,6 +703,8 @@ class _Plan:
     plan holds the tile edges (_tile_edges), the incumbent subgrid's rows
     and columns (_subgrid) and its stage, the tile stage (_tile_stage), the
     exact tiles' flat indices (_exact_tiles) and the slab's eta (_slab).
+    Each stage is three arrays, its one trig array holding cos phi and
+    sin phi together, so a plan keeps one copy of each.
     Everything that depends on the orders, on _CHUNK_POINTS or on the CPU
     count (the z terms, the blocks, the workers, the workspaces) stays per
     scan.  Every array is a read-only view, so
@@ -701,7 +720,8 @@ class _Plan:
             *_tile_edges(tau_grid, phi_grid), *_subgrid(tau_grid, phi_grid)
         )
         rows, cols = self.sub_rows, self.sub_cols
-        self.sub_stage: _Stage = _read_only(*(v[k] for v, k in zip(self.stage, (rows, rows, cols, cols))))
+        half_s2t, half_c2t, trig = self.stage
+        self.sub_stage: _Stage = _read_only(half_s2t[rows], half_c2t[rows], trig[:, cols])
         self.tile_stage: _Stage = _read_only(*_tile_stage(self.stage, self.row_edges, self.col_edges))
         (self.exact,) = _read_only(_exact_tiles(self.tile_stage))
         self.eta = _slab(self.stage)
@@ -725,7 +745,7 @@ def _tile_boxes(
     rows = kept // n_cols + t0
     h, g = work[:6, :n].reshape(2, 3, n), work[6:12, :n].reshape(2, 3, n)
     np.take(tile_stage[0], rows, axis=1, out=h[:, 2], mode="clip")
-    for axis, trig in enumerate(tile_stage[2:]):
+    for axis, trig in enumerate(tile_stage[2]):
         np.take(trig, kept % n_cols, axis=1, out=h[:, axis], mode="clip")
         h[:, axis] *= h[:, 2]
     np.take(tile_stage[1], rows, axis=1, out=h[:, 2], mode="clip")
@@ -865,7 +885,7 @@ def _kept_spans(
     n_rows, n_cols = len(row_edges) - 1, len(col_edges) - 1
     spans = np.empty((len(alphas), n_rows, 2), dtype=int)
     step = max(1, _CHUNK_POINTS // 4 // n_cols)
-    # a chunk's x and y pairs, then its sums' three arrays (the pairs' scratch first), each of LB then UB
+    # a chunk's x and y pairs, then its sums' three arrays, each of LB then UB
     scratch = np.empty((7, 2, min(step, n_rows) * n_cols))
     # a batch of kept tiles' boxes (_tile_boxes, work[:14]), then _box_bound's
     # scratch (work[14:]); the batch is fixed at import, as _WORKER_POINTS
@@ -891,14 +911,14 @@ def _kept_spans(
     for t0 in range(0, n_rows, step):
         tiles = slice(t0, t0 + step)
         w = scratch[..., : (min(t0 + step, n_rows) - t0) * n_cols].reshape(7, 2, -1, n_cols)
-        _grid_pairs(tile_stage, tiles, slice(None), w[:5])
+        _grid_pairs(tile_stage, tiles, slice(None), w[:4])
         first = t0 * n_cols
         # the chunk's exact tiles, by flat index in the chunk
         exact = plan.exact[np.searchsorted(plan.exact, first) : np.searchsorted(plan.exact, first + w[0, 0].size)]
         exact = exact - first
         for o, (alpha, (least, greatest)) in enumerate(zip(alphas, incumbents)):
-            fx = _pair_entropy_into(w[0], w[1], alpha, w[4:6])
-            fy = _pair_entropy_into(w[2], w[3], alpha, w[5:7])
+            fx = _pair_entropy_into(w[0], w[2], alpha, w[4:6])
+            fy = _pair_entropy_into(w[1], w[3], alpha, w[5:7])
             bounds = np.add(fx, fy, out=w[6])
             bounds += z_terms[o, :, tiles, None]
             lb, ub = bounds
@@ -1053,7 +1073,7 @@ def _run(
     later run at its next block and is raised here after every helper has
     ended; the earliest run's error wins.
     """
-    n_phi = len(stage[2])
+    n_phi = stage[2].shape[-1]
     # the stage's span in each row of tiles: from the first column any order keeps to the last
     kept = spans[..., 0] < spans[..., 1]
     union = np.stack([np.where(kept, spans[..., 0], n_phi).min(axis=0), spans[..., 1].max(axis=0)], axis=1)
@@ -1069,47 +1089,53 @@ def _run(
     # run k starts at the first block whose midpoint in the cumulative work reaches k / workers of it
     middle = np.cumsum(work) - work / 2.0
     bounds = [0, *np.searchsorted(middle, work.sum() * np.arange(1, workers) / workers).tolist(), len(blocks)]
-    # per worker: the largest block's x and y pairs and stage scratch, then the kernel's three arrays
+    # per worker: the largest block's x and y pairs, then the kernel's three arrays
     workspace = np.empty((workers, 7, int(areas[0].max())))
     # per order, each block's ((min, (i, j)), (max, (i, j))), in whatever order the workers append them
     found: list[list] = [[] for _ in alphas]
     errors: list[Optional[BaseException]] = [None] * workers  # per run, the error that ended it
 
     def run(k: int) -> None:
-        """Worker k's blocks, a contiguous run in grid order, in its part of the workspace."""
+        """Worker k's blocks, a contiguous run in grid order, in its part of the workspace, under a row-sized ufunc buffer."""
         part = workspace[k]
-        for i0, i1, ((j0, j1), *own) in blocks[bounds[k] : bounds[k + 1]]:
-            if any(e is not None for e in errors[:k]):
-                return  # an earlier run failed: its error is the one raised
-            pairs = part[:5, : (i1 - i0) * (j1 - j0)].reshape(5, i1 - i0, j1 - j0)
-            _grid_pairs(stage, slice(i0, i1), slice(j0, j1), pairs)
-            bad = []  # each order's first non-finite value in the block: (point, order, error)
-            for o, (alpha, (c0, c1)) in enumerate(zip(alphas, own)):
-                if c0 == c1:
-                    continue
-                w = pairs[:4, :, c0 - j0 : c1 - j0]
-                width = c1 - c0
-                # the kernel's three arrays, after the stage's four: contiguous
-                # whatever the span's width, so its in-place pow, log and expm1
-                # run on contiguous rows
-                out = part[4:, : (i1 - i0) * width].reshape(3, i1 - i0, width)
+        # the row's length (module docstring), in the multiples of 16 numpy
+        # takes and at most its default 8192, restored for the caller
+        buffer = np.setbufsize(min(max(16, n_phi // 16 * 16), 8192))
+        try:
+            for i0, i1, ((j0, j1), *own) in blocks[bounds[k] : bounds[k + 1]]:
+                if any(e is not None for e in errors[:k]):
+                    return  # an earlier run failed: its error is the one raised
+                pairs = part[:4, : (i1 - i0) * (j1 - j0)].reshape(4, i1 - i0, j1 - j0)
+                _grid_pairs(stage, slice(i0, i1), slice(j0, j1), pairs)
+                bad = []  # each order's first non-finite value in the block: (point, order, error)
+                for o, (alpha, (c0, c1)) in enumerate(zip(alphas, own)):
+                    if c0 == c1:
+                        continue
+                    w = pairs[:, :, c0 - j0 : c1 - j0]
+                    width = c1 - c0
+                    # the kernel's three arrays, after the stage's four: contiguous
+                    # whatever the span's width, so its in-place pow, log and expm1
+                    # run on contiguous rows
+                    out = part[4:, : (i1 - i0) * width].reshape(3, i1 - i0, width)
 
-                def at(j: int) -> tuple[int, int]:
-                    return i0 + j // width, c0 + j % width
+                    def at(j: int) -> tuple[int, int]:
+                        return i0 + j // width, c0 + j % width
 
-                def named(j: int) -> str:
-                    bad.append((at(j), o))
-                    return where(*at(j))
+                    def named(j: int) -> str:
+                        bad.append((at(j), o))
+                        return where(*at(j))
 
-                values = _pair_sums(w[:2], w[2:], z_terms[o, i0:i1], alpha, out)
-                try:
-                    k_min, v_min, k_max, v_max = _extrema(values, alpha, named)
-                except ValueError as exc:
-                    bad[-1] += (exc,)
-                    continue
-                found[o].append(((v_min, at(k_min)), (v_max, at(k_max))))
-            if bad:
-                raise min(bad, key=lambda b: b[:2])[2]
+                    values = _pair_sums((w[0], w[2]), (w[1], w[3]), z_terms[o, i0:i1], alpha, out)
+                    try:
+                        k_min, v_min, k_max, v_max = _extrema(values, alpha, named)
+                    except ValueError as exc:
+                        bad[-1] += (exc,)
+                        continue
+                    found[o].append(((v_min, at(k_min)), (v_max, at(k_max))))
+                if bad:
+                    raise min(bad, key=lambda b: b[:2])[2]
+        finally:
+            np.setbufsize(buffer)
 
     def helper(k: int) -> None:
         try:

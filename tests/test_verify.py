@@ -63,15 +63,15 @@ def clipped_half_stage(tau, cos_phi, sin_phi):
 
 def stage_pairs(stage):
     """The x, y and z outcome pairs on a whole stage's grid (or stacked stages') as a scan forms them, in new arrays."""
-    out = np.empty((5, *stage[0].shape, stage[2].shape[-1]))
+    out = np.empty((4, *stage[0].shape, stage[2].shape[-1]))
     verify._grid_pairs(stage, slice(None), slice(None), out)
-    return [(out[0], out[1]), (out[2], out[3]), verify._half_pair(stage[1][..., None])]
+    return [(out[0], out[2]), (out[1], out[3]), verify._half_pair(stage[1][..., None])]
 
 
 def grid_pairs(tau, cos_phi, sin_phi):
     """The x, y and z outcome pairs on the grid tau x phi as a scan forms them, in new arrays."""
-    half_s2t, half_c2t, _, _ = verify._stage(tau, np.zeros(1))
-    return stage_pairs((half_s2t, half_c2t, cos_phi, sin_phi))
+    half_s2t, half_c2t, _ = verify._stage(tau, np.zeros(1))
+    return stage_pairs((half_s2t, half_c2t, np.stack([cos_phi, sin_phi])))
 
 
 def pair_sums(pairs, alpha):
@@ -82,7 +82,7 @@ def pair_sums(pairs, alpha):
 
 def constant_stage(tau_grid, phi_grid):
     """A stand-in for verify._stage whose Bloch halves are all 0: every pair is (1/2, 1/2), every grid point ties."""
-    return np.zeros(len(tau_grid)), np.zeros(len(tau_grid)), np.ones(len(phi_grid)), np.ones(len(phi_grid))
+    return np.zeros(len(tau_grid)), np.zeros(len(tau_grid)), np.ones((2, len(phi_grid)))
 
 
 def grid_run(stage, n_tau):
@@ -428,6 +428,33 @@ def test_stage_product_is_bitwise_clipped_half(tau, c, d):
     # any cos_phi, sin_phi values in [-1, 1], tiny and subnormal products included
     t, cos_phi, sin_phi = np.array([tau]), np.array([c]), np.array([d])
     assert_same_bits(grid_pairs(t, cos_phi, sin_phi), clipped_half_stage(t, cos_phi, sin_phi))
+
+
+def test_grid_pairs_are_bitwise_clipped_half():
+    # the one product and its two in-place passes give clip((1 +- s)/2, 0, 1)
+    # bit for bit on a grid stage, and on the stacked tile stage, each bound's
+    # pairs those of the grid rows holding its (sin 2 tau)/2; a NaN in one trig
+    # entry reaches both p and m of its axis, and nothing else
+    tau, phi = np.linspace(0.0, QUARTER_PI, 201), np.linspace(0.0, QUARTER_PI, 201)
+    half_s2t, half_c2t, trig = verify._stage(tau, phi)
+    trig = trig.copy()
+    trig[1, 37] = math.nan
+    stage = (half_s2t, half_c2t, trig)
+    x, y, _ = stage_pairs(stage)
+    assert_same_bits([x, y], clipped_half_stage(tau, *trig)[:2])
+    assert np.isnan(y[0][:, 37]).all() and np.isnan(y[1][:, 37]).all()
+    assert np.count_nonzero(np.isnan([*x, *y])) == 2 * tau.size
+    row_edges, col_edges = verify._tile_edges(tau, phi)
+    tile_stage = verify._tile_stage(stage, row_edges, col_edges)
+    tile_x, tile_y, _ = stage_pairs(tile_stage)
+    segments = [half_s2t[r0:r1] for r0, r1 in zip(row_edges[:-1], row_edges[1:])]
+    tile = np.searchsorted(col_edges, 37, side="right") - 1  # the NaN's column of tiles
+    for b, pick in enumerate((np.argmax, np.argmin)):
+        rows = row_edges[:-1] + np.array([pick(v) for v in segments])
+        assert np.array_equal(half_s2t[rows], tile_stage[0][b])
+        expected = clipped_half_stage(tau[rows], *tile_stage[2][:, b])[:2]
+        assert_same_bits([(p[b], m[b]) for p, m in (tile_x, tile_y)], expected)
+        assert np.isnan(tile_y[0][b, :, tile]).all() and np.isnan(tile_y[1][b, :, tile]).all()
 
 
 def test_half_form_edge_values():
@@ -780,6 +807,37 @@ class TestWorkers:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
         assert int(result.stdout) < 5000
 
+    def test_scan_keeps_the_callers_ufunc_buffer(self, monkeypatch):
+        # each worker's run sets numpy's ufunc buffer to the stage's row length
+        # and restores the caller's, on one worker and on two, and after a
+        # scan that raises at a NaN z term (row 70, which the incumbent
+        # subgrid skips); the reports do not depend on the caller's buffer,
+        # below the row's length or above numpy's default
+        expected = scan_orders(WORKER_ORDERS, WORKER_GRID)
+        real = verify._pair_entropy_into
+
+        def kernel(p, m, alpha, out):
+            values = real(p, m, alpha, out)
+            if values.ndim == 1:  # an order's z term per row
+                values[70] = math.nan
+            return values
+
+        for workers in (1, 2):
+            monkeypatch.setattr(verify, "_workers", lambda points, w=workers: w)
+            for size in (16, 8192, 65536):
+                old = np.setbufsize(size)
+                try:
+                    assert scan_orders(WORKER_ORDERS, WORKER_GRID) == expected
+                    assert np.getbufsize() == size
+                    with monkeypatch.context() as m:
+                        m.setattr(verify, "_PRUNE_MARGIN", math.inf)
+                        m.setattr(verify, "_pair_entropy_into", kernel)
+                        with pytest.raises(ValueError, match="entropic sum is nan"):
+                            scan_orders(WORKER_ORDERS, WORKER_GRID)
+                    assert np.getbufsize() == size
+                finally:
+                    np.setbufsize(old)
+
     def test_nonfinite_value_is_the_same_on_any_number_of_workers(self, monkeypatch):
         # NaN z terms at row 70 for alpha = 2 and at row 100 for 0.5, rows
         # the incumbent subgrid skips: with every tile kept the grid's run
@@ -887,7 +945,8 @@ class TestPlan:
         grid = GridSpec(801, 801)
         scan_extrema(0.5, grid)
         arrays = plan_arrays(grid._plan)
-        assert len(arrays) == 19
+        # the axes, three stages of three arrays, the tile edges, the subgrid and the exact tiles
+        assert len(arrays) == 16
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 0
@@ -1043,7 +1102,7 @@ def angle_boxes():
     stages = [verify._stage(np.linspace(t0, t1, 41), np.linspace(p0, p1, 41)) for t0, t1, p0, p1 in boxes]
     h = [
         [[s2t[-1] * cos[0], s2t[-1] * sin[-1], c2t[0]], [s2t[0] * cos[-1], s2t[0] * sin[0], c2t[-1]]]
-        for s2t, c2t, cos, sin in stages
+        for s2t, c2t, (cos, sin) in stages
     ]
     return stages, np.moveaxis(np.array(h), 0, -1)
 
@@ -1083,8 +1142,8 @@ def exact_tile_sums(plan, alpha):
     rows, cols = zip(*(np.mgrid[a:b, c:d].reshape(2, -1) for a, b, c, d in zip(r0, r1, c0, c1)))
     counts = [len(r) for r in rows]
     i, j = np.concatenate(rows), np.concatenate(cols)
-    half_s2t, half_c2t, cos_phi, sin_phi = plan.stage
-    pairs = [verify._half_pair(half_s2t[i] * trig[j]) for trig in (cos_phi, sin_phi)] + [verify._half_pair(half_c2t[i])]
+    half_s2t, half_c2t, trig = plan.stage
+    pairs = [verify._half_pair(half_s2t[i] * t[j]) for t in trig] + [verify._half_pair(half_c2t[i])]
     lb = pair_sums(stage_pairs(plan.tile_stage), alpha)[0]
     return pair_sums(pairs, alpha), np.repeat(lb.ravel()[plan.exact], counts)
 
@@ -1143,14 +1202,14 @@ class TestPruning:
         row_edges, col_edges = verify._tile_edges(tau, phi)
         assert row_edges[0] == col_edges[0] == 0 and (row_edges[-1], col_edges[-1]) == (n_tau, n_phi)
         tile_stage = verify._tile_stage(stage, row_edges, col_edges)
-        assert [v.shape for v in tile_stage] == [(2, len(row_edges) - 1)] * 2 + [(2, len(col_edges) - 1)] * 2
+        assert [v.shape for v in tile_stage] == [(2, len(row_edges) - 1)] * 2 + [(2, 2, len(col_edges) - 1)]
         (x, y, z), eta = stage_pairs(tile_stage), verify._slab(stage)
         tiles = np.arange((len(row_edges) - 1) * (len(col_edges) - 1))
         work = np.empty((38, tiles.size))
         # grid sums a few rows of tiles at a time, every order on one pair stage
         rows_per_part = max(1, 2**18 // n_phi // (row_edges[1] - row_edges[0]))
         parts = [(t, min(t + rows_per_part, len(row_edges) - 1)) for t in range(0, len(row_edges) - 1, rows_per_part)]
-        cos_phi, sin_phi = stage[2:]
+        cos_phi, sin_phi = stage[2]
         for alpha in PARITY_ORDERS:
             a = verify.as_param(alpha)
             fx, fy, fz = (entropy.pair_entropy(*pair, a) for pair in (x, y, z))
@@ -1221,7 +1280,7 @@ class TestPruning:
         # the chord side is tight on D, and the bound with the regime flipped
         # breaks on some box
         stages, h = angle_boxes()
-        eta = verify._slab(tuple(np.concatenate(v) for v in zip(*stages)))
+        eta = verify._slab(tuple(np.concatenate(v, axis=-1) for v in zip(*stages)))
         a = verify.as_param(alpha)
         sums = [pair_sums(stage_pairs(stage), a) for stage in stages]
         least, greatest = np.array([v.min() for v in sums]), np.array([v.max() for v in sums])
@@ -1249,7 +1308,7 @@ class TestPruning:
         stage = verify._stage(np.linspace(0.0, tau_end, n_tau), np.linspace(0.0, phi_end, n_phi))
         eta = verify._slab(stage)
         assert 0.0 < eta < 2e-14
-        half_s2t, half_c2t, cos_phi, sin_phi = stage
+        half_s2t, half_c2t, (cos_phi, sin_phi) = stage
         rng = np.random.default_rng(3)
         rows = np.concatenate([[0, n_tau - 1], rng.integers(0, n_tau, 40)])
         cols = np.concatenate([[0, n_phi - 1], rng.integers(0, n_phi, 40)])
