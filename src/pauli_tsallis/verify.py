@@ -36,9 +36,9 @@ arrays per worker of its largest block's points: the stage writes a
 block's four outcome planes (p_x, p_y, m_x, m_y) at the start of the
 worker's part, and each order's kernel its three after them, so no
 block allocates a temporary of its own and every array stays in a
-core's L2 cache.  Each worker's run sets numpy's ufunc buffer to the
-stage's row length (a multiple of 16, at most numpy's default 8192) and
-restores the caller's before it returns: numpy's buffered iterator
+core's L2 cache.  Each worker's run, and the bound pass, sets numpy's
+ufunc buffer to its row's length (_row_buffer: a multiple of 16, at most
+numpy's default 8192) and restores the caller's: numpy's buffered iterator
 copies the operands of a row broadcast whose row is shorter than the
 buffer, which made the stage's product and each order's z-term
 addition two to five times slower on 2001-column blocks, and no
@@ -97,7 +97,10 @@ alone, so the plan finds the exact tiles once.  An exact tile needs no
 margin: an infinite margin skips no tile and still resolves the exact
 ones.  Grid row tau = 0 is a row of exact tiles (_tile_edges), and so is
 every 1 x 1 tile.  Pruning speeds up the exact grid answer and proves
-nothing between grid points.  The bound pass (_kept_spans) runs in the
+nothing between grid points.  A scan at a margin of _PRUNE_MARGIN -
+delta (full_domain_orders, delta a quarter of its tolerance) skips more,
+and each extremum it reports lies within delta of the exact one
+(_scan_rectangle).  The bound pass (_kept_spans) runs in the
 calling thread and leaves each order's span in each row of tiles, from
 its first kept tile to its last (measured as fast as separate runs of
 kept tiles, with fewer kernel calls); the grid's run takes those spans,
@@ -128,8 +131,10 @@ over [-u, u]; by Hermite-Hadamard K rises for alpha < 2 and alpha > 3
 and falls between, so G is concave off [2, 3] and convex inside
 (_sphere_regime; the paper's kernel-monotonicity lemma, behind its
 tight bounds, is the case alpha in (0, 1] or integer).  At 2 and 3 G is
-affine, every pure state's sum is the same, and no bound can skip a
-tile.  Elsewhere each tile the monotone test keeps is bounded as its box
+affine and every pure state's sum is the same, so at _PRUNE_MARGIN every
+tile ties an extremum and no bound can skip one; at a negative margin
+they are bounded as concave, which affine G is too.  Each tile the
+monotone test keeps is bounded as its box
 B (_box_bound, which takes the |h| ranges and F at them and knows
 nothing of tiles), on two sides, each keeping the tighter of its bounds:
   * The chord side, LB where G is concave.  For every lam >= 0,
@@ -237,13 +242,14 @@ on the sphere (area measure), mixed states uniformly in the ball.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import math
 import operator
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Optional, Sequence
+from typing import Callable, ClassVar, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -582,6 +588,19 @@ def _workers(points: int) -> int:
     return max(1, min(cpus, _MAX_WORKERS, points // _WORKER_POINTS))
 
 
+@contextlib.contextmanager
+def _row_buffer(row: int) -> Iterator[None]:
+    """numpy's ufunc buffer at the length of a row, in the multiples of 16 it takes and at most its default 8192.
+
+    The caller's size comes back on exit, on error too (module docstring).
+    """
+    old = np.setbufsize(min(max(16, row // 16 * 16), 8192))
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
 def _tile_steps(tau_grid: np.ndarray, phi_grid: np.ndarray) -> tuple[int, int]:
     """Rows and columns of a tile about square in angle, with about _TILE_SIDE^2 points and at least one of each."""
     d_tau, d_phi = ((float(axis[-1]) - float(axis[0])) / (len(axis) - 1) for axis in (tau_grid, phi_grid))
@@ -673,7 +692,7 @@ def _exact_tiles(tile_stage: _Stage) -> np.ndarray:
 def _sphere_regime(alpha: TsallisParam) -> Optional[bool]:
     """Whether G(w) = F(sqrt w) is concave on [0, 1/4]: True off [2, 3], False inside, None at 2 and 3.
 
-    At 2 and 3 G is affine (module docstring).
+    At 2 and 3 G is affine, so concave and convex (module docstring).
     """
     a = alpha.alpha
     return None if a in (2.0, 3.0) else not 2.0 < a < 3.0
@@ -852,28 +871,30 @@ def _box_bound(
 
 
 def _kept_spans(
-    alphas: Sequence[TsallisParam], plan: _Plan, incumbents: list[tuple[float, float]], where: Callable[[int, int], str]
+    alphas: Sequence[TsallisParam], plan: _Plan, incumbents: list[tuple[float, float]], where: Callable, margin: float
 ) -> tuple[np.ndarray, list[list]]:
     """The bound pass: each order's span in each row of tiles, from the plan's tile stage and the slab's eta.
 
     Returns spans, of shape (orders, rows of tiles, 2): the first grid
     column of the order's first kept tile in the row and the end column
     of its last, (0, 0) where it keeps none; the order evaluates every
-    tile between them.  An order keeps a tile unless LB > least +
-    _PRUNE_MARGIN and UB < greatest - _PRUNE_MARGIN, (least, greatest)
-    being its incumbents, and never keeps an exact tile (plan.exact),
+    tile between them.  An order keeps a tile unless LB > least + margin
+    and UB < greatest - margin, (least, greatest) being its incumbents,
+    and never keeps an exact tile (plan.exact),
     whose grid sums are its LB.  Returns too, per order, the exact tiles'
     extrema: for each chunk that holds one, ((min, (i, j)), (max, (i, j)))
     as _run's, the least and greatest LB and the first grid point of the
     first exact tile that holds each.  LB and UB are the sums on
     _tile_stage, taken a chunk of rows of tiles at a time (at most
     max(_CHUNK_POINTS / 4, columns of tiles) tiles of fourteen values),
-    within a chunk the orders in the given order.  At every order but 2 and 3 the tiles
-    those keep are then bounded as boxes on the sphere, a batch of
+    within a chunk the orders in the given order.  At every order but 2
+    and 3, and at those too where the margin is negative, the tiles those
+    keep are then bounded as boxes on the sphere, a batch of
     _WORKER_POINTS / 16 at a time: gathered (_tile_boxes), bounded
     (_box_bound) and kept or skipped.  Raises ValueError at a non-finite
     tile bound, naming the tile: an order's sums, then its boxes.  The
-    pass runs in the calling thread (with the monotone bounds alone, on
+    pass runs in the calling thread, under a ufunc buffer of a row of tiles
+    (_row_buffer; with the monotone bounds alone, on
     two workers each allocating its chunks' arrays, it took 1.8 ms on
     2001^2 at alpha = 2.5 against 1.4 ms on one).  On 2001^2 it takes
     about 1 ms at the orders whose G is concave and 3.7 ms at 2.5, where
@@ -908,41 +929,45 @@ def _kept_spans(
         return int(row_edges[t]), int(col_edges[u])
 
     resolved: list[list] = [[] for _ in alphas]
-    for t0 in range(0, n_rows, step):
-        tiles = slice(t0, t0 + step)
-        w = scratch[..., : (min(t0 + step, n_rows) - t0) * n_cols].reshape(7, 2, -1, n_cols)
-        _grid_pairs(tile_stage, tiles, slice(None), w[:4])
-        first = t0 * n_cols
-        # the chunk's exact tiles, by flat index in the chunk
-        exact = plan.exact[np.searchsorted(plan.exact, first) : np.searchsorted(plan.exact, first + w[0, 0].size)]
-        exact = exact - first
-        for o, (alpha, (least, greatest)) in enumerate(zip(alphas, incumbents)):
-            fx = _pair_entropy_into(w[0], w[2], alpha, w[4:6])
-            fy = _pair_entropy_into(w[1], w[3], alpha, w[5:7])
-            bounds = np.add(fx, fy, out=w[6])
-            bounds += z_terms[o, :, tiles, None]
-            lb, ub = bounds
-            if not np.isfinite(bounds).all():
-                _check_bounds(np.where(np.isfinite(lb), ub, lb).ravel(), alpha, lambda k: tile(first + k))
-            low_cut, high_cut = least + _PRUNE_MARGIN, greatest - _PRUNE_MARGIN
-            keep = (lb <= low_cut) | (ub >= high_cut)
-            if exact.size:  # every grid sum of an exact tile is its LB
-                keep.ravel()[exact] = False
-                values = lb.ravel()[exact]
-                picks = exact[[np.argmin(values), np.argmax(values)]]
-                resolved[o].append(tuple((float(lb.flat[k]), first_point(first + k)) for k in picks))
-            concave = _sphere_regime(alpha)
-            kept_tiles = np.flatnonzero(keep) if concave is not None else ()
-            for k0 in range(0, len(kept_tiles), batch):
-                kept = kept_tiles[k0 : k0 + batch]
-                if work.shape[1] < kept.size:
-                    work = np.empty((38, kept.size))
-                h, g, box_bounds = _tile_boxes(tile_stage, (fx, fy, z_terms[o]), bounds, t0, kept, work)
-                _box_bound(alpha, concave, h, g, box_bounds, plan.eta, work[14:], lambda k: tile(first + kept[k]))
-                low, high = box_bounds
-                keep.ravel()[kept] = (low <= low_cut) | (high >= high_cut)
-            ends = np.stack([np.argmax(keep, axis=1), n_cols - np.argmax(keep[:, ::-1], axis=1)], axis=1)
-            spans[o, t0 : t0 + len(keep)] = np.where(keep.any(axis=1)[:, None], col_edges[ends], 0)
+    # the chunks' broadcasts have rows of n_cols tiles
+    with _row_buffer(n_cols):
+        for t0 in range(0, n_rows, step):
+            tiles = slice(t0, t0 + step)
+            w = scratch[..., : (min(t0 + step, n_rows) - t0) * n_cols].reshape(7, 2, -1, n_cols)
+            _grid_pairs(tile_stage, tiles, slice(None), w[:4])
+            first = t0 * n_cols
+            # the chunk's exact tiles, by flat index in the chunk
+            exact = plan.exact[np.searchsorted(plan.exact, first) : np.searchsorted(plan.exact, first + w[0, 0].size)]
+            exact = exact - first
+            for o, (alpha, (least, greatest)) in enumerate(zip(alphas, incumbents)):
+                fx = _pair_entropy_into(w[0], w[2], alpha, w[4:6])
+                fy = _pair_entropy_into(w[1], w[3], alpha, w[5:7])
+                bounds = np.add(fx, fy, out=w[6])
+                bounds += z_terms[o, :, tiles, None]
+                lb, ub = bounds
+                if not np.isfinite(bounds).all():
+                    _check_bounds(np.where(np.isfinite(lb), ub, lb).ravel(), alpha, lambda k: tile(first + k))
+                low_cut, high_cut = least + margin, greatest - margin
+                keep = (lb <= low_cut) | (ub >= high_cut)
+                if exact.size:  # every grid sum of an exact tile is its LB
+                    keep.ravel()[exact] = False
+                    values = lb.ravel()[exact]
+                    picks = exact[[np.argmin(values), np.argmax(values)]]
+                    resolved[o].append(tuple((float(lb.flat[k]), first_point(first + k)) for k in picks))
+                concave = _sphere_regime(alpha)
+                if concave is None and margin < 0.0:  # affine G is concave too
+                    concave = True
+                kept_tiles = np.flatnonzero(keep) if concave is not None else ()
+                for k0 in range(0, len(kept_tiles), batch):
+                    kept = kept_tiles[k0 : k0 + batch]
+                    if work.shape[1] < kept.size:
+                        work = np.empty((38, kept.size))
+                    h, g, box_bounds = _tile_boxes(tile_stage, (fx, fy, z_terms[o]), bounds, t0, kept, work)
+                    _box_bound(alpha, concave, h, g, box_bounds, plan.eta, work[14:], lambda k: tile(first + kept[k]))
+                    low, high = box_bounds
+                    keep.ravel()[kept] = (low <= low_cut) | (high >= high_cut)
+                ends = np.stack([np.argmax(keep, axis=1), n_cols - np.argmax(keep[:, ::-1], axis=1)], axis=1)
+                spans[o, t0 : t0 + len(keep)] = np.where(keep.any(axis=1)[:, None], col_edges[ends], 0)
     return spans, resolved
 
 
@@ -982,16 +1007,21 @@ def _blocks(spans: np.ndarray, row_edges: np.ndarray, budget: int) -> tuple[list
 
 
 def _scan_rectangle(
-    alphas: Sequence[TsallisParam], plan: _Plan
+    alphas: Sequence[TsallisParam], plan: _Plan, margin: Optional[float] = None
 ) -> list[tuple[float, tuple[int, int], float, tuple[int, int], int]]:
-    """Exact grid extrema of every order in one pass over the plan's grid, lowest-(tau, phi) tie-breaking.
+    """Grid extrema of every order in one pass over the plan's grid, lowest-(tau, phi) tie-breaking.
 
     Returns (min, (i, j), max, (i, j), points evaluated) per order, for
     one order or more.  Each order's z term per row (_z_terms) is taken
     once per scan.  The scan runs its incumbent subgrid, an exhaustive
     _run on the stage and z terms at the plan's subgrid rows and columns,
-    then the bound pass (_kept_spans), then _run on each order's spans,
-    and merges the exact tiles' extrema into the blocks' (_merged).
+    then the bound pass (_kept_spans) at margin (None: _PRUNE_MARGIN),
+    then _run on each order's spans, and merges the exact tiles' and the
+    subgrid's extrema, grid values too, into the blocks' (_merged).  At
+    _PRUNE_MARGIN the extrema are exact.  At _PRUNE_MARGIN - delta each
+    lies within delta of the exact one, on its side: a skipped tile's sums
+    lie past its LB or UB by less than _PRUNE_MARGIN, so past least - delta
+    or greatest + delta, and least and greatest are merged.
     Raises ValueError at the first non-finite value met: the subgrid
     run's, then the tile bounds', then the grid run's (see _run).
     """
@@ -1005,14 +1035,19 @@ def _scan_rectangle(
         alphas, plan.sub_stage, z_terms[:, rows], *_whole_rows(len(alphas), rows.size, cols.size),
         lambda i, j: where(rows[i], cols[j]),
     )
-    incumbents = [_merged(found) for found, _ in subgrid]
-    spans, resolved = _kept_spans(alphas, plan, [(low, high) for low, _, high, _ in incumbents], where)
+    # each order's subgrid extrema, at their grid points
+    incumbents = [
+        ((low, (int(rows[i]), int(cols[j]))), (high, (int(rows[k]), int(cols[l]))))
+        for low, (i, j), high, (k, l) in (_merged(found) for found, _ in subgrid)
+    ]
+    margin = _PRUNE_MARGIN if margin is None else margin
+    spans, resolved = _kept_spans(alphas, plan, [(low, high) for (low, _), (high, _) in incumbents], where, margin)
     results = _run(alphas, plan.stage, z_terms, plan.row_edges, spans, where)
-    # the extrema of the blocks and the exact tiles; the points evaluated: the
-    # kernel's blocks, and the subgrid's points outside them
+    # the extrema of the blocks, the exact tiles and the subgrid; the points
+    # evaluated: the kernel's blocks, and the subgrid's points outside them
     return [
-        (*_merged(found + exact), points + outside)
-        for (found, points), exact, outside in zip(results, resolved, _outside(spans, plan))
+        (*_merged([*found, *exact, own]), points + outside)
+        for (found, points), exact, own, outside in zip(results, resolved, incumbents, _outside(spans, plan))
     ]
 
 
@@ -1098,10 +1133,7 @@ def _run(
     def run(k: int) -> None:
         """Worker k's blocks, a contiguous run in grid order, in its part of the workspace, under a row-sized ufunc buffer."""
         part = workspace[k]
-        # the row's length (module docstring), in the multiples of 16 numpy
-        # takes and at most its default 8192, restored for the caller
-        buffer = np.setbufsize(min(max(16, n_phi // 16 * 16), 8192))
-        try:
+        with _row_buffer(n_phi):
             for i0, i1, ((j0, j1), *own) in blocks[bounds[k] : bounds[k + 1]]:
                 if any(e is not None for e in errors[:k]):
                     return  # an earlier run failed: its error is the one raised
@@ -1134,8 +1166,6 @@ def _run(
                     found[o].append(((v_min, at(k_min)), (v_max, at(k_max))))
                 if bad:
                     raise min(bad, key=lambda b: b[:2])[2]
-        finally:
-            np.setbufsize(buffer)
 
     def helper(k: int) -> None:
         try:
@@ -1226,15 +1256,35 @@ def full_domain_orders(alphas: Sequence[AlphaLike], grid: GridSpec) -> list[bool
     if not params:
         return []
     plan = _Plan(np.linspace(0.0, HALF_PI, full_grid.n_tau), np.linspace(0.0, TWO_PI, full_grid.n_phi))
-    full = _scan_rectangle(params, plan)
     # the leading block, tau and phi up to pi/4, is the grid on D
-    reduced = _scan_rectangle(params, _Plan(plan.tau_grid[: grid.n_tau], plan.phi_grid[: grid.n_phi]))
+    reduced = _Plan(plan.tau_grid[: grid.n_tau], plan.phi_grid[: grid.n_phi])
     h = QUARTER_PI / (min(grid.n_tau, grid.n_phi) - 1)
-    tol = (2.0 * h) ** 2
-    return [
-        abs(mn_f - mn_d) <= tol and abs(mx_f - mx_d) <= tol
-        for (mn_f, _, mx_f, _, _), (mn_d, _, mx_d, _, _) in zip(full, reduced)
-    ]
+    return _agree(params, (plan, reduced), (2.0 * h) ** 2)
+
+
+def _agree(alphas: Sequence[TsallisParam], plans: tuple[_Plan, _Plan], tol: float) -> list[bool]:
+    """Per order, whether the two plans' grid extrema agree within tol, as exact scans decide it.
+
+    Both plans are scanned at the margin _PRUNE_MARGIN - delta, delta =
+    tol / 4, so each gap lies within delta of the exact one
+    (_scan_rectangle; the bound error's room under _PRUNE_MARGIN covers
+    the gaps' rounding).  Gaps at most tol - delta agree, one above tol +
+    delta does not, and any other order is scanned again exactly.  At 2
+    and 3 that pass bounds the tiles on the sphere (_kept_spans) and
+    evaluates little more than the subgrid.
+    """
+    delta = tol / 4.0
+
+    def gaps(orders: Sequence[TsallisParam], margin: Optional[float] = None) -> list[float]:
+        first, second = (_scan_rectangle(orders, plan, margin) for plan in plans)
+        return [max(abs(a[0] - b[0]), abs(a[2] - b[2])) for a, b in zip(first, second)]
+
+    found = gaps(alphas, _PRUNE_MARGIN - delta)
+    near = [k for k, gap in enumerate(found) if tol - delta < gap <= tol + delta]
+    if near:
+        for k, gap in zip(near, gaps([alphas[k] for k in near])):
+            found[k] = gap
+    return [gap <= tol for gap in found]
 
 
 def scan_full_domain_consistency(alpha: AlphaLike, grid: GridSpec) -> bool:
@@ -1250,7 +1300,10 @@ def scan_full_domain_consistency(alpha: AlphaLike, grid: GridSpec) -> bool:
     the two extrema agree to a few ulps.  The tolerance is (2 h)^2 with h
     the coarsest step, the grid error of an extremum between two
     different grids; against a rounding-level gap it is a wide margin.
-    This is full_domain_orders with one order.
+    The answer is that of exact scans, but the scans resolve each
+    extremum to a quarter of the tolerance alone, rescanning exactly where
+    a gap falls that close to it (_agree).  This is full_domain_orders
+    with one order.
     """
     return full_domain_orders([alpha], grid)[0]
 

@@ -490,29 +490,105 @@ class TestFullDomainConsistency:
 
     def test_D_is_the_full_grids_leading_block(self, monkeypatch):
         # verify's full-domain shape: the 251x251 grid on D unfolds to 501x2001
-        # points; one full scan, then one scan of its leading 251x251 block; the
-        # symmetry maps send every full-grid point onto a block point, so the
+        # points; one full scan, then one scan of its leading 251x251 block,
+        # both at the check's own tolerance, and no exact rescan; the symmetry
+        # maps send every full-grid point onto a block point, so the exact
         # extrema agree to rounding, far inside (2h)^2
         calls = []
 
-        def spy(alphas, plan):
-            out = scan(alphas, plan)
-            calls.append((plan.tau_grid, plan.phi_grid, out))
-            return out
+        def spy(alphas, plan, margin=None):
+            calls.append((plan, margin))
+            return scan(alphas, plan, margin)
 
         scan = verify._scan_rectangle
         monkeypatch.setattr(verify, "_scan_rectangle", spy)
         assert full_domain_orders(TEN_ORDERS, GridSpec(251, 251)) == [True] * len(TEN_ORDERS)
-        assert len(calls) == 2
-        (tau_full, phi_full, full), (tau_d, phi_d, reduced) = calls
-        assert (len(tau_full), len(phi_full)) == (501, 2001)
-        assert tau_full[-1] == pytest.approx(math.pi / 2, abs=1e-15)
-        assert phi_full[-1] == pytest.approx(2 * math.pi, abs=1e-15)
-        for block, axis in ((tau_d, tau_full), (phi_d, phi_full)):
+        tol = (2.0 * QUARTER_PI / 250) ** 2
+        assert [margin for _, margin in calls] == [verify._PRUNE_MARGIN - tol / 4.0] * 2
+        (full, _), (reduced, _) = calls
+        assert (len(full.tau_grid), len(full.phi_grid)) == (501, 2001)
+        assert full.tau_grid[-1] == pytest.approx(math.pi / 2, abs=1e-15)
+        assert full.phi_grid[-1] == pytest.approx(2 * math.pi, abs=1e-15)
+        for block, axis in ((reduced.tau_grid, full.tau_grid), (reduced.phi_grid, full.phi_grid)):
             assert np.shares_memory(block, axis) and np.array_equal(block, axis[:251])
             assert block[-1] == pytest.approx(QUARTER_PI, abs=1e-15)
-        for (mn_f, _, mx_f, _, _), (mn_d, _, mx_d, _, _) in zip(full, reduced):
+        params = [verify.as_param(a) for a in TEN_ORDERS]
+        for (mn_f, _, mx_f, _, _), (mn_d, _, mx_d, _, _) in zip(scan(params, full), scan(params, reduced)):
             assert abs(mn_f - mn_d) <= 1e-12 and abs(mx_f - mx_d) <= 1e-12
+
+    @pytest.mark.parametrize("grid", ["201x801 unfolded", "501x2001 unfolded"])
+    def test_tolerance_pass_extrema_lie_within_delta(self, grid):
+        # at the margin _PRUNE_MARGIN - delta, delta a quarter of the check's
+        # tolerance, each extremum of the unfolding and of its D block lies
+        # within delta of the exact one, on its side, and its witness holds
+        # it; without the incumbent subgrid's extrema merged into the result,
+        # 501 x 2001 reports a minimum at 2.5 far above the exact one
+        tau_end, n_tau, phi_end, n_phi = PARITY_GRIDS[grid]
+        full = verify._Plan(np.linspace(0.0, tau_end, n_tau), np.linspace(0.0, phi_end, n_phi))
+        n = (n_tau + 1) // 2  # the grid on D that unfolds to this one
+        delta = (2.0 * QUARTER_PI / (n - 1)) ** 2 / 4.0
+        params = [verify.as_param(a) for a in PARITY_ORDERS]
+        for plan in (full, verify._Plan(full.tau_grid[:n], full.phi_grid[:n])):
+            half_s2t, half_c2t, trig = plan.stage
+            exact = verify._scan_rectangle(params, plan)
+            found = verify._scan_rectangle(params, plan, verify._PRUNE_MARGIN - delta)
+            for a, (low, _, high, _, _), (low_d, at_low, high_d, at_high, _) in zip(params, exact, found):
+                assert low <= low_d <= low + delta and high - delta <= high_d <= high, a.alpha
+                for value, (i, j) in ((low_d, at_low), (high_d, at_high)):
+                    pairs = [verify._half_pair(half_s2t[[i]] * t[[j]]) for t in trig]
+                    assert pair_sums([*pairs, verify._half_pair(half_c2t[[i]])], a)[0] == value, a.alpha
+
+    @pytest.mark.parametrize("unfolded", [True, False], ids=["201x801 unfolded", "101x101 and 41x41"])
+    def test_a_smaller_tolerance_gives_the_exact_decisions(self, monkeypatch, unfolded):
+        # the decision at a tolerance set among the exact gaps, on the 101^2
+        # grid's unfolding and its D block (gaps of a few ulps) and on two
+        # grids on D (gaps up to 4.4e-5): the bools are those of exact scans,
+        # with gaps on both sides of tol, and the orders whose gaps in the
+        # tolerance pass fall within delta of tol, and only those, are
+        # scanned again, exactly, on both plans
+        if unfolded:
+            full = verify._Plan(np.linspace(0.0, math.pi / 2.0, 201), np.linspace(0.0, 2.0 * math.pi, 801))
+            plans = full, verify._Plan(full.tau_grid[:101], full.phi_grid[:101])
+        else:
+            plans = [verify._Plan(axis, axis) for axis in (np.linspace(0.0, QUARTER_PI, n) for n in (101, 41))]
+        params = [verify.as_param(a) for a in PARITY_ORDERS]
+        scan = verify._scan_rectangle
+
+        def gaps(margin=None):
+            one, two = (scan(params, plan, margin) for plan in plans)
+            return [max(abs(a[0] - b[0]), abs(a[2] - b[2])) for a, b in zip(one, two)]
+
+        exact = gaps()
+        distinct = sorted(set(exact) - {0.0})
+        tol = distinct[len(distinct) // 2]
+        delta = tol / 4.0
+        near = [k for k, gap in enumerate(gaps(verify._PRUNE_MARGIN - delta)) if tol - delta < gap <= tol + delta]
+        assert min(exact) < tol < max(exact) and near
+        calls = []
+
+        def spy(alphas, plan, margin=None):
+            calls.append(([a.alpha for a in alphas], margin))
+            return scan(alphas, plan, margin)
+
+        monkeypatch.setattr(verify, "_scan_rectangle", spy)
+        assert verify._agree(params, plans, tol) == [gap <= tol for gap in exact]
+        assert calls[2:] == [([params[k].alpha for k in near], None)] * 2
+
+    # points_evaluated of the tolerance pass on the unfolding of 251^2 and
+    # its D block at orders 0.5, 1, 2, 2.5, 3, 4 and 7.3 (numpy 2.4.6): at 2
+    # and 3 on both, and at 2.5 on the unfolding, it keeps no tile and
+    # evaluates its subgrid alone (17 x 64 and 9 x 9 points); at
+    # _PRUNE_MARGIN the unfolding's pins are 116,982 and, at 2, 1,000,564
+    def test_tolerance_pass_points_are_pinned(self):
+        full = verify._Plan(np.linspace(0.0, math.pi / 2.0, 501), np.linspace(0.0, 2.0 * math.pi, 2001))
+        margin = verify._PRUNE_MARGIN - (2.0 * QUARTER_PI / 250) ** 2 / 4.0
+        params = [verify.as_param(a) for a in (0.5, 1.0, 2.0, 2.5, 3.0, 4.0, 7.3)]
+        points = [
+            [50752, 50752, 1088, 1088, 1088, 50752, 50752],
+            [769, 769, 81, 513, 81, 769, 769],
+        ]
+        for plan, pinned in zip((full, verify._Plan(full.tau_grid[:251], full.phi_grid[:251])), points):
+            assert [found[4] for found in verify._scan_rectangle(params, plan, margin)] == pinned
 
     def test_oversized_unfolding_raises(self, monkeypatch):
         # 125,002 phi points on D unfold to 1,000,009 > MAX_POINTS: rejected before any scan
@@ -808,18 +884,28 @@ class TestWorkers:
         assert int(result.stdout) < 5000
 
     def test_scan_keeps_the_callers_ufunc_buffer(self, monkeypatch):
-        # each worker's run sets numpy's ufunc buffer to the stage's row length
-        # and restores the caller's, on one worker and on two, and after a
-        # scan that raises at a NaN z term (row 70, which the incumbent
-        # subgrid skips); the reports do not depend on the caller's buffer,
-        # below the row's length or above numpy's default
+        # each worker's run sets numpy's ufunc buffer to the stage's row length,
+        # and the bound pass to the row of tiles' (26 columns of tiles: 16), and
+        # both restore the caller's, on one worker and on two, after a scan
+        # that raises at a NaN z term (row 70, which the incumbent subgrid
+        # skips) and after one that raises at a NaN tile bound inside the
+        # pass; the reports do not depend on the caller's buffer, below the
+        # row's length or above numpy's default
         expected = scan_orders(WORKER_ORDERS, WORKER_GRID)
         real = verify._pair_entropy_into
+        in_pass = []  # the buffer at each tile bound's kernel call
 
         def kernel(p, m, alpha, out):
             values = real(p, m, alpha, out)
             if values.ndim == 1:  # an order's z term per row
                 values[70] = math.nan
+            return values
+
+        def tile_bound(p, m, alpha, out):
+            values = real(p, m, alpha, out)
+            if out.ndim == 4:  # the tile bounds' x or y terms
+                in_pass.append(np.getbufsize())
+                values[0, 2, 3] = math.nan
             return values
 
         for workers in (1, 2):
@@ -835,6 +921,12 @@ class TestWorkers:
                         with pytest.raises(ValueError, match="entropic sum is nan"):
                             scan_orders(WORKER_ORDERS, WORKER_GRID)
                     assert np.getbufsize() == size
+                    with monkeypatch.context() as m:
+                        m.setattr(verify, "_pair_entropy_into", tile_bound)
+                        with pytest.raises(ValueError, match="entropic sum bound is nan"):
+                            scan_orders(WORKER_ORDERS, WORKER_GRID)
+                    assert np.getbufsize() == size and set(in_pass) == {16}
+                    in_pass.clear()
                 finally:
                     np.setbufsize(old)
 
@@ -1076,7 +1168,9 @@ def exact_pair_entropy(h, alpha):
 
 
 # Orders either side of each regime change of G at 2 and 3, and well inside each regime
-BOX_ORDERS = (0.25, 0.5, 1.0, 1.5, 1.86, 2.0 - 1e-9, 2.0 + 1e-9, 2.5, 2.98, 3.0 - 1e-9, 3.0 + 1e-9, 3.2, 4.0, 7.3)
+BOX_ORDERS = (
+    0.25, 0.5, 1.0, 1.5, 1.86, 2.0 - 1e-9, 2.0, 2.0 + 1e-9, 2.5, 2.98, 3.0 - 1e-9, 3.0, 3.0 + 1e-9, 3.2, 4.0, 7.3
+)
 
 
 def angle_boxes():
@@ -1194,8 +1288,9 @@ class TestPruning:
     @pytest.mark.parametrize("grid", PARITY_GRIDS)
     def test_tile_bounds_hold_every_grid_sum(self, grid):
         # each tile's LB and UB, the monotone bounds combined with the sphere
-        # bounds (taken here on every tile, the split side included), bound
-        # its grid sums within the error budget, under the pruning margin
+        # bounds (taken here on every tile, the split side included; at 2 and
+        # 3, where G is affine, in both regimes), bound its grid sums within
+        # the error budget, under the pruning margin
         tau_end, n_tau, phi_end, n_phi = PARITY_GRIDS[grid]
         tau, phi = np.linspace(0.0, tau_end, n_tau), np.linspace(0.0, phi_end, n_phi)
         stage = verify._stage(tau, phi)
@@ -1215,8 +1310,8 @@ class TestPruning:
             fx, fy, fz = (entropy.pair_entropy(*pair, a) for pair in (x, y, z))
             bounds = fx + fy + fz
             h, g, box = verify._tile_boxes(tile_stage, (fx, fy, fz[..., 0]), bounds, 0, tiles, work)
-            concave = verify._sphere_regime(a)
-            if concave is not None:  # raises at a non-finite bound
+            regime = verify._sphere_regime(a)
+            for concave in (True, False) if regime is None else (regime,):  # raises at a non-finite bound
                 verify._box_bound(a, concave, h, g, box, eta, work[14:], lambda k: f"on tile {k}")
             lb, ub = box
             for t0, t1 in parts:
@@ -1278,7 +1373,8 @@ class TestPruning:
         # _box_bound on boxes that are not tiles, with eta over their grids:
         # every sum on each box's grid lies within the budget of its LB and UB,
         # the chord side is tight on D, and the bound with the regime flipped
-        # breaks on some box
+        # breaks on some box; at 2 and 3 G is affine, so concave and convex,
+        # and both regimes hold
         stages, h = angle_boxes()
         eta = verify._slab(tuple(np.concatenate(v, axis=-1) for v in zip(*stages)))
         a = verify.as_param(alpha)
@@ -1291,13 +1387,42 @@ class TestPruning:
             verify._box_bound(a, concave, h, g, bounds, eta, np.empty((24, h.shape[-1])), lambda k: f"on box {k}")
             return bounds
 
-        concave = verify._sphere_regime(a)
-        lb, ub = box_bounds(concave)
-        assert np.all(least >= lb - BOUND_BUDGET) and np.all(greatest <= ub + BOUND_BUDGET)
-        # on D the chord side meets the eigenstates' sum, which its grid holds
-        assert abs((lb - least if concave else ub - greatest)[0]) <= BOUND_BUDGET
-        lb, ub = box_bounds(not concave)
-        assert np.any(least < lb - BOUND_BUDGET) or np.any(greatest > ub + BOUND_BUDGET)
+        regime = verify._sphere_regime(a)
+        for concave in (True, False) if regime is None else (regime,):
+            lb, ub = box_bounds(concave)
+            assert np.all(least >= lb - BOUND_BUDGET) and np.all(greatest <= ub + BOUND_BUDGET)
+            # on D the chord side meets the eigenstates' sum, which its grid holds
+            assert abs((lb - least if concave else ub - greatest)[0]) <= BOUND_BUDGET
+        if regime is not None:
+            lb, ub = box_bounds(not regime)
+            assert np.any(least < lb - BOUND_BUDGET) or np.any(greatest > ub + BOUND_BUDGET)
+
+    def test_affine_bound_holds_the_exact_sums(self):
+        # at 2 and 3 G(w) is 1/2 - 2 w and 3/8 - 3 w / 2, so a point's exact sum
+        # is constant - slope r, r = h_x^2 + h_y^2 + h_z^2 in rational
+        # arithmetic on its halves as the grid forms them; in both regimes each
+        # angle box's LB and UB bound its exact sums with no budget.  The
+        # slab's eta is what they rest on: with eta = 0 the bounds miss sums
+        # by a few ulps, inside BOUND_BUDGET, and fail here
+        stages, h = angle_boxes()
+        eta = verify._slab(tuple(np.concatenate(v, axis=-1) for v in zip(*stages)))
+        least, greatest = [], []  # each box's exact least and greatest r
+        for half_s2t, half_c2t, (cos_phi, sin_phi) in stages:
+            halves = [half_s2t[:, None] * cos_phi, half_s2t[:, None] * sin_phi, half_c2t[:, None] + 0.0 * cos_phi]
+            radius = sum(v * v for v in halves)  # r to rounding; the exact r near its ends below
+            ends = np.flatnonzero((radius <= radius.min() + 1e-15) | (radius >= radius.max() - 1e-15))
+            exact = [sum(Fraction(float(v.flat[k])) ** 2 for v in halves) for k in ends]
+            least.append(min(exact))
+            greatest.append(max(exact))
+        for alpha, constant, slope in ((2.0, Fraction(3, 2), 2), (3.0, Fraction(9, 8), Fraction(3, 2))):
+            a = verify.as_param(alpha)
+            for concave in (True, False):
+                g = entropy.pair_entropy(0.5 + h, 0.5 - h, a)
+                bounds = g[:, 0] + g[:, 1] + g[:, 2]
+                verify._box_bound(a, concave, h, g, bounds, eta, np.empty((24, h.shape[-1])), lambda k: f"on box {k}")
+                lb, ub = bounds
+                assert all(Fraction(float(low)) <= constant - slope * r for low, r in zip(lb, greatest)), alpha
+                assert all(Fraction(float(high)) >= constant - slope * r for high, r in zip(ub, least)), alpha
 
     @pytest.mark.parametrize("grid", ["401x401", "201x801 unfolded"])
     def test_slab_holds_the_grid_points(self, grid):
