@@ -29,7 +29,7 @@ from .verify import (
     DEFAULT_SEED,
     GridSpec,
     ScanReport,
-    certify_equality_conditions,
+    certify_orders,
     check_alpha_concavity,
     check_kernel_monotonicity,
     full_domain_orders,
@@ -210,16 +210,18 @@ def _status(ok: Optional[bool]) -> str:
     return "pass" if ok else "fail"
 
 
-def _verify_checks(alpha: float, report: ScanReport, full_domain: bool, seed: int):
+def _verify_checks(bounds: BoundSet, report: ScanReport, full_domain: bool, certified: Optional[bool], concave: bool):
     """Yield (check, status, observed, expected, tolerance) rows for one order.
 
-    report is the order's scan of D and full_domain its full-domain
-    consistency, both taken by cmd_verify for all orders in one pass.  The
-    expected values and the proven range come from one bound_set: the
-    lower_tight, upper_pure, equality_conditions and kernel_monotonic rows
-    run only where upper_pure is not None, and skip elsewhere.
+    report is the order's scan of D, full_domain its full-domain
+    consistency, certified its equality conditions (None outside the proven
+    range) and concave its alpha-concavity check, all taken by cmd_verify
+    for every order at once.  The expected values and the proven range come
+    from the order's bound_set: the lower_tight, upper_pure,
+    equality_conditions and kernel_monotonic rows run only where upper_pure
+    is not None, and skip elsewhere.
     """
-    bounds = bound_set(alpha)
+    alpha = bounds.alpha.alpha
     low, up = bounds.lower, bounds.upper_pure
     tol = 1e-12
     proven = up is not None
@@ -231,17 +233,13 @@ def _verify_checks(alpha: float, report: ScanReport, full_domain: bool, seed: in
     below = report.max_value <= up + tol if proven else None
     yield ("upper_pure", _status(below), report.max_value, up, tol)
 
-    certified = certify_equality_conditions(alpha, tolerance=1e-12, seed=seed) if proven else None
     yield ("equality_conditions", _status(certified), "", "", 1e-12)
 
     kernel = "f" if alpha <= 1.0 else "g"
     monotonic = check_kernel_monotonicity(kernel, alpha, 10_000) if proven else None
     yield ("kernel_monotonic", _status(monotonic), "", "", "")
 
-    b = sample_pure_states(1, seed=seed)[0]
-    state = BlochVector(float(b[0]), float(b[1]), float(b[2]))
-    ok = check_alpha_concavity(state, 1.0, max(2.0, alpha), 101)
-    yield ("alpha_concavity", _status(ok), "", "", 1e-12)
+    yield ("alpha_concavity", _status(concave), "", "", 1e-12)
 
     yield ("full_domain", _status(full_domain), "", "", "")
 
@@ -259,10 +257,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     reports = scan_orders(alphas, grid)
     n = min(grid.n_tau // 2 + 1, 251)
     full_domain = full_domain_orders(alphas, GridSpec(n, n))
+    bounds = [bound_set(alpha) for alpha in alphas]
+    # the proven orders' equality conditions, on one batch of states
+    proven = [alpha for alpha, b in zip(alphas, bounds) if b.upper_pure is not None]
+    certified = dict(zip(proven, certify_orders(proven, tolerance=1e-12, seed=args.seed)))
+    # one sampled state for every order's concavity check, run once per range [1, max(2, alpha)]
+    b = sample_pure_states(1, seed=args.seed)[0]
+    state = BlochVector(float(b[0]), float(b[1]), float(b[2]))
+    concave = {top: check_alpha_concavity(state, 1.0, top, 101) for top in dict.fromkeys(max(2.0, a) for a in alphas)}
     # all rows first: a run stopped by an error (exit 3) writes no partial CSV
     rows = []
-    for alpha, report, full in zip(alphas, reports, full_domain):
-        rows += [(check, alpha, *cells) for check, *cells in _verify_checks(alpha, report, full, args.seed)]
+    for alpha, order_bounds, report, full in zip(alphas, bounds, reports, full_domain):
+        checks = _verify_checks(order_bounds, report, full, certified.get(alpha), concave[max(2.0, alpha)])
+        rows += [(check, alpha, *cells) for check, *cells in checks]
     _write_csv(None, "check,alpha,status,observed,expected,tolerance", rows)
     return EXIT_VERIFY_FAILED if any(row[2] == "fail" for row in rows) else EXIT_OK
 

@@ -34,8 +34,9 @@ minimizers, are unchanged bit for bit.
 In place.  _pair_entropy_into, the kernel behind pair_entropy, runs
 every pass in two arrays of the pair's shape, one per side: a new array
 holding both for pair_entropy, a scan block's workspace for the grid
-scans.  The pow branch writes each side's power straight into its
-array from p or m, never from a copy of them (_power).  The log branches
+scans (there through _pair_numerator_into, below).  The pow branch
+writes each side's power straight into its array from p or m, never from
+a copy of them (_power).  The log branches
 guard log(0) with max(p, 5e-324), one plain comparison that leaves every
 p > 0 as it is (5e-324 is the smallest positive float); the factor
 p = 0 then cancels the finite log it gets.
@@ -44,6 +45,30 @@ and ((p^a - p) + (m^a - m)) / (1 - a), negating the sum once rather
 than each side (negation is exact: -(A + B) is (-A) - B).  So, the sign
 of a zero or of a NaN aside, its values are bit for bit the plain
 formulas'.
+
+Operation order: numerator and scale.  Each branch is a numerator N over
+a scale c (_pair_numerator_into, _denominator): on the log branches N is
+the two sides' x ln x, or x expm1(b ln x) / b, summed, and c = -1; on the
+pow branch N = (p^a - p) + (m^a - m) and c = 1 - a.  The grid scans and
+certification add the x and y numerators first and scale their sum once
+wherever 1/c is exact (_exact_scale: c = -1, or 1 - a = +-2^k with |k| <=
+52, a = 0.5, 0.75, 1.5, 2, 3, 5, 9, 17, ...), S = fl(fl(N_x + N_y) / c +
+Z), and that is bit for bit the sum of the per-pair values, fl(fl(F_x +
+F_y) + Z).  Proof: every pair from _half_pair lies in 2^-54 Z within [0,
+1].  So on the pow branch each side's term fl(fl(x^a) - x) is +0 or at
+least 2^-107 in magnitude (x = 0, or x >= 2^-54: where fl(x^a) >= x/2
+both are multiples of 2^-107, elsewhere they differ by more than x/2);
+every term has the sign of c, as h_alpha >= 0 (x^a <= x for a > 1, >= x
+for a < 1, kept by a faithful pow and by rounded products); so N is +0
+or at least 2^-159 in magnitude, and a nonzero N_x + N_y at least
+2^-211.  Multiplying such values by +-2^k, |k| <= 52, stays inside the
+normal range, so it is exact and commutes with round-to-nearest: fl(N_x
+/ c + N_y / c) = fl(N_x + N_y) / c, signed zeros included, since both
+numerators have one sign.  On the log branches every term is at most 0,
+a zero numerator is +0 (a deterministic pair's terms are +0 and -0), and
+c = -1 is a negation, always exact.  So the scalar values still equal
+the grid values, and an exact tile's LB, a sum of per-pair values,
+equals its grid sums.  The sign of a NaN aside.
 """
 
 from __future__ import annotations
@@ -207,12 +232,28 @@ def pair_entropy(p: np.ndarray, m: np.ndarray, alpha: TsallisParam) -> np.ndarra
 
 
 def _pair_entropy_into(p: np.ndarray, m: np.ndarray, alpha: TsallisParam, out: np.ndarray) -> np.ndarray:
-    """pair_entropy computed in out, a float64 array of shape (2, *p.shape).
+    """pair_entropy computed in out, a float64 array of shape (2, *p.shape): the numerator over its scale c.
 
     The result is written into out[0] and returned; out[1] is
     overwritten.  A pass writes out before it has read all of p and m,
     so out must not overlap them: ValueError where their memory bounds
     meet (np.may_share_memory, a cheap and conservative check).
+    """
+    total = _pair_numerator_into(p, m, alpha, out)
+    c = _denominator(alpha)
+    if c == -1.0:
+        # -(A + B) is (-A) - B bit for bit: negation is exact
+        return np.negative(total, out=total)
+    total /= c
+    return total
+
+
+def _pair_numerator_into(p: np.ndarray, m: np.ndarray, alpha: TsallisParam, out: np.ndarray) -> np.ndarray:
+    """N = c h_alpha(p) + c h_alpha(m), c = _denominator(alpha), into out[0] as _pair_entropy_into computes it.
+
+    On the log branches N is the sum of the two sides' _log_term, on the
+    pow branch (p^a - p) + (m^a - m).  out[1] is overwritten, and out must
+    not share memory with p or m (ValueError).
     """
     if np.may_share_memory(out, p) or np.may_share_memory(out, m):
         raise ValueError("out must not share memory with p or m")
@@ -221,15 +262,32 @@ def _pair_entropy_into(p: np.ndarray, m: np.ndarray, alpha: TsallisParam, out: n
     if abs(a - 1.0) < EXPM1_WINDOW:
         _log_term(p, a - 1.0, total)
         total += _log_term(m, a - 1.0, other)
-        # -(A + B) is (-A) - B bit for bit: negation is exact
-        return np.negative(total, out=total)
+        return total
     _power(p, a, total)
     total -= p
     _power(m, a, other)
     other -= m
     total += other
-    total /= 1.0 - a
     return total
+
+
+def _denominator(alpha: TsallisParam) -> float:
+    """c, the kernel's scale: -1 on the log branches, 1 - alpha on the pow branch."""
+    a = alpha.alpha
+    return -1.0 if abs(a - 1.0) < EXPM1_WINDOW else 1.0 - a
+
+
+def _exact_scale(alpha: TsallisParam) -> Optional[float]:
+    """1/c where c = _denominator(alpha) is a signed power of two 2^k, |k| <= 52; None elsewhere.
+
+    -1 on the log branches; on the pow branch at alpha = 1 -+ 2^k (0.5,
+    0.75, 1.5, 2, 3, 5, 9, 17, ...).  Dividing a numerator by such a c is
+    multiplying it by 1/c, and on the outcome pairs of the scans that is
+    exact and commutes with rounding (module docstring).
+    """
+    c = _denominator(alpha)
+    mantissa, exponent = math.frexp(c)
+    return 1.0 / c if abs(mantissa) == 0.5 and abs(exponent - 1) <= 52 else None
 
 
 def _log_term(x: np.ndarray, b: float, out: np.ndarray) -> np.ndarray:

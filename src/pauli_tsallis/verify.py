@@ -9,9 +9,12 @@ concavity/convexity property checks.  Scans never use the bound
 formulas: a ScanReport holds only what its scan measured, and callers
 compare it with bounds.bound_set afterwards.  Certification reads its
 bounds, and the proven range, from bound_set.  Grid values come from
-pair_entropy's kernel, the one the scalar API uses, so a grid value
-equals entropic_sum at that grid point bit for bit wherever numpy's
-float64 sin and cos agree with math's.
+pair_entropy's kernel, the one the scalar API uses: where its scale is
+exact a grid sum adds the x and y numerators first and scales them once
+(_pair_sums), which on the scans' outcome pairs changes no bit (the
+entropy module's operation order).  So a grid value equals entropic_sum
+at that grid point bit for bit wherever numpy's float64 sin and cos
+agree with math's.
 
 Grids are uniform with both endpoints included, so the corners of D, which
 are the analytic minimizers, are exactly represented and tight bounds are
@@ -254,7 +257,17 @@ from typing import Callable, ClassVar, Iterator, Optional, Sequence
 import numpy as np
 
 from .bounds import bound_set, integer_order, kernel_f, kernel_g
-from .entropy import AlphaLike, TsallisParam, _pair_entropy_into, as_param, pair_entropy, phi, tsallis_entropy
+from .entropy import (
+    AlphaLike,
+    TsallisParam,
+    _exact_scale,
+    _pair_entropy_into,
+    _pair_numerator_into,
+    as_param,
+    pair_entropy,
+    phi,
+    tsallis_entropy,
+)
 from .states import (
     HALF_PI,
     QUARTER_PI,
@@ -277,6 +290,7 @@ __all__ = [
     "scan_orders",
     "scan_full_domain_consistency",
     "full_domain_orders",
+    "certify_orders",
     "certify_equality_conditions",
     "check_kernel_monotonicity",
     "check_alpha_concavity",
@@ -289,15 +303,18 @@ DEFAULT_SEED = 12345
 
 # Grid points a block's stage evaluates, shared among a scan's workers; a
 # block takes whole rows of tiles (at least one).  At 65,536 points and
-# one worker each float64 array of a block is 512 KB, 256 KB each with two,
-# and a worker's seven arrays stay in a core's L2 cache; blocks a few times
-# that ran about 3x slower.  In cache the per-order pair_entropy kernel
-# dominates.  All blocks of an exhaustive 2001^2 scan in one thread, best
-# of 7, at 16 and 32 rows per block, with the ufunc buffer at the row's
-# 2000 (_run): 37-39 ms per order on the squaring chain (4) and on pow at
-# 0.5, 26-28 ms at 2, 70 ms at 2.5, 43 ms on Shannon's branch and 84-85 ms
-# on expm1's, against 9-11 ms for the shared pair stage (2-core Xeon,
-# numpy 2.4.6; 19-20 ms with numpy's default buffer).  A scan measures its
+# one worker each float64 array of a block is 512 KB, 256 KB each with two:
+# a worker's seven arrays fit a core's 2 MiB L2 cache with two workers
+# (1.75 MB), not with one (3.5 MB), and one thread took 8.8 ns a point for
+# the stage and the kernel at 2 on 32-row blocks against 7.5 on 16-row
+# ones (ROADMAP item 6); blocks a few times that ran about 3x slower.  The
+# per-order kernel dominates.  All blocks of an exhaustive 2001^2 scan in
+# one thread, best of 5, at 16 and 32 rows per block, with the ufunc
+# buffer at the row's 2000 (_run): 20-24 ms per order at 2 and 67-68 ms
+# at 3, whose numerators are summed first and scaled once (_pair_sums),
+# 35-36 ms at 0.5, 37-40 ms on the squaring chain (4), 74 ms at 2.5, 43-44
+# ms on Shannon's branch and 83-85 ms on expm1's, against 9.5-12 ms for
+# the shared pair stage (2-core Xeon, numpy 2.4.6).  A scan measures its
 # blocks by the points of their spans, not the rows of tiles they cross,
 # so it runs few blocks: each kernel call costs tens of microseconds of
 # Python besides 12-30 ns a point.  The incumbent subgrid's run sizes its
@@ -489,17 +506,39 @@ def _clipped_pairs(*components: np.ndarray) -> list[np.ndarray]:
     return [_half_pair(0.5 * np.clip(s, -1.0, 1.0)) for s in components]
 
 
-def _pair_sums(x: np.ndarray, y: np.ndarray, z_term: np.ndarray, alpha: TsallisParam, out: np.ndarray) -> np.ndarray:
+def _pair_sums(
+    x: np.ndarray, y: np.ndarray, z_term: np.ndarray, alpha: TsallisParam, scale: Optional[float], out: np.ndarray
+) -> np.ndarray:
     """Entropic sums from the x and y outcome pairs, (p, m) each, and the z term, the z pair's entropies.
 
     The result has the shape of p; z_term broadcasts against it, so a grid
     passes its z term as one value per row, each computed once per scan.
-    out, of shape (3, *p shape), takes the x and y terms
-    (entropy._pair_entropy_into's out): the sum is written into out[0] and
-    returned.
+    out, of shape (3, *p shape), takes the x and y numerators
+    (entropy._pair_numerator_into's out): the sum is written into out[0]
+    and returned.  scale is _exact_scale(alpha), 1/c, decided once per
+    order.  Where it is a number the two numerators are summed first and
+    scaled once, S = fl(fl(N_x + N_y) scale + Z), at scale -1 S = fl(Z -
+    (N_x + N_y)) with no scaling pass; at None each is divided by c = 1 -
+    alpha, as pair_entropy does.  Either way S is fl(fl(F_x + F_y) + Z)
+    bit for bit, F_x and F_y the pairs' pair_entropy: every pair from
+    _half_pair lies in 2^-54 Z within [0, 1], so each numerator is +0 or at
+    least 2^-159 in magnitude, of the sign of c, and a nonzero N_x + N_y at
+    least 2^-211; multiplying such values by +-2^k (|k| <= 52) is exact and
+    commutes with round-to-nearest, and negation is always exact (the
+    entropy module's operation order; a NaN's sign aside).
     """
-    total = _pair_entropy_into(x[0], x[1], alpha, out[:2])
-    total += _pair_entropy_into(y[0], y[1], alpha, out[1:])
+    total = _pair_numerator_into(x[0], x[1], alpha, out[:2])
+    other = _pair_numerator_into(y[0], y[1], alpha, out[1:])
+    if scale is None:  # c is no power of two: each axis divided, as pair_entropy does
+        c = 1.0 - alpha.alpha
+        total /= c
+        other /= c
+        total += other
+    else:
+        total += other
+        if scale == -1.0:
+            return np.subtract(z_term, total, out=total)
+        total *= scale
     total += z_term
     return total
 
@@ -507,7 +546,7 @@ def _pair_sums(x: np.ndarray, y: np.ndarray, z_term: np.ndarray, alpha: TsallisP
 def _entropic_sums(bx: np.ndarray, by: np.ndarray, bz: np.ndarray, alpha: TsallisParam) -> np.ndarray:
     """Entropic sums at Bloch components (bx, by, bz) of one shape."""
     x, y, z = _clipped_pairs(bx, by, bz)
-    return _pair_sums(x, y, pair_entropy(*z, alpha), alpha, np.empty((3, *bx.shape)))
+    return _pair_sums(x, y, pair_entropy(*z, alpha), alpha, _exact_scale(alpha), np.empty((3, *bx.shape)))
 
 
 def _extrema(values: np.ndarray, alpha: TsallisParam, where: Callable) -> tuple[int, float, int, float]:
@@ -1126,6 +1165,7 @@ def _run(
     bounds = [0, *np.searchsorted(middle, work.sum() * np.arange(1, workers) / workers).tolist(), len(blocks)]
     # per worker: the largest block's x and y pairs, then the kernel's three arrays
     workspace = np.empty((workers, 7, int(areas[0].max())))
+    scales = [_exact_scale(alpha) for alpha in alphas]  # once per order, not per block
     # per order, each block's ((min, (i, j)), (max, (i, j))), in whatever order the workers append them
     found: list[list] = [[] for _ in alphas]
     errors: list[Optional[BaseException]] = [None] * workers  # per run, the error that ended it
@@ -1157,7 +1197,7 @@ def _run(
                         bad.append((at(j), o))
                         return where(*at(j))
 
-                    values = _pair_sums((w[0], w[2]), (w[1], w[3]), z_terms[o, i0:i1], alpha, out)
+                    values = _pair_sums((w[0], w[2]), (w[1], w[3]), z_terms[o, i0:i1], alpha, scales[o], out)
                     try:
                         k_min, v_min, k_max, v_max = _extrema(values, alpha, named)
                     except ValueError as exc:
@@ -1360,6 +1400,55 @@ def sample_mixed_states(n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
 _MAXIMIZER_STATE = PureStateAngles(math.atan(math.sqrt(2.0)) / 2.0, QUARTER_PI)
 
 
+def certify_orders(
+    alphas: Sequence[AlphaLike],
+    tolerance: float,
+    n_samples: int = 10_000,
+    seed: int = DEFAULT_SEED,
+) -> list[bool]:
+    """certify_equality_conditions for every order in alphas, on one batch of states.
+
+    The batch is drawn, stacked and clipped once (_clipped_pairs), then each
+    order takes its z term, its sums (_pair_sums) and its checks; results
+    come back in the order of alphas.  Every order, n_samples and tolerance
+    are validated before anything is drawn, and a non-finite sum raises at
+    the first order, in the given order, that has one; otherwise as
+    certify_equality_conditions.  No order draws nothing.
+    """
+    sets = [bound_set(alpha) for alpha in alphas]
+    for bounds in sets:
+        if bounds.upper_pure is None:
+            raise ValueError(
+                f"equality conditions are proven only for alpha in (0, 1] and integer "
+                f"alpha >= 2, got {bounds.alpha.alpha!r}"
+            )
+    n_samples = _points(n_samples, "n_samples", 1)
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
+    if not sets:
+        return []
+    # one batch: the six eigenstates, the maximizer, 19 impure states on each
+    # axis (t-major: (t, 0, 0), (0, t, 0), (0, 0, t)), then the samples
+    fixed = [*eigenstate_witnesses(), bloch_from_angles(_MAXIMIZER_STATE)]
+    axis = (np.linspace(0.05, 0.95, 19)[:, None, None] * np.eye(3)).reshape(-1, 3)
+    b = np.vstack([[(w.b_x, w.b_y, w.b_z) for w in fixed], axis, sample_pure_states(n_samples, seed=seed)])
+    x, y, z = _clipped_pairs(b[:, 0], b[:, 1], b[:, 2])
+    out = np.empty((3, len(b)))
+    results = []
+    for bounds in sets:
+        a, low = bounds.alpha, bounds.lower
+        sums = _pair_sums(x, y, pair_entropy(*z, a), a, _exact_scale(a), out)
+        _extrema(sums, a, lambda k: f"Bloch vector {tuple(b[k].tolist())}")  # raises if non-finite
+        eigen, top, impure, sampled = np.split(sums, [6, 7, 7 + len(axis)])
+        checks = [np.max(np.abs(eigen - low)) <= tolerance, np.min(impure) > low]
+        if integer_order(a) in (2, 3):
+            checks.append(np.max(np.abs(sampled - low)) <= tolerance)
+        else:
+            checks += [np.min(sampled) > low, abs(top[0] - bounds.upper_pure) <= tolerance]
+        results.append(bool(all(checks)))
+    return results
+
+
 def certify_equality_conditions(
     alpha: AlphaLike,
     tolerance: float,
@@ -1387,34 +1476,9 @@ def certify_equality_conditions(
     GridSpec.MAX_POINTS (before any state is drawn), for a tolerance that
     is negative, infinite or NaN, and at a non-finite sum anywhere in the
     batch, naming the order and the Bloch vector.  A non-integer n_samples
-    raises TypeError.
+    raises TypeError.  This is certify_orders with one order.
     """
-    bounds = bound_set(alpha)
-    a = bounds.alpha
-    if bounds.upper_pure is None:
-        raise ValueError(
-            f"equality conditions are proven only for alpha in (0, 1] and integer "
-            f"alpha >= 2, got {a.alpha!r}"
-        )
-    n_samples = _points(n_samples, "n_samples", 1)
-    if not 0.0 <= tolerance < math.inf:
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
-    low = bounds.lower
-    # one batch: the six eigenstates, the maximizer, 19 impure states on each
-    # axis (t-major: (t, 0, 0), (0, t, 0), (0, 0, t)), then the samples
-    fixed = [*eigenstate_witnesses(), bloch_from_angles(_MAXIMIZER_STATE)]
-    axis = (np.linspace(0.05, 0.95, 19)[:, None, None] * np.eye(3)).reshape(-1, 3)
-    b = np.vstack([[(w.b_x, w.b_y, w.b_z) for w in fixed], axis, sample_pure_states(n_samples, seed=seed)])
-    sums = _entropic_sums(b[:, 0], b[:, 1], b[:, 2], a)
-    _extrema(sums, a, lambda k: f"Bloch vector {tuple(b[k].tolist())}")  # raises if non-finite
-    eigen, top, impure, sampled = np.split(sums, [6, 7, 7 + len(axis)])
-
-    checks = [np.max(np.abs(eigen - low)) <= tolerance, np.min(impure) > low]
-    if integer_order(a) in (2, 3):
-        checks.append(np.max(np.abs(sampled - low)) <= tolerance)
-    else:
-        checks += [np.min(sampled) > low, abs(top[0] - bounds.upper_pure) <= tolerance]
-    return bool(all(checks))
+    return certify_orders([alpha], tolerance, n_samples, seed)[0]
 
 
 def check_kernel_monotonicity(kernel: str, alpha: AlphaLike, n_points: int) -> bool:

@@ -367,6 +367,29 @@ class TestVerify:
             code, out, err = run_cli(capsys, "verify", alpha, "--grid", "3")
         assert (code, out, err) == (3, "", f"error: {message}\n")
 
+    def test_certification_and_concavity_run_once(self, capsys, monkeypatch):
+        # one certification batch for the proven orders (1.005 and 2.5 are not),
+        # and one concavity check per order range [1, max(2, alpha)]: 0.5, 1,
+        # 1.005 and 2 all ask for [1, 2]; the rows are those of the pinned run
+        real_certify, real_concavity = cli.certify_orders, cli.check_alpha_concavity
+        certified, ranges = [], []
+
+        def certify(alphas, **kwargs):
+            certified.append(list(alphas))
+            return real_certify(alphas, **kwargs)
+
+        def concavity(state, low, high, n_points):
+            ranges.append((low, high))
+            return real_concavity(state, low, high, n_points)
+
+        monkeypatch.setattr(cli, "certify_orders", certify)
+        monkeypatch.setattr(cli, "check_alpha_concavity", concavity)
+        code, out, _ = run_cli(capsys, "verify", "0.5,1,1.005,2,2.5,4", "--grid", "201")
+        assert code == 0
+        assert sha256(out) == PINNED_VERIFY, out
+        assert certified == [[0.5, 1.0, 2.0, 4.0]]
+        assert ranges == [(1.0, 2.0), (1.0, 2.5), (1.0, 4.0)]
+
     def test_pinned_output(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "0.5,1,1.005,2,2.5,4", "--grid", "201")
         assert code == 0

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import itertools
 import math
 import os
 import pickle
@@ -77,7 +78,8 @@ def grid_pairs(tau, cos_phi, sin_phi):
 def pair_sums(pairs, alpha):
     """Entropic sums at the (x, y, z) outcome pairs as a scan sums them: the z term added to the x and y terms."""
     x, y, z = pairs
-    return verify._pair_sums(x, y, entropy.pair_entropy(*z, alpha), alpha, np.empty((3, *x[0].shape)))
+    scale = entropy._exact_scale(alpha)
+    return verify._pair_sums(x, y, entropy.pair_entropy(*z, alpha), alpha, scale, np.empty((3, *x[0].shape)))
 
 
 def constant_stage(tau_grid, phi_grid):
@@ -273,13 +275,14 @@ class TestScanExtrema:
     # Each order's z term, one value per row, comes first, one kernel call per
     # scan; then, after the incumbent subgrid and the tile bounds, the grid's
     # run takes the order-independent stage once per block, and the pair
-    # kernel twice per rectangle of an order (x-, y-term), the grid run's
+    # numerator twice per rectangle of an order (x-, y-term), the grid run's
     # calls counted here.  With every tile kept but grid row 0's, which are
     # exact, a 41x41 grid is one block by default, rows 1-40, whose x-term is
     # the grid run's call 0 in a one-order scan; a 33-point budget makes a
     # block of each row of tiles, grid rows 1-15, 16-31 and 32-40, and call 2
     # is the x-term of the second.  A NaN is caught by both argmin and
-    # argmax, -inf by argmin and +inf by argmax.
+    # argmax, -inf by argmin and +inf by argmax: at 0.5 the numerators' sum is
+    # scaled by 1 / (1 - 0.5) = 2, which keeps each sign.
     @pytest.mark.parametrize(
         "budget,call,row,bad",
         [
@@ -290,65 +293,79 @@ class TestScanExtrema:
         ],
     )
     def test_nonfinite_value_raises(self, monkeypatch, capsys, budget, call, row, bad):
-        real = verify._pair_entropy_into
-        calls = []
+        real = verify._pair_numerator_into
+        calls, injected = [], []
 
         def inject(p, m, alpha, out):
             out = real(p, m, alpha, out)
             rows = block_rows()
-            if rows is not None and out.ndim == 2:  # a block's x- or y-term, not the per-row z term
+            if rows is not None:  # a block's x- or y-numerator
                 if len(calls) == call:
                     out[row - rows[0], 5] = bad
+                    injected.append(alpha.alpha)
                 calls.append(None)
             return out
 
         monkeypatch.setattr(verify, "_PRUNE_MARGIN", math.inf)  # every grid point in the grid's run but row 0's
         monkeypatch.setattr(verify, "_CHUNK_POINTS", budget)
         block_rows = grid_run_rows(monkeypatch, 41)
-        monkeypatch.setattr(verify, "_pair_entropy_into", inject)
+        monkeypatch.setattr(verify, "_pair_numerator_into", inject)
         axis = np.linspace(0.0, QUARTER_PI, 41)
         point = f"(tau, phi) = ({float(axis[row])!r}, {float(axis[5])!r})"
         with pytest.raises(ValueError, match="alpha=0.5") as info:
             scan_extrema(0.5, GridSpec(41, 41))
         assert point in str(info.value)
+        assert injected == [0.5]
 
         calls.clear()
         assert main(["verify", "0.5", "--grid", "41"]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert point in err
+        assert injected == [0.5, 0.5]
 
     def test_nonfinite_value_in_second_order_raises(self, monkeypatch, capsys):
-        # in a pass over orders (0.5, 2.0) calls 0 and 1 are the z terms and,
-        # counting the grid run's alone, call 4 is the x-term of the second
-        # order in its one block; the first order's values stay finite
-        real = verify._pair_entropy_into
-        calls = []
+        # in a pass over orders (0.5, 2.0) calls 0 and 1 are the z terms
+        # (pair kernel) and, counting the grid run's numerators alone, call 4
+        # is the x-term of the second order in its one block; the first
+        # order's values stay finite
+        real_kernel, real_numerator = verify._pair_entropy_into, verify._pair_numerator_into
+        calls, injected = [], []
 
-        def inject(p, m, alpha, out):
-            out = real(p, m, alpha, out)
-            if out.ndim == 1 or block_rows() is not None:
+        def kernel(p, m, alpha, out):
+            out = real_kernel(p, m, alpha, out)
+            if out.ndim == 1:  # an order's z term per row
+                calls.append(alpha.alpha)
+            return out
+
+        def numerator(p, m, alpha, out):
+            out = real_numerator(p, m, alpha, out)
+            if block_rows() is not None:  # the grid run's
                 if len(calls) == 4:
                     out[7 - block_rows()[0], 5] = math.nan
+                    injected.append(alpha.alpha)
                 calls.append(alpha.alpha)
             return out
 
         # one block, rows 1-10, every order on every point but grid row 0's, whose tile is exact
         monkeypatch.setattr(verify, "_PRUNE_MARGIN", math.inf)
         block_rows = grid_run_rows(monkeypatch, 11)
-        monkeypatch.setattr(verify, "_pair_entropy_into", inject)
+        monkeypatch.setattr(verify, "_pair_entropy_into", kernel)
+        monkeypatch.setattr(verify, "_pair_numerator_into", numerator)
         axis = np.linspace(0.0, QUARTER_PI, 11)
         point = f"(tau, phi) = ({float(axis[7])!r}, {float(axis[5])!r})"
         with pytest.raises(ValueError, match="alpha=2.0") as info:
             scan_orders([0.5, 2.0], GridSpec(11, 11))
         assert point in str(info.value)
         assert calls == [0.5, 2.0] + [0.5] * 2 + [2.0] * 2
+        assert injected == [2.0]
 
         calls.clear()
         assert main(["verify", "0.5,2", "--grid", "11"]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert "alpha=2.0" in err and point in err
+        assert injected == [2.0, 2.0]
 
     @pytest.mark.parametrize(
         "n,row,prune",
@@ -749,17 +766,20 @@ class TestWorkers:
     def test_nonfinite_value_reports_the_first_in_grid_order(self, monkeypatch, orders, bad_rows):
         monkeypatch.setattr(verify, "_PRUNE_MARGIN", math.inf)  # column 5 of every row evaluated
         axis = np.linspace(0.0, QUARTER_PI, WORKER_GRID.n_tau)
-        real_kernel = verify._pair_entropy_into
+        real_numerator = verify._pair_numerator_into
         block_rows = grid_run_rows(monkeypatch, WORKER_GRID.n_tau)
+        injected = set()
 
-        def kernel(p, m, alpha, out):
-            values = real_kernel(p, m, alpha, out)
+        def numerator(p, m, alpha, out):
+            values = real_numerator(p, m, alpha, out)
             rows = bad_rows.get(None, []) + bad_rows.get(alpha.alpha, [])
-            if values.ndim > 1 and block_rows() is not None:  # the grid run's x and y terms
-                values[np.isin(block_rows(), rows), 5] = math.nan
+            if block_rows() is not None:  # the grid run's x and y numerators
+                bad = np.isin(block_rows(), rows)
+                values[bad, 5] = math.nan
+                injected.update((alpha.alpha, int(row)) for row in block_rows()[bad])
             return values
 
-        monkeypatch.setattr(verify, "_pair_entropy_into", kernel)
+        monkeypatch.setattr(verify, "_pair_numerator_into", numerator)
         with pytest.raises(ValueError) as threaded:
             scan_orders(orders, WORKER_GRID)
         with monkeypatch.context() as m:
@@ -769,6 +789,7 @@ class TestWorkers:
         assert str(threaded.value) == str(alone.value)
         # the first bad value in grid order: the lowest row, then the order given first
         row, k = min((row, 0 if a is None else orders.index(a)) for a, rows in bad_rows.items() for row in rows)
+        assert (orders[k], row) in injected  # reached the grid run's numerators
         assert f"alpha={orders[k]!r}" in str(alone.value)
         assert f"(tau, phi) = ({float(axis[row])!r}, {float(axis[5])!r})" in str(alone.value)
 
@@ -835,7 +856,8 @@ class TestWorkers:
         assert threading.active_count() == threads
 
     def test_helpers_run_under_the_callers_error_state(self, monkeypatch):
-        real = verify._pair_entropy_into
+        # the grid run's numerators, in the caller's thread and the helpers'
+        real = verify._pair_numerator_into
         threads = set()
 
         def noisy(p, m, alpha, out):
@@ -844,7 +866,7 @@ class TestWorkers:
             return real(p, m, alpha, out)
 
         expected = scan_extrema(2.0, WORKER_GRID)
-        monkeypatch.setattr(verify, "_pair_entropy_into", noisy)
+        monkeypatch.setattr(verify, "_pair_numerator_into", noisy)
         with np.errstate(divide="ignore"):
             assert scan_extrema(2.0, WORKER_GRID) == expected
         assert len(threads) == verify._workers(401 * 401)
@@ -894,11 +916,13 @@ class TestWorkers:
         expected = scan_orders(WORKER_ORDERS, WORKER_GRID)
         real = verify._pair_entropy_into
         in_pass = []  # the buffer at each tile bound's kernel call
+        z_terms = []  # the orders whose z term took the NaN
 
         def kernel(p, m, alpha, out):
             values = real(p, m, alpha, out)
-            if values.ndim == 1:  # an order's z term per row
+            if values.ndim == 1:  # an order's z term per row, which the grid run adds
                 values[70] = math.nan
+                z_terms.append(alpha.alpha)
             return values
 
         def tile_bound(p, m, alpha, out):
@@ -921,6 +945,8 @@ class TestWorkers:
                         with pytest.raises(ValueError, match="entropic sum is nan"):
                             scan_orders(WORKER_ORDERS, WORKER_GRID)
                     assert np.getbufsize() == size
+                    assert z_terms == list(WORKER_ORDERS)
+                    z_terms.clear()
                     with monkeypatch.context() as m:
                         m.setattr(verify, "_pair_entropy_into", tile_bound)
                         with pytest.raises(ValueError, match="entropic sum bound is nan"):
@@ -939,11 +965,13 @@ class TestWorkers:
         monkeypatch.setattr(verify, "_PRUNE_MARGIN", math.inf)
         real = verify._pair_entropy_into
         bad_rows = {2.0: 70, 0.5: 100}
+        injected = []
 
         def kernel(p, m, alpha, out):
             values = real(p, m, alpha, out)
-            if values.ndim == 1:  # an order's z term per row
+            if values.ndim == 1:  # an order's z term per row, which the grid run adds
                 values[bad_rows[alpha.alpha]] = math.nan
+                injected.append(alpha.alpha)
             return values
 
         monkeypatch.setattr(verify, "_pair_entropy_into", kernel)
@@ -953,6 +981,7 @@ class TestWorkers:
             with pytest.raises(ValueError) as info:
                 scan_orders([0.5, 2.0], GridSpec(401, 401))
             messages.append(str(info.value))
+        assert injected == [0.5, 2.0] * 2
         axis = np.linspace(0.0, QUARTER_PI, 401)
         assert messages[0] == messages[1]
         assert "entropic sum is nan at alpha=2.0," in messages[0]
@@ -965,20 +994,24 @@ class TestWorkers:
         # with every tile kept but grid row 0's, which is exact, the grid's run
         # is one 10 x 11 rectangle, rows 1-10
         monkeypatch.setattr(verify, "_PRUNE_MARGIN", math.inf)
-        real = verify._pair_entropy_into
+        real = verify._pair_numerator_into
         block_rows = grid_run_rows(monkeypatch, 11)
+        injected = []
 
-        def kernel(p, m, alpha, out):
+        def numerator(p, m, alpha, out):
             values = real(p, m, alpha, out)
-            if values.ndim == 2 and block_rows() is not None:  # the grid run's x and y terms
+            if block_rows() is not None:  # the grid run's x and y numerators
                 values[4 - block_rows()[0], 3], values[4 - block_rows()[0], 7] = first, second
+                injected.append(values.shape)
             return values
 
-        monkeypatch.setattr(verify, "_pair_entropy_into", kernel)
+        monkeypatch.setattr(verify, "_pair_numerator_into", numerator)
         axis = np.linspace(0.0, QUARTER_PI, 11)
         with pytest.raises(ValueError) as info:
             scan_extrema(0.5, GridSpec(11, 11))
+        # at 0.5 the numerators' sum is scaled by 2: each value keeps its sign
         assert str(info.value).startswith(f"entropic sum is {first!r} at alpha=0.5,")
+        assert injected == [(10, 11)] * 2
         assert f"(tau, phi) = ({float(axis[4])!r}, {float(axis[3])!r})" in str(info.value)
 
 
@@ -1649,38 +1682,42 @@ class TestPruning:
         assert max(worst, key=worst.get) in (0.98999, 0.99, 1.01, 1.01001)
         assert 6 * 1.5e-14 + 4e-15 <= BOUND_BUDGET
 
-    # A pruned scan's first kernel calls are its z terms, one per order, then
-    # the bound pass's.  On 801^2 the incumbent subgrid's run is one block:
-    # two calls per order for the subgrid's sums (x, y).  Then the tile
-    # stage's z terms, one call per order, and the tile bounds are one chunk:
-    # two calls per order (x, y), of shape (2, 2, tile rows, tile columns),
-    # the lower bounds first, each order's followed, outside 2 and 3, by its
-    # boxes' split side's call on the tiles it keeps.
+    # A pruned scan's first pair-kernel calls are its z terms, one per order,
+    # then the bound pass's.  On 801^2 the incumbent subgrid's run, between
+    # them, is one block: two numerator calls per order for the subgrid's sums
+    # (x, y).  Then the tile stage's z terms, one kernel call per order, and
+    # the tile bounds are one chunk: two kernel calls per order (x, y), of
+    # shape (2, 2, tile rows, tile columns), the lower bounds first, each
+    # order's followed, outside 2 and 3, by its boxes' split side's call on
+    # the tiles it keeps.
     @pytest.mark.parametrize("k,orders", [(0, (0.5, 2.0)), (1, (0.5, 2.0)), (0, (4.0,))])
     def test_nonfinite_incumbent_raises(self, monkeypatch, capsys, k, orders):
         axis = np.linspace(0.0, QUARTER_PI, 801)
         rows, cols = verify._subgrid(axis, axis)
-        real = verify._pair_entropy_into
-        calls = []
+        real = verify._pair_numerator_into
+        calls, injected = [], []
 
         def inject(p, m, alpha, out):
             out = real(p, m, alpha, out)
-            if len(calls) == len(orders) + 2 * k:  # the x term of order k's subgrid sums
+            if len(calls) == 2 * k:  # the x numerator of order k's subgrid sums
                 out[3, 2] = math.nan
+                injected.append((alpha.alpha, out.shape))
             calls.append(None)
             return out
 
-        monkeypatch.setattr(verify, "_pair_entropy_into", inject)
+        monkeypatch.setattr(verify, "_pair_numerator_into", inject)
         point = f"(tau, phi) = ({float(axis[rows[3]])!r}, {float(axis[cols[2]])!r})"
         with pytest.raises(ValueError, match=f"alpha={orders[k]!r}") as info:
             scan_orders(orders, GridSpec(801, 801))
         assert "entropic sum is nan" in str(info.value) and point in str(info.value)
+        assert injected == [(orders[k], (rows.size, cols.size))]
 
         calls.clear()
         assert main(["verify", ",".join(map(repr, orders)), "--grid", "801"]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert f"alpha={orders[k]!r}" in err and point in err
+        assert injected == [(orders[k], (rows.size, cols.size))] * 2
 
     @pytest.mark.parametrize(
         "k,orders,side,bad,split",
@@ -1846,18 +1883,20 @@ class TestBlocks:
 
 
 class TestKernelCalls:
-    """Each order's z term is taken once per scan, and in a block each order makes one extrema and two kernel calls."""
+    """Each order's z term is taken once per scan, and in a block each order makes one extrema and two numerator calls."""
 
     @pytest.mark.parametrize("grid", [GridSpec(401, 401), GridSpec(2001, 2001)], ids=str)
     def test_z_term_once_per_scan_and_two_calls_per_rectangle(self, monkeypatch, grid):
-        # kernel calls and extrema on a run's workspace planes are the blocks'
-        # (the incumbent subgrid's run included, which adds slices of the
-        # grid's z terms), at most one extrema per order and block, each
-        # block starting at its stage's pairs; the tile stage's z terms are
-        # one value per row of tiles
+        # numerator calls and extrema on a run's workspace planes are the
+        # blocks' (the incumbent subgrid's run included, which adds slices of
+        # the grid's z terms), at most one extrema per order and block, each
+        # block starting at its stage's pairs; every pair-kernel call is off
+        # the workspace, and the tile stage's z terms are one value per row
+        # of tiles
         orders = (0.5, 2.0, 4.0)
         real_kernel, real_extrema, real_pairs = verify._pair_entropy_into, verify._extrema, verify._grid_pairs
-        kernel_calls, extrema_calls = [], []
+        real_numerator = verify._pair_numerator_into
+        kernel_calls, numerator_calls, extrema_calls = [], [], []
         # per thread, the orders of its extrema calls, each block's in a list of its own
         block_orders = {}
 
@@ -1870,6 +1909,10 @@ class TestKernelCalls:
             kernel_calls.append((alpha.alpha, out.shape, in_workspace(out)))
             return real_kernel(p, m, alpha, out)
 
+        def numerator(p, m, alpha, out):
+            numerator_calls.append(in_workspace(out))
+            return real_numerator(p, m, alpha, out)
+
         def extrema(values, alpha, where):
             extrema_calls.append(in_workspace(values))
             block_orders[threading.get_ident()][-1].append(alpha.alpha)
@@ -1881,6 +1924,7 @@ class TestKernelCalls:
             return real_pairs(stage, rows, cols, out)
 
         monkeypatch.setattr(verify, "_pair_entropy_into", kernel)
+        monkeypatch.setattr(verify, "_pair_numerator_into", numerator)
         monkeypatch.setattr(verify, "_extrema", extrema)
         monkeypatch.setattr(verify, "_grid_pairs", grid_pairs)
         scan_orders(orders, grid)
@@ -1895,11 +1939,64 @@ class TestKernelCalls:
         # the split side's bound three axes at once, shape (2, 3, tiles))
         z_calls = [(a, shape) for a, shape, block in kernel_calls if not block and len(shape) < 4 and shape[1] != 3]
         assert z_calls == [z[:2] for z in z_terms] + tile_z_terms
-        blocks = sum(block for *_, block in kernel_calls)
-        assert blocks == 2 * sum(extrema_calls) > 0
+        assert not any(block for *_, block in kernel_calls)
+        assert all(numerator_calls) and len(numerator_calls) == 2 * sum(extrema_calls) > 0
         per_block = [calls for runs in block_orders.values() for calls in runs]
         assert sum(map(len, per_block)) == sum(extrema_calls)
         assert all(len(set(calls)) == len(calls) for calls in per_block)
+
+
+# Orders whose kernel scale c is a signed power of two, so _pair_sums adds the
+# x and y numerators first and scales their sum once: on the pow branch
+# alpha = 1 -+ 2^k, on the log branches (c = -1) Shannon and the expm1 window;
+# and pow orders that keep one division per axis
+ONE_SCALE_ORDERS = (0.5, 0.75, 0.875, 0.984375, 1.5, 2.0, 3.0, 5.0, 9.0, 17.0, 33.0, 1025.0)
+LOG_BRANCH_ORDERS = (0.995, 1.0, 1.0 - 1e-6, 1.0 + 1e-6, 1.005)
+DIVIDED_ORDERS = (0.25, 2.5, 4.0)
+EDGE_HALVES = (0.0, 0.25, -0.25, 0.5, -0.5, 2.0**-54, -(2.0**-54), 2.0**-60, -(2.0**-60), math.nan)
+
+
+def per_axis_sums(x, y, z_term, alpha):
+    """The reference: pair_entropy of the x and y pairs, then the z term, as fl(fl(F_x + F_y) + Z)."""
+    return entropy.pair_entropy(*x, alpha) + entropy.pair_entropy(*y, alpha) + z_term
+
+
+class TestSummedFirst:
+    """_pair_sums scales the numerators' sum once where c is a power of two, bit for bit the per-axis sums."""
+
+    @staticmethod
+    def assert_same_sums(got, reference):
+        # bitwise through int64 views, signed zeros included; a NaN is a NaN
+        # (its sign aside, as the kernel's docstring has it)
+        nan = np.isnan(reference)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.int64), reference[~nan].view(np.int64))
+
+    @pytest.mark.parametrize("alpha", ONE_SCALE_ORDERS + LOG_BRANCH_ORDERS + DIVIDED_ORDERS)
+    def test_summed_first_is_the_per_axis_sum_bitwise(self, alpha):
+        a = entropy.TsallisParam(alpha)
+        scale = entropy._exact_scale(a)
+        assert (scale is None) == (alpha in DIVIDED_ORDERS)
+        assert (scale == -1.0) == (alpha in LOG_BRANCH_ORDERS + (2.0,))
+        # random halves on three axes, then every combination of the edge halves
+        edges = np.array(list(itertools.product(EDGE_HALVES, repeat=3))).T
+        h = np.concatenate([np.random.default_rng(29).uniform(-0.5, 0.5, (3, 30_000)), edges], axis=1)
+        x, y, z = (verify._half_pair(v) for v in h)
+        z_term = entropy.pair_entropy(*z, a)
+        got = verify._pair_sums(x, y, z_term, a, scale, np.empty((3, h.shape[1])))
+        reference = per_axis_sums(x, y, z_term, a)
+        assert np.isnan(reference).any() and (reference == 0.0).any()
+        self.assert_same_sums(got, reference)
+
+    @pytest.mark.parametrize("alpha", (0.5, 1.0, 1.005, 2.0, 3.0, 4.0))
+    def test_a_row_broadcast_z_term_gives_the_same_bits(self, alpha):
+        # a grid block's z term is one value per row, broadcast along it
+        a = entropy.TsallisParam(alpha)
+        rng = np.random.default_rng(30)
+        x, y = (verify._half_pair(v) for v in rng.uniform(-0.5, 0.5, (2, 64, 301)))
+        z_term = entropy.pair_entropy(*verify._half_pair(rng.uniform(-0.5, 0.5, 64)), a)[:, None]
+        got = verify._pair_sums(x, y, z_term, a, entropy._exact_scale(a), np.empty((3, 64, 301)))
+        self.assert_same_sums(got, per_axis_sums(x, y, z_term, a))
 
 
 def test_rounding_picks_the_constant_orders_witnesses():
@@ -2037,6 +2134,81 @@ class TestCertifyEqualityConditions:
         with pytest.raises(ValueError, match=f"alpha={alpha!r}") as info:
             certify_equality_conditions(alpha, tolerance=1e-12, n_samples=100)
         assert "Bloch vector (nan, 0.0, 1.0)" in str(info.value)
+
+
+# the proven orders of the CLI's pinned verify runs
+CERTIFIED_ORDERS = (0.25, 0.5, 0.991, 0.9999999, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 10.0)
+
+
+class TestCertifyOrders:
+    """certify_orders draws one batch for every order; each bool is certify_equality_conditions's."""
+
+    @staticmethod
+    def no_states(monkeypatch):
+        def no_states(*args, **kwargs):
+            raise AssertionError("states drawn")
+
+        monkeypatch.setattr(verify, "sample_pure_states", no_states)
+
+    def test_bools_are_the_per_order_calls(self):
+        bools = verify.certify_orders(CERTIFIED_ORDERS, 1e-12, n_samples=2000, seed=7)
+        assert bools == [certify_equality_conditions(a, 1e-12, n_samples=2000, seed=7) for a in CERTIFIED_ORDERS]
+        assert all(bools)
+
+    def test_failing_orders_are_the_per_order_calls(self, monkeypatch):
+        # upper_pure moved: the maximizer check (c) fails where it runs, off 2 and 3
+        TestCertificationCanFail.shift(monkeypatch, "upper_pure", 1e-9)
+        bools = verify.certify_orders(CERTIFIED_ORDERS, 1e-12, n_samples=500)
+        assert bools == [certify_equality_conditions(a, 1e-12, n_samples=500) for a in CERTIFIED_ORDERS]
+        assert bools == [a in (2.0, 3.0) for a in CERTIFIED_ORDERS]
+
+    def test_one_batch_for_every_order(self, monkeypatch):
+        real, draws = verify.sample_pure_states, []
+
+        def counted(n, seed=verify.DEFAULT_SEED):
+            draws.append(n)
+            return real(n, seed=seed)
+
+        monkeypatch.setattr(verify, "sample_pure_states", counted)
+        assert verify.certify_orders([0.5, 1.0, 2.0, 4.0], 1e-12, n_samples=300) == [True] * 4
+        assert draws == [300]
+        assert verify.certify_orders([], 1e-12, n_samples=300) == []
+        assert draws == [300]
+
+    @pytest.mark.parametrize("position", [0, 1, 2, 3])
+    @pytest.mark.parametrize("bad", [2.5, 1.7, 0.0, -1.0])
+    def test_bad_order_anywhere_raises_before_drawing(self, monkeypatch, position, bad):
+        self.no_states(monkeypatch)
+        orders = [0.5, 2.0, 4.0]
+        orders.insert(position, bad)
+        with pytest.raises(ValueError):
+            verify.certify_orders(orders, 1e-12, n_samples=100)
+
+    def test_bad_samples_and_tolerance_raise_before_drawing(self, monkeypatch):
+        self.no_states(monkeypatch)
+        for n_samples in (0, GridSpec.MAX_POINTS + 1):
+            with pytest.raises(ValueError, match="n_samples"):
+                verify.certify_orders([0.5, 2.0], 1e-12, n_samples=n_samples)
+        with pytest.raises(TypeError, match="n_samples"):
+            verify.certify_orders([0.5, 2.0], 1e-12, n_samples=10.5)
+        for tolerance in (math.nan, -1e-12, math.inf):
+            with pytest.raises(ValueError, match="tolerance"):
+                verify.certify_orders([0.5, 2.0], tolerance, n_samples=100)
+            with pytest.raises(ValueError, match="tolerance"):
+                verify.certify_orders([], tolerance, n_samples=100)
+
+    @pytest.mark.parametrize("orders", [(0.5, 2.0), (2.0, 0.5), (1.0, 4.0, 0.5)])
+    def test_first_order_with_a_nonfinite_sum_is_named(self, monkeypatch, orders):
+        real = verify.sample_pure_states
+
+        def with_nan(n, seed=verify.DEFAULT_SEED):
+            b = real(n, seed=seed)
+            b[3] = math.nan
+            return b
+
+        monkeypatch.setattr(verify, "sample_pure_states", with_nan)
+        with pytest.raises(ValueError, match=f"at alpha={orders[0]!r}, Bloch vector \\(nan, nan, nan\\)"):
+            verify.certify_orders(orders, 1e-12, n_samples=100)
 
 
 class TestCertificationCanFail:
