@@ -31,16 +31,22 @@ pow's to within 7 ulps at the orders it covers.  Powers of 1/2, 0 and 1
 are exact either way, so the sums at the eigenstates, the analytic
 minimizers, are unchanged bit for bit.
 
-In place.  _pair_entropy_into, the kernel behind pair_entropy, runs
-every pass in two arrays of the pair's shape, one per side: a new array
-holding both for pair_entropy, a scan block's workspace for the grid
-scans (there through _pair_numerator_into, below).  The pow branch
-writes each side's power straight into its array from p or m, never from
-a copy of them (_power).  The log branches
-guard log(0) with max(p, 5e-324), one plain comparison that leaves every
-p > 0 as it is (5e-324 is the smallest positive float); the factor
-p = 0 then cancels the finite log it gets.
-Each branch keeps the operation order of the plain formulas -p ln p - m ln m, -p expm1((a-1) ln p) / (a-1) + ...
+In place.  _pair_entropy_into, the kernel behind pair_entropy, takes p
+stacked over m, pm of shape (2, ...), and runs every pass in one array
+of that shape: a new array for pair_entropy, a scan block's workspace
+for the grid scans (there through _pair_numerator_into, below), which
+pass both axes' pairs at once, (2, 2, rows, columns).  Each pass runs
+over both sides (and every axis) in one numpy call, and only the
+sides' sum, out[0] += out[1], and the scale run on one half.  The pow
+branch writes the power straight into its array from pm, never from a
+copy of it (_power).  The log branches guard log(0) with max(p,
+5e-324), one plain comparison that leaves every p > 0 as it is (5e-324
+is the smallest positive float); the factor p = 0 then cancels the
+finite log it gets.  Stacking changes no bit: every pass is
+elementwise, so each element sees p^a - p (or its log term), then the
+sides' sum, then the scale, the operations of the one-sided formulas
+in their order.  Each branch keeps the operation order of the plain
+formulas -p ln p - m ln m, -p expm1((a-1) ln p) / (a-1) + ...
 and ((p^a - p) + (m^a - m)) / (1 - a), negating the sum once rather
 than each side (negation is exact: -(A + B) is (-A) - B).  So, the sign
 of a zero or of a NaN aside, its values are bit for bit the plain
@@ -218,28 +224,29 @@ def pair_entropy(p: np.ndarray, m: np.ndarray, alpha: TsallisParam) -> np.ndarra
     the module docstring).  Every branch gives h_alpha(0) = 0 exactly, so
     m = 0 yields h_alpha(p) alone.
 
-    Each branch works in place in one new array, one half per side
-    (module docstring): 8 passes over the block on the Shannon branch, 14
-    on the expm1 branch and 6 on the pow branch (each side's power written
-    straight into its half; a squaring chain multiplies instead), and the log
-    branches guard log(0) with max(p, 5e-324).  The sign of a zero or of
-    a NaN aside, the values are bit for bit those of the plain formulas.
-    The result is a new array; p and m are never written.  p and m must
-    have one shape, of at least one dimension (numpy turns a 0-d result
-    into a scalar, which the in-place passes cannot write).
+    p and m are stacked once into one new array, and each branch works in
+    place in another, one half per side (module docstring): 5 numpy calls
+    on the Shannon branch, 8 on the expm1 branch and 4 on the pow branch
+    (the power written straight from the pair; a squaring chain
+    multiplies instead), all but the last two over both sides at once,
+    and the log branches guard log(0) with max(p, 5e-324).  The sign of a
+    zero or of a NaN aside, the values are bit for bit those of the plain
+    formulas.  The result is a new array; p and m are never written.  p
+    and m must have one shape, of at least one dimension (numpy turns a
+    0-d result into a scalar, which the in-place passes cannot write).
     """
-    return _pair_entropy_into(p, m, alpha, np.empty((2, *p.shape)))
+    return _pair_entropy_into(np.stack([p, m]), alpha, np.empty((2, *p.shape)))
 
 
-def _pair_entropy_into(p: np.ndarray, m: np.ndarray, alpha: TsallisParam, out: np.ndarray) -> np.ndarray:
-    """pair_entropy computed in out, a float64 array of shape (2, *p.shape): the numerator over its scale c.
+def _pair_entropy_into(pm: np.ndarray, alpha: TsallisParam, out: np.ndarray) -> np.ndarray:
+    """pair_entropy of pm = p stacked over m, computed in out, an array of pm's shape: the numerator over its scale c.
 
     The result is written into out[0] and returned; out[1] is
-    overwritten.  A pass writes out before it has read all of p and m,
-    so out must not overlap them: ValueError where their memory bounds
-    meet (np.may_share_memory, a cheap and conservative check).
+    overwritten.  A pass writes out before it has read all of pm, so out
+    must not overlap it: ValueError where their memory bounds meet
+    (np.may_share_memory, a cheap and conservative check).
     """
-    total = _pair_numerator_into(p, m, alpha, out)
+    total = _pair_numerator_into(pm, alpha, out)
     c = _denominator(alpha)
     if c == -1.0:
         # -(A + B) is (-A) - B bit for bit: negation is exact
@@ -248,26 +255,27 @@ def _pair_entropy_into(p: np.ndarray, m: np.ndarray, alpha: TsallisParam, out: n
     return total
 
 
-def _pair_numerator_into(p: np.ndarray, m: np.ndarray, alpha: TsallisParam, out: np.ndarray) -> np.ndarray:
-    """N = c h_alpha(p) + c h_alpha(m), c = _denominator(alpha), into out[0] as _pair_entropy_into computes it.
+def _pair_numerator_into(pm: np.ndarray, alpha: TsallisParam, out: np.ndarray) -> np.ndarray:
+    """N = c h_alpha(p) + c h_alpha(m), c = _denominator(alpha), into out[0], pm = p stacked over m.
 
-    On the log branches N is the sum of the two sides' _log_term, on the
-    pow branch (p^a - p) + (m^a - m).  out[1] is overwritten, and out must
-    not share memory with p or m (ValueError).
+    pm and out have one shape, (2, ...), with any trailing axes: a scan
+    block passes both axes' pairs at once, (2, 2, rows, columns).  Each
+    pass runs over both sides: on the log branches the sides' _log_term,
+    on the pow branch p^a - p and m^a - m, then out[0] += out[1], so each
+    element sees the operations of the one-sided formulas in their order.
+    out[1] is overwritten, and out must not share memory with pm
+    (ValueError).
     """
-    if np.may_share_memory(out, p) or np.may_share_memory(out, m):
+    if np.may_share_memory(out, pm):
         raise ValueError("out must not share memory with p or m")
     a = alpha.alpha
-    total, other = out
     if abs(a - 1.0) < EXPM1_WINDOW:
-        _log_term(p, a - 1.0, total)
-        total += _log_term(m, a - 1.0, other)
-        return total
-    _power(p, a, total)
-    total -= p
-    _power(m, a, other)
-    other -= m
-    total += other
+        _log_term(pm, a - 1.0, out)
+    else:
+        _power(pm, a, out)
+        out -= pm
+    total = out[0]
+    total += out[1]
     return total
 
 
@@ -344,7 +352,7 @@ def _power(x: np.ndarray, a: float, out: np.ndarray) -> np.ndarray:
 
 
 def _scalar_pair_entropy(p: float, m: float, alpha: AlphaLike) -> float:
-    value = pair_entropy(np.array([p]), np.array([m]), as_param(alpha))
+    value = _pair_entropy_into(np.array([[p], [m]]), as_param(alpha), np.empty((2, 1)))
     # + 0.0 turns the kernel's -0.0 at a deterministic pair into 0.0
     return float(value[0]) + 0.0
 

@@ -30,27 +30,38 @@ stay in the calling thread.  The first run is the caller's own, the others go to
 threads started for the scan, run in copies of the caller's context (so
 numpy's error state holds in them) and joined before it returns.  The
 workers share the _CHUNK_POINTS budget: a block takes rows of tiles with
-the same spans (below) while it holds at most _CHUNK_POINTS / workers
-points (one row of tiles may hold more, at most max(_WORKER_POINTS /
-_MAX_WORKERS, n_phi) points; GridSpec caps n_phi).
+the same spans (below) while it holds at most _CHUNK_POINTS /
+_MAX_WORKERS points, whatever the worker count (one row of tiles may hold
+more, at most max(_WORKER_POINTS / _MAX_WORKERS, n_phi) points; GridSpec
+caps n_phi), so the blocks do not depend on the workers and one worker's
+arrays fit a core's L2 cache as two workers' do.
 One block runner (_run) evaluates every grid: a scan's, and its
-incumbent subgrid (below).  Each run allocates one workspace, seven
+incumbent subgrid (below).  Each run allocates one workspace, eight
 arrays per worker of its largest block's points: the stage writes a
-block's four outcome planes (p_x, p_y, m_x, m_y) at the start of the
-worker's part, and each order's kernel its three after them, so no
-block allocates a temporary of its own and every array stays in a
-core's L2 cache.  Each worker's run, and the bound pass, sets numpy's
+block's four outcome planes, p over m, each x over y (p_x, p_y, m_x,
+m_y), at the start of the worker's part, and each order's kernel its
+four after them, so no block allocates a temporary of its own.  The
+kernel takes the four planes whole (_pair_sums): each pass of it runs
+over both outcomes and both axes in one numpy call, so at alpha = 2 an
+order makes five calls per block (the power, the power minus p, the
+sides' sum, the axes' sum and the z term) where one call per axis and
+side took twelve.  The two workers hand the interpreter lock over at
+each numpy call, and on 16-row blocks of 2001 columns the calls were
+short enough that the workers ran one after the other (_MAX_WORKERS):
+few, long calls per block let them overlap.  Each worker's run, and the
+bound pass, sets numpy's
 ufunc buffer to its row's length (_row_buffer: a multiple of 16, at most
 numpy's default 8192) and restores the caller's: numpy's buffered iterator
 copies the operands of a row broadcast whose row is shorter than the
 buffer, which made the stage's product and each order's z-term
 addition two to five times slower on 2001-column blocks, and no
 elementwise result depends on the buffer.  The worker cap bounds the workspace
-whatever the CPU count: at most 7 max(_CHUNK_POINTS, _MAX_WORKERS n_phi)
+whatever the CPU count: at most 8 max(_CHUNK_POINTS, _MAX_WORKERS n_phi)
 float64 values, and the subgrid's run, on fewer rows and columns, ends
 before the grid's starts.  The tile bounds (below) stay within that
 bound too: they are taken a chunk of rows of tiles at a time, in
-14 max(_CHUNK_POINTS / 4, columns of tiles) values, their boxes on the
+14 max(_CHUNK_POINTS / 4, columns of tiles) values (one axis's kernel
+at a time, on views of the chunk's pairs), their boxes on the
 sphere a batch of at most _WORKER_POINTS / 16 kept tiles at a time, in
 38 values per tile (14 for the box, 24 for _box_bound's scratch; 2.4
 _CHUNK_POINTS values at the default budget), and the bound pass keeps
@@ -103,7 +114,11 @@ every 1 x 1 tile.  Pruning speeds up the exact grid answer and proves
 nothing between grid points.  A scan at a margin of _PRUNE_MARGIN -
 delta (full_domain_orders, delta a quarter of its tolerance) skips more,
 and each extremum it reports lies within delta of the exact one
-(_scan_rectangle).  The bound pass (_kept_spans) runs in the
+(_scan_rectangle).  A scan may be given extrema found elsewhere that are
+grid values of its own grid (full_domain_orders gives the unfolding D's,
+its leading block on views of its stage): they join the incumbents, so
+the cut holds as before, and merge into the result.  The bound pass
+(_kept_spans) runs in the
 calling thread and leaves each order's span in each row of tiles, from
 its first kept tile to its last (measured as fast as separate runs of
 kept tiles, with fewer kernel calls); the grid's run takes those spans,
@@ -264,7 +279,6 @@ from .entropy import (
     _pair_entropy_into,
     _pair_numerator_into,
     as_param,
-    pair_entropy,
     phi,
     tsallis_entropy,
 )
@@ -301,14 +315,16 @@ __all__ = [
 
 DEFAULT_SEED = 12345
 
-# Grid points a block's stage evaluates, shared among a scan's workers; a
-# block takes whole rows of tiles (at least one).  At 65,536 points and
-# one worker each float64 array of a block is 512 KB, 256 KB each with two:
-# a worker's seven arrays fit a core's 2 MiB L2 cache with two workers
-# (1.75 MB), not with one (3.5 MB), and one thread took 8.8 ns a point for
-# the stage and the kernel at 2 on 32-row blocks against 7.5 on 16-row
-# ones (ROADMAP item 6); blocks a few times that ran about 3x slower.  The
-# per-order kernel dominates.  All blocks of an exhaustive 2001^2 scan in
+# Grid points the blocks of a scan's workers hold together: a block takes
+# whole rows of tiles (at least one) while it holds at most _CHUNK_POINTS /
+# _MAX_WORKERS points, whatever the worker count.  Each float64 array of
+# such a block is 256 KB, and a worker's eight arrays (2 MB) fit a core's
+# 2 MiB L2 cache; with one worker's blocks at the whole 65,536 points (4
+# MB), one thread took 43-47 ms for the blocks of an exhaustive 2001^2
+# scan at 2 against 30-37 ms on 16-row blocks (best of 7-9, taskset -c 0;
+# with seven arrays, 8.8 against 7.5 ns a point, ROADMAP item 6); blocks a
+# few times that ran about 3x slower.  The per-order kernel dominates.
+# All blocks of an exhaustive 2001^2 scan in
 # one thread, best of 5, at 16 and 32 rows per block, with the ufunc
 # buffer at the row's 2000 (_run): 20-24 ms per order at 2 and 67-68 ms
 # at 3, whose numerators are summed first and scaled once (_pair_sums),
@@ -330,12 +346,19 @@ _CHUNK_POINTS = 65_536
 # Fixed at import, so a budget set for a test shapes the blocks alone.
 _WORKER_POINTS = _CHUNK_POINTS
 # Most worker threads a scan takes.  One and two workers were measured
-# (BENCH_15.json, 2-core Xeon); more are unverified: each halves the blocks
-# again, so the per-block Python work, which holds the interpreter lock,
-# grows while the arithmetic per thread shrinks.  Workers hand the lock
-# over at each numpy call, so the calls a block makes per order, not only
-# its arithmetic, set how long they wait on each other.  The cap also
-# bounds the scan's workspace, which holds seven block arrays per worker.
+# (BENCH_15.json, 2-core Xeon); more are unverified: each adds a run whose
+# per-block Python work holds the interpreter lock while the arithmetic
+# per thread shrinks.  Workers hand the lock over at each numpy call, so
+# the calls a block makes per order, not only its arithmetic, set how long
+# they wait on each other: with one call per axis and side (about 17 per
+# block at 2, stage and _extrema included), the blocks of an exhaustive
+# 2001^2 scan at 2, 16 x 2001 each, took 25.2 ms on one thread and 25.0
+# ms on two (best of 5), the two workers running one after the other.  So
+# a block's kernel runs each pass over both outcomes and both axes in one
+# call (_pair_sums; 10 calls per block at 2): 16-row blocks then took 30-41
+# ms on one thread and 22-29 ms on two (27-35 ms at seven arrays; three
+# rounds, best of 7, a noisy host).  The cap also bounds the scan's
+# workspace, which holds eight block arrays per worker.
 _MAX_WORKERS = 2
 # Pruning (module docstring).  A tile holds about _TILE_SIDE^2 grid points:
 # on 2001^2, with the monotone bounds alone, 16 x 16 tiles left 5.1% of the
@@ -380,8 +403,8 @@ class GridSpec:
     each; every scan function takes its grid on D.  Counts must be integers
     (numpy integers included); anything else raises TypeError.
     Each count is capped at MAX_POINTS (1,000,001), which keeps a one-row
-    scan block near 8 MB per array and a scan's workspace, seven such
-    arrays for each of at most two workers, near 112 MB (a scan's subgrid
+    scan block near 8 MB per array and a scan's workspace, eight such
+    arrays for each of at most two workers, near 128 MB (a scan's subgrid
     run and tile bounds hold less); each order of a scan adds one
     n_tau-long vector, its z term per row.  A larger count raises
     ValueError.  The check functions' counts (certification's n_samples,
@@ -501,41 +524,49 @@ def _half_pair(h: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return out
 
 
-def _clipped_pairs(*components: np.ndarray) -> list[np.ndarray]:
-    """_half_pair of each Bloch component s clipped to [-1, 1]: bitwise clip((1 +- s)/2, 0, 1), NaN kept."""
-    return [_half_pair(0.5 * np.clip(s, -1.0, 1.0)) for s in components]
+def _clipped_pairs(*components: np.ndarray) -> np.ndarray:
+    """_half_pair of the Bloch components s, stacked and clipped to [-1, 1]: p over m, each of shape (components, ...).
+
+    Bitwise clip((1 +- s)/2, 0, 1), NaN kept.  Components must have one shape.
+    """
+    return _half_pair(0.5 * np.clip(np.stack(components), -1.0, 1.0))
 
 
 def _pair_sums(
-    x: np.ndarray, y: np.ndarray, z_term: np.ndarray, alpha: TsallisParam, scale: Optional[float], out: np.ndarray
+    pairs: np.ndarray, z_term: np.ndarray, alpha: TsallisParam, scale: Optional[float], out: np.ndarray
 ) -> np.ndarray:
-    """Entropic sums from the x and y outcome pairs, (p, m) each, and the z term, the z pair's entropies.
+    """Entropic sums from the x and y outcome pairs and the z term, the z pair's entropies.
 
-    The result has the shape of p; z_term broadcasts against it, so a grid
-    passes its z term as one value per row, each computed once per scan.
-    out, of shape (3, *p shape), takes the x and y numerators
-    (entropy._pair_numerator_into's out): the sum is written into out[0]
-    and returned.  scale is _exact_scale(alpha), 1/c, decided once per
-    order.  Where it is a number the two numerators are summed first and
-    scaled once, S = fl(fl(N_x + N_y) scale + Z), at scale -1 S = fl(Z -
-    (N_x + N_y)) with no scaling pass; at None each is divided by c = 1 -
-    alpha, as pair_entropy does.  Either way S is fl(fl(F_x + F_y) + Z)
-    bit for bit, F_x and F_y the pairs' pair_entropy: every pair from
-    _half_pair lies in 2^-54 Z within [0, 1], so each numerator is +0 or at
-    least 2^-159 in magnitude, of the sign of c, and a nonzero N_x + N_y at
-    least 2^-211; multiplying such values by +-2^k (|k| <= 52) is exact and
-    commutes with round-to-nearest, and negation is always exact (the
-    entropy module's operation order; a NaN's sign aside).
+    pairs, of shape (2, 2, ...), holds p over m, each the x axis over the
+    y (_grid_pairs' layout, or views of it), and the result has the shape
+    of one plane; z_term broadcasts against it, so a grid passes its z
+    term as one value per row, each computed once per scan.  out, of
+    pairs' shape, takes both axes' numerators N_x and N_y in one kernel
+    call (entropy._pair_numerator_into, each pass over both sides and
+    both axes): the sum is written into out[0, 0] and returned.  scale is
+    _exact_scale(alpha), 1/c, decided once per order.  Where it is a
+    number the two numerators are summed first and scaled once, S =
+    fl(fl(N_x + N_y) scale + Z), at scale -1 S = fl(Z - (N_x + N_y)) with
+    no scaling pass; at None both are divided by c = 1 - alpha in one
+    pass, as pair_entropy divides each, and then summed.  Either way S is
+    fl(fl(F_x + F_y) + Z) bit for bit, F_x and F_y the pairs'
+    pair_entropy: every pair from _half_pair lies in 2^-54 Z within [0,
+    1], so each numerator is +0 or at least 2^-159 in magnitude, of the
+    sign of c, and a nonzero N_x + N_y at least 2^-211; multiplying such
+    values by +-2^k (|k| <= 52) is exact and commutes with
+    round-to-nearest, and negation is always exact (the entropy module's
+    operation order; a NaN's sign aside).  Each element sees p^a - p and
+    m^a - m (or their log terms), their sum, x + y, the scale and + z in
+    that order, whichever pairs share its call, so no grid sum depends on
+    the block or span that held it.
     """
-    total = _pair_numerator_into(x[0], x[1], alpha, out[:2])
-    other = _pair_numerator_into(y[0], y[1], alpha, out[1:])
+    numerators = _pair_numerator_into(pairs, alpha, out)
+    total = numerators[0]
     if scale is None:  # c is no power of two: each axis divided, as pair_entropy does
-        c = 1.0 - alpha.alpha
-        total /= c
-        other /= c
-        total += other
+        numerators /= 1.0 - alpha.alpha
+        total += numerators[1]
     else:
-        total += other
+        total += numerators[1]
         if scale == -1.0:
             return np.subtract(z_term, total, out=total)
         total *= scale
@@ -545,8 +576,10 @@ def _pair_sums(
 
 def _entropic_sums(bx: np.ndarray, by: np.ndarray, bz: np.ndarray, alpha: TsallisParam) -> np.ndarray:
     """Entropic sums at Bloch components (bx, by, bz) of one shape."""
-    x, y, z = _clipped_pairs(bx, by, bz)
-    return _pair_sums(x, y, pair_entropy(*z, alpha), alpha, _exact_scale(alpha), np.empty((3, *bx.shape)))
+    pairs = _clipped_pairs(bx, by, bz)
+    xy, z = pairs[:, :2], pairs[:, 2]
+    z_term = _pair_entropy_into(z, alpha, np.empty(z.shape))
+    return _pair_sums(xy, z_term, alpha, _exact_scale(alpha), np.empty(xy.shape))
 
 
 def _extrema(values: np.ndarray, alpha: TsallisParam, where: Callable) -> tuple[int, float, int, float]:
@@ -587,20 +620,21 @@ def _stage(tau_grid: np.ndarray, phi_grid: np.ndarray) -> _Stage:
 
 
 def _grid_pairs(stage: _Stage, rows, cols, out: np.ndarray) -> None:
-    """The x and y outcome pairs on the grid rows x cols, written into out as (p_x, p_y, m_x, m_y).
+    """The x and y outcome pairs on the grid rows x cols, written into out, p over m, each x over y.
 
     rows and cols (slices or index arrays) select from the stage vectors'
     last axis, and any leading axes broadcast (_tile_stage stacks two
-    stages); out has shape (4, ..., rows, cols).  One product writes both
-    halves h = (sin 2 tau)/2 (cos phi, sin phi) into out[2:], and the pairs
-    follow from them in place: p = 1/2 + h into out[:2], then m = 1/2 - h
-    over h (_half_pair's formula, on both axes at once).  The z pair
+    stages); out has shape (2, 2, ..., rows, cols): out[0] holds (p_x,
+    p_y) and out[1] (m_x, m_y), the layout _pair_sums takes.  One product
+    writes both halves h = (sin 2 tau)/2 (cos phi, sin phi) into out[1],
+    and the pairs follow from them in place: p = 1/2 + h into out[0], then
+    m = 1/2 - h over h (_half_pair's formula, on both axes at once).  The z pair
     depends on the row alone, _half_pair of the stage's (cos 2 tau)/2, and
     a scan takes its entropies once (_z_terms).
     """
     half_s2t, _, trig = stage
-    h = np.multiply(half_s2t[..., rows, None], trig[..., None, cols], out=out[2:])
-    np.add(0.5, h, out=out[:2])
+    h = np.multiply(half_s2t[..., rows, None], trig[..., None, cols], out=out[1])
+    np.add(0.5, h, out=out[0])
     np.subtract(0.5, h, out=h)
 
 
@@ -610,11 +644,11 @@ def _z_terms(alphas: Sequence[TsallisParam], stage: _Stage) -> np.ndarray:
     Computing them raises nothing: a non-finite z term is met in the
     first sum that adds it.
     """
-    plus, minus = _half_pair(stage[1])
+    pair = _half_pair(stage[1])
     # order o's into z_terms[o], the next plane its kernel's scratch
-    z_terms = np.empty((len(alphas) + 1, *plus.shape))
+    z_terms = np.empty((len(alphas) + 1, *pair.shape[1:]))
     for o, alpha in enumerate(alphas):
-        _pair_entropy_into(plus, minus, alpha, z_terms[o : o + 2])
+        _pair_entropy_into(pair, alpha, z_terms[o : o + 2])
     return z_terms[:-1, ..., None]  # one value per row, broadcast along it
 
 
@@ -717,13 +751,13 @@ def _exact_tiles(tile_stage: _Stage) -> np.ndarray:
     rows = np.flatnonzero((z[:, 0] == z[:, 1]).all(axis=0))
     n_cols = tile_stage[2].shape[-1]
     step = max(1, _WORKER_POINTS // 4 // n_cols)
-    pairs = np.empty((4, 2, min(step, rows.size) * n_cols))
+    pairs = np.empty((2, 2, 2, min(step, rows.size) * n_cols))
     exact = [np.empty(0, dtype=int)]
     for k in range(0, rows.size, step):
         chunk = rows[k : k + step]
-        w = pairs[..., : chunk.size * n_cols].reshape(4, 2, chunk.size, n_cols)
+        w = pairs[..., : chunk.size * n_cols].reshape(2, 2, 2, chunk.size, n_cols)
         _grid_pairs(tile_stage, chunk, slice(None), w)
-        same = (w[:, 0] == w[:, 1]).all(axis=0)
+        same = (w[:, :, 0] == w[:, :, 1]).all(axis=(0, 1))
         exact.append((chunk[:, None] * n_cols + np.arange(n_cols))[same])
     return np.concatenate(exact)
 
@@ -757,7 +791,9 @@ class _Plan:
     """What every scan of one grid shares, whatever its orders: the axes, the stage and the tiles.
 
     A GridSpec keeps its plan on D; full_domain_orders and refined_maximum's
-    window build one per call.  Besides the axes and the stage (_stage), a
+    window build one per call.  Besides the axes and the stage (_stage, or
+    the one given: full_domain_orders builds D's plan from views of the
+    unfolding's, so D's grid values are the unfolding's bit for bit), a
     plan holds the tile edges (_tile_edges), the incumbent subgrid's rows
     and columns (_subgrid) and its stage, the tile stage (_tile_stage), the
     exact tiles' flat indices (_exact_tiles) and the slab's eta (_slab).
@@ -771,9 +807,9 @@ class _Plan:
     repeated took 2.4 ms (best of 30, 2-core Xeon, numpy 2.4.6).
     """
 
-    def __init__(self, tau_grid: np.ndarray, phi_grid: np.ndarray) -> None:
+    def __init__(self, tau_grid: np.ndarray, phi_grid: np.ndarray, stage: Optional[_Stage] = None) -> None:
         self.tau_grid, self.phi_grid = _read_only(tau_grid, phi_grid)
-        self.stage: _Stage = _read_only(*_stage(tau_grid, phi_grid))
+        self.stage: _Stage = _read_only(*(_stage(tau_grid, phi_grid) if stage is None else stage))
         self.row_edges, self.col_edges, self.sub_rows, self.sub_cols = _read_only(
             *_tile_edges(tau_grid, phi_grid), *_subgrid(tau_grid, phi_grid)
         )
@@ -902,7 +938,7 @@ def _box_bound(
     np.maximum(level, lo, out=root)
     np.minimum(root, hi, out=root)
     pair = _half_pair(root, work[6:12, :n].reshape(2, 3, n))
-    terms = _pair_entropy_into(*pair, alpha, work[18:24, :n].reshape(2, 3, n))
+    terms = _pair_entropy_into(pair, alpha, work[18:24, :n].reshape(2, 3, n))
     split = np.add(terms[0], terms[1], out=work[0, :n])
     split += terms[2]
     _check_bounds(split, alpha, where)
@@ -973,14 +1009,16 @@ def _kept_spans(
         for t0 in range(0, n_rows, step):
             tiles = slice(t0, t0 + step)
             w = scratch[..., : (min(t0 + step, n_rows) - t0) * n_cols].reshape(7, 2, -1, n_cols)
-            _grid_pairs(tile_stage, tiles, slice(None), w[:4])
+            pairs = w[:4].reshape(2, 2, *w.shape[1:])
+            _grid_pairs(tile_stage, tiles, slice(None), pairs)
             first = t0 * n_cols
             # the chunk's exact tiles, by flat index in the chunk
             exact = plan.exact[np.searchsorted(plan.exact, first) : np.searchsorted(plan.exact, first + w[0, 0].size)]
             exact = exact - first
             for o, (alpha, (least, greatest)) in enumerate(zip(alphas, incumbents)):
-                fx = _pair_entropy_into(w[0], w[2], alpha, w[4:6])
-                fy = _pair_entropy_into(w[1], w[3], alpha, w[5:7])
+                # one axis at a time, (p, m) = w[0::2] and w[1::2], so the chunk needs no eighth array
+                fx = _pair_entropy_into(pairs[:, 0], alpha, w[4:6])
+                fy = _pair_entropy_into(pairs[:, 1], alpha, w[5:7])
                 bounds = np.add(fx, fy, out=w[6])
                 bounds += z_terms[o, :, tiles, None]
                 lb, ub = bounds
@@ -1018,35 +1056,61 @@ def _outside(spans: np.ndarray, plan: _Plan) -> list[int]:
     return (rows.size * cols.size - inside.sum(axis=1)).tolist()
 
 
-def _blocks(spans: np.ndarray, row_edges: np.ndarray, budget: int) -> tuple[list[list], np.ndarray]:
-    """The stage's blocks in grid order, each one rectangle in which each order's points are one rectangle too.
+def _blocks(spans: np.ndarray, row_edges: np.ndarray) -> tuple[list[list], list[int], int, list[int]]:
+    """A run's blocks in grid order, each a rectangle in which each order's points are one too, and their split.
 
-    spans, of shape (1 + orders, rows of tiles, 2), holds the stage's span
-    in each row of tiles, and then each order's (as _kept_spans).  A block
-    [row, end row, spans] joins consecutive rows of tiles whose spans, the
-    stage's and every order's, are all the same, while it holds at most
-    budget points, and takes at least one row; a row of tiles with an
-    empty stage span belongs to no block.  So each order's points in a
-    block are the block's rows times its span.  Returns the blocks and the
-    points of each, shape (1 + orders, blocks): the stage's, then each
-    order's.
+    spans, of shape (orders, rows of tiles, 2), holds each order's span in
+    each row of tiles (as _kept_spans).  The stage's span in a row of
+    tiles runs from the first column any order keeps to the last; a row
+    of tiles where no order keeps any belongs to no block.  A block [row,
+    end row, spans], spans the stage's then each order's, joins
+    consecutive rows of tiles whose spans, the stage's and every order's,
+    are all the same, while it holds at most _CHUNK_POINTS / _MAX_WORKERS
+    points, and takes at least one row.  So each order's points in a
+    block are the block's rows times its span.  The run takes one worker
+    per _WORKER_POINTS points its stage evaluates (_workers), at most one
+    per block, and its blocks are split into contiguous runs of about
+    equal kept work, the stage counted as one order's kernel: run k starts
+    at the first block whose midpoint in the cumulative work reaches k /
+    workers of it.  Returns the blocks, the runs' bounds (run k takes
+    blocks[bounds[k] : bounds[k + 1]], one run per worker), the largest
+    block's stage points and each order's points.  One pass over the
+    spans' lists lays it all out, with no numpy call: every scan runs its
+    subgrid and its grid through here.
     """
-    rows = row_edges.tolist()
+    edges = row_edges.tolist()
+    budget = _CHUNK_POINTS // _MAX_WORKERS
     blocks: list[list] = []
-    for t, row in enumerate(spans.transpose(1, 0, 2).tolist()):
-        (c0, c1), r0, r1 = row[0], rows[t], rows[t + 1]
-        if c0 == c1:
+    points = 0  # the stage's
+    for t, own in enumerate(spans.transpose(1, 0, 2).tolist()):
+        kept = [span for span in own if span[0] < span[1]]
+        if not kept:
             continue
+        r0, r1 = edges[t], edges[t + 1]
+        row = [[min(c0 for c0, _ in kept), max(c1 for _, c1 in kept)], *own]
+        c0, c1 = row[0]
+        points += (r1 - r0) * (c1 - c0)
         if blocks and blocks[-1][1:] == [r0, row] and (r1 - blocks[-1][0]) * (c1 - c0) <= budget:
             blocks[-1][1] = r1
         else:
             blocks.append([r0, r1, row])
-    areas = [[(r1 - r0) * (d1 - d0) for d0, d1 in row] for r0, r1, row in blocks]
-    return blocks, np.array(areas).T
+    areas = [[(r1 - r0) * (c1 - c0) for c0, c1 in row] for r0, r1, row in blocks]
+    workers = min(_workers(points), len(blocks))
+    bounds = [0]
+    if workers > 1:
+        work = [sum(area) for area in areas]
+        total, cumulative = sum(work), 0
+        for b, w in enumerate(work):
+            cumulative += w
+            while len(bounds) < workers and cumulative - w / 2.0 >= total * len(bounds) / workers:
+                bounds.append(b)
+    bounds += [len(blocks)] * (workers + 1 - len(bounds))
+    totals = [sum(column) for column in zip(*areas)] or [0] * (1 + len(spans))
+    return blocks, bounds, max((area[0] for area in areas), default=0), totals[1:]
 
 
 def _scan_rectangle(
-    alphas: Sequence[TsallisParam], plan: _Plan, margin: Optional[float] = None
+    alphas: Sequence[TsallisParam], plan: _Plan, margin: Optional[float] = None, known: Optional[list] = None
 ) -> list[tuple[float, tuple[int, int], float, tuple[int, int], int]]:
     """Grid extrema of every order in one pass over the plan's grid, lowest-(tau, phi) tie-breaking.
 
@@ -1060,9 +1124,14 @@ def _scan_rectangle(
     _PRUNE_MARGIN the extrema are exact.  At _PRUNE_MARGIN - delta each
     lies within delta of the exact one, on its side: a skipped tile's sums
     lie past its LB or UB by less than _PRUNE_MARGIN, so past least - delta
-    or greatest + delta, and least and greatest are merged.
-    Raises ValueError at the first non-finite value met: the subgrid
-    run's, then the tile bounds', then the grid run's (see _run).
+    or greatest + delta, and least and greatest are merged.  known
+    holds, per order, extrema ((min, (i, j)), (max, (i, j))) of grid
+    values of this plan found elsewhere (full_domain_orders: D's, on the
+    unfolding's leading block): they join the subgrid's as incumbents and
+    are merged into the result, which keeps both claims, as they are grid
+    values at their grid points.  Raises ValueError at the first
+    non-finite value met: the subgrid run's, then the tile bounds', then
+    the grid run's (see _run).
     """
     tau_grid, phi_grid, rows, cols = plan.tau_grid, plan.phi_grid, plan.sub_rows, plan.sub_cols
 
@@ -1074,18 +1143,21 @@ def _scan_rectangle(
         alphas, plan.sub_stage, z_terms[:, rows], *_whole_rows(len(alphas), rows.size, cols.size),
         lambda i, j: where(rows[i], cols[j]),
     )
-    # each order's subgrid extrema, at their grid points
+    # each order's incumbents: its subgrid extrema, at their grid points, and those it was given
     incumbents = [
-        ((low, (int(rows[i]), int(cols[j]))), (high, (int(rows[k]), int(cols[l]))))
-        for low, (i, j), high, (k, l) in (_merged(found) for found, _ in subgrid)
+        [((low, (int(rows[i]), int(cols[j]))), (high, (int(rows[k]), int(cols[l])))), *given]
+        for (low, (i, j), high, (k, l)), given in zip(
+            (_merged(found) for found, _ in subgrid), known or [()] * len(alphas)
+        )
     ]
+    cuts = [(low, high) for low, _, high, _ in map(_merged, incumbents)]
     margin = _PRUNE_MARGIN if margin is None else margin
-    spans, resolved = _kept_spans(alphas, plan, [(low, high) for (low, _), (high, _) in incumbents], where, margin)
+    spans, resolved = _kept_spans(alphas, plan, cuts, where, margin)
     results = _run(alphas, plan.stage, z_terms, plan.row_edges, spans, where)
     # the extrema of the blocks, the exact tiles and the subgrid; the points
     # evaluated: the kernel's blocks, and the subgrid's points outside them
     return [
-        (*_merged([*found, *exact, own]), points + outside)
+        (*_merged([*found, *exact, *own]), points + outside)
         for (found, points), exact, own, outside in zip(results, resolved, incumbents, _outside(spans, plan))
     ]
 
@@ -1105,9 +1177,9 @@ def _merged(extrema: list) -> tuple[float, tuple[int, int], float, tuple[int, in
 def _whole_rows(orders: int, n_tau: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
     """The incumbent subgrid's row edges and spans for _run: blocks of whole rows, every point kept.
 
-    A block takes a worker's share of _CHUNK_POINTS, at least one row.
+    A block takes _CHUNK_POINTS / _MAX_WORKERS points, at least one row.
     """
-    rows = max(1, _CHUNK_POINTS // _workers(n_tau * n_phi) // n_phi)
+    rows = max(1, _CHUNK_POINTS // _MAX_WORKERS // n_phi)
     row_edges = np.append(np.arange(0, n_tau, rows), n_tau)
     return row_edges, np.tile([0, n_phi], (orders, len(row_edges) - 1, 1))
 
@@ -1148,23 +1220,12 @@ def _run(
     ended; the earliest run's error wins.
     """
     n_phi = stage[2].shape[-1]
-    # the stage's span in each row of tiles: from the first column any order keeps to the last
-    kept = spans[..., 0] < spans[..., 1]
-    union = np.stack([np.where(kept, spans[..., 0], n_phi).min(axis=0), spans[..., 1].max(axis=0)], axis=1)
-    union[~kept.any(axis=0)] = 0
-    # one worker per _WORKER_POINTS points the stage evaluates, which share the point budget
-    workers = _workers(int(np.diff(row_edges) @ (union[:, 1] - union[:, 0])))
-    blocks, areas = _blocks(np.concatenate([union[None], spans]), row_edges, _CHUNK_POINTS // workers)
+    blocks, bounds, largest, points = _blocks(spans, row_edges)
     if not blocks:  # every span empty
         return [([], 0) for _ in alphas]
-    workers = min(workers, len(blocks))
-    # kept work per block, the stage counted as one order's kernel
-    work = areas.sum(axis=0)
-    # run k starts at the first block whose midpoint in the cumulative work reaches k / workers of it
-    middle = np.cumsum(work) - work / 2.0
-    bounds = [0, *np.searchsorted(middle, work.sum() * np.arange(1, workers) / workers).tolist(), len(blocks)]
-    # per worker: the largest block's x and y pairs, then the kernel's three arrays
-    workspace = np.empty((workers, 7, int(areas[0].max())))
+    workers = len(bounds) - 1
+    # per worker: the largest block's x and y pairs, then the kernel's four arrays
+    workspace = np.empty((workers, 8, largest))
     scales = [_exact_scale(alpha) for alpha in alphas]  # once per order, not per block
     # per order, each block's ((min, (i, j)), (max, (i, j))), in whatever order the workers append them
     found: list[list] = [[] for _ in alphas]
@@ -1177,18 +1238,17 @@ def _run(
             for i0, i1, ((j0, j1), *own) in blocks[bounds[k] : bounds[k + 1]]:
                 if any(e is not None for e in errors[:k]):
                     return  # an earlier run failed: its error is the one raised
-                pairs = part[:4, : (i1 - i0) * (j1 - j0)].reshape(4, i1 - i0, j1 - j0)
+                pairs = part[:4, : (i1 - i0) * (j1 - j0)].reshape(2, 2, i1 - i0, j1 - j0)
                 _grid_pairs(stage, slice(i0, i1), slice(j0, j1), pairs)
                 bad = []  # each order's first non-finite value in the block: (point, order, error)
                 for o, (alpha, (c0, c1)) in enumerate(zip(alphas, own)):
                     if c0 == c1:
                         continue
-                    w = pairs[:, :, c0 - j0 : c1 - j0]
                     width = c1 - c0
-                    # the kernel's three arrays, after the stage's four: contiguous
+                    # the kernel's four arrays, after the stage's four: contiguous
                     # whatever the span's width, so its in-place pow, log and expm1
                     # run on contiguous rows
-                    out = part[4:, : (i1 - i0) * width].reshape(3, i1 - i0, width)
+                    out = part[4:, : (i1 - i0) * width].reshape(2, 2, i1 - i0, width)
 
                     def at(j: int) -> tuple[int, int]:
                         return i0 + j // width, c0 + j % width
@@ -1197,7 +1257,7 @@ def _run(
                         bad.append((at(j), o))
                         return where(*at(j))
 
-                    values = _pair_sums((w[0], w[2]), (w[1], w[3]), z_terms[o, i0:i1], alpha, scales[o], out)
+                    values = _pair_sums(pairs[..., c0 - j0 : c1 - j0], z_terms[o, i0:i1], alpha, scales[o], out)
                     try:
                         k_min, v_min, k_max, v_max = _extrema(values, alpha, named)
                     except ValueError as exc:
@@ -1233,7 +1293,7 @@ def _run(
     for exc in errors:
         if exc is not None:
             raise exc
-    return [(extrema, int(area.sum())) for extrema, area in zip(found, areas[1:])]
+    return list(zip(found, points))
 
 
 def scan_orders(alphas: Sequence[AlphaLike], grid: Optional[GridSpec] = None) -> list[ScanReport]:
@@ -1288,8 +1348,11 @@ def full_domain_orders(alphas: Sequence[AlphaLike], grid: GridSpec) -> list[bool
     """scan_full_domain_consistency for every order in alphas, in one full-domain pass.
 
     Results come back in the order of alphas; a non-finite value raises
-    as in scan_orders, the full domain being scanned before D.  No order
-    builds no plan.
+    as in scan_orders, D being scanned before the full domain.  D's grid
+    is the unfolding's leading block, and its plan takes views of the
+    unfolding's stage, so D's extrema are grid values of the unfolding at
+    the same (i, j): the unfolding's scan takes them as incumbents
+    (_agree).  No order builds no plan.
     """
     params = [as_param(a) for a in alphas]
     full_grid = GridSpec(2 * grid.n_tau - 1, 8 * grid.n_phi - 7)
@@ -1297,12 +1360,16 @@ def full_domain_orders(alphas: Sequence[AlphaLike], grid: GridSpec) -> list[bool
         return []
     plan = _Plan(np.linspace(0.0, HALF_PI, full_grid.n_tau), np.linspace(0.0, TWO_PI, full_grid.n_phi))
     # the leading block, tau and phi up to pi/4, is the grid on D
-    reduced = _Plan(plan.tau_grid[: grid.n_tau], plan.phi_grid[: grid.n_phi])
+    half_s2t, half_c2t, trig = plan.stage
+    rows, cols = slice(grid.n_tau), slice(grid.n_phi)
+    reduced = _Plan(plan.tau_grid[rows], plan.phi_grid[cols], (half_s2t[rows], half_c2t[rows], trig[:, cols]))
     h = QUARTER_PI / (min(grid.n_tau, grid.n_phi) - 1)
-    return _agree(params, (plan, reduced), (2.0 * h) ** 2)
+    return _agree(params, (reduced, plan), (2.0 * h) ** 2, leading=True)
 
 
-def _agree(alphas: Sequence[TsallisParam], plans: tuple[_Plan, _Plan], tol: float) -> list[bool]:
+def _agree(
+    alphas: Sequence[TsallisParam], plans: tuple[_Plan, _Plan], tol: float, leading: bool = False
+) -> list[bool]:
     """Per order, whether the two plans' grid extrema agree within tol, as exact scans decide it.
 
     Both plans are scanned at the margin _PRUNE_MARGIN - delta, delta =
@@ -1311,12 +1378,19 @@ def _agree(alphas: Sequence[TsallisParam], plans: tuple[_Plan, _Plan], tol: floa
     the gaps' rounding).  Gaps at most tol - delta agree, one above tol +
     delta does not, and any other order is scanned again exactly.  At 2
     and 3 that pass bounds the tiles on the sphere (_kept_spans) and
-    evaluates little more than the subgrid.
+    evaluates little more than the subgrid.  The first plan is scanned
+    first.  With leading, its grid values are those of the second plan's
+    leading block, bit for bit (full_domain_orders), and each of its
+    scans gives its extrema, with their (i, j), to the second plan's scan
+    at the same margin as known extrema (_scan_rectangle): the unfolding's
+    scan then cuts at D's extrema wherever they beat its subgrid's.
     """
     delta = tol / 4.0
 
     def gaps(orders: Sequence[TsallisParam], margin: Optional[float] = None) -> list[float]:
-        first, second = (_scan_rectangle(orders, plan, margin) for plan in plans)
+        first = _scan_rectangle(orders, plans[0], margin)
+        known = [[((low, at_low), (high, at_high))] for low, at_low, high, at_high, _ in first] if leading else None
+        second = _scan_rectangle(orders, plans[1], margin, known)
         return [max(abs(a[0] - b[0]), abs(a[2] - b[2])) for a, b in zip(first, second)]
 
     found = gaps(alphas, _PRUNE_MARGIN - delta)
@@ -1432,12 +1506,13 @@ def certify_orders(
     fixed = [*eigenstate_witnesses(), bloch_from_angles(_MAXIMIZER_STATE)]
     axis = (np.linspace(0.05, 0.95, 19)[:, None, None] * np.eye(3)).reshape(-1, 3)
     b = np.vstack([[(w.b_x, w.b_y, w.b_z) for w in fixed], axis, sample_pure_states(n_samples, seed=seed)])
-    x, y, z = _clipped_pairs(b[:, 0], b[:, 1], b[:, 2])
-    out = np.empty((3, len(b)))
+    pairs = _clipped_pairs(b[:, 0], b[:, 1], b[:, 2])
+    xy, z = pairs[:, :2], pairs[:, 2]
+    out, z_out = np.empty(xy.shape), np.empty(z.shape)
     results = []
     for bounds in sets:
         a, low = bounds.alpha, bounds.lower
-        sums = _pair_sums(x, y, pair_entropy(*z, a), a, _exact_scale(a), out)
+        sums = _pair_sums(xy, _pair_entropy_into(z, a, z_out), a, _exact_scale(a), out)
         _extrema(sums, a, lambda k: f"Bloch vector {tuple(b[k].tolist())}")  # raises if non-finite
         eigen, top, impure, sampled = np.split(sums, [6, 7, 7 + len(axis)])
         checks = [np.max(np.abs(eigen - low)) <= tolerance, np.min(impure) > low]

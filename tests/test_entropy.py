@@ -319,16 +319,34 @@ class TestInPlaceKernel:
 
     @pytest.mark.parametrize("alpha", [1.0, 1.005, 0.5, 2.0, 2.5, 7.0])
     def test_kernel_into_workspace_gives_the_same_bytes(self, alpha):
-        # the scans' entry: a workspace slice in, the result in out[0], inputs untouched
+        # the scans' entry: p stacked over m, a workspace slice in, the result
+        # in out[0], inputs untouched
         p = np.concatenate([KERNEL_EDGE_PS, np.random.default_rng(14).uniform(0.0, 1.0, 200)])
-        m = 1.0 - p
-        before = p.tobytes(), m.tobytes()
+        pm = np.stack([p, 1.0 - p])
+        before = pm.tobytes()
         workspace = np.full((3, 2, p.size), 7.0)
-        values = entropy._pair_entropy_into(p, m, TsallisParam(alpha), workspace[1])
+        values = entropy._pair_entropy_into(pm, TsallisParam(alpha), workspace[1])
         assert values is workspace[1, 0] or np.shares_memory(values, workspace[1, 0])
-        assert values.tobytes() == workspace[1, 0].tobytes() == pair_entropy(p, m, TsallisParam(alpha)).tobytes()
-        assert (p.tobytes(), m.tobytes()) == before
+        assert values.tobytes() == workspace[1, 0].tobytes() == pair_entropy(*pm, TsallisParam(alpha)).tobytes()
+        assert pm.tobytes() == before
         assert np.all(workspace[0] == 7.0) and np.all(workspace[2] == 7.0)
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.005, 0.5, 2.0, 2.5, 3.0, 4.0, 7.3])
+    def test_stacked_axes_give_each_axis_bits(self, alpha):
+        # a scan block's call: both axes' pairs at once, (p, m) x (x, y) x
+        # rows x columns, contiguous and as a span's strided view; each
+        # axis's numerator is that of its pair alone, bit for bit
+        a = TsallisParam(alpha)
+        h = np.random.default_rng(17).uniform(-0.5, 0.5, (2, 16, 40))
+        h[:, :, :3] = [0.0, 0.5, -0.5]
+        block = np.stack([0.5 + h, 0.5 - h])
+        for pairs in (block, block[..., 5:31]):
+            out = np.full(pairs.shape, 7.0)
+            both = entropy._pair_numerator_into(pairs, a, out)
+            assert both is out[0] or np.shares_memory(both, out[0])
+            for axis in (0, 1):
+                alone = entropy._pair_numerator_into(pairs[:, axis], a, np.empty(pairs[:, axis].shape))
+                assert both[axis].tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("alpha", [0.05, 0.25, 0.5, 0.75, 0.999, 1.5, 2.0, 2.5, 3.0, 7.3, 100.0])
     def test_power_is_the_in_place_power_bitwise(self, alpha):
@@ -347,11 +365,12 @@ class TestInPlaceKernel:
     @pytest.mark.parametrize("side", [0, 1])
     def test_kernel_rejects_out_overlapping_its_inputs(self, side):
         # p or m in out would be overwritten before it is read: zeros on the pow branch
-        o = np.random.default_rng(15).uniform(0.0, 1.0, (2, 8))
+        o = np.random.default_rng(15).uniform(0.0, 1.0, (3, 8))
         before = o.copy()
-        for pair in ((o[side], 1.0 - o[side]), (1.0 - o[side], o[side])):
+        # out is the stacked pair itself, or holds its p (side 0) or its m (side 1)
+        for pm, out in ((o[:2], o[:2]), (o[1:], o[:2]) if side == 0 else (o[:2], o[1:])):
             with pytest.raises(ValueError, match="share memory"):
-                entropy._pair_entropy_into(*pair, TsallisParam(0.5), o)
+                entropy._pair_entropy_into(pm, TsallisParam(0.5), out)
         assert np.array_equal(o, before)
 
 

@@ -64,9 +64,9 @@ def clipped_half_stage(tau, cos_phi, sin_phi):
 
 def stage_pairs(stage):
     """The x, y and z outcome pairs on a whole stage's grid (or stacked stages') as a scan forms them, in new arrays."""
-    out = np.empty((4, *stage[0].shape, stage[2].shape[-1]))
+    out = np.empty((2, 2, *stage[0].shape, stage[2].shape[-1]))
     verify._grid_pairs(stage, slice(None), slice(None), out)
-    return [(out[0], out[2]), (out[1], out[3]), verify._half_pair(stage[1][..., None])]
+    return [(out[0, 0], out[1, 0]), (out[0, 1], out[1, 1]), verify._half_pair(stage[1][..., None])]
 
 
 def grid_pairs(tau, cos_phi, sin_phi):
@@ -76,10 +76,14 @@ def grid_pairs(tau, cos_phi, sin_phi):
 
 
 def pair_sums(pairs, alpha):
-    """Entropic sums at the (x, y, z) outcome pairs as a scan sums them: the z term added to the x and y terms."""
+    """Entropic sums at the (x, y, z) outcome pairs as a scan sums them: the z term added to the x and y terms.
+
+    The x and y pairs, (p, m) each, are stacked as a scan block holds them: p over m, each x over y.
+    """
     x, y, z = pairs
+    xy = np.stack([x, y], axis=1)
     scale = entropy._exact_scale(alpha)
-    return verify._pair_sums(x, y, entropy.pair_entropy(*z, alpha), alpha, scale, np.empty((3, *x[0].shape)))
+    return verify._pair_sums(xy, entropy.pair_entropy(*z, alpha), alpha, scale, np.empty(xy.shape))
 
 
 def constant_stage(tau_grid, phi_grid):
@@ -275,19 +279,19 @@ class TestScanExtrema:
     # Each order's z term, one value per row, comes first, one kernel call per
     # scan; then, after the incumbent subgrid and the tile bounds, the grid's
     # run takes the order-independent stage once per block, and the pair
-    # numerator twice per rectangle of an order (x-, y-term), the grid run's
-    # calls counted here.  With every tile kept but grid row 0's, which are
-    # exact, a 41x41 grid is one block by default, rows 1-40, whose x-term is
-    # the grid run's call 0 in a one-order scan; a 33-point budget makes a
-    # block of each row of tiles, grid rows 1-15, 16-31 and 32-40, and call 2
-    # is the x-term of the second.  A NaN is caught by both argmin and
+    # numerator once per block and order, both axes in one call, the grid
+    # run's calls counted here.  With every tile kept but grid row 0's, which
+    # are exact, a 41x41 grid is one block by default, rows 1-40, whose
+    # numerators are the grid run's call 0 in a one-order scan; a 33-point
+    # budget makes a block of each row of tiles, grid rows 1-15, 16-31 and
+    # 32-40, and call 1 is the second's.  The x term takes the value.  A NaN is caught by both argmin and
     # argmax, -inf by argmin and +inf by argmax: at 0.5 the numerators' sum is
     # scaled by 1 / (1 - 0.5) = 2, which keeps each sign.
     @pytest.mark.parametrize(
         "budget,call,row,bad",
         [
             (verify._CHUNK_POINTS, 0, 7, math.nan),
-            (33, 2, 20, math.nan),
+            (33, 1, 20, math.nan),
             (verify._CHUNK_POINTS, 0, 7, -math.inf),
             (verify._CHUNK_POINTS, 0, 7, math.inf),
         ],
@@ -296,12 +300,12 @@ class TestScanExtrema:
         real = verify._pair_numerator_into
         calls, injected = [], []
 
-        def inject(p, m, alpha, out):
-            out = real(p, m, alpha, out)
+        def inject(pairs, alpha, out):
+            out = real(pairs, alpha, out)
             rows = block_rows()
-            if rows is not None:  # a block's x- or y-numerator
+            if rows is not None:  # a block's x and y numerators
                 if len(calls) == call:
-                    out[row - rows[0], 5] = bad
+                    out[0, row - rows[0], 5] = bad
                     injected.append(alpha.alpha)
                 calls.append(None)
             return out
@@ -326,23 +330,23 @@ class TestScanExtrema:
 
     def test_nonfinite_value_in_second_order_raises(self, monkeypatch, capsys):
         # in a pass over orders (0.5, 2.0) calls 0 and 1 are the z terms
-        # (pair kernel) and, counting the grid run's numerators alone, call 4
-        # is the x-term of the second order in its one block; the first
-        # order's values stay finite
+        # (pair kernel) and, counting the grid run's numerators alone, call 3
+        # is the second order's x and y numerators in its one block; the
+        # first order's values stay finite
         real_kernel, real_numerator = verify._pair_entropy_into, verify._pair_numerator_into
         calls, injected = [], []
 
-        def kernel(p, m, alpha, out):
-            out = real_kernel(p, m, alpha, out)
+        def kernel(pairs, alpha, out):
+            out = real_kernel(pairs, alpha, out)
             if out.ndim == 1:  # an order's z term per row
                 calls.append(alpha.alpha)
             return out
 
-        def numerator(p, m, alpha, out):
-            out = real_numerator(p, m, alpha, out)
+        def numerator(pairs, alpha, out):
+            out = real_numerator(pairs, alpha, out)
             if block_rows() is not None:  # the grid run's
-                if len(calls) == 4:
-                    out[7 - block_rows()[0], 5] = math.nan
+                if len(calls) == 3:
+                    out[0, 7 - block_rows()[0], 5] = math.nan
                     injected.append(alpha.alpha)
                 calls.append(alpha.alpha)
             return out
@@ -357,7 +361,7 @@ class TestScanExtrema:
         with pytest.raises(ValueError, match="alpha=2.0") as info:
             scan_orders([0.5, 2.0], GridSpec(11, 11))
         assert point in str(info.value)
-        assert calls == [0.5, 2.0] + [0.5] * 2 + [2.0] * 2
+        assert calls == [0.5, 2.0, 0.5, 2.0]
         assert injected == [2.0]
 
         calls.clear()
@@ -387,8 +391,8 @@ class TestScanExtrema:
         real = verify._pair_entropy_into
         calls = []
 
-        def inject(p, m, alpha, out):
-            out = real(p, m, alpha, out)
+        def inject(pairs, alpha, out):
+            out = real(pairs, alpha, out)
             if len(calls) == 1:  # the z term of the second order
                 out[row] = math.nan
             calls.append(out.shape)
@@ -436,7 +440,7 @@ unit = st.floats(min_value=-1.0, max_value=1.0)
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(s=unit)
 def test_half_form_is_bitwise_clipped_half(s):
-    assert_same_bits(verify._clipped_pairs(np.array([s])), [clipped_half(np.array([s]))])
+    assert_same_bits([verify._clipped_pairs(np.array([s]))[:, 0]], [clipped_half(np.array([s]))])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -478,7 +482,7 @@ def test_half_form_edge_values():
     # beyond +-1 the clip of the components gives the deterministic pair, as
     # clipping the probabilities did; NaN stays NaN with the same bits
     edges = np.array([0.0, -0.0, np.nextafter(1.0, 2.0), -np.nextafter(1.0, 2.0), 1.5, -1.5, 5e-324, math.nan])
-    assert_same_bits(verify._clipped_pairs(edges), [clipped_half(edges)])
+    assert_same_bits([verify._clipped_pairs(edges)[:, 0]], [clipped_half(edges)])
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 0.75, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 10.0])
@@ -507,28 +511,34 @@ class TestFullDomainConsistency:
 
     def test_D_is_the_full_grids_leading_block(self, monkeypatch):
         # verify's full-domain shape: the 251x251 grid on D unfolds to 501x2001
-        # points; one full scan, then one scan of its leading 251x251 block,
-        # both at the check's own tolerance, and no exact rescan; the symmetry
-        # maps send every full-grid point onto a block point, so the exact
-        # extrema agree to rounding, far inside (2h)^2
+        # points; one scan of its leading 251x251 block, whose stage is a view
+        # of the unfolding's, then one full scan given D's extrema, both at the
+        # check's own tolerance, and no exact rescan; the symmetry maps send
+        # every full-grid point onto a block point, so the exact extrema agree
+        # to rounding, far inside (2h)^2
         calls = []
 
-        def spy(alphas, plan, margin=None):
-            calls.append((plan, margin))
-            return scan(alphas, plan, margin)
+        def spy(alphas, plan, margin=None, known=None):
+            found = scan(alphas, plan, margin, known)
+            calls.append((plan, margin, known, found))
+            return found
 
         scan = verify._scan_rectangle
         monkeypatch.setattr(verify, "_scan_rectangle", spy)
         assert full_domain_orders(TEN_ORDERS, GridSpec(251, 251)) == [True] * len(TEN_ORDERS)
         tol = (2.0 * QUARTER_PI / 250) ** 2
-        assert [margin for _, margin in calls] == [verify._PRUNE_MARGIN - tol / 4.0] * 2
-        (full, _), (reduced, _) = calls
+        assert [margin for _, margin, _, _ in calls] == [verify._PRUNE_MARGIN - tol / 4.0] * 2
+        (reduced, _, none, found), (full, _, known, _) = calls
+        # D's extrema, with their grid points, are the full scan's known extrema
+        assert none is None and known == [[((low, at_low), (high, at_high))] for low, at_low, high, at_high, _ in found]
         assert (len(full.tau_grid), len(full.phi_grid)) == (501, 2001)
         assert full.tau_grid[-1] == pytest.approx(math.pi / 2, abs=1e-15)
         assert full.phi_grid[-1] == pytest.approx(2 * math.pi, abs=1e-15)
         for block, axis in ((reduced.tau_grid, full.tau_grid), (reduced.phi_grid, full.phi_grid)):
             assert np.shares_memory(block, axis) and np.array_equal(block, axis[:251])
             assert block[-1] == pytest.approx(QUARTER_PI, abs=1e-15)
+        for block, stage in zip(reduced.stage, full.stage):
+            assert np.shares_memory(block, stage) and np.array_equal(block, stage[..., :251])
         params = [verify.as_param(a) for a in TEN_ORDERS]
         for (mn_f, _, mx_f, _, _), (mn_d, _, mx_d, _, _) in zip(scan(params, full), scan(params, reduced)):
             assert abs(mn_f - mn_d) <= 1e-12 and abs(mx_f - mx_d) <= 1e-12
@@ -539,16 +549,25 @@ class TestFullDomainConsistency:
         # tolerance, each extremum of the unfolding and of its D block lies
         # within delta of the exact one, on its side, and its witness holds
         # it; without the incumbent subgrid's extrema merged into the result,
-        # 501 x 2001 reports a minimum at 2.5 far above the exact one
+        # 501 x 2001 reports a minimum at 2.5 far above the exact one.  The
+        # unfolding is scanned alone and given its D block's extrema, as
+        # full_domain_orders gives them
         tau_end, n_tau, phi_end, n_phi = PARITY_GRIDS[grid]
         full = verify._Plan(np.linspace(0.0, tau_end, n_tau), np.linspace(0.0, phi_end, n_phi))
         n = (n_tau + 1) // 2  # the grid on D that unfolds to this one
         delta = (2.0 * QUARTER_PI / (n - 1)) ** 2 / 4.0
+        margin = verify._PRUNE_MARGIN - delta
         params = [verify.as_param(a) for a in PARITY_ORDERS]
-        for plan in (full, verify._Plan(full.tau_grid[:n], full.phi_grid[:n])):
+        block = verify._Plan(full.tau_grid[:n], full.phi_grid[:n], tuple(v[..., :n] for v in full.stage))
+        on_block = verify._scan_rectangle(params, block, margin)
+        known = [[((low, at_low), (high, at_high))] for low, at_low, high, at_high, _ in on_block]
+        on_full = verify._scan_rectangle(params, full)
+        for plan, exact, found in (
+            (block, verify._scan_rectangle(params, block), on_block),
+            (full, on_full, verify._scan_rectangle(params, full, margin)),
+            (full, on_full, verify._scan_rectangle(params, full, margin, known)),
+        ):
             half_s2t, half_c2t, trig = plan.stage
-            exact = verify._scan_rectangle(params, plan)
-            found = verify._scan_rectangle(params, plan, verify._PRUNE_MARGIN - delta)
             for a, (low, _, high, _, _), (low_d, at_low, high_d, at_high, _) in zip(params, exact, found):
                 assert low <= low_d <= low + delta and high - delta <= high_d <= high, a.alpha
                 for value, (i, j) in ((low_d, at_low), (high_d, at_high)):
@@ -563,16 +582,21 @@ class TestFullDomainConsistency:
         # with gaps on both sides of tol, and the orders whose gaps in the
         # tolerance pass fall within delta of tol, and only those, are
         # scanned again, exactly, on both plans
+        # (on the unfolding, D scanned first and its extrema given to the
+        # unfolding's scan, as full_domain_orders does)
         if unfolded:
             full = verify._Plan(np.linspace(0.0, math.pi / 2.0, 201), np.linspace(0.0, 2.0 * math.pi, 801))
-            plans = full, verify._Plan(full.tau_grid[:101], full.phi_grid[:101])
+            block = verify._Plan(full.tau_grid[:101], full.phi_grid[:101], tuple(v[..., :101] for v in full.stage))
+            plans = block, full
         else:
             plans = [verify._Plan(axis, axis) for axis in (np.linspace(0.0, QUARTER_PI, n) for n in (101, 41))]
         params = [verify.as_param(a) for a in PARITY_ORDERS]
         scan = verify._scan_rectangle
 
         def gaps(margin=None):
-            one, two = (scan(params, plan, margin) for plan in plans)
+            one = scan(params, plans[0], margin)
+            known = [[((low, at_low), (high, at_high))] for low, at_low, high, at_high, _ in one] if unfolded else None
+            two = scan(params, plans[1], margin, known)
             return [max(abs(a[0] - b[0]), abs(a[2] - b[2])) for a, b in zip(one, two)]
 
         exact = gaps()
@@ -583,29 +607,43 @@ class TestFullDomainConsistency:
         assert min(exact) < tol < max(exact) and near
         calls = []
 
-        def spy(alphas, plan, margin=None):
+        def spy(alphas, plan, margin=None, known=None):
             calls.append(([a.alpha for a in alphas], margin))
-            return scan(alphas, plan, margin)
+            return scan(alphas, plan, margin, known)
 
         monkeypatch.setattr(verify, "_scan_rectangle", spy)
-        assert verify._agree(params, plans, tol) == [gap <= tol for gap in exact]
+        assert verify._agree(params, plans, tol, leading=unfolded) == [gap <= tol for gap in exact]
         assert calls[2:] == [([params[k].alpha for k in near], None)] * 2
 
     # points_evaluated of the tolerance pass on the unfolding of 251^2 and
     # its D block at orders 0.5, 1, 2, 2.5, 3, 4 and 7.3 (numpy 2.4.6): at 2
     # and 3 on both, and at 2.5 on the unfolding, it keeps no tile and
-    # evaluates its subgrid alone (17 x 64 and 9 x 9 points); at
-    # _PRUNE_MARGIN the unfolding's pins are 116,982 and, at 2, 1,000,564
+    # evaluates its subgrid alone (17 x 64 and 9 x 9 points); given D's
+    # extrema, as full_domain_orders gives them, the unfolding evaluates its
+    # subgrid alone at every order.  At _PRUNE_MARGIN the unfolding's pins
+    # are 116,982 and, at 2, 1,000,564; given D's extrema, 91,685
     def test_tolerance_pass_points_are_pinned(self):
         full = verify._Plan(np.linspace(0.0, math.pi / 2.0, 501), np.linspace(0.0, 2.0 * math.pi, 2001))
-        margin = verify._PRUNE_MARGIN - (2.0 * QUARTER_PI / 250) ** 2 / 4.0
+        block = verify._Plan(full.tau_grid[:251], full.phi_grid[:251], tuple(v[..., :251] for v in full.stage))
+        tolerance_pass = verify._PRUNE_MARGIN - (2.0 * QUARTER_PI / 250) ** 2 / 4.0
         params = [verify.as_param(a) for a in (0.5, 1.0, 2.0, 2.5, 3.0, 4.0, 7.3)]
-        points = [
-            [50752, 50752, 1088, 1088, 1088, 50752, 50752],
-            [769, 769, 81, 513, 81, 769, 769],
-        ]
-        for plan, pinned in zip((full, verify._Plan(full.tau_grid[:251], full.phi_grid[:251])), points):
-            assert [found[4] for found in verify._scan_rectangle(params, plan, margin)] == pinned
+        # per margin: D's points, the unfolding's alone (None: not pinned here) and given D's extrema
+        for margin, pinned in [
+            (
+                tolerance_pass,
+                ([769, 769, 81, 513, 81, 769, 769], [50752, 50752, 1088, 1088, 1088, 50752, 50752], [1088] * 7),
+            ),
+            (
+                None,
+                ([1119, 1119, 62759, 1119, 62759, 1119, 1119], None, [91685, 91685, 1000564, 91685, 1000564, 91685, 91685]),
+            ),
+        ]:
+            found = verify._scan_rectangle(params, block, margin)
+            known = [[((low, at_low), (high, at_high))] for low, at_low, high, at_high, _ in found]
+            assert [f[4] for f in found] == pinned[0]
+            if pinned[1] is not None:
+                assert [f[4] for f in verify._scan_rectangle(params, full, margin)] == pinned[1]
+            assert [f[4] for f in verify._scan_rectangle(params, full, margin, known)] == pinned[2]
 
     def test_oversized_unfolding_raises(self, monkeypatch):
         # 125,002 phi points on D unfold to 1,000,009 > MAX_POINTS: rejected before any scan
@@ -718,7 +756,7 @@ class TestWorkers:
 
         monkeypatch.setattr(verify, "_grid_pairs", pairs)
         scan_extrema(0.5, grid)
-        assert {shape for _, shape in workspaces} == {(2, 7, grid.n_phi - 1)}
+        assert {shape for _, shape in workspaces} == {(2, 8, grid.n_phi - 1)}
         assert len(workspaces) == 1 and len(threads) == 2
 
     @pytest.mark.parametrize("grid", [WORKER_GRID, GridSpec(11, 40001)], ids=str)
@@ -770,12 +808,12 @@ class TestWorkers:
         block_rows = grid_run_rows(monkeypatch, WORKER_GRID.n_tau)
         injected = set()
 
-        def numerator(p, m, alpha, out):
-            values = real_numerator(p, m, alpha, out)
+        def numerator(pairs, alpha, out):
+            values = real_numerator(pairs, alpha, out)
             rows = bad_rows.get(None, []) + bad_rows.get(alpha.alpha, [])
             if block_rows() is not None:  # the grid run's x and y numerators
                 bad = np.isin(block_rows(), rows)
-                values[bad, 5] = math.nan
+                values[:, bad, 5] = math.nan
                 injected.update((alpha.alpha, int(row)) for row in block_rows()[bad])
             return values
 
@@ -795,7 +833,9 @@ class TestWorkers:
 
     def test_more_workers_than_cores(self, monkeypatch):
         # eight runs on at most a few cores, threads switching as often as the
-        # interpreter allows: every block's extrema still reach the merge
+        # interpreter allows: every block's extrema still reach the merge.  A
+        # block holds at most a quarter of the default budget's share, 4,096
+        # points, so the grid's run has more blocks than runs
         with monkeypatch.context() as m:
             one_worker(m)
             reports = scan_orders(WORKER_ORDERS, WORKER_GRID)
@@ -807,6 +847,7 @@ class TestWorkers:
 
         monkeypatch.setattr(verify, "_grid_pairs", pairs)
         monkeypatch.setattr(verify, "_workers", lambda points: 8)
+        monkeypatch.setattr(verify, "_CHUNK_POINTS", verify._CHUNK_POINTS // 4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -860,10 +901,10 @@ class TestWorkers:
         real = verify._pair_numerator_into
         threads = set()
 
-        def noisy(p, m, alpha, out):
+        def noisy(pairs, alpha, out):
             threads.add(threading.current_thread())
             np.log(np.zeros(1))  # a divide warning, an error under this suite's filters
-            return real(p, m, alpha, out)
+            return real(pairs, alpha, out)
 
         expected = scan_extrema(2.0, WORKER_GRID)
         monkeypatch.setattr(verify, "_pair_numerator_into", noisy)
@@ -918,15 +959,15 @@ class TestWorkers:
         in_pass = []  # the buffer at each tile bound's kernel call
         z_terms = []  # the orders whose z term took the NaN
 
-        def kernel(p, m, alpha, out):
-            values = real(p, m, alpha, out)
+        def kernel(pairs, alpha, out):
+            values = real(pairs, alpha, out)
             if values.ndim == 1:  # an order's z term per row, which the grid run adds
                 values[70] = math.nan
                 z_terms.append(alpha.alpha)
             return values
 
-        def tile_bound(p, m, alpha, out):
-            values = real(p, m, alpha, out)
+        def tile_bound(pairs, alpha, out):
+            values = real(pairs, alpha, out)
             if out.ndim == 4:  # the tile bounds' x or y terms
                 in_pass.append(np.getbufsize())
                 values[0, 2, 3] = math.nan
@@ -959,16 +1000,16 @@ class TestWorkers:
     def test_nonfinite_value_is_the_same_on_any_number_of_workers(self, monkeypatch):
         # NaN z terms at row 70 for alpha = 2 and at row 100 for 0.5, rows
         # the incumbent subgrid skips: with every tile kept the grid's run
-        # meets both, one worker in one block of rows 0-159, two workers in
-        # blocks of 80 rows, and both name the least grid point, alpha = 2's
+        # meets both, in blocks of 80 rows, one worker running every block and
+        # two splitting them, and both name the least grid point, alpha = 2's
         # at row 70, column 0
         monkeypatch.setattr(verify, "_PRUNE_MARGIN", math.inf)
         real = verify._pair_entropy_into
         bad_rows = {2.0: 70, 0.5: 100}
         injected = []
 
-        def kernel(p, m, alpha, out):
-            values = real(p, m, alpha, out)
+        def kernel(pairs, alpha, out):
+            values = real(pairs, alpha, out)
             if values.ndim == 1:  # an order's z term per row, which the grid run adds
                 values[bad_rows[alpha.alpha]] = math.nan
                 injected.append(alpha.alpha)
@@ -998,10 +1039,10 @@ class TestWorkers:
         block_rows = grid_run_rows(monkeypatch, 11)
         injected = []
 
-        def numerator(p, m, alpha, out):
-            values = real(p, m, alpha, out)
-            if block_rows() is not None:  # the grid run's x and y numerators
-                values[4 - block_rows()[0], 3], values[4 - block_rows()[0], 7] = first, second
+        def numerator(pairs, alpha, out):
+            values = real(pairs, alpha, out)
+            if block_rows() is not None:  # the grid run's x and y numerators, in one call
+                values[:, 4 - block_rows()[0], 3], values[:, 4 - block_rows()[0], 7] = first, second
                 injected.append(values.shape)
             return values
 
@@ -1011,7 +1052,7 @@ class TestWorkers:
             scan_extrema(0.5, GridSpec(11, 11))
         # at 0.5 the numerators' sum is scaled by 2: each value keeps its sign
         assert str(info.value).startswith(f"entropic sum is {first!r} at alpha=0.5,")
-        assert injected == [(10, 11)] * 2
+        assert injected == [(2, 10, 11)]
         assert f"(tau, phi) = ({float(axis[4])!r}, {float(axis[3])!r})" in str(info.value)
 
 
@@ -1564,7 +1605,7 @@ class TestPruning:
             base = out
             while base.base is not None:
                 base = base.base
-            if base.ndim == 3 and base.shape[1] == 7:  # a run's workspace; test_scan_memory_stays_bounded takes the rest
+            if base.ndim == 3 and base.shape[1] == 8:  # a run's workspace; test_scan_memory_stays_bounded takes the rest
                 workspaces[id(base)] = (base, stage[0].size)
             return real(stage, rows, cols, out)
 
@@ -1597,8 +1638,9 @@ class TestPruning:
         # a pruned scan takes one worker per _WORKER_POINTS points its stage
         # evaluates: every point where every tile is kept (alpha = 2), a few
         # percent at 0.5, and under 2**17 on 801^2 at 0.5, which stays in the
-        # caller.  Each scan asks three times: the subgrid's rows per block and
-        # the subgrid's run, then the grid's run, the count checked here
+        # caller.  Each scan asks twice: the subgrid's run, then the grid's
+        # run, the count checked here (a block's points do not depend on the
+        # workers, so no run asks for its blocks' size)
         real, asked, threads = verify._workers, [], set()
         real_pairs = verify._grid_pairs
 
@@ -1610,18 +1652,18 @@ class TestPruning:
         monkeypatch.setattr(verify, "_grid_pairs", pairs)
         grid = GridSpec(2001, 2001)
         constant, low = (scan_extrema(a, grid).points_evaluated for a in (2.0, 0.5))
-        assert len(asked) == 6
+        assert len(asked) == 4
         # at 2 the grid's run takes every point outside the exact tiles, and
         # the subgrid's run the exact tiles' subgrid points
         r0, r1, c0, c1 = exact_tiles(grid._plan)
-        assert asked[2] == grid.n_tau * grid.n_phi - ((r1 - r0) * (c1 - c0)).sum()
+        assert asked[1] == grid.n_tau * grid.n_phi - ((r1 - r0) * (c1 - c0)).sum()
         assert constant == grid.n_tau * grid.n_phi - resolved_points(grid._plan)
-        assert asked[5] < low < constant / 10
+        assert asked[3] < low < constant / 10
         asked.clear()
         threads.clear()
         scan_extrema(0.5, GridSpec(801, 801))
-        assert len(asked) == 3
-        assert asked[2] < 2 * verify._WORKER_POINTS and threads == {threading.get_ident()}
+        assert len(asked) == 2
+        assert asked[1] < 2 * verify._WORKER_POINTS and threads == {threading.get_ident()}
 
     @pytest.mark.parametrize("alpha", PINNED_ORDERS)
     def test_pair_entropy_falls_as_h_grows(self, alpha):
@@ -1684,8 +1726,8 @@ class TestPruning:
 
     # A pruned scan's first pair-kernel calls are its z terms, one per order,
     # then the bound pass's.  On 801^2 the incumbent subgrid's run, between
-    # them, is one block: two numerator calls per order for the subgrid's sums
-    # (x, y).  Then the tile stage's z terms, one kernel call per order, and
+    # them, is one block: one numerator call per order for the subgrid's sums
+    # (x and y at once).  Then the tile stage's z terms, one kernel call per order, and
     # the tile bounds are one chunk: two kernel calls per order (x, y), of
     # shape (2, 2, tile rows, tile columns), the lower bounds first, each
     # order's followed, outside 2 and 3, by its boxes' split side's call on
@@ -1697,10 +1739,10 @@ class TestPruning:
         real = verify._pair_numerator_into
         calls, injected = [], []
 
-        def inject(p, m, alpha, out):
-            out = real(p, m, alpha, out)
-            if len(calls) == 2 * k:  # the x numerator of order k's subgrid sums
-                out[3, 2] = math.nan
+        def inject(pairs, alpha, out):
+            out = real(pairs, alpha, out)
+            if len(calls) == k:  # the x numerator of order k's subgrid sums
+                out[0, 3, 2] = math.nan
                 injected.append((alpha.alpha, out.shape))
             calls.append(None)
             return out
@@ -1710,14 +1752,14 @@ class TestPruning:
         with pytest.raises(ValueError, match=f"alpha={orders[k]!r}") as info:
             scan_orders(orders, GridSpec(801, 801))
         assert "entropic sum is nan" in str(info.value) and point in str(info.value)
-        assert injected == [(orders[k], (rows.size, cols.size))]
+        assert injected == [(orders[k], (2, rows.size, cols.size))]
 
         calls.clear()
         assert main(["verify", ",".join(map(repr, orders)), "--grid", "801"]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert f"alpha={orders[k]!r}" in err and point in err
-        assert injected == [(orders[k], (rows.size, cols.size))] * 2
+        assert injected == [(orders[k], (2, rows.size, cols.size))] * 2
 
     @pytest.mark.parametrize(
         "k,orders,side,bad,split",
@@ -1735,9 +1777,9 @@ class TestPruning:
         real, real_boxes, real_box_bound = verify._pair_entropy_into, verify._tile_boxes, verify._box_bound
         tile_calls, boxes, splits = [], [], []
 
-        def inject(p, m, alpha, out):
+        def inject(pairs, alpha, out):
             tile_bound = out.ndim == 4
-            out = real(p, m, alpha, out)
+            out = real(pairs, alpha, out)
             if tile_bound:
                 if not split and len(tile_calls) == 2 * k:  # the x term of order k's tile bounds
                     out[side, 4, 6] = bad
@@ -1798,9 +1840,9 @@ class TestPruning:
                 tiles.append(t0 * terms[0].shape[-1] + int(kept[1]))
             return h, g, box
 
-        def inject(p, m, alpha, out):
+        def inject(pairs, alpha, out):
             split = bool(tiles) and out.shape[:2] == (2, 3)  # the split side's call, three axes per tile
-            out = real(p, m, alpha, out)
+            out = real(pairs, alpha, out)
             if split:
                 out[...] = math.nan
             return out
@@ -1822,11 +1864,11 @@ class TestBlocks:
     """_blocks cuts the stage into rectangles, one per block, in which each order's points are one rectangle too."""
 
     # rows of tiles (grid rows 0-1, 1-5, ...; the first one row, as in a
-    # pruned scan, the last one row too), 40 columns; the stage's span
-    # changes between the rows of tiles 1 and 2 and at the empty row of
-    # tiles 4; order 1's span changes inside the stage's, order 2's changes
-    # where the stage's does not (rows of tiles 0 and 1) and ends before the
-    # last row of tiles, and order 3 keeps nothing
+    # pruned scan, the last one row too), 40 columns; the stage's span, the
+    # union of the orders', changes between the rows of tiles 1 and 2 and at
+    # the empty row of tiles 4; order 1's span changes inside the stage's,
+    # order 2's changes where the stage's does not (rows of tiles 0 and 1)
+    # and ends before the last row of tiles, and order 3 keeps nothing
     ROW_EDGES = np.array([0, 1, 5, 9, 13, 17, 21, 22])
     ORDER_SPANS = [
         [(0, 40), (0, 40), (8, 16), (8, 16), (0, 0), (8, 24), (8, 24)],
@@ -1835,15 +1877,24 @@ class TestBlocks:
     ]
     STAGE_SPAN = [(0, 40), (0, 40), (4, 16), (4, 16), (0, 0), (8, 24), (8, 24)]
 
-    def check_blocks(self, stage_span, order_spans, budget):
-        """The blocks of these spans, checked: grid order, the budget, one span per order, every point once."""
-        spans = np.array([stage_span, *order_spans])
-        blocks, areas = verify._blocks(spans, self.ROW_EDGES, budget)
-        assert areas.shape == (len(spans), len(blocks))
+    def check_blocks(self, monkeypatch, stage_span, order_spans, budget, workers=1):
+        """The blocks of these spans, checked: grid order, the budget, one span per order, every point once.
+
+        stage_span is the stage's expected span in each row of tiles, the
+        union of the orders'.  The run asks _workers once, for the stage's
+        points, and takes workers; a block holds at most budget points,
+        _CHUNK_POINTS / _MAX_WORKERS, whatever the worker count.
+        """
+        monkeypatch.setattr(verify, "_CHUNK_POINTS", budget * verify._MAX_WORKERS)
+        asked = []
+        monkeypatch.setattr(verify, "_workers", lambda points: asked.append(points) or workers)
+        blocks, bounds, largest, points = verify._blocks(np.array(order_spans), self.ROW_EDGES)
         edges = self.ROW_EDGES.tolist()
+        assert asked == [sum((edges[t + 1] - edges[t]) * (c1 - c0) for t, (c0, c1) in enumerate(stage_span))]
+        spans = np.array([stage_span, *order_spans])
         covered = np.zeros((len(spans), edges[-1], 40), dtype=int)
-        last_row = 0
-        for b, (i0, i1, row) in enumerate(blocks):
+        last_row, areas = 0, []
+        for i0, i1, row in blocks:
             # one rectangle of the stage, in grid order: its rows of tiles all
             # have its spans, and it fits the budget or is one row of tiles
             assert last_row <= i0 < i1 and i0 in edges and i1 in edges
@@ -1851,42 +1902,65 @@ class TestBlocks:
             assert all(spans[:, t].tolist() == row for t in range(edges.index(i0), edges.index(i1)))
             (j0, j1), *own = row
             assert (i1 - i0) * (j1 - j0) <= budget or edges.index(i1) == edges.index(i0) + 1
+            areas.append([(i1 - i0) * (c1 - c0) for c0, c1 in row])
             for o, (c0, c1) in enumerate(row):
                 # each order's points in the block: its rows times the order's span, inside the stage's
                 assert j0 <= c0 <= c1 <= j1 or c0 == c1
                 covered[o, i0:i1, c0:c1] += 1
-                assert areas[o, b] == (i1 - i0) * (c1 - c0)
         # every span point exactly once, the stage's and each order's
         for o, span in enumerate(spans.tolist()):
-            points = np.zeros((edges[-1], 40), dtype=int)
+            cells = np.zeros((edges[-1], 40), dtype=int)
             for t, (c0, c1) in enumerate(span):
-                points[edges[t] : edges[t + 1], c0:c1] = 1
-            assert np.array_equal(covered[o], points), o
-        return blocks, areas
+                cells[edges[t] : edges[t + 1], c0:c1] = 1
+            assert np.array_equal(covered[o], cells), o
+        if not blocks:
+            assert (largest, points) == (0, [0] * len(order_spans))
+            return blocks, bounds
+        areas = np.array(areas).T
+        assert largest == areas[0].max() and points == areas[1:].sum(axis=1).tolist()
+        # the runs: contiguous, one per worker up to one per block, each
+        # starting at the first block whose midpoint in the cumulative work
+        # reaches its share
+        work = areas.sum(axis=0)
+        middle = np.cumsum(work) - work / 2.0
+        runs = min(workers, len(blocks))
+        split = np.searchsorted(middle, work.sum() * np.arange(1, runs) / runs).tolist()
+        assert bounds == [0, *split, len(blocks)]
+        return blocks, bounds
 
     @pytest.mark.parametrize("budget,n_blocks", [(1, 6), (4 * 40, 5), (verify._CHUNK_POINTS, 5)])
-    def test_blocks_are_stage_rectangles(self, budget, n_blocks):
-        blocks, areas = self.check_blocks(self.STAGE_SPAN, self.ORDER_SPANS, budget)
-        assert len(blocks) == n_blocks
-        assert not areas[3].any()
+    def test_blocks_are_stage_rectangles(self, monkeypatch, budget, n_blocks):
+        blocks, bounds = self.check_blocks(monkeypatch, self.STAGE_SPAN, self.ORDER_SPANS, budget)
+        assert len(blocks) == n_blocks and bounds == [0, n_blocks]
 
-    def test_an_order_span_change_starts_a_block(self):
+    @pytest.mark.parametrize("budget,workers", [(1, 2), (4 * 40, 2), (1, 3), (1, 8), (verify._CHUNK_POINTS, 2)])
+    def test_runs_split_the_work(self, monkeypatch, budget, workers):
+        # at most one run per block; the split is np.searchsorted's on the
+        # blocks' cumulative midpoints, computed here with numpy
+        blocks, bounds = self.check_blocks(monkeypatch, self.STAGE_SPAN, self.ORDER_SPANS, budget, workers)
+        assert len(bounds) - 1 == min(workers, len(blocks))
+
+    def test_an_order_span_change_starts_a_block(self, monkeypatch):
         # rows of tiles 2 and 3 share the stage's span (4, 16): they join while
         # each order's span stays the same, and part where order 2's changes
         # inside the stage's
         kept = [(0, 40), (0, 40), (4, 16), (4, 16), (0, 0), (8, 24), (8, 24)]
-        blocks, _ = self.check_blocks(self.STAGE_SPAN, [kept, kept], verify._CHUNK_POINTS)
+        blocks, _ = self.check_blocks(monkeypatch, self.STAGE_SPAN, [kept, kept], verify._CHUNK_POINTS)
         assert [(i0, i1) for i0, i1, _ in blocks] == [(0, 5), (5, 13), (17, 22)]
         moved = [(0, 40), (0, 40), (4, 8), (8, 16), (0, 0), (8, 24), (8, 24)]
-        blocks, _ = self.check_blocks(self.STAGE_SPAN, [kept, moved], verify._CHUNK_POINTS)
+        blocks, _ = self.check_blocks(monkeypatch, self.STAGE_SPAN, [kept, moved], verify._CHUNK_POINTS)
         assert [(i0, i1) for i0, i1, _ in blocks] == [(0, 5), (5, 9), (9, 13), (17, 22)]
+
+    def test_no_span_no_block(self, monkeypatch):
+        empty = [(0, 0)] * 7
+        assert self.check_blocks(monkeypatch, empty, [empty, empty], verify._CHUNK_POINTS, 2) == ([], [0])
 
 
 class TestKernelCalls:
-    """Each order's z term is taken once per scan, and in a block each order makes one extrema and two numerator calls."""
+    """Each order's z term is taken once per scan, and in a block each order makes one extrema and one numerator call."""
 
     @pytest.mark.parametrize("grid", [GridSpec(401, 401), GridSpec(2001, 2001)], ids=str)
-    def test_z_term_once_per_scan_and_two_calls_per_rectangle(self, monkeypatch, grid):
+    def test_z_term_once_per_scan_and_one_numerator_call_per_block(self, monkeypatch, grid):
         # numerator calls and extrema on a run's workspace planes are the
         # blocks' (the incumbent subgrid's run included, which adds slices of
         # the grid's z terms), at most one extrema per order and block, each
@@ -1903,15 +1977,16 @@ class TestKernelCalls:
         def in_workspace(a):
             while a.base is not None:
                 a = a.base
-            return a.ndim == 3 and a.shape[1] == 7
+            return a.ndim == 3 and a.shape[1] == 8
 
-        def kernel(p, m, alpha, out):
+        def kernel(pairs, alpha, out):
             kernel_calls.append((alpha.alpha, out.shape, in_workspace(out)))
-            return real_kernel(p, m, alpha, out)
+            return real_kernel(pairs, alpha, out)
 
-        def numerator(p, m, alpha, out):
-            numerator_calls.append(in_workspace(out))
-            return real_numerator(p, m, alpha, out)
+        def numerator(pairs, alpha, out):
+            # both axes' pairs of the block in one call, p over m, each x over y
+            numerator_calls.append(in_workspace(out) and in_workspace(pairs) and out.shape[:2] == (2, 2))
+            return real_numerator(pairs, alpha, out)
 
         def extrema(values, alpha, where):
             extrema_calls.append(in_workspace(values))
@@ -1940,7 +2015,7 @@ class TestKernelCalls:
         z_calls = [(a, shape) for a, shape, block in kernel_calls if not block and len(shape) < 4 and shape[1] != 3]
         assert z_calls == [z[:2] for z in z_terms] + tile_z_terms
         assert not any(block for *_, block in kernel_calls)
-        assert all(numerator_calls) and len(numerator_calls) == 2 * sum(extrema_calls) > 0
+        assert all(numerator_calls) and len(numerator_calls) == sum(extrema_calls) > 0
         per_block = [calls for runs in block_orders.values() for calls in runs]
         assert sum(map(len, per_block)) == sum(extrema_calls)
         assert all(len(set(calls)) == len(calls) for calls in per_block)
@@ -1953,6 +2028,9 @@ class TestKernelCalls:
 ONE_SCALE_ORDERS = (0.5, 0.75, 0.875, 0.984375, 1.5, 2.0, 3.0, 5.0, 9.0, 17.0, 33.0, 1025.0)
 LOG_BRANCH_ORDERS = (0.995, 1.0, 1.0 - 1e-6, 1.0 + 1e-6, 1.005)
 DIVIDED_ORDERS = (0.25, 2.5, 4.0)
+# Every kernel branch and scale: the parity orders, the one-scale and
+# log-branch orders and the squaring chains
+STACKED_ORDERS = tuple(sorted(set(PARITY_ORDERS + ONE_SCALE_ORDERS + LOG_BRANCH_ORDERS + (4.0, 5.0, 7.0, 10.0, 64.0))))
 EDGE_HALVES = (0.0, 0.25, -0.25, 0.5, -0.5, 2.0**-54, -(2.0**-54), 2.0**-60, -(2.0**-60), math.nan)
 
 
@@ -1981,9 +2059,10 @@ class TestSummedFirst:
         # random halves on three axes, then every combination of the edge halves
         edges = np.array(list(itertools.product(EDGE_HALVES, repeat=3))).T
         h = np.concatenate([np.random.default_rng(29).uniform(-0.5, 0.5, (3, 30_000)), edges], axis=1)
-        x, y, z = (verify._half_pair(v) for v in h)
+        pairs = verify._half_pair(h)  # p over m, each x, y, z
+        xy, x, y, z = pairs[:, :2], pairs[:, 0], pairs[:, 1], pairs[:, 2]
         z_term = entropy.pair_entropy(*z, a)
-        got = verify._pair_sums(x, y, z_term, a, scale, np.empty((3, h.shape[1])))
+        got = verify._pair_sums(xy, z_term, a, scale, np.empty(xy.shape))
         reference = per_axis_sums(x, y, z_term, a)
         assert np.isnan(reference).any() and (reference == 0.0).any()
         self.assert_same_sums(got, reference)
@@ -1993,10 +2072,27 @@ class TestSummedFirst:
         # a grid block's z term is one value per row, broadcast along it
         a = entropy.TsallisParam(alpha)
         rng = np.random.default_rng(30)
-        x, y = (verify._half_pair(v) for v in rng.uniform(-0.5, 0.5, (2, 64, 301)))
+        xy = verify._half_pair(rng.uniform(-0.5, 0.5, (2, 64, 301)))
         z_term = entropy.pair_entropy(*verify._half_pair(rng.uniform(-0.5, 0.5, 64)), a)[:, None]
-        got = verify._pair_sums(x, y, z_term, a, entropy._exact_scale(a), np.empty((3, 64, 301)))
-        self.assert_same_sums(got, per_axis_sums(x, y, z_term, a))
+        got = verify._pair_sums(xy, z_term, a, entropy._exact_scale(a), np.empty(xy.shape))
+        self.assert_same_sums(got, per_axis_sums(xy[:, 0], xy[:, 1], z_term, a))
+
+    @pytest.mark.parametrize("alpha", STACKED_ORDERS)
+    def test_stacked_pairs_give_the_per_axis_sums_bitwise(self, alpha):
+        # one numerator call over both axes' stacked pairs, as a scan block
+        # makes it, against each axis's pair_entropy: on a contiguous block
+        # with a z term per row, on a span narrower than the block (strided
+        # rows, as an order's span in a block) and on every combination of the
+        # edge halves
+        a = entropy.TsallisParam(alpha)
+        rng = np.random.default_rng(31)
+        block = verify._half_pair(rng.uniform(-0.5, 0.5, (2, 48, 301)))  # p over m, each x over y
+        z_rows = entropy.pair_entropy(*verify._half_pair(rng.uniform(-0.5, 0.5, 48)), a)[:, None]
+        edges = verify._half_pair(np.array(list(itertools.product(EDGE_HALVES, repeat=3))).T)
+        cases = [(block, z_rows), (block[..., 37:250], z_rows), (edges[:, :2], entropy.pair_entropy(*edges[:, 2], a))]
+        for pairs, z_term in cases:
+            got = verify._pair_sums(pairs, z_term, a, entropy._exact_scale(a), np.empty(pairs.shape))
+            self.assert_same_sums(got, per_axis_sums(pairs[:, 0], pairs[:, 1], z_term, a))
 
 
 def test_rounding_picks_the_constant_orders_witnesses():
@@ -2113,7 +2209,7 @@ class TestCertifyEqualityConditions:
 
     def test_overshooting_component_gives_deterministic_pair(self):
         # a Bloch component one ulp beyond 1 still measures (1, 0) exactly
-        ((p, m),) = verify._clipped_pairs(np.array([1.0 + 2.0**-52]))
+        p, m = verify._clipped_pairs(np.array([1.0 + 2.0**-52]))[:, 0]
         assert (p[0], m[0]) == (1.0, 0.0)
         assert math.copysign(1.0, m[0]) == 1.0
         a = verify.as_param(0.5)
