@@ -111,14 +111,11 @@ alone, so the plan finds the exact tiles once.  An exact tile needs no
 margin: an infinite margin skips no tile and still resolves the exact
 ones.  Grid row tau = 0 is a row of exact tiles (_tile_edges), and so is
 every 1 x 1 tile.  Pruning speeds up the exact grid answer and proves
-nothing between grid points.  A scan at a margin of _PRUNE_MARGIN -
-delta (full_domain_orders, delta a quarter of its tolerance) skips more,
-and each extremum it reports lies within delta of the exact one
-(_scan_rectangle).  A scan may be given extrema found elsewhere that are
-grid values of its own grid (full_domain_orders gives the unfolding D's,
-its leading block on views of its stage): they join the incumbents, so
-the cut holds as before, and merge into the result.  The bound pass
-(_kept_spans) runs in the
+nothing between grid points.  A scan may instead decide, one-sided,
+whether its extrema lie within a tolerance of extrema it is given, grid
+values of its own grid: it cuts at those, at a margin lower by the
+tolerance, with no subgrid (full_domain_orders, against D's; the
+argument is _scan_rectangle's).  The bound pass (_kept_spans) runs in the
 calling thread and leaves each order's span in each row of tiles, from
 its first kept tile to its last (measured as fast as separate runs of
 kept tiles, with fewer kernel calls); the grid's run takes those spans,
@@ -151,10 +148,10 @@ and falls between, so G is concave off [2, 3] and convex inside
 tight bounds, is the case alpha in (0, 1] or integer).  At 2 and 3 G is
 affine and every pure state's sum is the same, so at _PRUNE_MARGIN every
 tile ties an extremum and no bound can skip one; at a negative margin
-they are bounded as concave, which affine G is too.  Each tile the
-monotone test keeps is bounded as its box
-B (_box_bound, which takes the |h| ranges and F at them and knows
-nothing of tiles), on two sides, each keeping the tighter of its bounds:
+(a decision's) they are bounded as concave, which affine G is too.
+Each tile the monotone test keeps is bounded as its box B (_box_bound,
+which takes the |h| ranges and F at them and knows nothing of tiles),
+on two sides, each keeping the tighter of its bounds:
   * The chord side, LB where G is concave.  For every lam >= 0,
     G(w) + lam w is concave on [L, U], so it is least at an end, and
     with sum_k w_k <= S = 1/4 + eta,
@@ -229,13 +226,13 @@ one order.  A non-finite value raises ValueError naming the order, and
 the grid point where there is one.  Computing the z terms raises
 nothing: a non-finite z term is met in the first sum that adds it, at
 the first grid point of its row that the order evaluates.  A scan
-meets its values in three steps: the subgrid run, then the tile
-bounds (a non-finite bound names its tile by its first and last grid
-points; in a chunk of rows of tiles the orders in the given order, each
-order's tile bounds before its boxes, and in a batch of boxes the chord
-side before the split side), then the grid run.  An exact tile's grid
-sums are its LB, so a non-finite value there is met as its tile bound,
-and the grid run never reaches it.  A run reports its
+meets its values in three steps: the subgrid run (a decision runs none),
+then the tile bounds (a non-finite bound names its tile by its first and
+last grid points; in a chunk of rows of tiles the orders in the given
+order, each order's tile bounds before its boxes, and in a batch of
+boxes the chord side before the split side), then the grid run.  An
+exact tile's grid sums are its LB, so a non-finite value there is met as
+its tile bound, and the grid run never reaches it.  A run reports its
 first non-finite value in grid order: the least (row, column) over every
 order, ties going to the order given first.  It takes its blocks, each
 whole rows of the grid, in grid order, and raises at the first block
@@ -772,10 +769,13 @@ def _sphere_regime(alpha: TsallisParam) -> Optional[bool]:
 
 
 def _slab(stage: _Stage) -> float:
-    """eta: every grid point of the stage has |h_x^2 + h_y^2 + h_z^2 - 1/4| <= eta, with rounding (module docstring)."""
+    """eta: every grid point of the stage has |h_x^2 + h_y^2 + h_z^2 - 1/4| <= eta, with rounding (module docstring).
+
+    NaN stage values are left out: their own tiles' bounds raise, where a NaN eta would name the first box bounded.
+    """
     half_s2t, half_c2t, (cos_phi, sin_phi) = stage
-    rows = np.abs(half_s2t * half_s2t + half_c2t * half_c2t - 0.25).max()
-    columns = np.abs(cos_phi * cos_phi + sin_phi * sin_phi - 1.0).max()
+    rows = np.fmax.reduce(np.abs(half_s2t * half_s2t + half_c2t * half_c2t - 0.25))
+    columns = np.fmax.reduce(np.abs(cos_phi * cos_phi + sin_phi * sin_phi - 1.0))
     return float(rows) + float(columns) / 4.0 + 2.0**-46
 
 
@@ -946,7 +946,7 @@ def _box_bound(
 
 
 def _kept_spans(
-    alphas: Sequence[TsallisParam], plan: _Plan, incumbents: list[tuple[float, float]], where: Callable, margin: float
+    alphas: Sequence[TsallisParam], plan: _Plan, cuts: list[tuple[float, float]], where: Callable, margin: float
 ) -> tuple[np.ndarray, list[list]]:
     """The bound pass: each order's span in each row of tiles, from the plan's tile stage and the slab's eta.
 
@@ -954,12 +954,12 @@ def _kept_spans(
     column of the order's first kept tile in the row and the end column
     of its last, (0, 0) where it keeps none; the order evaluates every
     tile between them.  An order keeps a tile unless LB > least + margin
-    and UB < greatest - margin, (least, greatest) being its incumbents,
-    and never keeps an exact tile (plan.exact),
-    whose grid sums are its LB.  Returns too, per order, the exact tiles'
-    extrema: for each chunk that holds one, ((min, (i, j)), (max, (i, j)))
-    as _run's, the least and greatest LB and the first grid point of the
-    first exact tile that holds each.  LB and UB are the sums on
+    and UB < greatest - margin, (least, greatest) being its cuts (the
+    incumbents, or a decision's given extrema), and never keeps an exact
+    tile (plan.exact), whose grid sums are its LB.  Returns too, per order,
+    the exact tiles' extrema: for each chunk that holds one, ((min, (i, j)),
+    (max, (i, j))) as _run's, the least and greatest LB and the first grid
+    point of the first exact tile that holds each.  LB and UB are the sums on
     _tile_stage, taken a chunk of rows of tiles at a time (at most
     max(_CHUNK_POINTS / 4, columns of tiles) tiles of fourteen values),
     within a chunk the orders in the given order.  At every order but 2
@@ -1015,7 +1015,7 @@ def _kept_spans(
             # the chunk's exact tiles, by flat index in the chunk
             exact = plan.exact[np.searchsorted(plan.exact, first) : np.searchsorted(plan.exact, first + w[0, 0].size)]
             exact = exact - first
-            for o, (alpha, (least, greatest)) in enumerate(zip(alphas, incumbents)):
+            for o, (alpha, (least, greatest)) in enumerate(zip(alphas, cuts)):
                 # one axis at a time, (p, m) = w[0::2] and w[1::2], so the chunk needs no eighth array
                 fx = _pair_entropy_into(pairs[:, 0], alpha, w[4:6])
                 fy = _pair_entropy_into(pairs[:, 1], alpha, w[5:7])
@@ -1110,28 +1110,33 @@ def _blocks(spans: np.ndarray, row_edges: np.ndarray) -> tuple[list[list], list[
 
 
 def _scan_rectangle(
-    alphas: Sequence[TsallisParam], plan: _Plan, margin: Optional[float] = None, known: Optional[list] = None
+    alphas: Sequence[TsallisParam], plan: _Plan, against: Optional[tuple[list, float]] = None
 ) -> list[tuple[float, tuple[int, int], float, tuple[int, int], int]]:
     """Grid extrema of every order in one pass over the plan's grid, lowest-(tau, phi) tie-breaking.
 
-    Returns (min, (i, j), max, (i, j), points evaluated) per order, for
-    one order or more.  Each order's z term per row (_z_terms) is taken
-    once per scan.  The scan runs its incumbent subgrid, an exhaustive
-    _run on the stage and z terms at the plan's subgrid rows and columns,
-    then the bound pass (_kept_spans) at margin (None: _PRUNE_MARGIN),
-    then _run on each order's spans, and merges the exact tiles' and the
-    subgrid's extrema, grid values too, into the blocks' (_merged).  At
-    _PRUNE_MARGIN the extrema are exact.  At _PRUNE_MARGIN - delta each
-    lies within delta of the exact one, on its side: a skipped tile's sums
-    lie past its LB or UB by less than _PRUNE_MARGIN, so past least - delta
-    or greatest + delta, and least and greatest are merged.  known
-    holds, per order, extrema ((min, (i, j)), (max, (i, j))) of grid
-    values of this plan found elsewhere (full_domain_orders: D's, on the
-    unfolding's leading block): they join the subgrid's as incumbents and
-    are merged into the result, which keeps both claims, as they are grid
-    values at their grid points.  Raises ValueError at the first
-    non-finite value met: the subgrid run's, then the tile bounds', then
-    the grid run's (see _run).
+    Returns (min, (i, j), max, (i, j), points evaluated) per order.  Each
+    order's z term per row (_z_terms) is taken once per scan.  Without
+    against the extrema are exact: the scan runs its incumbent subgrid (an
+    exhaustive _run on the stage and z terms at the plan's subgrid rows
+    and columns), the bound pass (_kept_spans) at _PRUNE_MARGIN, cut at the
+    subgrid's extrema, and _run on each order's spans, and merges the exact
+    tiles' and the subgrid's extrema into the blocks' (_merged).
+
+    against = (known, tol) asks for a one-sided decision instead: known
+    holds per order a scan result whose extrema are grid values of this
+    plan at their (i, j) (full_domain_orders: D's), and tol >= 0.  The scan
+    runs no subgrid, cuts at known's extrema at the margin _PRUNE_MARGIN -
+    tol and merges them into its result, so its min is at most known's and
+    its max at least known's.  A skipped tile's sums lie within the bound
+    error, under 1e-13, of its LB and UB, so above known min - tol + 9e-13
+    and below known max + tol - 9e-13.  Where the exact min lies more than
+    tol below known's (the gap's rounding is far under 9e-13), no skipped
+    tile holds it or a tie with it, and the result's min and witness are
+    the exact ones, bit for bit; elsewhere the result's min lies between
+    the exact min and known's.  The max likewise.  So max(known min - min,
+    max - known max) <= tol on the result is the exhaustive scan's bool.
+    Raises ValueError at the first non-finite value met: the subgrid run's,
+    then the tile bounds', then the grid run's (see _run).
     """
     tau_grid, phi_grid, rows, cols = plan.tau_grid, plan.phi_grid, plan.sub_rows, plan.sub_cols
 
@@ -1139,26 +1144,27 @@ def _scan_rectangle(
         return f"(tau, phi) = ({float(tau_grid[i])!r}, {float(phi_grid[j])!r})"
 
     z_terms = _z_terms(alphas, plan.stage)
-    subgrid = _run(
-        alphas, plan.sub_stage, z_terms[:, rows], *_whole_rows(len(alphas), rows.size, cols.size),
-        lambda i, j: where(rows[i], cols[j]),
-    )
-    # each order's incumbents: its subgrid extrema, at their grid points, and those it was given
-    incumbents = [
-        [((low, (int(rows[i]), int(cols[j]))), (high, (int(rows[k]), int(cols[l])))), *given]
-        for (low, (i, j), high, (k, l)), given in zip(
-            (_merged(found) for found, _ in subgrid), known or [()] * len(alphas)
+    if against is None:
+        subgrid = _run(
+            alphas, plan.sub_stage, z_terms[:, rows], *_whole_rows(len(alphas), rows.size, cols.size),
+            lambda i, j: where(rows[i], cols[j]),
         )
-    ]
-    cuts = [(low, high) for low, _, high, _ in map(_merged, incumbents)]
-    margin = _PRUNE_MARGIN if margin is None else margin
-    spans, resolved = _kept_spans(alphas, plan, cuts, where, margin)
+        # each order's subgrid extrema, at their grid points
+        known = [
+            (low, (int(rows[i]), int(cols[j])), high, (int(rows[k]), int(cols[l])))
+            for low, (i, j), high, (k, l) in (_merged(found) for found, _ in subgrid)
+        ]
+        margin = _PRUNE_MARGIN
+    else:
+        given, tol = against
+        known, margin = [found[:4] for found in given], _PRUNE_MARGIN - tol
+    spans, resolved = _kept_spans(alphas, plan, [(low, high) for low, _, high, _ in known], where, margin)
     results = _run(alphas, plan.stage, z_terms, plan.row_edges, spans, where)
-    # the extrema of the blocks, the exact tiles and the subgrid; the points
-    # evaluated: the kernel's blocks, and the subgrid's points outside them
+    # the points evaluated: the kernel's blocks, and the subgrid's points outside them
+    outside = _outside(spans, plan) if against is None else [0] * len(alphas)
     return [
-        (*_merged([*found, *exact, *own]), points + outside)
-        for (found, points), exact, own, outside in zip(results, resolved, incumbents, _outside(spans, plan))
+        (*_merged([*found, *exact, ((low, at_low), (high, at_high))]), points + extra)
+        for (found, points), exact, (low, at_low, high, at_high), extra in zip(results, resolved, known, outside)
     ]
 
 
@@ -1351,8 +1357,9 @@ def full_domain_orders(alphas: Sequence[AlphaLike], grid: GridSpec) -> list[bool
     as in scan_orders, D being scanned before the full domain.  D's grid
     is the unfolding's leading block, and its plan takes views of the
     unfolding's stage, so D's extrema are grid values of the unfolding at
-    the same (i, j): the unfolding's scan takes them as incumbents
-    (_agree).  No order builds no plan.
+    the same (i, j): D is scanned exactly, and the unfolding decides
+    against them at the tolerance (_agree; the one-sided argument is
+    _scan_rectangle's).  No order builds no plan.
     """
     params = [as_param(a) for a in alphas]
     full_grid = GridSpec(2 * grid.n_tau - 1, 8 * grid.n_phi - 7)
@@ -1364,41 +1371,20 @@ def full_domain_orders(alphas: Sequence[AlphaLike], grid: GridSpec) -> list[bool
     rows, cols = slice(grid.n_tau), slice(grid.n_phi)
     reduced = _Plan(plan.tau_grid[rows], plan.phi_grid[cols], (half_s2t[rows], half_c2t[rows], trig[:, cols]))
     h = QUARTER_PI / (min(grid.n_tau, grid.n_phi) - 1)
-    return _agree(params, (reduced, plan), (2.0 * h) ** 2, leading=True)
+    return _agree(params, reduced, plan, (2.0 * h) ** 2)
 
 
-def _agree(
-    alphas: Sequence[TsallisParam], plans: tuple[_Plan, _Plan], tol: float, leading: bool = False
-) -> list[bool]:
-    """Per order, whether the two plans' grid extrema agree within tol, as exact scans decide it.
+def _agree(alphas: Sequence[TsallisParam], reduced: _Plan, full: _Plan, tol: float) -> list[bool]:
+    """Per order, whether full's grid extrema lie within tol of reduced's, as exhaustive scans decide it.
 
-    Both plans are scanned at the margin _PRUNE_MARGIN - delta, delta =
-    tol / 4, so each gap lies within delta of the exact one
-    (_scan_rectangle; the bound error's room under _PRUNE_MARGIN covers
-    the gaps' rounding).  Gaps at most tol - delta agree, one above tol +
-    delta does not, and any other order is scanned again exactly.  At 2
-    and 3 that pass bounds the tiles on the sphere (_kept_spans) and
-    evaluates little more than the subgrid.  The first plan is scanned
-    first.  With leading, its grid values are those of the second plan's
-    leading block, bit for bit (full_domain_orders), and each of its
-    scans gives its extrema, with their (i, j), to the second plan's scan
-    at the same margin as known extrema (_scan_rectangle): the unfolding's
-    scan then cuts at D's extrema wherever they beat its subgrid's.
+    reduced's grid values must be those of full's leading block, bit for
+    bit (full_domain_orders), so full's min is at most reduced's and its
+    max at least.  reduced is scanned exactly, then full against its
+    extrema at tol, one scan each (_scan_rectangle).
     """
-    delta = tol / 4.0
-
-    def gaps(orders: Sequence[TsallisParam], margin: Optional[float] = None) -> list[float]:
-        first = _scan_rectangle(orders, plans[0], margin)
-        known = [[((low, at_low), (high, at_high))] for low, at_low, high, at_high, _ in first] if leading else None
-        second = _scan_rectangle(orders, plans[1], margin, known)
-        return [max(abs(a[0] - b[0]), abs(a[2] - b[2])) for a, b in zip(first, second)]
-
-    found = gaps(alphas, _PRUNE_MARGIN - delta)
-    near = [k for k, gap in enumerate(found) if tol - delta < gap <= tol + delta]
-    if near:
-        for k, gap in zip(near, gaps([alphas[k] for k in near])):
-            found[k] = gap
-    return [gap <= tol for gap in found]
+    found = _scan_rectangle(alphas, reduced)
+    decided = _scan_rectangle(alphas, full, (found, tol))
+    return [max(d[0] - f[0], f[2] - d[2]) <= tol for d, f in zip(found, decided)]
 
 
 def scan_full_domain_consistency(alpha: AlphaLike, grid: GridSpec) -> bool:
@@ -1414,10 +1400,9 @@ def scan_full_domain_consistency(alpha: AlphaLike, grid: GridSpec) -> bool:
     the two extrema agree to a few ulps.  The tolerance is (2 h)^2 with h
     the coarsest step, the grid error of an extremum between two
     different grids; against a rounding-level gap it is a wide margin.
-    The answer is that of exact scans, but the scans resolve each
-    extremum to a quarter of the tolerance alone, rescanning exactly where
-    a gap falls that close to it (_agree).  This is full_domain_orders
-    with one order.
+    The answer is that of exhaustive scans from one scan of each grid:
+    the full domain's is a one-sided decision against D's extrema
+    (_scan_rectangle).  This is full_domain_orders with one order.
     """
     return full_domain_orders([alpha], grid)[0]
 

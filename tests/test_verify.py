@@ -503,6 +503,13 @@ def test_scan_maximum_tracks_pure_upper_bound(alpha):
     assert -1e-12 <= gap <= 10.0 * h * h
 
 
+def unfolded_plans(n_tau, n_phi, stage=None):
+    """The plan of the full-domain grid of n_tau x n_phi points, on stage if given, and its D block's, on views of its stage."""
+    full = verify._Plan(np.linspace(0.0, math.pi / 2.0, n_tau), np.linspace(0.0, 2.0 * math.pi, n_phi), stage)
+    n = (n_tau + 1) // 2  # the grid on D that unfolds to this one
+    return verify._Plan(full.tau_grid[:n], full.phi_grid[:n], tuple(v[..., :n] for v in full.stage)), full
+
+
 class TestFullDomainConsistency:
     @pytest.mark.parametrize("alpha", [0.3, 1.0, 2.0])
     def test_reduction_is_faithful(self, alpha):
@@ -511,26 +518,25 @@ class TestFullDomainConsistency:
 
     def test_D_is_the_full_grids_leading_block(self, monkeypatch):
         # verify's full-domain shape: the 251x251 grid on D unfolds to 501x2001
-        # points; one scan of its leading 251x251 block, whose stage is a view
-        # of the unfolding's, then one full scan given D's extrema, both at the
-        # check's own tolerance, and no exact rescan; the symmetry maps send
-        # every full-grid point onto a block point, so the exact extrema agree
-        # to rounding, far inside (2h)^2
+        # points; one exact scan of its leading 251x251 block, whose stage is a
+        # view of the unfolding's, then one scan of the unfolding deciding
+        # against D's extrema at the check's tolerance, and no other scan; the
+        # symmetry maps send every full-grid point onto a block point, so the
+        # exact extrema agree to rounding, far inside (2h)^2
         calls = []
 
-        def spy(alphas, plan, margin=None, known=None):
-            found = scan(alphas, plan, margin, known)
-            calls.append((plan, margin, known, found))
+        def spy(alphas, plan, against=None):
+            found = scan(alphas, plan, against)
+            calls.append((plan, against, found))
             return found
 
         scan = verify._scan_rectangle
         monkeypatch.setattr(verify, "_scan_rectangle", spy)
         assert full_domain_orders(TEN_ORDERS, GridSpec(251, 251)) == [True] * len(TEN_ORDERS)
         tol = (2.0 * QUARTER_PI / 250) ** 2
-        assert [margin for _, margin, _, _ in calls] == [verify._PRUNE_MARGIN - tol / 4.0] * 2
-        (reduced, _, none, found), (full, _, known, _) = calls
-        # D's extrema, with their grid points, are the full scan's known extrema
-        assert none is None and known == [[((low, at_low), (high, at_high))] for low, at_low, high, at_high, _ in found]
+        (reduced, none, found), (full, against, _) = calls
+        # D's exact extrema, with their grid points, are what the unfolding decides against
+        assert none is None and against == (found, tol)
         assert (len(full.tau_grid), len(full.phi_grid)) == (501, 2001)
         assert full.tau_grid[-1] == pytest.approx(math.pi / 2, abs=1e-15)
         assert full.phi_grid[-1] == pytest.approx(2 * math.pi, abs=1e-15)
@@ -540,110 +546,156 @@ class TestFullDomainConsistency:
         for block, stage in zip(reduced.stage, full.stage):
             assert np.shares_memory(block, stage) and np.array_equal(block, stage[..., :251])
         params = [verify.as_param(a) for a in TEN_ORDERS]
-        for (mn_f, _, mx_f, _, _), (mn_d, _, mx_d, _, _) in zip(scan(params, full), scan(params, reduced)):
+        for (mn_f, _, mx_f, _, _), (mn_d, _, mx_d, _, _) in zip(scan(params, full), found):
             assert abs(mn_f - mn_d) <= 1e-12 and abs(mx_f - mx_d) <= 1e-12
 
     @pytest.mark.parametrize("grid", ["201x801 unfolded", "501x2001 unfolded"])
-    def test_tolerance_pass_extrema_lie_within_delta(self, grid):
-        # at the margin _PRUNE_MARGIN - delta, delta a quarter of the check's
-        # tolerance, each extremum of the unfolding and of its D block lies
-        # within delta of the exact one, on its side, and its witness holds
-        # it; without the incumbent subgrid's extrema merged into the result,
-        # 501 x 2001 reports a minimum at 2.5 far above the exact one.  The
-        # unfolding is scanned alone and given its D block's extrema, as
-        # full_domain_orders gives them
-        tau_end, n_tau, phi_end, n_phi = PARITY_GRIDS[grid]
-        full = verify._Plan(np.linspace(0.0, tau_end, n_tau), np.linspace(0.0, phi_end, n_phi))
-        n = (n_tau + 1) // 2  # the grid on D that unfolds to this one
-        delta = (2.0 * QUARTER_PI / (n - 1)) ** 2 / 4.0
-        margin = verify._PRUNE_MARGIN - delta
+    def test_decision_extrema_are_exact_past_tol(self, grid):
+        # the unfolding's scan against its D block's exact extrema at tol:
+        # its min is at most D's and its max at least D's; where the exact
+        # gap on a side exceeds tol, that extremum and its witness are the
+        # exact ones, bit for bit, and otherwise the extremum lies between the
+        # exact one and D's, so within tol of D's.  Each witness holds its
+        # value.  The exact scans are the exhaustive ones (TestPruning); tol
+        # runs from 0 through the exact gaps, of a few ulps, to the check's own
+        _, n_tau, _, n_phi = PARITY_GRIDS[grid]
+        block, full = unfolded_plans(n_tau, n_phi)
         params = [verify.as_param(a) for a in PARITY_ORDERS]
-        block = verify._Plan(full.tau_grid[:n], full.phi_grid[:n], tuple(v[..., :n] for v in full.stage))
-        on_block = verify._scan_rectangle(params, block, margin)
-        known = [[((low, at_low), (high, at_high))] for low, at_low, high, at_high, _ in on_block]
-        on_full = verify._scan_rectangle(params, full)
-        for plan, exact, found in (
-            (block, verify._scan_rectangle(params, block), on_block),
-            (full, on_full, verify._scan_rectangle(params, full, margin)),
-            (full, on_full, verify._scan_rectangle(params, full, margin, known)),
-        ):
-            half_s2t, half_c2t, trig = plan.stage
-            for a, (low, _, high, _, _), (low_d, at_low, high_d, at_high, _) in zip(params, exact, found):
-                assert low <= low_d <= low + delta and high - delta <= high_d <= high, a.alpha
-                for value, (i, j) in ((low_d, at_low), (high_d, at_high)):
+        on_block, exact = verify._scan_rectangle(params, block), verify._scan_rectangle(params, full)
+        gaps = sorted({g for d, f in zip(on_block, exact) for g in (d[0] - f[0], f[2] - d[2])} - {0.0})
+        half_s2t, half_c2t, trig = full.stage
+        for tol in (0.0, gaps[len(gaps) // 2], (2.0 * QUARTER_PI / (len(block.tau_grid) - 1)) ** 2):
+            decided = verify._scan_rectangle(params, full, (on_block, tol))
+            for a, d, f, found in zip(params, on_block, exact, decided):
+                for side, sign in ((0, 1.0), (2, -1.0)):  # min, then max
+                    known, value, witness = d[side], found[side], found[side + 1]
+                    assert sign * (known - f[side]) >= 0.0, a.alpha
+                    if sign * (known - f[side]) > tol:
+                        assert (value, witness) == f[side : side + 2], (a.alpha, tol)
+                    else:
+                        assert sign * f[side] <= sign * value <= sign * known, (a.alpha, tol)
+                    i, j = witness
                     pairs = [verify._half_pair(half_s2t[[i]] * t[[j]]) for t in trig]
                     assert pair_sums([*pairs, verify._half_pair(half_c2t[[i]])], a)[0] == value, a.alpha
 
-    @pytest.mark.parametrize("unfolded", [True, False], ids=["201x801 unfolded", "101x101 and 41x41"])
-    def test_a_smaller_tolerance_gives_the_exact_decisions(self, monkeypatch, unfolded):
-        # the decision at a tolerance set among the exact gaps, on the 101^2
-        # grid's unfolding and its D block (gaps of a few ulps) and on two
-        # grids on D (gaps up to 4.4e-5): the bools are those of exact scans,
-        # with gaps on both sides of tol, and the orders whose gaps in the
-        # tolerance pass fall within delta of tol, and only those, are
-        # scanned again, exactly, on both plans
-        # (on the unfolding, D scanned first and its extrema given to the
-        # unfolding's scan, as full_domain_orders does)
-        if unfolded:
-            full = verify._Plan(np.linspace(0.0, math.pi / 2.0, 201), np.linspace(0.0, 2.0 * math.pi, 801))
-            block = verify._Plan(full.tau_grid[:101], full.phi_grid[:101], tuple(v[..., :101] for v in full.stage))
-            plans = block, full
-        else:
-            plans = [verify._Plan(axis, axis) for axis in (np.linspace(0.0, QUARTER_PI, n) for n in (101, 41))]
-        params = [verify.as_param(a) for a in PARITY_ORDERS]
+    @pytest.mark.parametrize(
+        "grid", [pytest.param((201, 801), id="201x801 unfolded"), pytest.param((81, 321), id="81x321 unfolded")]
+    )
+    def test_a_smaller_tolerance_gives_the_exact_decisions(self, monkeypatch, grid):
+        # the decision at every tolerance set among the exact gaps of the
+        # unfolding and its D block (a few ulps, one-sided) and between them:
+        # the bools are those of exhaustive scans, with gaps on both sides of
+        # most of those tolerances, from one exact scan of D and one scan of
+        # the unfolding against D's extrema, never a second
+        block, full = unfolded_plans(*grid)
+        params = [verify.as_param(a) for a in PARITY_ORDERS + LARGE_ORDERS]
         scan = verify._scan_rectangle
-
-        def gaps(margin=None):
-            one = scan(params, plans[0], margin)
-            known = [[((low, at_low), (high, at_high))] for low, at_low, high, at_high, _ in one] if unfolded else None
-            two = scan(params, plans[1], margin, known)
-            return [max(abs(a[0] - b[0]), abs(a[2] - b[2])) for a, b in zip(one, two)]
-
-        exact = gaps()
-        distinct = sorted(set(exact) - {0.0})
-        tol = distinct[len(distinct) // 2]
-        delta = tol / 4.0
-        near = [k for k, gap in enumerate(gaps(verify._PRUNE_MARGIN - delta)) if tol - delta < gap <= tol + delta]
-        assert min(exact) < tol < max(exact) and near
+        exact = [(d[0] - f[0], f[2] - d[2]) for d, f in zip(*(whole_grid(params, plan) for plan in (block, full)))]
+        assert min(min(gap) for gap in exact) >= 0.0  # one-sided: D's grid is the unfolding's leading block
+        gaps = sorted({max(gap) for gap in exact})
+        tolerances = [*gaps, *((a + b) / 2.0 for a, b in zip(gaps, gaps[1:]))]
         calls = []
 
-        def spy(alphas, plan, margin=None, known=None):
-            calls.append(([a.alpha for a in alphas], margin))
-            return scan(alphas, plan, margin, known)
+        def spy(alphas, plan, against=None):
+            calls.append((plan, against is None or against[1]))
+            return scan(alphas, plan, against)
 
         monkeypatch.setattr(verify, "_scan_rectangle", spy)
-        assert verify._agree(params, plans, tol, leading=unfolded) == [gap <= tol for gap in exact]
-        assert calls[2:] == [([params[k].alpha for k in near], None)] * 2
+        mixed = 0
+        for tol in tolerances:
+            calls.clear()
+            expected = [max(gap) <= tol for gap in exact]
+            assert verify._agree(params, block, full, tol) == expected, tol
+            assert calls == [(block, True), (full, tol)], tol
+            mixed += len(set(expected)) == 2
+        assert mixed >= len(gaps) - 1 >= 2
 
-    # points_evaluated of the tolerance pass on the unfolding of 251^2 and
-    # its D block at orders 0.5, 1, 2, 2.5, 3, 4 and 7.3 (numpy 2.4.6): at 2
-    # and 3 on both, and at 2.5 on the unfolding, it keeps no tile and
-    # evaluates its subgrid alone (17 x 64 and 9 x 9 points); given D's
-    # extrema, as full_domain_orders gives them, the unfolding evaluates its
-    # subgrid alone at every order.  At _PRUNE_MARGIN the unfolding's pins
-    # are 116,982 and, at 2, 1,000,564; given D's extrema, 91,685
+    # points_evaluated on the unfolding of 251^2 and its D block at orders
+    # 0.5, 1, 2, 2.5, 3, 4 and 7.3 (numpy 2.4.6), at the check's tolerance:
+    # D's exact scan evaluates the tiles around its extrema and its subgrid,
+    # and every tile at 2 and 3, whose sum is constant; the unfolding's
+    # decision against D's extrema runs no subgrid and, at these orders,
+    # keeps no tile
     def test_tolerance_pass_points_are_pinned(self):
-        full = verify._Plan(np.linspace(0.0, math.pi / 2.0, 501), np.linspace(0.0, 2.0 * math.pi, 2001))
-        block = verify._Plan(full.tau_grid[:251], full.phi_grid[:251], tuple(v[..., :251] for v in full.stage))
-        tolerance_pass = verify._PRUNE_MARGIN - (2.0 * QUARTER_PI / 250) ** 2 / 4.0
+        block, full = unfolded_plans(501, 2001)
         params = [verify.as_param(a) for a in (0.5, 1.0, 2.0, 2.5, 3.0, 4.0, 7.3)]
-        # per margin: D's points, the unfolding's alone (None: not pinned here) and given D's extrema
-        for margin, pinned in [
-            (
-                tolerance_pass,
-                ([769, 769, 81, 513, 81, 769, 769], [50752, 50752, 1088, 1088, 1088, 50752, 50752], [1088] * 7),
-            ),
-            (
-                None,
-                ([1119, 1119, 62759, 1119, 62759, 1119, 1119], None, [91685, 91685, 1000564, 91685, 1000564, 91685, 91685]),
-            ),
-        ]:
-            found = verify._scan_rectangle(params, block, margin)
-            known = [[((low, at_low), (high, at_high))] for low, at_low, high, at_high, _ in found]
-            assert [f[4] for f in found] == pinned[0]
-            if pinned[1] is not None:
-                assert [f[4] for f in verify._scan_rectangle(params, full, margin)] == pinned[1]
-            assert [f[4] for f in verify._scan_rectangle(params, full, margin, known)] == pinned[2]
+        found = verify._scan_rectangle(params, block)
+        assert [f[4] for f in found] == [1119, 1119, 62759, 1119, 62759, 1119, 1119]
+        decided = verify._scan_rectangle(params, full, (found, (2.0 * QUARTER_PI / 250) ** 2))
+        assert [f[4] for f in decided] == [0] * 7
+
+    # A planted violation: the 201 x 801 unfolding's stage with grid row 120,
+    # outside D's 101-row block, in the row of tiles 112-127, which holds no
+    # subgrid row, moved off the sphere (its halves halved), so its sums are
+    # those of mixed states, far above D's maximum
+    PLANTED_ROW = 120
+
+    def planted(self, value):
+        """The 201 x 801 unfolding's plan and its D block's, the unfolding's row PLANTED_ROW set by value(half_s2t, half_c2t)."""
+        half_s2t, half_c2t, trig = (v.copy() for v in unfolded_plans(201, 801)[1].stage)
+        row = self.PLANTED_ROW
+        half_s2t[row], half_c2t[row] = value(half_s2t[row], half_c2t[row])
+        return unfolded_plans(201, 801, (half_s2t, half_c2t, trig))
+
+    def test_planted_violation_is_found(self, monkeypatch):
+        # the decisions are those of the exhaustive scans (an infinite margin
+        # skips no tile), with the exhaustive extrema and witnesses where they
+        # are False.  At the check's tolerance, at any chunk budget and worker
+        # count: False at the parity orders, the maxima on the planted row,
+        # and True at the large orders, whose sums all lie within
+        # 1 / (alpha - 1) of 0, so that the planted row's stay within tol of
+        # D's maximum.  Then at tolerances set among the planted gaps, where
+        # a skipped tile's sums may lie just under tol past D's extrema, each
+        # with decisions both ways
+        block, full = self.planted(lambda a, b: (a / 2.0, b / 2.0))
+        assert self.PLANTED_ROW not in full.sub_rows
+        params = [verify.as_param(a) for a in PARITY_ORDERS + LARGE_ORDERS]
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_PRUNE_MARGIN", math.inf)
+            found = verify._scan_rectangle(params, block)
+            exhaustive = verify._scan_rectangle(params, full, (found, 0.0))
+        # per order, the gaps below D's minimum and above its maximum
+        sides = [(d[0] - f[0], f[2] - d[2]) for d, f in zip(found, exhaustive)]
+        gaps = [max(pair) for pair in sides]
+        assert {witness[0] for _, _, _, witness, _ in exhaustive[: len(PARITY_ORDERS)]} == {self.PLANTED_ROW}
+
+        def assert_exact_decisions(tol):
+            decisions = [gap <= tol for gap in gaps]
+            assert verify._agree(params, block, full, tol) == decisions, tol
+            decided = verify._scan_rectangle(params, full, (found, tol))
+            # an extremum past tol is exact (test_decision_extrema_are_exact_past_tol)
+            for pair, got, want in zip(sides, decided, exhaustive):
+                for gap, k in zip(pair, (0, 2)):
+                    if gap > tol:
+                        assert got[k : k + 2] == want[k : k + 2], tol
+            return decisions
+
+        tol = (2.0 * QUARTER_PI / 100) ** 2
+        for budget in (1, 801, verify._CHUNK_POINTS):
+            monkeypatch.setattr(verify, "_CHUNK_POINTS", budget)
+            for workers in (1, 2):
+                monkeypatch.setattr(verify, "_workers", lambda points, w=workers: w)
+                expected = [False] * len(PARITY_ORDERS) + [True] * len(LARGE_ORDERS)
+                assert assert_exact_decisions(tol) == expected, (budget, workers)
+        distinct = sorted(set(gaps))
+        for k in (len(distinct) // 4, len(distinct) // 2, 3 * len(distinct) // 4):  # at and between gaps
+            for tol in (distinct[k], (distinct[k] + distinct[k + 1]) / 2.0):
+                assert len(set(assert_exact_decisions(tol))) == 2, tol
+
+    def test_planted_nan_names_its_tile(self, monkeypatch):
+        # a NaN in the planted row: D's scan never meets it, and the
+        # unfolding's decision, which runs no subgrid, meets it first in the
+        # bound pass, as the tile bound of the row's first tile, at any chunk budget
+        block, full = self.planted(lambda a, b: (math.nan, b))
+        params = [verify.as_param(a) for a in (0.5, 2.0, 4.0)]
+        tau, phi = full.tau_grid, full.phi_grid
+        first = f"(tau, phi) = ({float(tau[112])!r}, {float(phi[0])!r})"
+        last = f"(tau, phi) = ({float(tau[127])!r}, {float(phi[full.col_edges[1] - 1])!r})"
+        for budget in (1, 801, verify._CHUNK_POINTS):
+            monkeypatch.setattr(verify, "_CHUNK_POINTS", budget)
+            with pytest.raises(ValueError, match="entropic sum bound is nan at alpha=0.5") as info:
+                verify._agree(params, block, full, (2.0 * QUARTER_PI / 100) ** 2)
+            assert f"on the tile from {first} to {last}" in str(info.value), budget
 
     def test_oversized_unfolding_raises(self, monkeypatch):
         # 125,002 phi points on D unfold to 1,000,009 > MAX_POINTS: rejected before any scan
