@@ -19,7 +19,7 @@ agree with math's.
 Grids are uniform with both endpoints included, so the corners of D, which
 are the analytic minimizers, are exactly represented and tight bounds are
 attained on the grid rather than merely approached.  Grid evaluation is
-chunked into blocks of whole rows of tiles (below), and the blocks are
+chunked into blocks of whole grid rows (below), and the blocks are
 split into contiguous runs, one per worker, of about equal kept work
 (grid points to evaluate, not rows): a scan takes one worker per usable
 CPU, at most _MAX_WORKERS (two; no larger count was measured), one per
@@ -29,11 +29,11 @@ scans (refinement windows, test grids) and scans with little kept work
 stay in the calling thread.  The first run is the caller's own, the others go to helper
 threads started for the scan, run in copies of the caller's context (so
 numpy's error state holds in them) and joined before it returns.  The
-workers share the _CHUNK_POINTS budget: a block takes rows of tiles with
-the same spans (below) while it holds at most _CHUNK_POINTS /
-_MAX_WORKERS points, whatever the worker count (one row of tiles may hold
-more, at most max(_WORKER_POINTS / _MAX_WORKERS, n_phi) points; GridSpec
-caps n_phi), so the blocks do not depend on the workers and one worker's
+workers share the _CHUNK_POINTS budget: a block takes grid rows of rows
+of tiles with the same spans (below), at most _CHUNK_POINTS /
+_MAX_WORKERS points, whatever the worker count (a block is at least one
+grid row, so it may hold more, at most n_phi points; GridSpec caps
+n_phi), so the blocks do not depend on the workers and one worker's
 arrays fit a core's L2 cache as two workers' do.
 One block runner (_run) evaluates every grid: a scan's, and its
 incumbent subgrid (below).  Each run allocates one workspace, eight
@@ -69,7 +69,9 @@ two column indices per order and row of tiles.
 
 Pruning.  Every scan skips, for each order, the tiles that cannot hold a
 grid extremum or a tie with one.  A tile (_tile_edges) is a rectangle of
-about _TILE_SIDE^2 grid points.  The sum is F(h_x) + F(h_y) + F(h_z),
+about sqrt(n_tau n_phi) grid points (_tile_steps), so the bound pass over
+every tile and the points of the few tiles kept both grow as the square
+root of the grid's points.  The sum is F(h_x) + F(h_y) + F(h_z),
 where F(h) is the pair entropy of (1/2 + h, 1/2 - h): symmetric in h
 and, for every alpha > 0, falling as |h| grows, since binary Tsallis
 entropy is symmetric and concave.  The
@@ -86,11 +88,11 @@ pair entropies plus the z terms from _z_terms), are F at the greatest |h|
 of the three, LB, a lower bound of the tile's grid sums.  Stacked under
 it, the least |values| give UB.  The incumbents are the least and
 greatest sums of an exhaustive run over a subgrid of true grid points
-(_subgrid): every other tile's first row and column, the rows taken
-before _tile_edges caps them, and the grid's last; the run takes the
-stage and the z terms at those rows and columns.  An order skips a tile
-when LB > least + _PRUNE_MARGIN and UB < greatest - _PRUNE_MARGIN.  This
-is sound: the computed F is monotone in |h| only up to rounding, and the
+(_subgrid): every other tile's first row and column, and the grid's
+last; the run takes the stage and the z terms at those rows and columns.
+An order skips a tile when LB > least + _PRUNE_MARGIN and UB <
+greatest - _PRUNE_MARGIN.  This is sound: the computed F is monotone in
+|h| only up to rounding, and the
 margin covers that rounding and the two additions, so every grid sum of
 a skipped tile exceeds least, which is at least the grid minimum, and
 falls below greatest, at most the grid maximum.  Neither extremum nor
@@ -121,9 +123,9 @@ its first kept tile to its last (measured as fast as separate runs of
 kept tiles, with fewer kernel calls); the grid's run takes those spans,
 and its stage runs on the span of every order's kept tiles.  Each block is
 one rectangle of that stage, consecutive rows of tiles in which the
-stage's span and every order's stay the same, so each order's kernel
-runs on one rectangle in it, the block's rows times the order's span
-(_blocks).
+stage's span and every order's stay the same, cut by grid rows to the
+budget, so each order's kernel runs on one rectangle in it, the block's
+rows times the order's span (_blocks).
 
 The sphere.  LB and UB treat the three |h| as independent, so they are
 loose to first order in a tile's size, and kept 63-100% of 2001^2 at
@@ -194,9 +196,10 @@ under 4 (under 1.4e-14; at a lam that can win, lam (S - sum L) is under
 bound lies within 3 eps_F and two roundings of the exact sum at its
 split.  So a grid sum of a skipped tile lies past its LB or UB by at
 most 6 eps_F + 1.5e-14, under 1e-13, ten times under _PRUNE_MARGIN, as
-the monotone bounds' 6e-14 is.  On 2001^2 every order but 2 and 3 then
-evaluates 4,381 points: the tiles around each order's extrema and the
-subgrid's points outside them.  Grid row tau = 0, a row of tiles of its
+the monotone bounds' 6e-14 is.  On 2001^2 each CI-pinned order from
+0.25 to 10 but 2 and 3, and 30, then evaluates 16,499 points: the
+45 x 45 tiles around each order's extrema and the subgrid's points
+outside them.  Grid row tau = 0, a row of tiles of its
 own (_tile_edges) whose every point (an eigenstate for every phi) ties
 the minimum, is exact, and only the subgrid evaluates it.
 
@@ -313,7 +316,7 @@ __all__ = [
 DEFAULT_SEED = 12345
 
 # Grid points the blocks of a scan's workers hold together: a block takes
-# whole rows of tiles (at least one) while it holds at most _CHUNK_POINTS /
+# whole grid rows (at least one) while it holds at most _CHUNK_POINTS /
 # _MAX_WORKERS points, whatever the worker count.  Each float64 array of
 # such a block is 256 KB, and a worker's eight arrays (2 MB) fit a core's
 # 2 MiB L2 cache; with one worker's blocks at the whole 65,536 points (4
@@ -357,14 +360,6 @@ _WORKER_POINTS = _CHUNK_POINTS
 # rounds, best of 7, a noisy host).  The cap also bounds the scan's
 # workspace, which holds eight block arrays per worker.
 _MAX_WORKERS = 2
-# Pruning (module docstring).  A tile holds about _TILE_SIDE^2 grid points:
-# on 2001^2, with the monotone bounds alone, 16 x 16 tiles left 5.1% of the
-# points to evaluate at alpha = 0.5, 8.9% at 1 and 18.7% at 4; on
-# 101 x 40001 the 1 x 400 tiles left 2.6-5.4% at 0.5, 1, 1.005 and 4, where
-# 32 x 32 tiles left 95%.  With the sphere bounds, and grid row tau = 0 a
-# row of exact tiles of its own, every order but 2 and 3 evaluates 0.11%
-# of 2001^2, 0.094% of 101 x 40001 and 0.19% of 801^2.
-_TILE_SIDE = 16
 # An order skips a tile only when its lower bound exceeds the incumbent
 # minimum by more than this and its upper bound falls short of the
 # incumbent maximum by more than this.  It covers rounding: the computed
@@ -672,30 +667,38 @@ def _row_buffer(row: int) -> Iterator[None]:
 
 
 def _tile_steps(tau_grid: np.ndarray, phi_grid: np.ndarray) -> tuple[int, int]:
-    """Rows and columns of a tile about square in angle, with about _TILE_SIDE^2 points and at least one of each."""
+    """Rows and columns of a tile about square in angle, with about sqrt(n_tau n_phi) points and at least one of each.
+
+    A side of (n_tau n_phi)^(1/4) grid points makes the bound pass, whose
+    cost grows with the number of tiles, and the kept tiles' points, which
+    grow with a tile's area, both grow as the square root of the grid's
+    points: 6 x 6 on 41^2, 16 x 16 on 251^2 (the full-domain check's D
+    block), 45 x 45 on 2001^2, 32 x 32 on the 501 x 2001 unfolding and
+    2 x 897 on 101 x 40001.  With 16 x 16 tiles on every grid, the bound
+    pass took most of a scan at every order but 2 and 3: scan_orders([0.5])
+    on a reused 8001^2 grid took 36.5 ms, 34.2 of them the bound pass,
+    against 3.0 ms (1.1) at this side, and on 16001^2 293 ms (284) against
+    5.6 ms (1.5) (best of 5, 2-core Xeon, numpy 2.4.6).
+    """
     d_tau, d_phi = ((float(axis[-1]) - float(axis[0])) / (len(axis) - 1) for axis in (tau_grid, phi_grid))
-    side = max(_TILE_SIDE * math.sqrt(d_tau * d_phi), d_tau, d_phi)
+    side = max((len(tau_grid) * len(phi_grid)) ** 0.25 * math.sqrt(d_tau * d_phi), d_tau, d_phi)
     return max(1, round(side / d_tau)), max(1, round(side / d_phi))
 
 
 def _tile_edges(tau_grid: np.ndarray, phi_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A scan's tile boundaries: grid indices from 0 to n_tau, and from 0 to n_phi.
 
-    Tiles take _tile_steps (16 x 16 on 2001^2 and on the 501 x 2001
-    full-domain unfolding, 1 x 400 on 101 x 40001), with at most
-    max(1, _WORKER_POINTS / _MAX_WORKERS / n_phi) rows: a row of tiles then
-    holds at most max(_WORKER_POINTS / _MAX_WORKERS, n_phi) points, so a
-    block, at least one row of tiles, keeps the workspace bound of the
-    module docstring.  The last tile along an axis may be shorter.  Grid
-    row 0 is a row of tiles of its own: tau = 0 is the z eigenstate at every
-    phi, so each of its points ties the minimum, and its tiles are exact
-    (_exact_tiles), resolved from their bounds.  No edge repeats:
-    np.maximum.reduceat takes the element at a repeated start, not an empty
-    reduction, so a repeated edge would give an unsound tile bound.
+    Tiles take _tile_steps; the last tile along an axis may be shorter.  A
+    row of tiles may hold any number of points: a block cuts it by grid
+    rows (_blocks).  Grid row 0 is a row of tiles of its own: tau = 0 is
+    the z eigenstate at every phi, so each of its points ties the minimum,
+    and its tiles are exact (_exact_tiles), resolved from their bounds.  No
+    edge repeats: np.maximum.reduceat takes the element at a repeated
+    start, not an empty reduction, so a repeated edge would give an unsound
+    tile bound.
     """
     n_tau, n_phi = len(tau_grid), len(phi_grid)
     rows, cols = _tile_steps(tau_grid, phi_grid)
-    rows = min(rows, max(1, _WORKER_POINTS // _MAX_WORKERS // n_phi))
     row_edges = np.append(np.arange(0, n_tau, rows), n_tau)
     if rows > 1:  # row 0's own row of tiles
         row_edges = np.insert(row_edges, 1, 1)
@@ -705,9 +708,9 @@ def _tile_edges(tau_grid: np.ndarray, phi_grid: np.ndarray) -> tuple[np.ndarray,
 def _subgrid(tau_grid: np.ndarray, phi_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The incumbent subgrid's rows and columns: every other tile's first grid index along each axis, and the last.
 
-    The tiles are _tile_steps's, before _tile_edges caps their rows, so a
-    wide grid's thin tiles do not make the subgrid denser.  Every other
-    tile, not every one: at twelve orders from 0.25 to 10 on 801^2, 2001^2,
+    The tiles are _tile_steps's, so the subgrid has a point in about one
+    tile of four, whatever the grid's shape.  Every other tile, not every one:
+    with 16-point tiles, at twelve orders from 0.25 to 10 on 801^2, 2001^2,
     101 x 40001 and the 501 x 2001 unfolding, each order's points evaluated
     came out within 0.2% of the grid of those with every tile's first row
     and column, mostly fewer, from a quarter of the subgrid.
@@ -971,9 +974,10 @@ def _kept_spans(
     pass runs in the calling thread, under a ufunc buffer of a row of tiles
     (_row_buffer; with the monotone bounds alone, on
     two workers each allocating its chunks' arrays, it took 1.8 ms on
-    2001^2 at alpha = 2.5 against 1.4 ms on one).  On 2001^2 it takes
-    about 1 ms at the orders whose G is concave and 3.7 ms at 2.5, where
-    the most tiles are kept (best of 64 per order on one CPU, 2-core
+    2001^2 at alpha = 2.5 against 1.4 ms on one).  On 2001^2's 45 x 45
+    tiles it takes 0.53-0.79 ms at 0.5, 1 and 4, whose G is concave, and
+    1.04 ms at 2.5, where the most tiles are kept, against 1.16-1.53 and
+    5.59 ms on 16 x 16 tiles (best of 64 per order on one CPU, 2-core
     Xeon, numpy 2.4.6).
     """
     tile_stage, row_edges, col_edges = plan.tile_stage, plan.row_edges, plan.col_edges
@@ -1062,11 +1066,13 @@ def _blocks(spans: np.ndarray, row_edges: np.ndarray) -> tuple[list[list], list[
     spans, of shape (orders, rows of tiles, 2), holds each order's span in
     each row of tiles (as _kept_spans).  The stage's span in a row of
     tiles runs from the first column any order keeps to the last; a row
-    of tiles where no order keeps any belongs to no block.  A block [row,
-    end row, spans], spans the stage's then each order's, joins
-    consecutive rows of tiles whose spans, the stage's and every order's,
-    are all the same, while it holds at most _CHUNK_POINTS / _MAX_WORKERS
-    points, and takes at least one row.  So each order's points in a
+    of tiles where no order keeps any belongs to no block.  Consecutive
+    rows of tiles whose spans, the stage's and every order's, are all the
+    same join into one run of grid rows, and each run is cut into blocks
+    of max(1, _CHUNK_POINTS / _MAX_WORKERS / the stage's width) grid rows,
+    the last one shorter: a block [row, end row, spans], spans the
+    stage's then each order's, holds at most _CHUNK_POINTS / _MAX_WORKERS
+    points, or one grid row.  So each order's points in a
     block are the block's rows times its span.  The run takes one worker
     per _WORKER_POINTS points its stage evaluates (_workers), at most one
     per block, and its blocks are split into contiguous runs of about
@@ -1079,23 +1085,23 @@ def _blocks(spans: np.ndarray, row_edges: np.ndarray) -> tuple[list[list], list[
     subgrid and its grid through here.
     """
     edges = row_edges.tolist()
-    budget = _CHUNK_POINTS // _MAX_WORKERS
-    blocks: list[list] = []
-    points = 0  # the stage's
+    runs: list[list] = []
     for t, own in enumerate(spans.transpose(1, 0, 2).tolist()):
         kept = [span for span in own if span[0] < span[1]]
         if not kept:
             continue
         r0, r1 = edges[t], edges[t + 1]
         row = [[min(c0 for c0, _ in kept), max(c1 for _, c1 in kept)], *own]
-        c0, c1 = row[0]
-        points += (r1 - r0) * (c1 - c0)
-        if blocks and blocks[-1][1:] == [r0, row] and (r1 - blocks[-1][0]) * (c1 - c0) <= budget:
-            blocks[-1][1] = r1
+        if runs and runs[-1][1:] == [r0, row]:
+            runs[-1][1] = r1
         else:
-            blocks.append([r0, r1, row])
+            runs.append([r0, r1, row])
+    blocks = []
+    for r0, r1, row in runs:
+        step = max(1, _CHUNK_POINTS // _MAX_WORKERS // (row[0][1] - row[0][0]))
+        blocks += ([r, min(r + step, r1), row] for r in range(r0, r1, step))
     areas = [[(r1 - r0) * (c1 - c0) for c0, c1 in row] for r0, r1, row in blocks]
-    workers = min(_workers(points), len(blocks))
+    workers = min(_workers(sum(area[0] for area in areas)), len(blocks))
     bounds = [0]
     if workers > 1:
         work = [sum(area) for area in areas]
@@ -1145,9 +1151,10 @@ def _scan_rectangle(
 
     z_terms = _z_terms(alphas, plan.stage)
     if against is None:
+        # one row of tiles, every column kept, which _blocks cuts
         subgrid = _run(
-            alphas, plan.sub_stage, z_terms[:, rows], *_whole_rows(len(alphas), rows.size, cols.size),
-            lambda i, j: where(rows[i], cols[j]),
+            alphas, plan.sub_stage, z_terms[:, rows], np.array([0, rows.size]),
+            np.tile([0, cols.size], (len(alphas), 1, 1)), lambda i, j: where(rows[i], cols[j]),
         )
         # each order's subgrid extrema, at their grid points
         known = [
@@ -1178,16 +1185,6 @@ def _merged(extrema: list) -> tuple[float, tuple[int, int], float, tuple[int, in
     v_min, at_min = min(lows)
     v_max, at_max = min(highs, key=lambda c: (-c[0], c[1]))
     return v_min, at_min, v_max, at_max
-
-
-def _whole_rows(orders: int, n_tau: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
-    """The incumbent subgrid's row edges and spans for _run: blocks of whole rows, every point kept.
-
-    A block takes _CHUNK_POINTS / _MAX_WORKERS points, at least one row.
-    """
-    rows = max(1, _CHUNK_POINTS // _MAX_WORKERS // n_phi)
-    row_edges = np.append(np.arange(0, n_tau, rows), n_tau)
-    return row_edges, np.tile([0, n_phi], (orders, len(row_edges) - 1, 1))
 
 
 def _run(

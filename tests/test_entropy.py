@@ -362,6 +362,46 @@ class TestInPlaceKernel:
             assert entropy._power(view, alpha, out) is out
             assert out.tobytes() == reference.tobytes()
 
+    # every order of the CI pins of `pauli-tsallis verify` (test_verify's
+    # PINNED_ORDERS), then large ones, where powers below the threshold are skipped
+    @pytest.mark.parametrize(
+        "alpha",
+        [0.25, 0.5, 0.991, 0.9999999, 1.0, 1.0000001, 1.005, 1.009, 1.5, 1.7, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 7.0,
+         7.5, 10.0, 30.0, 46.0, 48.0, 100.0, 300.0, 300.5, 1000.0],
+    )
+    def test_skipped_powers_are_the_pow_path_bitwise(self, alpha):
+        # where x < 2^(-56/(a - 1)) the term x^a - x rounds to 0.0 - x: the
+        # numerator equals the plain path's, _power then x subtracted, bit for
+        # bit, on random pairs, on the threshold's neighbours among the
+        # doubles and among the scans' pairs (multiples of 2^-54), at 0,
+        # subnormals and 1; a NaN stays NaN
+        a = TsallisParam(alpha)
+        threshold = 2.0 ** (-56.0 / (alpha - 1.0)) if alpha > 1.0 else 0.5
+        near = [np.nextafter(threshold, 0.0), threshold, np.nextafter(threshold, 1.0)]
+        on_grid = math.floor(threshold * 2.0**54) * 2.0**-54
+        near += [on_grid - 2.0**-54, on_grid, on_grid + 2.0**-54]
+        near += [threshold * (1.0 - 2.0**-40), threshold * (1.0 + 2.0**-40)]
+        special = [0.0, 5e-324, 1e-310, 2.0**-54, 0.5, 1.0, *(v for v in near if 0.0 <= v <= 1.0)]
+        x = np.random.default_rng(18).uniform(0.0, 1.0, (2, 16, 64))
+        x[:, 0, : len(special)] = special
+        x[:, 1, : len(special)] = np.subtract(1.0, special)
+        x[0, 2, 0] = math.nan
+        for pm in (x, x[::-1]):  # each side's term alone in out[1], then the sum in out[0]
+            out = np.full(pm.shape, 7.0)
+            entropy._pair_numerator_into(pm, a, out)
+            reference = np.empty(pm.shape)
+            if abs(alpha - 1.0) < EXPM1_WINDOW:
+                entropy._log_term(pm, alpha - 1.0, reference)
+            else:
+                entropy._power(pm, alpha, reference)
+                reference -= pm
+            reference[0] += reference[1]
+            nan = np.isnan(out)
+            assert nan[0, 2, 0] and nan.tolist() == np.isnan(reference).tolist()
+            assert out[~nan].tobytes() == reference[~nan].tobytes()
+        if alpha > 45.0:  # both sides of the threshold are exercised
+            assert (x < threshold).any() and (x >= threshold).any()
+
     @pytest.mark.parametrize("side", [0, 1])
     def test_kernel_rejects_out_overlapping_its_inputs(self, side):
         # p or m in out would be overwritten before it is read: zeros on the pow branch

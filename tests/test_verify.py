@@ -283,15 +283,15 @@ class TestScanExtrema:
     # run's calls counted here.  With every tile kept but grid row 0's, which
     # are exact, a 41x41 grid is one block by default, rows 1-40, whose
     # numerators are the grid run's call 0 in a one-order scan; a 33-point
-    # budget makes a block of each row of tiles, grid rows 1-15, 16-31 and
-    # 32-40, and call 1 is the second's.  The x term takes the value.  A NaN is caught by both argmin and
-    # argmax, -inf by argmin and +inf by argmax: at 0.5 the numerators' sum is
-    # scaled by 1 / (1 - 0.5) = 2, which keeps each sign.
+    # budget makes a block of each grid row, 1 to 40, and call 19 is grid
+    # row 20's.  The x term takes the value.  A NaN is caught by both argmin
+    # and argmax, -inf by argmin and +inf by argmax: at 0.5 the numerators'
+    # sum is scaled by 1 / (1 - 0.5) = 2, which keeps each sign.
     @pytest.mark.parametrize(
         "budget,call,row,bad",
         [
             (verify._CHUNK_POINTS, 0, 7, math.nan),
-            (33, 1, 20, math.nan),
+            (33, 19, 20, math.nan),
             (verify._CHUNK_POINTS, 0, 7, -math.inf),
             (verify._CHUNK_POINTS, 0, 7, math.inf),
         ],
@@ -624,11 +624,11 @@ class TestFullDomainConsistency:
         decided = verify._scan_rectangle(params, full, (found, (2.0 * QUARTER_PI / 250) ** 2))
         assert [f[4] for f in decided] == [0] * 7
 
-    # A planted violation: the 201 x 801 unfolding's stage with grid row 120,
-    # outside D's 101-row block, in the row of tiles 112-127, which holds no
+    # A planted violation: the 201 x 801 unfolding's stage with grid row 150,
+    # outside D's 101-row block, in the row of tiles 140-159, which holds no
     # subgrid row, moved off the sphere (its halves halved), so its sums are
     # those of mixed states, far above D's maximum
-    PLANTED_ROW = 120
+    PLANTED_ROW = 150
 
     def planted(self, value):
         """The 201 x 801 unfolding's plan and its D block's, the unfolding's row PLANTED_ROW set by value(half_s2t, half_c2t)."""
@@ -689,8 +689,8 @@ class TestFullDomainConsistency:
         block, full = self.planted(lambda a, b: (math.nan, b))
         params = [verify.as_param(a) for a in (0.5, 2.0, 4.0)]
         tau, phi = full.tau_grid, full.phi_grid
-        first = f"(tau, phi) = ({float(tau[112])!r}, {float(phi[0])!r})"
-        last = f"(tau, phi) = ({float(tau[127])!r}, {float(phi[full.col_edges[1] - 1])!r})"
+        first = f"(tau, phi) = ({float(tau[140])!r}, {float(phi[0])!r})"
+        last = f"(tau, phi) = ({float(tau[159])!r}, {float(phi[full.col_edges[1] - 1])!r})"
         for budget in (1, 801, verify._CHUNK_POINTS):
             monkeypatch.setattr(verify, "_CHUNK_POINTS", budget)
             with pytest.raises(ValueError, match="entropic sum bound is nan at alpha=0.5") as info:
@@ -1302,8 +1302,9 @@ BOX_ORDERS = (
 def angle_boxes():
     """Boxes [tau0, tau1] x [phi0, phi1] in D that are not tiles: each one's 41 x 41 grid stage, and the |h| ranges.
 
-    D itself, then for each side (small, 1e-4; a 2001^2 tile, pi/500; and
-    a 16 x 16 block of such tiles, pi/32) the boxes at the corners (0, 0),
+    D itself, then for each side (small, 1e-4; a 16 x 16 tile of 2001^2,
+    pi/500; a 16 x 16 block of such tiles, pi/32; and a 2001^2 tile of
+    today, 45 x 45, 9 pi/1600) the boxes at the corners (0, 0),
     (pi/4, 0) and (pi/4, pi/4), and 12 random ones.  On D, (sin 2 tau)/2
     and sin phi rise and (cos 2 tau)/2 and cos phi fall, so each axis's
     greatest and least |h| are products at the box's ends, taken from its
@@ -1312,7 +1313,7 @@ def angle_boxes():
     """
     rng = np.random.default_rng(21)
     boxes = [(0.0, QUARTER_PI, 0.0, QUARTER_PI)]
-    for side in (1e-4, math.pi / 500, math.pi / 32):
+    for side in (1e-4, math.pi / 500, math.pi / 32, 9 * math.pi / 1600):
         far = QUARTER_PI - side
         boxes += [(0.0, side, 0.0, side), (far, QUARTER_PI, 0.0, side), (far, QUARTER_PI, far, QUARTER_PI)]
         for _ in range(12):
@@ -1328,9 +1329,12 @@ def angle_boxes():
 
 
 def whole_grid(params, plan):
-    """The exhaustive reference: every grid point in blocks of whole grid rows, without subgrid or bound pass."""
+    """The exhaustive reference: every grid point in blocks of whole grid rows, without subgrid or bound pass.
+
+    One row of tiles, every column kept, as the incumbent subgrid's run: _blocks cuts it.
+    """
     stage = plan.stage
-    edges, spans = verify._whole_rows(len(params), len(plan.tau_grid), len(plan.phi_grid))
+    edges, spans = np.array([0, len(plan.tau_grid)]), np.tile([0, len(plan.phi_grid)], (len(params), 1, 1))
     runs = verify._run(params, stage, verify._z_terms(params, stage), edges, spans, lambda i, j: f"({i}, {j})")
     return [(*verify._merged(found), points) for found, points in runs]
 
@@ -1342,13 +1346,22 @@ def exact_tiles(plan):
 
 
 def resolved_points(plan):
-    """The points of the plan's exact tiles outside its incumbent subgrid.
+    """The points of the plan's exact tiles outside their row's span and outside its incumbent subgrid.
 
     A scan that keeps every other tile evaluates every grid point but
-    these: the exact tiles are resolved from their bounds, and the subgrid
+    these: its span in a row of tiles runs from the first tile that is not
+    exact to the last, so the exact tiles between them are evaluated, the
+    exact tiles outside it are resolved from their bounds, and the subgrid
     run evaluates its own points.
     """
-    r0, r1, c0, c1 = exact_tiles(plan)
+    n_cols = len(plan.col_edges) - 1
+    kept = np.ones((len(plan.row_edges) - 1, n_cols), dtype=bool)
+    kept.flat[plan.exact] = False
+    first = np.where(kept.any(axis=1), np.argmax(kept, axis=1), n_cols)
+    last = n_cols - 1 - np.argmax(kept[:, ::-1], axis=1)
+    t, u = np.divmod(plan.exact, n_cols)
+    outside = (u < first[t]) | (u > last[t])
+    r0, r1, c0, c1 = (edges[outside] for edges in exact_tiles(plan))
     rows, cols = (
         np.searchsorted(sub, end) - np.searchsorted(sub, start)
         for sub, start, end in ((plan.sub_rows, r0, r1), (plan.sub_cols, c0, c1))
@@ -1377,8 +1390,10 @@ def assert_parity(monkeypatch, grid, orders):
     expected = whole_grid(params, plan)
     assert [points for *_, points in expected] == [n_tau * n_phi] * len(params)
     counts = set()
-    # chunk budgets as in test_chunking_does_not_change_result, one and two workers
-    for budget in (1, n_phi - 1, n_phi, 7 * n_phi + 3):
+    # chunk budgets as in test_chunking_does_not_change_result, and one of 13
+    # grid rows to a full-width block, a prime, so that blocks end inside rows
+    # of tiles; one and two workers
+    for budget in (1, n_phi - 1, n_phi, 7 * n_phi + 3, 26 * n_phi + 1):
         monkeypatch.setattr(verify, "_CHUNK_POINTS", budget)
         for workers in (1, 2):
             monkeypatch.setattr(verify, "_workers", lambda points, w=workers: w)
@@ -1591,15 +1606,15 @@ class TestPruning:
     # though the extrema stay the same.  Every order but 2 keeps the same
     # tiles, the few around each order's extrema; grid row tau = 0, a row of
     # tiles of its own whose every point ties the eigenstate minimum, is
-    # exact and resolved from its bounds, as are the 1 x 1 tiles of the last
-    # column on 101 x 40001, so only their subgrid points are evaluated
+    # exact and resolved from its bounds, so only its subgrid points are
+    # evaluated
     @pytest.mark.parametrize(
         "grid,points",
         [
-            (PARITY_GRIDS["2001x2001"], [4381, 4381, 4002064, 4381, 4381, 4381]),
-            (PARITY_GRIDS["101x40001"], [3800, 3800, 4000101, 3800, 3800, 3800]),
-            ((QUARTER_PI, 801, QUARTER_PI, 801), [1217, 1217, 640826, 1217, 1217, 1217]),
-            (PARITY_GRIDS["501x2001 unfolded"], [116982, 116982, 1000564, 116982, 116982, 116982]),
+            (PARITY_GRIDS["2001x2001"], [16499, 16499, 4002024, 16499, 16499, 16499]),
+            (PARITY_GRIDS["101x40001"], [4378, 4378, 4000124, 4378, 4378, 4378]),
+            ((QUARTER_PI, 801, QUARTER_PI, 801), [4506, 4506, 640816, 4506, 4506, 4506]),
+            (PARITY_GRIDS["501x2001 unfolded"], [320281, 320281, 1000533, 320281, 320281, 320281]),
         ],
         ids=["2001x2001", "101x40001", "801x801", "501x2001 unfolded"],
     )
@@ -1608,6 +1623,24 @@ class TestPruning:
         plan = verify._Plan(np.linspace(0.0, tau_end, n_tau), np.linspace(0.0, phi_end, n_phi))
         params = [verify.as_param(a) for a in (0.5, 1.0, 2.0, 2.5, 4.0, 7.3)]
         assert [found[4] for found in verify._scan_rectangle(params, plan)] == points
+
+    # a tile's side is (n_tau n_phi)^(1/4) grid points, square in angle: the
+    # full-domain check's 251^2 D block keeps 16 x 16 tiles, and its
+    # unfolding, whose steps are the same in tau and phi, gets square ones
+    @pytest.mark.parametrize(
+        "grid,steps",
+        [
+            (PARITY_GRIDS["41x41"], (6, 6)),
+            ((QUARTER_PI, 251, QUARTER_PI, 251), (16, 16)),
+            (PARITY_GRIDS["2001x2001"], (45, 45)),
+            (PARITY_GRIDS["101x40001"], (2, 897)),
+            (PARITY_GRIDS["501x2001 unfolded"], (32, 32)),
+        ],
+        ids=["41x41", "251x251", "2001x2001", "101x40001", "501x2001 unfolded"],
+    )
+    def test_tile_steps_are_pinned(self, grid, steps):
+        tau_end, n_tau, phi_end, n_phi = grid
+        assert verify._tile_steps(np.linspace(0.0, tau_end, n_tau), np.linspace(0.0, phi_end, n_phi)) == steps
 
     @pytest.mark.parametrize("n_tau,n_phi", [(2001, 2001), (101, 40001), (2, 801)], ids=str)
     def test_tile_edges_never_repeat(self, n_tau, n_phi):
@@ -1648,9 +1681,9 @@ class TestPruning:
 
     @pytest.mark.parametrize("grid", [GridSpec(2001, 2001), GridSpec(101, 40001), GridSpec(3001, 3001)], ids=str)
     def test_workspace_stays_bounded(self, monkeypatch, grid):
-        # a block is at least one row of tiles; a row of tiles holds at most
-        # max(2**15, n_phi) points, so the workspace keeps the exhaustive bound;
-        # the incumbent subgrid's run, whose rows are whole, keeps it too
+        # a block holds at most 2**15 points, or one grid row of at most n_phi,
+        # so the workspace keeps the exhaustive bound; the incumbent subgrid's
+        # run, whose rows are whole, keeps it too
         real, workspaces = verify._grid_pairs, {}
 
         def pairs(stage, rows, cols, out):
@@ -1945,15 +1978,22 @@ class TestBlocks:
         assert asked == [sum((edges[t + 1] - edges[t]) * (c1 - c0) for t, (c0, c1) in enumerate(stage_span))]
         spans = np.array([stage_span, *order_spans])
         covered = np.zeros((len(spans), edges[-1], 40), dtype=int)
-        last_row, areas = 0, []
-        for i0, i1, row in blocks:
-            # one rectangle of the stage, in grid order: its rows of tiles all
-            # have its spans, and it fits the budget or is one row of tiles
-            assert last_row <= i0 < i1 and i0 in edges and i1 in edges
-            last_row = i1
-            assert all(spans[:, t].tolist() == row for t in range(edges.index(i0), edges.index(i1)))
+        last, areas = [0, 0, None], []
+        for k, (i0, i1, row) in enumerate(blocks):
+            # one rectangle of the stage, in grid order: the rows of tiles it
+            # cuts all have its spans.  A block starts a run of rows of tiles
+            # with one set of spans, or goes on with the previous block's run,
+            # and holds max(1, budget // width) grid rows, its run's last fewer
+            assert last[1] <= i0 < i1
+            tiles = range(np.searchsorted(edges, i0, side="right") - 1, np.searchsorted(edges, i1))
+            assert all(spans[:, t].tolist() == row for t in tiles)
+            assert i0 in edges or last[1:] == [i0, row]
             (j0, j1), *own = row
-            assert (i1 - i0) * (j1 - j0) <= budget or edges.index(i1) == edges.index(i0) + 1
+            step = max(1, budget // (j1 - j0))
+            goes_on = k + 1 < len(blocks) and blocks[k + 1][0::2] == [i1, row]
+            assert i1 - i0 == step if goes_on else i1 - i0 <= step and i1 in edges
+            assert (i1 - i0) * (j1 - j0) <= budget or i1 - i0 == 1
+            last = [i0, i1, row]
             areas.append([(i1 - i0) * (c1 - c0) for c0, c1 in row])
             for o, (c0, c1) in enumerate(row):
                 # each order's points in the block: its rows times the order's span, inside the stage's
@@ -1980,10 +2020,22 @@ class TestBlocks:
         assert bounds == [0, *split, len(blocks)]
         return blocks, bounds
 
-    @pytest.mark.parametrize("budget,n_blocks", [(1, 6), (4 * 40, 5), (verify._CHUNK_POINTS, 5)])
+    # the runs of rows of tiles with one set of spans are grid rows 0-1, 1-5,
+    # 5-13, 17-21 and 21-22, of widths 40, 40, 12, 16 and 16; a budget of one
+    # point cuts every grid row apart
+    @pytest.mark.parametrize("budget,n_blocks", [(1, 18), (4 * 40, 5), (verify._CHUNK_POINTS, 5)])
     def test_blocks_are_stage_rectangles(self, monkeypatch, budget, n_blocks):
         blocks, bounds = self.check_blocks(monkeypatch, self.STAGE_SPAN, self.ORDER_SPANS, budget)
         assert len(blocks) == n_blocks and bounds == [0, n_blocks]
+
+    def test_blocks_cut_rows_of_tiles(self, monkeypatch):
+        # 36 points a block: grid rows 1-5, 40 wide, one row a block; 5-13,
+        # 12 wide, three rows a block, so a block ends at grid row 8, inside
+        # the row of tiles 5-9; 17-21, 16 wide, two rows a block, ending at 19
+        blocks, _ = self.check_blocks(monkeypatch, self.STAGE_SPAN, self.ORDER_SPANS, 36)
+        assert [(i0, i1) for i0, i1, _ in blocks] == [
+            (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 8), (8, 11), (11, 13), (17, 19), (19, 21), (21, 22)
+        ]
 
     @pytest.mark.parametrize("budget,workers", [(1, 2), (4 * 40, 2), (1, 3), (1, 8), (verify._CHUNK_POINTS, 2)])
     def test_runs_split_the_work(self, monkeypatch, budget, workers):
@@ -2162,7 +2214,7 @@ def test_rounding_picks_the_constant_orders_witnesses():
         assert report.argmin == PureStateAngles(float(axis[i]), float(axis[j]))
         assert report.argmax == PureStateAngles(float(axis[k]), float(axis[l]))
         # every point but grid row 0's outside the subgrid: that row's tiles are exact
-        assert report.points_evaluated == 2001 * 2001 - 1937
+        assert report.points_evaluated == 2001 * 2001 - 1977
 
 
 class TestSquaredIntegerOrders:
