@@ -35,8 +35,8 @@ _MAX_WORKERS points, whatever the worker count (a block is at least one
 grid row, so it may hold more, at most n_phi points; GridSpec caps
 n_phi), so the blocks do not depend on the workers and one worker's
 arrays fit a core's L2 cache as two workers' do.
-One block runner (_run) evaluates every grid: a scan's, and its
-incumbent subgrid (below).  Each run allocates one workspace, eight
+One block runner (_run) evaluates a scan's grid (each order's nine-point
+samples aside, below).  Each run allocates one workspace, eight
 arrays per worker of its largest block's points: the stage writes a
 block's four outcome planes, p over m, each x over y (p_x, p_y, m_x,
 m_y), at the start of the worker's part, and each order's kernel its
@@ -57,15 +57,15 @@ buffer, which made the stage's product and each order's z-term
 addition two to five times slower on 2001-column blocks, and no
 elementwise result depends on the buffer.  The worker cap bounds the workspace
 whatever the CPU count: at most 8 max(_CHUNK_POINTS, _MAX_WORKERS n_phi)
-float64 values, and the subgrid's run, on fewer rows and columns, ends
-before the grid's starts.  The tile bounds (below) stay within that
-bound too: they are taken a chunk of rows of tiles at a time, in
-14 max(_CHUNK_POINTS / 4, columns of tiles) values (one axis's kernel
-at a time, on views of the chunk's pairs), their boxes on the
-sphere a batch of at most _WORKER_POINTS / 16 kept tiles at a time, in
-38 values per tile (14 for the box, 24 for _box_bound's scratch; 2.4
-_CHUNK_POINTS values at the default budget), and the bound pass keeps
-two column indices per order and row of tiles.
+float64 values.  The tile bounds (below) stay within that bound too:
+they are taken a chunk of rows of tiles at a time, in 6 max(_CHUNK_POINTS
+/ 4, columns of tiles) values (one axis's kernel at a time, on views of
+the plan's tile pairs), their boxes on the sphere a batch of at most
+_WORKER_POINTS / 16 kept tiles at a time, in 35 values per tile (17 for
+the box, 18 for _box_bound's scratch; 2.2 _CHUNK_POINTS values at the
+default budget), and the bound pass keeps two column indices per order
+and row of tiles and, per order, three values for each tile its cuts
+leave until its last chunk sets them.
 
 Pruning.  Every scan skips, for each order, the tiles that cannot hold a
 grid extremum or a tie with one.  A tile (_tile_edges) is a rectangle of
@@ -86,18 +86,24 @@ rows and, per column of tiles, the greatest |cos phi| and |sin phi| over
 its columns; its sums, formed as the grid's (_grid_pairs, the x and y
 pair entropies plus the z terms from _z_terms), are F at the greatest |h|
 of the three, LB, a lower bound of the tile's grid sums.  Stacked under
-it, the least |values| give UB.  The incumbents are the least and
-greatest sums of an exhaustive run over a subgrid of true grid points
-(_subgrid): every other tile's first row and column, and the grid's
-last; the run takes the stage and the z terms at those rows and columns.
-An order skips a tile when LB > least + _PRUNE_MARGIN and UB <
-greatest - _PRUNE_MARGIN.  This is sound: the computed F is monotone in
-|h| only up to rounding, and the
-margin covers that rounding and the two additions, so every grid sum of
-a skipped tile exceeds least, which is at least the grid minimum, and
-falls below greatest, at most the grid maximum.  Neither extremum nor
-any tie with it lies in a skipped tile, so the extrema and their
-witnesses are those of the exhaustive scan.  A tile is exact
+it, the least |values| give UB; the sphere bounds (below) tighten both.
+Each order takes its incumbents from its own bounds: least is the least
+UB over its tiles and greatest the greatest LB, exact tiles (below, LB =
+UB) included.  Where no exact tile's sum gives an incumbent, the tile
+that does is sampled (_sampled): the grid sums at its first, middle and
+last rows by its first, middle and last columns, true grid values, may
+lower least or raise greatest, and the tile is kept.  An order skips a
+tile when LB > least + _PRUNE_MARGIN and UB < greatest - _PRUNE_MARGIN.
+This is sound: the computed F is monotone in |h| only up to rounding,
+so every grid sum of a tile lies within the bound error, under 1e-13
+(Error budget, below), of its LB and UB.  Each UB is then at least its
+tile's greatest sum less that error, so least is at least the grid
+minimum less it, and greatest is at most the grid maximum plus it; a
+sample is a grid value, between the two.  Every grid sum of a skipped
+tile exceeds the minimum, and falls below the maximum, by more than the
+margin less two bound errors.  Neither extremum nor any tie with it lies
+in a skipped tile, so the extrema and their witnesses are those of the
+exhaustive scan.  A tile is exact
 (_exact_tiles) when its greatest and least |h| give bitwise the same
 outcome pairs on all three axes: on x and y the pairs of LB and UB, on z
 _half_pair of its rows' greatest and least |(cos 2 tau)/2|.  Every grid
@@ -116,7 +122,7 @@ every 1 x 1 tile.  Pruning speeds up the exact grid answer and proves
 nothing between grid points.  A scan may instead decide, one-sided,
 whether its extrema lie within a tolerance of extrema it is given, grid
 values of its own grid: it cuts at those, at a margin lower by the
-tolerance, with no subgrid (full_domain_orders, against D's; the
+tolerance, and samples no tile (full_domain_orders, against D's; the
 argument is _scan_rectangle's).  The bound pass (_kept_spans) runs in the
 calling thread and leaves each order's span in each row of tiles, from
 its first kept tile to its last (measured as fast as separate runs of
@@ -152,8 +158,11 @@ affine and every pure state's sum is the same, so at _PRUNE_MARGIN every
 tile ties an extremum and no bound can skip one; at a negative margin
 (a decision's) they are bounded as concave, which affine G is too.
 Each tile the monotone test keeps is bounded as its box B (_box_bound,
-which takes the |h| ranges and F at them and knows nothing of tiles),
-on two sides, each keeping the tighter of its bounds:
+which knows nothing of tiles: it takes F at the box's |h| ends and the
+box's geometry, its chord widths and, per regime, its room and split,
+which _box_geometry takes from the |h| ends and eta alone, so a plan
+holds them for every tile), on two sides, each keeping the tighter of
+its bounds:
   * The chord side, LB where G is concave.  For every lam >= 0,
     G(w) + lam w is concave on [L, U], so it is least at an end, and
     with sum_k w_k <= S = 1/4 + eta,
@@ -194,14 +203,17 @@ within 3 eps_F of its exact value, plus about 30 roundings of values
 under 4 (under 1.4e-14; at a lam that can win, lam (S - sum L) is under
 3, and lam itself carries no error: any lam >= 0 is sound).  A split-side
 bound lies within 3 eps_F and two roundings of the exact sum at its
-split.  So a grid sum of a skipped tile lies past its LB or UB by at
-most 6 eps_F + 1.5e-14, under 1e-13, ten times under _PRUNE_MARGIN, as
-the monotone bounds' 6e-14 is.  On 2001^2 each CI-pinned order from
-0.25 to 10 but 2 and 3, and 30, then evaluates 16,499 points: the
-45 x 45 tiles around each order's extrema and the subgrid's points
-outside them.  Grid row tau = 0, a row of tiles of its
-own (_tile_edges) whose every point (an eigenstate for every phi) ties
-the minimum, is exact, and only the subgrid evaluates it.
+split.  So a grid sum of a tile lies past its LB or UB by at most 6
+eps_F + 1.5e-14, under 1e-13, ten times under _PRUNE_MARGIN, as the
+monotone bounds' 6e-14 is.  The incumbents carry that one budget too:
+the least UB lies at most that far below the grid minimum, and the
+greatest LB above the maximum, so a skipped tile's sums lie more than
+the margin less two budgets past them (Pruning, above).  On 2001^2 each
+CI-pinned order from 0.25 to 10 but 2 and 3, and 30, then evaluates
+1,890 points: the few 45 x 45 tiles around each order's extrema.  Grid
+row tau = 0, a row of tiles of its own (_tile_edges) whose every point
+(an eigenstate for every phi) ties the minimum, is exact, and no order
+evaluates it.
 
 Extrema merge deterministically on (value, tau index, phi index), so
 results do not depend on chunking, tiles or workers, and tie-breaking is
@@ -213,14 +225,14 @@ thread computed it.
 A scan evaluates every order it is given in one pass.  The stage vectors,
 (sin 2 tau)/2 and (cos 2 tau)/2 per row and cos phi and sin phi per
 column, are taken once per grid (_Plan: a GridSpec keeps its plan, and
-every later scan of it reuses the axes, the stage, the tiles, the
-subgrid, the tile stage, the exact tiles and the slab), and the
-order-independent stage
+every later scan of it reuses the axes, the stage, the tiles, the tile
+stage and pairs, the exact tiles, the slab and the tiles' box
+geometry), and the order-independent stage
 of each block (the outcome probabilities of the x and y Bloch
 components) once per block for all orders.  The z
 component depends on the row alone, so each order's z term, the pair
 entropy of (1/2 + h_z, 1/2 - h_z), is taken once per scan, one value per
-grid row from the grid's own kernel; the subgrid and the blocks add
+grid row from the grid's own kernel; the blocks and the samples add
 slices of it.  Only the x and y pair entropies and the reduction run per
 block and order.  An order's arithmetic, and the tiles it skips, are the
 same whichever orders share its pass, so scan_extrema and
@@ -229,11 +241,13 @@ one order.  A non-finite value raises ValueError naming the order, and
 the grid point where there is one.  Computing the z terms raises
 nothing: a non-finite z term is met in the first sum that adds it, at
 the first grid point of its row that the order evaluates.  A scan
-meets its values in three steps: the subgrid run (a decision runs none),
-then the tile bounds (a non-finite bound names its tile by its first and
-last grid points; in a chunk of rows of tiles the orders in the given
-order, each order's tile bounds before its boxes, and in a batch of
-boxes the chord side before the split side), then the grid run.  An
+meets its values in two steps: the bound pass, then the grid run.  The
+bound pass meets the tile bounds (a non-finite bound names its tile by
+its first and last grid points; in a chunk of rows of tiles the orders
+in the given order, each order's tile bounds before its boxes, and in a
+batch of boxes the chord side before the split side), then, order by
+order, the samples (a non-finite sample names its grid point; a decision
+takes none).  An
 exact tile's grid sums are its LB, so a non-finite value there is met as
 its tile bound, and the grid run never reaches it.  A run reports its
 first non-finite value in grid order: the least (row, column) over every
@@ -245,7 +259,7 @@ or the workers.  An error in a run stops the later runs at their next
 block, and the earliest run's error is raised in the caller, after
 every helper has ended.  Certification evaluates its states in one batch
 and names its first non-finite sum, so a NaN can never let a check
-pass.  Grids, tile boxes and certification share one pair formula
+pass.  Grids, samples, tile boxes and certification share one pair formula
 (_half_pair), (1/2 + h, 1/2 - h) with h = s/2, and clip to [-1, 1] only
 the 1-D trig vectors (the Bloch components when certifying): |h| <= 1/2
 then keeps both in [0, 1] without a clip of the grid.  Halving is exact
@@ -333,8 +347,8 @@ DEFAULT_SEED = 12345
 # the shared pair stage (2-core Xeon, numpy 2.4.6).  A scan measures its
 # blocks by the points of their spans, not the rows of tiles they cross,
 # so it runs few blocks: each kernel call costs tens of microseconds of
-# Python besides 12-30 ns a point.  The incumbent subgrid's run sizes its
-# blocks by it, and the tile bounds' chunks take their size from it too.
+# Python besides 12-30 ns a point.  The tile bounds' chunks take their
+# size from it too.
 # Results do not depend on it (deterministic reduction).
 # The budget stays shared rather than one per worker: a full block per
 # worker cut the raw scan time by about 20%, but it doubled the workspace,
@@ -371,7 +385,8 @@ _MAX_WORKERS = 2
 # budget, which adds the kernel's error against the exact pair entropy, is
 # under 1e-13 (module docstring).  math.inf skips no tile, but an exact
 # tile needs no margin and is still resolved from its bounds: the scan then
-# evaluates every grid point but the exact tiles' outside its subgrid.
+# evaluates every grid point but those of the exact tiles outside its
+# spans, and samples no tile.
 _PRUNE_MARGIN = 1e-12
 
 # refined_maximum's box: +-_REFINE_WINDOW coarse steps, _REFINE_FACTOR times finer.
@@ -396,19 +411,22 @@ class GridSpec:
     (numpy integers included); anything else raises TypeError.
     Each count is capped at MAX_POINTS (1,000,001), which keeps a one-row
     scan block near 8 MB per array and a scan's workspace, eight such
-    arrays for each of at most two workers, near 128 MB (a scan's subgrid
-    run and tile bounds hold less); each order of a scan adds one
+    arrays for each of at most two workers, near 128 MB (a scan's tile
+    bounds hold less); each order of a scan adds one
     n_tau-long vector, its z term per row.  A larger count raises
     ValueError.  The check functions' counts (certification's n_samples,
     the kernel and concavity checks' n_points) share the cap.
 
     The first scan of an instance builds its plan (_Plan: the axes, the
     stage and the tiles), and the instance keeps it until it is freed, for
-    every later scan: about 3 (n_tau + n_phi) float64 values, about 48 MB
-    at MAX_POINTS per axis.  Its arrays are read-only.  Building takes no
-    lock: first scans of two instances in two threads build at once, and
-    two threads that first scan one instance together may each build a
-    plan, both then scanning with the one stored first.  Two equal
+    every later scan: about 3 (n_tau + n_phi) float64 values for the axes
+    and stages, and 19 per tile, the tile pairs' 8 and the box geometry's
+    11, on about sqrt(n_tau n_phi) tiles (2,070 on 2001^2, 0.3 MB); at
+    MAX_POINTS per axis about 48 MB and 150 MB.  Its arrays are
+    read-only.  Building takes no lock: first scans of two instances in
+    two threads build at once, and two threads that first scan one
+    instance together may each build a plan, both then scanning with the
+    one stored first.  Two equal
     instances do not share a plan: to scan a grid again, reuse one
     instance, or pass every order to one scan_orders call.  The plan is
     not a field: ==, hash, repr, dataclasses.replace, copies and pickles
@@ -465,7 +483,7 @@ class ScanReport:
     grid tolerance below it.  For non-integer alpha > 1 max_value is the
     only pure-state upper information available.  points_evaluated counts
     the grid points at which the scan ran the order's kernel: those of the
-    tiles it keeps and of its incumbent subgrid, fewer than n_tau n_phi
+    tiles it keeps (the tiles it samples among them), fewer than n_tau n_phi
     wherever it skips a tile or resolves an exact one from its bounds
     (module docstring), and the same for any worker count or chunk budget.
     """
@@ -705,23 +723,6 @@ def _tile_edges(tau_grid: np.ndarray, phi_grid: np.ndarray) -> tuple[np.ndarray,
     return row_edges, np.append(np.arange(0, n_phi, cols), n_phi)
 
 
-def _subgrid(tau_grid: np.ndarray, phi_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The incumbent subgrid's rows and columns: every other tile's first grid index along each axis, and the last.
-
-    The tiles are _tile_steps's, so the subgrid has a point in about one
-    tile of four, whatever the grid's shape.  Every other tile, not every one:
-    with 16-point tiles, at twelve orders from 0.25 to 10 on 801^2, 2001^2,
-    101 x 40001 and the 501 x 2001 unfolding, each order's points evaluated
-    came out within 0.2% of the grid of those with every tile's first row
-    and column, mostly fewer, from a quarter of the subgrid.
-    """
-    steps = _tile_steps(tau_grid, phi_grid)
-    return tuple(
-        np.append(np.arange(0, len(axis) - 1, 2 * step), len(axis) - 1)
-        for axis, step in zip((tau_grid, phi_grid), steps)
-    )
-
-
 def _tile_stage(stage: _Stage, row_edges: np.ndarray, col_edges: np.ndarray) -> _Stage:
     """The tile bounds' stage: each stage vector's greatest |value| per row or column of tiles, stacked on its least.
 
@@ -738,28 +739,29 @@ def _tile_stage(stage: _Stage, row_edges: np.ndarray, col_edges: np.ndarray) -> 
     )
 
 
-def _exact_tiles(tile_stage: _Stage) -> np.ndarray:
+def _tile_pairs(tile_stage: _Stage) -> np.ndarray:
+    """The tile bounds' x and y outcome pairs, _grid_pairs on the tile stage: shape (2, 2, 2, rows, columns of tiles).
+
+    p over m, each the x axis over the y, each LB's pairs (the greatest
+    |h|) over UB's (the least).
+    """
+    pairs = np.empty((2, 2, 2, tile_stage[0].shape[-1], tile_stage[2].shape[-1]))
+    _grid_pairs(tile_stage, slice(None), slice(None), pairs)
+    return pairs
+
+
+def _exact_tiles(tile_stage: _Stage, tile_pairs: np.ndarray) -> np.ndarray:
     """The exact tiles' flat indices in the grid of tiles, ascending (module docstring).
 
     A tile is exact when its greatest and least |h| give bitwise the same
-    outcome pairs on all three axes: on x and y the pairs _grid_pairs
-    writes on the tile stage for LB and UB, on z _half_pair of its rows'
-    greatest and least |(cos 2 tau)/2|.  Only rows of tiles whose z pairs
-    agree are compared, _WORKER_POINTS / 4 tiles at a time.
+    outcome pairs on all three axes: on x and y its tile pairs
+    (_tile_pairs) for LB and UB, on z _half_pair of its rows' greatest and
+    least |(cos 2 tau)/2|.
     """
     z = _half_pair(tile_stage[1])
-    rows = np.flatnonzero((z[:, 0] == z[:, 1]).all(axis=0))
-    n_cols = tile_stage[2].shape[-1]
-    step = max(1, _WORKER_POINTS // 4 // n_cols)
-    pairs = np.empty((2, 2, 2, min(step, rows.size) * n_cols))
-    exact = [np.empty(0, dtype=int)]
-    for k in range(0, rows.size, step):
-        chunk = rows[k : k + step]
-        w = pairs[..., : chunk.size * n_cols].reshape(2, 2, 2, chunk.size, n_cols)
-        _grid_pairs(tile_stage, chunk, slice(None), w)
-        same = (w[:, :, 0] == w[:, :, 1]).all(axis=(0, 1))
-        exact.append((chunk[:, None] * n_cols + np.arange(n_cols))[same])
-    return np.concatenate(exact)
+    same = (tile_pairs[:, :, 0] == tile_pairs[:, :, 1]).all(axis=(0, 1))
+    same &= (z[:, 0] == z[:, 1]).all(axis=0)[:, None]
+    return np.flatnonzero(same)
 
 
 def _sphere_regime(alpha: TsallisParam) -> Optional[bool]:
@@ -790,6 +792,60 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return views
 
 
+def _box_geometry(h: np.ndarray, eta: float) -> np.ndarray:
+    """What _box_bound takes of n boxes at any order, shape (11, n): the chord widths, and per regime the room and split.
+
+    h, of shape (2, 3, n), holds each box's greatest |h| per axis (x, y,
+    z) stacked on its least: with w = h^2 a box is w_k in [L_k, U_k]
+    within the slab |sum_k w_k - 1/4| <= eta.  Rows 0-2 are the widths
+    U_k - L_k.  Rows 3-6 serve G concave: the room S - sum_k L_k at S =
+    1/4 + eta, then each axis's |h| at the clipped equal split of 1/4 -
+    eta, sqrt(t) rounded down and clipped to the box's |h| range.  Rows
+    7-10 serve G convex: S = 1/4 - eta, the split of 1/4 + eta, sqrt(t)
+    rounded up (module docstring).
+    """
+    hi, lo = h
+    least = lo * lo
+    least = least[0] + least[1] + least[2]
+    squares = (h * h).reshape(6, -1)  # U_k in rows 0-2, L_k in rows 3-5
+    # the level sum_k clip(b, L_k, U_k) filled at each breakpoint b
+    clips = [np.minimum(np.maximum(squares, squares[3 + k]), squares[k]) for k in range(3)]
+    level_at = clips[0] + clips[1] + clips[2]
+    geometry = [(hi - lo) * (hi + lo)]
+    for room, total, toward in ((0.25 + eta, 0.25 - eta, 0.0), (0.25 - eta, 0.25 + eta, 1.0)):
+        # at the split an axis is full (U_k) where U_k fills at most the
+        # total, empty (L_k) where L_k fills more, and free otherwise: 1 in
+        # rows 0-2 where full, in rows 3-5 where empty
+        states = (level_at > total).astype(float)
+        states[:3] = 1.0 - states[:3]
+        fixed = squares * states
+        free = 3.0 - np.add.reduce(states, axis=0)
+        left = total - fixed[0] - fixed[1] - fixed[2] - fixed[3] - fixed[4] - fixed[5]
+        # the free axes share what the fixed ones leave; with none free, every
+        # level from the greatest full U_k to the least empty L_k gives the split
+        level = np.maximum(np.maximum(fixed[0], fixed[1]), fixed[2])
+        np.divide(left, free, out=level, where=free > 0.0)
+        level = np.nextafter(np.sqrt(np.maximum(level, 0.0)), toward)
+        geometry += [[room - least], np.minimum(np.maximum(level, lo), hi)]
+    return np.concatenate(geometry)
+
+
+def _tile_geometry(tile_stage: _Stage, eta: float) -> np.ndarray:
+    """_box_geometry of every tile, shape (11, tiles) by flat index in the grid of tiles, _WORKER_POINTS / 4 at a time.
+
+    A tile's greatest and least |h| are the tile stage's products, those
+    of its LB and UB (_grid_pairs).
+    """
+    half_s2t, half_c2t, (cos_phi, sin_phi) = tile_stage
+    step = max(1, _WORKER_POINTS // 4 // cos_phi.shape[-1])
+    parts = []
+    for t0 in range(0, half_s2t.shape[-1], step):
+        s2t, c2t = half_s2t[:, t0 : t0 + step, None], half_c2t[:, t0 : t0 + step, None]
+        h = np.stack(np.broadcast_arrays(s2t * cos_phi[:, None], s2t * sin_phi[:, None], c2t), axis=1)
+        parts.append(_box_geometry(h.reshape(2, 3, -1), eta))
+    return np.concatenate(parts, axis=1)
+
+
 class _Plan:
     """What every scan of one grid shares, whatever its orders: the axes, the stage and the tiles.
 
@@ -797,60 +853,46 @@ class _Plan:
     window build one per call.  Besides the axes and the stage (_stage, or
     the one given: full_domain_orders builds D's plan from views of the
     unfolding's, so D's grid values are the unfolding's bit for bit), a
-    plan holds the tile edges (_tile_edges), the incumbent subgrid's rows
-    and columns (_subgrid) and its stage, the tile stage (_tile_stage), the
-    exact tiles' flat indices (_exact_tiles) and the slab's eta (_slab).
+    plan holds the tile edges (_tile_edges), the tile stage (_tile_stage)
+    and its pairs (_tile_pairs, eight values a tile), the exact tiles' flat
+    indices (_exact_tiles), the slab's eta (_slab) and each tile's box
+    geometry (_tile_geometry, eleven values a tile).
     Each stage is three arrays, its one trig array holding cos phi and
     sin phi together, so a plan keeps one copy of each.
     Everything that depends on the orders, on _CHUNK_POINTS or on the CPU
     count (the z terms, the blocks, the workers, the workspaces) stays per
-    scan.  Every array is a read-only view, so
-    scans in any thread share it.  On 101 x 40001 the plan took 1.9 ms (the
-    stage 1.3 ms) of a 3.7 ms first scan at alpha = 0.5, and the scan
-    repeated took 2.4 ms (best of 30, 2-core Xeon, numpy 2.4.6).
+    scan.  Every array is a read-only view, so scans in any thread share it.
     """
 
     def __init__(self, tau_grid: np.ndarray, phi_grid: np.ndarray, stage: Optional[_Stage] = None) -> None:
         self.tau_grid, self.phi_grid = _read_only(tau_grid, phi_grid)
         self.stage: _Stage = _read_only(*(_stage(tau_grid, phi_grid) if stage is None else stage))
-        self.row_edges, self.col_edges, self.sub_rows, self.sub_cols = _read_only(
-            *_tile_edges(tau_grid, phi_grid), *_subgrid(tau_grid, phi_grid)
-        )
-        rows, cols = self.sub_rows, self.sub_cols
-        half_s2t, half_c2t, trig = self.stage
-        self.sub_stage: _Stage = _read_only(half_s2t[rows], half_c2t[rows], trig[:, cols])
+        self.row_edges, self.col_edges = _read_only(*_tile_edges(tau_grid, phi_grid))
         self.tile_stage: _Stage = _read_only(*_tile_stage(self.stage, self.row_edges, self.col_edges))
-        (self.exact,) = _read_only(_exact_tiles(self.tile_stage))
+        (self.tile_pairs,) = _read_only(_tile_pairs(self.tile_stage))
+        (self.exact,) = _read_only(_exact_tiles(self.tile_stage, self.tile_pairs))
         self.eta = _slab(self.stage)
+        (self.geometry,) = _read_only(_tile_geometry(self.tile_stage, self.eta))
 
 
 def _tile_boxes(
-    tile_stage: _Stage, terms: tuple, bounds: np.ndarray, t0: int, kept: np.ndarray, work: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each kept tile's box, gathered into work[:14]: its greatest and least |h| per axis, F there, and its LB and UB.
+    geometry: np.ndarray, terms: np.ndarray, z_term: np.ndarray, t0: int, kept: np.ndarray, work: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kept tiles' boxes as _box_bound takes them, gathered into work[:17]: F at their |h| ends, then their geometry.
 
-    terms holds a chunk's x and y terms, each of shape (2, rows, columns
-    of tiles), and the order's z term per row of tiles, shape (2, rows of
-    tiles); bounds the chunk's LB and UB; kept the n kept tiles' flat
-    indices in the chunk, whose first row of tiles is t0.  Returns h, g
-    and (LB, UB) as _box_bound takes them, views of work, with every |h|
-    the tile stage's own product.
+    terms holds a chunk's x and y terms, of shape (2, 2, rows, columns of
+    tiles), each axis's F at its tiles' greatest |h| (LB's) over F at
+    their least (UB's); z_term the order's, of shape (2, rows of tiles);
+    kept the n kept tiles' flat indices in the chunk, whose first row of
+    tiles is t0; geometry the plan's.  Returns g, of shape (2, 3, n), and
+    the tiles' geometry, (11, n), views of work.
     """
-    n = kept.size
-    fx, fy, z = terms
-    n_cols = fx.shape[-1]
-    rows = kept // n_cols + t0
-    h, g = work[:6, :n].reshape(2, 3, n), work[6:12, :n].reshape(2, 3, n)
-    np.take(tile_stage[0], rows, axis=1, out=h[:, 2], mode="clip")
-    for axis, trig in enumerate(tile_stage[2]):
-        np.take(trig, kept % n_cols, axis=1, out=h[:, axis], mode="clip")
-        h[:, axis] *= h[:, 2]
-    np.take(tile_stage[1], rows, axis=1, out=h[:, 2], mode="clip")
-    for axis, f in enumerate((fx, fy)):
-        np.take(f.reshape(2, -1), kept, axis=1, out=g[:, axis], mode="clip")
-    np.take(z, rows, axis=1, out=g[:, 2], mode="clip")
-    box_bounds = np.take(bounds.reshape(2, -1), kept, axis=1, out=work[12:14, :n], mode="clip")
-    return h, g, box_bounds
+    n, n_cols = kept.size, terms.shape[-1]
+    g = work[:6, :n].reshape(3, 2, n)  # per axis, F at the greatest |h| over F at the least
+    np.take(terms.reshape(2, 2, -1), kept, axis=2, out=g[:2], mode="clip")
+    np.take(z_term, kept // n_cols + t0, axis=1, out=g[2], mode="clip")
+    boxes = np.take(geometry, kept + t0 * n_cols, axis=1, out=work[6:17, :n], mode="clip")
+    return g.swapaxes(0, 1), boxes
 
 
 def _check_bounds(values: np.ndarray, alpha: TsallisParam, where: Callable[[int], str]) -> None:
@@ -862,139 +904,146 @@ def _check_bounds(values: np.ndarray, alpha: TsallisParam, where: Callable[[int]
 
 
 def _box_bound(
-    alpha: TsallisParam, concave: bool, h: np.ndarray, g: np.ndarray, bounds: np.ndarray, eta: float,
+    alpha: TsallisParam, concave: bool, geometry: np.ndarray, g: np.ndarray, bounds: np.ndarray,
     work: np.ndarray, where: Callable[[int], str],
 ) -> None:
     """Tighten n boxes' (LB, UB) in place on the sphere: the chord side, then the split side (module docstring).
 
     A box is w_k = h_k^2 in [L_k, U_k] per axis k (x, y, z) within the slab
-    |sum_k w_k - 1/4| <= eta.  h, of shape (2, 3, n), holds each box's
-    greatest |h| per axis stacked on its least, g the pair entropies F
-    there, bounds, of shape (2, n), the boxes' LB and UB, and concave is
-    _sphere_regime(alpha), True or False.  work, of shape (24, n) or
-    wider, is scratch.  Each side keeps the tighter of its old and new
-    bounds.  Raises ValueError naming box k through where(k) at a
-    non-finite chord side, then at a non-finite split value.
+    |sum_k w_k - 1/4| <= eta.  geometry, of shape (11, n), is the boxes'
+    _box_geometry, g, of shape (2, 3, n), the pair entropies F at each
+    box's greatest |h| per axis stacked on F at its least, bounds, of shape
+    (2, n), the boxes' LB and UB, and concave is _sphere_regime(alpha),
+    True or False.  work, of shape (18, n) or wider, is scratch.  Each side
+    keeps the tighter of its old and new bounds.  Raises ValueError naming
+    box k through where(k) at a non-finite chord side, then at a
+    non-finite split value.
     """
-    n = h.shape[-1]
-    hi, lo = h
+    n = g.shape[-1]
     g_hi, g_lo = g
+    row = 3 if concave else 7
+    width, room, root = geometry[:3], geometry[row], geometry[row + 1 : row + 4]
     # the chord side, LB where G is concave and UB where convex: the best
     # dual value over lam = each chord's fall, with S = 1/4 +- eta
-    width, tmp, slopes = (work[k : k + 3, :n] for k in (0, 3, 6))
-    room, value, shift = work[9:12, :n]
-    np.subtract(hi, lo, out=width)
-    width *= np.add(hi, lo, out=tmp)
-    np.multiply(lo, lo, out=tmp)
-    np.add(tmp[0], tmp[1], out=room)
-    room += tmp[2]
-    np.subtract(0.25 + eta if concave else 0.25 - eta, room, out=room)
+    # each lam's values at once: tmp per lam and axis, value and shift per lam
+    slopes, tmp = work[0:3, :n], work[3:12, :n].reshape(3, 3, n)
+    value, shift = work[12:15, :n], work[15:18, :n]
     # each chord's fall, a lam >= 0; the floor on the width keeps lam (U - L) and lam (S - sum L) finite
     np.subtract(g_lo, g_hi, out=slopes)
     np.maximum(slopes, 0.0, out=slopes)
-    slopes /= np.maximum(width, 2.0**-1000, out=tmp)
+    slopes /= np.maximum(width, 2.0**-1000, out=tmp[0])
     pick, best = (np.minimum, np.maximum) if concave else (np.maximum, np.minimum)
     chord, split_side = bounds if concave else bounds[::-1]
-    for lam in slopes:
-        np.multiply(lam, width, out=tmp)
-        tmp += g_hi
-        pick(tmp, g_lo, out=tmp)
-        np.add(tmp[0], tmp[1], out=value)
-        value += tmp[2]
-        value -= np.multiply(lam, room, out=shift)
-        best(chord, value, out=chord)
+    np.multiply(slopes[:, None], width, out=tmp)
+    tmp += g_hi
+    pick(tmp, g_lo, out=tmp)
+    np.add(tmp[:, 0], tmp[:, 1], out=value)
+    value += tmp[:, 2]
+    value -= np.multiply(slopes, room, out=shift)
+    for lam_value in value:
+        best(chord, lam_value, out=chord)
     _check_bounds(chord, alpha, where)
     # the split side, UB where G is concave and LB where convex: F at the
-    # clipped equal split of the total
-    squares, states, tmp = (work[k : k + 6, :n] for k in (0, 6, 12))
-    np.multiply(h, h, out=squares.reshape(2, 3, n))
-    # the level sum_k clip(b, L_k, U_k) filled at each breakpoint b, U_k (rows 0-2) and L_k (3-5)
-    for k in range(3):
-        np.maximum(squares, squares[3 + k], out=tmp)
-        np.minimum(tmp, squares[k], out=tmp)
-        if k:
-            states += tmp
-        else:
-            states[...] = tmp
-    total = 0.25 - eta if concave else 0.25 + eta
-    # at the split an axis is full (U_k) where U_k fills at most the total,
-    # empty (L_k) where L_k fills more, and free otherwise: 1 in rows 0-2
-    # where full, in rows 3-5 where empty
-    np.greater(states, total, out=states)
-    np.subtract(1.0, states[:3], out=states[:3])
-    np.multiply(squares, states, out=tmp)
-    free, left, level = work[0:3, :n]
-    np.add.reduce(states, axis=0, out=free)
-    np.subtract(3.0, free, out=free)
-    np.subtract(total, tmp[0], out=left)
-    for k in range(1, 6):
-        left -= tmp[k]
-    # the free axes share what the fixed ones leave; with none free, every
-    # level from the greatest full U_k to the least empty L_k gives the split
-    np.maximum(tmp[0], tmp[1], out=level)
-    np.maximum(level, tmp[2], out=level)
-    np.divide(left, free, out=level, where=free > 0.0)
-    np.maximum(level, 0.0, out=level)
-    np.sqrt(level, out=level)
-    np.nextafter(level, 0.0 if concave else 1.0, out=level)
-    root = work[3:6, :n]
-    np.maximum(level, lo, out=root)
-    np.minimum(root, hi, out=root)
-    pair = _half_pair(root, work[6:12, :n].reshape(2, 3, n))
-    terms = _pair_entropy_into(pair, alpha, work[18:24, :n].reshape(2, 3, n))
+    # clipped equal split of the total, whose |h| the geometry holds
+    pair = _half_pair(root, work[0:6, :n].reshape(2, 3, n))
+    terms = _pair_entropy_into(pair, alpha, work[6:12, :n].reshape(2, 3, n))
     split = np.add(terms[0], terms[1], out=work[0, :n])
     split += terms[2]
     _check_bounds(split, alpha, where)
     (np.minimum if concave else np.maximum)(split_side, split, out=split_side)
 
 
+def _sampled(
+    alpha: TsallisParam, plan: _Plan, z_term: np.ndarray, tiles: list[int], where: Callable
+) -> tuple[float, float]:
+    """The least and greatest grid sums at nine points of each given tile: its first, middle and last rows by columns.
+
+    tiles holds flat indices in the plan's grid of tiles, and z_term the
+    order's z term per grid row, shape (n_tau, 1).  One kernel call takes
+    both axes' pairs, and each sum is the x term plus the y term, plus the
+    z term, so the sums are grid sums bit for bit (_pair_sums).  Raises
+    ValueError at the first non-finite sum, tile by tile, in grid order
+    within a tile, naming its grid point.
+    """
+    n_cols = len(plan.col_edges) - 1
+    pairs = np.empty((2, 2, len(tiles), 3, 3))
+    points = []  # per tile, its rows and columns
+    for k, (t, u) in enumerate(divmod(tile, n_cols) for tile in tiles):
+        rows, cols = ([int(e[s]), (int(e[s]) + int(e[s + 1]) - 1) // 2, int(e[s + 1]) - 1]
+                      for e, s in ((plan.row_edges, t), (plan.col_edges, u)))
+        _grid_pairs(plan.stage, rows, cols, pairs[:, :, k])
+        points.append((rows, cols))
+    terms = _pair_entropy_into(pairs, alpha, np.empty(pairs.shape))
+    sums = np.add(terms[0], terms[1], out=terms[0])
+    sums += z_term[[rows for rows, _ in points]]
+
+    def at(k: int) -> str:
+        rows, cols = points[k // 9]
+        return where(rows[k % 9 // 3], cols[k % 3])
+
+    _, least, _, greatest = _extrema(sums, alpha, at)
+    return least, greatest
+
+
 def _kept_spans(
-    alphas: Sequence[TsallisParam], plan: _Plan, cuts: list[tuple[float, float]], where: Callable, margin: float
+    alphas: Sequence[TsallisParam], plan: _Plan, z_terms: np.ndarray, cuts: Optional[list[tuple[float, float]]],
+    where: Callable, margin: float,
 ) -> tuple[np.ndarray, list[list]]:
-    """The bound pass: each order's span in each row of tiles, from the plan's tile stage and the slab's eta.
+    """The bound pass: each order's span in each row of tiles, from the plan's tile pairs and box geometry.
 
     Returns spans, of shape (orders, rows of tiles, 2): the first grid
     column of the order's first kept tile in the row and the end column
     of its last, (0, 0) where it keeps none; the order evaluates every
     tile between them.  An order keeps a tile unless LB > least + margin
-    and UB < greatest - margin, (least, greatest) being its cuts (the
-    incumbents, or a decision's given extrema), and never keeps an exact
-    tile (plan.exact), whose grid sums are its LB.  Returns too, per order,
-    the exact tiles' extrema: for each chunk that holds one, ((min, (i, j)),
-    (max, (i, j))) as _run's, the least and greatest LB and the first grid
-    point of the first exact tile that holds each.  LB and UB are the sums on
+    and UB < greatest - margin, and never keeps an exact tile
+    (plan.exact), whose grid sums are its LB.  (least, greatest) are the
+    order's cuts, given (a decision's) or, where cuts is None, its
+    incumbents: the least UB and the greatest LB over its tiles, exact
+    tiles (LB = UB) and boxes included, then, at a finite margin, the
+    least and greatest sums of _sampled on the tile that gives each where
+    no exact tile's LB does (z_terms holds each order's z term per grid
+    row); a sampled tile is kept.  Returns too, per order, the exact
+    tiles' extrema: for each chunk that holds one, ((min, (i, j)), (max,
+    (i, j))) as _run's, the least and greatest LB and the first grid point
+    of the first exact tile that holds each.  LB and UB are the sums on
     _tile_stage, taken a chunk of rows of tiles at a time (at most
-    max(_CHUNK_POINTS / 4, columns of tiles) tiles of fourteen values),
-    within a chunk the orders in the given order.  At every order but 2
-    and 3, and at those too where the margin is negative, the tiles those
-    keep are then bounded as boxes on the sphere, a batch of
-    _WORKER_POINTS / 16 at a time: gathered (_tile_boxes), bounded
-    (_box_bound) and kept or skipped.  Raises ValueError at a non-finite
-    tile bound, naming the tile: an order's sums, then its boxes.  The
-    pass runs in the calling thread, under a ufunc buffer of a row of tiles
-    (_row_buffer; with the monotone bounds alone, on
-    two workers each allocating its chunks' arrays, it took 1.8 ms on
-    2001^2 at alpha = 2.5 against 1.4 ms on one).  On 2001^2's 45 x 45
-    tiles it takes 0.53-0.79 ms at 0.5, 1 and 4, whose G is concave, and
-    1.04 ms at 2.5, where the most tiles are kept, against 1.16-1.53 and
-    5.59 ms on 16 x 16 tiles (best of 64 per order on one CPU, 2-core
-    Xeon, numpy 2.4.6).
+    max(_CHUNK_POINTS / 4, columns of tiles) tiles of six values),
+    within a chunk the orders in the given order.  Each order cuts a
+    chunk's tiles at its cuts so far, the chunk's own bounds taken into
+    its incumbents first; at every order but 2 and 3, and at those too
+    where the margin is negative, the tiles left are then bounded as boxes
+    on the sphere, a batch of _WORKER_POINTS / 16 at a time (_tile_boxes,
+    _box_bound), and their bounds taken into its incumbents.  The pass
+    holds those tiles' flat indices, LB and UB, three values a tile, and
+    after the last chunk keeps the ones its final cuts keep.  Incumbents
+    only tighten, and a box's bounds lie within its monotone ones, so the
+    tiles kept, and sampled, do not depend on the chunks or batches.
+    Raises ValueError at a non-finite tile bound, naming the tile: an
+    order's sums, then its boxes; after the last chunk, order by order, at
+    a non-finite sample, naming its grid point.  The pass runs in the calling thread, under a ufunc buffer of a
+    row of tiles (_row_buffer; with the monotone bounds alone, on two
+    workers each allocating its chunks' arrays, it took 1.8 ms on 2001^2 at
+    alpha = 2.5 against 1.4 ms on one).
     """
     tile_stage, row_edges, col_edges = plan.tile_stage, plan.row_edges, plan.col_edges
-    z_terms = _z_terms(alphas, tile_stage)[..., 0]
+    tile_z = _z_terms(alphas, tile_stage)[..., 0]
     n_rows, n_cols = len(row_edges) - 1, len(col_edges) - 1
-    spans = np.empty((len(alphas), n_rows, 2), dtype=int)
     step = max(1, _CHUNK_POINTS // 4 // n_cols)
-    # a chunk's x and y pairs, then its sums' three arrays, each of LB then UB
-    scratch = np.empty((7, 2, min(step, n_rows) * n_cols))
-    # a batch of kept tiles' boxes (_tile_boxes, work[:14]), then _box_bound's
-    # scratch (work[14:]); the batch is fixed at import, as _WORKER_POINTS
+    # a chunk's sums' three arrays, each of LB then UB
+    scratch = np.empty((3, 2, min(step, n_rows) * n_cols))
+    # a batch of kept tiles' boxes (_tile_boxes, work[:17]), then _box_bound's
+    # scratch (work[17:]); the batch is fixed at import, as _WORKER_POINTS
     # is, so a chunk budget set for a test does not shrink it.  work grows to
     # the most kept tiles a batch has held: a full batch's 1.2 MB, allocated
     # and freed by every scan, made the allocator return and fault in that
     # memory again (about 300 minor faults a scan on 101 x 40001)
     batch = _WORKER_POINTS // 16
-    work = np.empty((38, 0))
+    work = np.empty((35, 0))
+    derive = cuts is None
+    # per order, (least, greatest): the cuts given, or the incumbents so far
+    incumbents = [[math.inf, -math.inf] if derive else list(cut) for cut in cuts or alphas]
+    # per order, each chunk's tiles left after its cuts: flat indices in the grid of tiles, and (LB, UB)
+    left: list[list] = [[] for _ in alphas]
 
     def tile(k: int) -> str:
         """The tile of flat index k in the grid of tiles, by its first and last grid points."""
@@ -1012,52 +1061,63 @@ def _kept_spans(
     with _row_buffer(n_cols):
         for t0 in range(0, n_rows, step):
             tiles = slice(t0, t0 + step)
-            w = scratch[..., : (min(t0 + step, n_rows) - t0) * n_cols].reshape(7, 2, -1, n_cols)
-            pairs = w[:4].reshape(2, 2, *w.shape[1:])
-            _grid_pairs(tile_stage, tiles, slice(None), pairs)
+            w = scratch[..., : (min(t0 + step, n_rows) - t0) * n_cols].reshape(3, 2, -1, n_cols)
+            pairs = plan.tile_pairs[..., tiles, :]
             first = t0 * n_cols
             # the chunk's exact tiles, by flat index in the chunk
             exact = plan.exact[np.searchsorted(plan.exact, first) : np.searchsorted(plan.exact, first + w[0, 0].size)]
             exact = exact - first
-            for o, (alpha, (least, greatest)) in enumerate(zip(alphas, cuts)):
-                # one axis at a time, (p, m) = w[0::2] and w[1::2], so the chunk needs no eighth array
-                fx = _pair_entropy_into(pairs[:, 0], alpha, w[4:6])
-                fy = _pair_entropy_into(pairs[:, 1], alpha, w[5:7])
-                bounds = np.add(fx, fy, out=w[6])
-                bounds += z_terms[o, :, tiles, None]
+            for o, (alpha, cut) in enumerate(zip(alphas, incumbents)):
+                # one axis at a time, so the chunk needs no fourth array
+                fx = _pair_entropy_into(pairs[:, 0], alpha, w[0:2])
+                _pair_entropy_into(pairs[:, 1], alpha, w[1:3])
+                bounds = np.add(fx, w[1], out=w[2])
+                bounds += tile_z[o, :, tiles, None]
                 lb, ub = bounds
                 if not np.isfinite(bounds).all():
                     _check_bounds(np.where(np.isfinite(lb), ub, lb).ravel(), alpha, lambda k: tile(first + k))
-                low_cut, high_cut = least + margin, greatest - margin
-                keep = (lb <= low_cut) | (ub >= high_cut)
+                if derive:
+                    cut[:] = min(cut[0], float(ub.min())), max(cut[1], float(lb.max()))
+                keep = (lb <= cut[0] + margin) | (ub >= cut[1] - margin)
                 if exact.size:  # every grid sum of an exact tile is its LB
                     keep.ravel()[exact] = False
                     values = lb.ravel()[exact]
                     picks = exact[[np.argmin(values), np.argmax(values)]]
                     resolved[o].append(tuple((float(lb.flat[k]), first_point(first + k)) for k in picks))
+                kept_tiles = np.flatnonzero(keep)
+                kept_bounds = np.take(bounds.reshape(2, -1), kept_tiles, axis=1)
                 concave = _sphere_regime(alpha)
                 if concave is None and margin < 0.0:  # affine G is concave too
                     concave = True
-                kept_tiles = np.flatnonzero(keep) if concave is not None else ()
-                for k0 in range(0, len(kept_tiles), batch):
-                    kept = kept_tiles[k0 : k0 + batch]
+                for k0 in range(0, len(kept_tiles) if concave is not None else 0, batch):
+                    kept, box_bounds = kept_tiles[k0 : k0 + batch], kept_bounds[:, k0 : k0 + batch]
                     if work.shape[1] < kept.size:
-                        work = np.empty((38, kept.size))
-                    h, g, box_bounds = _tile_boxes(tile_stage, (fx, fy, z_terms[o]), bounds, t0, kept, work)
-                    _box_bound(alpha, concave, h, g, box_bounds, plan.eta, work[14:], lambda k: tile(first + kept[k]))
-                    low, high = box_bounds
-                    keep.ravel()[kept] = (low <= low_cut) | (high >= high_cut)
-                ends = np.stack([np.argmax(keep, axis=1), n_cols - np.argmax(keep[:, ::-1], axis=1)], axis=1)
-                spans[o, t0 : t0 + len(keep)] = np.where(keep.any(axis=1)[:, None], col_edges[ends], 0)
+                        work = np.empty((35, kept.size))
+                    g, geometry = _tile_boxes(plan.geometry, w[0:2], tile_z[o], t0, kept, work)
+                    _box_bound(alpha, concave, geometry, g, box_bounds, work[17:], lambda k: tile(first + kept[k]))
+                    if derive:
+                        cut[:] = min(cut[0], float(box_bounds[1].min())), max(cut[1], float(box_bounds[0].max()))
+                left[o].append((kept_tiles + first, kept_bounds))
+    spans = np.empty((len(alphas), n_rows, 2), dtype=int)
+    keep = np.empty((n_rows, n_cols), dtype=bool)
+    for o, (alpha, cut, chunks, found) in enumerate(zip(alphas, incumbents, left, resolved)):
+        kept_tiles, (lb, ub) = (np.concatenate(parts, axis=-1) for parts in zip(*chunks))
+        sampled = []
+        if derive and margin < math.inf and kept_tiles.size:
+            # a side whose incumbent is no exact tile's grid sum samples its tile
+            least = min((low for (low, _), _ in found), default=math.inf)
+            greatest = max((high for _, (high, _) in found), default=-math.inf)
+            sampled = [int(kept_tiles[np.argmin(ub)])] if cut[0] < least else []
+            sampled += [int(kept_tiles[np.argmax(lb)])] if cut[1] > greatest else []
+            if sampled:
+                least, greatest = _sampled(alpha, plan, z_terms[o], sampled, where)
+                cut[:] = min(cut[0], least), max(cut[1], greatest)
+        keep.fill(False)
+        keep.flat[kept_tiles[(lb <= cut[0] + margin) | (ub >= cut[1] - margin)]] = True
+        keep.flat[sampled] = True  # so every point of a sample is in a kept tile
+        ends = np.stack([np.argmax(keep, axis=1), n_cols - np.argmax(keep[:, ::-1], axis=1)], axis=1)
+        spans[o] = np.where(keep.any(axis=1)[:, None], col_edges[ends], 0)
     return spans, resolved
-
-
-def _outside(spans: np.ndarray, plan: _Plan) -> list[int]:
-    """Per order, its subgrid points outside its spans: the points where only the bound pass ran its kernel."""
-    rows, cols = plan.sub_rows, plan.sub_cols
-    at = spans[:, np.searchsorted(plan.row_edges, rows, side="right") - 1]  # each subgrid row's span
-    inside = np.searchsorted(cols, at[..., 1]) - np.searchsorted(cols, at[..., 0])
-    return (rows.size * cols.size - inside.sum(axis=1)).tolist()
 
 
 def _blocks(spans: np.ndarray, row_edges: np.ndarray) -> tuple[list[list], list[int], int, list[int]]:
@@ -1081,15 +1141,14 @@ def _blocks(spans: np.ndarray, row_edges: np.ndarray) -> tuple[list[list], list[
     workers of it.  Returns the blocks, the runs' bounds (run k takes
     blocks[bounds[k] : bounds[k + 1]], one run per worker), the largest
     block's stage points and each order's points.  One pass over the
-    spans' lists lays it all out, with no numpy call: every scan runs its
-    subgrid and its grid through here.
+    lists of the rows of tiles where some order keeps a tile lays it all
+    out: every scan runs its grid through here.
     """
     edges = row_edges.tolist()
     runs: list[list] = []
-    for t, own in enumerate(spans.transpose(1, 0, 2).tolist()):
+    rows = np.flatnonzero((spans[..., 0] < spans[..., 1]).any(axis=0))
+    for t, own in zip(rows.tolist(), spans[:, rows].transpose(1, 0, 2).tolist()):
         kept = [span for span in own if span[0] < span[1]]
-        if not kept:
-            continue
         r0, r1 = edges[t], edges[t + 1]
         row = [[min(c0 for c0, _ in kept), max(c1 for _, c1 in kept)], *own]
         if runs and runs[-1][1:] == [r0, row]:
@@ -1122,56 +1181,49 @@ def _scan_rectangle(
 
     Returns (min, (i, j), max, (i, j), points evaluated) per order.  Each
     order's z term per row (_z_terms) is taken once per scan.  Without
-    against the extrema are exact: the scan runs its incumbent subgrid (an
-    exhaustive _run on the stage and z terms at the plan's subgrid rows
-    and columns), the bound pass (_kept_spans) at _PRUNE_MARGIN, cut at the
-    subgrid's extrema, and _run on each order's spans, and merges the exact
-    tiles' and the subgrid's extrema into the blocks' (_merged).
+    against the extrema are exact: the scan runs the bound pass
+    (_kept_spans) at _PRUNE_MARGIN, each order cut at its tile bounds' own
+    extrema and its samples, and _run on each order's spans, and merges
+    the exact tiles' extrema into the blocks' (_merged).  A tile's sums lie
+    within the bound error, under 1e-13, of its LB and UB, so the least UB
+    is at least the grid minimum less that error, the greatest LB at most
+    the grid maximum plus it, and a sample lies between the two: a skipped
+    tile's sums lie more than 1e-12 - 2e-13 above the minimum and below
+    the maximum.
 
     against = (known, tol) asks for a one-sided decision instead: known
     holds per order a scan result whose extrema are grid values of this
     plan at their (i, j) (full_domain_orders: D's), and tol >= 0.  The scan
-    runs no subgrid, cuts at known's extrema at the margin _PRUNE_MARGIN -
-    tol and merges them into its result, so its min is at most known's and
-    its max at least known's.  A skipped tile's sums lie within the bound
-    error, under 1e-13, of its LB and UB, so above known min - tol + 9e-13
-    and below known max + tol - 9e-13.  Where the exact min lies more than
-    tol below known's (the gap's rounding is far under 9e-13), no skipped
-    tile holds it or a tie with it, and the result's min and witness are
-    the exact ones, bit for bit; elsewhere the result's min lies between
-    the exact min and known's.  The max likewise.  So max(known min - min,
-    max - known max) <= tol on the result is the exhaustive scan's bool.
-    Raises ValueError at the first non-finite value met: the subgrid run's,
-    then the tile bounds', then the grid run's (see _run).
+    cuts at known's extrema at the margin _PRUNE_MARGIN - tol and merges
+    them into its result, so its min is at most known's and its max at
+    least known's.  A skipped tile's sums lie within the bound error, under
+    1e-13, of its LB and UB, so above known min - tol + 9e-13 and below
+    known max + tol - 9e-13.  Where the exact min lies more than tol below
+    known's (the gap's rounding is far under 9e-13), no skipped tile holds
+    it or a tie with it, and the result's min and witness are the exact
+    ones, bit for bit; elsewhere the result's min lies between the exact
+    min and known's.  The max likewise.  So max(known min - min, max -
+    known max) <= tol on the result is the exhaustive scan's bool.  Raises
+    ValueError at the first non-finite value met: the tile bounds', then
+    the grid run's (see _run).
     """
-    tau_grid, phi_grid, rows, cols = plan.tau_grid, plan.phi_grid, plan.sub_rows, plan.sub_cols
+    tau_grid, phi_grid = plan.tau_grid, plan.phi_grid
 
     def where(i: int, j: int) -> str:
         return f"(tau, phi) = ({float(tau_grid[i])!r}, {float(phi_grid[j])!r})"
 
     z_terms = _z_terms(alphas, plan.stage)
     if against is None:
-        # one row of tiles, every column kept, which _blocks cuts
-        subgrid = _run(
-            alphas, plan.sub_stage, z_terms[:, rows], np.array([0, rows.size]),
-            np.tile([0, cols.size], (len(alphas), 1, 1)), lambda i, j: where(rows[i], cols[j]),
-        )
-        # each order's subgrid extrema, at their grid points
-        known = [
-            (low, (int(rows[i]), int(cols[j])), high, (int(rows[k]), int(cols[l])))
-            for low, (i, j), high, (k, l) in (_merged(found) for found, _ in subgrid)
-        ]
-        margin = _PRUNE_MARGIN
+        known, cuts, margin = [[]] * len(alphas), None, _PRUNE_MARGIN
     else:
         given, tol = against
-        known, margin = [found[:4] for found in given], _PRUNE_MARGIN - tol
-    spans, resolved = _kept_spans(alphas, plan, [(low, high) for low, _, high, _ in known], where, margin)
+        known = [[((low, at_low), (high, at_high))] for low, at_low, high, at_high, *_ in given]
+        cuts, margin = [(found[0], found[2]) for found in given], _PRUNE_MARGIN - tol
+    spans, resolved = _kept_spans(alphas, plan, z_terms, cuts, where, margin)
     results = _run(alphas, plan.stage, z_terms, plan.row_edges, spans, where)
-    # the points evaluated: the kernel's blocks, and the subgrid's points outside them
-    outside = _outside(spans, plan) if against is None else [0] * len(alphas)
     return [
-        (*_merged([*found, *exact, ((low, at_low), (high, at_high))]), points + extra)
-        for (found, points), exact, (low, at_low, high, at_high), extra in zip(results, resolved, known, outside)
+        (*_merged([*found, *exact, *extrema]), points)
+        for (found, points), exact, extrema in zip(results, resolved, known)
     ]
 
 
@@ -1197,7 +1249,7 @@ def _run(
 ) -> list[tuple[float, tuple[int, int], float, tuple[int, int], int]]:
     """Each order's grid extrema over its spans, with the points its kernel ran on.
 
-    stage is a scan's stage (or a subgrid of it), z_terms each order's z
+    stage is a scan's stage, z_terms each order's z
     term per stage row, of shape (orders, rows, 1), row_edges the rows of
     tiles and spans, of shape (orders, rows of tiles, 2), each order's span
     in each (as _kept_spans).  Returns, per order, its blocks' extrema,
@@ -1307,8 +1359,8 @@ def scan_orders(alphas: Sequence[AlphaLike], grid: Optional[GridSpec] = None) ->
     ValueError as in scan_extrema; with several orders, the one reported
     is the first in grid order, the least (tau, phi) over every order,
     ties going to the order given first, whatever the number of workers
-    (a scan meets its subgrid's values first, then its tile bounds';
-    module docstring).  The grid's plan (GridSpec) is built on its first
+    (a scan meets its bound pass's values first, its tile bounds' and
+    then its samples'; module docstring).  The grid's plan (GridSpec) is built on its first
     scan and reused by every later one; no order, no plan.
     """
     params = [as_param(a) for a in alphas]

@@ -28,8 +28,8 @@ PINNED_VERIFY = "61a9caf2a256c88560d66daadd9af9076995d825e4260182aea66bcfb25c5c7
 # squaring; the digest was taken with numpy's pow at every order.
 PINNED_INTEGER_ORDERS = "9f53c896f517f37722516fe22607f8ccc37ca5f74ea6806e91dfef9c4d08489f"
 # `verify 0.5,1,1.005,2.5,4 --grid 801`: the smallest pruned square grid, so
-# every scan of D runs the incumbent subgrid, the tile bounds and their
-# refinement on the sphere; each order skips most tiles.
+# every scan of D runs the tile bounds and their refinement on the sphere,
+# cut at their own extrema; each order skips most tiles.
 PINNED_PRUNED = "d5e95283c539584104ea641ea0a979eaef5a7b79258791eaa92ba8a4daabbeab"
 # `verify 1.5,2.5,2.98,3.2,3.9 --grid 2001`: orders whose tile bounds the
 # sphere refinement decides, G concave (1.5, 3.2, 3.9) and convex (2.5, 2.98);

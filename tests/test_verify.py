@@ -94,8 +94,8 @@ def constant_stage(tau_grid, phi_grid):
 def grid_run(stage, n_tau):
     """Whether a _grid_pairs call on stage is a scan's run on its grid of n_tau rows.
 
-    A scan also calls _grid_pairs in its incumbent subgrid's run and in its
-    tile bounds, on stages of fewer rows.
+    A scan also calls _grid_pairs in its tile bounds, on stages of fewer
+    rows.
     """
     return stage[0].shape == (n_tau,)
 
@@ -103,10 +103,9 @@ def grid_run(stage, n_tau):
 def grid_run_rows(monkeypatch, n_tau):
     """Spy on _grid_pairs; returns rows(), in the calling thread the grid rows of the block its scan is on.
 
-    rows() is None in the incumbent subgrid's run and in the tile bounds
-    (grid_run).  Each scan takes its z terms, one value per row, before
-    either, while rows() still holds the last block of the thread's
-    previous scan.
+    rows() is None in the tile bounds (grid_run).  Each scan takes its z
+    terms, one value per row, before them, while rows() still holds the
+    last block of the thread's previous scan.
     """
     real, block = verify._grid_pairs, threading.local()
 
@@ -277,10 +276,10 @@ class TestScanExtrema:
         assert_each_row_once()
 
     # Each order's z term, one value per row, comes first, one kernel call per
-    # scan; then, after the incumbent subgrid and the tile bounds, the grid's
-    # run takes the order-independent stage once per block, and the pair
-    # numerator once per block and order, both axes in one call, the grid
-    # run's calls counted here.  With every tile kept but grid row 0's, which
+    # scan; then, after the tile bounds, the grid's run takes the
+    # order-independent stage once per block, and the pair numerator once
+    # per block and order, both axes in one call, the grid run's calls
+    # counted here.  With every tile kept but grid row 0's, which
     # are exact, a 41x41 grid is one block by default, rows 1-40, whose
     # numerators are the grid run's call 0 in a one-order scan; a 33-point
     # budget makes a block of each grid row, 1 to 40, and call 19 is grid
@@ -373,19 +372,20 @@ class TestScanExtrema:
 
     @pytest.mark.parametrize(
         "n,row,prune",
-        [(11, 7, False), (801, "subgrid", True), (801, "between", True)],
+        [(11, 7, False), (801, "tile", True), (801, "between", True)],
     )
     def test_nonfinite_z_term_reports_its_rows_first_point(self, monkeypatch, capsys, n, row, prune):
         # computing a z term raises nothing: a NaN in one is reported where the
         # scan first sums it, at the first grid point of its row that the order
-        # evaluates.  Every tile of the constant order 2.0 is kept, so that is
-        # column 0, in the incumbent subgrid for a subgrid row and in a block
-        # for a row between two subgrid rows (row 7 of 11x11, whose subgrid
-        # rows are 0 and 10), with the margin or, without pruning, an infinite one
+        # evaluates.  Every tile of the constant order 2.0 is kept but the
+        # exact ones (grid row 0's), so that is column 0, in the grid's run:
+        # row 7 of 11x11, and on 801^2 a row of tiles' first grid row and one
+        # between its first and last, with the margin or, without pruning, an
+        # infinite one
         axis = np.linspace(0.0, QUARTER_PI, n)
         if prune:
-            rows, _ = verify._subgrid(axis, axis)
-            row = int(rows[3]) + (row == "between")
+            row_edges, _ = verify._tile_edges(axis, axis)
+            row = int(row_edges[3]) + (row == "between")
         else:
             monkeypatch.setattr(verify, "_PRUNE_MARGIN", math.inf)
         real = verify._pair_entropy_into
@@ -612,22 +612,21 @@ class TestFullDomainConsistency:
 
     # points_evaluated on the unfolding of 251^2 and its D block at orders
     # 0.5, 1, 2, 2.5, 3, 4 and 7.3 (numpy 2.4.6), at the check's tolerance:
-    # D's exact scan evaluates the tiles around its extrema and its subgrid,
-    # and every tile at 2 and 3, whose sum is constant; the unfolding's
-    # decision against D's extrema runs no subgrid and, at these orders,
-    # keeps no tile
+    # D's exact scan evaluates the tiles around its extrema, and every tile
+    # but the exact ones at 2 and 3, whose sum is constant; the unfolding's
+    # decision against D's extrema, at these orders, keeps no tile
     def test_tolerance_pass_points_are_pinned(self):
         block, full = unfolded_plans(501, 2001)
         params = [verify.as_param(a) for a in (0.5, 1.0, 2.0, 2.5, 3.0, 4.0, 7.3)]
         found = verify._scan_rectangle(params, block)
-        assert [f[4] for f in found] == [1119, 1119, 62759, 1119, 62759, 1119, 1119]
+        assert [f[4] for f in found] == [608, 608, 62750, 608, 62750, 608, 608]
         decided = verify._scan_rectangle(params, full, (found, (2.0 * QUARTER_PI / 250) ** 2))
         assert [f[4] for f in decided] == [0] * 7
 
     # A planted violation: the 201 x 801 unfolding's stage with grid row 150,
-    # outside D's 101-row block, in the row of tiles 140-159, which holds no
-    # subgrid row, moved off the sphere (its halves halved), so its sums are
-    # those of mixed states, far above D's maximum
+    # outside D's 101-row block, in the row of tiles 140-159, moved off the
+    # sphere (its halves halved), so its sums are those of mixed states, far
+    # above D's maximum
     PLANTED_ROW = 150
 
     def planted(self, value):
@@ -648,7 +647,6 @@ class TestFullDomainConsistency:
         # a skipped tile's sums may lie just under tol past D's extrema, each
         # with decisions both ways
         block, full = self.planted(lambda a, b: (a / 2.0, b / 2.0))
-        assert self.PLANTED_ROW not in full.sub_rows
         params = [verify.as_param(a) for a in PARITY_ORDERS + LARGE_ORDERS]
         with monkeypatch.context() as m:
             m.setattr(verify, "_PRUNE_MARGIN", math.inf)
@@ -684,8 +682,8 @@ class TestFullDomainConsistency:
 
     def test_planted_nan_names_its_tile(self, monkeypatch):
         # a NaN in the planted row: D's scan never meets it, and the
-        # unfolding's decision, which runs no subgrid, meets it first in the
-        # bound pass, as the tile bound of the row's first tile, at any chunk budget
+        # unfolding's decision meets it first in the bound pass, as the tile
+        # bound of the row's first tile, at any chunk budget
         block, full = self.planted(lambda a, b: (math.nan, b))
         params = [verify.as_param(a) for a in (0.5, 2.0, 4.0)]
         tau, phi = full.tau_grid, full.phi_grid
@@ -1002,10 +1000,10 @@ class TestWorkers:
         # each worker's run sets numpy's ufunc buffer to the stage's row length,
         # and the bound pass to the row of tiles' (26 columns of tiles: 16), and
         # both restore the caller's, on one worker and on two, after a scan
-        # that raises at a NaN z term (row 70, which the incumbent subgrid
-        # skips) and after one that raises at a NaN tile bound inside the
-        # pass; the reports do not depend on the caller's buffer, below the
-        # row's length or above numpy's default
+        # that raises at a NaN z term (row 70, in the grid's run) and after
+        # one that raises at a NaN tile bound inside the pass; the reports do
+        # not depend on the caller's buffer, below the row's length or above
+        # numpy's default
         expected = scan_orders(WORKER_ORDERS, WORKER_GRID)
         real = verify._pair_entropy_into
         in_pass = []  # the buffer at each tile bound's kernel call
@@ -1050,11 +1048,10 @@ class TestWorkers:
                     np.setbufsize(old)
 
     def test_nonfinite_value_is_the_same_on_any_number_of_workers(self, monkeypatch):
-        # NaN z terms at row 70 for alpha = 2 and at row 100 for 0.5, rows
-        # the incumbent subgrid skips: with every tile kept the grid's run
-        # meets both, in blocks of 80 rows, one worker running every block and
-        # two splitting them, and both name the least grid point, alpha = 2's
-        # at row 70, column 0
+        # NaN z terms at row 70 for alpha = 2 and at row 100 for 0.5: with
+        # every tile kept the grid's run meets both, in blocks of 80 rows, one
+        # worker running every block and two splitting them, and both name the
+        # least grid point, alpha = 2's at row 70, column 0
         monkeypatch.setattr(verify, "_PRUNE_MARGIN", math.inf)
         real = verify._pair_entropy_into
         bad_rows = {2.0: 70, 0.5: 100}
@@ -1111,8 +1108,8 @@ class TestWorkers:
 def plan_arrays(plan):
     """Every array a plan holds: the axes, the stage and the tiles'."""
     return [
-        plan.tau_grid, plan.phi_grid, *plan.stage, plan.row_edges, plan.col_edges, plan.sub_rows, plan.sub_cols,
-        *plan.sub_stage, *plan.tile_stage, plan.exact,
+        plan.tau_grid, plan.phi_grid, *plan.stage, plan.row_edges, plan.col_edges, *plan.tile_stage, plan.tile_pairs,
+        plan.exact, plan.geometry,
     ]
 
 
@@ -1127,7 +1124,8 @@ class TestPlan:
         if exhaustive:
             monkeypatch.setattr(verify, "_PRUNE_MARGIN", math.inf)
         built = []
-        for name in ("_stage", "_tile_edges", "_subgrid", "_tile_stage", "_exact_tiles", "_slab"):
+        builders = ("_stage", "_tile_edges", "_tile_stage", "_tile_pairs", "_exact_tiles", "_slab", "_tile_geometry")
+        for name in builders:
             real = getattr(verify, name)
             monkeypatch.setattr(verify, name, lambda *args, name=name, real=real: built.append(name) or real(*args))
         grid, first_orders, orders = GridSpec(n, n), (0.5, 2.0, 4.0), (1.0, 2.5, 7.3, 0.5)
@@ -1135,7 +1133,7 @@ class TestPlan:
         plan = grid._plan
         again = scan_orders(orders, grid)
         assert grid._plan is plan
-        assert built == ["_stage", "_tile_edges", "_subgrid", "_tile_stage", "_exact_tiles", "_slab"]
+        assert built == list(builders)
         assert (min(r.points_evaluated for r in again) == n * n - resolved_points(plan)) == exhaustive
         assert again == scan_orders(orders, GridSpec(n, n))
         assert first == scan_orders(first_orders, GridSpec(n, n))
@@ -1163,8 +1161,8 @@ class TestPlan:
         grid = GridSpec(801, 801)
         scan_extrema(0.5, grid)
         arrays = plan_arrays(grid._plan)
-        # the axes, three stages of three arrays, the tile edges, the subgrid and the exact tiles
-        assert len(arrays) == 16
+        # the axes, two stages of three arrays, the tile edges, the tile pairs, the exact tiles and their geometry
+        assert len(arrays) == 13
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 0
@@ -1329,9 +1327,9 @@ def angle_boxes():
 
 
 def whole_grid(params, plan):
-    """The exhaustive reference: every grid point in blocks of whole grid rows, without subgrid or bound pass.
+    """The exhaustive reference: every grid point in blocks of whole grid rows, without the bound pass.
 
-    One row of tiles, every column kept, as the incumbent subgrid's run: _blocks cuts it.
+    One row of tiles, every column kept, which _blocks cuts.
     """
     stage = plan.stage
     edges, spans = np.array([0, len(plan.tau_grid)]), np.tile([0, len(plan.phi_grid)], (len(params), 1, 1))
@@ -1346,13 +1344,12 @@ def exact_tiles(plan):
 
 
 def resolved_points(plan):
-    """The points of the plan's exact tiles outside their row's span and outside its incumbent subgrid.
+    """The points of the plan's exact tiles outside their row's span.
 
     A scan that keeps every other tile evaluates every grid point but
     these: its span in a row of tiles runs from the first tile that is not
-    exact to the last, so the exact tiles between them are evaluated, the
-    exact tiles outside it are resolved from their bounds, and the subgrid
-    run evaluates its own points.
+    exact to the last, so the exact tiles between them are evaluated, and
+    the exact tiles outside it are resolved from their bounds.
     """
     n_cols = len(plan.col_edges) - 1
     kept = np.ones((len(plan.row_edges) - 1, n_cols), dtype=bool)
@@ -1362,11 +1359,7 @@ def resolved_points(plan):
     t, u = np.divmod(plan.exact, n_cols)
     outside = (u < first[t]) | (u > last[t])
     r0, r1, c0, c1 = (edges[outside] for edges in exact_tiles(plan))
-    rows, cols = (
-        np.searchsorted(sub, end) - np.searchsorted(sub, start)
-        for sub, start, end in ((plan.sub_rows, r0, r1), (plan.sub_cols, c0, c1))
-    )
-    return int(((r1 - r0) * (c1 - c0) - rows * cols).sum())
+    return int(((r1 - r0) * (c1 - c0)).sum())
 
 
 def exact_tile_sums(plan, alpha):
@@ -1400,12 +1393,14 @@ def assert_parity(monkeypatch, grid, orders):
             pruned = verify._scan_rectangle(params, plan)
             assert [r[:4] for r in pruned] == [r[:4] for r in expected], (budget, workers)
             counts.add(tuple(points for *_, points in pruned))
-    # the points evaluated depend on the grid and the orders alone
+    # the points evaluated depend on the grid and the orders alone; where
+    # every tile is exact (2x2, whose tiles are 1 x 1) the scan evaluates none
     (points,) = counts
-    assert all(0 < p <= n_tau * n_phi for p in points)
+    all_exact = plan.exact.size == (len(plan.row_edges) - 1) * (len(plan.col_edges) - 1)
+    assert all(p == 0 if all_exact else 0 < p <= n_tau * n_phi for p in points)
     # an infinite margin keeps every tile but the exact ones: the
     # exhaustive scan's extrema and witnesses, and every point but the
-    # exact tiles' outside the subgrid
+    # exact tiles' outside the spans
     monkeypatch.setattr(verify, "_PRUNE_MARGIN", math.inf)
     unpruned = [(*found[:4], n_tau * n_phi - resolved_points(plan)) for found in expected]
     for workers in (1, 2):
@@ -1426,6 +1421,37 @@ class TestPruning:
         # so these orders stay on the smaller grids
         assert_parity(monkeypatch, PARITY_GRIDS[grid], LARGE_ORDERS)
 
+    # Orders log-uniform over [1e-3, 3e3], past PARITY_ORDERS' 10, and
+    # within 1e-6 of 1, 2 and 3, where the kernel's branch and G's regime
+    # change
+    PROPERTY_ORDERS = st.one_of(
+        st.floats(min_value=math.log(1e-3), max_value=math.log(3e3)).map(math.exp),
+        st.sampled_from((1.0, 2.0, 3.0)).flatmap(lambda c: st.floats(min_value=c - 1e-6, max_value=c + 1e-6)),
+    )
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        alphas=st.lists(PROPERTY_ORDERS, min_size=1, max_size=3),
+        n_tau=st.integers(min_value=2, max_value=61),
+        n_phi=st.integers(min_value=2, max_value=61),
+        unfolded=st.booleans(),
+    )
+    def test_derived_cuts_keep_the_exhaustive_extrema(self, alphas, n_tau, n_phi, unfolded):
+        # each order cuts at its own tile bounds' extrema and samples: the
+        # extrema and witnesses of the same scan at an infinite margin, which
+        # skips no tile, on grids on D of 2 to 61 points per axis and on
+        # their full-domain unfoldings
+        if unfolded:
+            plan = unfolded_plans(2 * n_tau - 1, 8 * n_phi - 7)[1]
+        else:
+            plan = verify._Plan(np.linspace(0.0, QUARTER_PI, n_tau), np.linspace(0.0, QUARTER_PI, n_phi))
+        params = [verify.as_param(a) for a in alphas]
+        pruned = verify._scan_rectangle(params, plan)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(verify, "_PRUNE_MARGIN", math.inf)
+            exhaustive = verify._scan_rectangle(params, plan)
+        assert [r[:4] for r in pruned] == [r[:4] for r in exhaustive]
+
     @pytest.mark.parametrize("grid", PARITY_GRIDS)
     def test_tile_bounds_hold_every_grid_sum(self, grid):
         # each tile's LB and UB, the monotone bounds combined with the sphere
@@ -1440,8 +1466,9 @@ class TestPruning:
         tile_stage = verify._tile_stage(stage, row_edges, col_edges)
         assert [v.shape for v in tile_stage] == [(2, len(row_edges) - 1)] * 2 + [(2, 2, len(col_edges) - 1)]
         (x, y, z), eta = stage_pairs(tile_stage), verify._slab(stage)
+        geometry = verify._tile_geometry(tile_stage, eta)
         tiles = np.arange((len(row_edges) - 1) * (len(col_edges) - 1))
-        work = np.empty((38, tiles.size))
+        work = np.empty((35, tiles.size))
         # grid sums a few rows of tiles at a time, every order on one pair stage
         rows_per_part = max(1, 2**18 // n_phi // (row_edges[1] - row_edges[0]))
         parts = [(t, min(t + rows_per_part, len(row_edges) - 1)) for t in range(0, len(row_edges) - 1, rows_per_part)]
@@ -1449,11 +1476,11 @@ class TestPruning:
         for alpha in PARITY_ORDERS:
             a = verify.as_param(alpha)
             fx, fy, fz = (entropy.pair_entropy(*pair, a) for pair in (x, y, z))
-            bounds = fx + fy + fz
-            h, g, box = verify._tile_boxes(tile_stage, (fx, fy, fz[..., 0]), bounds, 0, tiles, work)
+            box = (fx + fy + fz).reshape(2, -1)
+            g, boxes = verify._tile_boxes(geometry, np.stack([fx, fy]), fz[..., 0], 0, tiles, work)
             regime = verify._sphere_regime(a)
             for concave in (True, False) if regime is None else (regime,):  # raises at a non-finite bound
-                verify._box_bound(a, concave, h, g, box, eta, work[14:], lambda k: f"on tile {k}")
+                verify._box_bound(a, concave, boxes, g, box, work[17:], lambda k: f"on tile {k}")
             lb, ub = box
             for t0, t1 in parts:
                 rows = slice(row_edges[t0], row_edges[t1])
@@ -1518,6 +1545,7 @@ class TestPruning:
         # and both regimes hold
         stages, h = angle_boxes()
         eta = verify._slab(tuple(np.concatenate(v, axis=-1) for v in zip(*stages)))
+        geometry = verify._box_geometry(h, eta)
         a = verify.as_param(alpha)
         sums = [pair_sums(stage_pairs(stage), a) for stage in stages]
         least, greatest = np.array([v.min() for v in sums]), np.array([v.max() for v in sums])
@@ -1525,7 +1553,7 @@ class TestPruning:
         def box_bounds(concave):
             g = entropy.pair_entropy(0.5 + h, 0.5 - h, a)
             bounds = g[:, 0] + g[:, 1] + g[:, 2]  # the monotone LB and UB
-            verify._box_bound(a, concave, h, g, bounds, eta, np.empty((24, h.shape[-1])), lambda k: f"on box {k}")
+            verify._box_bound(a, concave, geometry, g, bounds, np.empty((18, h.shape[-1])), lambda k: f"on box {k}")
             return bounds
 
         regime = verify._sphere_regime(a)
@@ -1547,6 +1575,7 @@ class TestPruning:
         # by a few ulps, inside BOUND_BUDGET, and fail here
         stages, h = angle_boxes()
         eta = verify._slab(tuple(np.concatenate(v, axis=-1) for v in zip(*stages)))
+        geometry = verify._box_geometry(h, eta)
         least, greatest = [], []  # each box's exact least and greatest r
         for half_s2t, half_c2t, (cos_phi, sin_phi) in stages:
             halves = [half_s2t[:, None] * cos_phi, half_s2t[:, None] * sin_phi, half_c2t[:, None] + 0.0 * cos_phi]
@@ -1560,7 +1589,7 @@ class TestPruning:
             for concave in (True, False):
                 g = entropy.pair_entropy(0.5 + h, 0.5 - h, a)
                 bounds = g[:, 0] + g[:, 1] + g[:, 2]
-                verify._box_bound(a, concave, h, g, bounds, eta, np.empty((24, h.shape[-1])), lambda k: f"on box {k}")
+                verify._box_bound(a, concave, geometry, g, bounds, np.empty((18, h.shape[-1])), lambda k: f"on box {k}")
                 lb, ub = bounds
                 assert all(Fraction(float(low)) <= constant - slope * r for low, r in zip(lb, greatest)), alpha
                 assert all(Fraction(float(high)) >= constant - slope * r for high, r in zip(ub, least)), alpha
@@ -1604,17 +1633,19 @@ class TestPruning:
     # grids on D and the full-domain unfolding of 251^2: the skip decisions
     # themselves, so a change that keeps more tiles, or fewer, shows here
     # though the extrema stay the same.  Every order but 2 keeps the same
-    # tiles, the few around each order's extrema; grid row tau = 0, a row of
-    # tiles of its own whose every point ties the eigenstate minimum, is
-    # exact and resolved from its bounds, so only its subgrid points are
-    # evaluated
+    # tiles, the few around each order's extrema; grid row
+    # tau = 0, a row of tiles of its own whose every point ties the
+    # eigenstate minimum, is exact and resolved from its bounds, so none of
+    # its points is evaluated.  The counts were re-pinned when each order
+    # came to cut at its own tile bounds' extrema and samples, with no
+    # subgrid: the extrema and witnesses stayed the same
     @pytest.mark.parametrize(
         "grid,points",
         [
-            (PARITY_GRIDS["2001x2001"], [16499, 16499, 4002024, 16499, 16499, 16499]),
-            (PARITY_GRIDS["101x40001"], [4378, 4378, 4000124, 4378, 4378, 4378]),
-            ((QUARTER_PI, 801, QUARTER_PI, 801), [4506, 4506, 640816, 4506, 4506, 4506]),
-            (PARITY_GRIDS["501x2001 unfolded"], [320281, 320281, 1000533, 320281, 320281, 320281]),
+            (PARITY_GRIDS["2001x2001"], [1890, 1890, 4002000, 1890, 1890, 1890]),
+            (PARITY_GRIDS["101x40001"], [1963, 1963, 4000100, 1963, 1963, 1963]),
+            ((QUARTER_PI, 801, QUARTER_PI, 801), [1736, 1736, 640800, 1736, 1736, 1736]),
+            (PARITY_GRIDS["501x2001 unfolded"], [257605, 257605, 1000500, 257605, 257605, 257605]),
         ],
         ids=["2001x2001", "101x40001", "801x801", "501x2001 unfolded"],
     )
@@ -1655,7 +1686,7 @@ class TestPruning:
     def test_ties_keep_lowest_grid_point(self, monkeypatch):
         # every grid point ties, so no tile is skipped and both extrema stay at
         # (0, 0); every tile is exact, so the grid's run has no block and the
-        # scan evaluates its subgrid alone.  A fresh grid, as in TestWorkers:
+        # scan evaluates no point.  A fresh grid, as in TestWorkers:
         # its plan takes the patched stage
         monkeypatch.setattr(verify, "_stage", constant_stage)
         grid = GridSpec(401, 401)
@@ -1666,7 +1697,7 @@ class TestPruning:
                 assert (report.argmax.tau, report.argmax.phi) == (0.0, 0.0)
                 plan = grid._plan
                 assert plan.exact.size == (len(plan.row_edges) - 1) * (len(plan.col_edges) - 1)
-                assert report.points_evaluated == plan.sub_rows.size * plan.sub_cols.size
+                assert report.points_evaluated == 0
 
     def test_run_without_blocks(self, monkeypatch):
         # spans that keep nothing: each order has no extrema and no point, and
@@ -1682,8 +1713,8 @@ class TestPruning:
     @pytest.mark.parametrize("grid", [GridSpec(2001, 2001), GridSpec(101, 40001), GridSpec(3001, 3001)], ids=str)
     def test_workspace_stays_bounded(self, monkeypatch, grid):
         # a block holds at most 2**15 points, or one grid row of at most n_phi,
-        # so the workspace keeps the exhaustive bound; the incumbent subgrid's
-        # run, whose rows are whole, keeps it too
+        # so the workspace keeps the exhaustive bound; a scan makes one run,
+        # the grid's
         real, workspaces = verify._grid_pairs, {}
 
         def pairs(stage, rows, cols, out):
@@ -1696,9 +1727,7 @@ class TestPruning:
 
         monkeypatch.setattr(verify, "_grid_pairs", pairs)
         scan_extrema(0.5, grid)
-        # the subgrid's run, then the grid's
-        sub_rows, _ = verify._subgrid(*(np.linspace(0.0, QUARTER_PI, n) for n in (grid.n_tau, grid.n_phi)))
-        assert [n_rows for _, n_rows in workspaces.values()] == [sub_rows.size, grid.n_tau]
+        assert [n_rows for _, n_rows in workspaces.values()] == [grid.n_tau]
         for base, _ in workspaces.values():
             workers, planes, size = base.shape
             assert workers * size <= max(verify._CHUNK_POINTS, verify._MAX_WORKERS * grid.n_phi)
@@ -1723,9 +1752,9 @@ class TestPruning:
         # a pruned scan takes one worker per _WORKER_POINTS points its stage
         # evaluates: every point where every tile is kept (alpha = 2), a few
         # percent at 0.5, and under 2**17 on 801^2 at 0.5, which stays in the
-        # caller.  Each scan asks twice: the subgrid's run, then the grid's
-        # run, the count checked here (a block's points do not depend on the
-        # workers, so no run asks for its blocks' size)
+        # caller.  Each scan asks once, for its one run, the grid's (a block's
+        # points do not depend on the workers, so no run asks for its blocks'
+        # size)
         real, asked, threads = verify._workers, [], set()
         real_pairs = verify._grid_pairs
 
@@ -1737,18 +1766,17 @@ class TestPruning:
         monkeypatch.setattr(verify, "_grid_pairs", pairs)
         grid = GridSpec(2001, 2001)
         constant, low = (scan_extrema(a, grid).points_evaluated for a in (2.0, 0.5))
-        assert len(asked) == 4
-        # at 2 the grid's run takes every point outside the exact tiles, and
-        # the subgrid's run the exact tiles' subgrid points
+        assert len(asked) == 2
+        # at 2 the grid's run takes every point outside the exact tiles
         r0, r1, c0, c1 = exact_tiles(grid._plan)
-        assert asked[1] == grid.n_tau * grid.n_phi - ((r1 - r0) * (c1 - c0)).sum()
+        assert asked[0] == grid.n_tau * grid.n_phi - ((r1 - r0) * (c1 - c0)).sum()
         assert constant == grid.n_tau * grid.n_phi - resolved_points(grid._plan)
-        assert asked[3] < low < constant / 10
+        assert asked[1] == low < constant / 10
         asked.clear()
         threads.clear()
         scan_extrema(0.5, GridSpec(801, 801))
-        assert len(asked) == 2
-        assert asked[1] < 2 * verify._WORKER_POINTS and threads == {threading.get_ident()}
+        assert len(asked) == 1
+        assert asked[0] < 2 * verify._WORKER_POINTS and threads == {threading.get_ident()}
 
     @pytest.mark.parametrize("alpha", PINNED_ORDERS)
     def test_pair_entropy_falls_as_h_grows(self, alpha):
@@ -1809,42 +1837,56 @@ class TestPruning:
         assert max(worst, key=worst.get) in (0.98999, 0.99, 1.01, 1.01001)
         assert 6 * 1.5e-14 + 4e-15 <= BOUND_BUDGET
 
-    # A pruned scan's first pair-kernel calls are its z terms, one per order,
-    # then the bound pass's.  On 801^2 the incumbent subgrid's run, between
-    # them, is one block: one numerator call per order for the subgrid's sums
-    # (x and y at once).  Then the tile stage's z terms, one kernel call per order, and
-    # the tile bounds are one chunk: two kernel calls per order (x, y), of
-    # shape (2, 2, tile rows, tile columns), the lower bounds first, each
-    # order's followed, outside 2 and 3, by its boxes' split side's call on
-    # the tiles it keeps.
+    # The incumbents are each order's tile bounds' own extrema, the least UB
+    # and the greatest LB, so a non-finite value that would enter one is a
+    # tile bound, met in the bound pass before the grid's run starts.  A
+    # pruned scan's first pair-kernel calls are its z terms, one per order,
+    # then the bound pass's: the tile stage's z terms, one kernel call per
+    # order, and on 801^2 the tile bounds in one chunk, two kernel calls per
+    # order (x, y), of shape (2, 2, tile rows, tile columns), the lower
+    # bounds first, each order's followed, outside 2 and 3, by its boxes'
+    # split side's call on the tiles it keeps.  Order k's x term takes a NaN
+    # in the LB of the tile whose LB is the order's greatest.
     @pytest.mark.parametrize("k,orders", [(0, (0.5, 2.0)), (1, (0.5, 2.0)), (0, (4.0,))])
     def test_nonfinite_incumbent_raises(self, monkeypatch, capsys, k, orders):
         axis = np.linspace(0.0, QUARTER_PI, 801)
-        rows, cols = verify._subgrid(axis, axis)
-        real = verify._pair_numerator_into
-        calls, injected = [], []
+        plan = verify._Plan(axis, axis)
+        lb = pair_sums(stage_pairs(plan.tile_stage), verify.as_param(orders[k]))[0]
+        t, u = np.unravel_index(int(np.argmax(lb)), lb.shape)
+        real, real_numerator = verify._pair_entropy_into, verify._pair_numerator_into
+        tile_calls, grid_calls, injected = [], [], []
 
         def inject(pairs, alpha, out):
+            tile_bound = out.ndim == 4
             out = real(pairs, alpha, out)
-            if len(calls) == k:  # the x numerator of order k's subgrid sums
-                out[0, 3, 2] = math.nan
-                injected.append((alpha.alpha, out.shape))
-            calls.append(None)
+            if tile_bound:
+                if len(tile_calls) == 2 * k:  # order k's x term
+                    out[0, t, u] = math.nan
+                    injected.append(alpha.alpha)
+                tile_calls.append(None)
             return out
 
-        monkeypatch.setattr(verify, "_pair_numerator_into", inject)
-        point = f"(tau, phi) = ({float(axis[rows[3]])!r}, {float(axis[cols[2]])!r})"
+        def numerator(pairs, alpha, out):  # a block's, in the grid's run
+            grid_calls.append(alpha.alpha)
+            return real_numerator(pairs, alpha, out)
+
+        monkeypatch.setattr(verify, "_pair_entropy_into", inject)
+        monkeypatch.setattr(verify, "_pair_numerator_into", numerator)
+        row_edges, col_edges = plan.row_edges, plan.col_edges
+        first = f"(tau, phi) = ({float(axis[row_edges[t]])!r}, {float(axis[col_edges[u]])!r})"
+        last = f"(tau, phi) = ({float(axis[row_edges[t + 1] - 1])!r}, {float(axis[col_edges[u + 1] - 1])!r})"
+        tile = f"on the tile from {first} to {last}"
         with pytest.raises(ValueError, match=f"alpha={orders[k]!r}") as info:
             scan_orders(orders, GridSpec(801, 801))
-        assert "entropic sum is nan" in str(info.value) and point in str(info.value)
-        assert injected == [(orders[k], (2, rows.size, cols.size))]
+        assert "entropic sum bound is nan" in str(info.value) and tile in str(info.value)
+        assert injected == [orders[k]] and grid_calls == []
 
-        calls.clear()
+        tile_calls.clear()
         assert main(["verify", ",".join(map(repr, orders)), "--grid", "801"]) == 3
         out, err = capsys.readouterr()
         assert out == ""
-        assert f"alpha={orders[k]!r}" in err and point in err
-        assert injected == [(orders[k], (2, rows.size, cols.size))] * 2
+        assert f"alpha={orders[k]!r}" in err and tile in err
+        assert injected == [orders[k]] * 2
 
     @pytest.mark.parametrize(
         "k,orders,side,bad,split",
@@ -1874,9 +1916,9 @@ class TestPruning:
                 splits[0][1] = out.shape
             return out
 
-        def tile_boxes(tile_stage, terms, bounds, t0, kept, work):
-            boxes.append(t0 * terms[0].shape[-1] + kept)  # the kept tiles' flat indices in the tile grid
-            return real_boxes(tile_stage, terms, bounds, t0, kept, work)
+        def tile_boxes(geometry, terms, z_term, t0, kept, work):
+            boxes.append(t0 * terms.shape[-1] + kept)  # the kept tiles' flat indices in the tile grid
+            return real_boxes(geometry, terms, z_term, t0, kept, work)
 
         def box_bound(alpha, *rest):
             # the split side bounds every box, so its first tile is the batch's first
@@ -1918,12 +1960,12 @@ class TestPruning:
         real_boxes, real = verify._tile_boxes, verify._pair_entropy_into
         tiles = []
 
-        def tile_boxes(tile_stage, terms, bounds, t0, kept, work):
-            h, g, box = real_boxes(tile_stage, terms, bounds, t0, kept, work)
+        def tile_boxes(geometry, terms, z_term, t0, kept, work):
+            g, boxes = real_boxes(geometry, terms, z_term, t0, kept, work)
             if not tiles:
                 g[1, 0, 1] = math.nan  # F at the second box's least |h_x|
-                tiles.append(t0 * terms[0].shape[-1] + int(kept[1]))
-            return h, g, box
+                tiles.append(t0 * terms.shape[-1] + int(kept[1]))
+            return g, boxes
 
         def inject(pairs, alpha, out):
             split = bool(tiles) and out.shape[:2] == (2, 3)  # the split side's call, three axes per tile
@@ -2066,8 +2108,7 @@ class TestKernelCalls:
     @pytest.mark.parametrize("grid", [GridSpec(401, 401), GridSpec(2001, 2001)], ids=str)
     def test_z_term_once_per_scan_and_one_numerator_call_per_block(self, monkeypatch, grid):
         # numerator calls and extrema on a run's workspace planes are the
-        # blocks' (the incumbent subgrid's run included, which adds slices of
-        # the grid's z terms), at most one extrema per order and block, each
+        # blocks', at most one extrema per order and block, each
         # block starting at its stage's pairs; every pair-kernel call is off
         # the workspace, and the tile stage's z terms are one value per row
         # of tiles
@@ -2094,7 +2135,8 @@ class TestKernelCalls:
 
         def extrema(values, alpha, where):
             extrema_calls.append(in_workspace(values))
-            block_orders[threading.get_ident()][-1].append(alpha.alpha)
+            if in_workspace(values):  # a block's; an order's samples take theirs off the workspace
+                block_orders[threading.get_ident()][-1].append(alpha.alpha)
             return real_extrema(values, alpha, where)
 
         def grid_pairs(stage, rows, cols, out):
@@ -2110,7 +2152,7 @@ class TestKernelCalls:
         z_terms = [(a, (2, grid.n_tau), False) for a in orders]
         assert kernel_calls[: len(orders)] == z_terms
         # the only other z terms are the tile stage's, its lower bounds stacked
-        # on its upper bounds: the subgrid's run takes slices of the grid's
+        # on its upper bounds
         axis = np.linspace(0.0, QUARTER_PI, grid.n_tau)
         tile_rows = len(verify._tile_edges(axis, axis)[0]) - 1
         tile_z_terms = [(a, (2, 2, tile_rows)) for a in orders]
@@ -2213,8 +2255,8 @@ def test_rounding_picks_the_constant_orders_witnesses():
         assert (report.min_value, report.max_value) == (low, high)
         assert report.argmin == PureStateAngles(float(axis[i]), float(axis[j]))
         assert report.argmax == PureStateAngles(float(axis[k]), float(axis[l]))
-        # every point but grid row 0's outside the subgrid: that row's tiles are exact
-        assert report.points_evaluated == 2001 * 2001 - 1977
+        # every point but grid row 0's: that row's tiles are exact
+        assert report.points_evaluated == 2001 * 2001 - 2001
 
 
 class TestSquaredIntegerOrders:
