@@ -25,8 +25,8 @@ split into contiguous runs, one per worker, of about equal kept work
 CPU, at most _MAX_WORKERS (two; no larger count was measured), one per
 _WORKER_POINTS grid points its stage evaluates (every grid point outside
 the exact tiles where no tile is skipped) and one per block, so small
-scans (refinement windows, test grids) and scans with little kept work
-stay in the calling thread.  The first run is the caller's own, the others go to helper
+scans (test grids) and scans with little kept work stay in the calling
+thread.  The first run is the caller's own, the others go to helper
 threads started for the scan, run in copies of the caller's context (so
 numpy's error state holds in them) and joined before it returns.  The
 workers share the _CHUNK_POINTS budget: a block takes grid rows of rows
@@ -57,15 +57,17 @@ buffer, which made the stage's product and each order's z-term
 addition two to five times slower on 2001-column blocks, and no
 elementwise result depends on the buffer.  The worker cap bounds the workspace
 whatever the CPU count: at most 8 max(_CHUNK_POINTS, _MAX_WORKERS n_phi)
-float64 values.  The tile bounds (below) stay within that bound too:
-they are taken a chunk of rows of tiles at a time, in 6 max(_CHUNK_POINTS
-/ 4, columns of tiles) values (one axis's kernel at a time, on views of
-the plan's tile pairs), their boxes on the sphere a batch of at most
-_WORKER_POINTS / 16 kept tiles at a time, in 35 values per tile (17 for
-the box, 18 for _box_bound's scratch; 2.2 _CHUNK_POINTS values at the
-default budget), and the bound pass keeps two column indices per order
-and row of tiles and, per order, three values for each tile its cuts
-leave until its last chunk sets them.
+float64 values.  The bound pass (below) takes every tile at once and
+the orders one by one, and reads nothing of _CHUNK_POINTS: it holds 6
+values per tile (each order's x and y terms and their sums, LB over UB,
+one axis's kernel at a time on views of the plan's tile pairs), plus 3
+for each tile the order in hand keeps (its flat index, LB and UB), plus
+one batch of boxes on the sphere, at most _WORKER_POINTS / 16 kept tiles
+of 35 values (17 for the box, 18 for _box_bound's scratch; 2.2
+_CHUNK_POINTS values), and two column indices per order and row of
+tiles.  Tiles number about sqrt(n_tau n_phi) (Pruning, below), so on a
+square grid that is under the workspace bound: 12,420 values for the
+tiles of 2001^2, about 48 MB at MAX_POINTS^2 (GridSpec).
 
 Pruning.  Every scan skips, for each order, the tiles that cannot hold a
 grid extremum or a tie with one.  A tile (_tile_edges) is a rectangle of
@@ -242,13 +244,11 @@ the grid point where there is one.  Computing the z terms raises
 nothing: a non-finite z term is met in the first sum that adds it, at
 the first grid point of its row that the order evaluates.  A scan
 meets its values in two steps: the bound pass, then the grid run.  The
-bound pass meets the tile bounds (a non-finite bound names its tile by
-its first and last grid points; in a chunk of rows of tiles the orders
-in the given order, each order's tile bounds before its boxes, and in a
-batch of boxes the chord side before the split side), then, order by
-order, the samples (a non-finite sample names its grid point; a decision
-takes none).  An
-exact tile's grid sums are its LB, so a non-finite value there is met as
+bound pass meets them order by order: its tile bounds, its boxes, then
+its samples.  A non-finite tile bound or box names its tile by its first
+and last grid points (in a batch of boxes the chord side before the
+split side), and a non-finite sample its grid point (a decision takes
+none).  An exact tile's grid sums are its LB, so a non-finite value there is met as
 its tile bound, and the grid run never reaches it.  A run reports its
 first non-finite value in grid order: the least (row, column) over every
 order, ties going to the order given first.  It takes its blocks, each
@@ -347,8 +347,7 @@ DEFAULT_SEED = 12345
 # the shared pair stage (2-core Xeon, numpy 2.4.6).  A scan measures its
 # blocks by the points of their spans, not the rows of tiles they cross,
 # so it runs few blocks: each kernel call costs tens of microseconds of
-# Python besides 12-30 ns a point.  The tile bounds' chunks take their
-# size from it too.
+# Python besides 12-30 ns a point.
 # Results do not depend on it (deterministic reduction).
 # The budget stays shared rather than one per worker: a full block per
 # worker cut the raw scan time by about 20%, but it doubled the workspace,
@@ -422,7 +421,9 @@ class GridSpec:
     every later scan: about 3 (n_tau + n_phi) float64 values for the axes
     and stages, and 19 per tile, the tile pairs' 8 and the box geometry's
     11, on about sqrt(n_tau n_phi) tiles (2,070 on 2001^2, 0.3 MB); at
-    MAX_POINTS per axis about 48 MB and 150 MB.  Its arrays are
+    MAX_POINTS per axis about 48 MB and 150 MB.  A scan's bound pass
+    holds about 6 values per tile more while it runs (_kept_spans), about
+    48 MB at MAX_POINTS per axis.  Its arrays are
     read-only.  Building takes no lock: first scans of two instances in
     two threads build at once, and two threads that first scan one
     instance together may each build a plan, both then scanning with the
@@ -849,10 +850,11 @@ def _tile_geometry(tile_stage: _Stage, eta: float) -> np.ndarray:
 class _Plan:
     """What every scan of one grid shares, whatever its orders: the axes, the stage and the tiles.
 
-    A GridSpec keeps its plan on D; full_domain_orders and refined_maximum's
-    window build one per call.  Besides the axes and the stage (_stage, or
-    the one given: full_domain_orders builds D's plan from views of the
-    unfolding's, so D's grid values are the unfolding's bit for bit), a
+    A GridSpec keeps its plan on D; full_domain_orders builds one per call,
+    and refined_maximum's window none (it evaluates the window whole).
+    Besides the axes and the stage (_stage, or the one given:
+    full_domain_orders builds D's plan from views of the unfolding's, so
+    D's grid values are the unfolding's bit for bit), a
     plan holds the tile edges (_tile_edges), the tile stage (_tile_stage)
     and its pairs (_tile_pairs, eight values a tile), the exact tiles' flat
     indices (_exact_tiles), the slab's eta (_slab) and each tile's box
@@ -876,22 +878,22 @@ class _Plan:
 
 
 def _tile_boxes(
-    geometry: np.ndarray, terms: np.ndarray, z_term: np.ndarray, t0: int, kept: np.ndarray, work: np.ndarray
+    geometry: np.ndarray, terms: np.ndarray, z_term: np.ndarray, kept: np.ndarray, work: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Kept tiles' boxes as _box_bound takes them, gathered into work[:17]: F at their |h| ends, then their geometry.
 
-    terms holds a chunk's x and y terms, of shape (2, 2, rows, columns of
+    terms holds the x and y terms, of shape (2, 2, rows, columns of
     tiles), each axis's F at its tiles' greatest |h| (LB's) over F at
     their least (UB's); z_term the order's, of shape (2, rows of tiles);
-    kept the n kept tiles' flat indices in the chunk, whose first row of
-    tiles is t0; geometry the plan's.  Returns g, of shape (2, 3, n), and
-    the tiles' geometry, (11, n), views of work.
+    kept the n kept tiles' flat indices in the grid of tiles; geometry the
+    plan's.  Returns g, of shape (2, 3, n), and the tiles' geometry, (11,
+    n), views of work.
     """
     n, n_cols = kept.size, terms.shape[-1]
     g = work[:6, :n].reshape(3, 2, n)  # per axis, F at the greatest |h| over F at the least
     np.take(terms.reshape(2, 2, -1), kept, axis=2, out=g[:2], mode="clip")
-    np.take(z_term, kept // n_cols + t0, axis=1, out=g[2], mode="clip")
-    boxes = np.take(geometry, kept + t0 * n_cols, axis=1, out=work[6:17, :n], mode="clip")
+    np.take(z_term, kept // n_cols, axis=1, out=g[2], mode="clip")
+    boxes = np.take(geometry, kept, axis=1, out=work[6:17, :n], mode="clip")
     return g.swapaxes(0, 1), boxes
 
 
@@ -1003,47 +1005,41 @@ def _kept_spans(
     least and greatest sums of _sampled on the tile that gives each where
     no exact tile's LB does (z_terms holds each order's z term per grid
     row); a sampled tile is kept.  Returns too, per order, the exact
-    tiles' extrema: for each chunk that holds one, ((min, (i, j)), (max,
-    (i, j))) as _run's, the least and greatest LB and the first grid point
-    of the first exact tile that holds each.  LB and UB are the sums on
-    _tile_stage, taken a chunk of rows of tiles at a time (at most
-    max(_CHUNK_POINTS / 4, columns of tiles) tiles of six values),
-    within a chunk the orders in the given order.  Each order cuts a
-    chunk's tiles at its cuts so far, the chunk's own bounds taken into
-    its incumbents first; at every order but 2 and 3, and at those too
-    where the margin is negative, the tiles left are then bounded as boxes
-    on the sphere, a batch of _WORKER_POINTS / 16 at a time (_tile_boxes,
-    _box_bound), and their bounds taken into its incumbents.  The pass
-    holds those tiles' flat indices, LB and UB, three values a tile, and
-    after the last chunk keeps the ones its final cuts keep.  Incumbents
-    only tighten, and a box's bounds lie within its monotone ones, so the
-    tiles kept, and sampled, do not depend on the chunks or batches.
-    Raises ValueError at a non-finite tile bound, naming the tile: an
-    order's sums, then its boxes; after the last chunk, order by order, at
-    a non-finite sample, naming its grid point.  The pass runs in the calling thread, under a ufunc buffer of a
-    row of tiles (_row_buffer; with the monotone bounds alone, on two
-    workers each allocating its chunks' arrays, it took 1.8 ms on 2001^2 at
-    alpha = 2.5 against 1.4 ms on one).
+    tiles' extrema, [] or [((min, (i, j)), (max, (i, j)))] as _run's:
+    the least and greatest LB and the first grid point of the first exact
+    tile that holds each.  The pass takes the orders one by one, each in
+    four steps.  Tile bounds: LB and UB, the sums on _tile_stage, on every
+    tile at once, into one scratch of six values a tile that every order
+    reuses.  Cuts: the tiles cut at the order's cuts, and the exact tiles
+    resolved straight from plan.exact.  Boxes: at every order but 2 and
+    3, and at those too where the margin is negative, the tiles left
+    bounded as boxes on the sphere, a batch of _WORKER_POINTS / 16 at a
+    time (_tile_boxes, _box_bound), their bounds taken into the
+    incumbents.  Samples and spans: the samples, then the spans of the
+    tiles left that the final cuts keep.  A box's bounds lie within its
+    monotone ones and incumbents only tighten, so the tiles kept, and
+    sampled, do not depend on the batches.  Raises ValueError order by
+    order: at a non-finite tile bound, naming the tile (its sums, then its
+    boxes), then at a non-finite sample, naming its grid point.  The pass
+    runs in the calling thread, under a ufunc buffer of a row of tiles
+    (_row_buffer; with the monotone bounds alone, on two workers each
+    allocating its own arrays, it took 1.8 ms on 2001^2 at alpha = 2.5
+    against 1.4 ms on one).
     """
-    tile_stage, row_edges, col_edges = plan.tile_stage, plan.row_edges, plan.col_edges
-    tile_z = _z_terms(alphas, tile_stage)[..., 0]
+    row_edges, col_edges, exact = plan.row_edges, plan.col_edges, plan.exact
+    tile_z = _z_terms(alphas, plan.tile_stage)[..., 0]
     n_rows, n_cols = len(row_edges) - 1, len(col_edges) - 1
-    step = max(1, _CHUNK_POINTS // 4 // n_cols)
-    # a chunk's sums' three arrays, each of LB then UB
-    scratch = np.empty((3, 2, min(step, n_rows) * n_cols))
+    # every tile's sums: three arrays, each of LB then UB
+    w = np.empty((3, 2, n_rows, n_cols))
     # a batch of kept tiles' boxes (_tile_boxes, work[:17]), then _box_bound's
-    # scratch (work[17:]); the batch is fixed at import, as _WORKER_POINTS
-    # is, so a chunk budget set for a test does not shrink it.  work grows to
-    # the most kept tiles a batch has held: a full batch's 1.2 MB, allocated
-    # and freed by every scan, made the allocator return and fault in that
-    # memory again (about 300 minor faults a scan on 101 x 40001)
+    # scratch (work[17:]).  work grows to the most kept tiles a batch has
+    # held: a full batch's 1.2 MB, allocated and freed by every scan, made the
+    # allocator return and fault in that memory again (about 300 minor faults
+    # a scan on 101 x 40001)
     batch = _WORKER_POINTS // 16
     work = np.empty((35, 0))
-    derive = cuts is None
-    # per order, (least, greatest): the cuts given, or the incumbents so far
-    incumbents = [[math.inf, -math.inf] if derive else list(cut) for cut in cuts or alphas]
-    # per order, each chunk's tiles left after its cuts: flat indices in the grid of tiles, and (LB, UB)
-    left: list[list] = [[] for _ in alphas]
+    spans = np.empty((len(alphas), n_rows, 2), dtype=int)
+    resolved: list[list] = []
 
     def tile(k: int) -> str:
         """The tile of flat index k in the grid of tiles, by its first and last grid points."""
@@ -1051,72 +1047,53 @@ def _kept_spans(
         start, end = where(row_edges[t], col_edges[u]), where(row_edges[t + 1] - 1, col_edges[u + 1] - 1)
         return f"on the tile from {start} to {end}"
 
-    def first_point(k: int) -> tuple[int, int]:
-        """The first grid point (i, j) of the tile of flat index k."""
-        t, u = divmod(int(k), n_cols)
-        return int(row_edges[t]), int(col_edges[u])
-
-    resolved: list[list] = [[] for _ in alphas]
-    # the chunks' broadcasts have rows of n_cols tiles
+    # the broadcasts have rows of n_cols tiles
     with _row_buffer(n_cols):
-        for t0 in range(0, n_rows, step):
-            tiles = slice(t0, t0 + step)
-            w = scratch[..., : (min(t0 + step, n_rows) - t0) * n_cols].reshape(3, 2, -1, n_cols)
-            pairs = plan.tile_pairs[..., tiles, :]
-            first = t0 * n_cols
-            # the chunk's exact tiles, by flat index in the chunk
-            exact = plan.exact[np.searchsorted(plan.exact, first) : np.searchsorted(plan.exact, first + w[0, 0].size)]
-            exact = exact - first
-            for o, (alpha, cut) in enumerate(zip(alphas, incumbents)):
-                # one axis at a time, so the chunk needs no fourth array
-                fx = _pair_entropy_into(pairs[:, 0], alpha, w[0:2])
-                _pair_entropy_into(pairs[:, 1], alpha, w[1:3])
-                bounds = np.add(fx, w[1], out=w[2])
-                bounds += tile_z[o, :, tiles, None]
-                lb, ub = bounds
-                if not np.isfinite(bounds).all():
-                    _check_bounds(np.where(np.isfinite(lb), ub, lb).ravel(), alpha, lambda k: tile(first + k))
-                if derive:
-                    cut[:] = min(cut[0], float(ub.min())), max(cut[1], float(lb.max()))
-                keep = (lb <= cut[0] + margin) | (ub >= cut[1] - margin)
-                if exact.size:  # every grid sum of an exact tile is its LB
-                    keep.ravel()[exact] = False
-                    values = lb.ravel()[exact]
-                    picks = exact[[np.argmin(values), np.argmax(values)]]
-                    resolved[o].append(tuple((float(lb.flat[k]), first_point(first + k)) for k in picks))
-                kept_tiles = np.flatnonzero(keep)
-                kept_bounds = np.take(bounds.reshape(2, -1), kept_tiles, axis=1)
-                concave = _sphere_regime(alpha)
-                if concave is None and margin < 0.0:  # affine G is concave too
-                    concave = True
-                for k0 in range(0, len(kept_tiles) if concave is not None else 0, batch):
-                    kept, box_bounds = kept_tiles[k0 : k0 + batch], kept_bounds[:, k0 : k0 + batch]
-                    if work.shape[1] < kept.size:
-                        work = np.empty((35, kept.size))
-                    g, geometry = _tile_boxes(plan.geometry, w[0:2], tile_z[o], t0, kept, work)
-                    _box_bound(alpha, concave, geometry, g, box_bounds, work[17:], lambda k: tile(first + kept[k]))
-                    if derive:
-                        cut[:] = min(cut[0], float(box_bounds[1].min())), max(cut[1], float(box_bounds[0].max()))
-                left[o].append((kept_tiles + first, kept_bounds))
-    spans = np.empty((len(alphas), n_rows, 2), dtype=int)
-    keep = np.empty((n_rows, n_cols), dtype=bool)
-    for o, (alpha, cut, chunks, found) in enumerate(zip(alphas, incumbents, left, resolved)):
-        kept_tiles, (lb, ub) = (np.concatenate(parts, axis=-1) for parts in zip(*chunks))
-        sampled = []
-        if derive and margin < math.inf and kept_tiles.size:
-            # a side whose incumbent is no exact tile's grid sum samples its tile
-            least = min((low for (low, _), _ in found), default=math.inf)
-            greatest = max((high for _, (high, _) in found), default=-math.inf)
-            sampled = [int(kept_tiles[np.argmin(ub)])] if cut[0] < least else []
-            sampled += [int(kept_tiles[np.argmax(lb)])] if cut[1] > greatest else []
-            if sampled:
-                least, greatest = _sampled(alpha, plan, z_terms[o], sampled, where)
-                cut[:] = min(cut[0], least), max(cut[1], greatest)
-        keep.fill(False)
-        keep.flat[kept_tiles[(lb <= cut[0] + margin) | (ub >= cut[1] - margin)]] = True
-        keep.flat[sampled] = True  # so every point of a sample is in a kept tile
-        ends = np.stack([np.argmax(keep, axis=1), n_cols - np.argmax(keep[:, ::-1], axis=1)], axis=1)
-        spans[o] = np.where(keep.any(axis=1)[:, None], col_edges[ends], 0)
+        for o, alpha in enumerate(alphas):
+            # one axis at a time, so the sums need no fourth array
+            fx = _pair_entropy_into(plan.tile_pairs[:, 0], alpha, w[0:2])
+            _pair_entropy_into(plan.tile_pairs[:, 1], alpha, w[1:3])
+            bounds = np.add(fx, w[1], out=w[2])
+            bounds += tile_z[o, ..., None]
+            lb, ub = bounds
+            if not np.isfinite(bounds).all():
+                _check_bounds(np.where(np.isfinite(lb), ub, lb).ravel(), alpha, tile)
+            cut = [float(ub.min()), float(lb.max())] if cuts is None else list(cuts[o])
+            keep = (lb <= cut[0] + margin) | (ub >= cut[1] - margin)
+            keep.flat[exact] = False  # every grid sum of an exact tile is its LB
+            found = []  # the least and greatest, each at the first grid point of its first exact tile
+            if exact.size:
+                picks = exact[[np.argmin(lb.flat[exact]), np.argmax(lb.flat[exact])]]
+                found = [tuple((float(lb.flat[k]), (int(row_edges[k // n_cols]), int(col_edges[k % n_cols]))) for k in picks)]
+            resolved.append(found)
+            kept_tiles = np.flatnonzero(keep)
+            kept_bounds = np.take(bounds.reshape(2, -1), kept_tiles, axis=1)
+            concave = _sphere_regime(alpha)
+            if concave is None and margin < 0.0:  # affine G is concave too
+                concave = True
+            for k0 in range(0, len(kept_tiles) if concave is not None else 0, batch):
+                kept, box_bounds = kept_tiles[k0 : k0 + batch], kept_bounds[:, k0 : k0 + batch]
+                if work.shape[1] < kept.size:
+                    work = np.empty((35, kept.size))
+                g, geometry = _tile_boxes(plan.geometry, w[0:2], tile_z[o], kept, work)
+                _box_bound(alpha, concave, geometry, g, box_bounds, work[17:], lambda k: tile(kept[k]))
+                if cuts is None:
+                    cut = [min(cut[0], float(box_bounds[1].min())), max(cut[1], float(box_bounds[0].max()))]
+            lb, ub = kept_bounds
+            sampled = []
+            if cuts is None and margin < math.inf and kept_tiles.size:
+                # a side whose incumbent is no exact tile's grid sum samples its tile
+                least, greatest = (found[0][0][0], found[0][1][0]) if found else (math.inf, -math.inf)
+                sampled = [int(kept_tiles[np.argmin(ub)])] if cut[0] < least else []
+                sampled += [int(kept_tiles[np.argmax(lb)])] if cut[1] > greatest else []
+                if sampled:
+                    least, greatest = _sampled(alpha, plan, z_terms[o], sampled, where)
+                    cut = [min(cut[0], least), max(cut[1], greatest)]
+            keep.fill(False)
+            keep.flat[kept_tiles[(lb <= cut[0] + margin) | (ub >= cut[1] - margin)]] = True
+            keep.flat[sampled] = True  # so every point of a sample is in a kept tile
+            ends = np.stack([np.argmax(keep, axis=1), n_cols - np.argmax(keep[:, ::-1], axis=1)], axis=1)
+            spans[o] = np.where(keep.any(axis=1)[:, None], col_edges[ends], 0)
     return spans, resolved
 
 
@@ -1359,9 +1336,10 @@ def scan_orders(alphas: Sequence[AlphaLike], grid: Optional[GridSpec] = None) ->
     ValueError as in scan_extrema; with several orders, the one reported
     is the first in grid order, the least (tau, phi) over every order,
     ties going to the order given first, whatever the number of workers
-    (a scan meets its bound pass's values first, its tile bounds' and
-    then its samples'; module docstring).  The grid's plan (GridSpec) is built on its first
-    scan and reused by every later one; no order, no plan.
+    (a scan meets its bound pass's values first, order by order: its
+    tile bounds, its boxes, then its samples; module docstring).  The
+    grid's plan (GridSpec) is built on its first scan and reused by every
+    later one; no order, no plan.
     """
     params = [as_param(a) for a in alphas]
     if not params:
@@ -1655,14 +1633,21 @@ def refined_maximum(alpha: AlphaLike, grid: Optional[GridSpec] = None) -> tuple[
     Rescans a +-_REFINE_WINDOW-step box around the coarse argmax with a
     step _REFINE_FACTOR times finer (clipped to D), which reaches ~1e-8 of
     the true maximum from the default grid without any derivative-based optimizer.
+    The box is evaluated whole, every point in one batch (_entropic_sums),
+    and raises ValueError at its first non-finite sum, naming its point.
     Deterministic: refined candidates replace the coarse one only when
-    strictly larger.
+    strictly larger, and ties within the box keep its lowest (tau, phi).
     """
     a = as_param(alpha)
     grid = grid if grid is not None else DEFAULT_GRID
     report = scan_extrema(a, grid)
-    window = _Plan(_refine_axis(report.argmax.tau, grid.n_tau), _refine_axis(report.argmax.phi, grid.n_phi))
-    ((_, _, mx, (i, j), _),) = _scan_rectangle([a], window)
+    axes = _refine_axis(report.argmax.tau, grid.n_tau), _refine_axis(report.argmax.phi, grid.n_phi)
+    tau, phi = np.meshgrid(*axes, indexing="ij")
+    # halving is exact, so these are the box's grid values bit for bit: the
+    # stage's fl((sin 2 tau / 2) cos phi) is fl(sin 2 tau cos phi) / 2
+    s2t = np.sin(2.0 * tau)
+    values = _entropic_sums(s2t * np.cos(phi), s2t * np.sin(phi), np.cos(2.0 * tau), a)
+    _, _, k, mx = _extrema(values, a, lambda k: f"(tau, phi) = ({float(tau.flat[k])!r}, {float(phi.flat[k])!r})")
     if mx > report.max_value:
-        return mx, PureStateAngles(float(window.tau_grid[i]), float(window.phi_grid[j]))
+        return mx, PureStateAngles(float(tau.flat[k]), float(phi.flat[k]))
     return report.max_value, report.argmax

@@ -966,7 +966,8 @@ class TestWorkers:
 
     @pytest.mark.parametrize("grid", [GridSpec(3, 3), GridSpec(11, 11), GridSpec(255, 257)], ids=str)
     def test_small_scans_stay_in_the_caller(self, monkeypatch, grid):
-        # below 2**16 points, and refinement's 41 x 41 windows: no helper thread
+        # below 2**16 points: no helper thread (refinement's 41 x 41 window
+        # takes no grid run at all)
         caller, seen = threading.get_ident(), set()
         real = verify._grid_pairs
 
@@ -1477,7 +1478,7 @@ class TestPruning:
             a = verify.as_param(alpha)
             fx, fy, fz = (entropy.pair_entropy(*pair, a) for pair in (x, y, z))
             box = (fx + fy + fz).reshape(2, -1)
-            g, boxes = verify._tile_boxes(geometry, np.stack([fx, fy]), fz[..., 0], 0, tiles, work)
+            g, boxes = verify._tile_boxes(geometry, np.stack([fx, fy]), fz[..., 0], tiles, work)
             regime = verify._sphere_regime(a)
             for concave in (True, False) if regime is None else (regime,):  # raises at a non-finite bound
                 verify._box_bound(a, concave, boxes, g, box, work[17:], lambda k: f"on tile {k}")
@@ -1637,8 +1638,8 @@ class TestPruning:
     # tau = 0, a row of tiles of its own whose every point ties the
     # eigenstate minimum, is exact and resolved from its bounds, so none of
     # its points is evaluated.  The counts were re-pinned when each order
-    # came to cut at its own tile bounds' extrema and samples, with no
-    # subgrid: the extrema and witnesses stayed the same
+    # came to cut at its own tile bounds' extrema and samples: the extrema
+    # and witnesses stayed the same
     @pytest.mark.parametrize(
         "grid,points",
         [
@@ -1734,10 +1735,9 @@ class TestPruning:
 
     @pytest.mark.parametrize("grid", [GridSpec(4001, 4001), GridSpec(1001, 40001)], ids=str)
     def test_scan_memory_stays_bounded(self, monkeypatch, grid):
-        # the bound pass works a chunk of subgrid rows or of rows of tiles at a
-        # time, so a whole scan allocates at most the workspace bound of the
-        # module docstring and a few vectors along the axes (5.7 and 15 MB
-        # here); the tile bounds taken all at once raise the peak to 16 and 47 MB
+        # the bound pass holds a few values per tile, about sqrt(n_tau n_phi)
+        # tiles, so a whole scan allocates at most the workspace bound of the
+        # module docstring and a few vectors along the axes
         scan_extrema(0.5, GridSpec(41, 41))  # a scan's first-use imports
         tracemalloc.start()
         try:
@@ -1842,10 +1842,10 @@ class TestPruning:
     # tile bound, met in the bound pass before the grid's run starts.  A
     # pruned scan's first pair-kernel calls are its z terms, one per order,
     # then the bound pass's: the tile stage's z terms, one kernel call per
-    # order, and on 801^2 the tile bounds in one chunk, two kernel calls per
-    # order (x, y), of shape (2, 2, tile rows, tile columns), the lower
-    # bounds first, each order's followed, outside 2 and 3, by its boxes'
-    # split side's call on the tiles it keeps.  Order k's x term takes a NaN
+    # order, and on 801^2 the tile bounds on every tile at once, two kernel
+    # calls per order (x, y), of shape (2, 2, tile rows, tile columns), the
+    # lower bounds first, each order's followed, outside 2 and 3, by its
+    # boxes' split side's call on the tiles it keeps.  Order k's x term takes a NaN
     # in the LB of the tile whose LB is the order's greatest.
     @pytest.mark.parametrize("k,orders", [(0, (0.5, 2.0)), (1, (0.5, 2.0)), (0, (4.0,))])
     def test_nonfinite_incumbent_raises(self, monkeypatch, capsys, k, orders):
@@ -1888,6 +1888,48 @@ class TestPruning:
         assert f"alpha={orders[k]!r}" in err and tile in err
         assert injected == [orders[k]] * 2
 
+    def test_an_orders_samples_come_before_the_next_orders_bounds(self, monkeypatch, capsys):
+        # the bound pass takes the orders one by one, each through its tile
+        # bounds, its boxes and its samples: a NaN sample of order 0 (its
+        # sampled tile's first grid point) is met before a NaN tile bound of
+        # order 1, and the grid's run never starts
+        axis = np.linspace(0.0, QUARTER_PI, 801)
+        real, real_sampled = verify._pair_entropy_into, verify._sampled
+        orders, tile_calls, samples, samples_at = (0.5, 2.0), [], [], []
+
+        def inject(pairs, alpha, out):
+            ndim = out.ndim
+            out = real(pairs, alpha, out)
+            if ndim == 4:  # a tile bound's call, two per order
+                if len(tile_calls) == 2:  # order 1's x term
+                    out[0, 4, 6] = math.nan
+                tile_calls.append(alpha.alpha)
+            elif ndim == 5 and not samples:  # order 0's samples, (2, 2, tiles, 3, 3)
+                out[:, 0] = math.nan  # both axes' terms at the first sampled tile
+                samples.append(alpha.alpha)
+            return out
+
+        def sampled(alpha, plan, z_term, tiles, where):
+            samples_at.append(tiles[0])
+            return real_sampled(alpha, plan, z_term, tiles, where)
+
+        monkeypatch.setattr(verify, "_pair_entropy_into", inject)
+        monkeypatch.setattr(verify, "_sampled", sampled)
+        monkeypatch.setattr(verify, "_pair_numerator_into", None)  # no grid run
+        with pytest.raises(ValueError, match="entropic sum is nan at alpha=0.5") as info:
+            scan_orders(orders, GridSpec(801, 801))
+        row_edges, col_edges = verify._tile_edges(axis, axis)
+        t, u = divmod(samples_at[0], len(col_edges) - 1)
+        point = f"(tau, phi) = ({float(axis[row_edges[t]])!r}, {float(axis[col_edges[u]])!r})"
+        assert str(info.value).endswith(point)
+        assert tile_calls == [0.5, 0.5] and samples == [0.5]
+
+        tile_calls.clear()
+        samples.clear()
+        assert main(["verify", ",".join(map(repr, orders)), "--grid", "801"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "entropic sum is nan at alpha=0.5" in err and point in err
+
     @pytest.mark.parametrize(
         "k,orders,side,bad,split",
         [
@@ -1916,9 +1958,9 @@ class TestPruning:
                 splits[0][1] = out.shape
             return out
 
-        def tile_boxes(geometry, terms, z_term, t0, kept, work):
-            boxes.append(t0 * terms.shape[-1] + kept)  # the kept tiles' flat indices in the tile grid
-            return real_boxes(geometry, terms, z_term, t0, kept, work)
+        def tile_boxes(geometry, terms, z_term, kept, work):
+            boxes.append(kept)  # the kept tiles' flat indices in the tile grid
+            return real_boxes(geometry, terms, z_term, kept, work)
 
         def box_bound(alpha, *rest):
             # the split side bounds every box, so its first tile is the batch's first
@@ -1960,11 +2002,11 @@ class TestPruning:
         real_boxes, real = verify._tile_boxes, verify._pair_entropy_into
         tiles = []
 
-        def tile_boxes(geometry, terms, z_term, t0, kept, work):
-            g, boxes = real_boxes(geometry, terms, z_term, t0, kept, work)
+        def tile_boxes(geometry, terms, z_term, kept, work):
+            g, boxes = real_boxes(geometry, terms, z_term, kept, work)
             if not tiles:
                 g[1, 0, 1] = math.nan  # F at the second box's least |h_x|
-                tiles.append(t0 * terms.shape[-1] + int(kept[1]))
+                tiles.append(int(kept[1]))
             return g, boxes
 
         def inject(pairs, alpha, out):
@@ -2165,6 +2207,27 @@ class TestKernelCalls:
         per_block = [calls for runs in block_orders.values() for calls in runs]
         assert sum(map(len, per_block)) == sum(extrema_calls)
         assert all(len(set(calls)) == len(calls) for calls in per_block)
+
+    @pytest.mark.parametrize("budget", [1, verify._CHUNK_POINTS])
+    def test_bound_pass_takes_every_tile_at_once(self, monkeypatch, budget):
+        # the tile bounds' kernel calls are the 4-D ones: two per order (x, y),
+        # each on every tile of the plan, orders in the given order, whatever
+        # the chunk budget, which shapes the blocks alone
+        orders = (0.5, 2.0, 4.0)
+        grid = GridSpec(801, 801)
+        plan = grid._plan
+        shape = (2, 2, len(plan.row_edges) - 1, len(plan.col_edges) - 1)
+        real, calls = verify._pair_entropy_into, []
+
+        def kernel(pairs, alpha, out):
+            if out.ndim == 4:
+                calls.append((alpha.alpha, out.shape))
+            return real(pairs, alpha, out)
+
+        monkeypatch.setattr(verify, "_CHUNK_POINTS", budget)
+        monkeypatch.setattr(verify, "_pair_entropy_into", kernel)
+        scan_orders(orders, grid)
+        assert calls == [(a, shape) for a in orders for _ in range(2)]
 
 
 # Orders whose kernel scale c is a signed power of two, so _pair_sums adds the
@@ -2660,6 +2723,40 @@ class TestRefinedMaximum:
         assert abs(value - 3.0 * h_tilde(alpha)) <= 1e-8
         assert abs(argmax.tau - TAU_STAR) <= 1e-4
         assert abs(argmax.phi - QUARTER_PI) <= 1e-4
+
+    @pytest.mark.parametrize("n_tau,n_phi", [(2001, 2001), (101, 401), (41, 41), (3, 3)], ids=str)
+    def test_window_is_the_grid_scan_of_the_box(self, n_tau, n_phi):
+        # the window evaluated whole gives, bit for bit, what a grid scan of
+        # the box on its own plan gives, ties included (2 and 3: rounding
+        # picks the witness)
+        grid = GridSpec(n_tau, n_phi)
+        for alpha in (0.25, 0.5, 1.0, 1.005, 2.0, 2.5, 3.0, 4.0, 7.3, 30.0):
+            a = verify.as_param(alpha)
+            report = scan_extrema(a, grid)
+            axes = (verify._refine_axis(report.argmax.tau, n_tau), verify._refine_axis(report.argmax.phi, n_phi))
+            ((_, _, mx, (i, j), _),) = verify._scan_rectangle([a], verify._Plan(*axes))
+            expected = (mx, PureStateAngles(float(axes[0][i]), float(axes[1][j])))
+            if not mx > report.max_value:
+                expected = (report.max_value, report.argmax)
+            value, argmax = refined_maximum(a, grid)
+            assert (value.hex(), argmax) == (expected[0].hex(), expected[1]), alpha
+
+    def test_nonfinite_window_sum_names_its_point(self, monkeypatch):
+        grid = GridSpec(41, 41)
+        report = scan_extrema(0.5, grid)
+        tau = verify._refine_axis(report.argmax.tau, grid.n_tau)
+        phi = verify._refine_axis(report.argmax.phi, grid.n_phi)
+        real = verify._entropic_sums
+
+        def sums(bx, by, bz, alpha):
+            values = real(bx, by, bz, alpha)
+            values[1, 4] = math.nan
+            return values
+
+        monkeypatch.setattr(verify, "_entropic_sums", sums)
+        with pytest.raises(ValueError, match="entropic sum is nan at alpha=0.5") as info:
+            refined_maximum(0.5, grid)
+        assert str(info.value).endswith(f"(tau, phi) = ({float(tau[1])!r}, {float(phi[4])!r})")
 
 
 class TestSampling:
